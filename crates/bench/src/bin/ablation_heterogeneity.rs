@@ -5,7 +5,10 @@
 //! survive — notably whether SFS's short-function priority and Kraken's
 //! per-function SLOs start paying off.
 
-use faasbatch_bench::{run_four, summary_table, DEFAULT_WINDOW, SEED};
+use faasbatch_bench::{summary_table, DEFAULT_WINDOW, PAPER_FOUR, SEED};
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
+use faasbatch_schedulers::config::SimConfig;
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
 
@@ -23,7 +26,15 @@ fn main() {
             w.len(),
             w.registry().len()
         );
-        let reports = run_four(&w, "cpu-hetero", DEFAULT_WINDOW);
+        let reports = run_comparison(
+            &PAPER_FOUR,
+            &w,
+            "cpu-hetero",
+            &SimConfig::default(),
+            &SchedulerSetup::new(DEFAULT_WINDOW),
+            |_| Box::new(NoopSink),
+        )
+        .0;
         println!("{}", summary_table(&reports));
     }
     println!("Expected: the FaaSBatch-first ordering is unchanged; with distinct");

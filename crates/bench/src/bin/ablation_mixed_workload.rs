@@ -4,8 +4,11 @@
 //! interference between the classes.
 
 use faasbatch_bench::{
-    paper_cpu_workload, paper_io_workload, run_four, summary_table, DEFAULT_WINDOW,
+    paper_cpu_workload, paper_io_workload, summary_table, DEFAULT_WINDOW, PAPER_FOUR,
 };
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
+use faasbatch_schedulers::config::SimConfig;
 
 fn main() {
     let mixed = paper_cpu_workload().merge(paper_io_workload());
@@ -13,7 +16,15 @@ fn main() {
         "Ablation — mixed workload ({} invocations: 800 cpu + 400 io)\n",
         mixed.len()
     );
-    let reports = run_four(&mixed, "mixed", DEFAULT_WINDOW);
+    let reports = run_comparison(
+        &PAPER_FOUR,
+        &mixed,
+        "mixed",
+        &SimConfig::default(),
+        &SchedulerSetup::new(DEFAULT_WINDOW),
+        |_| Box::new(NoopSink),
+    )
+    .0;
     println!("{}", summary_table(&reports));
     let fb = &reports[3];
     let van = &reports[0];

@@ -4,9 +4,12 @@
 //! (plus Kraken's `Exec+Queue` series).
 
 use faasbatch_bench::{
-    cdf_table, export_json, paper_cpu_workload, run_four, summary_table, DEFAULT_WINDOW,
+    cdf_table, export_json, paper_cpu_workload, summary_table, DEFAULT_WINDOW, PAPER_FOUR,
 };
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
 use faasbatch_metrics::stats::Cdf;
+use faasbatch_schedulers::config::SimConfig;
 
 fn main() {
     let w = paper_cpu_workload();
@@ -14,7 +17,15 @@ fn main() {
         "Fig. 11 — latency CDFs, CPU-intensive workload ({} invocations)\n",
         w.len()
     );
-    let reports = run_four(&w, "cpu", DEFAULT_WINDOW);
+    let reports = run_comparison(
+        &PAPER_FOUR,
+        &w,
+        "cpu",
+        &SimConfig::default(),
+        &SchedulerSetup::new(DEFAULT_WINDOW),
+        |_| Box::new(NoopSink),
+    )
+    .0;
 
     let series = |f: &dyn Fn(&faasbatch_metrics::report::RunReport) -> Cdf| -> Vec<(&str, Cdf)> {
         reports

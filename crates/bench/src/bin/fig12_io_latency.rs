@@ -3,9 +3,12 @@
 //! Kraken, and FaaSBatch.
 
 use faasbatch_bench::{
-    cdf_table, export_json, paper_io_workload, run_four, summary_table, DEFAULT_WINDOW,
+    cdf_table, export_json, paper_io_workload, summary_table, DEFAULT_WINDOW, PAPER_FOUR,
 };
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
 use faasbatch_metrics::stats::Cdf;
+use faasbatch_schedulers::config::SimConfig;
 
 fn main() {
     let w = paper_io_workload();
@@ -13,7 +16,15 @@ fn main() {
         "Fig. 12 — latency CDFs, I/O workload ({} invocations)\n",
         w.len()
     );
-    let reports = run_four(&w, "io", DEFAULT_WINDOW);
+    let reports = run_comparison(
+        &PAPER_FOUR,
+        &w,
+        "io",
+        &SimConfig::default(),
+        &SchedulerSetup::new(DEFAULT_WINDOW),
+        |_| Box::new(NoopSink),
+    )
+    .0;
 
     let series = |f: &dyn Fn(&faasbatch_metrics::report::RunReport) -> Cdf| -> Vec<(&str, Cdf)> {
         reports

@@ -5,8 +5,11 @@
 //! Vanilla and SFS have no dispatch interval (they dispatch per arrival);
 //! their series are flat, as in the paper's plots.
 
-use faasbatch_bench::{export_json, paper_cpu_workload, run_four, DISPATCH_INTERVALS_MS};
+use faasbatch_bench::{export_json, paper_cpu_workload, DISPATCH_INTERVALS_MS, PAPER_FOUR};
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
 use faasbatch_metrics::report::{text_table, RunReport};
+use faasbatch_schedulers::config::SimConfig;
 use faasbatch_simcore::time::SimDuration;
 
 fn main() {
@@ -21,7 +24,15 @@ fn main() {
     let mut cpu_rows = Vec::new();
     for &ms in &DISPATCH_INTERVALS_MS {
         let window = SimDuration::from_millis(ms);
-        let reports = run_four(&w, "cpu", window);
+        let reports = run_comparison(
+            &PAPER_FOUR,
+            &w,
+            "cpu",
+            &SimConfig::default(),
+            &SchedulerSetup::new(window),
+            |_| Box::new(NoopSink),
+        )
+        .0;
         let interval = format!("{:.2}s", ms as f64 / 1e3);
         mem_rows.push(
             std::iter::once(interval.clone())

@@ -2,8 +2,11 @@
 //! (a) total memory, (b) provisioned containers, (c) CPU utilization, and
 //! (d) memory footprint per client-creation request.
 
-use faasbatch_bench::{export_json, paper_io_workload, run_four, DISPATCH_INTERVALS_MS};
+use faasbatch_bench::{export_json, paper_io_workload, DISPATCH_INTERVALS_MS, PAPER_FOUR};
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
 use faasbatch_metrics::report::{text_table, RunReport};
+use faasbatch_schedulers::config::SimConfig;
 use faasbatch_simcore::time::SimDuration;
 
 fn main() {
@@ -19,7 +22,15 @@ fn main() {
     let mut client_rows = Vec::new();
     for &ms in &DISPATCH_INTERVALS_MS {
         let window = SimDuration::from_millis(ms);
-        let reports = run_four(&w, "io", window);
+        let reports = run_comparison(
+            &PAPER_FOUR,
+            &w,
+            "io",
+            &SimConfig::default(),
+            &SchedulerSetup::new(window),
+            |_| Box::new(NoopSink),
+        )
+        .0;
         let interval = format!("{:.2}s", ms as f64 / 1e3);
         mem_rows.push(
             std::iter::once(interval.clone())

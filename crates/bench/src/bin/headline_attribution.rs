@@ -15,19 +15,39 @@
 //! headline claim of the snapshot tier.
 
 use faasbatch_bench::{
-    paper_cpu_workload, paper_io_workload, run_six_traced, run_six_traced_cfg,
-    snapshot_ablation_setup, DEFAULT_WINDOW,
+    collected_events, paper_cpu_workload, paper_io_workload, snapshot_ablation_setup,
+    DEFAULT_WINDOW,
 };
 use faasbatch_container::snapshot::SnapshotConfig;
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::analysis::{diff_reports, AttributionEngine, AttributionReport, Phase};
-use faasbatch_metrics::events::SimEvent;
+use faasbatch_metrics::events::{TraceSink, VecSink};
+use faasbatch_metrics::report::RunReport;
 use faasbatch_schedulers::config::SimConfig;
+use faasbatch_trace::workload::Workload;
 use serde::Value;
 use std::fmt::Write as _;
 
-fn attribute(events: &[SimEvent]) -> AttributionReport {
+/// All six schedulers over `workload`, each run's stream kept in a
+/// [`VecSink`].
+fn six_traced(
+    workload: &Workload,
+    label: &str,
+    cfg: &SimConfig,
+) -> (Vec<RunReport>, Vec<Box<dyn TraceSink>>) {
+    run_comparison(
+        &SchedulerKind::ALL,
+        workload,
+        label,
+        cfg,
+        &SchedulerSetup::new(DEFAULT_WINDOW),
+        |_| Box::new(VecSink::new()),
+    )
+}
+
+fn attribute(sink: &dyn TraceSink) -> AttributionReport {
     let mut engine = AttributionEngine::new();
-    engine.consume(events);
+    engine.consume(collected_events(sink));
     let report = engine.finish();
     assert!(
         report.all_exact(),
@@ -52,8 +72,9 @@ fn main() {
     let mut json: Vec<(String, Value)> = Vec::new();
 
     for (label, workload) in [("cpu", paper_cpu_workload()), ("io", paper_io_workload())] {
-        let (reports, streams) = run_six_traced(&workload, label, DEFAULT_WINDOW);
-        let attributed: Vec<AttributionReport> = streams.iter().map(|s| attribute(s)).collect();
+        let (reports, streams) = six_traced(&workload, label, &SimConfig::default());
+        let attributed: Vec<AttributionReport> =
+            streams.iter().map(|s| attribute(s.as_ref())).collect();
 
         let _ = writeln!(
             text,
@@ -114,16 +135,16 @@ fn main() {
         ..base.clone()
     };
     let cpu = paper_cpu_workload();
-    let (off_reports, off_streams) = run_six_traced_cfg(&cpu, "cpu-churn", DEFAULT_WINDOW, &base);
-    let (on_reports, on_streams) = run_six_traced_cfg(&cpu, "cpu-snap", DEFAULT_WINDOW, &snap);
+    let (off_reports, off_streams) = six_traced(&cpu, "cpu-churn", &base);
+    let (on_reports, on_streams) = six_traced(&cpu, "cpu-snap", &snap);
     let _ = writeln!(
         text,
         "=== snapshot tier (cpu workload, 2s keep-alive, cache off vs capacity 8) ===\n"
     );
     let mut snap_json: Vec<(String, Value)> = Vec::new();
     for i in 0..6 {
-        let off = attribute(&off_streams[i]).mean_phases();
-        let on = attribute(&on_streams[i]).mean_phases();
+        let off = attribute(off_streams[i].as_ref()).mean_phases();
+        let on = attribute(on_streams[i].as_ref()).mean_phases();
         let (cold_off, cold_on) = (off.get(Phase::ColdStart), on.get(Phase::ColdStart));
         let (restore_off, restore_on) = (off.get(Phase::Restore), on.get(Phase::Restore));
         assert!(

@@ -3,9 +3,12 @@
 //! CPU-intensive and I/O workloads.
 
 use faasbatch_bench::{
-    export_json, paper_cpu_workload, paper_io_workload, run_four, summary_table, DEFAULT_WINDOW,
+    export_json, paper_cpu_workload, paper_io_workload, summary_table, DEFAULT_WINDOW, PAPER_FOUR,
 };
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
 use faasbatch_metrics::report::{percent_reduction, text_table, RunReport};
+use faasbatch_schedulers::config::SimConfig;
 
 fn reductions(reports: &[RunReport]) -> String {
     let fb = &reports[3];
@@ -53,7 +56,15 @@ fn reductions(reports: &[RunReport]) -> String {
 
 fn main() {
     for (label, workload) in [("cpu", paper_cpu_workload()), ("io", paper_io_workload())] {
-        let reports = run_four(&workload, label, DEFAULT_WINDOW);
+        let reports = run_comparison(
+            &PAPER_FOUR,
+            &workload,
+            label,
+            &SimConfig::default(),
+            &SchedulerSetup::new(DEFAULT_WINDOW),
+            |_| Box::new(NoopSink),
+        )
+        .0;
         println!("=== {label} workload ({} invocations) ===", workload.len());
         println!("{}", summary_table(&reports));
         println!("FaaSBatch reductions vs baselines:");

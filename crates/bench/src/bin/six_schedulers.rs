@@ -11,11 +11,13 @@
 //! per-scheduler summary `results/six_schedulers_{cpu,io}.json`.
 
 use faasbatch_bench::{
-    paper_cpu_workload, paper_io_workload, run_six_traced, summary_table, DEFAULT_WINDOW,
+    collected_events, paper_cpu_workload, paper_io_workload, summary_table, DEFAULT_WINDOW,
 };
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::analysis::AttributionEngine;
-use faasbatch_metrics::events::{AuditorSink, SimEvent, TraceSink};
+use faasbatch_metrics::events::{AuditorSink, SimEvent, TraceSink, VecSink};
 use faasbatch_metrics::report::RunReport;
+use faasbatch_schedulers::config::SimConfig;
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::{cpu_workload, Workload, WorkloadConfig};
@@ -116,15 +118,22 @@ fn main() {
     };
 
     for (label, workload) in &workloads {
-        let (reports, streams) = run_six_traced(workload, label, DEFAULT_WINDOW);
-        for (report, events) in reports.iter().zip(&streams) {
+        let (reports, streams) = run_comparison(
+            &SchedulerKind::ALL,
+            workload,
+            label,
+            &SimConfig::default(),
+            &SchedulerSetup::new(DEFAULT_WINDOW),
+            |_| Box::new(VecSink::new()),
+        );
+        for (report, sink) in reports.iter().zip(&streams) {
             assert_eq!(
                 report.records.len(),
                 workload.len(),
                 "{}: every invocation completes",
                 report.scheduler
             );
-            check_stream(report, events);
+            check_stream(report, collected_events(sink.as_ref()));
         }
         println!("=== {label} workload ({} invocations) ===", workload.len());
         println!("{}", summary_table(&reports));

@@ -4,8 +4,11 @@
 //! Fig. 13/14 aggregate over the run; this shows the trajectories those
 //! aggregates summarise.)
 
-use faasbatch_bench::{paper_io_workload, run_four, DEFAULT_WINDOW};
+use faasbatch_bench::{paper_io_workload, DEFAULT_WINDOW, PAPER_FOUR};
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
 use faasbatch_metrics::timeline::{to_csv, Series, Timeline};
+use faasbatch_schedulers::config::SimConfig;
 
 fn main() {
     let w = paper_io_workload();
@@ -13,7 +16,15 @@ fn main() {
         "Timelines — I/O workload ({} invocations), one char per second\n",
         w.len()
     );
-    let reports = run_four(&w, "io", DEFAULT_WINDOW);
+    let reports = run_comparison(
+        &PAPER_FOUR,
+        &w,
+        "io",
+        &SimConfig::default(),
+        &SchedulerSetup::new(DEFAULT_WINDOW),
+        |_| Box::new(NoopSink),
+    )
+    .0;
     for series in [
         Series::MemoryBytes,
         Series::LiveContainers,

@@ -6,22 +6,18 @@
 //! `src/bin/` that rebuilds its workload, runs the relevant schedulers, and
 //! prints the same rows/series the paper plots (see `DESIGN.md` §5 for the
 //! index). This library holds the shared plumbing: canonical workloads, the
-//! four- and six-scheduler runners, CDF/table rendering, and JSON export.
+//! paper's four-scheduler subset for [`run_comparison`], the ablation
+//! summaries, CDF/table rendering, and JSON export.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use faasbatch_core::policy::{run_faasbatch, run_faasbatch_traced, FaasBatchConfig};
-use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, AutoscalerStats};
-use faasbatch_metrics::events::{TraceSink, VecSink};
+use faasbatch_metrics::events::{NoopSink, SimEvent, TraceSink, VecSink};
 use faasbatch_metrics::report::{text_table, RunReport};
 use faasbatch_metrics::stats::Cdf;
 use faasbatch_schedulers::config::SimConfig;
-use faasbatch_schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch_schedulers::kraken::{Kraken, KrakenCalibration};
-use faasbatch_schedulers::sfs::Sfs;
-use faasbatch_schedulers::vanilla::Vanilla;
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
@@ -56,301 +52,22 @@ pub fn paper_io_workload() -> Workload {
     )
 }
 
-/// Runs all four schedulers on `workload` with the given dispatch window and
-/// returns reports in `[vanilla, sfs, kraken, faasbatch]` order.
-pub fn run_four(workload: &Workload, label: &str, window: SimDuration) -> [RunReport; 4] {
-    run_four_cfg(workload, label, window, &SimConfig::default())
-}
+/// The paper's own four-scheduler comparison, in figure order — the subset
+/// of [`SchedulerKind::ALL`] that Fig. 11–14 plot.
+pub const PAPER_FOUR: [SchedulerKind; 4] = [
+    SchedulerKind::Vanilla,
+    SchedulerKind::Sfs,
+    SchedulerKind::Kraken,
+    SchedulerKind::FaasBatch,
+];
 
-/// [`run_four`] with an explicit simulation config (the ablation harnesses
-/// vary keep-alive, so they cannot use the default).
-pub fn run_four_cfg(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-) -> [RunReport; 4] {
-    let vanilla = run_simulation(Box::new(Vanilla::new()), workload, cfg.clone(), label, None);
-    let sfs = run_simulation(Box::new(Sfs::new()), workload, cfg.clone(), label, None);
-    let calibration = KrakenCalibration::from_vanilla(&vanilla);
-    let kraken = run_simulation(
-        Box::new(Kraken::new(calibration, window)),
-        workload,
-        cfg.clone(),
-        label,
-        Some(window),
-    );
-    let faasbatch = run_faasbatch(
-        workload,
-        cfg.clone(),
-        FaasBatchConfig::with_window(window),
-        label,
-    );
-    [vanilla, sfs, kraken, faasbatch]
-}
-
-/// Builds the six-scheduler [`SchedulerSetup`]: runs Vanilla once on
-/// `workload` (its report doubles as the first comparison entry) and
-/// calibrates Kraken from it, exactly as `run_four*` does.
-fn six_setup(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-) -> (RunReport, SchedulerSetup) {
-    let vanilla = run_simulation(Box::new(Vanilla::new()), workload, cfg.clone(), label, None);
-    let setup = SchedulerSetup::new(window)
-        .with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
-    (vanilla, setup)
-}
-
-/// Runs all six schedulers on `workload` with the given dispatch window and
-/// returns reports in [`SchedulerKind::ALL`] order: `[vanilla, sfs, kraken,
-/// hiku, core-late-bind, faasbatch]`.
-pub fn run_six(workload: &Workload, label: &str, window: SimDuration) -> [RunReport; 6] {
-    run_six_cfg(workload, label, window, &SimConfig::default())
-}
-
-/// [`run_six`] with an explicit simulation config.
-pub fn run_six_cfg(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-) -> [RunReport; 6] {
-    let (vanilla, setup) = six_setup(workload, label, window, cfg);
-    let mut reports = vec![vanilla];
-    for kind in &SchedulerKind::ALL[1..] {
-        let (policy, interval) = kind.build(&setup);
-        reports.push(run_simulation(
-            policy,
-            workload,
-            cfg.clone(),
-            label,
-            interval,
-        ));
-    }
-    reports.try_into().expect("one report per scheduler")
-}
-
-/// Runs all six schedulers with a [`VecSink`] attached and returns each
-/// run's report plus its full event stream, in [`SchedulerKind::ALL`]
-/// order — the input to the attribution engine.
-pub fn run_six_traced(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-) -> (
-    [RunReport; 6],
-    [Vec<faasbatch_metrics::events::SimEvent>; 6],
-) {
-    run_six_traced_cfg(workload, label, window, &SimConfig::default())
-}
-
-/// [`run_six_traced`] with an explicit simulation config (the snapshot
-/// harnesses enable the restore tier, so they cannot use the default).
-pub fn run_six_traced_cfg(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-) -> (
-    [RunReport; 6],
-    [Vec<faasbatch_metrics::events::SimEvent>; 6],
-) {
-    let (vanilla, s0) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        Box::new(VecSink::new()),
-    );
-    let setup = SchedulerSetup::new(window)
-        .with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
-    let mut reports = vec![vanilla];
-    let mut streams = vec![collected_events(s0)];
-    for kind in &SchedulerKind::ALL[1..] {
-        let (policy, interval) = kind.build(&setup);
-        let (report, sink) = run_simulation_traced(
-            policy,
-            workload,
-            cfg.clone(),
-            label,
-            interval,
-            Box::new(VecSink::new()),
-        );
-        reports.push(report);
-        streams.push(collected_events(sink));
-    }
-    (
-        reports.try_into().expect("one report per scheduler"),
-        streams.try_into().expect("one stream per scheduler"),
-    )
-}
-
-/// Runs all six schedulers with a trace-driven autoscaling controller
-/// attached (one fresh [`AutoscalerSink`] per run) and returns the reports
-/// plus each controller's action counters, in [`SchedulerKind::ALL`] order.
-pub fn run_six_autoscaled(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-    ac: &AutoscalerConfig,
-) -> ([RunReport; 6], [AutoscalerStats; 6]) {
-    let sink = || -> Box<dyn TraceSink> { Box::new(AutoscalerSink::new(ac.clone())) };
-    let (vanilla, s0) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let setup = SchedulerSetup::new(window)
-        .with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
-    let mut reports = vec![vanilla];
-    let mut stats = vec![autoscaler_stats(s0)];
-    for kind in &SchedulerKind::ALL[1..] {
-        let (policy, interval) = kind.build(&setup);
-        let (report, s) =
-            run_simulation_traced(policy, workload, cfg.clone(), label, interval, sink());
-        reports.push(report);
-        stats.push(autoscaler_stats(s));
-    }
-    (
-        reports.try_into().expect("one report per scheduler"),
-        stats.try_into().expect("one stat set per scheduler"),
-    )
-}
-
-/// Recovers a [`VecSink`]'s collected events from a returned boxed sink.
-fn collected_events(sink: Box<dyn TraceSink>) -> Vec<faasbatch_metrics::events::SimEvent> {
+/// Recovers a [`VecSink`]'s collected events from a sink a traced run
+/// returned.
+pub fn collected_events(sink: &dyn TraceSink) -> &[SimEvent] {
     sink.as_any()
         .downcast_ref::<VecSink>()
         .expect("traced run returns its vec sink")
         .events()
-        .to_vec()
-}
-
-/// Runs all four schedulers with a [`VecSink`] attached and returns each
-/// run's report plus its full event stream, in `[vanilla, sfs, kraken,
-/// faasbatch]` order — the input to the attribution engine.
-pub fn run_four_traced(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-) -> (
-    [RunReport; 4],
-    [Vec<faasbatch_metrics::events::SimEvent>; 4],
-) {
-    let cfg = SimConfig::default();
-    let sink = || -> Box<dyn TraceSink> { Box::new(VecSink::new()) };
-    let (vanilla, s0) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let (sfs, s1) = run_simulation_traced(
-        Box::new(Sfs::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let calibration = KrakenCalibration::from_vanilla(&vanilla);
-    let (kraken, s2) = run_simulation_traced(
-        Box::new(Kraken::new(calibration, window)),
-        workload,
-        cfg.clone(),
-        label,
-        Some(window),
-        sink(),
-    );
-    let (faasbatch, s3) = run_faasbatch_traced(
-        workload,
-        cfg,
-        FaasBatchConfig::with_window(window),
-        label,
-        sink(),
-    );
-    (
-        [vanilla, sfs, kraken, faasbatch],
-        [
-            collected_events(s0),
-            collected_events(s1),
-            collected_events(s2),
-            collected_events(s3),
-        ],
-    )
-}
-
-/// Recovers an [`AutoscalerSink`]'s counters from a returned boxed sink.
-fn autoscaler_stats(sink: Box<dyn TraceSink>) -> AutoscalerStats {
-    sink.as_any()
-        .downcast_ref::<AutoscalerSink>()
-        .expect("autoscaled run returns its controller sink")
-        .stats()
-}
-
-/// Runs all four schedulers with a trace-driven autoscaling controller
-/// attached (one fresh [`AutoscalerSink`] per run) and returns the reports
-/// plus each controller's action counters, in `[vanilla, sfs, kraken,
-/// faasbatch]` order.
-pub fn run_four_autoscaled(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-    ac: &AutoscalerConfig,
-) -> ([RunReport; 4], [AutoscalerStats; 4]) {
-    let sink = || -> Box<dyn TraceSink> { Box::new(AutoscalerSink::new(ac.clone())) };
-    let (vanilla, s0) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let (sfs, s1) = run_simulation_traced(
-        Box::new(Sfs::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let calibration = KrakenCalibration::from_vanilla(&vanilla);
-    let (kraken, s2) = run_simulation_traced(
-        Box::new(Kraken::new(calibration, window)),
-        workload,
-        cfg.clone(),
-        label,
-        Some(window),
-        sink(),
-    );
-    let (faasbatch, s3) = run_faasbatch_traced(
-        workload,
-        cfg.clone(),
-        FaasBatchConfig::with_window(window),
-        label,
-        sink(),
-    );
-    (
-        [vanilla, sfs, kraken, faasbatch],
-        [
-            autoscaler_stats(s0),
-            autoscaler_stats(s1),
-            autoscaler_stats(s2),
-            autoscaler_stats(s3),
-        ],
-    )
 }
 
 /// The static simulation config and controller used by the
@@ -440,14 +157,30 @@ pub fn autoscaler_ablation(
     cfg: &SimConfig,
     ac: &AutoscalerConfig,
 ) -> Value {
-    let static_runs = run_six_cfg(workload, label, window, cfg);
-    let (auto_runs, stats) = run_six_autoscaled(workload, label, window, cfg, ac);
+    let setup = SchedulerSetup::new(window);
+    let (static_runs, _) =
+        run_comparison(&SchedulerKind::ALL, workload, label, cfg, &setup, |_| {
+            Box::new(NoopSink)
+        });
+    // One fresh controller per run; Vanilla's doubles as Kraken's calibration run.
+    let (auto_runs, controllers) =
+        run_comparison(&SchedulerKind::ALL, workload, label, cfg, &setup, |_| {
+            Box::new(AutoscalerSink::new(ac.clone()))
+        });
     let schedulers = Value::Map(
-        (0..6)
-            .map(|i| {
+        static_runs
+            .iter()
+            .zip(&auto_runs)
+            .zip(&controllers)
+            .map(|((static_run, auto_run), controller)| {
+                let stats = controller
+                    .as_any()
+                    .downcast_ref::<AutoscalerSink>()
+                    .expect("autoscaled run returns its controller sink")
+                    .stats();
                 (
-                    static_runs[i].scheduler.clone(),
-                    ablation_row(&static_runs[i], &auto_runs[i], &stats[i]),
+                    static_run.scheduler.clone(),
+                    ablation_row(static_run, auto_run, &stats),
                 )
             })
             .collect(),
@@ -470,7 +203,7 @@ pub fn autoscaler_ablation(
 /// ablation's short 2 s keep-alive, so warm containers churn out of the pool
 /// between bursts and the restore tier has cold starts to absorb. The
 /// snapshot cache itself is left disabled — each sweep point installs its
-/// own [`SnapshotConfig`].
+/// own [`SnapshotConfig`](faasbatch_container::snapshot::SnapshotConfig).
 pub fn snapshot_ablation_setup() -> SimConfig {
     SimConfig {
         keep_alive: SimDuration::from_secs(2),
@@ -527,7 +260,14 @@ pub fn snapshot_ablation(
         snapshot: snapshot.clone(),
         ..base.clone()
     };
-    let reports = run_six_cfg(workload, label, window, &cfg);
+    let (reports, _) = run_comparison(
+        &SchedulerKind::ALL,
+        workload,
+        label,
+        &cfg,
+        &SchedulerSetup::new(window),
+        |_| Box::new(NoopSink),
+    );
     let schedulers = Value::Map(
         reports
             .iter()
@@ -647,49 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn run_four_produces_four_named_reports() {
-        let w = cpu_workload(
-            &DetRng::new(1),
-            &WorkloadConfig {
-                total: 30,
-                span: SimDuration::from_secs(5),
-                functions: 2,
-                bursts: 2,
-                ..WorkloadConfig::default()
-            },
-        );
-        let reports = run_four(&w, "cpu", DEFAULT_WINDOW);
-        let names: Vec<&str> = reports.iter().map(|r| r.scheduler.as_str()).collect();
-        assert_eq!(names, vec!["vanilla", "sfs", "kraken", "faasbatch"]);
-        assert!(reports.iter().all(|r| r.records.len() == 30));
-    }
-
-    #[test]
-    fn run_six_produces_six_named_reports() {
-        let w = cpu_workload(
-            &DetRng::new(1),
-            &WorkloadConfig {
-                total: 30,
-                span: SimDuration::from_secs(5),
-                functions: 2,
-                bursts: 2,
-                ..WorkloadConfig::default()
-            },
-        );
-        let reports = run_six(&w, "cpu", DEFAULT_WINDOW);
-        let names: Vec<&str> = reports.iter().map(|r| r.scheduler.as_str()).collect();
-        let expected: Vec<&str> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names, expected);
-        assert!(reports.iter().all(|r| r.records.len() == 30));
-        // The shared runs agree with the four-scheduler family exactly.
-        let four = run_four(&w, "cpu", DEFAULT_WINDOW);
-        assert_eq!(four[0], reports[0]);
-        assert_eq!(four[1], reports[1]);
-        assert_eq!(four[2], reports[2]);
-        assert_eq!(four[3], reports[5]);
-    }
-
-    #[test]
     fn snapshot_ablation_reports_restores_for_every_scheduler_row() {
         let w = cpu_workload(
             &DetRng::new(5),
@@ -736,7 +433,14 @@ mod tests {
                 ..WorkloadConfig::default()
             },
         );
-        let reports = run_four(&w, "cpu", DEFAULT_WINDOW);
+        let (reports, _) = run_comparison(
+            &PAPER_FOUR,
+            &w,
+            "cpu",
+            &SimConfig::default(),
+            &SchedulerSetup::new(DEFAULT_WINDOW),
+            |_| Box::new(NoopSink),
+        );
         let summary = summary_table(&reports);
         assert!(summary.contains("faasbatch"));
         let cdfs: Vec<(&str, Cdf)> = reports

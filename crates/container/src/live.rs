@@ -6,27 +6,19 @@
 //! motivation experiments (Fig. 1/4/5), the live platform, and the live
 //! examples, where wall-clock behaviour matters and simulated time does not.
 //!
-//! Two backends implement the expansion ([`LiveBackend`]):
+//! A batch becomes a task group on the shared work-stealing executor
+//! (`faasbatch-exec`, DESIGN.md §14). Jobs are tasks, a `max_parallelism`
+//! bound becomes a cpuset pin (the executor-level
+//! `cpu_count`/`cpuset_cpus`), and the group-completion barrier replaces a
+//! per-batch thread join — one process can keep thousands of invocations in
+//! flight on a fixed worker pool.
 //!
-//! - [`LiveBackend::Executor`] (default): the batch becomes a task group on
-//!   the shared work-stealing executor (`faasbatch-exec`, DESIGN.md §14).
-//!   Jobs are tasks, a `max_parallelism` bound becomes a cpuset pin (the
-//!   executor-level `cpu_count`/`cpuset_cpus`), and the group-completion
-//!   barrier replaces the per-batch thread join — one process can keep
-//!   thousands of invocations in flight on a fixed worker pool.
-//! - [`LiveBackend::ThreadPerJob`]: the original backend — one OS thread
-//!   per job per batch, with a ticket semaphore for parallelism bounds.
-//!   Kept as the comparison baseline (`live_throughput` bench) and as a
-//!   reference implementation of the semantics.
-//!
-//! Both backends contain job panics: a panicking job fails only its own
-//! invocation, surfaced as a typed [`JobError`] in
+//! Job panics are contained: a panicking job fails only its own invocation,
+//! surfaced as a typed [`JobError`](faasbatch_exec::JobError) in
 //! [`LiveContainer::run_batch_reports`], and the batch barrier still
 //! resolves.
 
-use crossbeam::channel;
-use faasbatch_exec::{global_executor, Executor, GroupJob, GroupReport, JobError, JobReport};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use faasbatch_exec::{global_executor, Executor, GroupJob, GroupReport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,16 +63,6 @@ pub enum ExpandMode {
     Monopoly,
 }
 
-/// Which runtime expands the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LiveBackend {
-    /// Task group on the shared work-stealing executor (the port).
-    #[default]
-    Executor,
-    /// One OS thread per job per batch (the original backend).
-    ThreadPerJob,
-}
-
 /// A live, process-local container that executes batches of closures.
 ///
 /// # Examples
@@ -100,7 +82,6 @@ pub struct LiveContainer {
     /// Maximum jobs running at once (`None` = full inline expansion, the
     /// paper's unbounded `cpu_count`).
     max_parallelism: Option<usize>,
-    backend: LiveBackend,
     /// Executor override; `None` means the process-wide [`global_executor`].
     executor: Option<Arc<Executor>>,
 }
@@ -109,23 +90,14 @@ pub struct LiveContainer {
 pub type Job = Box<dyn FnOnce() + Send>;
 
 impl LiveContainer {
-    /// Creates a live container with unbounded expansion on the default
-    /// (executor) backend.
+    /// Creates a live container with unbounded expansion.
     pub fn new() -> Self {
         LiveContainer::default()
     }
 
-    /// Creates a live container on the original thread-per-job backend.
-    pub fn thread_per_job() -> Self {
-        LiveContainer {
-            backend: LiveBackend::ThreadPerJob,
-            ..LiveContainer::default()
-        }
-    }
-
     /// Creates a live container that runs at most `max` jobs concurrently —
-    /// the live analogue of a `cpu_count` restriction. On the executor
-    /// backend the bound becomes a cpuset pin of `max` workers.
+    /// the live analogue of a `cpu_count` restriction: the bound becomes a
+    /// cpuset pin of `max` executor workers.
     ///
     /// # Panics
     ///
@@ -138,12 +110,6 @@ impl LiveContainer {
         }
     }
 
-    /// Selects the expansion backend.
-    pub fn with_backend(mut self, backend: LiveBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Runs batches on `executor` instead of the process-wide global one
     /// (tests use this for seeded, isolated instances).
     pub fn on_executor(mut self, executor: Arc<Executor>) -> Self {
@@ -151,12 +117,7 @@ impl LiveContainer {
         self
     }
 
-    /// The backend this container expands on.
-    pub fn backend(&self) -> LiveBackend {
-        self.backend
-    }
-
-    /// The executor this container submits to (executor backend only).
+    /// The executor this container submits to.
     pub fn executor(&self) -> Arc<Executor> {
         self.executor.clone().unwrap_or_else(global_executor)
     }
@@ -182,86 +143,16 @@ impl LiveContainer {
 
     /// Like [`LiveContainer::run_batch`] but keeps per-job outcomes: a
     /// panicking job fails only its own invocation — its slot carries a
-    /// typed [`JobError::Panicked`] while the batch barrier still resolves
-    /// and every other job completes normally.
+    /// typed [`JobError::Panicked`](faasbatch_exec::JobError::Panicked)
+    /// while the batch barrier still resolves and every other job completes
+    /// normally.
     pub fn run_batch_reports(&self, jobs: Vec<Job>) -> GroupReport {
-        match self.backend {
-            LiveBackend::Executor => self.run_on_executor(jobs),
-            LiveBackend::ThreadPerJob => self.run_thread_per_job(jobs),
-        }
-    }
-
-    fn run_on_executor(&self, jobs: Vec<Job>) -> GroupReport {
         let executor = self.executor();
         let cpuset = self
             .max_parallelism
             .and_then(|max| executor.pick_cpuset(max));
         let group_jobs: Vec<GroupJob> = jobs.into_iter().map(GroupJob::Blocking).collect();
         executor.submit_group(group_jobs, cpuset).wait()
-    }
-
-    /// The original backend: one scoped OS thread per job, parallelism
-    /// bounded by a ticket semaphore. Retained as the baseline the
-    /// `live_throughput` bench compares the executor against.
-    fn run_thread_per_job(&self, jobs: Vec<Job>) -> GroupReport {
-        let n = jobs.len();
-        let batch_start = Instant::now();
-        let (tx, rx) = channel::unbounded();
-        // Ticket semaphore: each worker takes a ticket before running.
-        let slots = self.max_parallelism.unwrap_or(n.max(1));
-        let (ticket_tx, ticket_rx) = channel::bounded(slots);
-        for _ in 0..slots {
-            ticket_tx.send(()).expect("fresh channel");
-        }
-        std::thread::scope(|scope| {
-            for (i, job) in jobs.into_iter().enumerate() {
-                let tx = tx.clone();
-                let ticket_rx = ticket_rx.clone();
-                let ticket_tx = ticket_tx.clone();
-                scope.spawn(move || {
-                    ticket_rx.recv().expect("ticket channel open");
-                    let started = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(job))
-                        .map_err(|payload| JobError::Panicked(panic_message(payload.as_ref())));
-                    let finished = Instant::now();
-                    ticket_tx.send(()).expect("ticket channel open");
-                    tx.send((
-                        i,
-                        JobReport {
-                            queued: started.duration_since(batch_start),
-                            execution: finished.duration_since(started),
-                            result: outcome,
-                        },
-                    ))
-                    .expect("timing channel closed early");
-                });
-            }
-        });
-        drop(tx);
-        let mut jobs_out: Vec<JobReport> = (0..n)
-            .map(|_| JobReport {
-                queued: Duration::ZERO,
-                execution: Duration::ZERO,
-                result: Ok(()),
-            })
-            .collect();
-        for (i, report) in rx.iter() {
-            jobs_out[i] = report;
-        }
-        GroupReport {
-            makespan: batch_start.elapsed(),
-            jobs: jobs_out,
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "job panicked".to_string()
     }
 }
 
@@ -388,35 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_parallelism_holds_on_both_backends() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for backend in [LiveBackend::Executor, LiveBackend::ThreadPerJob] {
-            let in_flight = Arc::new(AtomicUsize::new(0));
-            let peak = Arc::new(AtomicUsize::new(0));
-            let jobs: Vec<Job> = (0..6)
-                .map(|_| {
-                    let in_flight = in_flight.clone();
-                    let peak = peak.clone();
-                    Box::new(move || {
-                        let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                        std::thread::sleep(Duration::from_millis(5));
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }) as Job
-                })
-                .collect();
-            let container = LiveContainer::with_max_parallelism(2).with_backend(backend);
-            let timing = container.run_batch(jobs);
-            assert_eq!(timing.jobs.len(), 6, "{backend:?}");
-            assert!(
-                peak.load(Ordering::SeqCst) <= 2,
-                "{backend:?} violated the bound: {}",
-                peak.load(Ordering::SeqCst)
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "parallelism must be positive")]
     fn zero_parallelism_panics() {
         let _ = LiveContainer::with_max_parallelism(0);
@@ -441,44 +303,22 @@ mod tests {
     }
 
     #[test]
-    fn thread_per_job_backend_still_works() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let jobs: Vec<Job> = (0..8)
-            .map(|_| {
-                let c = counter.clone();
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }) as Job
-            })
-            .collect();
-        let container = LiveContainer::thread_per_job();
-        assert_eq!(container.backend(), LiveBackend::ThreadPerJob);
-        let timing = container.run_batch(jobs);
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-        assert_eq!(timing.jobs.len(), 8);
-    }
-
-    #[test]
-    fn panicking_job_fails_only_its_invocation_on_both_backends() {
-        for backend in [LiveBackend::Executor, LiveBackend::ThreadPerJob] {
-            let jobs: Vec<Job> = vec![
-                Box::new(|| {}),
-                Box::new(|| panic!("handler exploded")),
-                Box::new(|| std::thread::sleep(Duration::from_millis(2))),
-            ];
-            let report = LiveContainer::new()
-                .with_backend(backend)
-                .run_batch_reports(jobs);
-            assert_eq!(report.jobs.len(), 3, "{backend:?}");
-            assert_eq!(report.failed(), 1, "{backend:?}");
-            assert_eq!(
-                report.jobs[1].result,
-                Err(JobError::Panicked("handler exploded".to_string())),
-                "{backend:?}"
-            );
-            assert!(report.jobs[0].result.is_ok(), "{backend:?}");
-            assert!(report.jobs[2].result.is_ok(), "{backend:?}");
-        }
+    fn panicking_job_fails_only_its_invocation() {
+        use faasbatch_exec::JobError;
+        let jobs: Vec<Job> = vec![
+            Box::new(|| {}),
+            Box::new(|| panic!("handler exploded")),
+            Box::new(|| std::thread::sleep(Duration::from_millis(2))),
+        ];
+        let report = LiveContainer::new().run_batch_reports(jobs);
+        assert_eq!(report.jobs.len(), 3);
+        assert_eq!(report.failed(), 1);
+        assert_eq!(
+            report.jobs[1].result,
+            Err(JobError::Panicked("handler exploded".to_string()))
+        );
+        assert!(report.jobs[0].result.is_ok());
+        assert!(report.jobs[2].result.is_ok());
     }
 
     #[test]

@@ -456,7 +456,6 @@ mod tests {
 
     #[test]
     fn race_stats_agree_with_event_stream() {
-        use faasbatch_metrics::events::{CounterSink, TraceSink};
         use faasbatch_simcore::time::SimTime;
 
         let mux: Arc<ResourceMultiplexer<u64>> = Arc::new(ResourceMultiplexer::new());
@@ -499,13 +498,10 @@ mod tests {
             SimTime::ZERO,
             &journal,
         );
-        let mut counter = CounterSink::new();
-        for e in &sim_events {
-            counter.record(e);
-        }
-        assert_eq!(counter.count("ClientCacheHit"), stats.hits);
-        assert_eq!(counter.count("ClientCacheMiss"), stats.misses);
-        assert_eq!(counter.total(), stats.requests());
+        let count = |name: &str| sim_events.iter().filter(|e| e.kind.name() == name).count() as u64;
+        assert_eq!(count("ClientCacheHit"), stats.hits);
+        assert_eq!(count("ClientCacheMiss"), stats.misses);
+        assert_eq!(sim_events.len() as u64, stats.requests());
     }
 
     #[test]

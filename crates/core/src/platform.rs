@@ -13,8 +13,7 @@
 //! process multiplexes every in-flight batch over a fixed worker pool
 //! instead of spawning a thread per invocation; cold-start delays and
 //! warm-pool keep-alive eviction ride the executor's timer wheel rather
-//! than sleeping threads. The original thread-per-job backend is retained
-//! ([`LiveBackend::ThreadPerJob`]) as a comparison baseline.
+//! than sleeping threads.
 //!
 //! With a [`LiveTraceRecorder`] attached ([`PlatformBuilder::trace`]), every
 //! run emits the same typed [`SimEvent`] stream as the simulator — arrivals,
@@ -28,7 +27,6 @@ use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use faasbatch_container::container::ContainerState;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
-use faasbatch_container::live::LiveBackend;
 use faasbatch_exec::{global_executor, Executor, GroupJob, GroupReport};
 use faasbatch_metrics::events::{EventKind, SimEvent, TaskKind};
 use faasbatch_metrics::live::LiveTraceRecorder;
@@ -395,7 +393,6 @@ pub struct PlatformBuilder {
     cold_start_delay: Duration,
     snapshots: usize,
     restore_delay: Duration,
-    backend: LiveBackend,
     executor: Option<Arc<Executor>>,
     recorder: Option<LiveTraceRecorder>,
     telemetry: Option<Arc<PlatformTelemetry>>,
@@ -410,7 +407,6 @@ impl fmt::Debug for PlatformBuilder {
         f.debug_struct("PlatformBuilder")
             .field("window", &self.window)
             .field("multiplex", &self.multiplex)
-            .field("backend", &self.backend)
             .field("functions", &self.functions.len())
             .finish()
     }
@@ -424,7 +420,7 @@ impl Default for PlatformBuilder {
 
 impl PlatformBuilder {
     /// Starts a builder with the paper's defaults (200 ms window,
-    /// multiplexer on, executor backend).
+    /// multiplexer on).
     pub fn new() -> Self {
         PlatformBuilder {
             window: Duration::from_millis(200),
@@ -432,7 +428,6 @@ impl PlatformBuilder {
             cold_start_delay: Duration::from_millis(25),
             snapshots: 0,
             restore_delay: Duration::from_millis(2),
-            backend: LiveBackend::default(),
             executor: None,
             recorder: None,
             telemetry: None,
@@ -444,7 +439,13 @@ impl PlatformBuilder {
     }
 
     /// Sets the dispatch window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero: the dispatcher would never block on its
+    /// queue and spin a core instead.
     pub fn window(mut self, window: Duration) -> Self {
+        assert!(!window.is_zero(), "dispatch window must be positive");
         self.window = window;
         self
     }
@@ -480,14 +481,6 @@ impl PlatformBuilder {
     /// snapshot template (default 2 ms; compare the 25 ms cold default).
     pub fn restore_delay(mut self, delay: Duration) -> Self {
         self.restore_delay = delay;
-        self
-    }
-
-    /// Selects the batch-expansion backend (default: the work-stealing
-    /// executor; [`LiveBackend::ThreadPerJob`] is the original
-    /// thread-per-invocation baseline).
-    pub fn backend(mut self, backend: LiveBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -574,7 +567,6 @@ impl PlatformBuilder {
             restore_delay: self.restore_delay,
             templates: HashMap::new(),
             template_clock: 0,
-            backend: self.backend,
             executor: self.executor.unwrap_or_else(global_executor),
             recorder: recorder.clone(),
             telemetry: telemetry.clone(),
@@ -627,7 +619,6 @@ struct Dispatcher {
     /// `snapshots` entries. Only touched by the dispatcher thread.
     templates: HashMap<usize, u64>,
     template_clock: u64,
-    backend: LiveBackend,
     executor: Arc<Executor>,
     recorder: Option<LiveTraceRecorder>,
     telemetry: Option<Arc<PlatformTelemetry>>,
@@ -776,53 +767,28 @@ impl Dispatcher {
             pending: Arc::clone(&self.pending),
             on_done,
         };
-        match self.backend {
-            LiveBackend::Executor => {
-                match tier {
-                    StartTier::Cold => {
-                        // The cold-start delay rides the timer wheel: the
-                        // ready events are emitted in the callback *before*
-                        // the group is submitted, so `ColdStartEnd` strictly
-                        // precedes every `ExecBegin` of the batch.
-                        self.executor.schedule(self.cold_start_delay, move || {
-                            ctx.mark_ready_after_cold();
-                            ctx.submit();
-                        });
-                    }
-                    StartTier::Restored => {
-                        // Same shape, shorter delay: `RestoreDone` strictly
-                        // precedes every `ExecBegin`.
-                        self.executor.schedule(self.restore_delay, move || {
-                            ctx.mark_ready_after_restore();
-                            ctx.submit();
-                        });
-                    }
-                    StartTier::Warm => {
-                        ctx.mark_busy_from_warm();
-                        ctx.submit();
-                    }
-                }
+        match tier {
+            StartTier::Cold => {
+                // The cold-start delay rides the timer wheel: the ready
+                // events are emitted in the callback *before* the group is
+                // submitted, so `ColdStartEnd` strictly precedes every
+                // `ExecBegin` of the batch.
+                self.executor.schedule(self.cold_start_delay, move || {
+                    ctx.mark_ready_after_cold();
+                    ctx.submit();
+                });
             }
-            LiveBackend::ThreadPerJob => {
-                let cold_delay = self.cold_start_delay;
-                let restore_delay = self.restore_delay;
-                std::thread::Builder::new()
-                    .name(format!("faasbatch-ctr-{}", ctx.env.id()))
-                    .spawn(move || {
-                        match tier {
-                            StartTier::Cold => {
-                                std::thread::sleep(cold_delay);
-                                ctx.mark_ready_after_cold();
-                            }
-                            StartTier::Restored => {
-                                std::thread::sleep(restore_delay);
-                                ctx.mark_ready_after_restore();
-                            }
-                            StartTier::Warm => ctx.mark_busy_from_warm(),
-                        }
-                        ctx.run_thread_per_job();
-                    })
-                    .expect("spawn group thread");
+            StartTier::Restored => {
+                // Same shape, shorter delay: `RestoreDone` strictly
+                // precedes every `ExecBegin`.
+                self.executor.schedule(self.restore_delay, move || {
+                    ctx.mark_ready_after_restore();
+                    ctx.submit();
+                });
+            }
+            StartTier::Warm => {
+                ctx.mark_busy_from_warm();
+                ctx.submit();
             }
         }
     }
@@ -876,9 +842,9 @@ impl Dispatcher {
     }
 }
 
-/// Everything one dispatched batch needs to run to completion on either
-/// backend: the members, the container, and the shared platform state the
-/// finishing side updates.
+/// Everything one dispatched batch needs to run to completion: the
+/// members, the container, and the shared platform state the finishing side
+/// updates.
 struct GroupCtx {
     handler: Handler,
     env: Arc<ContainerEnv>,
@@ -958,9 +924,10 @@ impl GroupCtx {
         });
     }
 
-    /// Splits the batch into per-member runs plus the finishing step both
-    /// backends share.
-    fn into_parts(self) -> (Vec<MemberRun>, GroupFinisher) {
+    /// The batch becomes one executor task group of per-member runs; the
+    /// barrier's `on_complete` — run by the last finishing member on its
+    /// worker — is the finishing step (no per-batch join thread).
+    fn submit(self) {
         let GroupCtx {
             handler,
             env,
@@ -981,19 +948,22 @@ impl GroupCtx {
         } = self;
         let batch_size = requests.len() as u64;
         let sdk_creations_before = env.sdk.total_creations() as u64;
-        let members = requests
+        let jobs: Vec<GroupJob> = requests
             .into_iter()
             .enumerate()
-            .map(|(index, req)| MemberRun {
-                handler: handler.clone(),
-                env: Arc::clone(&env),
-                req,
-                batch,
-                member: index as u32,
-                cold,
-                restored,
-                recorder: recorder.clone(),
-                telemetry: telemetry.clone(),
+            .map(|(index, req)| {
+                let member = MemberRun {
+                    handler: handler.clone(),
+                    env: Arc::clone(&env),
+                    req,
+                    batch,
+                    member: index as u32,
+                    cold,
+                    restored,
+                    recorder: recorder.clone(),
+                    telemetry: telemetry.clone(),
+                };
+                GroupJob::blocking(move || member.run())
             })
             .collect();
         let finisher = GroupFinisher {
@@ -1006,39 +976,15 @@ impl GroupCtx {
             warm_gen,
             keep_alive,
             stats,
-            executor,
+            executor: Arc::clone(&executor),
             pending,
             on_done,
         };
-        (members, finisher)
-    }
-
-    /// Executor backend: the batch becomes one task group; the barrier's
-    /// `on_complete` — run by the last finishing member on its worker —
-    /// replaces the per-batch join thread.
-    fn submit(self) {
-        let executor = Arc::clone(&self.executor);
-        let (members, finisher) = self.into_parts();
-        let jobs: Vec<GroupJob> = members
-            .into_iter()
-            .map(|member| GroupJob::blocking(move || member.run()))
-            .collect();
         executor.submit_group_with(
             jobs,
             None,
             Some(Box::new(move |_report: &GroupReport| finisher.finish())),
         );
-    }
-
-    /// Thread-per-job backend: the original scoped-thread expansion.
-    fn run_thread_per_job(self) {
-        let (members, finisher) = self.into_parts();
-        std::thread::scope(|scope| {
-            for member in members {
-                scope.spawn(move || member.run());
-            }
-        });
-        finisher.finish();
     }
 }
 
@@ -1520,76 +1466,56 @@ mod tests {
     }
 
     #[test]
-    fn thread_per_job_backend_still_works() {
+    fn traced_run_is_auditor_clean_with_exact_attribution() {
+        let recorder = LiveTraceRecorder::new();
         let counter = Arc::new(AtomicUsize::new(0));
         let c = counter.clone();
         let platform = PlatformBuilder::new()
             .window(Duration::from_millis(10))
-            .cold_start_delay(Duration::from_millis(1))
-            .backend(LiveBackend::ThreadPerJob)
+            .cold_start_delay(Duration::from_millis(2))
+            .trace(recorder.clone())
             .register("count", move |_env| {
                 c.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
             })
             .start();
-        let tickets: Vec<_> = (0..10)
+        let tickets: Vec<_> = (0..12)
             .map(|_| platform.invoke("count", Bytes::new()).unwrap())
             .collect();
         for t in tickets {
             t.wait();
         }
         platform.drain().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
-        assert_eq!(platform.stats().invocations.load(Ordering::Relaxed), 10);
+        // Second round to cover warm reuse transitions too.
+        platform.invoke("count", Bytes::new()).unwrap().wait();
+        platform.drain().unwrap();
+        drop(platform);
+
+        let trace = recorder.take_trace();
+        let mut auditor = AuditorSink::new();
+        for event in &trace {
+            auditor.record(event);
+        }
+        assert!(
+            auditor.finish().is_empty(),
+            "trace has violations: {:?}",
+            auditor.finish()
+        );
+        let mut reducer = RecordReducer::new();
+        for event in &trace {
+            reducer.on_event(event);
+        }
+        let reduced = reducer.finish();
+        assert_eq!(reduced.records.len(), 13);
+        for record in &reduced.records {
+            assert!(record.is_consistent(), "{record:?}");
+        }
     }
 
     #[test]
-    fn traced_run_is_auditor_clean_with_exact_attribution() {
-        for backend in [LiveBackend::Executor, LiveBackend::ThreadPerJob] {
-            let recorder = LiveTraceRecorder::new();
-            let counter = Arc::new(AtomicUsize::new(0));
-            let c = counter.clone();
-            let platform = PlatformBuilder::new()
-                .window(Duration::from_millis(10))
-                .cold_start_delay(Duration::from_millis(2))
-                .backend(backend)
-                .trace(recorder.clone())
-                .register("count", move |_env| {
-                    c.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(1));
-                })
-                .start();
-            let tickets: Vec<_> = (0..12)
-                .map(|_| platform.invoke("count", Bytes::new()).unwrap())
-                .collect();
-            for t in tickets {
-                t.wait();
-            }
-            platform.drain().unwrap();
-            // Second round to cover warm reuse transitions too.
-            platform.invoke("count", Bytes::new()).unwrap().wait();
-            platform.drain().unwrap();
-            drop(platform);
-
-            let trace = recorder.take_trace();
-            let mut auditor = AuditorSink::new();
-            for event in &trace {
-                auditor.record(event);
-            }
-            assert!(
-                auditor.finish().is_empty(),
-                "{backend:?} trace has violations: {:?}",
-                auditor.finish()
-            );
-            let mut reducer = RecordReducer::new();
-            for event in &trace {
-                reducer.on_event(event);
-            }
-            let reduced = reducer.finish();
-            assert_eq!(reduced.records.len(), 13, "{backend:?} record count");
-            for record in &reduced.records {
-                assert!(record.is_consistent(), "{backend:?}: {record:?}");
-            }
-        }
+    #[should_panic(expected = "dispatch window must be positive")]
+    fn zero_window_is_rejected_at_the_builder() {
+        let _ = PlatformBuilder::new().window(Duration::ZERO);
     }
 
     #[test]

@@ -11,15 +11,11 @@
 //! dispatch-interval sweeps (Fig. 13/14) and the ablation study.
 
 use crate::mapper::InvokeMapper;
-use faasbatch_metrics::events::TraceSink;
 use faasbatch_metrics::report::RunReport;
 use faasbatch_schedulers::config::SimConfig;
-use faasbatch_schedulers::harness::{
-    run_simulation, run_simulation_traced, run_source, run_source_traced,
-};
+use faasbatch_schedulers::harness::run_simulation;
 use faasbatch_schedulers::policy::{Completion, Ctx, DispatchRequest, ExecMode, Policy};
 use faasbatch_simcore::time::SimDuration;
-use faasbatch_trace::stream::InvocationSource;
 use faasbatch_trace::workload::{Invocation, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -133,8 +129,11 @@ impl Policy for FaasBatchPolicy {
     }
 }
 
-/// Runs FaaSBatch over `workload` — convenience wrapper around the shared
-/// harness.
+/// Runs FaaSBatch over `workload` — the one convenience wrapper around the
+/// shared harness: it keeps the harness dispatch interval equal to
+/// `cfg.window`. For a traced or streamed run, build the policy with
+/// [`SchedulerKind::FaasBatch`](crate::scheduler_kind::SchedulerKind::build)
+/// and call `run_simulation_traced` / `run_source_traced` directly.
 ///
 /// # Examples
 ///
@@ -165,66 +164,6 @@ pub fn run_faasbatch(
         sim,
         label,
         Some(window),
-    )
-}
-
-/// [`run_faasbatch`] over any [`InvocationSource`] — e.g. a
-/// [`WorkloadStream`](faasbatch_trace::stream::WorkloadStream) sampling
-/// invocations on demand, so day-scale replays never materialise the full
-/// trace.
-pub fn run_faasbatch_source(
-    source: impl InvocationSource,
-    sim: SimConfig,
-    cfg: FaasBatchConfig,
-    label: &str,
-) -> RunReport {
-    let window = cfg.window;
-    run_source(
-        Box::new(FaasBatchPolicy::new(cfg)),
-        source,
-        sim,
-        label,
-        Some(window),
-    )
-}
-
-/// [`run_faasbatch_source`] with an observable event stream.
-pub fn run_faasbatch_source_traced(
-    source: impl InvocationSource,
-    sim: SimConfig,
-    cfg: FaasBatchConfig,
-    label: &str,
-    sink: Box<dyn TraceSink>,
-) -> (RunReport, Box<dyn TraceSink>) {
-    let window = cfg.window;
-    run_source_traced(
-        Box::new(FaasBatchPolicy::new(cfg)),
-        source,
-        sim,
-        label,
-        Some(window),
-        sink,
-    )
-}
-
-/// [`run_faasbatch`] with an observable event stream: every event the run
-/// derives its report from also flows through `sink`, which is returned for
-/// downcasting (DESIGN.md §11).
-pub fn run_faasbatch_traced(
-    workload: &Workload,
-    sim: SimConfig,
-    cfg: FaasBatchConfig,
-    label: &str,
-    sink: Box<dyn TraceSink>,
-) -> (RunReport, Box<dyn TraceSink>) {
-    let window = cfg.window;
-    run_simulation_traced(
-        Box::new(FaasBatchPolicy::new(cfg)),
-        workload,
-        sim,
-        label,
-        Some(window),
-        sink,
     )
 }
 

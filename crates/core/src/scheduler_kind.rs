@@ -7,9 +7,15 @@
 //! name (mirroring [`crate::routing::RoutingKind::parse`]). A parsed
 //! kind builds a ready-to-run [`Policy`] plus the dispatch interval its
 //! harness run needs, so the CLI, bench bins, and test matrices all
-//! share one spelling of each name and one construction path.
+//! share one spelling of each name and one construction path — and
+//! [`run_comparison`] is the one loop that replays a list of kinds over a
+//! workload, calibrating Kraken from Vanilla on the way.
 
 use crate::policy::{FaasBatchConfig, FaasBatchPolicy};
+use faasbatch_metrics::events::{NoopSink, TraceSink};
+use faasbatch_metrics::report::RunReport;
+use faasbatch_schedulers::config::SimConfig;
+use faasbatch_schedulers::harness::run_simulation_traced;
 use faasbatch_schedulers::hiku::Hiku;
 use faasbatch_schedulers::kraken::{Kraken, KrakenCalibration};
 use faasbatch_schedulers::late_bind::CoreLateBind;
@@ -17,6 +23,7 @@ use faasbatch_schedulers::policy::Policy;
 use faasbatch_schedulers::sfs::Sfs;
 use faasbatch_schedulers::vanilla::Vanilla;
 use faasbatch_simcore::time::SimDuration;
+use faasbatch_trace::workload::Workload;
 use std::fmt;
 
 /// Error returned by [`SchedulerKind::parse`] for an unrecognised
@@ -67,9 +74,9 @@ pub enum SchedulerKind {
 
 /// Everything needed to instantiate any scheduler of the comparison.
 ///
-/// Kraken needs a calibration (normally derived from a Vanilla run of the
-/// same workload) and FaaSBatch a full [`FaasBatchConfig`]; the rest are
-/// parameter-free. Bundling them lets one setup build all six.
+/// Kraken needs a calibration ([`run_comparison`] derives it from a Vanilla
+/// run of the same workload) and FaaSBatch a full [`FaasBatchConfig`]; the
+/// rest are parameter-free. Bundling them lets one setup build all six.
 #[derive(Debug, Clone)]
 pub struct SchedulerSetup {
     /// Dispatch window for the windowed schedulers (Kraken, FaaSBatch).
@@ -92,8 +99,8 @@ impl SchedulerSetup {
         }
     }
 
-    /// Replaces the Kraken calibration (e.g. with
-    /// [`KrakenCalibration::from_vanilla`]).
+    /// Replaces the Kraken calibration ([`run_comparison`] overrides it
+    /// with [`KrakenCalibration::from_vanilla`]).
     pub fn with_kraken_calibration(mut self, calibration: KrakenCalibration) -> Self {
         self.kraken = calibration;
         self
@@ -160,9 +167,153 @@ impl SchedulerKind {
     }
 }
 
+/// Replays `workload` under every scheduler in `kinds` and returns the
+/// reports plus each run's sink, both in `kinds` order.
+///
+/// `sink_for` supplies one fresh sink per run (`|_| Box::new(NoopSink)` for
+/// an untraced comparison); each comes back for downcasting. When `kinds`
+/// holds [`SchedulerKind::Kraken`], Vanilla runs first — exactly once, its
+/// run doubling as the Vanilla entry when `kinds` asks for one, untraced
+/// otherwise — and Kraken is calibrated from that report
+/// ([`KrakenCalibration::from_vanilla`]) in place of `setup.kraken`. This is
+/// the only place that calibration happens.
+///
+/// # Examples
+///
+/// ```
+/// use faasbatch_core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
+/// use faasbatch_metrics::events::NoopSink;
+/// use faasbatch_schedulers::config::SimConfig;
+/// use faasbatch_simcore::rng::DetRng;
+/// use faasbatch_simcore::time::SimDuration;
+/// use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
+///
+/// let w = cpu_workload(&DetRng::new(42), &WorkloadConfig {
+///     total: 20, span: SimDuration::from_secs(5), functions: 2, bursts: 2,
+///     ..WorkloadConfig::default()
+/// });
+/// let setup = SchedulerSetup::new(SimDuration::from_millis(200));
+/// let (reports, _sinks) = run_comparison(
+///     &SchedulerKind::ALL, &w, "cpu", &SimConfig::default(), &setup,
+///     |_| Box::new(NoopSink),
+/// );
+/// assert_eq!(reports.len(), 6);
+/// assert_eq!(reports[5].scheduler, "faasbatch");
+/// ```
+pub fn run_comparison(
+    kinds: &[SchedulerKind],
+    workload: &Workload,
+    label: &str,
+    cfg: &SimConfig,
+    setup: &SchedulerSetup,
+    mut sink_for: impl FnMut(SchedulerKind) -> Box<dyn TraceSink>,
+) -> (Vec<RunReport>, Vec<Box<dyn TraceSink>>) {
+    let run = |kind: SchedulerKind, setup: &SchedulerSetup, sink| {
+        let (policy, interval) = kind.build(setup);
+        run_simulation_traced(policy, workload, cfg.clone(), label, interval, sink)
+    };
+    let mut setup = setup.clone();
+    let mut vanilla = None;
+    if kinds.contains(&SchedulerKind::Kraken) {
+        let sink = if kinds.contains(&SchedulerKind::Vanilla) {
+            sink_for(SchedulerKind::Vanilla)
+        } else {
+            Box::new(NoopSink)
+        };
+        let (report, sink) = run(SchedulerKind::Vanilla, &setup, sink);
+        setup.kraken = KrakenCalibration::from_vanilla(&report);
+        vanilla = Some((report, sink));
+    }
+    kinds
+        .iter()
+        .map(|&kind| {
+            if kind == SchedulerKind::Vanilla {
+                if let Some(shared) = vanilla.take() {
+                    return shared;
+                }
+            }
+            run(kind, &setup, sink_for(kind))
+        })
+        .unzip()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasbatch_metrics::events::VecSink;
+    use faasbatch_simcore::rng::DetRng;
+    use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
+
+    const WINDOW: SimDuration = SimDuration::from_millis(200);
+
+    fn workload() -> Workload {
+        cpu_workload(
+            &DetRng::new(1),
+            &WorkloadConfig {
+                total: 30,
+                span: SimDuration::from_secs(5),
+                functions: 2,
+                bursts: 2,
+                ..WorkloadConfig::default()
+            },
+        )
+    }
+
+    fn compare(kinds: &[SchedulerKind]) -> Vec<RunReport> {
+        let setup = SchedulerSetup::new(WINDOW);
+        let cfg = SimConfig::default();
+        run_comparison(kinds, &workload(), "cpu", &cfg, &setup, |_| {
+            Box::new(NoopSink)
+        })
+        .0
+    }
+
+    #[test]
+    fn comparison_reports_follow_the_requested_kinds() {
+        let reports = compare(&SchedulerKind::ALL);
+        let names: Vec<&str> = reports.iter().map(|r| r.scheduler.as_str()).collect();
+        let expected: Vec<&str> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names, expected);
+        assert!(reports.iter().all(|r| r.records.len() == 30));
+    }
+
+    #[test]
+    fn subset_runs_equal_the_same_kinds_inside_the_six_way_run() {
+        use SchedulerKind::{FaasBatch, Kraken, Sfs, Vanilla};
+        let six = compare(&SchedulerKind::ALL);
+        let four = compare(&[Vanilla, Sfs, Kraken, FaasBatch]);
+        assert_eq!(four, [0, 1, 2, 5].map(|i| six[i].clone()));
+        // Kraken alone still calibrates from a (hidden) Vanilla run, and
+        // order does not matter.
+        assert_eq!(compare(&[Kraken]), [six[2].clone()]);
+        assert_eq!(
+            compare(&[Kraken, Vanilla]),
+            [six[2].clone(), six[0].clone()]
+        );
+    }
+
+    #[test]
+    fn every_requested_run_gets_its_own_sink_back() {
+        let setup = SchedulerSetup::new(WINDOW);
+        let mut asked = Vec::new();
+        let (reports, sinks) = run_comparison(
+            &SchedulerKind::ALL,
+            &workload(),
+            "cpu",
+            &SimConfig::default(),
+            &setup,
+            |kind| {
+                asked.push(kind);
+                Box::new(VecSink::new())
+            },
+        );
+        assert_eq!(asked.len(), 6, "vanilla is run (and traced) once");
+        assert_eq!(sinks.len(), reports.len());
+        for sink in &sinks {
+            let events = sink.as_any().downcast_ref::<VecSink>().expect("vec sink");
+            assert!(!events.events().is_empty());
+        }
+    }
 
     #[test]
     fn kind_round_trips_names() {

@@ -4,7 +4,6 @@
 //! through any of the six schedulers must produce bit-identical reports
 //! AND bit-identical traced event streams (DESIGN.md §16).
 
-use faasbatch_core::policy::{run_faasbatch_source_traced, run_faasbatch_traced, FaasBatchConfig};
 use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::events::{SimEvent, VecSink};
 use faasbatch_metrics::report::RunReport;
@@ -29,11 +28,6 @@ fn events(sink: Box<dyn TraceSink>) -> Vec<SimEvent> {
 }
 
 fn policy(scheduler: usize) -> (Box<dyn Policy>, Option<SimDuration>) {
-    assert_ne!(
-        SchedulerKind::ALL[scheduler],
-        SchedulerKind::FaasBatch,
-        "faasbatch runs through its own entry point"
-    );
     SchedulerKind::ALL[scheduler].build(&SchedulerSetup::new(WINDOW))
 }
 
@@ -46,23 +40,6 @@ fn replay_both(
     stream: WorkloadStream,
     scheduler: usize,
 ) -> ((RunReport, Vec<SimEvent>), (RunReport, Vec<SimEvent>)) {
-    if SchedulerKind::ALL[scheduler] == SchedulerKind::FaasBatch {
-        let (ra, sa) = run_faasbatch_traced(
-            workload,
-            SimConfig::default(),
-            FaasBatchConfig::default(),
-            "prop",
-            Box::new(VecSink::new()),
-        );
-        let (rb, sb) = run_faasbatch_source_traced(
-            stream,
-            SimConfig::default(),
-            FaasBatchConfig::default(),
-            "prop",
-            Box::new(VecSink::new()),
-        );
-        return ((ra, events(sa)), (rb, events(sb)));
-    }
     let (pa, interval) = policy(scheduler);
     let (ra, sa) = run_simulation_traced(
         pa,

@@ -1,6 +1,7 @@
 //! Fleet-level configuration: worker count, per-worker scheduler, the
 //! router's dispatch window, and the fault schedule.
 
+use crate::error::FleetError;
 use faasbatch_core::policy::FaasBatchConfig;
 use faasbatch_metrics::autoscaler::AutoscalerConfig;
 use faasbatch_schedulers::config::SimConfig;
@@ -101,25 +102,33 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Panics with a descriptive message when the configuration is
-    /// internally inconsistent (zero workers, zero window, or a fault on a
-    /// worker index that does not exist).
-    pub fn validate(&self) {
-        assert!(self.workers >= 1, "fleet needs at least one worker");
-        assert!(!self.window.is_zero(), "router window must be positive");
-        for f in &self.faults {
-            assert!(
-                f.worker < self.workers,
-                "fault references worker {} but the fleet has {}",
-                f.worker,
-                self.workers
-            );
+    /// Checks the configuration for internal consistency.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::InvalidConfig`] naming the offending field: zero
+    /// workers, a zero window, a fault on a worker index that does not
+    /// exist, or an invalid autoscaler config.
+    pub fn validate(&self) -> Result<(), FleetError> {
+        let invalid = |why: String| Err(FleetError::InvalidConfig(why));
+        if self.workers == 0 {
+            return invalid("workers: fleet needs at least one worker".to_owned());
+        }
+        if self.window.is_zero() {
+            return invalid("window: router window must be positive".to_owned());
+        }
+        if let Some(f) = self.faults.iter().find(|f| f.worker >= self.workers) {
+            return invalid(format!(
+                "faults: fault references worker {} but the fleet has {}",
+                f.worker, self.workers
+            ));
         }
         if let Some(ac) = &self.autoscaler {
             if let Err(e) = ac.validate() {
-                panic!("invalid autoscaler config: {e}");
+                return invalid(format!("autoscaler: {e}"));
             }
         }
+        Ok(())
     }
 
     /// True when `worker` still accepts new arrivals at `at` (no crash or
@@ -143,23 +152,30 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        FleetConfig::default().validate();
+        assert_eq!(FleetConfig::default().validate(), Ok(()));
+    }
+
+    /// The `InvalidConfig` message of a config that must be rejected.
+    fn rejection(cfg: FleetConfig) -> String {
+        match cfg.validate() {
+            Err(FleetError::InvalidConfig(why)) => why,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        FleetConfig {
+    fn invalid_configs_are_typed_errors_naming_the_field() {
+        let zero_workers = FleetConfig {
             workers: 0,
             ..FleetConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "fault references worker")]
-    fn fault_on_missing_worker_rejected() {
-        FleetConfig {
+        };
+        assert!(rejection(zero_workers).contains("at least one worker"));
+        let zero_window = FleetConfig {
+            window: SimDuration::ZERO,
+            ..FleetConfig::default()
+        };
+        assert!(rejection(zero_window).starts_with("window"));
+        let missing_worker = FleetConfig {
             workers: 2,
             faults: vec![WorkerFault {
                 worker: 5,
@@ -167,8 +183,8 @@ mod tests {
                 kind: FaultKind::Crash,
             }],
             ..FleetConfig::default()
-        }
-        .validate();
+        };
+        assert!(rejection(missing_worker).contains("fault references worker 5"));
     }
 
     #[test]

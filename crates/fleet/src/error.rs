@@ -1,17 +1,26 @@
 //! Typed failures of the fleet replay.
 
+use faasbatch_simcore::time::SimTime;
 use std::fmt;
 
-/// Why a fleet replay could not produce a report.
-///
-/// Configuration mistakes (zero workers, faults on unknown workers) are
-/// programming errors and still panic via
-/// [`FleetConfig::validate`](crate::config::FleetConfig::validate); this
-/// type covers *runtime* outcomes of the simulated scenario itself, which
-/// callers may legitimately want to observe — e.g. a fault schedule that
-/// crashes every holder of an invocation.
+/// Why a fleet replay could not produce a report: a configuration
+/// [`FleetConfig::validate`](crate::config::FleetConfig::validate) rejects,
+/// or a *runtime* outcome of the simulated scenario itself — e.g. a fault
+/// schedule that crashes every holder of an invocation, or drains every
+/// worker before the trace ends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
+    /// The configuration is internally inconsistent (zero workers, zero
+    /// window, a fault on a worker index that does not exist, or an invalid
+    /// autoscaler config); the message names the offending field.
+    InvalidConfig(String),
+    /// Every worker had crashed or drained when a group needed placing.
+    NoLiveWorker {
+        /// Function index of the group that could not be placed.
+        function: u32,
+        /// The group's arrival instant on the fleet clock.
+        at: SimTime,
+    },
     /// An invocation was stranded by a crash after its last permitted
     /// re-dispatch: the scenario cannot complete the workload exactly-once.
     RetryBudgetExhausted {
@@ -27,6 +36,10 @@ pub enum FleetError {
 impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FleetError::InvalidConfig(why) => write!(f, "invalid fleet config: {why}"),
+            FleetError::NoLiveWorker { function, at } => {
+                write!(f, "no live worker to place fn#{function} at {at}")
+            }
             FleetError::RetryBudgetExhausted {
                 invocation,
                 worker,
@@ -57,5 +70,16 @@ mod tests {
         assert!(msg.contains("inv#17"));
         assert!(msg.contains("retry budget (1)"));
         assert!(msg.contains("worker 2"));
+    }
+
+    #[test]
+    fn display_names_the_stranded_group() {
+        let e = FleetError::NoLiveWorker {
+            function: 3,
+            at: SimTime::from_millis(100),
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("no live worker"));
+        assert!(msg.contains("fn#3"));
     }
 }

@@ -4,8 +4,8 @@
 //! (same function, same dispatch window), and places each group on one
 //! worker via the [`RoutingPolicy`]. Each
 //! worker then replays its sub-trace through the unchanged single-worker
-//! harness (`run_simulation` / `run_faasbatch`), so per-worker behaviour is
-//! identical to the paper's single-node evaluation.
+//! harness (`run_simulation_traced`), so per-worker behaviour is identical
+//! to the paper's single-node evaluation.
 //!
 //! Faults are applied afterwards, crash by crash in chronological order: a
 //! crashed worker keeps every record that completed before the crash
@@ -20,13 +20,12 @@ use crate::error::FleetError;
 use crate::report::{FleetRecord, FleetReport, WorkerReport};
 use crate::routing::{RouterCtx, RoutingPolicy, WorkerLoad};
 use faasbatch_container::ids::{FunctionId, InvocationId};
-use faasbatch_core::policy::{run_faasbatch, run_faasbatch_traced};
+use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::autoscaler::AutoscalerSink;
-use faasbatch_metrics::events::{EventKind, SimEvent, TraceSink};
+use faasbatch_metrics::events::{EventKind, NoopSink, SimEvent, TraceSink};
 use faasbatch_metrics::report::RunReport;
 use faasbatch_metrics::sampler::ResourceSampler;
-use faasbatch_schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch_schedulers::vanilla::Vanilla;
+use faasbatch_schedulers::harness::run_simulation_traced;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::workload::{Invocation, Workload};
 use std::collections::{BTreeSet, HashMap};
@@ -55,14 +54,12 @@ type GroupKey = (u32, u64, u32);
 ///
 /// # Errors
 ///
+/// [`FleetError::InvalidConfig`] when [`FleetConfig::validate`] rejects the
+/// configuration; [`FleetError::NoLiveWorker`] when every worker has
+/// crashed or drained before a group arrives;
 /// [`FleetError::RetryBudgetExhausted`] when a crash strands an invocation
 /// that has no re-dispatch budget left — the scenario cannot complete the
 /// workload exactly-once.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid ([`FleetConfig::validate`]) or if
-/// at some point no worker is alive to accept an arrival.
 pub fn run_fleet(
     workload: &Workload,
     cfg: &FleetConfig,
@@ -119,7 +116,7 @@ fn run_fleet_impl(
     label: &str,
     mut events: Option<Vec<SimEvent>>,
 ) -> Result<(FleetReport, Option<Vec<SimEvent>>), FleetError> {
-    cfg.validate();
+    cfg.validate()?;
     let n = cfg.workers;
 
     for inv in workload.invocations() {
@@ -171,7 +168,7 @@ fn run_fleet_impl(
             &mut assigned,
             &mut runs,
             &mut events,
-        );
+        )?;
         let Some(&(crash_time, w)) = crashes.get(next_crash) else {
             break;
         };
@@ -326,10 +323,7 @@ fn route_round(
     assigned: &mut [Vec<Pending>],
     runs: &mut [Option<(RunReport, Vec<Pending>)>],
     events: &mut Option<Vec<SimEvent>>,
-) {
-    if pending.is_empty() {
-        return;
-    }
+) -> Result<(), FleetError> {
     pending.sort_by_key(|p| (p.effective_arrival, p.fleet_id));
     // Group by (function, window epoch, attempt), preserving the order in
     // which groups first appear — the router places groups, never members.
@@ -353,11 +347,12 @@ fn route_round(
     for (key, members) in order {
         let now = members[0].effective_arrival;
         let alive: Vec<bool> = (0..cfg.workers).map(|w| cfg.accepting(w, now)).collect();
-        assert!(
-            alive.iter().any(|&a| a),
-            "no live worker to place fn#{} at {now}",
-            key.0
-        );
+        if !alive.iter().any(|&a| a) {
+            return Err(FleetError::NoLiveWorker {
+                function: key.0,
+                at: now,
+            });
+        }
         for l in load.iter_mut() {
             l.observe(now);
         }
@@ -392,6 +387,7 @@ fn route_round(
         runs[w] = None;
         assigned[w].extend(members);
     }
+    Ok(())
 }
 
 /// Replays one worker's assignment through the single-worker harness.
@@ -421,38 +417,22 @@ fn replay_worker(
         })
         .collect();
     let sub = Workload::new(workload.registry().clone(), invocations);
+    let (kind, setup) = match &cfg.scheduler {
+        WorkerScheduler::Vanilla => (SchedulerKind::Vanilla, SchedulerSetup::new(cfg.window)),
+        WorkerScheduler::FaasBatch(fb) => (
+            SchedulerKind::FaasBatch,
+            SchedulerSetup::new(fb.window).with_faasbatch_config(fb.clone()),
+        ),
+    };
+    let (policy, interval) = kind.build(&setup);
     // With a controller configured, every worker runs its own fresh
     // `AutoscalerSink` — the fleet-level stream is synthesized post-hoc, so
     // per-worker control loops are the only honest placement.
-    let report = match (&cfg.scheduler, &cfg.autoscaler) {
-        (WorkerScheduler::Vanilla, None) => {
-            run_simulation(Box::new(Vanilla::new()), &sub, cfg.sim.clone(), label, None)
-        }
-        (WorkerScheduler::Vanilla, Some(ac)) => {
-            run_simulation_traced(
-                Box::new(Vanilla::new()),
-                &sub,
-                cfg.sim.clone(),
-                label,
-                None,
-                Box::new(AutoscalerSink::new(ac.clone())),
-            )
-            .0
-        }
-        (WorkerScheduler::FaasBatch(fb), None) => {
-            run_faasbatch(&sub, cfg.sim.clone(), fb.clone(), label)
-        }
-        (WorkerScheduler::FaasBatch(fb), Some(ac)) => {
-            run_faasbatch_traced(
-                &sub,
-                cfg.sim.clone(),
-                fb.clone(),
-                label,
-                Box::new(AutoscalerSink::new(ac.clone())),
-            )
-            .0
-        }
+    let sink: Box<dyn TraceSink> = match &cfg.autoscaler {
+        Some(ac) => Box::new(AutoscalerSink::new(ac.clone())),
+        None => Box::new(NoopSink),
     };
+    let (report, _) = run_simulation_traced(policy, &sub, cfg.sim.clone(), label, interval, sink);
     (report, metas)
 }
 
@@ -515,6 +495,7 @@ mod tests {
     use super::*;
     use crate::config::{FaultKind, WorkerFault};
     use crate::routing::RoutingKind;
+    use faasbatch_core::policy::run_faasbatch;
     use faasbatch_simcore::rng::DetRng;
     use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
 
@@ -817,9 +798,48 @@ mod tests {
             worker,
             max_retries,
             ..
-        } = &err;
+        } = &err
+        else {
+            panic!("expected RetryBudgetExhausted, got {err:?}");
+        };
         assert_eq!(*worker, 1, "the second crash strands the retries");
         assert_eq!(*max_retries, 1);
         assert!(err.to_string().contains("retry budget"), "{err}");
+    }
+
+    #[test]
+    fn draining_every_worker_is_a_typed_error() {
+        let w = small_workload(3);
+        let cfg = FleetConfig {
+            workers: 1,
+            faults: vec![WorkerFault {
+                worker: 0,
+                at: SimTime::from_millis(100),
+                kind: FaultKind::Drain,
+            }],
+            ..FleetConfig::default()
+        };
+        let err = run_fleet(&w, &cfg, RoutingKind::RoundRobin.build(), "cpu")
+            .expect_err("nobody is left to accept arrivals");
+        let FleetError::NoLiveWorker { at, .. } = err else {
+            panic!("expected NoLiveWorker, got {err:?}");
+        };
+        assert!(at >= SimTime::from_millis(100));
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error_not_a_panic() {
+        let cfg = FleetConfig {
+            workers: 0,
+            ..FleetConfig::default()
+        };
+        let err = run_fleet(
+            &small_workload(1),
+            &cfg,
+            RoutingKind::RoundRobin.build(),
+            "cpu",
+        )
+        .expect_err("zero workers cannot replay anything");
+        assert!(matches!(err, FleetError::InvalidConfig(_)), "{err:?}");
     }
 }

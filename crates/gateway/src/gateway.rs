@@ -247,7 +247,13 @@ impl GatewayBuilder {
     }
 
     /// Dispatch window each shard accumulates before routing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero: the shard loops would busy-poll their
+    /// queues instead of sleeping out a window.
     pub fn window(mut self, window: Duration) -> GatewayBuilder {
+        assert!(!window.is_zero(), "dispatch window must be positive");
         self.window = window;
         self
     }
@@ -760,6 +766,12 @@ mod tests {
             .register("alpha", |_env| {})
             .register("beta", |_env| {})
             .start()
+    }
+
+    #[test]
+    #[should_panic(expected = "dispatch window must be positive")]
+    fn zero_window_is_rejected_at_the_builder() {
+        let _ = Gateway::builder().window(Duration::ZERO);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Two stream shapes are understood:
 //!
 //! * **single-worker** streams (from `run_simulation_traced` /
-//!   `run_faasbatch_traced`) carry the full mechanism chain — window wait,
+//!   `run_source_traced`) carry the full mechanism chain — window wait,
 //!   dispatch work, cold start, in-container queue, multiplexer wait, body
 //!   execution with CPU-contention stretch, and the batch-barrier wait;
 //! * **fleet-level** streams (from `run_fleet_traced`) are coarser — retry

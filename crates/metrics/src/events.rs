@@ -20,7 +20,7 @@ use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write;
 
@@ -626,55 +626,6 @@ impl TraceSink for NoopSink {
     }
 }
 
-/// Keeps the most recent `capacity` events in a ring buffer.
-///
-/// Useful for post-mortem debugging of long runs where the full stream
-/// would not fit in memory.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    capacity: usize,
-    events: VecDeque<SimEvent>,
-    /// Events dropped off the front of the ring.
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &SimEvent> {
-        self.events.iter()
-    }
-
-    /// How many events fell off the front of the ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &SimEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event.clone());
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// Collects every event in order. The workhorse for tests and exporters.
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
@@ -760,46 +711,6 @@ impl TraceSink for JsonlSink {
             Ok(()) => self.lines += 1,
             Err(_) => self.io_errors += 1,
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Tallies events by kind name. Cheap, order-independent summary.
-#[derive(Debug, Clone, Default)]
-pub struct CounterSink {
-    counts: BTreeMap<&'static str, u64>,
-}
-
-impl CounterSink {
-    /// An empty tally.
-    pub fn new() -> Self {
-        CounterSink::default()
-    }
-
-    /// Count for one kind name (0 when never seen).
-    pub fn count(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counts, sorted by kind name.
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
-    }
-
-    /// Total events observed.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-}
-
-impl TraceSink for CounterSink {
-    fn record(&mut self, event: &SimEvent) {
-        *self.counts.entry(event.kind.name()).or_insert(0) += 1;
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -2155,29 +2066,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut ring = RingSink::new(2);
-        for i in 0..5 {
-            ring.record(&arrival(i, i));
-        }
-        assert_eq!(ring.dropped(), 3);
-        let kept: Vec<u64> = ring.events().map(|e| e.at.as_micros()).collect();
-        assert_eq!(kept, vec![3, 4]);
-    }
-
-    #[test]
-    fn counter_sink_tallies_by_name() {
-        let mut counter = CounterSink::new();
-        for event in tiny_run() {
-            counter.record(&event);
-        }
-        assert_eq!(counter.count("Arrival"), 1);
-        assert_eq!(counter.count("InvocationComplete"), 1);
-        assert_eq!(counter.count("WorkerCrash"), 0);
-        assert_eq!(counter.total(), 7);
-    }
-
-    #[test]
     fn jsonl_sink_writes_one_object_per_line() {
         let buffer: Vec<u8> = Vec::new();
         let mut sink = JsonlSink::new(Box::new(buffer));
@@ -2332,19 +2220,14 @@ mod tests {
 
     #[test]
     fn multi_sink_fans_out() {
-        let mut multi =
-            MultiSink::new(vec![Box::new(CounterSink::new()), Box::new(VecSink::new())]);
+        let mut multi = MultiSink::new(vec![Box::new(VecSink::new()), Box::new(VecSink::new())]);
         for event in tiny_run() {
             multi.record(&event);
         }
-        let sinks = multi.into_sinks();
-        let counter = sinks[0]
-            .as_any()
-            .downcast_ref::<CounterSink>()
-            .expect("counter");
-        let vec = sinks[1].as_any().downcast_ref::<VecSink>().expect("vec");
-        assert_eq!(counter.total(), 7);
-        assert_eq!(vec.events().len(), 7);
+        for sink in multi.into_sinks() {
+            let vec = sink.as_any().downcast_ref::<VecSink>().expect("vec");
+            assert_eq!(vec.events(), tiny_run());
+        }
     }
 
     #[test]

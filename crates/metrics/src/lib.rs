@@ -75,8 +75,8 @@ pub use analysis::{
 };
 pub use autoscaler::{AutoscalerConfig, AutoscalerSink, AutoscalerStats, PrewarmTier, ScaleAction};
 pub use events::{
-    chrome_trace, chrome_trace_to, AuditorSink, CounterSink, EventKind, JsonlSink, MultiSink,
-    NoopSink, RecordReducer, ReducedRun, RingSink, SimEvent, TaskKind, TraceSink, VecSink,
+    chrome_trace, chrome_trace_to, AuditorSink, EventKind, JsonlSink, MultiSink, NoopSink,
+    RecordReducer, ReducedRun, SimEvent, TaskKind, TraceSink, VecSink,
 };
 pub use latency::{InvocationRecord, LatencyBreakdown};
 pub use live::LiveTraceRecorder;

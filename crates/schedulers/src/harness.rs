@@ -1213,31 +1213,11 @@ pub fn run_simulation_traced(
     )
 }
 
-/// [`run_simulation`] over any [`InvocationSource`] — a materialised
+/// [`run_simulation_traced`] over any [`InvocationSource`] — a materialised
 /// [`Workload`] cursor or an on-demand
 /// [`WorkloadStream`](faasbatch_trace::stream::WorkloadStream). Arrivals are
 /// pulled one at a time, so memory stays bounded by in-flight state rather
-/// than trace length.
-pub fn run_source(
-    policy: Box<dyn Policy>,
-    source: impl InvocationSource,
-    cfg: SimConfig,
-    workload_label: &str,
-    dispatch_interval: Option<SimDuration>,
-) -> RunReport {
-    run_source_traced(
-        policy,
-        source,
-        cfg,
-        workload_label,
-        dispatch_interval,
-        Box::new(NoopSink),
-    )
-    .0
-}
-
-/// [`run_source`] with an observable event stream (see
-/// [`run_simulation_traced`]). Replaying a workload through its
+/// than trace length. Replaying a workload through its
 /// [`cursor`](Workload::cursor) produces a stream bit-identical to the
 /// materialised path: an arrival due at or before the next queued event is
 /// injected first, reproducing the tie order of pre-scheduled arrivals

@@ -4,13 +4,10 @@
 //!
 //! Run with: `cargo run --release --example scheduler_comparison`
 
-use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};
+use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
+use faasbatch::metrics::events::NoopSink;
 use faasbatch::metrics::report::{percent_reduction, text_table};
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::run_simulation;
-use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
-use faasbatch::schedulers::sfs::Sfs;
-use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{io_workload, WorkloadConfig};
@@ -27,23 +24,23 @@ fn main() {
             ..WorkloadConfig::default()
         },
     );
-    let cfg = SimConfig::default();
-
-    let vanilla = run_simulation(Box::new(Vanilla::new()), &workload, cfg.clone(), "io", None);
-    let sfs = run_simulation(Box::new(Sfs::new()), &workload, cfg.clone(), "io", None);
-    let kraken = run_simulation(
-        Box::new(Kraken::new(
-            KrakenCalibration::from_vanilla(&vanilla),
-            window,
-        )),
+    // One runner replays every kind; Kraken is calibrated from the Vanilla run.
+    let kinds = [
+        SchedulerKind::Vanilla,
+        SchedulerKind::Sfs,
+        SchedulerKind::Kraken,
+        SchedulerKind::FaasBatch,
+    ];
+    let (reports, _) = run_comparison(
+        &kinds,
         &workload,
-        cfg.clone(),
         "io",
-        Some(window),
+        &SimConfig::default(),
+        &SchedulerSetup::new(window),
+        |_| Box::new(NoopSink),
     );
-    let faasbatch = run_faasbatch(&workload, cfg, FaasBatchConfig::default(), "io");
+    let (vanilla, faasbatch) = (&reports[0], &reports[3]);
 
-    let reports = [&vanilla, &sfs, &kraken, &faasbatch];
     let rows: Vec<Vec<String>> = reports
         .iter()
         .map(|r| {

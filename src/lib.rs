@@ -34,7 +34,7 @@
 //!
 //! Run FaaSBatch against a baseline on the same workload (the six-way
 //! comparison — all of [`core::scheduler_kind::SchedulerKind::ALL`] — is
-//! `faasbatch_bench::run_six` or the `six_schedulers` binary):
+//! [`core::scheduler_kind::run_comparison`] or the `six_schedulers` binary):
 //!
 //! ```
 //! use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};

@@ -9,8 +9,7 @@
 //! faasbatch trace    [--scheduler NAME] [--workload cpu|io] [--seed N]
 //!                    [--out FILE] [--chrome FILE] [--analyze FILE]
 //! faasbatch trace-diff A.jsonl B.jsonl [--top K] [--json FILE]
-//! faasbatch live     [--jobs N] [--batch-size N] [--workers N]
-//!                    [--backend executor|thread-per-job] [--out FILE]
+//! faasbatch live     [--jobs N] [--batch-size N] [--workers N] [--out FILE]
 //!                    [--metrics-addr HOST:PORT] [--flight-record FILE]
 //! faasbatch top      [--addr HOST:PORT]
 //! faasbatch figures
@@ -19,7 +18,7 @@
 
 use faasbatch::container::snapshot::{EvictionPolicy, SnapshotConfig};
 use faasbatch::core::policy::FaasBatchConfig;
-use faasbatch::core::scheduler_kind::{SchedulerKind, SchedulerSetup};
+use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch::fleet::config::{FaultKind, FleetConfig, WorkerFault, WorkerScheduler};
 use faasbatch::fleet::routing::RoutingKind;
 use faasbatch::fleet::sim::run_fleet;
@@ -27,12 +26,11 @@ use faasbatch::metrics::analysis::{
     diff_reports, load_events, AttributionEngine, AttributionReport,
 };
 use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
-use faasbatch::metrics::events::{chrome_trace_to, AuditorSink, MultiSink, TraceSink, VecSink};
+use faasbatch::metrics::events::{
+    chrome_trace_to, AuditorSink, MultiSink, NoopSink, SimEvent, TraceSink, VecSink,
+};
 use faasbatch::metrics::report::{text_table, RunReport};
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch::schedulers::kraken::KrakenCalibration;
-use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::arrival::{bin_counts, burstiness};
@@ -75,8 +73,8 @@ USAGE:
                        [--snapshot-cap N] [--snapshot-eviction {evictions}]
                        [--snapshot-prewarm] [--import FILE]
     faasbatch live     [--jobs N] [--batch-size N] [--workers N] [--seed N]
-                       [--backend executor|thread-per-job] [--window-ms N]
-                       [--cold-ms N] [--work-us N] [--audit] [--out FILE]
+                       [--window-ms N] [--cold-ms N] [--work-us N]
+                       [--audit] [--out FILE]
                        [--snapshots N] [--restore-ms N]
                        [--metrics-addr HOST:PORT] [--serve-ms N]
                        [--flight-record FILE] [--flight-capacity N]
@@ -105,8 +103,8 @@ COMMANDS:
                vs the trace-driven autoscaling controller — audit the
                controller's actions, and print the comparison
     live       fire a synthetic burst at the real (wall-clock) platform on
-               the work-stealing executor (or the thread-per-job baseline)
-               and print throughput plus p50/p95/p99 latency; --audit replays
+               the work-stealing executor and print throughput plus
+               p50/p95/p99 latency; --audit replays
                the emitted event stream through the invariant auditor and the
                attribution engine, --out FILE exports it as JSONL (readable
                by `faasbatch trace --analyze`); with --gateway the burst
@@ -126,9 +124,11 @@ COMMANDS:
 
 Workloads exported with `workload --export` replay bit-identically via
 `compare --import`. Defaults: cpu workload, seed 2023, 200 ms window,
-paper-sized totals. `--snapshot-cap N` enables the snapshot-restore start
-tier with N cache slots (0 = off); `--snapshot-prewarm` lets the autoscale
-controller pick the prewarm tier by predicted re-use horizon."
+paper-sized totals; `--window-ms`, `--span-s` and `--functions` must be at
+least 1 and a replayed workload must hold an invocation. `--snapshot-cap N`
+enables the snapshot-restore start tier with N cache slots (0 = off);
+`--snapshot-prewarm` lets the autoscale controller pick the prewarm tier by
+predicted re-use horizon."
     )
 }
 
@@ -213,6 +213,19 @@ impl Options {
         }
     }
 
+    /// A numeric option that must be at least 1 — a zero dispatch window,
+    /// trace span or function count has no meaning downstream.
+    fn positive<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialEq + From<u8>,
+    {
+        let n = self.num(key, default)?;
+        if n == T::from(0) {
+            return Err(format!("{key} must be at least 1"));
+        }
+        Ok(n)
+    }
+
     fn flag(&self, key: &str) -> bool {
         self.values.contains_key(key)
     }
@@ -229,8 +242,8 @@ fn build_workload(opts: &Options) -> Result<(String, Workload), String> {
     };
     let cfg = WorkloadConfig {
         total: opts.num("--total", default_total)?,
-        span: SimDuration::from_secs(opts.num("--span-s", default_span)?),
-        functions: opts.num("--functions", 8)?,
+        span: SimDuration::from_secs(opts.positive("--span-s", default_span)?),
+        functions: opts.positive("--functions", 8)?,
         bursts: opts.num("--bursts", if kind == "cpu" { 6 } else { 4 })?,
         heterogeneity: opts.num("--heterogeneity", 0.0)?,
     };
@@ -241,17 +254,23 @@ fn build_workload(opts: &Options) -> Result<(String, Workload), String> {
     Ok((kind, w))
 }
 
+/// The workload a replay subcommand runs: `--import FILE` or a generated
+/// one. Replays need at least one invocation (their tables take quantiles).
 fn load_or_build(opts: &Options) -> Result<(String, Workload), String> {
-    match opts.values.get("--import") {
-        None => build_workload(opts),
+    let (label, w) = match opts.values.get("--import") {
+        None => build_workload(opts)?,
         Some(path) => {
             let json =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let w: Workload =
                 serde_json::from_str(&json).map_err(|e| format!("invalid workload JSON: {e}"))?;
-            Ok(("imported".to_owned(), w))
+            ("imported".to_owned(), w)
         }
+    };
+    if w.is_empty() {
+        return Err("the workload holds no invocations (--total must be at least 1)".to_owned());
     }
+    Ok((label, w))
 }
 
 /// Parses the `--snapshot-cap` / `--snapshot-eviction` pair shared by the
@@ -274,7 +293,7 @@ fn snapshot_config(opts: &Options) -> Result<SnapshotConfig, String> {
 
 fn cmd_compare(opts: &Options) -> Result<(), String> {
     let (label, w) = load_or_build(opts)?;
-    let window = SimDuration::from_millis(opts.num("--window-ms", 200)?);
+    let window = SimDuration::from_millis(opts.positive("--window-ms", 200)?);
     let cfg = SimConfig {
         snapshot: snapshot_config(opts)?,
         ..SimConfig::default()
@@ -283,15 +302,11 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
         "replaying {} invocations ({label}) with a {window} window…\n",
         w.len()
     );
-    let vanilla = run_simulation(Box::new(Vanilla::new()), &w, cfg.clone(), &label, None);
-    let mut setup = SchedulerSetup::new(window)
-        .with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
+    let mut setup = SchedulerSetup::new(window);
     setup.faasbatch.multiplex = !opts.flag("--no-multiplex");
-    let mut reports = vec![vanilla];
-    for kind in &SchedulerKind::ALL[1..] {
-        let (policy, interval) = kind.build(&setup);
-        reports.push(run_simulation(policy, &w, cfg.clone(), &label, interval));
-    }
+    let (reports, _) = run_comparison(&SchedulerKind::ALL, &w, &label, &cfg, &setup, |_| {
+        Box::new(NoopSink)
+    });
 
     let rows: Vec<Vec<String>> = reports
         .iter()
@@ -415,7 +430,7 @@ fn cmd_fleet(opts: &Options) -> Result<(), String> {
     let (label, w) = load_or_build(opts)?;
     let policy_name = opts.str("--policy", "least-loaded");
     let kind = RoutingKind::parse(&policy_name).map_err(|e| e.to_string())?;
-    let window = SimDuration::from_millis(opts.num("--window-ms", 200)?);
+    let window = SimDuration::from_millis(opts.positive("--window-ms", 200)?);
     let scheduler = match opts.str("--scheduler", "faasbatch").as_str() {
         "faasbatch" => WorkerScheduler::FaasBatch(FaasBatchConfig::with_window(window)),
         "vanilla" => WorkerScheduler::Vanilla,
@@ -441,15 +456,6 @@ fn cmd_fleet(opts: &Options) -> Result<(), String> {
         redispatch_delay: SimDuration::from_millis(opts.num("--redispatch-ms", 50)?),
         ..FleetConfig::default()
     };
-    if cfg.workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
-    if let Some(f) = cfg.faults.iter().find(|f| f.worker >= cfg.workers) {
-        return Err(format!(
-            "fault references worker {} but the fleet has {}",
-            f.worker, cfg.workers
-        ));
-    }
 
     println!(
         "replaying {} invocations ({label}) over {} workers, {} routing…\n",
@@ -510,10 +516,55 @@ fn cmd_fleet(opts: &Options) -> Result<(), String> {
 }
 
 /// Folds an event stream into its attribution report.
-fn attribute_events(events: &[faasbatch::metrics::events::SimEvent]) -> AttributionReport {
+fn attribute_events(events: &[SimEvent]) -> AttributionReport {
     let mut engine = AttributionEngine::new();
     engine.consume(events);
     engine.finish()
+}
+
+/// Replays `events` through the invariant auditor: prints the clean line,
+/// or every violation and an error — a violation means the run broke a
+/// simulation (or live-platform) invariant.
+fn audit(events: &[SimEvent]) -> Result<(), String> {
+    let mut auditor = AuditorSink::new();
+    auditor.record_batch(events);
+    let violations = auditor.finish();
+    if violations.is_empty() {
+        println!("auditor: stream is clean (0 violations)");
+        return Ok(());
+    }
+    for v in violations {
+        eprintln!("auditor violation: {v}");
+    }
+    Err(format!(
+        "the event stream violated {} invariant(s)",
+        violations.len()
+    ))
+}
+
+/// Recovers the events a traced run collected in its [`VecSink`].
+fn vec_events(sink: &dyn TraceSink) -> &[SimEvent] {
+    sink.as_any()
+        .downcast_ref::<VecSink>()
+        .expect("the vec sink comes back from the run")
+        .events()
+}
+
+/// Runs one scheduler over `w` through the comparison runner (which
+/// calibrates Kraken from a Vanilla run of the same workload).
+fn run_one(
+    kind: SchedulerKind,
+    w: &Workload,
+    label: &str,
+    cfg: &SimConfig,
+    setup: &SchedulerSetup,
+    sink: impl FnMut(SchedulerKind) -> Box<dyn TraceSink>,
+) -> (RunReport, Box<dyn TraceSink>) {
+    let (mut reports, mut sinks) = run_comparison(&[kind], w, label, cfg, setup, sink);
+    (
+        reports.pop().expect("one kind, one report"),
+        sinks.pop().expect("one kind, one sink"),
+    )
 }
 
 /// `faasbatch trace --analyze FILE`: offline attribution of an existing
@@ -536,33 +587,21 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     }
     let (label, w) = load_or_build(opts)?;
     let scheduler = opts.str("--scheduler", "faasbatch");
-    let window = SimDuration::from_millis(opts.num("--window-ms", 200)?);
+    // An unknown name is a typed error listing every valid scheduler.
+    let kind = SchedulerKind::parse(&scheduler).map_err(|e| e.to_string())?;
+    let mut setup =
+        SchedulerSetup::new(SimDuration::from_millis(opts.positive("--window-ms", 200)?));
+    setup.faasbatch.multiplex = !opts.flag("--no-multiplex");
     let cfg = SimConfig {
         snapshot: snapshot_config(opts)?,
         ..SimConfig::default()
     };
-    let sink: Box<dyn TraceSink> = Box::new(VecSink::new());
     println!(
         "tracing {} invocations ({label}) under {scheduler}…",
         w.len()
     );
-    let multiplex = !opts.flag("--no-multiplex");
-    let (report, sink) =
-        run_one_scheduler(&scheduler, &w, cfg, &label, window, multiplex, Some(sink))?;
-    let sink = sink.expect("traced run returns its sink");
-    let events = sink
-        .as_any()
-        .downcast_ref::<VecSink>()
-        .expect("the vec sink comes back from the run")
-        .events();
-
-    // Replay the stream through the online auditor; a violation here means
-    // the run broke a simulation invariant.
-    let mut auditor = AuditorSink::new();
-    for event in events {
-        auditor.record(event);
-    }
-    let violations = auditor.finish().to_vec();
+    let (report, sink) = run_one(kind, &w, &label, &cfg, &setup, |_| Box::new(VecSink::new()));
+    let events = vec_events(sink.as_ref());
 
     let out = opts.str("--out", &format!("results/trace_{scheduler}.jsonl"));
     if let Some(dir) = std::path::Path::new(&out).parent() {
@@ -599,19 +638,7 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     if !attribution.all_exact() {
         return Err("attribution phases do not sum to end-to-end latency".to_owned());
     }
-
-    if violations.is_empty() {
-        println!("auditor: stream is clean (0 violations)");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("auditor violation: {v}");
-        }
-        Err(format!(
-            "the event stream violated {} invariant(s)",
-            violations.len()
-        ))
-    }
+    audit(events)
 }
 
 /// `faasbatch trace-diff A.jsonl B.jsonl`: attribute both logs and explain
@@ -649,39 +676,11 @@ fn cmd_trace_diff(positionals: &[String], opts: &Options) -> Result<(), String> 
     Ok(())
 }
 
-/// Runs `scheduler` over `w`, traced through `sink` when one is given.
-fn run_one_scheduler(
-    scheduler: &str,
-    w: &Workload,
-    cfg: SimConfig,
-    label: &str,
-    window: SimDuration,
-    multiplex: bool,
-    sink: Option<Box<dyn TraceSink>>,
-) -> Result<(RunReport, Option<Box<dyn TraceSink>>), String> {
-    // An unknown name is a typed error listing every valid scheduler.
-    let kind = SchedulerKind::parse(scheduler).map_err(|e| e.to_string())?;
-    let mut setup = SchedulerSetup::new(window);
-    setup.faasbatch.multiplex = multiplex;
-    if kind == SchedulerKind::Kraken {
-        // Kraken calibrates its SLOs from a Vanilla run of the same workload.
-        let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), label, None);
-        setup = setup.with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
-    }
-    let (policy, interval) = kind.build(&setup);
-    Ok(match sink {
-        None => (run_simulation(policy, w, cfg, label, interval), None),
-        Some(s) => {
-            let (r, s) = run_simulation_traced(policy, w, cfg, label, interval, s);
-            (r, Some(s))
-        }
-    })
-}
-
 fn cmd_autoscale(opts: &Options) -> Result<(), String> {
     let (label, w) = load_or_build(opts)?;
     let scheduler = opts.str("--scheduler", "faasbatch");
-    let window = SimDuration::from_millis(opts.num("--window-ms", 200)?);
+    let kind = SchedulerKind::parse(&scheduler).map_err(|e| e.to_string())?;
+    let setup = SchedulerSetup::new(SimDuration::from_millis(opts.positive("--window-ms", 200)?));
     let keep_alive = SimDuration::from_secs(opts.num("--keepalive-s", 2)?);
     let cfg = SimConfig {
         keep_alive,
@@ -704,15 +703,13 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
          keep-alive vs controller…\n",
         w.len()
     );
-    let (static_report, _) =
-        run_one_scheduler(&scheduler, &w, cfg.clone(), &label, window, true, None)?;
-    let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
-        Box::new(AutoscalerSink::new(ac)),
-        Box::new(VecSink::new()),
-    ]));
-    let (auto_report, sink) =
-        run_one_scheduler(&scheduler, &w, cfg, &label, window, true, Some(sink))?;
-    let sink = sink.expect("traced run returns its sink");
+    let (static_report, _) = run_one(kind, &w, &label, &cfg, &setup, |_| Box::new(NoopSink));
+    let (auto_report, sink) = run_one(kind, &w, &label, &cfg, &setup, |_| {
+        Box::new(MultiSink::new(vec![
+            Box::new(AutoscalerSink::new(ac.clone())),
+            Box::new(VecSink::new()),
+        ]))
+    });
     let multi = sink
         .as_any()
         .downcast_ref::<MultiSink>()
@@ -721,11 +718,7 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
         .as_any()
         .downcast_ref::<AutoscalerSink>()
         .expect("controller sink");
-    let events = multi.sinks()[1]
-        .as_any()
-        .downcast_ref::<VecSink>()
-        .expect("vec sink")
-        .events();
+    let events = vec_events(multi.sinks()[1].as_ref());
 
     let rows: Vec<Vec<String>> = [("static", &static_report), ("autoscaled", &auto_report)]
         .iter()
@@ -772,24 +765,7 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
             stats.snapshot_tier_prewarms, stats.warm_tier_prewarms, auto_report.restored_starts
         );
     }
-
-    let mut auditor = AuditorSink::new();
-    for event in events {
-        auditor.record(event);
-    }
-    let violations = auditor.finish().to_vec();
-    if violations.is_empty() {
-        println!("auditor: stream is clean (0 violations)");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("auditor violation: {v}");
-        }
-        Err(format!(
-            "the event stream violated {} invariant(s)",
-            violations.len()
-        ))
-    }
+    audit(events)
 }
 
 /// Live-telemetry wiring shared by `live` and `live --gateway`:
@@ -1042,27 +1018,12 @@ fn audit_and_export(
         std::fs::write(out, jsonl).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("wrote {} events to {out}", events.len());
     }
-    let mut auditor = AuditorSink::new();
-    for event in &events {
-        auditor.record(event);
-    }
-    let violations = auditor.finish().to_vec();
     let attribution = attribute_events(&events);
     print!("{}", attribution.render());
     if !attribution.all_exact() {
         return Err("attribution phases do not sum to end-to-end latency".to_owned());
     }
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("auditor violation: {v}");
-        }
-        return Err(format!(
-            "the event stream violated {} invariant(s)",
-            violations.len()
-        ));
-    }
-    println!("auditor: stream is clean (0 violations)");
-    Ok(())
+    audit(&events)
 }
 
 fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
@@ -1073,7 +1034,7 @@ fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
     let workers: usize = opts.num("--workers", 8)?;
     let shards: usize = opts.num("--shards", 4)?;
     let shard_depth: usize = opts.num("--shard-depth", 65_536)?;
-    let window = std::time::Duration::from_millis(opts.num("--window-ms", 25)?);
+    let window = std::time::Duration::from_millis(opts.positive("--window-ms", 25)?);
     let cold = std::time::Duration::from_millis(opts.num("--cold-ms", 2)?);
     let work = std::time::Duration::from_micros(opts.num("--work-us", 250)?);
     let policy =
@@ -1168,7 +1129,6 @@ fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_live(opts: &Options) -> Result<(), String> {
-    use faasbatch::container::live::LiveBackend;
     use faasbatch::core::platform::PlatformBuilder;
     use faasbatch::exec::{Executor, ExecutorConfig};
 
@@ -1180,20 +1140,11 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
     let batch_size: usize = opts.num("--batch-size", 100)?;
     let workers: usize = opts.num("--workers", 0)?;
     let seed: u64 = opts.num("--seed", 2023)?;
-    let window = std::time::Duration::from_millis(opts.num("--window-ms", 25)?);
+    let window = std::time::Duration::from_millis(opts.positive("--window-ms", 25)?);
     let cold = std::time::Duration::from_millis(opts.num("--cold-ms", 2)?);
     let work = std::time::Duration::from_micros(opts.num("--work-us", 250)?);
     let snapshots: usize = opts.num("--snapshots", 0)?;
     let restore = std::time::Duration::from_millis(opts.num("--restore-ms", 1)?);
-    let backend = match opts.str("--backend", "executor").as_str() {
-        "executor" => LiveBackend::Executor,
-        "thread-per-job" => LiveBackend::ThreadPerJob,
-        other => {
-            return Err(format!(
-                "unknown backend: {other} (use executor|thread-per-job)"
-            ))
-        }
-    };
     if jobs == 0 || batch_size == 0 {
         return Err("--jobs and --batch-size must be at least 1".to_owned());
     }
@@ -1216,7 +1167,6 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
         .cold_start_delay(cold)
         .snapshots(snapshots)
         .restore_delay(restore)
-        .backend(backend)
         .executor(std::sync::Arc::clone(&executor));
     if let Some(rec) = &recorder {
         builder = builder.trace(rec.clone());
@@ -1236,7 +1186,7 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
 
     println!(
         "firing {jobs} invocations over {functions} function(s) (target batch \
-         {batch_size}) on the {backend:?} backend, {} worker(s)…",
+         {batch_size}) on the work-stealing executor, {} worker(s)…",
         executor.workers()
     );
     let started = std::time::Instant::now();
@@ -1276,15 +1226,13 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
         latencies.last().copied().unwrap_or_default(),
     );
     let metrics = executor.metrics();
-    if backend == LiveBackend::Executor {
-        println!(
-            "executor: {} worker(s) | peak in-flight {} | spawned {} | steals {}",
-            metrics.workers,
-            metrics.peak_in_flight,
-            metrics.spawned_total,
-            metrics.total_steals(),
-        );
-    }
+    println!(
+        "executor: {} worker(s) | peak in-flight {} | spawned {} | steals {}",
+        metrics.workers,
+        metrics.peak_in_flight,
+        metrics.spawned_total,
+        metrics.total_steals(),
+    );
 
     drop(platform);
     telemetry.finish()?;
@@ -1421,6 +1369,46 @@ mod tests {
         let (label, w) = build_workload(&o).unwrap();
         assert_eq!(label, "cpu");
         assert_eq!(w.len(), 25);
+    }
+
+    /// Every input that used to reach a panic (or, for `live`, a livelock)
+    /// now comes back as an `Err` naming the flag or the typed fleet error.
+    #[test]
+    fn bad_inputs_are_errors_naming_the_flag_not_panics() {
+        type Cmd = fn(&Options) -> Result<(), String>;
+        let cases: [(Cmd, &[&str], &str); 12] = [
+            (cmd_compare, &["--window-ms", "0"], "--window-ms"),
+            (cmd_compare, &["--total", "0"], "--total"),
+            (cmd_compare, &["--span-s", "0"], "--span-s"),
+            (cmd_compare, &["--functions", "0"], "--functions"),
+            (cmd_trace, &["--window-ms", "0"], "--window-ms"),
+            (cmd_autoscale, &["--window-ms", "0"], "--window-ms"),
+            (cmd_fleet, &["--window-ms", "0"], "--window-ms"),
+            (cmd_fleet, &["--workers", "0"], "workers"),
+            (
+                cmd_fleet,
+                &["--workers", "1", "--drain", "0@100"],
+                "no live worker",
+            ),
+            (
+                cmd_fleet,
+                &["--workers", "2", "--crash", "5@100"],
+                "fault references worker 5",
+            ),
+            (
+                cmd_live,
+                &["--jobs", "10", "--window-ms", "0"],
+                "--window-ms",
+            ),
+            (cmd_live, &["--gateway", "--window-ms", "0"], "--window-ms"),
+        ];
+        for (cmd, args, needle) in cases {
+            let err = cmd(&opts(args).unwrap()).expect_err(&format!("{args:?} must be rejected"));
+            assert!(
+                err.contains(needle),
+                "{args:?}: `{err}` must name `{needle}`"
+            );
+        }
     }
 
     #[test]

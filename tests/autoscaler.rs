@@ -2,15 +2,11 @@
 //! a no-op controller never perturbs the run, the pre-warm budget respects
 //! its cap, and keep-alive honours the floor while work is queued.
 
-use faasbatch::core::policy::{run_faasbatch, run_faasbatch_traced, FaasBatchConfig};
+use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, ScaleAction};
-use faasbatch::metrics::events::{MultiSink, SimEvent, TraceSink, VecSink};
+use faasbatch::metrics::events::{MultiSink, NoopSink, SimEvent, TraceSink, VecSink};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
-use faasbatch::schedulers::sfs::Sfs;
-use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
@@ -54,27 +50,26 @@ fn active_cfg() -> AutoscalerConfig {
     }
 }
 
+/// Runs `scheduler` over `w` through `sink` (Kraken calibrated from an
+/// untraced Vanilla run of the same workload) and hands the sink back.
+fn run_with(
+    scheduler: &str,
+    w: &Workload,
+    cfg: &SimConfig,
+    sink: Box<dyn TraceSink>,
+) -> (RunReport, Box<dyn TraceSink>) {
+    let kind = SchedulerKind::parse(scheduler).expect("known scheduler");
+    let mut sink = Some(sink);
+    let (mut reports, mut sinks) =
+        run_comparison(&[kind], w, "t", cfg, &SchedulerSetup::new(WINDOW), |_| {
+            sink.take().expect("one kind, one run")
+        });
+    (reports.remove(0), sinks.remove(0))
+}
+
 /// Runs `scheduler` over `w` untraced.
 fn run_plain(scheduler: &str, w: &Workload, cfg: &SimConfig) -> RunReport {
-    match scheduler {
-        "vanilla" => run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "t", None),
-        "sfs" => run_simulation(Box::new(Sfs::new()), w, cfg.clone(), "t", None),
-        "kraken" => {
-            let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "t", None);
-            run_simulation(
-                Box::new(Kraken::new(
-                    KrakenCalibration::from_vanilla(&vanilla),
-                    WINDOW,
-                )),
-                w,
-                cfg.clone(),
-                "t",
-                Some(WINDOW),
-            )
-        }
-        "faasbatch" => run_faasbatch(w, cfg.clone(), FaasBatchConfig::default(), "t"),
-        other => panic!("unknown scheduler {other}"),
-    }
+    run_with(scheduler, w, cfg, Box::new(NoopSink)).0
 }
 
 /// Runs `scheduler` over `w` with a controller plus an event capture, and
@@ -89,28 +84,7 @@ fn run_autoscaled(
         Box::new(AutoscalerSink::new(ac.clone())),
         Box::new(VecSink::new()),
     ]));
-    let (report, sink) = match scheduler {
-        "vanilla" => {
-            run_simulation_traced(Box::new(Vanilla::new()), w, cfg.clone(), "t", None, sink)
-        }
-        "sfs" => run_simulation_traced(Box::new(Sfs::new()), w, cfg.clone(), "t", None, sink),
-        "kraken" => {
-            let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "t", None);
-            run_simulation_traced(
-                Box::new(Kraken::new(
-                    KrakenCalibration::from_vanilla(&vanilla),
-                    WINDOW,
-                )),
-                w,
-                cfg.clone(),
-                "t",
-                Some(WINDOW),
-                sink,
-            )
-        }
-        "faasbatch" => run_faasbatch_traced(w, cfg.clone(), FaasBatchConfig::default(), "t", sink),
-        other => panic!("unknown scheduler {other}"),
-    };
+    let (report, sink) = run_with(scheduler, w, cfg, sink);
     let multi = sink
         .as_any()
         .downcast_ref::<MultiSink>()
@@ -233,39 +207,12 @@ fn max_outstanding_watermark_respects_cap() {
             ..active_cfg()
         };
         for scheduler in SCHEDULERS {
-            let sink: Box<dyn TraceSink> = Box::new(AutoscalerSink::new(ac.clone()));
-            let (_, sink) = match scheduler {
-                "vanilla" => run_simulation_traced(
-                    Box::new(Vanilla::new()),
-                    &w,
-                    cfg.clone(),
-                    "t",
-                    None,
-                    sink,
-                ),
-                "sfs" => {
-                    run_simulation_traced(Box::new(Sfs::new()), &w, cfg.clone(), "t", None, sink)
-                }
-                "kraken" => {
-                    let vanilla =
-                        run_simulation(Box::new(Vanilla::new()), &w, cfg.clone(), "t", None);
-                    run_simulation_traced(
-                        Box::new(Kraken::new(
-                            KrakenCalibration::from_vanilla(&vanilla),
-                            WINDOW,
-                        )),
-                        &w,
-                        cfg.clone(),
-                        "t",
-                        Some(WINDOW),
-                        sink,
-                    )
-                }
-                "faasbatch" => {
-                    run_faasbatch_traced(&w, cfg.clone(), FaasBatchConfig::default(), "t", sink)
-                }
-                other => panic!("unknown scheduler {other}"),
-            };
+            let (_, sink) = run_with(
+                scheduler,
+                &w,
+                &cfg,
+                Box::new(AutoscalerSink::new(ac.clone())),
+            );
             let stats = sink
                 .as_any()
                 .downcast_ref::<AutoscalerSink>()

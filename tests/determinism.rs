@@ -1,15 +1,11 @@
 //! Determinism guarantees: a run is a pure function of (seed, config).
 //! Bit-identical reports make every figure in EXPERIMENTS.md reproducible.
 
-use faasbatch::core::policy::{run_faasbatch, run_faasbatch_traced, FaasBatchConfig};
+use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
-use faasbatch::metrics::events::{MultiSink, SimEvent, TraceSink, VecSink};
+use faasbatch::metrics::events::{MultiSink, NoopSink, SimEvent, TraceSink, VecSink};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
-use faasbatch::schedulers::sfs::Sfs;
-use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
@@ -27,28 +23,25 @@ fn wl(seed: u64) -> Workload {
     )
 }
 
+/// Runs `name` over `w` through `sink` (Kraken calibrated from an untraced
+/// Vanilla run of the same workload) and hands the sink back.
+fn run_with(
+    name: &str,
+    w: &Workload,
+    cfg: &SimConfig,
+    sink: Box<dyn TraceSink>,
+) -> (RunReport, Box<dyn TraceSink>) {
+    let kind = SchedulerKind::parse(name).expect("known scheduler");
+    let setup = SchedulerSetup::new(SimDuration::from_millis(200));
+    let mut sink = Some(sink);
+    let (mut reports, mut sinks) = run_comparison(&[kind], w, "cpu", cfg, &setup, |_| {
+        sink.take().expect("one kind, one run")
+    });
+    (reports.remove(0), sinks.remove(0))
+}
+
 fn run_scheduler(name: &str, w: &Workload) -> RunReport {
-    let cfg = SimConfig::default();
-    let window = SimDuration::from_millis(200);
-    match name {
-        "vanilla" => run_simulation(Box::new(Vanilla::new()), w, cfg, "cpu", None),
-        "sfs" => run_simulation(Box::new(Sfs::new()), w, cfg, "cpu", None),
-        "kraken" => {
-            let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "cpu", None);
-            run_simulation(
-                Box::new(Kraken::new(
-                    KrakenCalibration::from_vanilla(&vanilla),
-                    window,
-                )),
-                w,
-                cfg,
-                "cpu",
-                Some(window),
-            )
-        }
-        "faasbatch" => run_faasbatch(w, cfg, FaasBatchConfig::default(), "cpu"),
-        other => panic!("unknown scheduler {other}"),
-    }
+    run_with(name, w, &SimConfig::default(), Box::new(NoopSink)).0
 }
 
 #[test]
@@ -97,31 +90,11 @@ fn run_scheduler_autoscaled(
         keep_alive: SimDuration::from_secs(2),
         ..SimConfig::default()
     };
-    let window = SimDuration::from_millis(200);
     let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
         Box::new(AutoscalerSink::new(ac.clone())),
         Box::new(VecSink::new()),
     ]));
-    let (report, sink) = match name {
-        "vanilla" => run_simulation_traced(Box::new(Vanilla::new()), w, cfg, "cpu", None, sink),
-        "sfs" => run_simulation_traced(Box::new(Sfs::new()), w, cfg, "cpu", None, sink),
-        "kraken" => {
-            let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "cpu", None);
-            run_simulation_traced(
-                Box::new(Kraken::new(
-                    KrakenCalibration::from_vanilla(&vanilla),
-                    window,
-                )),
-                w,
-                cfg,
-                "cpu",
-                Some(window),
-                sink,
-            )
-        }
-        "faasbatch" => run_faasbatch_traced(w, cfg, FaasBatchConfig::default(), "cpu", sink),
-        other => panic!("unknown scheduler {other}"),
-    };
+    let (report, sink) = run_with(name, w, &cfg, sink);
     let events: &[SimEvent] = sink
         .as_any()
         .downcast_ref::<MultiSink>()
@@ -190,13 +163,7 @@ fn telemetry_registry_snapshot_is_byte_identical() {
         let w = wl(seed);
         let registry = MetricRegistry::new();
         let sink: Box<dyn TraceSink> = Box::new(TelemetrySink::new(registry.clone()));
-        let _ = run_faasbatch_traced(
-            &w,
-            SimConfig::default(),
-            FaasBatchConfig::default(),
-            "cpu",
-            sink,
-        );
+        let _ = run_with("faasbatch", &w, &SimConfig::default(), sink);
         registry.render_json()
     }
     let a = snapshot(29);

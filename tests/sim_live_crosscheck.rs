@@ -4,15 +4,13 @@
 //! creations). Wall-clock timing is NOT compared — only decision outcomes,
 //! which are robust to scheduling jitter.
 //!
-//! The live side runs on both batch-expansion backends — the work-stealing
-//! executor and the original thread-per-job baseline — and, with a trace
-//! recorder attached, must emit a [`SimEvent`] stream that passes the
+//! With a trace recorder attached, the live side must emit a [`SimEvent`]
+//! stream that passes the
 //! auditor clean, attributes exactly, and round-trips through the same
 //! JSONL format `faasbatch trace --analyze` consumes.
 
 use bytes::Bytes;
 use faasbatch::container::ids::{FunctionId, InvocationId};
-use faasbatch::container::live::LiveBackend;
 use faasbatch::core::platform::PlatformBuilder;
 use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};
 use faasbatch::exec::{Executor, ExecutorConfig};
@@ -65,7 +63,7 @@ fn simulated_counts() -> (u64, u64) {
     (report.provisioned_containers, report.clients_created)
 }
 
-fn live_platform(backend: LiveBackend, recorder: Option<LiveTraceRecorder>) -> PlatformBuilder {
+fn live_platform(recorder: Option<LiveTraceRecorder>) -> PlatformBuilder {
     let store = ObjectStore::new();
     for i in 0..FUNCTIONS {
         store.create_bucket(&format!("bucket-{i}")).unwrap();
@@ -73,7 +71,6 @@ fn live_platform(backend: LiveBackend, recorder: Option<LiveTraceRecorder>) -> P
     let mut builder = PlatformBuilder::new()
         .window(Duration::from_millis(60))
         .cold_start_delay(Duration::from_millis(1))
-        .backend(backend)
         .store(store);
     if let Some(rec) = recorder {
         builder = builder.trace(rec);
@@ -104,8 +101,8 @@ fn run_burst(platform: &faasbatch::core::platform::FaasBatchPlatform) {
 }
 
 /// Live version: the same burst through the real platform.
-fn live_counts(backend: LiveBackend) -> (u64, u64) {
-    let platform = live_platform(backend, None).start();
+fn live_counts() -> (u64, u64) {
+    let platform = live_platform(None).start();
     run_burst(&platform);
     (
         platform.stats().containers_created.load(Ordering::Relaxed),
@@ -113,17 +110,17 @@ fn live_counts(backend: LiveBackend) -> (u64, u64) {
     )
 }
 
-fn check_live_side(live_containers: u64, live_clients: u64, backend: LiveBackend) {
+fn check_live_side(live_containers: u64, live_clients: u64) {
     // The live run races real threads against the window; allow stragglers
     // to have opened one extra batch per function, but the multiplexer must
     // still cap clients at one per container.
     assert!(
         live_containers >= FUNCTIONS as u64 && live_containers <= 2 * FUNCTIONS as u64,
-        "{backend:?} live containers: {live_containers}"
+        "live containers: {live_containers}"
     );
     assert!(
         live_clients <= live_containers,
-        "{backend:?} live clients {live_clients} exceed containers {live_containers}"
+        "live clients {live_clients} exceed containers {live_containers}"
     );
 }
 
@@ -135,67 +132,63 @@ fn one_window_burst_makes_equivalent_decisions() {
     assert_eq!(sim_containers, FUNCTIONS as u64);
     assert_eq!(sim_clients, FUNCTIONS as u64);
 
-    for backend in [LiveBackend::Executor, LiveBackend::ThreadPerJob] {
-        let (live_containers, live_clients) = live_counts(backend);
-        check_live_side(live_containers, live_clients, backend);
-    }
+    let (live_containers, live_clients) = live_counts();
+    check_live_side(live_containers, live_clients);
 }
 
 #[test]
 fn traced_live_burst_audits_clean_and_attributes_exactly() {
-    for backend in [LiveBackend::Executor, LiveBackend::ThreadPerJob] {
-        let recorder = LiveTraceRecorder::new();
-        let platform = live_platform(backend, Some(recorder.clone())).start();
-        run_burst(&platform);
-        drop(platform);
-        let trace = recorder.take_trace();
-        assert!(
-            trace
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Arrival { .. }))
-                .count()
-                == BURST,
-            "{backend:?}: every invocation arrives in the trace"
-        );
-
-        // The stream must satisfy every simulator invariant.
-        let mut auditor = AuditorSink::new();
-        for event in &trace {
-            auditor.record(event);
-        }
-        assert!(
-            auditor.finish().is_empty(),
-            "{backend:?} auditor violations: {:?}",
-            auditor.finish()
-        );
-
-        // The reducer's latency tiling must hold on wall-clock stamps.
-        let mut reducer = RecordReducer::new();
-        for event in &trace {
-            reducer.on_event(event);
-        }
-        let reduced = reducer.finish();
-        assert_eq!(reduced.records.len(), BURST, "{backend:?} records");
-        for record in &reduced.records {
-            assert!(record.is_consistent(), "{backend:?}: {record:?}");
-        }
-
-        // Round-trip through the JSONL wire format `faasbatch trace
-        // --analyze` reads, then attribute: every phase sum must equal the
-        // end-to-end latency exactly.
-        let jsonl: String = trace
+    let recorder = LiveTraceRecorder::new();
+    let platform = live_platform(Some(recorder.clone())).start();
+    run_burst(&platform);
+    drop(platform);
+    let trace = recorder.take_trace();
+    assert!(
+        trace
             .iter()
-            .map(|e| serde_json::to_string(e).expect("serializable") + "\n")
-            .collect();
-        let reloaded = parse_events(&jsonl).expect("round-trip parse");
-        assert_eq!(reloaded.len(), trace.len(), "{backend:?} JSONL round trip");
-        let mut engine = AttributionEngine::new();
-        engine.consume(&reloaded);
-        let report = engine.finish();
-        assert_eq!(report.invocations.len(), BURST, "{backend:?} attributions");
-        assert_eq!(report.unfinished, 0, "{backend:?} unfinished");
-        assert!(report.all_exact(), "{backend:?} attribution must be exact");
+            .filter(|e| matches!(e.kind, EventKind::Arrival { .. }))
+            .count()
+            == BURST,
+        "every invocation arrives in the trace"
+    );
+
+    // The stream must satisfy every simulator invariant.
+    let mut auditor = AuditorSink::new();
+    for event in &trace {
+        auditor.record(event);
     }
+    assert!(
+        auditor.finish().is_empty(),
+        "auditor violations: {:?}",
+        auditor.finish()
+    );
+
+    // The reducer's latency tiling must hold on wall-clock stamps.
+    let mut reducer = RecordReducer::new();
+    for event in &trace {
+        reducer.on_event(event);
+    }
+    let reduced = reducer.finish();
+    assert_eq!(reduced.records.len(), BURST, "records");
+    for record in &reduced.records {
+        assert!(record.is_consistent(), "{record:?}");
+    }
+
+    // Round-trip through the JSONL wire format `faasbatch trace
+    // --analyze` reads, then attribute: every phase sum must equal the
+    // end-to-end latency exactly.
+    let jsonl: String = trace
+        .iter()
+        .map(|e| serde_json::to_string(e).expect("serializable") + "\n")
+        .collect();
+    let reloaded = parse_events(&jsonl).expect("round-trip parse");
+    assert_eq!(reloaded.len(), trace.len(), "JSONL round trip");
+    let mut engine = AttributionEngine::new();
+    engine.consume(&reloaded);
+    let report = engine.finish();
+    assert_eq!(report.invocations.len(), BURST, "attributions");
+    assert_eq!(report.unfinished, 0, "unfinished");
+    assert!(report.all_exact(), "attribution must be exact");
 }
 
 #[test]
@@ -211,9 +204,7 @@ fn seeded_executor_runs_are_decision_deterministic() {
             ..ExecutorConfig::default()
         });
         assert_eq!(exec.seed(), seed);
-        let platform = live_platform(LiveBackend::Executor, None)
-            .executor(Arc::clone(&exec))
-            .start();
+        let platform = live_platform(None).executor(Arc::clone(&exec)).start();
         run_burst(&platform);
         let invocations = platform.stats().invocations.load(Ordering::Relaxed);
         let containers = platform.stats().containers_created.load(Ordering::Relaxed);
@@ -227,6 +218,6 @@ fn seeded_executor_runs_are_decision_deterministic() {
     let second = run(0xFAA5_BA7C);
     assert_eq!(first.0, BURST as u64);
     assert_eq!(second.0, BURST as u64);
-    check_live_side(first.1, first.2, LiveBackend::Executor);
-    check_live_side(second.1, second.2, LiveBackend::Executor);
+    check_live_side(first.1, first.2);
+    check_live_side(second.1, second.2);
 }

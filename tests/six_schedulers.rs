@@ -5,12 +5,13 @@
 //! scheduler completes exactly the same invocation set with identical total
 //! executed work.
 
-use faasbatch::core::scheduler_kind::SchedulerKind;
+use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
+use faasbatch::metrics::events::NoopSink;
 use faasbatch::metrics::report::RunReport;
+use faasbatch::schedulers::config::SimConfig;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
-use faasbatch_bench::run_six;
 use std::collections::BTreeSet;
 
 const WINDOW: SimDuration = SimDuration::from_millis(200);
@@ -57,8 +58,22 @@ impl AllRuns {
     }
 }
 
+fn run_six(w: &Workload, label: &str) -> Vec<RunReport> {
+    run_comparison(
+        &SchedulerKind::ALL,
+        w,
+        label,
+        &SimConfig::default(),
+        &SchedulerSetup::new(WINDOW),
+        |_| Box::new(NoopSink),
+    )
+    .0
+}
+
 fn run_all(w: &Workload, label: &str) -> AllRuns {
-    let [vanilla, sfs, kraken, hiku, late_bind, faasbatch] = run_six(w, label, WINDOW);
+    let [vanilla, sfs, kraken, hiku, late_bind, faasbatch]: [RunReport; 6] = run_six(w, label)
+        .try_into()
+        .expect("one report per scheduler");
     AllRuns {
         vanilla,
         sfs,
@@ -363,9 +378,9 @@ fn faasbatch_end_to_end_latency_beats_baselines_on_io() {
     assert!(mean(&runs.faasbatch) < mean(&runs.late_bind));
 }
 
-/// The report order of [`run_six`] agrees with the typed registry.
+/// The report order of the comparison runner agrees with the typed registry.
 #[test]
-fn run_six_order_matches_scheduler_kind_all() {
+fn comparison_order_matches_scheduler_kind_all() {
     let w = cpu_workload(
         &DetRng::new(5),
         &WorkloadConfig {
@@ -376,7 +391,7 @@ fn run_six_order_matches_scheduler_kind_all() {
             ..WorkloadConfig::default()
         },
     );
-    let reports = run_six(&w, "cpu", WINDOW);
+    let reports = run_six(&w, "cpu");
     for (report, kind) in reports.iter().zip(SchedulerKind::ALL) {
         assert_eq!(report.scheduler, kind.name());
     }
