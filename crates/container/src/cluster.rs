@@ -436,6 +436,28 @@ impl Cluster {
         self.cpu.add_task(now, group, work)
     }
 
+    /// Sets the CPU fair-share weight of many containers with a single rate
+    /// recomputation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a container is unknown or terminated, or a weight is not
+    /// positive finite.
+    pub fn set_container_weights(
+        &mut self,
+        now: SimTime,
+        updates: impl IntoIterator<Item = (ContainerId, f64)>,
+    ) {
+        let containers = &self.containers;
+        self.cpu.set_group_weights(
+            now,
+            updates.into_iter().map(|(id, weight)| {
+                let c = containers.get(&id).expect("unknown container id");
+                (c.cpu_group(), weight)
+            }),
+        );
+    }
+
     /// Adds platform-side CPU work (scheduling decisions, daemons).
     pub fn start_platform_work(&mut self, now: SimTime, work: SimDuration) -> CpuTaskId {
         self.cpu.add_task(now, self.platform_group, work)

@@ -137,6 +137,9 @@ pub struct SimWorld {
     next_batch: u64,
     running: HashMap<CpuTaskId, WorkKind>,
     cpu_event: Option<EventId>,
+    /// Scratch of `cpu_tick` (the completions it is handling), kept between
+    /// ticks for its capacity.
+    finished: Vec<CpuTaskId>,
     /// Pre-warm pipelines (launch → image pull → boot) still in flight.
     /// Non-zero keeps the run stepping after the last invocation completes
     /// so every speculative cold start closes before the stream ends.
@@ -197,6 +200,7 @@ impl SimWorld {
             next_batch: 0,
             running: HashMap::new(),
             cpu_event: None,
+            finished: Vec::new(),
             open_prewarms: 0,
             snapshot_prewarms: HashSet::new(),
             ext: HashMap::new(),
@@ -348,16 +352,9 @@ pub(crate) fn set_container_weight(
 pub(crate) fn set_container_weights(
     world: &mut SimWorld,
     now: SimTime,
-    updates: &[(ContainerId, f64)],
+    updates: impl IntoIterator<Item = (ContainerId, f64)>,
 ) {
-    let group_updates: Vec<_> = updates
-        .iter()
-        .map(|&(cid, w)| (world.cluster.container(cid).cpu_group(), w))
-        .collect();
-    world
-        .cluster
-        .cpu_mut()
-        .set_group_weights(now, &group_updates);
+    world.cluster.set_container_weights(now, updates);
 }
 
 /// Entry point for [`Ctx::dispatch`]: registers the batch and starts its
@@ -532,8 +529,12 @@ fn pump_cpu(world: &mut SimWorld, engine: &mut Engine<Sim>) {
 fn cpu_tick(sim: &mut Sim, engine: &mut Engine<Sim>) {
     let now = engine.now();
     sim.world.cpu_event = None;
-    let finished = sim.world.cluster.cpu_mut().advance_to(now);
-    for task in finished {
+    // The handlers below need the whole world, so the completions move to a
+    // buffer the world owns between ticks.
+    let mut finished = std::mem::take(&mut sim.world.finished);
+    finished.clear();
+    finished.extend_from_slice(sim.world.cluster.cpu_mut().advance_to(now));
+    for &task in &finished {
         let kind = sim
             .world
             .running
@@ -586,6 +587,7 @@ fn cpu_tick(sim: &mut Sim, engine: &mut Engine<Sim>) {
             WorkKind::Overhead => {}
         }
     }
+    sim.world.finished = finished;
     pump_cpu(&mut sim.world, engine);
 }
 

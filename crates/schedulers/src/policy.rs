@@ -152,7 +152,7 @@ impl Ctx<'_> {
     ///
     /// Panics under the same conditions as
     /// [`set_container_weight`](Self::set_container_weight).
-    pub fn set_container_weights(&mut self, updates: &[(ContainerId, f64)]) {
+    pub fn set_container_weights(&mut self, updates: impl IntoIterator<Item = (ContainerId, f64)>) {
         crate::harness::set_container_weights(self.world, self.engine.now(), updates);
     }
 

@@ -108,17 +108,12 @@ impl Policy for Sfs {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         debug_assert_eq!(token, Self::SWEEP);
         let now = ctx.now();
-        let updates: Vec<(ContainerId, f64)> = self
-            .running
-            .iter()
-            .map(|(&cid, &started)| {
-                (
-                    cid,
-                    self.weight_for_age(now.saturating_duration_since(started)),
-                )
-            })
-            .collect();
-        ctx.set_container_weights(&updates);
+        ctx.set_container_weights(self.running.iter().map(|(&cid, &started)| {
+            (
+                cid,
+                self.weight_for_age(now.saturating_duration_since(started)),
+            )
+        }));
         if ctx.all_done() {
             self.sweeping = false;
         } else {

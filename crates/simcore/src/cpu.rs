@@ -12,6 +12,10 @@
 //! accrue progress and ask for [`next_completion`](CpuModel::next_completion)
 //! to know when to advance next. The simulation driver owns the event loop.
 //!
+//! Tasks live in one id-ordered table, groups in a slab, and every temporary
+//! is owned by the model, so the steady state allocates nothing. The *order*
+//! of every floating-point sum here is simulated semantics (DESIGN.md §16).
+//!
 //! # Examples
 //!
 //! ```
@@ -29,33 +33,43 @@
 //! ```
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Identifies a task inside a [`CpuModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CpuTaskId(u64);
 
 /// Identifies a scheduling group (e.g. one container) inside a [`CpuModel`].
+///
+/// Ordered by creation (`seq` compares first): that order breaks ties in the
+/// water-filling sort, so it must not depend on which slab slot was reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CpuGroupId(u64);
+pub struct CpuGroupId {
+    seq: u64,
+    slot: usize,
+}
 
 /// Work remaining below this many core-seconds counts as complete; it absorbs
 /// floating-point residue from rate integration.
 const WORK_EPSILON: f64 = 1e-9;
 
+/// `Group::seq` of a slab slot that is on the free list.
+const FREE: u64 = u64::MAX;
+
 #[derive(Debug, Clone)]
 struct Task {
-    group: CpuGroupId,
+    id: CpuTaskId,
+    /// Slab slot of the task's group.
+    slot: usize,
     /// Core-seconds of work left.
     remaining: f64,
     /// Current core allocation, recomputed on every membership change.
     rate: f64,
-    /// Per-task demand cap in cores (1.0 for ordinary single-threaded work).
-    demand: f64,
 }
 
 #[derive(Debug, Clone)]
 struct Group {
+    /// Creation-order id of the occupant, [`FREE`] for a vacant slot.
+    seq: u64,
     /// Maximum cores this group may use (`None` = host limit).
     cap: Option<f64>,
     /// Fair-share weight (default 1.0). Under contention a group receives
@@ -65,14 +79,28 @@ struct Group {
     members: u64,
     /// Core-seconds this group has consumed.
     core_seconds: f64,
+    /// Scratch of `recompute_rates`: cores the group may use (its demand,
+    /// cut to its share when the host falls short) that no member has been
+    /// given yet, and the members still waiting for theirs.
+    budget: f64,
+    left: u64,
 }
 
 /// Deterministic processor-sharing model of a `cores`-core host.
 #[derive(Debug, Clone)]
 pub struct CpuModel {
     cores: f64,
-    tasks: BTreeMap<CpuTaskId, Task>,
-    groups: BTreeMap<CpuGroupId, Group>,
+    /// Runnable tasks in ascending id order (ids are monotone, so insertion
+    /// is a push).
+    tasks: Vec<Task>,
+    groups: Vec<Group>,
+    /// Vacant slots of `groups`.
+    free: Vec<usize>,
+    /// Reused buffers: the groups with runnable tasks in water-filling order
+    /// (`demand / weight`, ties by creation), and the tasks retired by the
+    /// latest `advance_to`.
+    order: Vec<(f64, CpuGroupId)>,
+    done: Vec<CpuTaskId>,
     last_accrual: SimTime,
     core_seconds: f64,
     next_task: u64,
@@ -92,8 +120,11 @@ impl CpuModel {
         );
         CpuModel {
             cores,
-            tasks: BTreeMap::new(),
-            groups: BTreeMap::new(),
+            tasks: Vec::new(),
+            groups: Vec::new(),
+            free: Vec::new(),
+            order: Vec::new(),
+            done: Vec::new(),
             last_accrual: SimTime::ZERO,
             core_seconds: 0.0,
             next_task: 0,
@@ -115,18 +146,35 @@ impl CpuModel {
         if let Some(c) = cap {
             assert!(c.is_finite() && c > 0.0, "invalid group cap: {c}");
         }
-        let id = CpuGroupId(self.next_group);
+        let seq = self.next_group;
         self.next_group += 1;
-        self.groups.insert(
-            id,
-            Group {
-                cap,
-                weight: 1.0,
-                members: 0,
-                core_seconds: 0.0,
-            },
-        );
-        id
+        let group = Group {
+            seq,
+            cap,
+            weight: 1.0,
+            members: 0,
+            core_seconds: 0.0,
+            budget: 0.0,
+            left: 0,
+        };
+        let slot = self.free.pop().unwrap_or(self.groups.len());
+        if slot == self.groups.len() {
+            self.groups.push(group);
+        } else {
+            self.groups[slot] = group;
+        }
+        CpuGroupId { seq, slot }
+    }
+
+    fn group(&self, id: CpuGroupId) -> Option<&Group> {
+        self.groups.get(id.slot).filter(|g| g.seq == id.seq)
+    }
+
+    fn group_mut(&mut self, id: CpuGroupId) -> &mut Group {
+        self.groups
+            .get_mut(id.slot)
+            .filter(|g| g.seq == id.seq)
+            .expect("unknown CPU group")
     }
 
     /// Sets a group's fair-share weight (default 1.0). Higher-weighted
@@ -137,16 +185,7 @@ impl CpuModel {
     /// Panics if the group does not exist, `weight` is not positive finite,
     /// or `now` precedes the last accrual.
     pub fn set_group_weight(&mut self, now: SimTime, group: CpuGroupId, weight: f64) {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "invalid group weight: {weight}"
-        );
-        self.accrue(now);
-        self.groups
-            .get_mut(&group)
-            .expect("unknown CPU group")
-            .weight = weight;
-        self.recompute_rates();
+        self.set_group_weights(now, [(group, weight)]);
     }
 
     /// A group's current fair-share weight.
@@ -155,12 +194,12 @@ impl CpuModel {
     ///
     /// Panics if the group does not exist.
     pub fn group_weight(&self, group: CpuGroupId) -> f64 {
-        self.groups.get(&group).expect("unknown CPU group").weight
+        self.group(group).expect("unknown CPU group").weight
     }
 
-    /// Updates many group weights with a single rate recomputation —
-    /// O(groups log groups) total instead of per call. Use this for periodic
-    /// re-prioritisation sweeps (e.g. SFS aging).
+    /// Updates many group weights with a single rate recomputation. Use
+    /// this for periodic re-prioritisation sweeps (e.g. SFS aging). An empty
+    /// sweep does nothing, not even accrue.
     ///
     /// # Panics
     ///
@@ -168,34 +207,38 @@ impl CpuModel {
     /// (unknown group, non-positive weight, time moving backwards).
     ///
     /// [`set_group_weight`]: CpuModel::set_group_weight
-    pub fn set_group_weights(&mut self, now: SimTime, updates: &[(CpuGroupId, f64)]) {
-        if updates.is_empty() {
+    pub fn set_group_weights(
+        &mut self,
+        now: SimTime,
+        updates: impl IntoIterator<Item = (CpuGroupId, f64)>,
+    ) {
+        let mut updates = updates.into_iter().peekable();
+        if updates.peek().is_none() {
             return;
         }
-        self.accrue(now);
-        for &(group, weight) in updates {
+        self.accrue(now, false);
+        for (group, weight) in updates {
             assert!(
                 weight.is_finite() && weight > 0.0,
                 "invalid group weight: {weight}"
             );
-            self.groups
-                .get_mut(&group)
-                .expect("unknown CPU group")
-                .weight = weight;
+            self.group_mut(group).weight = weight;
         }
         self.recompute_rates();
     }
 
-    /// Removes an empty group.
+    /// Removes an empty group; its slab slot is reused by a later
+    /// [`create_group`](Self::create_group).
     ///
     /// # Panics
     ///
     /// Panics if the group does not exist or still has tasks.
     pub fn remove_group(&mut self, now: SimTime, group: CpuGroupId) {
-        self.accrue(now);
-        let g = self.groups.get(&group).expect("unknown CPU group");
+        self.accrue(now, false);
+        let g = self.group_mut(group);
         assert_eq!(g.members, 0, "cannot remove non-empty CPU group");
-        self.groups.remove(&group);
+        g.seq = FREE;
+        self.free.push(group.slot);
     }
 
     /// Adds a task with `work` core-seconds of computation to `group`.
@@ -204,43 +247,22 @@ impl CpuModel {
     ///
     /// Panics if the group does not exist or `now` precedes the last accrual.
     pub fn add_task(&mut self, now: SimTime, group: CpuGroupId, work: SimDuration) -> CpuTaskId {
-        self.add_task_with_demand(now, group, work, 1.0)
-    }
-
-    /// Adds a task that can consume up to `demand` cores at once (e.g. an
-    /// internally parallel runtime activity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group does not exist, `demand` is not positive finite,
-    /// or `now` precedes the last accrual.
-    pub fn add_task_with_demand(
-        &mut self,
-        now: SimTime,
-        group: CpuGroupId,
-        work: SimDuration,
-        demand: f64,
-    ) -> CpuTaskId {
-        assert!(
-            demand.is_finite() && demand > 0.0,
-            "invalid demand: {demand}"
-        );
-        self.accrue(now);
-        let g = self.groups.get_mut(&group).expect("unknown CPU group");
-        g.members += 1;
+        self.accrue(now, false);
+        self.group_mut(group).members += 1;
         let id = CpuTaskId(self.next_task);
         self.next_task += 1;
-        self.tasks.insert(
+        self.tasks.push(Task {
             id,
-            Task {
-                group,
-                remaining: work.as_secs_f64(),
-                rate: 0.0,
-                demand,
-            },
-        );
+            slot: group.slot,
+            remaining: work.as_secs_f64(),
+            rate: 0.0,
+        });
         self.recompute_rates();
         id
+    }
+
+    fn task(&self, id: CpuTaskId) -> Option<usize> {
+        self.tasks.binary_search_by_key(&id, |t| t.id).ok()
     }
 
     /// Cancels a task, discarding its remaining work.
@@ -248,63 +270,49 @@ impl CpuModel {
     /// Returns the unfinished core-seconds, or `None` if the task is unknown
     /// (e.g. already completed).
     pub fn cancel_task(&mut self, now: SimTime, task: CpuTaskId) -> Option<SimDuration> {
-        self.accrue(now);
-        let t = self.tasks.remove(&task)?;
-        self.groups
-            .get_mut(&t.group)
-            .expect("task pointed at missing group")
-            .members -= 1;
+        self.accrue(now, false);
+        let t = self.tasks.remove(self.task(task)?);
+        self.groups[t.slot].members -= 1;
         self.recompute_rates();
         Some(SimDuration::from_secs_f64(t.remaining.max(0.0)))
     }
 
     /// Advances the clock to `now`, accruing progress, and removes every task
     /// that finished by then. Completed task ids are returned in ascending
-    /// id order (deterministic).
+    /// id order (deterministic); the slice is valid until the next call.
     ///
     /// # Panics
     ///
     /// Panics if `now` precedes the previous accrual point.
-    pub fn advance_to(&mut self, now: SimTime) -> Vec<CpuTaskId> {
-        self.accrue(now);
-        let done: Vec<CpuTaskId> = self
-            .tasks
-            .iter()
-            .filter(|(_, t)| t.remaining <= WORK_EPSILON)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &done {
-            let t = self.tasks.remove(id).expect("completed task vanished");
-            self.groups
-                .get_mut(&t.group)
-                .expect("task pointed at missing group")
-                .members -= 1;
-        }
-        if !done.is_empty() {
+    pub fn advance_to(&mut self, now: SimTime) -> &[CpuTaskId] {
+        self.done.clear();
+        self.accrue(now, true);
+        if !self.done.is_empty() {
             self.recompute_rates();
         }
-        done
+        &self.done
     }
 
     /// The earliest upcoming task completion given current allocations.
     ///
     /// Returns the absolute completion instant (rounded *up* to the next
     /// microsecond so the task is guaranteed done when the caller advances to
-    /// it) and the completing task. `None` when no runnable task exists.
+    /// it) and the completing task — the lowest id among equals. `None` when
+    /// no runnable task exists.
     pub fn next_completion(&self, now: SimTime) -> Option<(SimTime, CpuTaskId)> {
         debug_assert!(now >= self.last_accrual);
         let elapsed = now
             .saturating_duration_since(self.last_accrual)
             .as_secs_f64();
         let mut best: Option<(f64, CpuTaskId)> = None;
-        for (id, t) in &self.tasks {
+        for t in &self.tasks {
             if t.rate <= 0.0 {
                 continue;
             }
             let remaining_at_now = (t.remaining - elapsed * t.rate).max(0.0);
             let secs = remaining_at_now / t.rate;
             if best.is_none_or(|(b, _)| secs < b) {
-                best = Some((secs, *id));
+                best = Some((secs, t.id));
             }
         }
         best.map(|(secs, id)| {
@@ -315,7 +323,7 @@ impl CpuModel {
 
     /// Instantaneous busy-core count (sum of task rates).
     pub fn busy_cores(&self) -> f64 {
-        self.tasks.values().map(|t| t.rate).sum()
+        self.tasks.iter().map(|t| t.rate).sum()
     }
 
     /// Instantaneous utilization in `[0, 1]`.
@@ -335,10 +343,7 @@ impl CpuModel {
     /// Panics if the group does not exist (it may have been removed — query
     /// before [`remove_group`](Self::remove_group)).
     pub fn group_core_seconds(&self, group: CpuGroupId) -> f64 {
-        self.groups
-            .get(&group)
-            .expect("unknown CPU group")
-            .core_seconds
+        self.group(group).expect("unknown CPU group").core_seconds
     }
 
     /// Number of runnable tasks.
@@ -348,22 +353,24 @@ impl CpuModel {
 
     /// Number of tasks in `group` (0 if the group is unknown).
     pub fn group_task_count(&self, group: CpuGroupId) -> u64 {
-        self.groups.get(&group).map_or(0, |g| g.members)
+        self.group(group).map_or(0, |g| g.members)
     }
 
     /// Remaining work of a task, if it is still running.
     pub fn task_remaining(&self, task: CpuTaskId) -> Option<SimDuration> {
-        self.tasks
-            .get(&task)
-            .map(|t| SimDuration::from_secs_f64(t.remaining.max(0.0)))
+        let t = &self.tasks[self.task(task)?];
+        Some(SimDuration::from_secs_f64(t.remaining.max(0.0)))
     }
 
     /// Current core allocation of a task, if it is still running.
     pub fn task_rate(&self, task: CpuTaskId) -> Option<f64> {
-        self.tasks.get(&task).map(|t| t.rate)
+        Some(self.tasks[self.task(task)?].rate)
     }
 
-    fn accrue(&mut self, now: SimTime) {
+    /// Moves the accrual point to `now`, charging every task its progress in
+    /// ascending id order; with `retire`, the same pass moves the tasks that
+    /// are finished by then to `self.done`.
+    fn accrue(&mut self, now: SimTime, retire: bool) {
         assert!(
             now >= self.last_accrual,
             "CPU model cannot move backwards: {now} < {}",
@@ -372,95 +379,79 @@ impl CpuModel {
         let dt = now
             .saturating_duration_since(self.last_accrual)
             .as_secs_f64();
-        if dt > 0.0 {
-            for t in self.tasks.values_mut() {
+        self.last_accrual = now;
+        if dt <= 0.0 && !retire {
+            return;
+        }
+        self.tasks.retain_mut(|t| {
+            let g = &mut self.groups[t.slot];
+            if dt > 0.0 {
                 let burned = t.rate * dt;
                 let counted = burned.min(t.remaining.max(0.0));
                 self.core_seconds += counted;
-                self.groups
-                    .get_mut(&t.group)
-                    .expect("task pointed at missing group")
-                    .core_seconds += counted;
+                g.core_seconds += counted;
                 t.remaining -= burned;
             }
-        }
-        self.last_accrual = now;
+            let finished = retire && t.remaining <= WORK_EPSILON;
+            if finished {
+                g.members -= 1;
+                self.done.push(t.id);
+            }
+            !finished
+        });
     }
 
     /// Weighted max-min fair allocation of `self.cores` across groups
-    /// (demand = min(cap, sum of member demands)), then equal split within
-    /// each group capped by per-task demand.
+    /// (demand = min(cap, members): every task demands one core), then a
+    /// sequential equal split within each group.
     fn recompute_rates(&mut self) {
-        // Per-group demand.
-        let mut demand: BTreeMap<CpuGroupId, f64> = BTreeMap::new();
-        for t in self.tasks.values() {
-            *demand.entry(t.group).or_insert(0.0) += t.demand;
-        }
-        for (gid, d) in demand.iter_mut() {
-            if let Some(cap) = self.groups[gid].cap {
-                *d = d.min(cap);
+        self.order.clear();
+        for (slot, g) in self.groups.iter_mut().enumerate() {
+            if g.members > 0 {
+                let members = g.members as f64;
+                g.budget = g.cap.map_or(members, |cap| members.min(cap));
+                g.left = g.members;
+                let id = CpuGroupId { seq: g.seq, slot };
+                self.order.push((g.budget / g.weight, id));
             }
         }
         // Weighted max-min (progressive filling): visiting groups in
         // ascending demand/weight order, a group is pinned at its demand if
         // that is below its proportional share of what remains; once one
         // group's share falls short, all later groups (larger demand/weight)
-        // also fall short, so the remainder is split proportionally.
-        let mut alloc: BTreeMap<CpuGroupId, f64> = BTreeMap::new();
-        let mut order: Vec<(CpuGroupId, f64, f64)> = demand
+        // also fall short, so the remainder is split proportionally. Keys
+        // are unique (they end in the group id), so an unstable sort is exact.
+        self.order
+            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
+        let weights = self
+            .order
             .iter()
-            .map(|(&g, &d)| (g, d, self.groups[&g].weight))
-            .collect();
-        order.sort_by(|a, b| {
-            let ra = a.1 / a.2;
-            let rb = b.1 / b.2;
-            ra.partial_cmp(&rb)
-                .expect("finite ratios")
-                .then(a.0.cmp(&b.0))
-        });
+            .map(|&(_, id)| self.groups[id.slot].weight);
+        let mut weight_left: f64 = weights.sum();
         let mut remaining = self.cores;
-        let mut weight_left: f64 = order.iter().map(|&(_, _, w)| w).sum();
-        let mut i = 0;
-        while i < order.len() {
-            let (g, d, w) = order[i];
-            let share = remaining * w / weight_left;
-            if d <= share + 1e-12 {
-                alloc.insert(g, d);
-                remaining -= d;
-                weight_left -= w;
-                i += 1;
+        for (i, &(_, id)) in self.order.iter().enumerate() {
+            let g = &self.groups[id.slot];
+            let share = remaining * g.weight / weight_left;
+            if g.budget <= share + 1e-12 {
+                remaining -= g.budget;
+                weight_left -= g.weight;
             } else {
                 // Everyone from here on is share-limited.
                 let pool = remaining.max(0.0);
-                for &(g2, _, w2) in &order[i..] {
-                    alloc.insert(g2, pool * w2 / weight_left);
+                for &(_, id) in &self.order[i..] {
+                    let g = &mut self.groups[id.slot];
+                    g.budget = pool * g.weight / weight_left;
                 }
                 break;
             }
         }
-        // Within each group: equal split capped by per-task demand, water-
-        // filled the same way over the member tasks.
-        let mut members: BTreeMap<CpuGroupId, Vec<CpuTaskId>> = BTreeMap::new();
-        for (id, t) in &self.tasks {
-            members.entry(t.group).or_default().push(*id);
-        }
-        for (gid, ids) in members {
-            let mut budget = alloc[&gid];
-            let mut tasks: Vec<(CpuTaskId, f64)> =
-                ids.iter().map(|id| (*id, self.tasks[id].demand)).collect();
-            tasks.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("demand is finite")
-                    .then(a.0.cmp(&b.0))
-            });
-            let mut left = tasks.len();
-            for (tid, d) in tasks {
-                let fair = budget / left as f64;
-                let r = d.min(fair);
-                self.tasks.get_mut(&tid).expect("member task exists").rate = r;
-                budget -= r;
-                left -= 1;
-            }
+        // Within each group: the budget is handed out member by member in
+        // ascending task id, each taking an equal part of what is left.
+        for t in &mut self.tasks {
+            let g = &mut self.groups[t.slot];
+            t.rate = 1.0f64.min(g.budget / g.left as f64);
+            g.budget -= t.rate;
+            g.left -= 1;
         }
     }
 }
@@ -478,7 +469,7 @@ mod tests {
         let mut finished = Vec::new();
         while let Some((when, _)) = cpu.next_completion(now) {
             now = when;
-            for id in cpu.advance_to(now) {
+            for &id in cpu.advance_to(now) {
                 finished.push((id, now));
             }
         }
@@ -631,23 +622,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_core_demand_task() {
-        // A task with demand 2 on a 4-core host alone runs at 2 cores.
-        let mut cpu = CpuModel::new(4.0);
-        let g = cpu.create_group(None);
-        let t = cpu.add_task_with_demand(SimTime::ZERO, g, secs(2.0), 2.0);
-        assert!((cpu.task_rate(t).unwrap() - 2.0).abs() < 1e-12);
-        let (when, _) = cpu.next_completion(SimTime::ZERO).unwrap();
-        assert_eq!(when, SimTime::from_secs(1));
-    }
-
-    #[test]
     fn zero_work_task_completes_immediately() {
         let mut cpu = CpuModel::new(1.0);
         let g = cpu.create_group(None);
         let t = cpu.add_task(SimTime::ZERO, g, SimDuration::ZERO);
-        let done = cpu.advance_to(SimTime::ZERO);
-        assert_eq!(done, vec![t]);
+        assert_eq!(cpu.advance_to(SimTime::ZERO), [t]);
     }
 
     #[test]

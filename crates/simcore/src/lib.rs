@@ -42,6 +42,8 @@
 )]
 
 pub mod cpu;
+#[cfg(test)]
+mod cpu_oracle;
 pub mod engine;
 pub mod memory;
 pub mod rng;

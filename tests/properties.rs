@@ -30,11 +30,11 @@ proptest! {
             let g = cpu.create_group(Some(cap as f64));
             cpu.set_group_weight(SimTime::ZERO, g, weight as f64);
             let n = (tasks % 5) + 1;
-            for _ in 0..n {
-                cpu.add_task(SimTime::ZERO, g, SimDuration::from_millis(100));
-            }
+            let ids: Vec<_> = (0..n)
+                .map(|_| cpu.add_task(SimTime::ZERO, g, SimDuration::from_millis(100)))
+                .collect();
             total_demand += (cap as f64).min(n as f64);
-            handles.push((g, cap, n));
+            handles.push((cap, ids));
         }
         let busy = cpu.busy_cores();
         prop_assert!(busy <= cores + 1e-9, "over capacity: {busy}");
@@ -48,10 +48,64 @@ proptest! {
             "not work-conserving: busy {busy}, expected {expected}"
         );
         // Per-group cap: sum of task rates in each group ≤ its cap.
-        for &(g, cap, _) in &handles {
-            prop_assert!(cpu.group_task_count(g) > 0);
-            let _ = cap;
+        for (cap, ids) in &handles {
+            let rate: f64 = ids
+                .iter()
+                .map(|&t| cpu.task_rate(t).expect("task is runnable"))
+                .sum();
+            prop_assert!(rate <= *cap as f64 + 1e-9, "group over its cap: {rate} > {cap}");
         }
+    }
+
+    /// CPU model: tasks of equal work in one group complete in arrival
+    /// order, whatever else shares the host and whenever they joined.
+    #[test]
+    fn equal_work_tasks_complete_in_arrival_order(
+        cores in 1u32..8,
+        work_ms in 1u64..400,
+        gaps_us in proptest::collection::vec(0u64..30_000, 2..40),
+        noise in proptest::collection::vec((1u64..500, 0u64..400_000), 0..20),
+    ) {
+        let mut cpu = CpuModel::new(cores as f64);
+        let watched = cpu.create_group(None);
+        let other = cpu.create_group(Some(2.0));
+        // Arrivals of the equal-work tasks (`true`) and of unrelated work.
+        let mut arrivals: Vec<(u64, bool, u64)> = gaps_us
+            .iter()
+            .scan(0, |at, gap| {
+                *at += gap;
+                Some((*at, true, work_ms))
+            })
+            .chain(noise.iter().map(|&(work, at)| (at, false, work)))
+            .collect();
+        arrivals.sort_by_key(|&(at, ..)| at);
+        let mut expected = Vec::new();
+        let mut finished = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut run_until = |cpu: &mut CpuModel, until: Option<SimTime>| {
+            while let Some((t, _)) = cpu.next_completion(now) {
+                if until.is_some_and(|u| t > u) {
+                    break;
+                }
+                now = t;
+                finished.extend_from_slice(cpu.advance_to(now));
+            }
+            if let Some(u) = until {
+                now = u;
+                finished.extend_from_slice(cpu.advance_to(now));
+            }
+        };
+        for (at, equal, work) in arrivals {
+            run_until(&mut cpu, Some(SimTime::from_micros(at)));
+            let group = if equal { watched } else { other };
+            let id = cpu.add_task(SimTime::from_micros(at), group, SimDuration::from_millis(work));
+            if equal {
+                expected.push(id);
+            }
+        }
+        run_until(&mut cpu, None);
+        finished.retain(|id| expected.contains(id));
+        prop_assert_eq!(finished, expected);
     }
 
     /// Kraken's packer is a partition: every queued invocation lands in
