@@ -2,17 +2,22 @@
 //!
 //! Figure-regeneration harnesses for the FaaSBatch reproduction.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that rebuilds its workload, runs the relevant schedulers, and
-//! prints the same rows/series the paper plots (see `DESIGN.md` §5 for the
-//! index). This library holds the shared plumbing: canonical workloads, the
-//! paper's four-scheduler subset for [`run_comparison`], the ablation
-//! summaries, CDF/table rendering, and JSON export.
+//! Every table and figure of the paper's evaluation is a module under
+//! `src/harnesses/` that rebuilds its workload, runs the relevant
+//! schedulers, and prints the same rows/series the paper plots (see
+//! `DESIGN.md` §5 for the index). One line in [`HARNESSES`] registers it —
+//! name, what it reproduces, the `results/` files it owns — and the one
+//! binary, `faasbatch-bench <name> | list | regen [--out DIR] [--check]`,
+//! is generated from that table. This library also holds the shared
+//! plumbing: canonical workloads, the paper's four-scheduler subset for
+//! [`run_comparison`], the ablation summaries, CDF/table rendering, and
+//! the [`Output`] every harness writes through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use faasbatch_core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
+use faasbatch_metrics::analysis::{AttributionEngine, AttributionReport};
 use faasbatch_metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, AutoscalerStats};
 use faasbatch_metrics::events::{NoopSink, SimEvent, TraceSink, VecSink};
 use faasbatch_metrics::report::{text_table, RunReport};
@@ -22,7 +27,15 @@ use faasbatch_simcore::rng::DetRng;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
 use serde::{Serialize, Value};
-use std::path::Path;
+use std::io::{self, Write};
+
+mod harnesses;
+mod output;
+pub mod regen;
+
+pub use harnesses::{Harness, HARNESSES};
+pub(crate) use output::json_pretty;
+pub use output::Output;
 
 /// Seed used by every figure harness (the replayed "trace").
 pub const SEED: u64 = 2023;
@@ -60,6 +73,79 @@ pub const PAPER_FOUR: [SchedulerKind; 4] = [
     SchedulerKind::Kraken,
     SchedulerKind::FaasBatch,
 ];
+
+/// [`PAPER_FOUR`] over `workload` under the default worker and the given
+/// dispatch window, untraced — the run behind Fig. 11–14.
+pub(crate) fn paper_four(workload: &Workload, label: &str, window: SimDuration) -> Vec<RunReport> {
+    let setup = SchedulerSetup::new(window);
+    run_comparison(
+        &PAPER_FOUR,
+        workload,
+        label,
+        &SimConfig::default(),
+        &setup,
+        |_| Box::new(NoopSink),
+    )
+    .0
+}
+
+/// One Fig. 13/14 panel: its title and the cell a scheduler's run gets.
+pub(crate) type SweepPanel = (&'static str, fn(&RunReport) -> String);
+
+/// Fig. 13/14: replays `workload` under [`paper_four`] at every interval of
+/// [`DISPATCH_INTERVALS_MS`] and prints one interval × scheduler table per
+/// panel.
+pub(crate) fn interval_sweep(
+    out: &mut Output,
+    workload: &Workload,
+    label: &str,
+    panels: &[SweepPanel],
+) -> io::Result<()> {
+    let mut tables = vec![Vec::new(); panels.len()];
+    for ms in DISPATCH_INTERVALS_MS {
+        let reports = paper_four(workload, label, SimDuration::from_millis(ms));
+        for (rows, (_, cell)) in tables.iter_mut().zip(panels) {
+            let interval = format!("{:.2}s", ms as f64 / 1e3);
+            rows.push(
+                std::iter::once(interval)
+                    .chain(reports.iter().map(cell))
+                    .collect(),
+            );
+        }
+    }
+    for ((title, _), rows) in panels.iter().zip(&tables) {
+        writeln!(out, "{title}")?;
+        out.table(&["interval", "vanilla", "sfs", "kraken", "faasbatch"], rows)?;
+    }
+    Ok(())
+}
+
+/// All six schedulers over `workload` under `cfg` and the default window,
+/// each run's stream kept in a [`VecSink`] (read it with
+/// [`collected_events`]).
+pub(crate) fn six_traced(
+    workload: &Workload,
+    label: &str,
+    cfg: &SimConfig,
+) -> (Vec<RunReport>, Vec<Box<dyn TraceSink>>) {
+    let setup = SchedulerSetup::new(DEFAULT_WINDOW);
+    run_comparison(&SchedulerKind::ALL, workload, label, cfg, &setup, |_| {
+        Box::new(VecSink::new())
+    })
+}
+
+/// Attributes a run's stream; panics unless every invocation's phases sum
+/// exactly to its end-to-end latency.
+pub(crate) fn attribute(events: &[SimEvent]) -> AttributionReport {
+    let mut engine = AttributionEngine::new();
+    engine.consume(events);
+    let report = engine.finish();
+    assert!(
+        report.all_exact(),
+        "attribution phases must sum exactly to end-to-end latency"
+    );
+    report
+}
 
 /// Recovers a [`VecSink`]'s collected events from a sink a traced run
 /// returned.
@@ -196,6 +282,25 @@ pub fn autoscaler_ablation(
         ("autoscaler", ac.to_value()),
         ("schedulers", schedulers),
     ])
+}
+
+/// The object of per-scheduler rows inside an ablation summary.
+pub(crate) fn scheduler_rows(summary: &Value) -> &[(String, Value)] {
+    match summary.get_field("schedulers") {
+        Ok(Value::Map(schedulers)) => schedulers,
+        other => panic!("summary has a `schedulers` object, got {other:?}"),
+    }
+}
+
+/// Table cell for field `key` of an ablation summary row: a count as is, a
+/// percentage to one decimal, a `*_us` latency as a duration.
+pub(crate) fn cell(row: &Value, key: &str) -> String {
+    match row.get_field(key).expect("summary row field") {
+        Value::U64(n) if key.ends_with("_us") => SimDuration::from_micros(*n).to_string(),
+        Value::U64(n) => n.to_string(),
+        Value::F64(f) => format!("{f:.1}"),
+        other => format!("{other:?}"),
+    }
 }
 
 /// The static simulation config used by the `ablation_snapshot` harness and
@@ -338,6 +443,29 @@ pub fn summary_table(reports: &[RunReport]) -> String {
     text_table(&headers, &rows)
 }
 
+/// One Fig. 11/12 panel: its title, the latency component whose CDF it
+/// plots per scheduler, and whether Kraken's `Exec+Queue` series rides along.
+pub(crate) type CdfPanel = (&'static str, fn(&RunReport) -> Cdf, bool);
+
+/// Prints the Fig. 11/12 panels of a [`paper_four`] run.
+pub(crate) fn cdf_panels(
+    out: &mut Output,
+    reports: &[RunReport],
+    panels: &[CdfPanel],
+) -> io::Result<()> {
+    for &(title, component, kraken_queue) in panels {
+        let mut series: Vec<(&str, Cdf)> = reports
+            .iter()
+            .map(|r| (r.scheduler.as_str(), component(r)))
+            .collect();
+        if kraken_queue {
+            series.push(("kraken exec+queue", reports[2].exec_queue_cdf()));
+        }
+        writeln!(out, "{}", cdf_table(title, &series))?;
+    }
+    Ok(())
+}
+
 /// Renders one latency-component CDF (Fig. 11/12 panels) as aligned columns:
 /// a fixed grid of cumulative fractions and the per-scheduler latencies at
 /// each.
@@ -362,18 +490,6 @@ pub fn cdf_table(title: &str, series: &[(&str, Cdf)]) -> String {
         })
         .collect();
     format!("{title}\n{}", text_table(&headers, &rows))
-}
-
-/// Writes reports as JSON under `results/<name>.json` (best effort — the
-/// harness prints the tables regardless).
-pub fn export_json(name: &str, reports: &[RunReport]) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    if let Ok(json) = serde_json::to_string_pretty(reports) {
-        let _ = std::fs::write(dir.join(format!("{name}.json")), json);
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::pool::WarmPool;
 use crate::snapshot::{SnapshotCache, SnapshotConfig, SnapshotStats};
 use crate::spec::{ColdStartModel, ContainerSpec};
 use faasbatch_simcore::cpu::{CpuGroupId, CpuModel, CpuTaskId};
-use faasbatch_simcore::memory::MemoryLedger;
+use faasbatch_simcore::memory::{MemCategory, MemoryLedger};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -108,11 +108,6 @@ pub struct Cluster {
     stats: ClusterStats,
     transitions: Vec<ContainerTransition>,
 }
-
-/// Memory-ledger category used for container base footprints.
-pub const MEM_CONTAINER: &str = "container";
-/// Memory-ledger category used by the platform itself.
-pub const MEM_PLATFORM: &str = "platform";
 
 impl Cluster {
     /// Creates a worker with `cores` CPUs, the given cold-start model, and
@@ -292,7 +287,9 @@ impl Cluster {
         let id = ContainerId::new(self.next_container);
         self.next_container += 1;
         let group = self.cpu.create_group(spec.cpu_limit());
-        let memory = self.mem.alloc(now, MEM_CONTAINER, spec.base_memory_bytes());
+        let memory = self
+            .mem
+            .alloc(now, MemCategory::Container, spec.base_memory_bytes());
         self.containers.insert(
             id,
             Container::provisioning(id, spec.clone(), group, memory, now),

@@ -197,13 +197,13 @@ impl Container {
 mod tests {
     use super::*;
     use faasbatch_simcore::cpu::CpuModel;
-    use faasbatch_simcore::memory::MemoryLedger;
+    use faasbatch_simcore::memory::{MemCategory, MemoryLedger};
 
     fn make() -> Container {
         let mut cpu = CpuModel::new(4.0);
         let mut mem = MemoryLedger::new();
         let g = cpu.create_group(None);
-        let a = mem.alloc(SimTime::ZERO, "container", 1);
+        let a = mem.alloc(SimTime::ZERO, MemCategory::Container, 1);
         Container::provisioning(
             ContainerId::new(1),
             ContainerSpec::new(FunctionId::new(0)),

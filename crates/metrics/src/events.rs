@@ -17,8 +17,9 @@ use crate::latency::{InvocationRecord, LatencyBreakdown};
 use crate::sampler::{ResourceSample, ResourceSampler};
 use faasbatch_container::container::ContainerState;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
+use faasbatch_simcore::memory::MemCategory;
 use faasbatch_simcore::time::{SimDuration, SimTime};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -73,7 +74,7 @@ pub enum TaskKind {
 ///
 /// Externally tagged on serialization, so a JSONL line reads
 /// `{"at":…,"kind":{"Arrival":{…}}}`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
     /// An invocation entered the system.
     Arrival {
@@ -104,7 +105,10 @@ pub enum EventKind {
         /// Whether the container must cold-start first.
         cold: bool,
         /// Whether the container starts by restoring a snapshot instead of
-        /// a full cold boot (mutually exclusive with `cold`).
+        /// a full cold boot (mutually exclusive with `cold`). Absent from
+        /// logs written before the snapshot tier existed; those runs could
+        /// only boot or warm-hit, so it defaults to `false`.
+        #[serde(default)]
         restored: bool,
         /// Whether responses are held to a per-batch barrier.
         barrier: bool,
@@ -223,8 +227,8 @@ pub enum EventKind {
     },
     /// Memory was allocated in the host ledger.
     MemAlloc {
-        /// Ledger category (`"container"`, `"client"`, `"platform"`, …).
-        category: &'static str,
+        /// Ledger category (`"container"`, `"client"` or `"platform"`).
+        category: MemCategory,
         /// Bytes allocated.
         bytes: u64,
         /// Ledger total after the allocation.
@@ -233,7 +237,7 @@ pub enum EventKind {
     /// Memory was returned to the host ledger.
     MemFree {
         /// Ledger category the bytes belonged to.
-        category: &'static str,
+        category: MemCategory,
         /// Bytes freed.
         bytes: u64,
         /// Ledger total after the free.
@@ -365,194 +369,6 @@ impl EventKind {
     }
 }
 
-/// Memory-ledger categories a trace may legally name. Deserialization
-/// interns onto these so `MemAlloc`/`MemFree` can keep their zero-cost
-/// `&'static str` category on the emission hot path.
-const KNOWN_CATEGORIES: [&str; 3] = ["container", "client", "platform"];
-
-/// Maps a serialized category string back onto its static name.
-fn intern_category(value: &Value) -> Result<&'static str, DeError> {
-    let Value::Str(s) = value else {
-        return Err(DeError::new(format!(
-            "expected memory-category string, got {}",
-            value.kind()
-        )));
-    };
-    KNOWN_CATEGORIES
-        .into_iter()
-        .find(|known| known == s)
-        .ok_or_else(|| DeError::new(format!("unknown memory category `{s}`")))
-}
-
-/// Hand-written because the `category: &'static str` fields fall outside the
-/// derive shim (there is no `Deserialize` for `&'static str`); every other
-/// field defers to the same per-type impls the derive would call, and the
-/// encoding mirrors the derived `Serialize` exactly (externally tagged,
-/// named fields as an object). Guarded by a full-variant round-trip test.
-impl Deserialize for EventKind {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        fn field<T: Deserialize>(inner: &Value, name: &str) -> Result<T, DeError> {
-            T::from_value(inner.get_field(name)?)
-        }
-        let Value::Map(entries) = value else {
-            return Err(DeError::new(format!(
-                "expected externally tagged `EventKind` object, got {}",
-                value.kind()
-            )));
-        };
-        let [(tag, inner)] = entries.as_slice() else {
-            let n = entries.len();
-            return Err(DeError::new(format!(
-                "expected single-variant `EventKind` object, got {n} entries"
-            )));
-        };
-        Ok(match tag.as_str() {
-            "Arrival" => EventKind::Arrival {
-                invocation: field(inner, "invocation")?,
-                function: field(inner, "function")?,
-            },
-            "GroupFormed" => EventKind::GroupFormed {
-                function: field(inner, "function")?,
-                size: field(inner, "size")?,
-                worker: field(inner, "worker")?,
-                members: field(inner, "members")?,
-            },
-            "DispatchDecision" => EventKind::DispatchDecision {
-                batch: field(inner, "batch")?,
-                function: field(inner, "function")?,
-                container: field(inner, "container")?,
-                cold: field(inner, "cold")?,
-                // Absent from logs written before the snapshot tier existed;
-                // those runs could only boot or warm-hit, so default false.
-                restored: match inner.get_field("restored") {
-                    Ok(v) => bool::from_value(v)?,
-                    Err(_) => false,
-                },
-                barrier: field(inner, "barrier")?,
-                members: field(inner, "members")?,
-            },
-            "ColdStartBegin" => EventKind::ColdStartBegin {
-                container: field(inner, "container")?,
-                batch: field(inner, "batch")?,
-            },
-            "ColdStartEnd" => EventKind::ColdStartEnd {
-                container: field(inner, "container")?,
-                batch: field(inner, "batch")?,
-            },
-            "RestoreBegin" => EventKind::RestoreBegin {
-                container: field(inner, "container")?,
-                batch: field(inner, "batch")?,
-            },
-            "RestoreDone" => EventKind::RestoreDone {
-                container: field(inner, "container")?,
-                batch: field(inner, "batch")?,
-            },
-            "ContainerStateChange" => EventKind::ContainerStateChange {
-                container: field(inner, "container")?,
-                from: field(inner, "from")?,
-                to: field(inner, "to")?,
-            },
-            "TaskStart" => EventKind::TaskStart {
-                task: field(inner, "task")?,
-            },
-            "TaskPreempt" => EventKind::TaskPreempt {
-                task: field(inner, "task")?,
-            },
-            "TaskFinish" => EventKind::TaskFinish {
-                task: field(inner, "task")?,
-            },
-            "ExecBegin" => EventKind::ExecBegin {
-                batch: field(inner, "batch")?,
-                member: field(inner, "member")?,
-                work: field(inner, "work")?,
-            },
-            "ExecEnd" => EventKind::ExecEnd {
-                batch: field(inner, "batch")?,
-                member: field(inner, "member")?,
-            },
-            "ClientCacheHit" => EventKind::ClientCacheHit {
-                container: field(inner, "container")?,
-                key: field(inner, "key")?,
-            },
-            "ClientCacheMiss" => EventKind::ClientCacheMiss {
-                container: field(inner, "container")?,
-                key: field(inner, "key")?,
-            },
-            "ClientCreateBegin" => EventKind::ClientCreateBegin {
-                container: field(inner, "container")?,
-                batch: field(inner, "batch")?,
-                member: field(inner, "member")?,
-            },
-            "ClientCreateEnd" => EventKind::ClientCreateEnd {
-                container: field(inner, "container")?,
-                batch: field(inner, "batch")?,
-                member: field(inner, "member")?,
-                bytes: field(inner, "bytes")?,
-            },
-            "MemAlloc" => EventKind::MemAlloc {
-                category: intern_category(inner.get_field("category")?)?,
-                bytes: field(inner, "bytes")?,
-                total: field(inner, "total")?,
-            },
-            "MemFree" => EventKind::MemFree {
-                category: intern_category(inner.get_field("category")?)?,
-                bytes: field(inner, "bytes")?,
-                total: field(inner, "total")?,
-            },
-            "WorkerCrash" => EventKind::WorkerCrash {
-                worker: field(inner, "worker")?,
-            },
-            "Redispatch" => EventKind::Redispatch {
-                invocation: field(inner, "invocation")?,
-                from_worker: field(inner, "from_worker")?,
-                retries: field(inner, "retries")?,
-            },
-            "HostSample" => EventKind::HostSample {
-                memory_bytes: field(inner, "memory_bytes")?,
-                busy_cores: field(inner, "busy_cores")?,
-                live_containers: field(inner, "live_containers")?,
-            },
-            "InvocationComplete" => EventKind::InvocationComplete {
-                invocation: field(inner, "invocation")?,
-                batch: field(inner, "batch")?,
-                member: field(inner, "member")?,
-            },
-            "ScalePrewarm" => EventKind::ScalePrewarm {
-                function: field(inner, "function")?,
-                count: field(inner, "count")?,
-            },
-            "ScaleKeepAlive" => EventKind::ScaleKeepAlive {
-                function: field(inner, "function")?,
-                keep_alive: field(inner, "keep_alive")?,
-            },
-            "GatewayEnqueue" => EventKind::GatewayEnqueue {
-                invocation: field(inner, "invocation")?,
-                shard: field(inner, "shard")?,
-            },
-            "GatewayAdmit" => EventKind::GatewayAdmit {
-                invocation: field(inner, "invocation")?,
-                shard: field(inner, "shard")?,
-            },
-            "GatewayReject" => EventKind::GatewayReject {
-                invocation: field(inner, "invocation")?,
-                shard: field(inner, "shard")?,
-                depth: field(inner, "depth")?,
-            },
-            "GatewayRoute" => EventKind::GatewayRoute {
-                function: field(inner, "function")?,
-                shard: field(inner, "shard")?,
-                worker: field(inner, "worker")?,
-                members: field(inner, "members")?,
-            },
-            other => {
-                return Err(DeError::new(format!(
-                    "unknown variant `{other}` of `EventKind`"
-                )))
-            }
-        })
-    }
-}
-
 /// One typed, timestamped trace event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimEvent {
@@ -662,6 +478,17 @@ impl TraceSink for VecSink {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// Renders `events` as JSON Lines — one object per line, the format
+/// [`JsonlSink`] streams and `analysis::load_events` reads back.
+pub fn to_jsonl(events: &[SimEvent]) -> serde_json::Result<String> {
+    let mut jsonl = String::new();
+    for event in events {
+        jsonl.push_str(&serde_json::to_string(event)?);
+        jsonl.push('\n');
+    }
+    Ok(jsonl)
 }
 
 /// Streams events as JSON Lines to any writer.
@@ -1091,7 +918,7 @@ pub struct AuditorSink {
     /// arrival time → completion count per invocation.
     seen: HashMap<InvocationId, u32>,
     containers: HashMap<ContainerId, ContainerState>,
-    mem_by_category: HashMap<&'static str, i128>,
+    mem_by_category: HashMap<MemCategory, i128>,
     mem_total: i128,
     open_tasks: HashMap<TaskKind, u32>,
     open_cold_starts: HashMap<ContainerId, u32>,
@@ -1241,7 +1068,7 @@ impl AuditorSink {
                 bytes,
                 total,
             } => {
-                *self.mem_by_category.entry(category).or_insert(0) += i128::from(*bytes);
+                *self.mem_by_category.entry(*category).or_insert(0) += i128::from(*bytes);
                 self.mem_total += i128::from(*bytes);
                 if self.mem_total != i128::from(*total) {
                     let tracked = self.mem_total;
@@ -1255,7 +1082,7 @@ impl AuditorSink {
                 bytes,
                 total,
             } => {
-                let cat = self.mem_by_category.entry(category).or_insert(0);
+                let cat = self.mem_by_category.entry(*category).or_insert(0);
                 *cat -= i128::from(*bytes);
                 if *cat < 0 {
                     let v = *cat;
@@ -2133,7 +1960,7 @@ mod tests {
         auditor.record(&ev(
             0,
             EventKind::MemFree {
-                category: "client",
+                category: MemCategory::Client,
                 bytes: 64,
                 total: 0,
             },
@@ -2370,12 +2197,12 @@ mod tests {
                 bytes: 4096,
             },
             EventKind::MemAlloc {
-                category: "client",
+                category: MemCategory::Client,
                 bytes: 4096,
                 total: 8192,
             },
             EventKind::MemFree {
-                category: "container",
+                category: MemCategory::Container,
                 bytes: 4096,
                 total: 4096,
             },
@@ -2442,12 +2269,24 @@ mod tests {
     }
 
     #[test]
-    fn deserialize_rejects_unknown_variant_and_category() {
+    fn deserialize_rejects_an_unknown_variant() {
         let bad_variant = r#"{"at":0,"kind":{"Nonsense":{"x":1}}}"#;
-        assert!(serde_json::from_str::<SimEvent>(bad_variant).is_err());
+        let err = serde_json::from_str::<SimEvent>(bad_variant).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("unknown variant `Nonsense` of `EventKind`"));
+    }
+
+    #[test]
+    fn deserialize_rejects_an_unknown_memory_category() {
         let bad_category =
             r#"{"at":0,"kind":{"MemAlloc":{"category":"heap","bytes":1,"total":1}}}"#;
-        assert!(serde_json::from_str::<SimEvent>(bad_category).is_err());
+        let err = serde_json::from_str::<SimEvent>(bad_category).unwrap_err();
+        assert!(err.to_string().contains("unknown memory category `heap`"));
+        // The serialised form is the bare lower-case name, not a variant tag.
+        let good = bad_category.replace("heap", "platform");
+        let event: SimEvent = serde_json::from_str(&good).unwrap();
+        assert_eq!(serde_json::to_string(&event).unwrap(), good);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use faasbatch_metrics::latency::InvocationRecord;
 use faasbatch_metrics::report::RunReport;
 use faasbatch_simcore::cpu::{CpuGroupId, CpuTaskId};
 use faasbatch_simcore::engine::{Engine, EventArg, EventId};
-use faasbatch_simcore::memory::{AllocationId, MemOpKind};
+use faasbatch_simcore::memory::{AllocationId, MemCategory, MemOpKind};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::function::{FunctionKind, FunctionRegistry};
 use faasbatch_trace::stream::InvocationSource;
@@ -46,9 +46,6 @@ use faasbatch_trace::workload::{Invocation, Workload};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-
-/// Memory-ledger category for storage clients.
-const MEM_CLIENT: &str = "client";
 
 /// Identifies one dispatched batch inside the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -896,7 +893,10 @@ fn on_creation_done(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId, idx: u
         )
     };
     let bytes = world.cfg.client_cost.memory_per_client;
-    let alloc = world.cluster.mem_mut().alloc(now, MEM_CLIENT, bytes);
+    let alloc = world
+        .cluster
+        .mem_mut()
+        .alloc(now, MemCategory::Client, bytes);
     emit(
         world,
         now,

@@ -51,6 +51,6 @@ pub mod time;
 
 pub use cpu::{CpuGroupId, CpuModel, CpuTaskId};
 pub use engine::{Engine, EventId};
-pub use memory::{AllocationId, MemOp, MemOpKind, MemoryLedger};
+pub use memory::{AllocationId, MemCategory, MemOp, MemOpKind, MemoryLedger};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -9,11 +9,11 @@
 //! # Examples
 //!
 //! ```
-//! use faasbatch_simcore::memory::MemoryLedger;
+//! use faasbatch_simcore::memory::{MemCategory, MemoryLedger};
 //! use faasbatch_simcore::time::SimTime;
 //!
 //! let mut mem = MemoryLedger::new();
-//! let a = mem.alloc(SimTime::ZERO, "container", 50 << 20);
+//! let a = mem.alloc(SimTime::ZERO, MemCategory::Container, 50 << 20);
 //! assert_eq!(mem.current_bytes(), 50 << 20);
 //! mem.free(SimTime::from_secs(1), a);
 //! assert_eq!(mem.current_bytes(), 0);
@@ -21,7 +21,66 @@
 //! ```
 
 use crate::time::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::collections::HashMap;
+
+/// What a ledger allocation is for. Serialises to its lower-case
+/// [`name`](Self::name) — the `category` string of a `MemAlloc`/`MemFree`
+/// trace line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum MemCategory {
+    /// A storage-client instance held by a container.
+    Client,
+    /// A container's base footprint (image + runtime).
+    Container,
+    /// The platform's own bookkeeping.
+    Platform,
+}
+
+impl MemCategory {
+    /// Every category, sorted by name (the declaration order).
+    pub const ALL: [MemCategory; 3] = [
+        MemCategory::Client,
+        MemCategory::Container,
+        MemCategory::Platform,
+    ];
+
+    /// The category's serialised name.
+    pub fn name(self) -> &'static str {
+        match self {
+            MemCategory::Container => "container",
+            MemCategory::Client => "client",
+            MemCategory::Platform => "platform",
+        }
+    }
+}
+
+impl std::fmt::Display for MemCategory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl Serialize for MemCategory {
+    fn to_value(&self) -> Value {
+        Value::Str(self.name().to_owned())
+    }
+}
+
+impl Deserialize for MemCategory {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let Value::Str(s) = value else {
+            return Err(DeError::new(format!(
+                "expected memory-category string, got {}",
+                value.kind()
+            )));
+        };
+        MemCategory::ALL
+            .into_iter()
+            .find(|c| c.name() == s)
+            .ok_or_else(|| DeError::new(format!("unknown memory category `{s}`")))
+    }
+}
 
 /// Identifies a live allocation in a [`MemoryLedger`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,8 +108,8 @@ pub struct MemOp {
     pub at: SimTime,
     /// Allocation or free.
     pub kind: MemOpKind,
-    /// Category label of the bytes.
-    pub category: &'static str,
+    /// What the bytes are for.
+    pub category: MemCategory,
     /// Bytes moved.
     pub bytes: u64,
     /// Ledger-wide live bytes after the operation.
@@ -62,8 +121,8 @@ pub struct MemOp {
 pub struct MemoryLedger {
     current: u64,
     high_water: u64,
-    by_category: BTreeMap<&'static str, u64>,
-    live: HashMap<AllocationId, (&'static str, u64)>,
+    by_category: [u64; MemCategory::ALL.len()],
+    live: HashMap<AllocationId, (MemCategory, u64)>,
     next_id: u64,
     last_update: SimTime,
     byte_seconds: f64,
@@ -82,13 +141,13 @@ impl MemoryLedger {
     /// # Panics
     ///
     /// Panics if `now` precedes an earlier ledger operation.
-    pub fn alloc(&mut self, now: SimTime, category: &'static str, bytes: u64) -> AllocationId {
+    pub fn alloc(&mut self, now: SimTime, category: MemCategory, bytes: u64) -> AllocationId {
         self.integrate(now);
         let id = AllocationId(self.next_id);
         self.next_id += 1;
         self.current += bytes;
         self.high_water = self.high_water.max(self.current);
-        *self.by_category.entry(category).or_insert(0) += bytes;
+        self.by_category[category as usize] += bytes;
         self.live.insert(id, (category, bytes));
         self.journal.push(MemOp {
             at: now,
@@ -113,11 +172,7 @@ impl MemoryLedger {
             .remove(&id)
             .expect("double free or unknown allocation");
         self.current -= bytes;
-        let slot = self
-            .by_category
-            .get_mut(category)
-            .expect("category accounting out of sync");
-        *slot -= bytes;
+        self.by_category[category as usize] -= bytes;
         self.journal.push(MemOp {
             at: now,
             kind: MemOpKind::Free,
@@ -149,8 +204,8 @@ impl MemoryLedger {
     }
 
     /// Bytes currently allocated under `category`.
-    pub fn category_bytes(&self, category: &str) -> u64 {
-        self.by_category.get(category).copied().unwrap_or(0)
+    pub fn category_bytes(&self, category: MemCategory) -> u64 {
+        self.by_category[category as usize]
     }
 
     /// Live allocation count.
@@ -159,11 +214,11 @@ impl MemoryLedger {
     }
 
     /// All categories with live bytes, in deterministic (sorted) order.
-    pub fn categories(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.by_category
-            .iter()
-            .filter(|(_, &b)| b > 0)
-            .map(|(&c, &b)| (c, b))
+    pub fn categories(&self) -> impl Iterator<Item = (MemCategory, u64)> + '_ {
+        MemCategory::ALL
+            .into_iter()
+            .map(|c| (c, self.category_bytes(c)))
+            .filter(|&(_, b)| b > 0)
     }
 
     /// Advances the integration clock, accruing byte-seconds.
@@ -208,16 +263,17 @@ impl MemoryLedger {
 mod tests {
     use super::*;
     use crate::time::SimTime;
+    use MemCategory::{Client, Container, Platform};
 
     const MIB: u64 = 1 << 20;
 
     #[test]
     fn alloc_free_roundtrip() {
         let mut mem = MemoryLedger::new();
-        let a = mem.alloc(SimTime::ZERO, "container", 10 * MIB);
-        let b = mem.alloc(SimTime::ZERO, "client", 15 * MIB);
+        let a = mem.alloc(SimTime::ZERO, Container, 10 * MIB);
+        let b = mem.alloc(SimTime::ZERO, Client, 15 * MIB);
         assert_eq!(mem.current_bytes(), 25 * MIB);
-        assert_eq!(mem.category_bytes("client"), 15 * MIB);
+        assert_eq!(mem.category_bytes(Client), 15 * MIB);
         assert_eq!(mem.free(SimTime::ZERO, a), 10 * MIB);
         assert_eq!(mem.free(SimTime::ZERO, b), 15 * MIB);
         assert_eq!(mem.current_bytes(), 0);
@@ -227,9 +283,9 @@ mod tests {
     #[test]
     fn high_water_survives_frees() {
         let mut mem = MemoryLedger::new();
-        let a = mem.alloc(SimTime::ZERO, "x", 100);
+        let a = mem.alloc(SimTime::ZERO, Platform, 100);
         mem.free(SimTime::ZERO, a);
-        mem.alloc(SimTime::ZERO, "x", 10);
+        mem.alloc(SimTime::ZERO, Platform, 10);
         assert_eq!(mem.high_water_bytes(), 100);
         assert_eq!(mem.current_bytes(), 10);
     }
@@ -238,7 +294,7 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut mem = MemoryLedger::new();
-        let a = mem.alloc(SimTime::ZERO, "x", 1);
+        let a = mem.alloc(SimTime::ZERO, Platform, 1);
         mem.free(SimTime::ZERO, a);
         mem.free(SimTime::ZERO, a);
     }
@@ -247,8 +303,8 @@ mod tests {
     fn time_weighted_mean() {
         let mut mem = MemoryLedger::new();
         // 100 bytes for 1 s, then 300 bytes for 1 s => mean 200 over 2 s.
-        mem.alloc(SimTime::ZERO, "x", 100);
-        mem.alloc(SimTime::from_secs(1), "x", 200);
+        mem.alloc(SimTime::ZERO, Platform, 100);
+        mem.alloc(SimTime::from_secs(1), Platform, 200);
         mem.advance_to(SimTime::from_secs(2));
         assert!((mem.mean_bytes_since(SimTime::ZERO) - 200.0).abs() < 1e-9);
     }
@@ -262,20 +318,20 @@ mod tests {
     #[test]
     fn categories_iterate_sorted_and_nonzero() {
         let mut mem = MemoryLedger::new();
-        mem.alloc(SimTime::ZERO, "zeta", 1);
-        mem.alloc(SimTime::ZERO, "alpha", 2);
-        let freed = mem.alloc(SimTime::ZERO, "mid", 3);
+        mem.alloc(SimTime::ZERO, Platform, 1);
+        mem.alloc(SimTime::ZERO, Client, 2);
+        let freed = mem.alloc(SimTime::ZERO, Container, 3);
         mem.free(SimTime::ZERO, freed);
         let cats: Vec<_> = mem.categories().collect();
-        assert_eq!(cats, vec![("alpha", 2), ("zeta", 1)]);
+        assert_eq!(cats, vec![(Client, 2), (Platform, 1)]);
     }
 
     #[test]
     fn journal_records_every_operation_in_order() {
         let mut mem = MemoryLedger::new();
         assert!(!mem.journal_pending());
-        let a = mem.alloc(SimTime::ZERO, "container", 10);
-        mem.alloc(SimTime::from_secs(1), "client", 5);
+        let a = mem.alloc(SimTime::ZERO, Container, 10);
+        mem.alloc(SimTime::from_secs(1), Client, 5);
         mem.free(SimTime::from_secs(2), a);
         assert!(mem.journal_pending());
         let ops = mem.take_journal();
@@ -285,21 +341,21 @@ mod tests {
                 MemOp {
                     at: SimTime::ZERO,
                     kind: MemOpKind::Alloc,
-                    category: "container",
+                    category: Container,
                     bytes: 10,
                     total_after: 10,
                 },
                 MemOp {
                     at: SimTime::from_secs(1),
                     kind: MemOpKind::Alloc,
-                    category: "client",
+                    category: Client,
                     bytes: 5,
                     total_after: 15,
                 },
                 MemOp {
                     at: SimTime::from_secs(2),
                     kind: MemOpKind::Free,
-                    category: "container",
+                    category: Container,
                     bytes: 10,
                     total_after: 5,
                 },
@@ -313,7 +369,19 @@ mod tests {
     #[should_panic(expected = "cannot move backwards")]
     fn backwards_time_panics() {
         let mut mem = MemoryLedger::new();
-        mem.alloc(SimTime::from_secs(2), "x", 1);
+        mem.alloc(SimTime::from_secs(2), Platform, 1);
         mem.advance_to(SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn category_serialises_to_its_name_and_back() {
+        for c in MemCategory::ALL {
+            assert_eq!(c.to_value(), Value::Str(c.name().to_owned()));
+            assert_eq!(MemCategory::from_value(&c.to_value()), Ok(c));
+            assert_eq!(c.to_string(), c.name());
+        }
+        let err = MemCategory::from_value(&Value::Str("heap".to_owned())).unwrap_err();
+        assert!(err.to_string().contains("unknown memory category `heap`"));
+        assert!(MemCategory::from_value(&Value::U64(1)).is_err());
     }
 }

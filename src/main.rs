@@ -1,20 +1,7 @@
 //! `faasbatch` — command-line front end for the reproduction.
 //!
-//! ```text
-//! faasbatch compare  [--workload cpu|io] [--seed N] [--window-ms N]
-//!                    [--total N] [--span-s N] [--functions N] [--no-multiplex]
-//! faasbatch workload [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-//! faasbatch fleet    [--workers N] [--policy NAME] [--scheduler faasbatch|vanilla]
-//!                    [--crash W@MS,...] [--drain W@MS,...]
-//! faasbatch trace    [--scheduler NAME] [--workload cpu|io] [--seed N]
-//!                    [--out FILE] [--chrome FILE] [--analyze FILE]
-//! faasbatch trace-diff A.jsonl B.jsonl [--top K] [--json FILE]
-//! faasbatch live     [--jobs N] [--batch-size N] [--workers N] [--out FILE]
-//!                    [--metrics-addr HOST:PORT] [--flight-record FILE]
-//! faasbatch top      [--addr HOST:PORT]
-//! faasbatch figures
-//! faasbatch help
-//! ```
+//! `faasbatch help` prints every subcommand and its flags; both are
+//! generated from the one [`COMMANDS`] table the parser validates against.
 
 use faasbatch::container::snapshot::{EvictionPolicy, SnapshotConfig};
 use faasbatch::core::policy::FaasBatchConfig;
@@ -27,7 +14,7 @@ use faasbatch::metrics::analysis::{
 };
 use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
 use faasbatch::metrics::events::{
-    chrome_trace_to, AuditorSink, MultiSink, NoopSink, SimEvent, TraceSink, VecSink,
+    chrome_trace_to, to_jsonl, AuditorSink, MultiSink, NoopSink, SimEvent, TraceSink, VecSink,
 };
 use faasbatch::metrics::report::{text_table, RunReport};
 use faasbatch::schedulers::config::SimConfig;
@@ -38,71 +25,131 @@ use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadCo
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-/// Builds the usage text. The scheduler and eviction-policy lists come
-/// straight from [`SchedulerKind::ALL`] / [`EvictionPolicy::ALL`], so a new
-/// registry entry shows up here without touching this string.
-fn usage() -> String {
-    let schedulers = SchedulerKind::ALL.map(SchedulerKind::name).join("|");
-    let evictions = EvictionPolicy::ALL.map(EvictionPolicy::name).join("|");
-    let scheduler_count = SchedulerKind::ALL.len();
-    format!(
-        "faasbatch — FaaSBatch (ICDCS'23) reproduction CLI
+/// What [`build_workload`] reads. Every flag list below is a
+/// whitespace-separated spec — `--name PLACEHOLDER` takes a value, a bare
+/// `--name` is boolean — and is the one table the parser validates against
+/// and `usage()` prints; `{schedulers}`, `{evictions}` and `{policies}`
+/// expand to the registries' names ([`expand`]).
+const WORKLOAD: &str = "--workload cpu|io --seed N --total N --span-s N --functions N \
+                        --bursts N --heterogeneity H";
+/// [`WORKLOAD`] plus what [`load_or_build`] and every replay read.
+const REPLAY: &str = "--import FILE --window-ms N";
+/// What [`snapshot_config`] reads.
+const SNAPSHOT: &str = "--snapshot-cap N --snapshot-eviction {evictions}";
+/// What [`LiveTelemetry::from_opts`] reads.
+const TELEMETRY: &str =
+    "--metrics-addr HOST:PORT --serve-ms N --flight-record FILE --flight-capacity N";
 
-USAGE:
-    faasbatch compare  [--workload cpu|io] [--seed N] [--window-ms N]
-                       [--total N] [--span-s N] [--functions N]
-                       [--no-multiplex] [--import FILE]
-                       [--snapshot-cap N] [--snapshot-eviction {evictions}]
-    faasbatch workload [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-                       [--heterogeneity H] [--export FILE]
-    faasbatch fleet    [--workers N] [--policy round-robin|least-loaded|
-                       warm-affinity|pull-based] [--scheduler faasbatch|vanilla]
-                       [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-                       [--window-ms N] [--max-retries N] [--redispatch-ms N]
-                       [--crash W@MS[,W@MS…]] [--drain W@MS[,W@MS…]]
-    faasbatch trace    [--scheduler {schedulers}]
-                       [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-                       [--window-ms N] [--no-multiplex] [--import FILE]
-                       [--snapshot-cap N] [--snapshot-eviction {evictions}]
-                       [--out FILE] [--chrome FILE] [--analyze FILE]
-    faasbatch trace-diff A.jsonl B.jsonl [--top K] [--json FILE]
-    faasbatch autoscale [--scheduler {schedulers}]
-                       [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-                       [--window-ms N] [--keepalive-s N] [--prewarm-cap N]
-                       [--keepalive-floor-s N] [--keepalive-ceiling-s N]
-                       [--snapshot-cap N] [--snapshot-eviction {evictions}]
-                       [--snapshot-prewarm] [--import FILE]
-    faasbatch live     [--jobs N] [--batch-size N] [--workers N] [--seed N]
-                       [--window-ms N] [--cold-ms N] [--work-us N]
-                       [--audit] [--out FILE]
-                       [--snapshots N] [--restore-ms N]
-                       [--metrics-addr HOST:PORT] [--serve-ms N]
-                       [--flight-record FILE] [--flight-capacity N]
-                       [--gateway [--shards N] [--shard-depth N]
-                       [--policy round-robin|least-loaded|
-                       warm-affinity|pull-based]]
-    faasbatch top      [--addr HOST:PORT]
-    faasbatch figures
-    faasbatch help
+/// One subcommand: its parser, its `usage()` lines and its dispatch all
+/// come from this row.
+struct Command {
+    name: &'static str,
+    /// Placeholder for the positional arguments it takes (empty: none).
+    positionals: &'static str,
+    /// Every flag it accepts, as spec strings shared between commands.
+    flags: &'static [&'static str],
+    /// Its paragraph in the COMMANDS section, continuation lines indented.
+    about: &'static str,
+    run: fn(&Options) -> Result<(), String>,
+}
 
-COMMANDS:
-    compare    replay one workload under all {scheduler_count} schedulers
-               ({schedulers})
-    workload   generate a workload and print its statistics
-    fleet      replay one workload across a multi-worker fleet with a
-               pluggable routing policy and optional worker faults
-    trace      replay one workload under one scheduler, audit the event
+impl Command {
+    /// `(name, value placeholder)` of every accepted flag, in usage order.
+    fn flags(&self) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
+        let mut tokens = self
+            .flags
+            .iter()
+            .flat_map(|s| s.split_whitespace())
+            .peekable();
+        std::iter::from_fn(move || {
+            let name = tokens.next()?;
+            Some((name, tokens.next_if(|t| !t.starts_with("--"))))
+        })
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "compare",
+        positionals: "",
+        flags: &[WORKLOAD, REPLAY, "--no-multiplex", SNAPSHOT],
+        about: "replay one workload under all {scheduler_count} schedulers
+               ({schedulers})",
+        run: cmd_compare,
+    },
+    Command {
+        name: "workload",
+        positionals: "",
+        flags: &[WORKLOAD, "--export FILE"],
+        about: "generate a workload and print its statistics",
+        run: cmd_workload,
+    },
+    Command {
+        name: "fleet",
+        positionals: "",
+        flags: &[
+            "--workers N --policy {policies} --scheduler faasbatch|vanilla",
+            WORKLOAD,
+            REPLAY,
+            "--max-retries N --redispatch-ms N --crash W@MS[,W@MS…] --drain W@MS[,W@MS…]",
+        ],
+        about: "replay one workload across a multi-worker fleet with a
+               pluggable routing policy and optional worker faults",
+        run: cmd_fleet,
+    },
+    Command {
+        name: "trace",
+        positionals: "",
+        flags: &[
+            "--scheduler {schedulers}",
+            WORKLOAD,
+            REPLAY,
+            "--no-multiplex",
+            SNAPSHOT,
+            "--out FILE --chrome FILE --analyze FILE",
+        ],
+        about: "replay one workload under one scheduler, audit the event
                stream, print the latency attribution summary, and export the
                stream as JSONL (and optionally as a Chrome about:tracing
                timeline via --chrome); --analyze FILE instead attributes an
-               existing JSONL log offline
-    trace-diff explain why run B is faster or slower than run A: align two
+               existing JSONL log offline",
+        run: cmd_trace,
+    },
+    Command {
+        name: "trace-diff",
+        positionals: "A.jsonl B.jsonl",
+        flags: &["--top K --json FILE"],
+        about: "explain why run B is faster or slower than run A: align two
                JSONL event logs by invocation id and attribute the latency
-               delta to named phases (cold start, queue, contention, …)
-    autoscale  replay one workload under one scheduler twice — static config
+               delta to named phases (cold start, queue, contention, …)",
+        run: cmd_trace_diff,
+    },
+    Command {
+        name: "autoscale",
+        positionals: "",
+        flags: &[
+            "--scheduler {schedulers}",
+            WORKLOAD,
+            REPLAY,
+            "--keepalive-s N --prewarm-cap N --keepalive-floor-s N --keepalive-ceiling-s N",
+            SNAPSHOT,
+            "--snapshot-prewarm",
+        ],
+        about: "replay one workload under one scheduler twice — static config
                vs the trace-driven autoscaling controller — audit the
-               controller's actions, and print the comparison
-    live       fire a synthetic burst at the real (wall-clock) platform on
+               controller's actions, and print the comparison",
+        run: cmd_autoscale,
+    },
+    Command {
+        name: "live",
+        positionals: "",
+        flags: &[
+            "--jobs N --batch-size N --workers N --seed N --window-ms N --cold-ms N",
+            "--work-us N --audit --out FILE --snapshots N --restore-ms N",
+            TELEMETRY,
+            "--gateway --shards N --shard-depth N --policy {policies}",
+        ],
+        about: "fire a synthetic burst at the real (wall-clock) platform on
                the work-stealing executor and print throughput plus
                p50/p95/p99 latency; --audit replays
                the emitted event stream through the invariant auditor and the
@@ -117,84 +164,150 @@ COMMANDS:
                JSON snapshot on /json (--serve-ms holds the endpoint open
                after the burst), --flight-record FILE keeps a bounded ring
                of recent events and dumps it as JSONL on panic or shutdown
-               (readable by `faasbatch trace --analyze`)
-    top        one-shot renderer over a running live endpoint's /json
-               snapshot: counters, gauges, and histogram quantiles
-    figures    list the per-figure regeneration binaries
+               (readable by `faasbatch trace --analyze`)",
+        run: cmd_live,
+    },
+    Command {
+        name: "top",
+        positionals: "",
+        flags: &["--addr HOST:PORT"],
+        about: "one-shot renderer over a running live endpoint's /json
+               snapshot: counters, gauges, and histogram quantiles",
+        run: cmd_top,
+    },
+    Command {
+        name: "figures",
+        positionals: "",
+        flags: &[],
+        about: "say where the figure and ablation harnesses live
+               (`faasbatch-bench list`)",
+        run: cmd_figures,
+    },
+    Command {
+        name: "help",
+        positionals: "",
+        flags: &[],
+        about: "print this text",
+        run: |_| {
+            println!("{}", usage());
+            Ok(())
+        },
+    },
+];
 
+/// Fills the registry placeholders of a flag value or an `about` text, so
+/// a new scheduler, eviction policy or routing policy shows up in
+/// `usage()` without touching the table.
+fn expand(text: &str) -> String {
+    text.replace(
+        "{schedulers}",
+        &SchedulerKind::ALL.map(SchedulerKind::name).join("|"),
+    )
+    .replace(
+        "{evictions}",
+        &EvictionPolicy::ALL.map(EvictionPolicy::name).join("|"),
+    )
+    .replace(
+        "{policies}",
+        &RoutingKind::ALL.map(RoutingKind::name).join("|"),
+    )
+    .replace("{scheduler_count}", &SchedulerKind::ALL.len().to_string())
+}
+
+/// One command's USAGE lines: its positionals and `[--flag VALUE]`
+/// fragments, wrapped under a hanging indent.
+fn usage_lines(command: &Command) -> String {
+    const INDENT: usize = 8;
+    const WIDTH: usize = 78;
+    let mut text = format!("    faasbatch {}", command.name);
+    let mut column = text.len();
+    let positionals = (!command.positionals.is_empty()).then(|| command.positionals.to_owned());
+    let flags = command.flags().map(|(name, value)| match value {
+        Some(value) => format!("[{name} {}]", expand(value)),
+        None => format!("[{name}]"),
+    });
+    for fragment in positionals.into_iter().chain(flags) {
+        let width = fragment.chars().count();
+        if column + 1 + width > WIDTH {
+            text.push('\n');
+            text.push_str(&" ".repeat(INDENT - 1));
+            column = INDENT - 1;
+        }
+        text.push(' ');
+        text.push_str(&fragment);
+        column += 1 + width;
+    }
+    text
+}
+
+/// Builds the usage text from [`COMMANDS`].
+fn usage() -> String {
+    let mut text = "faasbatch — FaaSBatch (ICDCS'23) reproduction CLI\n\nUSAGE:\n".to_owned();
+    for command in COMMANDS {
+        text.push_str(&usage_lines(command));
+        text.push('\n');
+    }
+    text.push_str("\nCOMMANDS:\n");
+    for command in COMMANDS {
+        text.push_str(&format!(
+            "    {:<10} {}\n",
+            command.name,
+            expand(command.about)
+        ));
+    }
+    text.push_str(
+        "
 Workloads exported with `workload --export` replay bit-identically via
 `compare --import`. Defaults: cpu workload, seed 2023, 200 ms window,
 paper-sized totals; `--window-ms`, `--span-s` and `--functions` must be at
 least 1 and a replayed workload must hold an invocation. `--snapshot-cap N`
 enables the snapshot-restore start tier with N cache slots (0 = off);
 `--snapshot-prewarm` lets the autoscale controller pick the prewarm tier by
-predicted re-use horizon."
-    )
+predicted re-use horizon. An unknown flag, a repeated flag or a flag
+without its value is an error.",
+    );
+    text
 }
 
-/// Options that take no value (presence alone means \"true\").
-const BOOLEAN_FLAGS: [&str; 4] = [
-    "--no-multiplex",
-    "--audit",
-    "--gateway",
-    "--snapshot-prewarm",
-];
-
-/// Splits an argument list into positional arguments and `--key [value]`
-/// option tokens, preserving order within each group. Subcommands that take
-/// positionals (`trace-diff A B`) run this first and feed the option tokens
-/// to [`Options::parse`].
-fn split_positionals(args: &[String]) -> (Vec<String>, Vec<String>) {
-    let mut positionals = Vec::new();
-    let mut options = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with("--") {
-            options.push(arg.clone());
-            if !BOOLEAN_FLAGS.contains(&arg.as_str()) {
-                if let Some(value) = args.get(i + 1) {
-                    options.push(value.clone());
-                    i += 1;
-                }
-            }
-        } else {
-            positionals.push(arg.clone());
-        }
-        i += 1;
-    }
-    (positionals, options)
-}
-
-/// Parsed `--key value` options (flags map to \"true\").
+/// One subcommand's parsed arguments: `--key value` options (boolean
+/// flags map to \"true\") and positionals, each in order of appearance.
 #[derive(Debug, Default)]
 struct Options {
     values: HashMap<String, String>,
+    positionals: Vec<String>,
 }
 
 impl Options {
-    /// Parses options; returns an error message on malformed input.
-    fn parse(args: &[String]) -> Result<Options, String> {
-        let flags = BOOLEAN_FLAGS;
-        let mut values = HashMap::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = &args[i];
-            if !key.starts_with("--") {
-                return Err(format!("unexpected argument: {key}"));
+    /// Parses `args` against `command`'s flag table: an unknown flag, a
+    /// repeated flag, a flag without its value, or a positional the
+    /// command does not take is an error naming the offender.
+    fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
+        let mut opts = Options::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                if command.positionals.is_empty() {
+                    return Err(format!("unexpected argument: {arg}"));
+                }
+                opts.positionals.push(arg.clone());
+                continue;
             }
-            if flags.contains(&key.as_str()) {
-                values.insert(key.clone(), "true".to_owned());
-                i += 1;
-            } else {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("missing value for {key}"))?;
-                values.insert(key.clone(), value.clone());
-                i += 2;
+            let (_, placeholder) = command
+                .flags()
+                .find(|(name, _)| name == arg)
+                .ok_or_else(|| format!("unknown flag for `{}`: {arg}", command.name))?;
+            let value = match placeholder {
+                None => "true".to_owned(),
+                Some(_) => args
+                    .next()
+                    .ok_or_else(|| format!("missing value for {arg}"))?
+                    .clone(),
+            };
+            if opts.values.insert(arg.clone(), value).is_some() {
+                return Err(format!("{arg} given more than once"));
             }
         }
-        Ok(Options { values })
+        Ok(opts)
     }
 
     fn str(&self, key: &str, default: &str) -> String {
@@ -229,6 +342,20 @@ impl Options {
     fn flag(&self, key: &str) -> bool {
         self.values.contains_key(key)
     }
+}
+
+/// Parses and runs one subcommand — everything `main` does after picking
+/// the command name off the argument list.
+fn run(name: &str, args: &[String]) -> Result<(), String> {
+    let name = match name {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command: {name}"))?;
+    (command.run)(&Options::parse(command, args)?)
 }
 
 fn build_workload(opts: &Options) -> Result<(String, Workload), String> {
@@ -542,6 +669,16 @@ fn audit(events: &[SimEvent]) -> Result<(), String> {
     ))
 }
 
+/// Exports `events` as JSON Lines to `path`, creating its directory.
+fn write_jsonl(path: &str, events: &[SimEvent]) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    let jsonl = to_jsonl(events).map_err(|e| e.to_string())?;
+    std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
 /// Recovers the events a traced run collected in its [`VecSink`].
 fn vec_events(sink: &dyn TraceSink) -> &[SimEvent] {
     sink.as_any()
@@ -604,17 +741,7 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     let events = vec_events(sink.as_ref());
 
     let out = opts.str("--out", &format!("results/trace_{scheduler}.jsonl"));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    let mut jsonl = String::new();
-    for event in events {
-        let line = serde_json::to_string(event).map_err(|e| e.to_string())?;
-        jsonl.push_str(&line);
-        jsonl.push('\n');
-    }
-    std::fs::write(&out, jsonl).map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_jsonl(&out, events)?;
     println!(
         "wrote {} events ({} invocation records) to {out}",
         events.len(),
@@ -643,11 +770,11 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
 
 /// `faasbatch trace-diff A.jsonl B.jsonl`: attribute both logs and explain
 /// the latency delta phase by phase.
-fn cmd_trace_diff(positionals: &[String], opts: &Options) -> Result<(), String> {
-    let [a_path, b_path] = positionals else {
+fn cmd_trace_diff(opts: &Options) -> Result<(), String> {
+    let [a_path, b_path] = opts.positionals.as_slice() else {
         return Err(format!(
             "trace-diff takes exactly two trace files, got {}",
-            positionals.len()
+            opts.positionals.len()
         ));
     };
     let top_k: usize = opts.num("--top", 10)?;
@@ -1006,16 +1133,7 @@ fn audit_and_export(
 ) -> Result<(), String> {
     let events = recorder.take_trace();
     if let Some(out) = opts.values.get("--out") {
-        if let Some(dir) = std::path::Path::new(out).parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-        let mut jsonl = String::new();
-        for event in &events {
-            jsonl.push_str(&serde_json::to_string(event).map_err(|e| e.to_string())?);
-            jsonl.push('\n');
-        }
-        std::fs::write(out, jsonl).map_err(|e| format!("cannot write {out}: {e}"))?;
+        write_jsonl(out, &events)?;
         println!("wrote {} events to {out}", events.len());
     }
     let attribution = attribute_events(&events);
@@ -1242,90 +1360,24 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
     }
 }
 
-fn cmd_figures() {
+fn cmd_figures(_opts: &Options) -> Result<(), String> {
     println!(
-        "Figure harnesses (run with `cargo run --release -p faasbatch-bench --bin <name>`):\n"
+        "The figure and ablation harnesses are subcommands of one binary, generated\n\
+         from its harness table (name, what it reproduces, results/ files it owns):\n\n\
+         \x20   cargo run --release -p faasbatch-bench -- list\n\
+         \x20   cargo run --release -p faasbatch-bench -- <name>\n\
+         \x20   cargo run --release -p faasbatch-bench -- regen --check"
     );
-    for (name, what) in [
-        ("headline_summary", "abstract/§V reduction table"),
-        (
-            "six_schedulers",
-            "six-way comparison: +Hiku, +core-late-bind",
-        ),
-        (
-            "headline_attribution",
-            "six-way phase attribution + trace diff",
-        ),
-        ("fig01_sharing_vs_monopoly", "Fig. 1 — sharing vs monopoly"),
-        (
-            "fig02_invocation_patterns",
-            "Fig. 2 — hot-function day patterns",
-        ),
-        ("fig03_blob_iat_cdf", "Fig. 3 — blob inter-access-time CDF"),
-        (
-            "fig04_client_creation_latency",
-            "Fig. 4 — client creation time",
-        ),
-        (
-            "fig05_client_creation_memory",
-            "Fig. 5 — client creation memory",
-        ),
-        (
-            "fig09_duration_distribution",
-            "Fig. 9 — duration distribution",
-        ),
-        ("fig10_workload_pattern", "Fig. 10 — arrival pattern"),
-        ("fig11_cpu_latency", "Fig. 11 — CPU latency CDFs"),
-        ("fig12_io_latency", "Fig. 12 — I/O latency CDFs"),
-        ("fig13_cpu_resources", "Fig. 13 — CPU-workload resources"),
-        ("fig14_io_resources", "Fig. 14 — I/O-workload resources"),
-        ("ablation_multiplexer", "multiplexer on/off"),
-        ("ablation_group_cap", "inline-parallelism degree"),
-        ("ablation_window_sweep", "extended window sweep"),
-        ("ablation_keepalive", "keep-alive TTL sensitivity"),
-        ("ablation_early_return", "batch vs early-return responses"),
-        ("ablation_kraken_prediction", "Kraken lazy/oracle/EWMA"),
-        (
-            "fleet_scaling",
-            "multi-worker fleet: workers × routing policies",
-        ),
-    ] {
-        println!("  {name:<30} {what}");
-    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (command, rest) = match args.split_first() {
-        Some((c, rest)) => (c.as_str(), rest),
-        None => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
+    let Some((command, rest)) = args.split_first() else {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
     };
-    let result = match command {
-        "compare" => Options::parse(rest).and_then(|o| cmd_compare(&o)),
-        "workload" => Options::parse(rest).and_then(|o| cmd_workload(&o)),
-        "fleet" => Options::parse(rest).and_then(|o| cmd_fleet(&o)),
-        "trace" => Options::parse(rest).and_then(|o| cmd_trace(&o)),
-        "trace-diff" => {
-            let (positionals, options) = split_positionals(rest);
-            Options::parse(&options).and_then(|o| cmd_trace_diff(&positionals, &o))
-        }
-        "autoscale" => Options::parse(rest).and_then(|o| cmd_autoscale(&o)),
-        "live" => Options::parse(rest).and_then(|o| cmd_live(&o)),
-        "top" => Options::parse(rest).and_then(|o| cmd_top(&o)),
-        "figures" => {
-            cmd_figures();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command: {other}")),
-    };
-    match result {
+    match run(command, rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}\n\n{}", usage());
@@ -1338,8 +1390,17 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
+    }
+
+    /// `args` parsed against `compare`'s table (workload, window, snapshot).
     fn opts(args: &[&str]) -> Result<Options, String> {
-        Options::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        Options::parse(command("compare"), &strings(args))
     }
 
     #[test]
@@ -1372,42 +1433,86 @@ mod tests {
     }
 
     /// Every input that used to reach a panic (or, for `live`, a livelock)
-    /// now comes back as an `Err` naming the flag or the typed fleet error.
+    /// comes back as an `Err` naming the flag or the typed fleet error — and
+    /// so does every flag the subcommand's table does not hold, holds once,
+    /// or holds with a value.
     #[test]
     fn bad_inputs_are_errors_naming_the_flag_not_panics() {
-        type Cmd = fn(&Options) -> Result<(), String>;
-        let cases: [(Cmd, &[&str], &str); 12] = [
-            (cmd_compare, &["--window-ms", "0"], "--window-ms"),
-            (cmd_compare, &["--total", "0"], "--total"),
-            (cmd_compare, &["--span-s", "0"], "--span-s"),
-            (cmd_compare, &["--functions", "0"], "--functions"),
-            (cmd_trace, &["--window-ms", "0"], "--window-ms"),
-            (cmd_autoscale, &["--window-ms", "0"], "--window-ms"),
-            (cmd_fleet, &["--window-ms", "0"], "--window-ms"),
-            (cmd_fleet, &["--workers", "0"], "workers"),
+        let cases: [(&str, &[&str], &str); 14] = [
+            ("compare", &["--window-ms", "0"], "--window-ms"),
+            ("compare", &["--total", "0"], "--total"),
+            ("compare", &["--span-s", "0"], "--span-s"),
+            ("compare", &["--functions", "0"], "--functions"),
+            ("trace", &["--window-ms", "0"], "--window-ms"),
+            ("autoscale", &["--window-ms", "0"], "--window-ms"),
+            ("fleet", &["--window-ms", "0"], "--window-ms"),
+            ("fleet", &["--workers", "0"], "workers"),
             (
-                cmd_fleet,
+                "fleet",
                 &["--workers", "1", "--drain", "0@100"],
                 "no live worker",
             ),
             (
-                cmd_fleet,
+                "fleet",
                 &["--workers", "2", "--crash", "5@100"],
                 "fault references worker 5",
             ),
-            (
-                cmd_live,
-                &["--jobs", "10", "--window-ms", "0"],
-                "--window-ms",
-            ),
-            (cmd_live, &["--gateway", "--window-ms", "0"], "--window-ms"),
+            ("live", &["--jobs", "10", "--window-ms", "0"], "--window-ms"),
+            ("live", &["--gateway", "--window-ms", "0"], "--window-ms"),
+            ("compare", &["--windw-ms", "10"], "--windw-ms"),
+            ("trace", &["--seed", "1", "--seed", "2"], "--seed"),
         ];
-        for (cmd, args, needle) in cases {
-            let err = cmd(&opts(args).unwrap()).expect_err(&format!("{args:?} must be rejected"));
+        for (name, args, needle) in cases {
+            let err = run(name, &strings(args)).expect_err(&format!("{name} {args:?}"));
             assert!(
                 err.contains(needle),
-                "{args:?}: `{err}` must name `{needle}`"
+                "{name} {args:?}: `{err}` must name `{needle}`"
             );
+        }
+        // Per subcommand: a typo'd flag, a duplicated flag, and a trailing
+        // flag without its value all stop at the parser, naming the flag.
+        for c in COMMANDS {
+            let Some((flag, _)) = c.flags().find(|(_, value)| value.is_some()) else {
+                let err = run(c.name, &strings(&["--bogus"])).unwrap_err();
+                assert!(err.contains("--bogus"), "{}: {err}", c.name);
+                continue;
+            };
+            let typo = format!("{flag}x");
+            for (args, needle, why) in [
+                (vec![typo.as_str(), "1"], typo.as_str(), "unknown flag"),
+                (vec![flag, "1", flag, "2"], flag, "more than once"),
+                (vec![flag], flag, "missing value"),
+            ] {
+                let err = run(c.name, &strings(&args)).expect_err(&format!("{} {args:?}", c.name));
+                assert!(
+                    err.contains(needle) && err.contains(why),
+                    "{} {args:?}: `{err}` must say `{why}` of `{needle}`",
+                    c.name
+                );
+            }
+        }
+    }
+
+    /// `usage()` and the parser read the same table: every flag a
+    /// subcommand accepts is on its usage lines, and every `--flag` on its
+    /// usage lines is accepted.
+    #[test]
+    fn usage_and_parser_agree_on_every_flag() {
+        for c in COMMANDS {
+            let lines = usage_lines(c);
+            let shown: Vec<&str> = lines
+                .split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '-'))
+                .filter(|token| token.starts_with("--"))
+                .collect();
+            let accepted: Vec<&str> = c.flags().map(|(name, _)| name).collect();
+            assert_eq!(shown, accepted, "{}: usage vs flag table", c.name);
+            assert!(usage().contains(&lines), "{}: lines are in usage()", c.name);
+            for (flag, value) in c.flags() {
+                let mut args = vec![flag];
+                args.extend(value.map(|_| "1"));
+                let parsed = Options::parse(c, &strings(&args)).unwrap();
+                assert!(parsed.flag(flag), "{} {flag}", c.name);
+            }
         }
     }
 
@@ -1419,15 +1524,13 @@ mod tests {
 
     #[test]
     fn split_positionals_separates_paths_from_options() {
-        let args: Vec<String> = ["a.jsonl", "--top", "5", "b.jsonl", "--no-multiplex"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (positionals, options) = split_positionals(&args);
-        assert_eq!(positionals, vec!["a.jsonl", "b.jsonl"]);
-        assert_eq!(options, vec!["--top", "5", "--no-multiplex"]);
-        let o = Options::parse(&options).unwrap();
+        let args = strings(&["a.jsonl", "--top", "5", "b.jsonl", "--json", "d.json"]);
+        let o = Options::parse(command("trace-diff"), &args).unwrap();
+        assert_eq!(o.positionals, vec!["a.jsonl", "b.jsonl"]);
         assert_eq!(o.num::<usize>("--top", 10).unwrap(), 5);
+        assert!(o.values.contains_key("--json"));
+        // A command without positionals rejects a stray one.
+        assert!(Options::parse(command("compare"), &args[..1]).is_err());
     }
 
     #[test]
@@ -1504,7 +1607,7 @@ mod tests {
 
     #[test]
     fn trace_diff_requires_two_paths() {
-        let err = cmd_trace_diff(&["only-one.jsonl".to_owned()], &Options::default())
+        let err = run("trace-diff", &strings(&["only-one.jsonl"]))
             .expect_err("one path must be rejected");
         assert!(err.contains("exactly two"));
     }

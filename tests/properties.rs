@@ -8,7 +8,7 @@ use faasbatch::metrics::stats::Cdf;
 use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
 use faasbatch::simcore::cpu::CpuModel;
 use faasbatch::simcore::engine::Engine;
-use faasbatch::simcore::memory::MemoryLedger;
+use faasbatch::simcore::memory::{MemCategory, MemoryLedger};
 use faasbatch::simcore::time::{SimDuration, SimTime};
 use faasbatch::trace::duration::DurationDistribution;
 use faasbatch::trace::workload::Invocation;
@@ -225,7 +225,7 @@ proptest! {
         let mut mem = MemoryLedger::new();
         let ids: Vec<_> = sizes
             .iter()
-            .map(|&s| mem.alloc(SimTime::ZERO, "x", s))
+            .map(|&s| mem.alloc(SimTime::ZERO, MemCategory::Platform, s))
             .collect();
         let total: u64 = sizes.iter().sum();
         prop_assert_eq!(mem.current_bytes(), total);
