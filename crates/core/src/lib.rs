@@ -13,7 +13,8 @@
 //! * the Inline-Parallel Producer — embodied by
 //!   [`policy::FaasBatchPolicy`] in simulation (groups dispatched
 //!   `Parallel` onto one container each) and by the live
-//!   [`platform::FaasBatchPlatform`] dispatcher (§III-C);
+//!   [`platform::DispatchCore`] behind [`platform::FaasBatchPlatform`]'s
+//!   [`window::WindowQueue`] (§III-C);
 //! * [`multiplexer::ResourceMultiplexer`] — the per-container
 //!   `resource → Hash(args) → instance` cache with single-flight creation
 //!   (§III-D).
@@ -54,6 +55,7 @@ pub mod policy;
 pub mod routing;
 pub mod scheduler_kind;
 pub mod telemetry;
+pub mod window;
 
 pub use mapper::{FunctionGroup, InvokeMapper};
 pub use multiplexer::{mux_trace_events, MultiplexerStats, MuxEvent, ResourceMultiplexer};

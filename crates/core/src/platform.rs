@@ -1,12 +1,19 @@
 //! A live (real-clock) FaaSBatch platform.
 //!
-//! This is the runnable counterpart of the simulated policy: a front door
-//! that accepts invocations, a dispatcher that batches them per function
-//! across a wall-clock window (Invoke Mapper), warm container reuse, group
-//! expansion on the shared work-stealing executor (Inline-Parallel
-//! Producer), and a per-container [`ResourceMultiplexer`] for storage
-//! clients. The examples and the motivation benchmarks (Fig. 1/4/5) run on
-//! this.
+//! This is the runnable counterpart of the simulated policy, in two layers:
+//!
+//! * [`DispatchCore`] — the Inline-Parallel Producer: warm container reuse,
+//!   the snapshot-restore and cold start tiers, group expansion on the
+//!   shared work-stealing executor, and a per-container
+//!   [`ResourceMultiplexer`] for storage clients. It owns no thread:
+//!   [`DispatchCore::dispatch`] acquires the container, records the
+//!   decision and hands the group to the executor **on the caller's
+//!   thread**, so a batch is on its way when the call returns.
+//! * [`FaasBatchPlatform`] — one core behind a front door: `invoke` pushes
+//!   into a [`WindowQueue`], and one window thread groups each wall-clock
+//!   window per function (Invoke Mapper) and dispatches the groups inline.
+//!   The sharded gateway (`faasbatch-gateway`) runs the same queue per
+//!   shard over a fleet of cores.
 //!
 //! Each dispatched batch becomes one executor **task group**
 //! ([`faasbatch_exec::GroupJob`]s behind a completion barrier), so one
@@ -23,8 +30,8 @@
 
 use crate::multiplexer::{mux_trace_events, MultiplexerStats, ResourceMultiplexer};
 use crate::telemetry::PlatformTelemetry;
+use crate::window::WindowQueue;
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use faasbatch_container::container::ContainerState;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
 use faasbatch_exec::{global_executor, Executor, GroupJob, GroupReport};
@@ -131,10 +138,68 @@ impl OutcomeSummary {
     }
 }
 
+/// Where one invocation's outcome lands: written once through the job's
+/// [`Reply`], awaited by its [`InvokeTicket`].
+///
+/// Purpose-built rather than a `std::sync::mpsc::sync_channel(1)`: a std
+/// channel is 864 B per ticket against 112 B here (scratch probe, 200k
+/// outstanding tickets — the whole of a burst's peak RSS), and a reply
+/// nobody waits on yet costs no wake-up syscall.
+#[derive(Debug, Default)]
+struct ReplySlot {
+    state: std::sync::Mutex<ReplyState>,
+    ready: std::sync::Condvar,
+}
+
+#[derive(Debug, Default)]
+struct ReplyState {
+    /// `Some(None)`: the job was dropped without ever running.
+    outcome: Option<Option<InvokeOutcome>>,
+    waiting: bool,
+}
+
+impl ReplySlot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, ReplyState> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn put(&self, outcome: Option<InvokeOutcome>) {
+        let mut state = self.lock();
+        state.outcome = Some(outcome);
+        if state.waiting {
+            self.ready.notify_one();
+        }
+    }
+}
+
+/// The job's side of a [`ReplySlot`]. Dropped unsent, it releases the
+/// ticket empty-handed instead of leaving its caller blocked forever.
+struct Reply {
+    slot: Arc<ReplySlot>,
+    sent: bool,
+}
+
+impl Reply {
+    fn send(mut self, outcome: InvokeOutcome) {
+        self.sent = true;
+        self.slot.put(Some(outcome));
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.sent {
+            self.slot.put(None);
+        }
+    }
+}
+
 /// Handle to a pending invocation.
 #[derive(Debug)]
 pub struct InvokeTicket {
-    rx: Receiver<InvokeOutcome>,
+    slot: Arc<ReplySlot>,
 }
 
 impl InvokeTicket {
@@ -145,7 +210,18 @@ impl InvokeTicket {
     /// Panics if the platform was torn down before the invocation ran
     /// (cannot happen through the public API, which drains on shutdown).
     pub fn wait(self) -> InvokeOutcome {
-        self.rx.recv().expect("invocation dropped by platform")
+        let mut state = self.slot.lock();
+        state.waiting = true;
+        let mut state = self
+            .slot
+            .ready
+            .wait_while(state, |state| state.outcome.is_none())
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state
+            .outcome
+            .take()
+            .flatten()
+            .expect("invocation dropped by platform")
     }
 }
 
@@ -210,30 +286,59 @@ pub struct InvocationEnv<'a> {
 /// A registered function body.
 pub type Handler = Arc<dyn Fn(&InvocationEnv<'_>) + Send + Sync>;
 
-struct Request {
-    invocation: InvocationId,
-    function: usize,
-    payload: Bytes,
-    enqueued: Instant,
-    reply: Sender<InvokeOutcome>,
+/// The registered functions — names and handlers in registration order
+/// plus the name → index map — built once per
+/// [`PlatformBuilder`] and shared by every front door and
+/// [`DispatchCore`] started from it.
+pub struct FunctionTable {
+    names: Vec<String>,
+    handlers: Vec<Handler>,
+    index: HashMap<String, usize>,
 }
 
-/// Runs after a remotely submitted group fully completes, with the batch
-/// size (see [`FaasBatchPlatform::submit_group`]).
+impl FunctionTable {
+    fn new(functions: Vec<(String, Handler)>) -> FunctionTable {
+        let mut index = HashMap::with_capacity(functions.len());
+        for (i, (name, _)) in functions.iter().enumerate() {
+            // A name registered twice resolves to its first registration.
+            index.entry(name.clone()).or_insert(i);
+        }
+        let (names, handlers) = functions.into_iter().unzip();
+        FunctionTable {
+            names,
+            handlers,
+            index,
+        }
+    }
+
+    /// The registry index of `name`, or `None` if unregistered.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.index.get(name).copied()
+    }
+
+    /// Registered function names, in registration order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+}
+
+/// Runs after a submitted group fully completes, with the batch size (see
+/// [`DispatchCore::dispatch`]).
 pub type GroupDone = Box<dyn FnOnce(usize) + Send + 'static>;
 
-/// One member of a pre-formed batch handed to
-/// [`FaasBatchPlatform::submit_group`].
+/// One accepted invocation on its way to a container: a member of a
+/// dispatch-window group.
 ///
-/// The caller (the gateway) mints the invocation id from a shared
-/// [`PlatformIds`] and keeps the [`InvokeTicket`]; the job carries the reply
-/// side. `queued` time in the eventual [`InvokeOutcome`] is measured from
-/// the moment this job was created.
+/// Whoever accepts the invocation (`FaasBatchPlatform::invoke`, the
+/// gateway) mints its id from the shared [`PlatformIds`] and keeps the
+/// [`InvokeTicket`]; the job carries the reply side. `queued` time in the
+/// eventual [`InvokeOutcome`] is measured from the moment this job was
+/// created.
 pub struct RemoteJob {
     invocation: InvocationId,
     payload: Bytes,
     enqueued: Instant,
-    reply: Sender<InvokeOutcome>,
+    reply: Reply,
 }
 
 impl fmt::Debug for RemoteJob {
@@ -247,15 +352,18 @@ impl fmt::Debug for RemoteJob {
 impl RemoteJob {
     /// Creates a job plus the ticket its caller waits on.
     pub fn new(invocation: InvocationId, payload: Bytes) -> (RemoteJob, InvokeTicket) {
-        let (reply, rx) = channel::bounded(1);
+        let slot = Arc::new(ReplySlot::default());
         (
             RemoteJob {
                 invocation,
                 payload,
                 enqueued: Instant::now(),
-                reply,
+                reply: Reply {
+                    slot: Arc::clone(&slot),
+                    sent: false,
+                },
             },
-            InvokeTicket { rx },
+            InvokeTicket { slot },
         )
     }
 
@@ -263,34 +371,14 @@ impl RemoteJob {
     pub fn invocation(&self) -> InvocationId {
         self.invocation
     }
-
-    fn into_request(self, function: usize) -> Request {
-        Request {
-            invocation: self.invocation,
-            function,
-            payload: self.payload,
-            enqueued: self.enqueued,
-            reply: self.reply,
-        }
-    }
-}
-
-enum Message {
-    Invoke(Request),
-    Group {
-        function: usize,
-        members: Vec<RemoteJob>,
-        on_done: Option<GroupDone>,
-    },
-    Flush(Sender<()>),
 }
 
 /// Shared id counters for invocations, batches, and containers.
 ///
-/// A platform running alone owns a private set; a gateway running N worker
-/// platforms against one [`LiveTraceRecorder`] passes one `Arc<PlatformIds>`
-/// to every builder ([`PlatformBuilder::ids`]) so ids stay globally unique
-/// in the merged event stream.
+/// A platform running alone owns a private set; a gateway running N
+/// dispatch cores against one [`LiveTraceRecorder`] passes one
+/// `Arc<PlatformIds>` to the builder ([`PlatformBuilder::ids`]) so ids stay
+/// globally unique in the merged event stream.
 #[derive(Debug, Default)]
 pub struct PlatformIds {
     invocation: AtomicU64,
@@ -304,8 +392,8 @@ impl PlatformIds {
         Self::default()
     }
 
-    /// Mints the next invocation id (used by the gateway front door, which
-    /// emits `Arrival` before the invocation reaches any worker platform).
+    /// Mints the next invocation id (used by the front door, which emits
+    /// `Arrival` before the invocation reaches any dispatch core).
     pub fn next_invocation(&self) -> InvocationId {
         InvocationId::new(self.invocation.fetch_add(1, Ordering::Relaxed))
     }
@@ -346,7 +434,18 @@ struct WarmEntry {
     generation: u64,
 }
 
-type WarmPools = Arc<Mutex<HashMap<usize, Vec<WarmEntry>>>>;
+/// Everything [`CoreShared::acquire_container`] decides from, behind one
+/// lock: callers dispatch concurrently, and a pool miss must consult the
+/// templates before another caller's capture moves them.
+#[derive(Default)]
+struct Pools {
+    warm: HashMap<usize, Vec<WarmEntry>>,
+    next_generation: u64,
+    /// Snapshot templates: function → last-use stamp (LRU), bounded at
+    /// `snapshots` entries.
+    templates: HashMap<usize, u64>,
+    template_clock: u64,
+}
 
 /// Counts in-flight batch groups so `drain`/shutdown can wait for work that
 /// no longer lives on joinable threads (executor groups, cold-start timers).
@@ -442,8 +541,8 @@ impl PlatformBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero: the dispatcher would never block on its
-    /// queue and spin a core instead.
+    /// Panics if `window` is zero: the window thread would never block on
+    /// its queue and spin a core instead.
     pub fn window(mut self, window: Duration) -> Self {
         assert!(!window.is_zero(), "dispatch window must be positive");
         self.window = window;
@@ -543,54 +642,33 @@ impl PlatformBuilder {
         self
     }
 
-    /// Starts the dispatcher and returns the running platform.
+    /// Starts the window thread and returns the running platform.
     pub fn start(self) -> FaasBatchPlatform {
-        let (tx, rx) = channel::unbounded();
-        let stats = Arc::new(PlatformStats::default());
-        let names: Vec<String> = self.functions.iter().map(|(n, _)| n.clone()).collect();
-        let recorder = self.recorder;
-        let telemetry = self.telemetry;
-        if let Some(tel) = &telemetry {
-            // Pre-register every function's latency family so exposition
-            // order is registration order, not first-completion order.
-            for function in 0..names.len() {
-                tel.ensure_function(function);
-            }
-        }
-        let ids = self.ids.unwrap_or_default();
-        let dispatcher = Dispatcher {
-            rx,
-            window: self.window,
-            multiplex: self.multiplex,
-            cold_start_delay: self.cold_start_delay,
-            snapshots: self.snapshots,
-            restore_delay: self.restore_delay,
-            templates: HashMap::new(),
-            template_clock: 0,
-            executor: self.executor.unwrap_or_else(global_executor),
-            recorder: recorder.clone(),
-            telemetry: telemetry.clone(),
-            keep_alive: self.keep_alive,
-            store: self.store,
-            handlers: self.functions.into_iter().map(|(_, h)| h).collect(),
-            warm: Arc::new(Mutex::new(HashMap::new())),
-            warm_gen: Arc::new(AtomicU64::new(0)),
-            stats: stats.clone(),
-            ids: Arc::clone(&ids),
-            pending: Arc::new(PendingGroups::default()),
+        let window = self.window;
+        let core = DispatchCore::fleet(self, 1)
+            .pop()
+            .expect("a fleet of one has one core");
+        let queue = Arc::new(WindowQueue::new(usize::MAX));
+        let thread = {
+            let queue = Arc::clone(&queue);
+            let shared = Arc::clone(&core.shared);
+            std::thread::Builder::new()
+                .name("faasbatch-window".to_owned())
+                .spawn(move || {
+                    // Inline-Parallel-Producer phase: one container per
+                    // group, every group expanded concurrently.
+                    queue.run(
+                        window,
+                        |_job| {},
+                        |function, members| shared.spawn_group(function, members, None),
+                    );
+                })
+                .expect("spawn window thread")
         };
-        let handle = std::thread::Builder::new()
-            .name("faasbatch-dispatcher".to_owned())
-            .spawn(move || dispatcher.run())
-            .expect("spawn dispatcher");
         FaasBatchPlatform {
-            tx: Some(tx),
-            dispatcher: Some(handle),
-            names,
-            stats,
-            recorder,
-            telemetry,
-            ids,
+            queue,
+            window_thread: Some(thread),
+            core,
         }
     }
 }
@@ -608,89 +686,41 @@ enum StartTier {
     Cold,
 }
 
-struct Dispatcher {
-    rx: Receiver<Message>,
-    window: Duration,
+/// One worker's state, shared by every caller dispatching onto it and by
+/// every group in flight on it.
+struct CoreShared {
+    table: Arc<FunctionTable>,
     multiplex: bool,
     cold_start_delay: Duration,
     snapshots: usize,
     restore_delay: Duration,
-    /// Snapshot templates: function → last-use stamp (LRU), bounded at
-    /// `snapshots` entries. Only touched by the dispatcher thread.
-    templates: HashMap<usize, u64>,
-    template_clock: u64,
+    keep_alive: Option<Duration>,
+    store: ObjectStore,
     executor: Arc<Executor>,
     recorder: Option<LiveTraceRecorder>,
     telemetry: Option<Arc<PlatformTelemetry>>,
-    keep_alive: Option<Duration>,
-    store: ObjectStore,
-    handlers: Vec<Handler>,
-    warm: WarmPools,
-    warm_gen: Arc<AtomicU64>,
-    stats: Arc<PlatformStats>,
     ids: Arc<PlatformIds>,
-    pending: Arc<PendingGroups>,
+    stats: PlatformStats,
+    pools: Mutex<Pools>,
+    pending: PendingGroups,
 }
 
-impl Dispatcher {
-    fn run(mut self) {
-        let mut open = true;
-        while open {
-            // Invoke-Mapper phase: buffer one window's worth of requests.
-            let deadline = Instant::now() + self.window;
-            let mut flushes: Vec<Sender<()>> = Vec::new();
-            let mut groups: HashMap<usize, Vec<Request>> = HashMap::new();
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let message = self.rx.recv_timeout(deadline - now);
-                match message {
-                    Ok(Message::Invoke(req)) => groups.entry(req.function).or_default().push(req),
-                    // A remotely built group was already windowed and routed
-                    // by the gateway; dispatch it immediately as a unit —
-                    // re-windowing here could merge or split it.
-                    Ok(Message::Group {
-                        function,
-                        members,
-                        on_done,
-                    }) => {
-                        let batch = members
-                            .into_iter()
-                            .map(|job| job.into_request(function))
-                            .collect();
-                        self.spawn_group(function, batch, on_done);
-                    }
-                    Ok(Message::Flush(done)) => flushes.push(done),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
-            }
-            // Inline-Parallel-Producer phase: one container per group, every
-            // group expanded concurrently on the backend.
-            let mut order: Vec<usize> = groups.keys().copied().collect();
-            order.sort_unstable();
-            for function in order {
-                let batch = groups.remove(&function).expect("group exists");
-                self.spawn_group(function, batch, None);
-            }
-            if !flushes.is_empty() {
-                // A flush acknowledges only after every in-flight group —
-                // including cold ones parked on the timer wheel — resolved.
-                self.pending.wait_idle();
-                for done in flushes {
-                    let _ = done.send(());
-                }
-            }
+impl CoreShared {
+    fn emit(&self, kind: EventKind) {
+        if let Some(rec) = &self.recorder {
+            rec.record(kind);
         }
-        self.pending.wait_idle();
     }
 
-    fn spawn_group(&mut self, function: usize, batch: Vec<Request>, on_done: Option<GroupDone>) {
+    /// Dispatches one batch: container, decision, then the group goes to
+    /// the executor — directly when the container is warm, from the timer
+    /// wheel after the start delay otherwise.
+    fn spawn_group(
+        self: &Arc<Self>,
+        function: usize,
+        members: Vec<RemoteJob>,
+        on_done: Option<GroupDone>,
+    ) {
         let (env, tier) = self.acquire_container(function);
         let cold = tier == StartTier::Cold;
         let restored = tier == StartTier::Restored;
@@ -706,128 +736,106 @@ impl Dispatcher {
                 .fetch_add(1, Ordering::Relaxed);
         }
         if let Some(tel) = &self.telemetry {
-            tel.on_batch(batch.len(), cold, restored);
+            tel.on_batch(members.len(), cold, restored);
         }
-        let batch_id = self.ids.next_batch();
+        let batch = self.ids.next_batch();
         let container = ContainerId::new(env.id());
         if let Some(rec) = &self.recorder {
             rec.record(EventKind::DispatchDecision {
-                batch: batch_id,
+                batch,
                 function: FunctionId::new(function as u32),
                 container,
                 cold,
                 restored,
                 barrier: false,
-                members: batch.iter().map(|r| r.invocation).collect(),
+                members: members.iter().map(|job| job.invocation).collect(),
             });
             rec.record(EventKind::TaskStart {
-                task: TaskKind::Decision { batch: batch_id },
+                task: TaskKind::Decision { batch },
             });
             rec.record(EventKind::TaskFinish {
-                task: TaskKind::Decision { batch: batch_id },
+                task: TaskKind::Decision { batch },
             });
-            if cold {
+            if tier != StartTier::Warm {
                 rec.record(EventKind::ContainerStateChange {
                     container,
                     from: None,
                     to: ContainerState::Provisioning,
                 });
-                rec.record(EventKind::ColdStartBegin {
-                    container,
-                    batch: Some(batch_id),
-                });
-            } else if restored {
-                rec.record(EventKind::ContainerStateChange {
-                    container,
-                    from: None,
-                    to: ContainerState::Provisioning,
-                });
-                rec.record(EventKind::RestoreBegin {
-                    container,
-                    batch: Some(batch_id),
+                rec.record(if cold {
+                    EventKind::ColdStartBegin {
+                        container,
+                        batch: Some(batch),
+                    }
+                } else {
+                    EventKind::RestoreBegin {
+                        container,
+                        batch: Some(batch),
+                    }
                 });
             }
         }
         self.pending.enter();
-        let ctx = GroupCtx {
-            handler: self.handlers[function].clone(),
+        let group = Arc::new(Group {
+            core: Arc::clone(self),
             env,
-            requests: batch,
             function,
-            batch: batch_id,
-            cold,
-            restored,
-            recorder: self.recorder.clone(),
-            telemetry: self.telemetry.clone(),
-            warm: Arc::clone(&self.warm),
-            warm_gen: Arc::clone(&self.warm_gen),
-            keep_alive: self.keep_alive,
-            stats: Arc::clone(&self.stats),
-            executor: Arc::clone(&self.executor),
-            pending: Arc::clone(&self.pending),
-            on_done,
+            batch,
+            tier,
+        });
+        // A start delay rides the timer wheel: the ready events are emitted
+        // in the callback *before* the group is submitted, so
+        // `ColdStartEnd`/`RestoreDone` strictly precedes every `ExecBegin`
+        // of the batch.
+        let start = move || {
+            group.mark_ready();
+            group.submit(members, on_done);
         };
-        match tier {
-            StartTier::Cold => {
-                // The cold-start delay rides the timer wheel: the ready
-                // events are emitted in the callback *before* the group is
-                // submitted, so `ColdStartEnd` strictly precedes every
-                // `ExecBegin` of the batch.
-                self.executor.schedule(self.cold_start_delay, move || {
-                    ctx.mark_ready_after_cold();
-                    ctx.submit();
-                });
-            }
-            StartTier::Restored => {
-                // Same shape, shorter delay: `RestoreDone` strictly
-                // precedes every `ExecBegin`.
-                self.executor.schedule(self.restore_delay, move || {
-                    ctx.mark_ready_after_restore();
-                    ctx.submit();
-                });
-            }
-            StartTier::Warm => {
-                ctx.mark_busy_from_warm();
-                ctx.submit();
-            }
-        }
+        let delay = match tier {
+            StartTier::Warm => return start(),
+            StartTier::Restored => self.restore_delay,
+            StartTier::Cold => self.cold_start_delay,
+        };
+        self.executor.schedule(delay, start);
     }
 
     /// Three start tiers, mirroring the simulator's
     /// [`Cluster::acquire`](faasbatch_container::cluster::Cluster::acquire):
     /// warm-pool hit, then snapshot-template restore, then full cold boot
     /// (which captures a template for later restores when the tier is on).
-    fn acquire_container(&mut self, function: usize) -> (Arc<ContainerEnv>, StartTier) {
-        if let Some(entry) = self.warm.lock().get_mut(&function).and_then(Vec::pop) {
-            return (entry.env, StartTier::Warm);
-        }
-        let tier = if self.snapshots > 0 {
-            self.template_clock += 1;
-            let stamp = self.template_clock;
-            if let Some(last_used) = self.templates.get_mut(&function) {
-                *last_used = stamp;
-                StartTier::Restored
-            } else {
-                // Live approximation of snapshot capture: remember the
-                // function at provision time (the simulator captures at
-                // boot completion; the dispatcher thread has no ready
-                // callback, so capture here and keep the cache
-                // single-threaded).
-                self.templates.insert(function, stamp);
-                while self.templates.len() > self.snapshots {
-                    if let Some(victim) = self
-                        .templates
-                        .iter()
-                        .min_by_key(|(_, &t)| t)
-                        .map(|(f, _)| *f)
-                    {
-                        self.templates.remove(&victim);
-                    }
-                }
-                StartTier::Cold
+    fn acquire_container(&self, function: usize) -> (Arc<ContainerEnv>, StartTier) {
+        let tier = {
+            let mut pools = self.pools.lock();
+            if let Some(entry) = pools.warm.get_mut(&function).and_then(Vec::pop) {
+                return (entry.env, StartTier::Warm);
             }
-        } else {
-            StartTier::Cold
+            if self.snapshots == 0 {
+                StartTier::Cold
+            } else {
+                pools.template_clock += 1;
+                let stamp = pools.template_clock;
+                if let Some(last_used) = pools.templates.get_mut(&function) {
+                    *last_used = stamp;
+                    StartTier::Restored
+                } else {
+                    // Live approximation of snapshot capture: remember the
+                    // function at provision time (the simulator captures at
+                    // boot completion), under the lock this decision was
+                    // made under.
+                    pools.templates.insert(function, stamp);
+                    while pools.templates.len() > self.snapshots {
+                        if let Some(victim) = pools
+                            .templates
+                            .iter()
+                            .min_by_key(|(_, &t)| t)
+                            .map(|(f, _)| *f)
+                        {
+                            pools.templates.remove(&victim);
+                        }
+                    }
+                    StartTier::Cold
+                }
+            }
         };
         let id = self.ids.next_container();
         (
@@ -842,83 +850,41 @@ impl Dispatcher {
     }
 }
 
-/// Everything one dispatched batch needs to run to completion: the
-/// members, the container, and the shared platform state the finishing side
-/// updates.
-struct GroupCtx {
-    handler: Handler,
+/// One dispatched batch from decision to epilogue: its container and how it
+/// started, on the worker whose state the finishing side updates.
+struct Group {
+    core: Arc<CoreShared>,
     env: Arc<ContainerEnv>,
-    requests: Vec<Request>,
     function: usize,
     batch: u64,
-    cold: bool,
-    restored: bool,
-    recorder: Option<LiveTraceRecorder>,
-    telemetry: Option<Arc<PlatformTelemetry>>,
-    warm: WarmPools,
-    warm_gen: Arc<AtomicU64>,
-    keep_alive: Option<Duration>,
-    stats: Arc<PlatformStats>,
-    executor: Arc<Executor>,
-    pending: Arc<PendingGroups>,
-    on_done: Option<GroupDone>,
+    tier: StartTier,
 }
 
-impl GroupCtx {
-    fn emit(&self, kind: EventKind) {
-        if let Some(rec) = &self.recorder {
-            rec.record(kind);
-        }
-    }
-
+impl Group {
     fn container(&self) -> ContainerId {
         ContainerId::new(self.env.id())
     }
 
-    /// Cold path, after the delay elapsed: the container becomes usable and
-    /// immediately checks out to this batch.
-    fn mark_ready_after_cold(&self) {
+    /// The container checks out to this batch: a pooled one straight from
+    /// idle; a cold or restored one after its start delay elapsed, when it
+    /// first becomes usable.
+    fn mark_ready(&self) {
         let container = self.container();
-        self.emit(EventKind::ColdStartEnd {
+        let batch = Some(self.batch);
+        if self.tier != StartTier::Warm {
+            self.core.emit(if self.tier == StartTier::Cold {
+                EventKind::ColdStartEnd { container, batch }
+            } else {
+                EventKind::RestoreDone { container, batch }
+            });
+            self.core.emit(EventKind::ContainerStateChange {
+                container,
+                from: Some(ContainerState::Provisioning),
+                to: ContainerState::Idle,
+            });
+        }
+        self.core.emit(EventKind::ContainerStateChange {
             container,
-            batch: Some(self.batch),
-        });
-        self.emit(EventKind::ContainerStateChange {
-            container,
-            from: Some(ContainerState::Provisioning),
-            to: ContainerState::Idle,
-        });
-        self.emit(EventKind::ContainerStateChange {
-            container,
-            from: Some(ContainerState::Idle),
-            to: ContainerState::Busy,
-        });
-    }
-
-    /// Restore path, after the (short) delay elapsed: the cloned template
-    /// becomes usable and immediately checks out to this batch.
-    fn mark_ready_after_restore(&self) {
-        let container = self.container();
-        self.emit(EventKind::RestoreDone {
-            container,
-            batch: Some(self.batch),
-        });
-        self.emit(EventKind::ContainerStateChange {
-            container,
-            from: Some(ContainerState::Provisioning),
-            to: ContainerState::Idle,
-        });
-        self.emit(EventKind::ContainerStateChange {
-            container,
-            from: Some(ContainerState::Idle),
-            to: ContainerState::Busy,
-        });
-    }
-
-    /// Warm path: the pooled container checks out to this batch.
-    fn mark_busy_from_warm(&self) {
-        self.emit(EventKind::ContainerStateChange {
-            container: self.container(),
             from: Some(ContainerState::Idle),
             to: ContainerState::Busy,
         });
@@ -927,184 +893,111 @@ impl GroupCtx {
     /// The batch becomes one executor task group of per-member runs; the
     /// barrier's `on_complete` — run by the last finishing member on its
     /// worker — is the finishing step (no per-batch join thread).
-    fn submit(self) {
-        let GroupCtx {
-            handler,
-            env,
-            requests,
-            function,
-            batch,
-            cold,
-            restored,
-            recorder,
-            telemetry,
-            warm,
-            warm_gen,
-            keep_alive,
-            stats,
-            executor,
-            pending,
-            on_done,
-        } = self;
-        let batch_size = requests.len() as u64;
-        let sdk_creations_before = env.sdk.total_creations() as u64;
-        let jobs: Vec<GroupJob> = requests
+    fn submit(self: Arc<Self>, members: Vec<RemoteJob>, on_done: Option<GroupDone>) {
+        let batch_size = members.len() as u64;
+        let sdk_creations_before = self.env.sdk.total_creations() as u64;
+        let jobs: Vec<GroupJob> = members
             .into_iter()
             .enumerate()
-            .map(|(index, req)| {
-                let member = MemberRun {
-                    handler: handler.clone(),
-                    env: Arc::clone(&env),
-                    req,
-                    batch,
-                    member: index as u32,
-                    cold,
-                    restored,
-                    recorder: recorder.clone(),
-                    telemetry: telemetry.clone(),
-                };
-                GroupJob::blocking(move || member.run())
+            .map(|(index, job)| {
+                let group = Arc::clone(&self);
+                GroupJob::blocking(move || group.run_member(index as u32, job))
             })
             .collect();
-        let finisher = GroupFinisher {
-            env,
-            function,
-            batch_size,
-            sdk_creations_before,
-            recorder,
-            warm,
-            warm_gen,
-            keep_alive,
-            stats,
-            executor: Arc::clone(&executor),
-            pending,
-            on_done,
-        };
+        let executor = Arc::clone(&self.core.executor);
         executor.submit_group_with(
             jobs,
             None,
-            Some(Box::new(move |_report: &GroupReport| finisher.finish())),
+            Some(Box::new(move |_report: &GroupReport| {
+                self.finish(batch_size, sdk_creations_before, on_done);
+            })),
         );
     }
-}
 
-/// One batch member: runs the handler with the panic boundary, reports the
-/// outcome, and emits the member's exec/completion events.
-struct MemberRun {
-    handler: Handler,
-    env: Arc<ContainerEnv>,
-    req: Request,
-    batch: u64,
-    member: u32,
-    cold: bool,
-    restored: bool,
-    recorder: Option<LiveTraceRecorder>,
-    telemetry: Option<Arc<PlatformTelemetry>>,
-}
-
-impl MemberRun {
-    fn run(self) {
+    /// One batch member: runs the handler with the panic boundary, reports
+    /// the outcome, and emits the member's exec/completion events.
+    fn run_member(&self, member: u32, job: RemoteJob) {
+        let core = &*self.core;
         let started = Instant::now();
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::ExecBegin {
-                batch: self.batch,
-                member: self.member,
-                // Live handlers have no declared intrinsic work; zero makes
-                // the attribution of the observed span exact.
-                work: SimDuration::ZERO,
-            });
-        }
+        core.emit(EventKind::ExecBegin {
+            batch: self.batch,
+            member,
+            // Live handlers have no declared intrinsic work; zero makes the
+            // attribution of the observed span exact.
+            work: SimDuration::ZERO,
+        });
         let ctx = InvocationEnv {
-            payload: self.req.payload.clone(),
+            payload: job.payload,
             container: &self.env,
         };
         // A user function crashing must not take down the container or
         // starve its batch siblings.
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| (self.handler)(&ctx)));
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::ExecEnd {
-                batch: self.batch,
-                member: self.member,
-            });
-        }
+        let handler = &core.table.handlers[self.function];
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| handler(&ctx)));
+        core.emit(EventKind::ExecEnd {
+            batch: self.batch,
+            member,
+        });
         let outcome = InvokeOutcome {
-            queued: started.duration_since(self.req.enqueued),
+            queued: started.duration_since(job.enqueued),
             execution: started.elapsed(),
-            cold: self.cold,
-            restored: self.restored,
+            cold: self.tier == StartTier::Cold,
+            restored: self.tier == StartTier::Restored,
             panicked: result.is_err(),
         };
-        if let Some(tel) = &self.telemetry {
+        if let Some(tel) = &core.telemetry {
             tel.on_member_done(
-                self.req.function,
+                self.function,
                 u64::try_from(outcome.total().as_micros()).unwrap_or(u64::MAX),
             );
         }
-        let _ = self.req.reply.send(outcome);
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::InvocationComplete {
-                invocation: self.req.invocation,
-                batch: Some(self.batch),
-                member: Some(self.member),
-            });
-        }
+        job.reply.send(outcome);
+        core.emit(EventKind::InvocationComplete {
+            invocation: job.invocation,
+            batch: Some(self.batch),
+            member: Some(member),
+        });
     }
-}
 
-/// The batch epilogue: fold client/invocation counters into the platform
-/// stats, release the container back to the warm pool, and (when keep-alive
-/// is on) arm the eviction timer.
-struct GroupFinisher {
-    env: Arc<ContainerEnv>,
-    function: usize,
-    batch_size: u64,
-    sdk_creations_before: u64,
-    recorder: Option<LiveTraceRecorder>,
-    warm: WarmPools,
-    warm_gen: Arc<AtomicU64>,
-    keep_alive: Option<Duration>,
-    stats: Arc<PlatformStats>,
-    executor: Arc<Executor>,
-    pending: Arc<PendingGroups>,
-    on_done: Option<GroupDone>,
-}
-
-impl GroupFinisher {
-    fn finish(self) {
-        let created = self.env.sdk.total_creations() as u64 - self.sdk_creations_before;
-        self.stats
+    /// The batch epilogue: fold client/invocation counters into the worker
+    /// stats, release the container back to the warm pool, and (when
+    /// keep-alive is on) arm the eviction timer.
+    fn finish(&self, batch_size: u64, sdk_creations_before: u64, on_done: Option<GroupDone>) {
+        let core = &self.core;
+        let created = self.env.sdk.total_creations() as u64 - sdk_creations_before;
+        core.stats
             .clients_created
             .fetch_add(created, Ordering::Relaxed);
-        self.stats
+        core.stats
             .invocations
-            .fetch_add(self.batch_size, Ordering::Relaxed);
-        let container = ContainerId::new(self.env.id());
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::ContainerStateChange {
-                container,
-                from: Some(ContainerState::Busy),
-                to: ContainerState::Idle,
-            });
-        }
+            .fetch_add(batch_size, Ordering::Relaxed);
+        core.emit(EventKind::ContainerStateChange {
+            container: self.container(),
+            from: Some(ContainerState::Busy),
+            to: ContainerState::Idle,
+        });
         // Return the container to the warm pool.
-        let generation = self.warm_gen.fetch_add(1, Ordering::Relaxed);
-        self.warm
-            .lock()
-            .entry(self.function)
-            .or_default()
-            .push(WarmEntry {
-                env: self.env,
-                generation,
-            });
-        if let Some(ttl) = self.keep_alive {
-            let warm = self.warm;
+        let generation = {
+            let mut pools = core.pools.lock();
+            let generation = pools.next_generation;
+            pools.next_generation += 1;
+            pools
+                .warm
+                .entry(self.function)
+                .or_default()
+                .push(WarmEntry {
+                    env: Arc::clone(&self.env),
+                    generation,
+                });
+            generation
+        };
+        if let Some(ttl) = core.keep_alive {
+            let core = Arc::clone(core);
             let function = self.function;
-            let stats = self.stats;
-            let recorder = self.recorder;
-            self.executor.schedule(ttl, move || {
+            self.core.executor.schedule(ttl, move || {
                 let evicted = {
-                    let mut pools = warm.lock();
-                    let Some(pool) = pools.get_mut(&function) else {
+                    let mut pools = core.pools.lock();
+                    let Some(pool) = pools.warm.get_mut(&function) else {
                         return;
                     };
                     // Evict only if the exact entry we parked is still
@@ -1115,34 +1008,129 @@ impl GroupFinisher {
                     };
                     pool.remove(pos)
                 };
-                stats.containers_evicted.fetch_add(1, Ordering::Relaxed);
-                if let Some(rec) = &recorder {
-                    rec.record(EventKind::ContainerStateChange {
-                        container: ContainerId::new(evicted.env.id()),
-                        from: Some(ContainerState::Idle),
-                        to: ContainerState::Terminated,
-                    });
-                }
+                core.stats
+                    .containers_evicted
+                    .fetch_add(1, Ordering::Relaxed);
+                core.emit(EventKind::ContainerStateChange {
+                    container: ContainerId::new(evicted.env.id()),
+                    from: Some(ContainerState::Idle),
+                    to: ContainerState::Terminated,
+                });
             });
         }
-        if let Some(on_done) = self.on_done {
-            on_done(self.batch_size as usize);
+        if let Some(on_done) = on_done {
+            on_done(batch_size as usize);
         }
-        self.pending.exit();
+        core.pending.exit();
+    }
+}
+
+/// One worker's container-dispatch half, with no thread of its own: warm
+/// pools, start tiers and group expansion behind
+/// [`DispatchCore::dispatch`], which runs on the caller's thread.
+///
+/// [`FaasBatchPlatform`] is one core behind a window queue; the gateway
+/// holds a fleet of them ([`DispatchCore::fleet`]) and dispatches from its
+/// shard threads. Dropping a core waits for its in-flight groups.
+pub struct DispatchCore {
+    shared: Arc<CoreShared>,
+}
+
+impl fmt::Debug for DispatchCore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DispatchCore")
+            .field("functions", &self.shared.table.names.len())
+            .finish()
+    }
+}
+
+impl DispatchCore {
+    /// Builds `workers` cores from one builder: they share its function
+    /// table, executor, id counters, recorder and telemetry, and each keeps
+    /// its own warm pools, snapshot templates and stats. The builder's
+    /// dispatch window is not used — a core never windows.
+    pub fn fleet(builder: PlatformBuilder, workers: usize) -> Vec<DispatchCore> {
+        let table = Arc::new(FunctionTable::new(builder.functions));
+        if let Some(tel) = &builder.telemetry {
+            // Pre-register every function's latency family so exposition
+            // order is registration order, not first-completion order.
+            for function in 0..table.names.len() {
+                tel.ensure_function(function);
+            }
+        }
+        let executor = builder.executor.unwrap_or_else(global_executor);
+        let ids = builder.ids.unwrap_or_default();
+        (0..workers)
+            .map(|_| DispatchCore {
+                shared: Arc::new(CoreShared {
+                    table: Arc::clone(&table),
+                    multiplex: builder.multiplex,
+                    cold_start_delay: builder.cold_start_delay,
+                    snapshots: builder.snapshots,
+                    restore_delay: builder.restore_delay,
+                    keep_alive: builder.keep_alive,
+                    store: builder.store.clone(),
+                    executor: Arc::clone(&executor),
+                    recorder: builder.recorder.clone(),
+                    telemetry: builder.telemetry.clone(),
+                    ids: Arc::clone(&ids),
+                    stats: PlatformStats::default(),
+                    pools: Mutex::new(Pools::default()),
+                    pending: PendingGroups::default(),
+                }),
+            })
+            .collect()
+    }
+
+    /// Dispatches `members` (non-empty) as **one** batch of `function` — an
+    /// index into [`DispatchCore::functions`] — on the caller's thread:
+    /// when this returns, the container is acquired, the
+    /// `DispatchDecision` is recorded, and the group is on the executor (or
+    /// on its cold/restore timer).
+    ///
+    /// The caller already collected a dispatch window, so nothing here can
+    /// merge or split the group. It is also responsible for the members'
+    /// `Arrival` events, minting invocation ids from the shared
+    /// [`PlatformIds`]; the core emits everything from the dispatch
+    /// decision on. `on_done` runs once the whole group finished, with the
+    /// batch size.
+    pub fn dispatch(&self, function: usize, members: Vec<RemoteJob>, on_done: Option<GroupDone>) {
+        if let Some(tel) = &self.shared.telemetry {
+            tel.in_flight.add(members.len() as i64);
+        }
+        self.shared.spawn_group(function, members, on_done);
+    }
+
+    /// Blocks until every group dispatched so far has completed — cold ones
+    /// parked on the timer wheel included.
+    pub fn wait_idle(&self) {
+        self.shared.pending.wait_idle();
+    }
+
+    /// Aggregate counters.
+    pub fn stats(&self) -> &PlatformStats {
+        &self.shared.stats
+    }
+
+    /// The function table this core dispatches from.
+    pub fn functions(&self) -> &Arc<FunctionTable> {
+        &self.shared.table
+    }
+}
+
+impl Drop for DispatchCore {
+    fn drop(&mut self) {
+        self.wait_idle();
     }
 }
 
 /// The running live platform. Dropping it drains in-flight work and joins
-/// the dispatcher.
+/// the window thread.
 #[derive(Debug)]
 pub struct FaasBatchPlatform {
-    tx: Option<Sender<Message>>,
-    dispatcher: Option<JoinHandle<()>>,
-    names: Vec<String>,
-    stats: Arc<PlatformStats>,
-    recorder: Option<LiveTraceRecorder>,
-    telemetry: Option<Arc<PlatformTelemetry>>,
-    ids: Arc<PlatformIds>,
+    queue: Arc<WindowQueue>,
+    window_thread: Option<JoinHandle<()>>,
+    core: DispatchCore,
 }
 
 impl FaasBatchPlatform {
@@ -1153,62 +1141,43 @@ impl FaasBatchPlatform {
     /// [`PlatformError::UnknownFunction`] if the name is not registered;
     /// [`PlatformError::ShuttingDown`] if the platform is stopping.
     pub fn invoke(&self, function: &str, payload: Bytes) -> Result<InvokeTicket, PlatformError> {
-        let idx = self
-            .names
-            .iter()
-            .position(|n| n == function)
+        let shared = &self.core.shared;
+        let idx = shared
+            .table
+            .index_of(function)
             .ok_or_else(|| PlatformError::UnknownFunction(function.to_owned()))?;
-        let (reply, rx) = channel::bounded(1);
-        let tx = self.tx.as_ref().ok_or(PlatformError::ShuttingDown)?;
-        let invocation = self.ids.next_invocation();
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::Arrival {
-                invocation,
-                function: FunctionId::new(idx as u32),
-            });
-        }
-        if let Some(tel) = &self.telemetry {
+        let invocation = shared.ids.next_invocation();
+        shared.emit(EventKind::Arrival {
+            invocation,
+            function: FunctionId::new(idx as u32),
+        });
+        if let Some(tel) = &shared.telemetry {
             tel.in_flight.add(1);
         }
-        let sent = tx.send(Message::Invoke(Request {
-            invocation,
-            function: idx,
-            payload,
-            enqueued: Instant::now(),
-            reply,
-        }));
-        if sent.is_err() {
-            if let Some(tel) = &self.telemetry {
+        let (job, ticket) = RemoteJob::new(invocation, payload);
+        if self.queue.try_push_job(idx, job, || {}).is_err() {
+            if let Some(tel) = &shared.telemetry {
                 tel.in_flight.sub(1);
             }
             return Err(PlatformError::ShuttingDown);
         }
-        Ok(InvokeTicket { rx })
+        Ok(ticket)
     }
 
     /// Submits a pre-formed batch of `function` (a registry index) for
     /// immediate dispatch as **one** batch, bypassing this platform's own
-    /// dispatch window.
-    ///
-    /// This is the gateway's entry point: the caller already collected a
-    /// dispatch window and routed the whole group here, so the platform
-    /// must not re-window (which could merge or split it). The caller is
-    /// responsible for emitting the members' `Arrival` events, minting
-    /// invocation ids from the shared [`PlatformIds`]; the platform emits
-    /// everything from the dispatch decision on. `on_done` runs once the
-    /// whole group finished, with the batch size.
+    /// dispatch window — [`DispatchCore::dispatch`] behind a bounds check.
     ///
     /// # Errors
     ///
-    /// [`PlatformError::UnknownFunction`] if `function` is out of range;
-    /// [`PlatformError::ShuttingDown`] if the platform is stopping.
+    /// [`PlatformError::UnknownFunction`] if `function` is out of range.
     pub fn submit_group(
         &self,
         function: usize,
         members: Vec<RemoteJob>,
         on_done: Option<GroupDone>,
     ) -> Result<(), PlatformError> {
-        if function >= self.names.len() {
+        if function >= self.functions().len() {
             return Err(PlatformError::UnknownFunction(format!("fn#{function}")));
         }
         if members.is_empty() {
@@ -1217,64 +1186,52 @@ impl FaasBatchPlatform {
             }
             return Ok(());
         }
-        let tx = self.tx.as_ref().ok_or(PlatformError::ShuttingDown)?;
-        let size = members.len() as i64;
-        if let Some(tel) = &self.telemetry {
-            tel.in_flight.add(size);
-        }
-        let sent = tx.send(Message::Group {
-            function,
-            members,
-            on_done,
-        });
-        if sent.is_err() {
-            if let Some(tel) = &self.telemetry {
-                tel.in_flight.sub(size);
-            }
-            return Err(PlatformError::ShuttingDown);
-        }
+        self.core.dispatch(function, members, on_done);
         Ok(())
     }
 
     /// The id counters this platform mints from ([`PlatformBuilder::ids`]).
     pub fn ids(&self) -> &Arc<PlatformIds> {
-        &self.ids
+        &self.core.shared.ids
     }
 
-    /// Blocks until every invocation submitted so far has completed.
+    /// Blocks until every invocation submitted so far has completed: ends
+    /// the current window early, then waits for every dispatched group.
     ///
     /// # Errors
     ///
     /// [`PlatformError::ShuttingDown`] if the platform is stopping.
     pub fn drain(&self) -> Result<(), PlatformError> {
-        let (done, rx) = channel::bounded(1);
-        let tx = self.tx.as_ref().ok_or(PlatformError::ShuttingDown)?;
-        tx.send(Message::Flush(done))
+        self.queue
+            .flush()
+            .recv()
             .map_err(|_| PlatformError::ShuttingDown)?;
-        rx.recv().map_err(|_| PlatformError::ShuttingDown)
+        self.core.wait_idle();
+        Ok(())
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> &PlatformStats {
-        &self.stats
+        self.core.stats()
     }
 
     /// Registered function names, in registration order.
     pub fn functions(&self) -> &[String] {
-        &self.names
+        self.core.functions().names()
     }
 
     /// The attached trace recorder, if any ([`PlatformBuilder::trace`]).
     pub fn trace_recorder(&self) -> Option<&LiveTraceRecorder> {
-        self.recorder.as_ref()
+        self.core.shared.recorder.as_ref()
     }
 }
 
 impl Drop for FaasBatchPlatform {
     fn drop(&mut self) {
-        // Closing the channel lets the dispatcher drain and exit.
-        self.tx.take();
-        if let Some(h) = self.dispatcher.take() {
+        // The window thread exits after a final drain-and-dispatch pass;
+        // dropping `core` afterwards waits for the groups it dispatched.
+        self.queue.close();
+        if let Some(h) = self.window_thread.take() {
             let _ = h.join();
         }
     }
@@ -1510,6 +1467,100 @@ mod tests {
         for record in &reduced.records {
             assert!(record.is_consistent(), "{record:?}");
         }
+    }
+
+    #[test]
+    fn submit_group_has_dispatched_when_it_returns() {
+        let recorder = LiveTraceRecorder::new();
+        // A window no test outlives: nothing here can be the window
+        // thread's doing.
+        let platform = PlatformBuilder::new()
+            .window(Duration::from_secs(3600))
+            .cold_start_delay(Duration::from_millis(1))
+            .trace(recorder.clone())
+            .register("noop", |_env| {})
+            .start();
+        let (members, tickets): (Vec<_>, Vec<_>) = (0..3)
+            .map(|_| RemoteJob::new(platform.ids().next_invocation(), Bytes::new()))
+            .unzip();
+        let expected: Vec<InvocationId> = members.iter().map(RemoteJob::invocation).collect();
+        platform.submit_group(0, members, None).unwrap();
+        // No drain, no wait: the decision is already made and recorded.
+        assert_eq!(platform.stats().batches.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            platform.stats().containers_created.load(Ordering::Relaxed),
+            1
+        );
+        let decided = recorder.take_trace().into_iter().any(|e| {
+            matches!(e.kind, EventKind::DispatchDecision { members, .. } if members == expected)
+        });
+        assert!(
+            decided,
+            "DispatchDecision must precede submit_group's return"
+        );
+        for ticket in tickets {
+            assert!(ticket.wait().cold);
+        }
+        assert_eq!(
+            platform.submit_group(1, Vec::new(), None).unwrap_err(),
+            PlatformError::UnknownFunction("fn#1".into())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invocation dropped by platform")]
+    fn a_job_dropped_unrun_releases_its_ticket() {
+        let (job, ticket) = RemoteJob::new(InvocationId::new(0), Bytes::new());
+        drop(job);
+        ticket.wait();
+    }
+
+    #[test]
+    fn drain_ends_the_window_early() {
+        let platform = PlatformBuilder::new()
+            .window(Duration::from_secs(5))
+            .cold_start_delay(Duration::from_millis(1))
+            .register("noop", |_env| {})
+            .start();
+        let started = Instant::now();
+        let tickets: Vec<_> = (0..3)
+            .map(|_| platform.invoke("noop", Bytes::new()).unwrap())
+            .collect();
+        platform.drain().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "drain waited out the window: {:?}",
+            started.elapsed()
+        );
+        for ticket in tickets {
+            ticket.wait();
+        }
+        assert_eq!(platform.stats().batches.load(Ordering::Relaxed), 1);
+        assert_eq!(platform.stats().invocations.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn two_thousand_names_resolve_through_the_table() {
+        let mut builder = PlatformBuilder::new()
+            .window(Duration::from_millis(5))
+            .cold_start_delay(Duration::ZERO);
+        for f in 0..2_048 {
+            builder = builder.register(&format!("fn-{f}"), |_env| {});
+        }
+        // A repeated name keeps resolving to its first registration.
+        let platform = builder.register("fn-7", |_env| panic!("shadowed")).start();
+        assert_eq!(platform.functions().len(), 2_049);
+        let tickets: Vec<_> = [0, 7, 1_024, 2_047]
+            .iter()
+            .map(|f| platform.invoke(&format!("fn-{f}"), Bytes::new()).unwrap())
+            .collect();
+        for ticket in tickets {
+            assert!(!ticket.wait().panicked);
+        }
+        assert_eq!(
+            platform.invoke("fn-2048", Bytes::new()).unwrap_err(),
+            PlatformError::UnknownFunction("fn-2048".into())
+        );
     }
 
     #[test]

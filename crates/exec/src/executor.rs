@@ -536,6 +536,21 @@ mod tests {
         })
     }
 
+    /// Metrics once nothing is in flight. The last member opens the group
+    /// barrier — releasing `GroupHandle::wait` — before its task returns and
+    /// `Schedule::task_finished` decrements `in_flight`, so a read right
+    /// after `wait()` races that decrement; poll for quiescence, bounded.
+    fn quiescent_metrics(exec: &Executor) -> ExecutorMetrics {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let metrics = exec.metrics();
+            if metrics.in_flight == 0 || Instant::now() >= deadline {
+                return metrics;
+            }
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn spawn_runs_detached_future() {
         let exec = test_executor(2);
@@ -616,7 +631,7 @@ mod tests {
         waker.wake();
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(polls.load(Ordering::SeqCst), 1, "completed task re-polled");
-        assert_eq!(exec.metrics().in_flight, 0);
+        assert_eq!(quiescent_metrics(&exec).in_flight, 0);
     }
 
     #[test]
@@ -796,7 +811,7 @@ mod tests {
             "idle workers park while the sleep is pending"
         );
         handle.wait();
-        let after = exec.metrics();
+        let after = quiescent_metrics(&exec);
         assert_eq!(after.in_flight, 0);
         assert!(after.queue_depths.iter().all(|&d| d == 0));
         assert_eq!(after.injector_depth, 0);

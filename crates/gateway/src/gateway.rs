@@ -1,15 +1,14 @@
 //! The sharded gateway: front door, shard dispatchers, and stats.
 
-use crate::shard::{PushError, ShardMsg, ShardQueue};
 use bytes::Bytes;
-use crossbeam::channel;
 use faasbatch_container::ids::FunctionId;
 use faasbatch_core::platform::{
-    FaasBatchPlatform, GroupDone, Handler, InvocationEnv, InvokeTicket, PlatformBuilder,
-    PlatformIds, PlatformStats, RemoteJob,
+    DispatchCore, FunctionTable, InvocationEnv, InvokeTicket, PlatformBuilder, PlatformIds,
+    PlatformStats, RemoteJob,
 };
 use faasbatch_core::routing::{stable_hash, RouterCtx, RoutingKind, WorkerLoad};
 use faasbatch_core::telemetry::PlatformTelemetry;
+use faasbatch_core::window::{PushError, WindowQueue};
 use faasbatch_exec::Executor;
 use faasbatch_metrics::events::EventKind;
 use faasbatch_metrics::live::LiveTraceRecorder;
@@ -17,17 +16,11 @@ use faasbatch_metrics::telemetry::{Histogram, MetricRegistry};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_storage::object_store::ObjectStore;
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Worker platforms never window (the gateway already did); their dispatch
-/// loop only ticks to serve flushes, so a short idle period keeps
-/// [`Gateway::drain`] responsive.
-const WORKER_WINDOW: Duration = Duration::from_millis(10);
 
 /// Gateway submission failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,14 +169,11 @@ pub struct GatewayBuilder {
     window: Duration,
     policy: RoutingKind,
     assumed_work: Duration,
-    cold_start_delay: Duration,
-    multiplex: bool,
-    keep_alive: Option<Duration>,
-    executor: Option<Arc<Executor>>,
     recorder: Option<LiveTraceRecorder>,
     registry: Option<MetricRegistry>,
-    store: ObjectStore,
-    functions: Vec<(String, Handler)>,
+    /// Everything about the workers: start delays, multiplexer, executor,
+    /// store and the registered functions.
+    cores: PlatformBuilder,
 }
 
 impl fmt::Debug for GatewayBuilder {
@@ -194,7 +184,7 @@ impl fmt::Debug for GatewayBuilder {
             .field("shard_depth", &self.shard_depth)
             .field("window", &self.window)
             .field("policy", &self.policy)
-            .field("functions", &self.functions.len())
+            .field("cores", &self.cores)
             .finish()
     }
 }
@@ -216,18 +206,13 @@ impl GatewayBuilder {
             window: Duration::from_millis(200),
             policy: RoutingKind::LeastLoaded,
             assumed_work: Duration::from_millis(1),
-            cold_start_delay: Duration::from_millis(25),
-            multiplex: true,
-            keep_alive: None,
-            executor: None,
             recorder: None,
             registry: None,
-            store: ObjectStore::new(),
-            functions: Vec::new(),
+            cores: PlatformBuilder::new(),
         }
     }
 
-    /// Number of live worker platforms (min 1).
+    /// Number of live workers (min 1).
     pub fn workers(mut self, workers: usize) -> GatewayBuilder {
         self.workers = workers.max(1);
         self
@@ -272,28 +257,28 @@ impl GatewayBuilder {
         self
     }
 
-    /// Cold-start delay of the worker platforms.
+    /// Cold-start delay of the workers.
     pub fn cold_start_delay(mut self, delay: Duration) -> GatewayBuilder {
-        self.cold_start_delay = delay;
+        self.cores = self.cores.cold_start_delay(delay);
         self
     }
 
     /// Enables or disables the workers' Resource Multiplexer.
     pub fn multiplex(mut self, on: bool) -> GatewayBuilder {
-        self.multiplex = on;
+        self.cores = self.cores.multiplex(on);
         self
     }
 
-    /// Warm-pool keep-alive TTL on the worker platforms.
+    /// Warm-pool keep-alive TTL on the workers.
     pub fn keep_alive(mut self, ttl: Duration) -> GatewayBuilder {
-        self.keep_alive = Some(ttl);
+        self.cores = self.cores.keep_alive(ttl);
         self
     }
 
     /// Runs every worker on one specific executor (default: the shared
     /// process-wide pool).
     pub fn executor(mut self, executor: Arc<Executor>) -> GatewayBuilder {
-        self.executor = Some(executor);
+        self.cores = self.cores.executor(executor);
         self
     }
 
@@ -301,6 +286,7 @@ impl GatewayBuilder {
     /// all workers; gateway runs then emit the full audited event stream
     /// (arrival → enqueue → admit → route → dispatch → … → completion).
     pub fn trace(mut self, recorder: LiveTraceRecorder) -> GatewayBuilder {
+        self.cores = self.cores.trace(recorder.clone());
         self.recorder = Some(recorder);
         self
     }
@@ -316,7 +302,7 @@ impl GatewayBuilder {
 
     /// Object store shared by every worker's containers.
     pub fn store(mut self, store: ObjectStore) -> GatewayBuilder {
-        self.store = store;
+        self.cores = self.cores.store(store);
         self
     }
 
@@ -326,55 +312,32 @@ impl GatewayBuilder {
         name: &str,
         handler: impl Fn(&InvocationEnv<'_>) + Send + Sync + 'static,
     ) -> GatewayBuilder {
-        self.functions.push((name.to_owned(), Arc::new(handler)));
+        self.cores = self.cores.register(name, handler);
         self
     }
 
-    /// Starts the worker platforms and shard dispatchers.
+    /// Starts the workers and the shard threads.
     pub fn start(self) -> Gateway {
         let ids = Arc::new(PlatformIds::new());
-        let names: Vec<String> = self.functions.iter().map(|(n, _)| n.clone()).collect();
-        // One telemetry handle shared by every worker platform: the fleet
-        // aggregates into a single faasbatch_platform_* family set.
-        let platform_telemetry = self.registry.as_ref().map(PlatformTelemetry::new);
-        let mut platforms = Vec::with_capacity(self.workers);
-        for _ in 0..self.workers {
-            let mut builder = PlatformBuilder::new()
-                .window(WORKER_WINDOW)
-                .multiplex(self.multiplex)
-                .cold_start_delay(self.cold_start_delay)
-                .store(self.store.clone())
-                .ids(Arc::clone(&ids));
-            if let Some(recorder) = &self.recorder {
-                builder = builder.trace(recorder.clone());
-            }
-            if let Some(tel) = &platform_telemetry {
-                builder = builder.telemetry(Arc::clone(tel));
-            }
-            if let Some(ttl) = self.keep_alive {
-                builder = builder.keep_alive(ttl);
-            }
-            if let Some(executor) = &self.executor {
-                builder = builder.executor(Arc::clone(executor));
-            }
-            for (name, handler) in &self.functions {
-                let handler = Arc::clone(handler);
-                builder = builder.register(name, move |env| (*handler)(env));
-            }
-            platforms.push(builder.start());
+        let mut cores = self.cores.ids(Arc::clone(&ids));
+        if let Some(registry) = &self.registry {
+            // One telemetry handle shared by every worker: the fleet
+            // aggregates into a single faasbatch_platform_* family set.
+            cores = cores.telemetry(PlatformTelemetry::new(registry));
         }
-        let platforms = Arc::new(platforms);
+        let cores = Arc::new(DispatchCore::fleet(cores, self.workers));
+        let table = Arc::clone(cores[0].functions());
         let stats = Arc::new(GatewayStats::new(self.shards));
         let loads = Arc::new(Mutex::new(vec![WorkerLoad::default(); self.workers]));
         let origin = Instant::now();
-        let queues: Vec<Arc<ShardQueue>> = (0..self.shards)
-            .map(|_| Arc::new(ShardQueue::new(self.shard_depth)))
+        let queues: Vec<Arc<WindowQueue>> = (0..self.shards)
+            .map(|_| Arc::new(WindowQueue::new(self.shard_depth)))
             .collect();
         let route_latency = self
             .registry
             .as_ref()
             .map(|registry| register_gateway(registry, &stats, &queues));
-        let mut dispatchers = Vec::with_capacity(self.shards);
+        let mut shard_threads = Vec::with_capacity(self.shards);
         for (shard, queue) in queues.iter().enumerate() {
             let dispatcher = ShardDispatcher {
                 shard: shard as u64,
@@ -382,7 +345,7 @@ impl GatewayBuilder {
                 window: self.window,
                 policy: self.policy,
                 assumed_work: SimDuration::from_micros(self.assumed_work.as_micros() as u64),
-                platforms: Arc::clone(&platforms),
+                cores: Arc::clone(&cores),
                 loads: Arc::clone(&loads),
                 stats: Arc::clone(&stats),
                 recorder: self.recorder.clone(),
@@ -393,13 +356,13 @@ impl GatewayBuilder {
                 .name(format!("faasbatch-gateway-shard-{shard}"))
                 .spawn(move || dispatcher.run())
                 .expect("spawn gateway shard dispatcher");
-            dispatchers.push(handle);
+            shard_threads.push(handle);
         }
         Gateway {
             queues,
-            dispatchers,
-            platforms,
-            names,
+            shard_threads,
+            cores,
+            table,
             ids,
             recorder: self.recorder,
             stats,
@@ -408,13 +371,13 @@ impl GatewayBuilder {
 }
 
 /// Registers the gateway's metric families on `registry` (polled from the
-/// existing [`GatewayStats`] atomics and [`ShardQueue`] depths, so the
+/// existing [`GatewayStats`] atomics and [`WindowQueue`] depths, so the
 /// ingress hot path records nothing extra) and returns the route-latency
 /// histogram the shard dispatchers feed.
 fn register_gateway(
     registry: &MetricRegistry,
     stats: &Arc<GatewayStats>,
-    queues: &[Arc<ShardQueue>],
+    queues: &[Arc<WindowQueue>],
 ) -> Histogram {
     let s = Arc::clone(stats);
     registry.gauge_fn(
@@ -463,7 +426,7 @@ fn register_gateway(
             "faasbatch_gateway_shard_depth",
             "Jobs waiting in each shard's ingress queue this window.",
             &[("shard", &label)],
-            move || queue.len() as i64,
+            move || queue.waiting() as i64,
         );
     }
     registry.histogram(
@@ -475,11 +438,11 @@ fn register_gateway(
 /// Per-shard routing loop (one thread per shard).
 struct ShardDispatcher {
     shard: u64,
-    queue: Arc<ShardQueue>,
+    queue: Arc<WindowQueue>,
     window: Duration,
     policy: RoutingKind,
     assumed_work: SimDuration,
-    platforms: Arc<Vec<FaasBatchPlatform>>,
+    cores: Arc<Vec<DispatchCore>>,
     loads: Arc<Mutex<Vec<WorkerLoad>>>,
     stats: Arc<GatewayStats>,
     recorder: Option<LiveTraceRecorder>,
@@ -497,29 +460,19 @@ impl ShardDispatcher {
 
     fn run(self) {
         let mut policy = self.policy.build();
-        let alive = vec![true; self.platforms.len()];
-        loop {
-            let deadline = Instant::now() + self.window;
-            let (msgs, closed) = self.queue.collect_window(deadline);
-            // BTreeMap keeps group routing order deterministic per window.
-            let mut groups: BTreeMap<usize, Vec<RemoteJob>> = BTreeMap::new();
-            let mut flushes = Vec::new();
-            for msg in msgs {
-                match msg {
-                    ShardMsg::Job { function, job } => {
-                        if let Some(recorder) = &self.recorder {
-                            recorder.record(EventKind::GatewayAdmit {
-                                invocation: job.invocation(),
-                                shard: self.shard,
-                            });
-                        }
-                        self.stats.admit(self.shard as usize);
-                        groups.entry(function).or_default().push(job);
-                    }
-                    ShardMsg::Flush(ack) => flushes.push(ack),
+        let alive = vec![true; self.cores.len()];
+        self.queue.run(
+            self.window,
+            |job| {
+                if let Some(recorder) = &self.recorder {
+                    recorder.record(EventKind::GatewayAdmit {
+                        invocation: job.invocation(),
+                        shard: self.shard,
+                    });
                 }
-            }
-            for (function, members) in groups {
+                self.stats.admit(self.shard as usize);
+            },
+            |function, members| {
                 let route_started = Instant::now();
                 let now = self.now();
                 let worker = {
@@ -551,35 +504,30 @@ impl ShardDispatcher {
                 }
                 self.stats.routed(self.shard as usize);
                 let stats = Arc::clone(&self.stats);
-                let on_done: GroupDone = Box::new(move |n| stats.finish(n));
-                // Only fails while the platform tears down, which the
-                // gateway sequences after this thread exits.
-                let _ = self.platforms[worker].submit_group(function, members, Some(on_done));
+                self.cores[worker].dispatch(
+                    function,
+                    members,
+                    Some(Box::new(move |n| stats.finish(n))),
+                );
                 if let Some(hist) = &self.route_latency {
                     hist.record(route_started.elapsed().as_micros() as u64);
                 }
-            }
-            for ack in flushes {
-                let _ = ack.send(());
-            }
-            if closed {
-                return;
-            }
-        }
+            },
+        );
     }
 }
 
-/// A live sharded front door over N worker [`FaasBatchPlatform`]s.
+/// A live sharded front door over N worker [`DispatchCore`]s.
 ///
 /// Ingress is sharded by function-id hash; each shard accumulates one
 /// dispatch window, groups requests per function, and routes each group
 /// **as a unit** to one worker via a [`RoutingKind`] policy. See the crate
 /// docs for the full pipeline.
 pub struct Gateway {
-    queues: Vec<Arc<ShardQueue>>,
-    dispatchers: Vec<JoinHandle<()>>,
-    platforms: Arc<Vec<FaasBatchPlatform>>,
-    names: Vec<String>,
+    queues: Vec<Arc<WindowQueue>>,
+    shard_threads: Vec<JoinHandle<()>>,
+    cores: Arc<Vec<DispatchCore>>,
+    table: Arc<FunctionTable>,
     ids: Arc<PlatformIds>,
     recorder: Option<LiveTraceRecorder>,
     stats: Arc<GatewayStats>,
@@ -589,8 +537,8 @@ impl fmt::Debug for Gateway {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Gateway")
             .field("shards", &self.queues.len())
-            .field("workers", &self.platforms.len())
-            .field("functions", &self.names.len())
+            .field("workers", &self.cores.len())
+            .field("functions", &self.table.names().len())
             .finish()
     }
 }
@@ -611,9 +559,8 @@ impl Gateway {
     /// during teardown.
     pub fn invoke(&self, function: &str, payload: Bytes) -> Result<InvokeTicket, GatewayError> {
         let idx = self
-            .names
-            .iter()
-            .position(|n| n == function)
+            .table
+            .index_of(function)
             .ok_or_else(|| GatewayError::UnknownFunction(function.to_owned()))?;
         let shard = self.shard_of_index(idx);
         let invocation = self.ids.next_invocation();
@@ -652,9 +599,8 @@ impl Gateway {
     /// The shard `function` hashes to, or `None` if unregistered.
     /// Deterministic across runs, builds, and machines ([`stable_hash`]).
     pub fn shard_of(&self, function: &str) -> Option<u64> {
-        self.names
-            .iter()
-            .position(|n| n == function)
+        self.table
+            .index_of(function)
             .map(|idx| self.shard_of_index(idx))
     }
 
@@ -667,14 +613,14 @@ impl Gateway {
         self.queues.len()
     }
 
-    /// Number of worker platforms.
+    /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.platforms.len()
+        self.cores.len()
     }
 
     /// Registered function names, in registration order.
     pub fn functions(&self) -> &[String] {
-        &self.names
+        self.table.names()
     }
 
     /// Point-in-time counters (per-shard admissions, in-flight, peak).
@@ -701,12 +647,9 @@ impl Gateway {
             .sum()
     }
 
-    /// Aggregate counters of each worker platform, indexed by worker.
+    /// Aggregate counters of each worker, indexed by worker.
     pub fn worker_stats(&self) -> Vec<&PlatformStats> {
-        self.platforms
-            .iter()
-            .map(FaasBatchPlatform::stats)
-            .collect()
+        self.cores.iter().map(DispatchCore::stats).collect()
     }
 
     /// The attached trace recorder, if any ([`GatewayBuilder::trace`]).
@@ -715,23 +658,19 @@ impl Gateway {
     }
 
     /// Blocks until every invocation admitted so far has completed: flushes
-    /// each shard (everything queued is routed), then drains each worker.
+    /// each shard (everything queued is routed and dispatched), then waits
+    /// for each worker's groups.
     ///
     /// # Errors
     ///
     /// [`GatewayError::ShuttingDown`] if the gateway is tearing down.
     pub fn drain(&self) -> Result<(), GatewayError> {
-        let mut acks = Vec::with_capacity(self.queues.len());
-        for queue in &self.queues {
-            let (ack, done) = channel::bounded(1);
-            queue.push_control(ack);
-            acks.push(done);
-        }
+        let acks: Vec<_> = self.queues.iter().map(|queue| queue.flush()).collect();
         for done in acks {
             done.recv().map_err(|_| GatewayError::ShuttingDown)?;
         }
-        for platform in self.platforms.iter() {
-            platform.drain().map_err(|_| GatewayError::ShuttingDown)?;
+        for core in self.cores.iter() {
+            core.wait_idle();
         }
         Ok(())
     }
@@ -739,13 +678,13 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        // Shard dispatchers exit after a final drain-and-route pass, so
-        // everything admitted still reaches a worker; the platforms then
-        // drain their own outstanding work as they drop.
+        // Shard threads exit after a final drain-and-route pass, so
+        // everything admitted still reaches a worker; the cores then wait
+        // for their outstanding groups as they drop.
         for queue in &self.queues {
             queue.close();
         }
-        for handle in self.dispatchers.drain(..) {
+        for handle in self.shard_threads.drain(..) {
             let _ = handle.join();
         }
     }
@@ -801,6 +740,59 @@ mod tests {
         let gateway = tiny_gateway(RoutingKind::RoundRobin);
         let err = gateway.invoke("nope", Bytes::new()).unwrap_err();
         assert_eq!(err, GatewayError::UnknownFunction("nope".to_owned()));
+    }
+
+    #[test]
+    fn two_thousand_names_resolve_through_the_shared_table() {
+        let mut builder = Gateway::builder()
+            .workers(3)
+            .shards(2)
+            .window(Duration::from_millis(5))
+            .cold_start_delay(Duration::ZERO);
+        for f in 0..2_048 {
+            builder = builder.register(&format!("fn-{f}"), |_env| {});
+        }
+        let gateway = builder.start();
+        assert_eq!(gateway.functions().len(), 2_048);
+        let tickets: Vec<_> = [0, 1_024, 2_047]
+            .iter()
+            .map(|f| gateway.invoke(&format!("fn-{f}"), Bytes::new()).unwrap())
+            .collect();
+        gateway.drain().unwrap();
+        for ticket in tickets {
+            assert!(!ticket.wait().panicked);
+        }
+        assert_eq!(gateway.shard_of("fn-2047"), Some(stable_hash(2_047) % 2));
+        assert_eq!(
+            gateway.invoke("fn-2048", Bytes::new()).unwrap_err(),
+            GatewayError::UnknownFunction("fn-2048".to_owned())
+        );
+    }
+
+    /// W workers and S shards run S threads: the workers are thread-less
+    /// cores. Nothing in this test binary starts a `FaasBatchPlatform`, so
+    /// a window (or, before, a dispatcher) thread anywhere in the process
+    /// could only be a per-worker one.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn workers_own_no_threads() {
+        let gateway = Gateway::builder()
+            .workers(3)
+            .shards(2)
+            .window(Duration::from_millis(5))
+            .cold_start_delay(Duration::ZERO)
+            .register("f", |_env| {})
+            .start();
+        gateway.invoke("f", Bytes::new()).unwrap().wait();
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .collect();
+        // `comm` holds the first 15 bytes of the thread name.
+        let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+        assert!(count("faasbatch-gatew") >= 2, "shard threads: {names:?}");
+        assert_eq!(count("faasbatch-windo"), 0, "{names:?}");
+        assert_eq!(count("faasbatch-dispa"), 0, "{names:?}");
     }
 
     #[test]

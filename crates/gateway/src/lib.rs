@@ -1,9 +1,9 @@
 //! # faasbatch-gateway
 //!
 //! A live, sharded front door over a fleet of worker
-//! [`FaasBatchPlatform`](faasbatch_core::platform::FaasBatchPlatform)s —
-//! the "many dispatchers, many workers" deployment the paper's single
-//! dispatcher scales out to.
+//! [`DispatchCore`](faasbatch_core::platform::DispatchCore)s — the "many
+//! dispatchers, many workers" deployment the paper's single dispatcher
+//! scales out to.
 //!
 //! The pipeline, per invocation:
 //!
@@ -14,15 +14,17 @@
 //! 2. **Admit** — each shard's ingress queue is depth-bounded; saturation
 //!    yields a typed [`GatewayError::Rejected`] (back-pressure), never a
 //!    panic or an unbounded buffer.
-//! 3. **Window & group** — the shard dispatcher accumulates one dispatch
-//!    window, then groups admitted requests per function (the Invoke
-//!    Mapper, lifted to the gateway).
+//! 3. **Window & group** — each shard's thread runs the same
+//!    [`WindowQueue`](faasbatch_core::window::WindowQueue) loop a lone
+//!    platform runs: accumulate one dispatch window, then group admitted
+//!    requests per function (the Invoke Mapper, lifted to the gateway).
 //! 4. **Route** — each group is placed **as a unit** on one worker by a
 //!    pluggable [`RoutingKind`](faasbatch_core::routing::RoutingKind)
 //!    policy (round-robin, least-loaded, warm-affinity, or Hiku-style
-//!    pull-based) over shared router-side load estimates, then submitted
-//!    via `FaasBatchPlatform::submit_group` — workers never re-window, so
-//!    a group can never be split or merged downstream.
+//!    pull-based) over shared router-side load estimates, then dispatched
+//!    inline on the shard thread via `DispatchCore::dispatch` — workers
+//!    have no window and no thread, so a group can never be split or
+//!    merged downstream.
 //!
 //! With a [`LiveTraceRecorder`](faasbatch_metrics::live::LiveTraceRecorder)
 //! attached, the gateway emits `GatewayEnqueue` / `GatewayAdmit` /
@@ -61,6 +63,5 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod gateway;
-mod shard;
 
 pub use gateway::{Gateway, GatewayBuilder, GatewayError, GatewaySnapshot, ShardSnapshot};

@@ -319,7 +319,7 @@ pub enum EventKind {
         depth: u64,
     },
     /// A shard dispatcher routed one whole dispatch-window group to a live
-    /// worker platform (the live counterpart of `GroupFormed`).
+    /// worker (the live counterpart of `GroupFormed`).
     GatewayRoute {
         /// Function shared by every member.
         function: FunctionId,

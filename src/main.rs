@@ -144,10 +144,12 @@ const COMMANDS: &[Command] = &[
         name: "live",
         positionals: "",
         flags: &[
-            "--jobs N --batch-size N --workers N --seed N --window-ms N --cold-ms N",
-            "--work-us N --audit --out FILE --snapshots N --restore-ms N",
+            "--jobs N --batch-size N --workers N --window-ms N --cold-ms N",
+            "--work-us N --audit --out FILE",
+            LIVE_PLATFORM,
             TELEMETRY,
-            "--gateway --shards N --shard-depth N --policy {policies}",
+            "--gateway",
+            LIVE_GATEWAY,
         ],
         about: "fire a synthetic burst at the real (wall-clock) platform on
                the work-stealing executor and print throughput plus
@@ -157,7 +159,7 @@ const COMMANDS: &[Command] = &[
                by `faasbatch trace --analyze`); with --gateway the burst
                instead enters the sharded live gateway, which routes each
                dispatch-window group as a unit across --workers N live
-               worker platforms (default 8) from --shards N ingress shards
+               workers (default 8) from --shards N ingress shards
                under the chosen routing policy, with per-shard admission
                control (saturated shards reject instead of buffering);
                --metrics-addr serves live Prometheus text on /metrics and a
@@ -1124,9 +1126,7 @@ fn quantile_sorted(sorted: &[std::time::Duration], q: f64) -> std::time::Duratio
     sorted[rank - 1]
 }
 
-/// `faasbatch live`: a synthetic burst against the real platform.
-/// Exports (`--out`) and audits (`--audit`) a recorded live event stream —
-/// shared tail of `live` and `live --gateway`.
+/// Exports (`--out`) and audits (`--audit`) a recorded live event stream.
 fn audit_and_export(
     recorder: faasbatch::metrics::live::LiveTraceRecorder,
     opts: &Options,
@@ -1144,205 +1144,213 @@ fn audit_and_export(
     audit(&events)
 }
 
-fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
-    use faasbatch::gateway::{Gateway, GatewayError};
+/// The first flag of `spec` (a [`Command::flags`] spec string) that was
+/// given — as the parser's own unknown-flag error, scoped to `front_door`.
+fn reject_flags_of(spec: &str, opts: &Options, front_door: &str) -> Result<(), String> {
+    match spec
+        .split_whitespace()
+        .find(|token| token.starts_with("--") && opts.flag(token))
+    {
+        Some(flag) => Err(format!("unknown flag for `{front_door}`: {flag}")),
+        None => Ok(()),
+    }
+}
 
-    let jobs: usize = opts.num("--jobs", 20_000)?;
-    let batch_size: usize = opts.num("--batch-size", 100)?;
-    let workers: usize = opts.num("--workers", 8)?;
-    let shards: usize = opts.num("--shards", 4)?;
-    let shard_depth: usize = opts.num("--shard-depth", 65_536)?;
-    let window = std::time::Duration::from_millis(opts.positive("--window-ms", 25)?);
-    let cold = std::time::Duration::from_millis(opts.num("--cold-ms", 2)?);
-    let work = std::time::Duration::from_micros(opts.num("--work-us", 250)?);
-    let policy =
-        RoutingKind::parse(&opts.str("--policy", "least-loaded")).map_err(|e| e.to_string())?;
-    if jobs == 0 || batch_size == 0 {
-        return Err("--jobs and --batch-size must be at least 1".to_owned());
-    }
-    let functions = jobs.div_ceil(batch_size);
-    let telemetry = LiveTelemetry::from_opts(opts)?;
-    let trace =
-        opts.flag("--audit") || opts.values.contains_key("--out") || telemetry.wants_trace();
-    let recorder = trace.then(|| telemetry.recorder());
+/// What both `live` front doors share: the burst's shape, the handler
+/// body's sleep, and the trace/telemetry wiring.
+struct LiveBurst {
+    jobs: usize,
+    batch_size: usize,
+    functions: usize,
+    workers: usize,
+    window: std::time::Duration,
+    cold: std::time::Duration,
+    work: std::time::Duration,
+    recorder: Option<faasbatch::metrics::live::LiveTraceRecorder>,
+    registry: Option<faasbatch::metrics::MetricRegistry>,
+}
 
-    let mut builder = Gateway::builder()
-        .workers(workers)
-        .shards(shards)
-        .shard_depth(shard_depth)
-        .window(window)
-        .cold_start_delay(cold)
-        .policy(policy);
-    if let Some(rec) = &recorder {
-        builder = builder.trace(rec.clone());
-    }
-    if let Some(registry) = &telemetry.registry {
-        builder = builder.telemetry(registry);
-    }
-    for f in 0..functions {
-        builder = builder.register(&format!("burst-{f}"), move |_env| {
+impl LiveBurst {
+    /// The body registered under each of `burst-0..functions`: sleeps
+    /// `--work-us`.
+    fn body(
+        &self,
+    ) -> impl Fn(&faasbatch::core::platform::InvocationEnv<'_>) + Send + Sync + 'static {
+        let work = self.work;
+        move |_env| {
             if !work.is_zero() {
                 std::thread::sleep(work);
             }
-        });
+        }
+    }
+
+    /// Fires the burst through `invoke` (`Ok(None)`: rejected by admission
+    /// control), waits for every ticket, drains, and prints the summary and
+    /// latency lines; `summary` supplies the front door's own counters once
+    /// the burst is over.
+    fn fire(
+        &self,
+        invoke: impl Fn(&str) -> Result<Option<faasbatch::core::platform::InvokeTicket>, String>,
+        drain: impl FnOnce() -> Result<(), String>,
+        summary: impl FnOnce(usize) -> String,
+    ) -> Result<(), String> {
+        let started = std::time::Instant::now();
+        let mut tickets = Vec::with_capacity(self.jobs);
+        for n in 0..self.jobs {
+            tickets.extend(invoke(&format!("burst-{}", n % self.functions))?);
+        }
+        let rejected = self.jobs - tickets.len();
+        let mut latencies: Vec<std::time::Duration> = Vec::with_capacity(tickets.len());
+        let mut panicked = 0usize;
+        for t in tickets {
+            let outcome = t.wait();
+            if outcome.panicked {
+                panicked += 1;
+            }
+            latencies.push(outcome.total());
+        }
+        drain()?;
+        let elapsed = started.elapsed();
+
+        latencies.sort_unstable();
+        println!(
+            "done in {elapsed:.2?}: {:.0} invocations/s | completed {} | {} | panicked {panicked}",
+            latencies.len() as f64 / elapsed.as_secs_f64(),
+            latencies.len(),
+            summary(rejected),
+        );
+        println!(
+            "latency: p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
+            quantile_sorted(&latencies, 0.50),
+            quantile_sorted(&latencies, 0.95),
+            quantile_sorted(&latencies, 0.99),
+            latencies.last().copied().unwrap_or_default(),
+        );
+        Ok(())
+    }
+}
+
+/// What only the single-platform front door reads.
+const LIVE_PLATFORM: &str = "--seed N --snapshots N --restore-ms N";
+/// What only `live --gateway` reads.
+const LIVE_GATEWAY: &str = "--shards N --shard-depth N --policy {policies}";
+
+fn live_gateway(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
+    use faasbatch::gateway::{Gateway, GatewayError};
+
+    let shards: usize = opts.num("--shards", 4)?;
+    let shard_depth: usize = opts.num("--shard-depth", 65_536)?;
+    let policy =
+        RoutingKind::parse(&opts.str("--policy", "least-loaded")).map_err(|e| e.to_string())?;
+    let mut builder = Gateway::builder()
+        .workers(burst.workers)
+        .shards(shards)
+        .shard_depth(shard_depth)
+        .window(burst.window)
+        .cold_start_delay(burst.cold)
+        .policy(policy);
+    if let Some(rec) = &burst.recorder {
+        builder = builder.trace(rec.clone());
+    }
+    if let Some(registry) = &burst.registry {
+        builder = builder.telemetry(registry);
+    }
+    for f in 0..burst.functions {
+        builder = builder.register(&format!("burst-{f}"), burst.body());
     }
     let gateway = builder.start();
 
     println!(
-        "firing {jobs} invocations over {functions} function(s) through \
-         {shards} gateway shard(s) onto {workers} live worker platform(s), \
-         {} routing…",
+        "firing {} invocations over {} function(s) through {shards} gateway shard(s) onto \
+         {} live worker(s), {} routing…",
+        burst.jobs,
+        burst.functions,
+        burst.workers,
         policy.name()
     );
-    let started = std::time::Instant::now();
-    let mut tickets = Vec::with_capacity(jobs);
-    let mut rejected = 0usize;
-    for n in 0..jobs {
-        match gateway.invoke(&format!("burst-{}", n % functions), bytes::Bytes::new()) {
-            Ok(t) => tickets.push(t),
-            Err(GatewayError::Rejected { .. }) => rejected += 1,
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    let mut latencies: Vec<std::time::Duration> = Vec::with_capacity(tickets.len());
-    let mut panicked = 0usize;
-    for t in tickets {
-        let outcome = t.wait();
-        if outcome.panicked {
-            panicked += 1;
-        }
-        latencies.push(outcome.total());
-    }
-    gateway.drain().map_err(|e| e.to_string())?;
-    let elapsed = started.elapsed();
-
-    latencies.sort_unstable();
-    let completed = latencies.len();
-    println!(
-        "done in {elapsed:.2?}: {:.0} invocations/s | completed {completed} | \
-         rejected {rejected} | panicked {panicked} | peak in-flight {}",
-        completed as f64 / elapsed.as_secs_f64(),
-        gateway.peak_in_flight(),
-    );
-    println!(
-        "latency: p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
-        quantile_sorted(&latencies, 0.50),
-        quantile_sorted(&latencies, 0.95),
-        quantile_sorted(&latencies, 0.99),
-        latencies.last().copied().unwrap_or_default(),
-    );
+    burst.fire(
+        |name| match gateway.invoke(name, bytes::Bytes::new()) {
+            Ok(ticket) => Ok(Some(ticket)),
+            Err(GatewayError::Rejected { .. }) => Ok(None),
+            Err(e) => Err(e.to_string()),
+        },
+        || gateway.drain().map_err(|e| e.to_string()),
+        |rejected| {
+            format!(
+                "rejected {rejected} | peak in-flight {}",
+                gateway.peak_in_flight()
+            )
+        },
+    )?;
     for (shard, s) in gateway.stats().shards.iter().enumerate() {
         println!(
             "shard {shard}: enqueued {} | admitted {} | rejected {} | groups {}",
             s.enqueued, s.admitted, s.rejected, s.routed_groups
         );
     }
-
-    drop(gateway);
-    telemetry.finish()?;
-    match recorder {
-        Some(recorder) => audit_and_export(recorder, opts),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
-fn cmd_live(opts: &Options) -> Result<(), String> {
+fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
     use faasbatch::core::platform::PlatformBuilder;
     use faasbatch::exec::{Executor, ExecutorConfig};
+    use std::sync::atomic::Ordering::Relaxed;
 
-    if opts.flag("--gateway") {
-        return cmd_live_gateway(opts);
-    }
-
-    let jobs: usize = opts.num("--jobs", 2000)?;
-    let batch_size: usize = opts.num("--batch-size", 100)?;
-    let workers: usize = opts.num("--workers", 0)?;
     let seed: u64 = opts.num("--seed", 2023)?;
-    let window = std::time::Duration::from_millis(opts.positive("--window-ms", 25)?);
-    let cold = std::time::Duration::from_millis(opts.num("--cold-ms", 2)?);
-    let work = std::time::Duration::from_micros(opts.num("--work-us", 250)?);
     let snapshots: usize = opts.num("--snapshots", 0)?;
     let restore = std::time::Duration::from_millis(opts.num("--restore-ms", 1)?);
-    if jobs == 0 || batch_size == 0 {
-        return Err("--jobs and --batch-size must be at least 1".to_owned());
-    }
-    let functions = jobs.div_ceil(batch_size);
-    let telemetry = LiveTelemetry::from_opts(opts)?;
-    let trace =
-        opts.flag("--audit") || opts.values.contains_key("--out") || telemetry.wants_trace();
-
     let mut exec_config = ExecutorConfig {
         seed,
         ..ExecutorConfig::default()
     };
-    if workers > 0 {
-        exec_config.workers = workers;
+    if burst.workers > 0 {
+        exec_config.workers = burst.workers;
     }
     let executor = Executor::new(exec_config);
-    let recorder = trace.then(|| telemetry.recorder());
     let mut builder = PlatformBuilder::new()
-        .window(window)
-        .cold_start_delay(cold)
+        .window(burst.window)
+        .cold_start_delay(burst.cold)
         .snapshots(snapshots)
         .restore_delay(restore)
         .executor(std::sync::Arc::clone(&executor));
-    if let Some(rec) = &recorder {
+    if let Some(rec) = &burst.recorder {
         builder = builder.trace(rec.clone());
     }
-    if let Some(registry) = &telemetry.registry {
+    if let Some(registry) = &burst.registry {
         builder = builder.telemetry(faasbatch::core::telemetry::PlatformTelemetry::new(registry));
         faasbatch::core::telemetry::register_executor(registry, &executor);
     }
-    for f in 0..functions {
-        builder = builder.register(&format!("burst-{f}"), move |_env| {
-            if !work.is_zero() {
-                std::thread::sleep(work);
-            }
-        });
+    for f in 0..burst.functions {
+        builder = builder.register(&format!("burst-{f}"), burst.body());
     }
     let platform = builder.start();
 
     println!(
-        "firing {jobs} invocations over {functions} function(s) (target batch \
-         {batch_size}) on the work-stealing executor, {} worker(s)…",
+        "firing {} invocations over {} function(s) (target batch {}) on the work-stealing \
+         executor, {} worker(s)…",
+        burst.jobs,
+        burst.functions,
+        burst.batch_size,
         executor.workers()
     );
-    let started = std::time::Instant::now();
-    let tickets: Vec<_> = (0..jobs)
-        .map(|n| {
-            platform
-                .invoke(&format!("burst-{}", n % functions), bytes::Bytes::new())
-                .expect("registered")
-        })
-        .collect();
-    let mut latencies: Vec<std::time::Duration> = Vec::with_capacity(jobs);
-    let mut panicked = 0usize;
-    for t in tickets {
-        let outcome = t.wait();
-        if outcome.panicked {
-            panicked += 1;
-        }
-        latencies.push(outcome.total());
-    }
-    platform.drain().map_err(|e| e.to_string())?;
-    let elapsed = started.elapsed();
-
-    latencies.sort_unstable();
     let stats = platform.stats();
-    println!(
-        "done in {elapsed:.2?}: {:.0} invocations/s | containers {} | restored {} | batches {} | panicked {panicked}",
-        jobs as f64 / elapsed.as_secs_f64(),
-        stats.containers_created.load(std::sync::atomic::Ordering::Relaxed),
-        stats.containers_restored.load(std::sync::atomic::Ordering::Relaxed),
-        stats.batches.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    println!(
-        "latency: p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
-        quantile_sorted(&latencies, 0.50),
-        quantile_sorted(&latencies, 0.95),
-        quantile_sorted(&latencies, 0.99),
-        latencies.last().copied().unwrap_or_default(),
-    );
+    burst.fire(
+        |name| {
+            platform
+                .invoke(name, bytes::Bytes::new())
+                .map(Some)
+                .map_err(|e| e.to_string())
+        },
+        || platform.drain().map_err(|e| e.to_string()),
+        |_rejected| {
+            format!(
+                "containers {} | restored {} | batches {}",
+                stats.containers_created.load(Relaxed),
+                stats.containers_restored.load(Relaxed),
+                stats.batches.load(Relaxed),
+            )
+        },
+    )?;
     let metrics = executor.metrics();
     println!(
         "executor: {} worker(s) | peak in-flight {} | spawned {} | steals {}",
@@ -1351,10 +1359,47 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
         metrics.spawned_total,
         metrics.total_steals(),
     );
+    Ok(())
+}
 
-    drop(platform);
+/// `faasbatch live`: a synthetic burst against the real platform, or with
+/// `--gateway` against the sharded gateway. A flag the chosen front door
+/// never reads is an error, not a silent no-op.
+fn cmd_live(opts: &Options) -> Result<(), String> {
+    let gateway = opts.flag("--gateway");
+    if gateway {
+        reject_flags_of(LIVE_PLATFORM, opts, "live --gateway")?;
+    } else {
+        reject_flags_of(LIVE_GATEWAY, opts, "live (without --gateway)")?;
+    }
+    let jobs: usize = opts.num("--jobs", if gateway { 20_000 } else { 2_000 })?;
+    let batch_size: usize = opts.num("--batch-size", 100)?;
+    if jobs == 0 || batch_size == 0 {
+        return Err("--jobs and --batch-size must be at least 1".to_owned());
+    }
+    let telemetry = LiveTelemetry::from_opts(opts)?;
+    let trace =
+        opts.flag("--audit") || opts.values.contains_key("--out") || telemetry.wants_trace();
+    let burst = LiveBurst {
+        jobs,
+        batch_size,
+        functions: jobs.div_ceil(batch_size),
+        // Gateway: worker count; platform: executor size (0 = its default).
+        workers: opts.num("--workers", if gateway { 8 } else { 0 })?,
+        window: std::time::Duration::from_millis(opts.positive("--window-ms", 25)?),
+        cold: std::time::Duration::from_millis(opts.num("--cold-ms", 2)?),
+        work: std::time::Duration::from_micros(opts.num("--work-us", 250)?),
+        recorder: trace.then(|| telemetry.recorder()),
+        registry: telemetry.registry.clone(),
+    };
+    // Each front door drains and drops before it returns.
+    if gateway {
+        live_gateway(opts, &burst)?;
+    } else {
+        live_platform(opts, &burst)?;
+    }
     telemetry.finish()?;
-    match recorder {
+    match burst.recorder {
         Some(recorder) => audit_and_export(recorder, opts),
         None => Ok(()),
     }
@@ -1490,6 +1535,27 @@ mod tests {
                     c.name
                 );
             }
+        }
+    }
+
+    /// `live` has two front doors; a flag only the other one reads is the
+    /// parser's unknown-flag error, raised before anything starts.
+    #[test]
+    fn live_rejects_flags_its_front_door_never_reads() {
+        let cases: [(&[&str], &str); 6] = [
+            (&["--gateway", "--snapshots", "4"], "--snapshots"),
+            (&["--gateway", "--restore-ms", "1"], "--restore-ms"),
+            (&["--gateway", "--seed", "7"], "--seed"),
+            (&["--shards", "2"], "--shards"),
+            (&["--shard-depth", "64"], "--shard-depth"),
+            (&["--policy", "round-robin"], "--policy"),
+        ];
+        for (args, flag) in cases {
+            let err = run("live", &strings(args)).expect_err(&format!("live {args:?}"));
+            assert!(
+                err.starts_with("unknown flag for `live") && err.ends_with(flag),
+                "live {args:?}: `{err}` must reject `{flag}` as unknown"
+            );
         }
     }
 

@@ -216,6 +216,12 @@ fn large_burst_runs_on_executor_workers_without_thread_per_job() {
         seen.distinct()
     );
     assert!(seen.distinct() >= 2, "the pool must actually parallelize");
+    // The batch epilogue releases `drain` from inside the last member's
+    // task, just before the executor counts that task finished.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while exec.metrics().in_flight > 0 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
     let metrics = exec.metrics();
     assert!(metrics.spawned_total >= JOBS as u64);
     assert_eq!(metrics.in_flight, 0, "all work drained");
