@@ -16,7 +16,7 @@
 //! * [`cluster`] — [`cluster::Cluster`], the worker-node facade bundling the
 //!   CPU model, memory ledger, container table and warm pool; all schedulers
 //!   pay identical costs for identical decisions.
-//! * [`live`] — real-thread batch execution ([`live::LiveContainer`]) for the
+//! * [`live`] — real-thread batch execution ([`live::run_expanded`]) for the
 //!   motivation experiments and live examples.
 //!
 //! # Examples

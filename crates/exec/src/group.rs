@@ -1,4 +1,4 @@
-//! Task groups: the executor-level unit a `LiveContainer` batch maps onto.
+//! Task groups: the executor-level unit a live container's batch maps onto.
 //!
 //! A group is a set of jobs submitted together, optionally pinned to a
 //! [`CpuSet`](crate::CpuSet). A **group-completion barrier** replaces the

@@ -21,7 +21,7 @@
 //!   the [`Sleep`] leaf future.
 //! - **Parker/unparker** (`park`) — idle workers sleep on a condvar with
 //!   a lost-wakeup-free hand-off protocol.
-//! - **Task groups** ([`group`]) — a `LiveContainer` batch becomes a group
+//! - **Task groups** ([`group`]) — a live container's batch becomes a group
 //!   of tasks pinned to a [`CpuSet`]; a group-completion barrier replaces
 //!   the per-batch thread join, and a panicking job fails only its own
 //!   invocation (typed [`JobError`]).

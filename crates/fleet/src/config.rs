@@ -108,7 +108,8 @@ impl FleetConfig {
     ///
     /// [`FleetError::InvalidConfig`] naming the offending field: zero
     /// workers, a zero window, a fault on a worker index that does not
-    /// exist, or an invalid autoscaler config.
+    /// exist, a second crash on one worker (it can only die once), or an
+    /// invalid autoscaler config.
     pub fn validate(&self) -> Result<(), FleetError> {
         let invalid = |why: String| Err(FleetError::InvalidConfig(why));
         if self.workers == 0 {
@@ -123,26 +124,22 @@ impl FleetConfig {
                 f.worker, self.workers
             ));
         }
+        let crashes = |w: usize| {
+            let on_w = |f: &&WorkerFault| f.worker == w && f.kind == FaultKind::Crash;
+            self.faults.iter().filter(on_w).count()
+        };
+        if let Some(f) = self.faults.iter().find(|f| crashes(f.worker) > 1) {
+            return invalid(format!(
+                "faults: worker {} has more than one crash fault",
+                f.worker
+            ));
+        }
         if let Some(ac) = &self.autoscaler {
             if let Err(e) = ac.validate() {
                 return invalid(format!("autoscaler: {e}"));
             }
         }
         Ok(())
-    }
-
-    /// True when `worker` still accepts new arrivals at `at` (no crash or
-    /// drain fault has taken effect yet).
-    pub fn accepting(&self, worker: usize, at: SimTime) -> bool {
-        !self.faults.iter().any(|f| f.worker == worker && f.at <= at)
-    }
-
-    /// The crash instant of `worker`, if it has a crash fault.
-    pub fn crash_at(&self, worker: usize) -> Option<SimTime> {
-        self.faults
-            .iter()
-            .find(|f| f.worker == worker && f.kind == FaultKind::Crash)
-            .map(|f| f.at)
     }
 }
 
@@ -185,23 +182,17 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(rejection(missing_worker).contains("fault references worker 5"));
-    }
-
-    #[test]
-    fn accepting_respects_faults() {
-        let cfg = FleetConfig {
-            workers: 2,
-            faults: vec![WorkerFault {
-                worker: 1,
-                at: SimTime::from_secs(5),
-                kind: FaultKind::Drain,
-            }],
+        let crash = |at| WorkerFault {
+            worker: 0,
+            at: SimTime::from_secs(at),
+            kind: FaultKind::Crash,
+        };
+        let dies_twice = FleetConfig {
+            faults: vec![crash(2), crash(1)],
             ..FleetConfig::default()
         };
-        assert!(cfg.accepting(1, SimTime::from_secs(4)));
-        assert!(!cfg.accepting(1, SimTime::from_secs(5)));
-        assert!(cfg.accepting(0, SimTime::from_secs(9)));
-        assert_eq!(cfg.crash_at(1), None);
+        let why = rejection(dies_twice);
+        assert!(why.starts_with("faults") && why.contains("more than one crash"));
     }
 
     #[test]

@@ -5,25 +5,27 @@
 //!
 //! The paper evaluates FaaSBatch on one 32-vCPU worker. This crate scales
 //! that model out: a fleet-level front door routes the invocation stream
-//! across N identical workers, each replaying its share through the
-//! unchanged `faasbatch-schedulers` harness (running either FaaSBatch or
-//! the Vanilla baseline). Three ideas define the layer:
+//! across N identical workers — stepping
+//! [`Worker`](faasbatch_schedulers::harness::Worker)s of the unchanged
+//! `faasbatch-schedulers` harness, running FaaSBatch or the Vanilla
+//! baseline — in **one loop in time order** ([`sim`] has the mechanics).
+//! Three ideas define the layer:
 //!
 //! 1. **Pluggable routing** ([`routing`]) — a [`routing::RoutingPolicy`]
 //!    trait with four built-ins: [`routing::RoundRobin`],
 //!    [`routing::LeastLoaded`] (runnable-task pressure),
 //!    [`routing::WarmAffinity`] (stable function→worker hashing), and
 //!    [`routing::PullBased`] (idle workers pull from a shared queue,
-//!    Hiku-style).
+//!    Hiku-style), each deciding on the state of the instant it is asked.
 //! 2. **Group-unit routing** — the router places *function groups* (same
 //!    function, same dispatch window), never single invocations, extending
 //!    the Invoke Mapper's never-split invariant to the fleet.
-//! 3. **Faults** ([`config::WorkerFault`]) — workers can crash (in-flight
-//!    invocations re-dispatched to survivors under a bounded retry budget,
-//!    the delay charged to scheduling latency) or drain (finish held work,
-//!    accept nothing new). A fault schedule that strands an invocation past
-//!    its budget surfaces as a typed [`error::FleetError`] instead of a
-//!    completed report.
+//! 3. **Faults as events** ([`config::WorkerFault`]) — a worker can crash
+//!    (it stops at that instant; what it held is re-dispatched to survivors
+//!    under a bounded retry budget, the delay charged to scheduling
+//!    latency) or drain (finish held work, be offered nothing new). A fault
+//!    schedule that strands an invocation past its budget surfaces as a
+//!    typed [`error::FleetError`] instead of a completed report.
 //!
 //! The entry point is [`sim::run_fleet`]; results land in a
 //! [`report::FleetReport`] with per-worker [`RunReport`]s plus fleet

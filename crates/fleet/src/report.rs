@@ -36,12 +36,12 @@ pub struct WorkerReport {
     /// Invocations this worker completed.
     pub completed: usize,
     /// Invocations lost to a crash on this worker and re-dispatched
-    /// elsewhere.
+    /// elsewhere: those it held at the crash, plus members of groups placed
+    /// on it before the crash that arrived after.
     pub lost: usize,
-    /// The worker's replay report. For a crashed worker, `records` and
-    /// `sampler` are truncated at the crash instant; scalar resource
-    /// counters (containers, core-seconds, clients) still describe the
-    /// replay including work the crash cut short.
+    /// The worker's report. A crashed worker's ends at the crash instant:
+    /// records, samples and resource counters (containers, core-seconds,
+    /// clients) describe only work that ran before it.
     pub report: RunReport,
 }
 

@@ -1,21 +1,39 @@
-//! The fleet replay: deterministic trace-splitting over N workers.
+//! The fleet replay: one loop, in time order, over N stepping workers.
 //!
-//! The router walks the workload in arrival order, forms function groups
-//! (same function, same dispatch window), and places each group on one
-//! worker via the [`RoutingPolicy`]. Each
-//! worker then replays its sub-trace through the unchanged single-worker
-//! harness (`run_simulation_traced`), so per-worker behaviour is identical
-//! to the paper's single-node evaluation.
+//! Three sorted inputs are merged by instant — the workload, a small heap
+//! of re-dispatches, and the fault list — and every worker is a
+//! [`Worker`] advanced only as far as its next injection, its crash, or the
+//! end of the run. Nothing is routed ahead of time and nothing is replayed
+//! twice.
 //!
-//! Faults are applied afterwards, crash by crash in chronological order: a
-//! crashed worker keeps every record that completed before the crash
-//! instant, and its in-flight invocations are re-dispatched to surviving
-//! workers after a configurable delay, under a bounded per-invocation retry
-//! budget. The re-dispatch gap is folded into the record's scheduling
-//! latency, so fleet records satisfy the same consistency invariant as
-//! single-worker records.
+//! * **Arrival.** The first member of a function group — key `(function,
+//!   arrival / window, attempt)` — places the whole group: the
+//!   [`RoutingPolicy`] picks a worker from the liveness flags and the
+//!   router-side [`WorkerLoad`] estimates *as they stand at that instant*,
+//!   and the group's work — the rest of its window in the trace — is
+//!   charged to the pick. Later members follow the group; each is injected
+//!   into its worker under its fleet id at its arrival.
+//! * **Drain.** The worker's liveness flag drops: it is offered no new
+//!   group, finishes what it holds, and keeps receiving the members of
+//!   groups it was already given (a group is never split).
+//! * **Crash.** The worker runs up to the crash instant and stops; its
+//!   report ends there. What it had accepted but not completed is
+//!   harvested, charged one retry each (a spent budget is
+//!   [`FleetError::RetryBudgetExhausted`]), and queued per function for
+//!   `crash + redispatch_delay`, where it is an arrival like any other:
+//!   grouped by its effective window and attempt, routed on the state of
+//!   that instant.
+//! * **Late member.** A member whose group sits on a worker that is dead
+//!   when the member arrives is lost on arrival and re-dispatched at
+//!   `max(arrival, crash + redispatch_delay)` — never before it exists.
+//!
+//! The re-dispatch gap is folded into the record's scheduling latency, so
+//! fleet records satisfy the same consistency invariant as single-worker
+//! records. Routing still reads estimates, not worker state — a front door
+//! cannot see inside its workers, and leaving the policy inputs alone is
+//! what holds every fault-free result byte-identical.
 
-use crate::config::{FleetConfig, WorkerScheduler};
+use crate::config::{FaultKind, FleetConfig, WorkerScheduler};
 use crate::error::FleetError;
 use crate::report::{FleetRecord, FleetReport, WorkerReport};
 use crate::routing::{RouterCtx, RoutingPolicy, WorkerLoad};
@@ -24,28 +42,11 @@ use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::autoscaler::AutoscalerSink;
 use faasbatch_metrics::events::{EventKind, NoopSink, SimEvent, TraceSink};
 use faasbatch_metrics::report::RunReport;
-use faasbatch_metrics::sampler::ResourceSampler;
-use faasbatch_schedulers::harness::run_simulation_traced;
+use faasbatch_schedulers::harness::Worker;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::workload::{Invocation, Workload};
-use std::collections::{BTreeSet, HashMap};
-
-/// One invocation as the router tracks it across placements.
-#[derive(Debug, Clone)]
-struct Pending {
-    /// Dense id in the original fleet workload.
-    fleet_id: u64,
-    function: FunctionId,
-    original_arrival: SimTime,
-    /// Arrival used for the current placement; moves forward on re-dispatch.
-    effective_arrival: SimTime,
-    work: SimDuration,
-    retries: u32,
-}
-
-/// Group identity: (function index, dispatch-window epoch, attempt). All
-/// members route to one worker as a unit.
-type GroupKey = (u32, u64, u32);
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Replays `workload` over a fleet configured by `cfg` under `policy`.
 ///
@@ -72,12 +73,12 @@ pub fn run_fleet(
 /// [`run_fleet`] with an observable fleet-level event stream.
 ///
 /// The stream narrates the *fleet* layer — one `Arrival` per workload
-/// invocation at its original arrival, `GroupFormed` per routed group,
-/// `WorkerCrash` / `Redispatch` for the fault path, and one
-/// `InvocationComplete` (with no batch identity) per merged record — sorted
-/// by time and fed through `sink`, which is returned for downcasting.
-/// Per-worker mechanism detail lives in the single-worker streams; this
-/// layer is what the fleet adds on top.
+/// invocation at its original arrival, `GroupFormed` per placed group
+/// (carrying the members known at placement), `WorkerCrash` / `Redispatch`
+/// for the fault path, and one `InvocationComplete` (with no batch
+/// identity) per merged record — sorted by time and fed through `sink`,
+/// which is returned for downcasting. Per-worker mechanism detail lives in
+/// the single-worker streams; this layer is what the fleet adds on top.
 ///
 /// # Errors
 ///
@@ -93,8 +94,9 @@ pub fn run_fleet_traced(
 ) -> Result<(FleetReport, Box<dyn TraceSink>), FleetError> {
     let (report, events) = run_fleet_impl(workload, cfg, policy, label, Some(Vec::new()))?;
     let mut events = events.unwrap_or_default();
-    // Collection order is per-phase; present one time-ordered stream (the
-    // sort is stable, so causal order within a timestamp is preserved).
+    // Workers are stepped lazily, so completions surface out of order;
+    // present one time-ordered stream (the sort is stable, so causal order
+    // within a timestamp is preserved).
     events.sort_by_key(|e| e.at);
     for event in &events {
         sink.record(event);
@@ -102,26 +104,258 @@ pub fn run_fleet_traced(
     Ok((report, sink))
 }
 
-/// Appends `event` when the run is being traced.
-fn trace(events: &mut Option<Vec<SimEvent>>, at: SimTime, kind: EventKind) {
-    if let Some(buf) = events.as_mut() {
-        buf.push(SimEvent::new(at, kind));
+/// One worker's seat in the loop.
+struct Seat {
+    /// The stepping worker; `None` once a crash has stopped it.
+    worker: Option<Worker>,
+    /// Crash instant, and the report as it stood then.
+    crashed: Option<(SimTime, RunReport)>,
+    /// Invocations lost to the crash: harvested from the worker, or owed to
+    /// it by a group placed before the crash and arriving after.
+    lost: usize,
+}
+
+/// The loop's state: everything an arrival, a re-dispatch or a fault touches.
+struct Fleet<'a> {
+    cfg: &'a FleetConfig,
+    /// The workload; a fleet id is an index into it.
+    invs: &'a [Invocation],
+    policy: Box<dyn RoutingPolicy>,
+    seats: Vec<Seat>,
+    /// Workers the router may still pick: no crash or drain has taken effect.
+    accepting: Vec<bool>,
+    load: Vec<WorkerLoad>,
+    /// Groups placed in the current window epoch: (function, attempt) →
+    /// worker. Time only moves forward, so older epochs are dropped whole.
+    placed: HashMap<(FunctionId, u32), usize>,
+    epoch: u64,
+    /// Re-dispatches waiting for their instant, earliest first: (effective
+    /// arrival, fleet ids sharing one function and attempt — what one crash
+    /// harvested of a function, or one late member). Empty in a fault-free
+    /// run.
+    queue: BinaryHeap<Reverse<(SimTime, Vec<u64>)>>,
+    /// Re-dispatches consumed, per invocation that has been lost at all.
+    attempts: HashMap<u64, u32>,
+    retries: u64,
+    events: Option<Vec<SimEvent>>,
+}
+
+impl Fleet<'_> {
+    /// Appends `kind` when the run is being traced.
+    fn trace(&mut self, at: SimTime, kind: EventKind) {
+        if let Some(buf) = self.events.as_mut() {
+            buf.push(SimEvent::new(at, kind));
+        }
     }
+
+    /// Hands `ids` — one fresh arrival, or one queued re-dispatch entry — to
+    /// their group's worker at `at`, placing the group first when they are
+    /// its first members.
+    fn dispatch(&mut self, at: SimTime, ids: &[u64]) -> Result<(), FleetError> {
+        let invs = self.invs;
+        let first = &invs[ids[0] as usize];
+        let epoch = at.as_micros() / self.cfg.window.as_micros();
+        if epoch != self.epoch {
+            self.placed.clear();
+            self.epoch = epoch;
+        }
+        let attempt = self.attempts.get(&ids[0]).copied().unwrap_or(0);
+        let key = (first.function, attempt);
+        let w = match self.placed.get(&key) {
+            Some(&w) => {
+                // A fresh member was charged by look-ahead when its group
+                // was placed; a re-dispatch that joins a placed group is
+                // charged as it joins.
+                if attempt > 0 {
+                    for &id in ids {
+                        self.load[w].note(at, invs[id as usize].work);
+                    }
+                }
+                w
+            }
+            None => {
+                let w = self.place(at, attempt, ids)?;
+                self.placed.insert(key, w);
+                w
+            }
+        };
+        for &id in ids {
+            let seat = &mut self.seats[w];
+            if let Some(worker) = seat.worker.as_mut() {
+                worker.inject(&Invocation {
+                    arrival: at,
+                    ..invs[id as usize].clone()
+                });
+                continue;
+            }
+            // A late member: its group's worker died before it arrived.
+            let (crashed, _) = seat.crashed.as_ref().expect("only a crash stops a worker");
+            let due = at.max(*crashed + self.cfg.redispatch_delay);
+            self.lose(id, w, due)?;
+            self.queue.push(Reverse((due, vec![id])));
+        }
+        Ok(())
+    }
+
+    /// Routes the group whose first members `ids` arrive at `at`, and
+    /// charges every member the router can see to the chosen worker: the
+    /// rest of a fresh group's window in the trace, or the re-dispatch
+    /// entry `ids`.
+    fn place(&mut self, at: SimTime, attempt: u32, ids: &[u64]) -> Result<usize, FleetError> {
+        let first = ids[0] as usize;
+        let function = self.invs[first].function;
+        if !self.accepting.contains(&true) {
+            return Err(FleetError::NoLiveWorker {
+                function: function.index(),
+                at,
+            });
+        }
+        for l in &mut self.load {
+            l.observe(at);
+        }
+        let w = self.policy.route(&RouterCtx {
+            now: at,
+            function,
+            alive: &self.accepting,
+            load: &self.load,
+        });
+        assert!(
+            self.accepting[w],
+            "routing policy `{}` picked dead worker {w}",
+            self.policy.name()
+        );
+        let (invs, window, epoch) = (self.invs, self.cfg.window.as_micros(), self.epoch);
+        let mut members = self.events.is_some().then(Vec::new);
+        let load = &mut self.load[w];
+        let charge = |m: &Invocation| {
+            load.note(at, m.work);
+            if let Some(ids) = members.as_mut() {
+                ids.push(m.id);
+            }
+        };
+        if attempt == 0 {
+            invs[first..]
+                .iter()
+                .take_while(|m| m.arrival.as_micros() / window == epoch)
+                .filter(|m| m.function == function)
+                .for_each(charge);
+        } else {
+            ids.iter().map(|&id| &invs[id as usize]).for_each(charge);
+        }
+        if let Some(members) = members {
+            self.trace(
+                at,
+                EventKind::GroupFormed {
+                    function,
+                    size: members.len() as u64,
+                    worker: w as u64,
+                    members,
+                },
+            );
+        }
+        Ok(w)
+    }
+
+    /// Invocation `id` is lost on crashed worker `w`: charges one retry and
+    /// returns the attempt its re-dispatch at `due` will be.
+    fn lose(&mut self, id: u64, w: usize, due: SimTime) -> Result<u32, FleetError> {
+        let attempt = self.attempts.entry(id).or_insert(0);
+        if *attempt >= self.cfg.max_retries {
+            return Err(FleetError::RetryBudgetExhausted {
+                invocation: id,
+                worker: w,
+                max_retries: self.cfg.max_retries,
+            });
+        }
+        *attempt += 1;
+        let retries = *attempt;
+        self.seats[w].lost += 1;
+        self.retries += 1;
+        self.trace(
+            due,
+            EventKind::Redispatch {
+                invocation: InvocationId::new(id),
+                from_worker: w as u64,
+                retries,
+            },
+        );
+        Ok(retries)
+    }
+
+    /// Worker `w` dies at `at`: it runs up to that instant, and what it
+    /// still held is queued for re-dispatch, one entry per function group.
+    fn crash(&mut self, w: usize, at: SimTime) -> Result<(), FleetError> {
+        self.trace(at, EventKind::WorkerCrash { worker: w as u64 });
+        let worker = self.seats[w]
+            .worker
+            .take()
+            .expect("validate() allows one crash per worker");
+        let (report, open) = worker.abandon(at);
+        self.seats[w].crashed = Some((at, report));
+        let due = at + self.cfg.redispatch_delay;
+        let mut groups: BTreeMap<(FunctionId, u32), Vec<u64>> = BTreeMap::new();
+        for id in open.into_iter().map(InvocationId::value) {
+            let key = (self.invs[id as usize].function, self.lose(id, w, due)?);
+            groups.entry(key).or_default().push(id);
+        }
+        self.queue
+            .extend(groups.into_values().map(|ids| Reverse((due, ids))));
+        Ok(())
+    }
+}
+
+/// A fresh worker for one seat, running the fleet's scheduler.
+fn new_worker(workload: &Workload, cfg: &FleetConfig, label: &str) -> Worker {
+    let (kind, setup) = match &cfg.scheduler {
+        WorkerScheduler::Vanilla => (SchedulerKind::Vanilla, SchedulerSetup::new(cfg.window)),
+        WorkerScheduler::FaasBatch(fb) => (
+            SchedulerKind::FaasBatch,
+            SchedulerSetup::new(fb.window).with_faasbatch_config(fb.clone()),
+        ),
+    };
+    let (policy, interval) = kind.build(&setup);
+    // With a controller configured, every worker runs its own fresh
+    // `AutoscalerSink`: the control loop lives where the containers are.
+    let sink: Box<dyn TraceSink> = match &cfg.autoscaler {
+        Some(ac) => Box::new(AutoscalerSink::new(ac.clone())),
+        None => Box::new(NoopSink),
+    };
+    let registry = workload.registry().clone();
+    Worker::new(policy, registry, cfg.sim.clone(), label, interval, sink)
 }
 
 fn run_fleet_impl(
     workload: &Workload,
     cfg: &FleetConfig,
-    mut policy: Box<dyn RoutingPolicy>,
+    policy: Box<dyn RoutingPolicy>,
     label: &str,
-    mut events: Option<Vec<SimEvent>>,
+    events: Option<Vec<SimEvent>>,
 ) -> Result<(FleetReport, Option<Vec<SimEvent>>), FleetError> {
     cfg.validate()?;
     let n = cfg.workers;
-
-    for inv in workload.invocations() {
-        trace(
-            &mut events,
+    let invs = workload.invocations();
+    let mut fleet = Fleet {
+        cfg,
+        invs,
+        policy,
+        seats: (0..n)
+            .map(|_| Seat {
+                worker: Some(new_worker(workload, cfg, label)),
+                crashed: None,
+                lost: 0,
+            })
+            .collect(),
+        accepting: vec![true; n],
+        load: vec![WorkerLoad::default(); n],
+        placed: HashMap::new(),
+        epoch: 0,
+        queue: BinaryHeap::new(),
+        attempts: HashMap::new(),
+        retries: 0,
+        events,
+    };
+    for inv in invs {
+        fleet.trace(
             inv.arrival,
             EventKind::Arrival {
                 invocation: inv.id,
@@ -130,115 +364,56 @@ fn run_fleet_impl(
         );
     }
 
-    let mut pending: Vec<Pending> = workload
-        .invocations()
-        .iter()
-        .map(|inv| Pending {
-            fleet_id: inv.id.value(),
-            function: inv.function,
-            original_arrival: inv.arrival,
-            effective_arrival: inv.arrival,
-            work: inv.work,
-            retries: 0,
-        })
-        .collect();
-
-    // Crashes, processed in chronological order. Retried arrivals always
-    // land strictly after the crash that produced them, so a processed
-    // worker's assignment is final — each crash is evaluated exactly once.
-    let mut crashes: Vec<(SimTime, usize)> = (0..n)
-        .filter_map(|w| cfg.crash_at(w).map(|t| (t, w)))
-        .collect();
-    crashes.sort_unstable();
-
-    let mut assigned: Vec<Vec<Pending>> = vec![Vec::new(); n];
-    let mut load: Vec<WorkerLoad> = vec![WorkerLoad::default(); n];
-    let mut runs: Vec<Option<(RunReport, Vec<Pending>)>> = (0..n).map(|_| None).collect();
-    let mut lost: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); n];
-    let mut total_retries = 0u64;
-    let mut retry_delay_total = SimDuration::ZERO;
-
-    let mut next_crash = 0;
+    // The one fault list, in time order (list order on ties).
+    let mut schedule = cfg.faults.clone();
+    schedule.sort_by_key(|f| f.at);
+    let mut faults = schedule.iter().peekable();
+    let mut arrivals = invs.iter().peekable();
     loop {
-        route_round(
-            &mut pending,
-            policy.as_mut(),
-            cfg,
-            &mut load,
-            &mut assigned,
-            &mut runs,
-            &mut events,
-        )?;
-        let Some(&(crash_time, w)) = crashes.get(next_crash) else {
-            break;
+        let fresh = arrivals.peek().map(|inv| (inv.arrival, inv.id.value()));
+        let retry = fleet.queue.peek().map(|Reverse((due, ids))| (*due, ids[0]));
+        let next = [fresh, retry].into_iter().flatten().min();
+        // A fault takes effect before anything that arrives at its instant.
+        if let Some(fault) = faults.next_if(|f| next.is_none_or(|(at, _)| f.at <= at)) {
+            fleet.accepting[fault.worker] = false;
+            if fault.kind == FaultKind::Crash {
+                fleet.crash(fault.worker, fault.at)?;
+            }
+            continue;
+        }
+        let Some((at, id)) = next else { break };
+        if retry == next {
+            let Reverse((_, ids)) = fleet.queue.pop().expect("peeked");
+            fleet.dispatch(at, &ids)?;
+        } else {
+            arrivals.next();
+            fleet.dispatch(at, &[id])?;
+        }
+    }
+
+    // Close every surviving worker's input and merge: each record regains
+    // its original arrival, and the re-dispatch gap is charged to
+    // scheduling.
+    let mut records: Vec<FleetRecord> = Vec::with_capacity(invs.len());
+    let mut retry_delay_total = SimDuration::ZERO;
+    let mut workers: Vec<WorkerReport> = Vec::with_capacity(n);
+    for (w, seat) in std::mem::take(&mut fleet.seats).into_iter().enumerate() {
+        let report = match (seat.worker, seat.crashed) {
+            (Some(worker), _) => worker.finish().0,
+            (None, Some((_, report))) => report,
+            (None, None) => unreachable!("a seat loses its worker only to a crash"),
         };
-        next_crash += 1;
-        trace(
-            &mut events,
-            crash_time,
-            EventKind::WorkerCrash { worker: w as u64 },
-        );
-        if runs[w].is_none() {
-            runs[w] = Some(replay_worker(workload, cfg, label, &assigned[w]));
-        }
-        let (report, metas) = runs[w].as_ref().expect("replay just computed");
-        let mut retries: Vec<Pending> = Vec::new();
-        for (rec, meta) in report.records.iter().zip(metas) {
-            if rec.completion <= crash_time {
-                continue;
-            }
-            // In flight at the crash: lost here, re-dispatched elsewhere.
-            if meta.retries >= cfg.max_retries {
-                return Err(FleetError::RetryBudgetExhausted {
-                    invocation: meta.fleet_id,
-                    worker: w,
-                    max_retries: cfg.max_retries,
-                });
-            }
-            let mut retry = meta.clone();
-            retry.retries += 1;
-            retry.effective_arrival = crash_time + cfg.redispatch_delay;
-            retry_delay_total += retry.effective_arrival - meta.effective_arrival;
-            total_retries += 1;
-            retries.push(retry);
-        }
-        for retry in retries {
-            trace(
-                &mut events,
-                retry.effective_arrival,
-                EventKind::Redispatch {
-                    invocation: InvocationId::new(retry.fleet_id),
-                    from_worker: w as u64,
-                    retries: retry.retries,
-                },
-            );
-            lost[w].insert(retry.fleet_id);
-            pending.push(retry);
-        }
-    }
-
-    for w in 0..n {
-        if runs[w].is_none() {
-            runs[w] = Some(replay_worker(workload, cfg, label, &assigned[w]));
-        }
-    }
-
-    // Merge: every record not lost to a crash is a fleet completion. Restore
-    // the fleet identity and charge any re-dispatch gap to scheduling.
-    let mut records: Vec<FleetRecord> = Vec::with_capacity(workload.len());
-    for (w, run) in runs.iter().enumerate() {
-        let (report, metas) = run.as_ref().expect("every worker replayed");
-        for (rec, meta) in report.records.iter().zip(metas) {
-            if lost[w].contains(&meta.fleet_id) {
-                continue;
-            }
+        for rec in &report.records {
+            let id = rec.id.value();
+            let original = invs[id as usize].arrival;
+            // Never inverts: every effective arrival is the original or a
+            // later instant `max`ed against it.
+            let gap = rec.arrival - original;
             let mut record = *rec;
-            let gap = meta.effective_arrival - meta.original_arrival;
-            record.id = InvocationId::new(meta.fleet_id);
-            record.arrival = meta.original_arrival;
+            record.arrival = original;
             record.latency.scheduling += gap;
-            trace(
-                &mut events,
+            retry_delay_total += gap;
+            fleet.trace(
                 record.completion,
                 EventKind::InvocationComplete {
                     invocation: record.id,
@@ -249,245 +424,41 @@ fn run_fleet_impl(
             records.push(FleetRecord {
                 record,
                 worker: w,
-                retries: meta.retries,
+                retries: fleet.attempts.get(&id).copied().unwrap_or(0),
                 retry_delay: gap,
             });
         }
+        workers.push(WorkerReport {
+            worker: w,
+            fault: schedule.iter().find(|f| f.worker == w).copied(),
+            completed: report.records.len(),
+            lost: seat.lost,
+            report,
+        });
     }
     records.sort_by_key(|r| r.record.id);
-    assert_eq!(
-        records.len(),
-        workload.len(),
-        "fleet replay lost or duplicated invocations"
+    assert!(
+        records.len() == invs.len() && records.iter().zip(invs).all(|(r, i)| r.record.id == i.id),
+        "fleet replay lost or duplicated invocations (exactly-once violated)"
     );
-    for (i, r) in records.iter().enumerate() {
-        assert_eq!(
-            r.record.id.value(),
-            i as u64,
-            "fleet records are not dense (exactly-once violated)"
-        );
-    }
-
-    let makespan = records
-        .iter()
-        .map(|r| r.record.completion)
-        .max()
-        .unwrap_or(SimTime::ZERO)
-        .saturating_duration_since(
-            records
-                .iter()
-                .map(|r| r.record.arrival)
-                .min()
-                .unwrap_or(SimTime::ZERO),
-        );
-
-    let workers = runs
-        .into_iter()
-        .enumerate()
-        .map(|(w, run)| {
-            let (mut report, _) = run.expect("every worker replayed");
-            if let Some(t) = cfg.crash_at(w) {
-                truncate_at(&mut report, t);
-            }
-            WorkerReport {
-                worker: w,
-                fault: cfg.faults.iter().find(|f| f.worker == w).copied(),
-                completed: report.records.len(),
-                lost: lost[w].len(),
-                report,
-            }
-        })
-        .collect();
+    // Ids are dense in arrival order, so the first record arrived first.
+    let first = invs.first().map_or(SimTime::ZERO, |inv| inv.arrival);
+    let last = records.iter().map(|r| r.record.completion).max();
+    let makespan = last.unwrap_or(first).saturating_duration_since(first);
 
     Ok((
         FleetReport {
-            policy: policy.name(),
+            policy: fleet.policy.name(),
             scheduler: cfg.scheduler.name().to_owned(),
             workload: label.to_owned(),
             workers,
             records,
-            retries: total_retries,
+            retries: fleet.retries,
             retry_delay_total,
             makespan,
         },
-        events,
+        fleet.events,
     ))
-}
-
-/// Routes everything in `pending` (drained), sticky per function group.
-fn route_round(
-    pending: &mut Vec<Pending>,
-    policy: &mut dyn RoutingPolicy,
-    cfg: &FleetConfig,
-    load: &mut [WorkerLoad],
-    assigned: &mut [Vec<Pending>],
-    runs: &mut [Option<(RunReport, Vec<Pending>)>],
-    events: &mut Option<Vec<SimEvent>>,
-) -> Result<(), FleetError> {
-    pending.sort_by_key(|p| (p.effective_arrival, p.fleet_id));
-    // Group by (function, window epoch, attempt), preserving the order in
-    // which groups first appear — the router places groups, never members.
-    let window = cfg.window.as_micros();
-    let mut order: Vec<(GroupKey, Vec<Pending>)> = Vec::new();
-    let mut index: HashMap<GroupKey, usize> = HashMap::new();
-    for p in pending.drain(..) {
-        let key: GroupKey = (
-            p.function.index(),
-            p.effective_arrival.as_micros() / window,
-            p.retries,
-        );
-        match index.get(&key) {
-            Some(&i) => order[i].1.push(p),
-            None => {
-                index.insert(key, order.len());
-                order.push((key, vec![p]));
-            }
-        }
-    }
-    for (key, members) in order {
-        let now = members[0].effective_arrival;
-        let alive: Vec<bool> = (0..cfg.workers).map(|w| cfg.accepting(w, now)).collect();
-        if !alive.iter().any(|&a| a) {
-            return Err(FleetError::NoLiveWorker {
-                function: key.0,
-                at: now,
-            });
-        }
-        for l in load.iter_mut() {
-            l.observe(now);
-        }
-        let ctx = RouterCtx {
-            now,
-            function: FunctionId::new(key.0),
-            alive: &alive,
-            load,
-        };
-        let w = policy.route(&ctx);
-        assert!(
-            alive[w],
-            "routing policy `{}` picked dead worker {w}",
-            policy.name()
-        );
-        trace(
-            events,
-            now,
-            EventKind::GroupFormed {
-                function: FunctionId::new(key.0),
-                size: members.len() as u64,
-                worker: w as u64,
-                members: members
-                    .iter()
-                    .map(|m| InvocationId::new(m.fleet_id))
-                    .collect(),
-            },
-        );
-        for m in &members {
-            load[w].note(now, m.work);
-        }
-        runs[w] = None;
-        assigned[w].extend(members);
-    }
-    Ok(())
-}
-
-/// Replays one worker's assignment through the single-worker harness.
-/// Returns the report plus the assignment sorted to match record order
-/// (records are dense and id-sorted, ids assigned in arrival order).
-fn replay_worker(
-    workload: &Workload,
-    cfg: &FleetConfig,
-    label: &str,
-    assignment: &[Pending],
-) -> (RunReport, Vec<Pending>) {
-    let mut metas = assignment.to_vec();
-    // `Workload::new` stable-sorts by arrival; pre-sorting with the fleet id
-    // as tiebreak makes local id <-> meta index alignment unambiguous.
-    metas.sort_by_key(|p| (p.effective_arrival, p.fleet_id));
-    if metas.is_empty() {
-        return (empty_report(cfg, label), metas);
-    }
-    let invocations: Vec<Invocation> = metas
-        .iter()
-        .enumerate()
-        .map(|(i, p)| Invocation {
-            id: InvocationId::new(i as u64),
-            function: p.function,
-            arrival: p.effective_arrival,
-            work: p.work,
-        })
-        .collect();
-    let sub = Workload::new(workload.registry().clone(), invocations);
-    let (kind, setup) = match &cfg.scheduler {
-        WorkerScheduler::Vanilla => (SchedulerKind::Vanilla, SchedulerSetup::new(cfg.window)),
-        WorkerScheduler::FaasBatch(fb) => (
-            SchedulerKind::FaasBatch,
-            SchedulerSetup::new(fb.window).with_faasbatch_config(fb.clone()),
-        ),
-    };
-    let (policy, interval) = kind.build(&setup);
-    // With a controller configured, every worker runs its own fresh
-    // `AutoscalerSink` — the fleet-level stream is synthesized post-hoc, so
-    // per-worker control loops are the only honest placement.
-    let sink: Box<dyn TraceSink> = match &cfg.autoscaler {
-        Some(ac) => Box::new(AutoscalerSink::new(ac.clone())),
-        None => Box::new(NoopSink),
-    };
-    let (report, _) = run_simulation_traced(policy, &sub, cfg.sim.clone(), label, interval, sink);
-    (report, metas)
-}
-
-/// An idle worker's report (no invocations routed to it).
-fn empty_report(cfg: &FleetConfig, label: &str) -> RunReport {
-    RunReport {
-        scheduler: cfg.scheduler.name().to_owned(),
-        workload: label.to_owned(),
-        dispatch_interval: match &cfg.scheduler {
-            WorkerScheduler::Vanilla => None,
-            WorkerScheduler::FaasBatch(fb) => Some(fb.window),
-        },
-        records: Vec::new(),
-        sampler: ResourceSampler::new(),
-        provisioned_containers: 0,
-        warm_hits: 0,
-        restored_starts: 0,
-        snapshot_stats: Default::default(),
-        peak_live_containers: 0,
-        core_seconds: 0.0,
-        core_seconds_daemon: 0.0,
-        core_seconds_platform: 0.0,
-        host_cores: cfg.sim.cores,
-        makespan: SimDuration::ZERO,
-        clients_created: 0,
-        client_requests: 0,
-        client_bytes_allocated: 0,
-    }
-}
-
-/// Truncates a crashed worker's report at the crash instant: records that
-/// completed and samples taken before the crash stand; the rest is gone.
-fn truncate_at(report: &mut RunReport, t: SimTime) {
-    report.records.retain(|r| r.completion <= t);
-    let mut sampler = ResourceSampler::new();
-    for s in report.sampler.samples() {
-        if s.at <= t {
-            sampler.record(*s);
-        }
-    }
-    report.sampler = sampler;
-    report.makespan = report
-        .records
-        .iter()
-        .map(|r| r.completion)
-        .max()
-        .unwrap_or(SimTime::ZERO)
-        .saturating_duration_since(
-            report
-                .records
-                .iter()
-                .map(|r| r.arrival)
-                .min()
-                .unwrap_or(SimTime::ZERO),
-        );
 }
 
 #[cfg(test)]
@@ -507,6 +478,19 @@ mod tests {
                 span: SimDuration::from_secs(10),
                 functions: 4,
                 bursts: 3,
+                ..WorkloadConfig::default()
+            },
+        )
+    }
+
+    /// One function at 400 invocations/s: every router window is one group.
+    fn hot_function_workload() -> Workload {
+        cpu_workload(
+            &DetRng::new(42),
+            &WorkloadConfig {
+                total: 4000,
+                span: SimDuration::from_secs(10),
+                functions: 1,
                 ..WorkloadConfig::default()
             },
         )
@@ -665,6 +649,147 @@ mod tests {
             assert!(r.record.is_consistent());
         }
         assert!(!report.retry_delay_total.is_zero());
+    }
+
+    /// The reproducer of the splice's time-travel panic: one hot function,
+    /// every 200 ms window one group. Worker 0 dies 100 ms into a window it
+    /// holds and the re-dispatch delay (20 ms) is shorter than the rest of
+    /// that window, so most of the group arrives after `crash + delay`.
+    #[test]
+    fn late_member_of_a_crashed_group_is_rerouted_never_time_travelled() {
+        let w = hot_function_workload();
+        let crash_at = SimTime::from_millis(1300);
+        let cfg = FleetConfig {
+            workers: 2,
+            redispatch_delay: SimDuration::from_millis(20),
+            faults: vec![WorkerFault {
+                worker: 0,
+                at: crash_at,
+                kind: FaultKind::Crash,
+            }],
+            ..FleetConfig::default()
+        };
+        let report = run_ok(&w, &cfg, RoutingKind::RoundRobin.build(), "cpu");
+        assert_conserved(&w, &report);
+        let redispatched = crash_at + cfg.redispatch_delay;
+        let mut late = 0;
+        for (r, inv) in report.records.iter().zip(w.invocations()) {
+            assert_eq!(r.record.arrival, inv.arrival, "original arrival restored");
+            if r.retries == 0 {
+                assert!(r.retry_delay.is_zero());
+                continue;
+            }
+            assert_eq!(r.worker, 1);
+            // Re-dispatched at max(arrival, crash + delay): the gap is what
+            // is left of the delay when the member arrives, possibly zero.
+            assert!(r.retry_delay >= redispatched.saturating_duration_since(inv.arrival));
+            assert!(r.record.latency.scheduling >= r.retry_delay);
+            late += usize::from(inv.arrival > redispatched);
+        }
+        assert!(late > 0, "no member arrived after crash + delay");
+        assert_eq!(report.workers[0].lost as u64, report.retries);
+    }
+
+    /// Retries are routed on the state at re-dispatch time: under
+    /// round-robin the retried group lands on the worker the cursor points
+    /// at *then* — the live worker after the one that took the last group
+    /// placed before the re-dispatch — not wherever the cursor would sit
+    /// after the whole trace.
+    #[test]
+    fn retried_group_takes_the_round_robin_slot_of_its_redispatch_instant() {
+        use faasbatch_metrics::events::VecSink;
+        let w = small_workload(6);
+        let crashed = 1u64;
+        let cfg = FleetConfig {
+            workers: 3,
+            faults: vec![WorkerFault {
+                worker: crashed as usize,
+                at: SimTime::from_secs(3),
+                kind: FaultKind::Crash,
+            }],
+            ..FleetConfig::default()
+        };
+        let (report, sink) = run_fleet_traced(
+            &w,
+            &cfg,
+            RoutingKind::RoundRobin.build(),
+            "cpu",
+            Box::new(VecSink::new()),
+        )
+        .expect("traced fleet run succeeds");
+        let events = sink.as_any().downcast_ref::<VecSink>().expect("vec sink");
+        let retried = report
+            .records
+            .iter()
+            .find(|r| r.retries > 0)
+            .expect("the crash strands someone");
+        let groups: Vec<(u64, &Vec<InvocationId>)> = events
+            .events()
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::GroupFormed {
+                    worker, members, ..
+                } => Some((*worker, members)),
+                _ => None,
+            })
+            .collect();
+        let retry_group = groups
+            .iter()
+            .rposition(|(_, members)| members.contains(&retried.record.id))
+            .expect("the retry was placed");
+        let (previous, _) = groups[retry_group - 1];
+        let mut expected = (previous + 1) % 3;
+        if expected == crashed {
+            expected = (expected + 1) % 3;
+        }
+        assert_eq!(groups[retry_group].0, expected);
+        assert_eq!(retried.worker as u64, expected);
+        assert_eq!(expected, 0, "pinned for seed 6");
+    }
+
+    /// A crashed worker's report ends at the crash: no sample after it, no
+    /// more containers than the same worker had in the fault-free run
+    /// (routing is identical up to the crash instant), and — dying before
+    /// its first cold start lands — less CPU than the bodies it lost would
+    /// have burned had they run.
+    #[test]
+    fn crashed_workers_report_ends_at_the_crash() {
+        let w = hot_function_workload();
+        let crash_at = SimTime::from_millis(1200);
+        let healthy = fleet_cfg(2);
+        let faulty = FleetConfig {
+            faults: vec![WorkerFault {
+                worker: 0,
+                at: crash_at,
+                kind: FaultKind::Crash,
+            }],
+            ..healthy.clone()
+        };
+        let whole = run_ok(&w, &healthy, RoutingKind::RoundRobin.build(), "cpu");
+        let cut = run_ok(&w, &faulty, RoutingKind::RoundRobin.build(), "cpu");
+        assert_conserved(&w, &cut);
+        let lost_work: SimDuration = cut
+            .records
+            .iter()
+            .zip(w.invocations())
+            .filter(|(r, _)| r.retries > 0)
+            .map(|(_, inv)| inv.work)
+            .sum();
+        let (whole, cut) = (&whole.workers[0].report, &cut.workers[0].report);
+        let last = cut.sampler.samples().last().expect("sampled from t = 0");
+        assert!(last.at <= crash_at);
+        assert!(crash_at.saturating_duration_since(last.at) <= faulty.sim.sample_period);
+        assert!(
+            cut.records.is_empty(),
+            "nothing finishes a cold start by 1.2 s"
+        );
+        assert!(cut.provisioned_containers <= whole.provisioned_containers);
+        assert!(cut.core_seconds < whole.core_seconds);
+        assert!(
+            cut.core_seconds < lost_work.as_secs_f64(),
+            "{} core-seconds charged, but the lost bodies ({lost_work}) never ran",
+            cut.core_seconds
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use faasbatch_simcore::memory::MemCategory;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::io::Write;
 
@@ -687,6 +687,21 @@ impl RecordReducer {
     /// Records produced so far, in completion order.
     pub fn records(&self) -> &[InvocationRecord] {
         &self.records
+    }
+
+    /// Ids that have arrived but not completed, ascending — what a worker
+    /// stopped mid-run still held. Linear in everything seen so far; only
+    /// the fleet's crash path asks.
+    pub fn open_invocations(&self) -> Vec<InvocationId> {
+        let done: HashSet<InvocationId> = self.records.iter().map(|r| r.id).collect();
+        let mut open: Vec<InvocationId> = self
+            .arrivals
+            .keys()
+            .filter(|id| !done.contains(id))
+            .copied()
+            .collect();
+        open.sort_unstable();
+        open
     }
 
     /// Folds one event. Returns the invocation record when the event

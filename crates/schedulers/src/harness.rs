@@ -28,7 +28,7 @@
 use crate::config::SimConfig;
 use crate::policy::{Completion, Ctx, DispatchRequest, ExecMode, Policy};
 use faasbatch_container::cluster::Cluster;
-use faasbatch_container::ids::{ContainerId, FunctionId};
+use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
 use faasbatch_container::spec::ContainerSpec;
 use faasbatch_metrics::autoscaler::{PrewarmTier, ScaleAction};
 use faasbatch_metrics::events::{
@@ -155,7 +155,12 @@ pub struct SimWorld {
     /// in contiguous batches (the reducer always sees each event first, so
     /// report derivation is unaffected by the buffering).
     pending_events: Vec<SimEvent>,
-    total: usize,
+    /// Invocations injected so far.
+    injected: usize,
+    /// The caller has no more arrivals to inject. Only then can the run be
+    /// done: while the input is open, window timers and the sampler keep
+    /// ticking through idle stretches, exactly as they do mid-trace.
+    closed: bool,
 }
 
 /// Flush threshold for the buffered event stream.
@@ -173,19 +178,15 @@ impl std::fmt::Debug for SimWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimWorld")
             .field("completed", &self.reducer.completed())
-            .field("total", &self.total)
+            .field("injected", &self.injected)
+            .field("closed", &self.closed)
             .field("batches", &self.batches.len())
             .finish()
     }
 }
 
 impl SimWorld {
-    fn new(
-        cfg: SimConfig,
-        registry: FunctionRegistry,
-        total: usize,
-        trace: Box<dyn TraceSink>,
-    ) -> Self {
+    fn new(cfg: SimConfig, registry: FunctionRegistry, trace: Box<dyn TraceSink>) -> Self {
         let mut cluster = Cluster::new(cfg.cores, cfg.cold_start.clone(), cfg.keep_alive);
         cluster.configure_snapshots(cfg.snapshot.clone());
         let daemon_group = cluster.cpu_mut().create_group(Some(cfg.daemon_cores));
@@ -205,7 +206,8 @@ impl SimWorld {
             reducer: RecordReducer::new(),
             trace,
             pending_events: Vec::with_capacity(EVENT_BATCH),
-            total,
+            injected: 0,
+            closed: false,
             cfg,
         }
     }
@@ -225,18 +227,14 @@ impl SimWorld {
         self.reducer.completed()
     }
 
-    /// Total invocations.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
     /// Idle warm containers for `function`.
     pub fn warm_count(&self, function: FunctionId) -> usize {
         self.cluster.warm_count(function)
     }
 
-    fn done(&self) -> bool {
-        self.reducer.completed() == self.total
+    /// True when the input is closed and everything injected has completed.
+    pub(crate) fn done(&self) -> bool {
+        self.closed && self.reducer.completed() == self.injected
     }
 }
 
@@ -1046,21 +1044,20 @@ fn finish_invocation(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId, idx: 
         start_invocation_chain(&mut sim.world, now, id, next_idx);
     }
     if batch_finished {
-        // Release barrier-held responses in member order.
-        let barrier_members: Vec<faasbatch_container::ids::InvocationId> = {
-            let batch = &sim.world.batches[&id];
-            if batch.completion == Completion::PerBatch {
-                batch.invocations.iter().map(|i| i.id).collect()
-            } else {
-                Vec::new()
-            }
+        // Nothing looks a finished batch up again: drop it, so a long run
+        // holds only what is in flight. Barrier-held responses are released
+        // in member order.
+        let batch = sim.world.batches.remove(&id).expect("unknown batch");
+        let held: &[Invocation] = match batch.completion {
+            Completion::PerBatch => &batch.invocations,
+            Completion::PerInvocation => &[],
         };
-        for (i, invocation) in barrier_members.into_iter().enumerate() {
+        for (i, member) in held.iter().enumerate() {
             let record = emit(
                 &mut sim.world,
                 now,
                 EventKind::InvocationComplete {
-                    invocation,
+                    invocation: member.id,
                     batch: Some(id.0),
                     member: Some(i as u32),
                 },
@@ -1219,11 +1216,8 @@ pub fn run_simulation_traced(
 /// [`Workload`] cursor or an on-demand
 /// [`WorkloadStream`](faasbatch_trace::stream::WorkloadStream). Arrivals are
 /// pulled one at a time, so memory stays bounded by in-flight state rather
-/// than trace length. Replaying a workload through its
-/// [`cursor`](Workload::cursor) produces a stream bit-identical to the
-/// materialised path: an arrival due at or before the next queued event is
-/// injected first, reproducing the tie order of pre-scheduled arrivals
-/// (which always held the lowest sequence numbers at their timestamp).
+/// than trace length. This is the short driver over a [`Worker`]: inject
+/// every arrival in order, close the input, take the report.
 pub fn run_source_traced(
     policy: Box<dyn Policy>,
     mut source: impl InvocationSource,
@@ -1232,119 +1226,199 @@ pub fn run_source_traced(
     dispatch_interval: Option<SimDuration>,
     sink: Box<dyn TraceSink>,
 ) -> (RunReport, Box<dyn TraceSink>) {
-    let mut engine: Engine<Sim> = Engine::new();
-    let world = SimWorld::new(cfg, source.registry().clone(), source.total(), sink);
-    let mut sim = Sim { world, policy };
-
-    // First host sample at t = 0, then every period.
-    record_sample(&mut sim.world, SimTime::ZERO);
-    let period = sim.world.cfg.sample_period;
-    engine.schedule_fn_in(period, sampler_tick);
-
-    // Policy start hook.
-    {
-        let Sim { world, policy } = &mut sim;
-        policy.on_start(&mut Ctx {
-            world,
-            engine: &mut engine,
-        });
-    }
-    pump_cpu(&mut sim.world, &mut engine);
-
-    let mut next_arrival = source.next_invocation();
-    let mut last_arrival = SimTime::ZERO;
-    let mut horizon_armed = false;
-    loop {
-        // Inject every arrival due at or before the next queued event.
-        while let Some(peek) = &next_arrival {
-            if engine.next_event_time().is_some_and(|t| t < peek.arrival) {
-                break;
-            }
-            let inv = next_arrival.take().expect("peeked");
-            next_arrival = source.next_invocation();
-            last_arrival = inv.arrival;
-            engine.advance_to(inv.arrival);
-            emit(
-                &mut sim.world,
-                inv.arrival,
-                EventKind::Arrival {
-                    invocation: inv.id,
-                    function: inv.function,
-                },
-            );
-            {
-                let Sim { world, policy } = &mut sim;
-                policy.on_arrival(
-                    &mut Ctx {
-                        world,
-                        engine: &mut engine,
-                    },
-                    &inv,
-                );
-            }
-            pump_cpu(&mut sim.world, &mut engine);
-        }
-        if next_arrival.is_none() && !horizon_armed {
-            horizon_armed = true;
-            // Safety horizon: a healthy run finishes long before this.
-            engine.set_horizon(last_arrival + SimDuration::from_secs(24 * 3600));
-        }
-        if sim.world.done() {
-            break;
-        }
-        if !engine.step(&mut sim) && next_arrival.is_none() {
-            // Queue drained (or horizon hit) with nothing left to inject.
-            break;
-        }
-    }
-    assert!(
-        sim.world.done(),
-        "simulation stalled: {}/{} invocations completed",
-        sim.world.completed(),
-        sim.world.total
-    );
-    // A speculative pre-warm (controller- or Kraken-initiated) can still be
-    // booting when the final invocation completes. Keep stepping until those
-    // pipelines land so the stream pairs every launch with its cold-start
-    // end; runs with nothing in flight take zero extra steps, leaving their
-    // reports bit-identical to the pre-drain behaviour.
-    while sim.world.open_prewarms > 0 && engine.step(&mut sim) {}
-    // Flush trailing journalled operations (e.g. the final release).
-    drain_journals(&mut sim.world);
-    flush_events(&mut sim.world);
-
-    let world = sim.world;
-    let stats = world.cluster.stats();
-    let reduced = world.reducer.finish();
-    let mut records = reduced.records;
-    records.sort_by_key(|r| r.id);
-    let makespan = reduced
-        .last_completion
-        .saturating_duration_since(reduced.first_arrival);
-    let report = RunReport {
-        scheduler: sim.policy.name(),
-        workload: workload_label.to_owned(),
+    let mut worker = Worker::new(
+        policy,
+        source.registry().clone(),
+        cfg,
+        workload_label,
         dispatch_interval,
-        records,
-        sampler: reduced.sampler,
-        provisioned_containers: stats.provisioned,
-        warm_hits: stats.warm_hits,
-        restored_starts: stats.restored_starts,
-        snapshot_stats: world.cluster.snapshot_stats(),
-        peak_live_containers: stats.peak_live,
-        core_seconds: world.cluster.cpu().core_seconds(),
-        core_seconds_daemon: world.cluster.cpu().group_core_seconds(world.daemon_group),
-        core_seconds_platform: world
-            .cluster
-            .cpu()
-            .group_core_seconds(world.cluster.platform_group()),
-        host_cores: world.cfg.cores,
-        makespan,
-        clients_created: reduced.clients_created,
-        client_requests: reduced.client_requests,
-        client_bytes_allocated: reduced.client_bytes_allocated,
-    };
-    (report, world.trace)
+        sink,
+    );
+    while let Some(inv) = source.next_invocation() {
+        worker.inject(&inv);
+    }
+    worker.finish()
+}
+
+/// One simulated worker stepped from outside: the caller injects arrivals
+/// in time order and the worker runs its own event queue only as far as
+/// each injection needs. [`run_source_traced`] drives one worker over one
+/// source; the fleet drives N of them in one time-ordered loop, so both
+/// paths share this mechanism.
+///
+/// The worker cannot know that an idle stretch is the end of the run, so
+/// window timers and the sampler keep ticking until the input is closed:
+/// [`finish`](Worker::finish) closes it and runs to completion,
+/// [`abandon`](Worker::abandon) stops the worker dead at a crash instant.
+pub struct Worker {
+    engine: Engine<Sim>,
+    sim: Sim,
+    label: String,
+    dispatch_interval: Option<SimDuration>,
+}
+
+impl Worker {
+    /// A worker at `t = 0` with nothing injected: first host sample taken,
+    /// sampler armed, the policy's start hook run.
+    pub fn new(
+        policy: Box<dyn Policy>,
+        registry: FunctionRegistry,
+        cfg: SimConfig,
+        workload_label: &str,
+        dispatch_interval: Option<SimDuration>,
+        sink: Box<dyn TraceSink>,
+    ) -> Self {
+        let mut engine: Engine<Sim> = Engine::new();
+        let mut sim = Sim {
+            world: SimWorld::new(cfg, registry, sink),
+            policy,
+        };
+
+        // First host sample at t = 0, then every period.
+        record_sample(&mut sim.world, SimTime::ZERO);
+        let period = sim.world.cfg.sample_period;
+        engine.schedule_fn_in(period, sampler_tick);
+
+        {
+            let Sim { world, policy } = &mut sim;
+            policy.on_start(&mut Ctx {
+                world,
+                engine: &mut engine,
+            });
+        }
+        pump_cpu(&mut sim.world, &mut engine);
+        Worker {
+            engine,
+            sim,
+            label: workload_label.to_owned(),
+            dispatch_interval,
+        }
+    }
+
+    /// Runs every queued event strictly before `inv.arrival`, then delivers
+    /// the arrival — so an arrival goes ahead of events queued for its own
+    /// instant, the tie order of pre-scheduled arrivals (which always held
+    /// the lowest sequence numbers at their timestamp).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inv.arrival` is earlier than a previous injection.
+    pub fn inject(&mut self, inv: &Invocation) {
+        while self
+            .engine
+            .next_event_time()
+            .is_some_and(|t| t < inv.arrival)
+        {
+            self.engine.step(&mut self.sim);
+        }
+        self.sim.world.injected += 1;
+        self.engine.advance_to(inv.arrival);
+        emit(
+            &mut self.sim.world,
+            inv.arrival,
+            EventKind::Arrival {
+                invocation: inv.id,
+                function: inv.function,
+            },
+        );
+        {
+            let Sim { world, policy } = &mut self.sim;
+            policy.on_arrival(
+                &mut Ctx {
+                    world,
+                    engine: &mut self.engine,
+                },
+                inv,
+            );
+        }
+        pump_cpu(&mut self.sim.world, &mut self.engine);
+    }
+
+    /// Closes the input, runs until everything injected has completed, and
+    /// returns the report and the sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation stalls (a policy dropped invocations) —
+    /// every injected invocation must eventually complete.
+    pub fn finish(mut self) -> (RunReport, Box<dyn TraceSink>) {
+        self.sim.world.closed = true;
+        // Safety horizon, a day past the last arrival (where the clock
+        // stands): a healthy run finishes long before this.
+        self.engine
+            .set_horizon(self.engine.now() + SimDuration::from_secs(24 * 3600));
+        while !self.sim.world.done() && self.engine.step(&mut self.sim) {}
+        assert!(
+            self.sim.world.done(),
+            "simulation stalled: {}/{} invocations completed",
+            self.sim.world.completed(),
+            self.sim.world.injected
+        );
+        // A speculative pre-warm (controller- or Kraken-initiated) can still
+        // be booting when the final invocation completes. Keep stepping
+        // until those pipelines land so the stream pairs every launch with
+        // its cold-start end; runs with nothing in flight take zero extra
+        // steps.
+        while self.sim.world.open_prewarms > 0 && self.engine.step(&mut self.sim) {}
+        self.into_report()
+    }
+
+    /// Stops the worker dead at `at` (a crash): events up to and including
+    /// `at` run, nothing after. Returns the report as it stands at that
+    /// instant — records, samples and resource counters of work that
+    /// really ran — and the ids of invocations accepted but not completed,
+    /// ascending.
+    pub fn abandon(mut self, at: SimTime) -> (RunReport, Vec<InvocationId>) {
+        while self.engine.next_event_time().is_some_and(|t| t <= at) {
+            self.engine.step(&mut self.sim);
+        }
+        self.engine.advance_to(at);
+        // Charge the CPU consumed since the last event; nothing completes,
+        // or its event would have run above.
+        self.sim.world.cluster.cpu_mut().advance_to(at);
+        let open = self.sim.world.reducer.open_invocations();
+        (self.into_report().0, open)
+    }
+
+    /// Folds the stream into the run's report.
+    fn into_report(mut self) -> (RunReport, Box<dyn TraceSink>) {
+        // Flush trailing journalled operations (e.g. the final release).
+        drain_journals(&mut self.sim.world);
+        flush_events(&mut self.sim.world);
+
+        let world = self.sim.world;
+        let stats = world.cluster.stats();
+        let reduced = world.reducer.finish();
+        let mut records = reduced.records;
+        records.sort_by_key(|r| r.id);
+        let makespan = reduced
+            .last_completion
+            .saturating_duration_since(reduced.first_arrival);
+        let report = RunReport {
+            scheduler: self.sim.policy.name(),
+            workload: self.label,
+            dispatch_interval: self.dispatch_interval,
+            records,
+            sampler: reduced.sampler,
+            provisioned_containers: stats.provisioned,
+            warm_hits: stats.warm_hits,
+            restored_starts: stats.restored_starts,
+            snapshot_stats: world.cluster.snapshot_stats(),
+            peak_live_containers: stats.peak_live,
+            core_seconds: world.cluster.cpu().core_seconds(),
+            core_seconds_daemon: world.cluster.cpu().group_core_seconds(world.daemon_group),
+            core_seconds_platform: world
+                .cluster
+                .cpu()
+                .group_core_seconds(world.cluster.platform_group()),
+            host_cores: world.cfg.cores,
+            makespan,
+            clients_created: reduced.clients_created,
+            client_requests: reduced.client_requests,
+            client_bytes_allocated: reduced.client_bytes_allocated,
+        };
+        (report, world.trace)
+    }
 }
 
 #[cfg(test)]

@@ -108,19 +108,11 @@ impl Ctx<'_> {
         self.world.registry()
     }
 
-    /// Number of invocations that have completed.
-    pub fn completed(&self) -> usize {
-        self.world.completed()
-    }
-
-    /// Total invocations in the workload.
-    pub fn total(&self) -> usize {
-        self.world.total()
-    }
-
-    /// True when every invocation has completed.
+    /// True when the run's input is closed and every injected invocation
+    /// has completed — the point past which a periodic timer need not
+    /// re-arm.
     pub fn all_done(&self) -> bool {
-        self.world.completed() == self.world.total()
+        self.world.done()
     }
 
     /// Idle warm containers currently available for `function`.

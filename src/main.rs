@@ -1483,7 +1483,7 @@ mod tests {
     /// or holds with a value.
     #[test]
     fn bad_inputs_are_errors_naming_the_flag_not_panics() {
-        let cases: [(&str, &[&str], &str); 14] = [
+        let cases: [(&str, &[&str], &str); 15] = [
             ("compare", &["--window-ms", "0"], "--window-ms"),
             ("compare", &["--total", "0"], "--total"),
             ("compare", &["--span-s", "0"], "--span-s"),
@@ -1501,6 +1501,11 @@ mod tests {
                 "fleet",
                 &["--workers", "2", "--crash", "5@100"],
                 "fault references worker 5",
+            ),
+            (
+                "fleet",
+                &["--workers", "2", "--crash", "0@2000,0@1000"],
+                "more than one crash",
             ),
             ("live", &["--jobs", "10", "--window-ms", "0"], "--window-ms"),
             ("live", &["--gateway", "--window-ms", "0"], "--window-ms"),
