@@ -1241,8 +1241,31 @@ impl Drop for FaasBatchPlatform {
 mod tests {
     use super::*;
     use faasbatch_exec::ExecutorConfig;
+    use faasbatch_metrics::analysis::AttributionEngine;
     use faasbatch_metrics::events::{AuditorSink, RecordReducer, TraceSink};
+    use faasbatch_metrics::latency::{InvocationRecord, LatencyBreakdown};
     use std::sync::atomic::AtomicUsize;
+
+    /// The records a live trace reduces to, each checked to be the
+    /// four-part projection of its exact eleven-phase attribution.
+    fn projected_records(trace: &[SimEvent]) -> Vec<InvocationRecord> {
+        let mut reducer = RecordReducer::new();
+        let mut engine = AttributionEngine::new();
+        for event in trace {
+            reducer.on_event(event);
+            engine.record(event);
+        }
+        let report = engine.finish();
+        assert_eq!((report.skipped, report.unfinished), (0, 0));
+        let records = reducer.finish().records;
+        for record in &records {
+            let a = report.get(record.id).expect("record is attributed");
+            assert!(a.is_exact(), "{a:?}");
+            assert_eq!(record.latency, LatencyBreakdown::from(&a.phases));
+            assert_eq!(Some(*record), a.record());
+        }
+        records
+    }
 
     fn fast_platform(multiplex: bool) -> (FaasBatchPlatform, Arc<AtomicUsize>) {
         let counter = Arc::new(AtomicUsize::new(0));
@@ -1458,15 +1481,7 @@ mod tests {
             "trace has violations: {:?}",
             auditor.finish()
         );
-        let mut reducer = RecordReducer::new();
-        for event in &trace {
-            reducer.on_event(event);
-        }
-        let reduced = reducer.finish();
-        assert_eq!(reduced.records.len(), 13);
-        for record in &reduced.records {
-            assert!(record.is_consistent(), "{record:?}");
-        }
+        assert_eq!(projected_records(&trace).len(), 13);
     }
 
     #[test]
@@ -1659,12 +1674,8 @@ mod tests {
         assert!(trace
             .iter()
             .any(|e| matches!(e.kind, EventKind::RestoreDone { .. })));
-        let mut reducer = RecordReducer::new();
-        for event in &trace {
-            reducer.on_event(event);
-        }
-        let reduced = reducer.finish();
-        let restored: Vec<_> = reduced.records.iter().filter(|r| r.restored).collect();
+        let records = projected_records(&trace);
+        let restored: Vec<_> = records.iter().filter(|r| r.restored).collect();
         assert_eq!(restored.len(), 1, "one invocation rode the restore tier");
         assert!(!restored[0].cold);
         assert!(

@@ -1,6 +1,8 @@
 //! Per-invocation latency attribution from the event stream.
 //!
-//! [`AttributionEngine`] folds a [`SimEvent`] stream into one
+//! [`AttributionEngine`] folds a [`SimEvent`] stream — through the one
+//! chain fold it shares with `RecordReducer` and `AuditorSink`
+//! (`crate::chain`, DESIGN.md §11) — into one
 //! [`InvocationAttribution`] per completed invocation: an eleven-phase
 //! [`PhaseBreakdown`] whose components *sum exactly* to the recorded
 //! end-to-end latency. Exactness is by construction — each phase is the gap
@@ -18,17 +20,22 @@
 //!   delay, routing/window wait, and the on-worker remainder — because the
 //!   fleet layer narrates routing, not per-worker mechanism.
 //!
-//! The engine is lenient where the auditor is strict: a truncated log
-//! yields attributions for every invocation whose chain is complete and
-//! counts the rest, so offline analysis of a partial trace still works.
+//! The engine is the lenient reading of the fold where the auditor is the
+//! strict one: a truncated log yields attributions for every invocation
+//! whose chain is complete and counts the rest (`skipped`, `unfinished`),
+//! so offline analysis of a partial trace still works.
+//! [`InvocationAttribution::record`] is the paper's four-part record of the
+//! same invocation — the projection `RunReport`s are made of.
 
-use crate::events::{EventKind, SimEvent, TaskKind, TraceSink};
+use crate::chain::{ChainFold, Step};
+use crate::events::{SimEvent, TraceSink};
+use crate::latency::{InvocationRecord, LatencyBreakdown};
 use crate::stats::Cdf;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A named slice of one invocation's end-to-end latency.
@@ -254,6 +261,22 @@ impl InvocationAttribution {
         let phase = self.phases.critical();
         (phase, phase.resource())
     }
+
+    /// The paper's four-part record of this invocation: the same stamps,
+    /// with the phases projected by [`LatencyBreakdown::from`]. `None` for a
+    /// fleet-level attribution, which names no container.
+    pub fn record(&self) -> Option<InvocationRecord> {
+        Some(InvocationRecord {
+            id: self.id,
+            function: self.function,
+            container: self.container?,
+            arrival: self.arrival,
+            completion: self.completion,
+            cold: self.cold,
+            restored: self.restored,
+            latency: LatencyBreakdown::from(&self.phases),
+        })
+    }
 }
 
 /// Per-function aggregate of attributed invocations.
@@ -435,41 +458,14 @@ impl AttributionReport {
     }
 }
 
-/// Per-batch chain state between dispatch and completion.
-#[derive(Debug)]
-struct BatchChain {
-    container: ContainerId,
-    cold: bool,
-    restored: bool,
-    members: Vec<InvocationId>,
-    dispatched_at: SimTime,
-    decision_done: Option<SimTime>,
-    ready: Option<SimTime>,
-    exec_start: Vec<Option<SimTime>>,
-    body_start: Vec<Option<SimTime>>,
-    body_finish: Vec<Option<SimTime>>,
-    own_finish: Vec<Option<SimTime>>,
-    work: Vec<Option<SimDuration>>,
-    completed: usize,
-}
-
-/// Streaming fold from events to [`AttributionReport`].
+/// Streaming fold from events to [`AttributionReport`]: the shared chain
+/// fold plus the attributions it yielded and a count of those it could not.
 ///
 /// Implements [`TraceSink`], so it can ride a live run, or be fed an
 /// offline stream with [`AttributionEngine::consume`].
 #[derive(Debug, Default)]
 pub struct AttributionEngine {
-    arrivals: HashMap<InvocationId, (SimTime, FunctionId)>,
-    batches: HashMap<u64, BatchChain>,
-    /// Fleet layer: latest group-formation instant per member.
-    group_at: HashMap<InvocationId, SimTime>,
-    /// Fleet layer: latest re-dispatch instant and retry count per member.
-    redispatch: HashMap<InvocationId, (SimTime, u32)>,
-    /// Gateway layer: instant the invocation's group was routed to a worker.
-    route_at: HashMap<InvocationId, SimTime>,
-    /// Gateway layer: invocations terminally rejected at admission. They
-    /// never complete, so `finish` must not count them as unfinished.
-    rejected: std::collections::HashSet<InvocationId>,
+    fold: ChainFold,
     attributions: Vec<InvocationAttribution>,
     skipped: u64,
 }
@@ -488,294 +484,23 @@ impl AttributionEngine {
     }
 
     /// Finishes the fold: sorts attributions by invocation id and counts
-    /// arrivals that never completed.
+    /// the invocations still open (arrived, never completed or rejected).
     pub fn finish(mut self) -> AttributionReport {
-        let completed: std::collections::HashSet<InvocationId> =
-            self.attributions.iter().map(|a| a.id).collect();
-        let unfinished = self
-            .arrivals
-            .keys()
-            .filter(|id| !completed.contains(id) && !self.rejected.contains(id))
-            .count() as u64;
         self.attributions.sort_by_key(|a| a.id);
         AttributionReport {
             invocations: self.attributions,
             skipped: self.skipped,
-            unfinished,
+            unfinished: self.fold.open_count() as u64,
         }
-    }
-
-    /// Builds the attribution for a detailed (single-worker) completion.
-    /// `None` when the chain is incomplete (truncated log).
-    fn complete_member(
-        &mut self,
-        completion: SimTime,
-        invocation: InvocationId,
-        batch: u64,
-        member: u32,
-    ) -> Option<InvocationAttribution> {
-        let idx = member as usize;
-        let (arrival, function) = *self.arrivals.get(&invocation)?;
-        let b = self.batches.get_mut(&batch)?;
-        if idx >= b.members.len() {
-            return None;
-        }
-        let dispatched = b.dispatched_at;
-        let decided = b.decision_done?;
-        let ready = b.ready?;
-        let exec = b.exec_start[idx]?;
-        let body = b.body_start[idx].unwrap_or(exec);
-        let body_fin = b.body_finish[idx].unwrap_or(body);
-        let own_finish = b.own_finish[idx]?;
-        let work = b.work[idx].unwrap_or(SimDuration::ZERO);
-
-        // Consecutive timestamps on the chain: arrival ≤ routed ≤
-        // dispatched ≤ decided ≤ ready ≤ exec ≤ body ≤ own_finish ≤
-        // completion. Each phase is one gap, so the sum telescopes
-        // exactly. `routed` defaults to `arrival` (clamped into the
-        // chain), so gateway-queue is zero for non-gateway streams.
-        let routed = self
-            .route_at
-            .get(&invocation)
-            .copied()
-            .unwrap_or(arrival)
-            .max(arrival)
-            .min(dispatched);
-        let gateway_queue = routed.saturating_duration_since(arrival);
-        let window_wait = dispatched.saturating_duration_since(routed);
-        let dispatch = decided.saturating_duration_since(dispatched);
-        // The decided → ready gap is the start overhead; which phase owns
-        // it depends on the tier (full boot vs snapshot restore). Warm
-        // starts have a zero gap, so both phases stay zero.
-        let start_gap = ready.saturating_duration_since(decided);
-        let (cold_start, restore) = if b.restored {
-            (SimDuration::ZERO, start_gap)
-        } else {
-            (start_gap, SimDuration::ZERO)
-        };
-        let queue = exec.saturating_duration_since(ready);
-        let mux_wait = body.saturating_duration_since(exec);
-        // The body span stretches beyond the intrinsic work under
-        // processor sharing; the stretch is CPU contention, the rest
-        // (work + any post-body op latency) is execution.
-        let stretch = body_fin
-            .saturating_duration_since(body)
-            .saturating_sub(work);
-        let execution = own_finish
-            .saturating_duration_since(body)
-            .saturating_sub(stretch);
-        let barrier = completion.saturating_duration_since(own_finish);
-
-        let attribution = InvocationAttribution {
-            id: invocation,
-            function,
-            container: Some(b.container),
-            batch: Some(batch),
-            cold: b.cold,
-            restored: b.restored,
-            retries: 0,
-            arrival,
-            completion,
-            phases: PhaseBreakdown {
-                retry_delay: SimDuration::ZERO,
-                gateway_queue,
-                window_wait,
-                dispatch,
-                cold_start,
-                restore,
-                queue,
-                mux_wait,
-                execution,
-                cpu_contention: stretch,
-                barrier,
-            },
-        };
-        b.completed += 1;
-        if b.completed == b.members.len() {
-            self.batches.remove(&batch);
-        }
-        Some(attribution)
-    }
-
-    /// Builds the coarse attribution for a fleet-level completion.
-    fn complete_fleet(
-        &mut self,
-        completion: SimTime,
-        invocation: InvocationId,
-    ) -> Option<InvocationAttribution> {
-        let (arrival, function) = *self.arrivals.get(&invocation)?;
-        let (redispatched, retries) = self
-            .redispatch
-            .get(&invocation)
-            .copied()
-            .unwrap_or((arrival, 0));
-        // Chain: arrival ≤ last re-dispatch ≤ routed (last group formed,
-        // clamped — a retried member can join a group whose first member
-        // arrived earlier) ≤ completion.
-        let redispatched = redispatched.max(arrival).min(completion);
-        let routed = self
-            .group_at
-            .get(&invocation)
-            .copied()
-            .unwrap_or(redispatched)
-            .max(redispatched)
-            .min(completion);
-        Some(InvocationAttribution {
-            id: invocation,
-            function,
-            container: None,
-            batch: None,
-            cold: false,
-            restored: false,
-            retries,
-            arrival,
-            completion,
-            phases: PhaseBreakdown {
-                retry_delay: redispatched.saturating_duration_since(arrival),
-                window_wait: routed.saturating_duration_since(redispatched),
-                execution: completion.saturating_duration_since(routed),
-                ..PhaseBreakdown::default()
-            },
-        })
     }
 }
 
 impl TraceSink for AttributionEngine {
     fn record(&mut self, event: &SimEvent) {
-        let at = event.at;
-        match &event.kind {
-            EventKind::Arrival {
-                invocation,
-                function,
-            } => {
-                self.arrivals.insert(*invocation, (at, *function));
-            }
-            EventKind::GroupFormed { members, .. } => {
-                for m in members {
-                    let slot = self.group_at.entry(*m).or_insert(at);
-                    *slot = (*slot).max(at);
-                }
-            }
-            EventKind::GatewayRoute { members, .. } => {
-                for m in members {
-                    let slot = self.route_at.entry(*m).or_insert(at);
-                    *slot = (*slot).max(at);
-                }
-            }
-            EventKind::GatewayReject { invocation, .. } => {
-                self.rejected.insert(*invocation);
-            }
-            EventKind::Redispatch {
-                invocation,
-                retries,
-                ..
-            } => {
-                let slot = self.redispatch.entry(*invocation).or_insert((at, 0));
-                slot.0 = slot.0.max(at);
-                slot.1 = slot.1.max(*retries);
-            }
-            EventKind::DispatchDecision {
-                batch,
-                container,
-                cold,
-                restored,
-                members,
-                ..
-            } => {
-                let n = members.len();
-                self.batches.insert(
-                    *batch,
-                    BatchChain {
-                        container: *container,
-                        cold: *cold,
-                        restored: *restored,
-                        members: members.clone(),
-                        dispatched_at: at,
-                        decision_done: None,
-                        ready: None,
-                        exec_start: vec![None; n],
-                        body_start: vec![None; n],
-                        body_finish: vec![None; n],
-                        own_finish: vec![None; n],
-                        work: vec![None; n],
-                        completed: 0,
-                    },
-                );
-            }
-            EventKind::TaskFinish {
-                task: TaskKind::Decision { batch },
-            } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    b.decision_done = Some(at);
-                    if !b.cold && !b.restored {
-                        b.ready = Some(at);
-                    }
-                }
-            }
-            EventKind::ColdStartEnd {
-                batch: Some(batch), ..
-            }
-            | EventKind::RestoreDone {
-                batch: Some(batch), ..
-            } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    b.ready = Some(at);
-                }
-            }
-            EventKind::ExecBegin {
-                batch,
-                member,
-                work,
-            } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    if let Some(slot) = b.exec_start.get_mut(*member as usize) {
-                        *slot = Some(at);
-                        b.work[*member as usize] = Some(*work);
-                    }
-                }
-            }
-            EventKind::TaskStart {
-                task: TaskKind::Body { batch, member },
-            } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    if let Some(slot) = b.body_start.get_mut(*member as usize) {
-                        *slot = Some(at);
-                    }
-                }
-            }
-            EventKind::TaskFinish {
-                task: TaskKind::Body { batch, member },
-            } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    if let Some(slot) = b.body_finish.get_mut(*member as usize) {
-                        *slot = Some(at);
-                    }
-                }
-            }
-            EventKind::ExecEnd { batch, member } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    if let Some(slot) = b.own_finish.get_mut(*member as usize) {
-                        *slot = Some(at);
-                    }
-                }
-            }
-            EventKind::InvocationComplete {
-                invocation,
-                batch: Some(batch),
-                member: Some(member),
-            } => match self.complete_member(at, *invocation, *batch, *member) {
-                Some(a) => self.attributions.push(a),
-                None => self.skipped += 1,
-            },
-            EventKind::InvocationComplete {
-                invocation,
-                batch: None,
-                member: None,
-            } => match self.complete_fleet(at, *invocation) {
-                Some(a) => self.attributions.push(a),
-                None => self.skipped += 1,
-            },
-            _ => {}
+        match self.fold.on_event(event) {
+            Step::Complete(attribution) => self.attributions.push(attribution),
+            Step::Incomplete { .. } => self.skipped += 1,
+            Step::Quiet | Step::OutOfBatch { .. } => {}
         }
     }
     fn as_any(&self) -> &dyn Any {
@@ -789,6 +514,7 @@ impl TraceSink for AttributionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{EventKind, TaskKind};
 
     fn ev(us: u64, kind: EventKind) -> SimEvent {
         SimEvent::new(SimTime::from_micros(us), kind)

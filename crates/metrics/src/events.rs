@@ -7,13 +7,15 @@
 //! stream by [`RecordReducer`]; there are no parallel hand-maintained
 //! counters. Sinks range from the zero-cost [`NoopSink`] to the
 //! [`AuditorSink`], which checks conservation, container state-machine
-//! legality, memory-ledger non-negativity, and latency-component tiling
-//! online as the stream flows.
+//! legality, memory-ledger non-negativity, and chain integrity online as
+//! the stream flows. The state machine that follows an invocation's event
+//! chain lives once, in `crate::chain`; reducer and auditor both hold it.
 //!
 //! See DESIGN.md §11 for the taxonomy and the emission contract.
 
 use crate::autoscaler::ScaleAction;
-use crate::latency::{InvocationRecord, LatencyBreakdown};
+use crate::chain::{ChainFold, Step, NO_ARRIVAL};
+use crate::latency::InvocationRecord;
 use crate::sampler::{ResourceSample, ResourceSampler};
 use faasbatch_container::container::ContainerState;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
@@ -21,7 +23,7 @@ use faasbatch_simcore::memory::MemCategory;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write;
 
@@ -628,35 +630,16 @@ pub struct ReducedRun {
     pub client_bytes_allocated: u64,
 }
 
-/// Per-batch state the reducer tracks between dispatch and completion.
-#[derive(Debug)]
-struct BatchState {
-    container: ContainerId,
-    cold: bool,
-    restored: bool,
-    members: Vec<InvocationId>,
-    decision_done: Option<SimTime>,
-    ready: Option<SimTime>,
-    exec_start: Vec<Option<SimTime>>,
-    own_finish: Vec<Option<SimTime>>,
-    completed: usize,
-}
-
 /// Folds the event stream into invocation records and run counters.
 ///
-/// This is the *single* source of truth for latency attribution: the
-/// scheduler harness no longer keeps parallel counters. The decomposition
-/// it reproduces (per member of a batch):
-///
-/// * `scheduling` — arrival → dispatch-decision work retired
-/// * `cold_start` — decision retired → container ready (cold batches only)
-/// * `queuing`    — ready → member starts, plus member's own finish →
-///   response release (per-batch barrier wait)
-/// * `execution`  — member starts → member's own finish
+/// The records are the four-part projection
+/// ([`LatencyBreakdown::from`](crate::latency::LatencyBreakdown)) of the
+/// attributions the shared chain fold (`crate::chain`) yields; the reducer
+/// adds only the run counters. It never panics: a completion on an
+/// incomplete chain yields no record (the [`AuditorSink`] names it).
 #[derive(Debug, Default)]
 pub struct RecordReducer {
-    arrivals: HashMap<InvocationId, (SimTime, FunctionId)>,
-    batches: HashMap<u64, BatchState>,
+    fold: ChainFold,
     records: Vec<InvocationRecord>,
     sampler: ResourceSampler,
     first_arrival: Option<SimTime>,
@@ -664,14 +647,7 @@ pub struct RecordReducer {
     client_requests: u64,
     clients_created: u64,
     client_bytes_allocated: u64,
-    /// Completed batch states recycled for later dispatches, so the
-    /// steady-state path reuses member/timestamp vec capacity instead of
-    /// allocating three vecs per batch.
-    batch_pool: Vec<BatchState>,
 }
-
-/// Recycled [`BatchState`]s kept at most; beyond this they drop normally.
-const BATCH_POOL_CAP: usize = 64;
 
 impl RecordReducer {
     /// A reducer with no state.
@@ -690,107 +666,19 @@ impl RecordReducer {
     }
 
     /// Ids that have arrived but not completed, ascending — what a worker
-    /// stopped mid-run still held. Linear in everything seen so far; only
-    /// the fleet's crash path asks.
+    /// stopped mid-run still held. Linear in what is open.
     pub fn open_invocations(&self) -> Vec<InvocationId> {
-        let done: HashSet<InvocationId> = self.records.iter().map(|r| r.id).collect();
-        let mut open: Vec<InvocationId> = self
-            .arrivals
-            .keys()
-            .filter(|id| !done.contains(id))
-            .copied()
-            .collect();
-        open.sort_unstable();
-        open
+        self.fold.open_invocations()
     }
 
     /// Folds one event. Returns the invocation record when the event
     /// completes an invocation (so callers can fire policy callbacks
     /// without re-deriving it).
     pub fn on_event(&mut self, event: &SimEvent) -> Option<InvocationRecord> {
-        let at = event.at;
         match &event.kind {
-            EventKind::Arrival {
-                invocation,
-                function,
-            } => {
-                self.arrivals.insert(*invocation, (at, *function));
-                self.first_arrival = Some(match self.first_arrival {
-                    Some(t) => t.min(at),
-                    None => at,
-                });
-            }
-            EventKind::DispatchDecision {
-                batch,
-                container,
-                cold,
-                restored,
-                members,
-                ..
-            } => {
-                let n = members.len();
-                let state = match self.batch_pool.pop() {
-                    Some(mut s) => {
-                        s.container = *container;
-                        s.cold = *cold;
-                        s.restored = *restored;
-                        s.members.clear();
-                        s.members.extend_from_slice(members);
-                        s.decision_done = None;
-                        s.ready = None;
-                        s.exec_start.clear();
-                        s.exec_start.resize(n, None);
-                        s.own_finish.clear();
-                        s.own_finish.resize(n, None);
-                        s.completed = 0;
-                        s
-                    }
-                    None => BatchState {
-                        container: *container,
-                        cold: *cold,
-                        restored: *restored,
-                        members: members.clone(),
-                        decision_done: None,
-                        ready: None,
-                        exec_start: vec![None; n],
-                        own_finish: vec![None; n],
-                        completed: 0,
-                    },
-                };
-                self.batches.insert(*batch, state);
-            }
-            EventKind::TaskFinish {
-                task: TaskKind::Decision { batch },
-            } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    b.decision_done = Some(at);
-                    // Warm batches are ready the instant the decision
-                    // retires; cold and restored ones wait for their
-                    // ColdStartEnd / RestoreDone.
-                    if !b.cold && !b.restored {
-                        b.ready = Some(at);
-                    }
-                }
-            }
-            EventKind::ColdStartEnd {
-                batch: Some(batch), ..
-            }
-            | EventKind::RestoreDone {
-                batch: Some(batch), ..
-            } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    b.ready = Some(at);
-                }
-            }
-            EventKind::ExecBegin { batch, member, .. } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    b.exec_start[*member as usize] = Some(at);
-                }
-            }
-            EventKind::ExecEnd { batch, member } => {
-                if let Some(b) = self.batches.get_mut(batch) {
-                    b.own_finish[*member as usize] = Some(at);
-                }
+            EventKind::Arrival { .. } => {
+                let first = self.first_arrival.map_or(event.at, |t| t.min(event.at));
+                self.first_arrival = Some(first);
             }
             EventKind::ClientCacheHit { .. } | EventKind::ClientCacheMiss { .. } => {
                 self.client_requests += 1;
@@ -805,90 +693,23 @@ impl RecordReducer {
                 live_containers,
             } => {
                 self.sampler.record(ResourceSample {
-                    at,
+                    at: event.at,
                     memory_bytes: *memory_bytes,
                     busy_cores: *busy_cores,
                     live_containers: *live_containers,
                 });
             }
-            EventKind::InvocationComplete {
-                invocation,
-                batch: Some(batch),
-                member: Some(member),
-            } => {
-                let record = self.complete_member(at, *invocation, *batch, *member);
-                self.last_completion = self.last_completion.max(at);
-                self.records.push(record);
-                return Some(record);
-            }
-            EventKind::InvocationComplete {
-                batch: None,
-                member: None,
-                ..
-            } => {
-                // Fleet-level completion: records come from worker merges.
-                self.last_completion = self.last_completion.max(at);
-            }
             _ => {}
         }
-        None
-    }
-
-    /// Builds the record for one completing batch member.
-    fn complete_member(
-        &mut self,
-        completion: SimTime,
-        invocation: InvocationId,
-        batch: u64,
-        member: u32,
-    ) -> InvocationRecord {
-        let idx = member as usize;
-        let b = self
-            .batches
-            .get_mut(&batch)
-            .unwrap_or_else(|| panic!("completion for undeclared batch #{batch}"));
-        let (arrival, function) = self.arrivals[&invocation];
-        let decision_done = b.decision_done.expect("completion before decision");
-        let ready = b.ready.expect("completion before container ready");
-        let exec_start = b.exec_start[idx].expect("completion before exec start");
-        let own_finish = b.own_finish[idx].expect("completion before own finish");
-        let scheduling = decision_done.saturating_duration_since(arrival);
-        // The paper's four-component vocabulary keeps `cold_start` as the
-        // decision→ready gap for any non-warm start; a snapshot restore just
-        // fills it with a far shorter span (the `restored` flag tells the
-        // two apart, and eleven-phase attribution splits them exactly).
-        let cold_start = if b.cold || b.restored {
-            ready.saturating_duration_since(decision_done)
-        } else {
-            SimDuration::ZERO
+        let Step::Complete(attribution) = self.fold.on_event(event) else {
+            return None;
         };
-        let queuing = exec_start.saturating_duration_since(ready)
-            + completion.saturating_duration_since(own_finish);
-        let execution = own_finish.saturating_duration_since(exec_start);
-        let record = InvocationRecord {
-            id: invocation,
-            function,
-            container: b.container,
-            arrival,
-            completion,
-            cold: b.cold,
-            restored: b.restored,
-            latency: LatencyBreakdown {
-                scheduling,
-                cold_start,
-                queuing,
-                execution,
-            },
-        };
-        b.completed += 1;
-        if b.completed == b.members.len() {
-            if let Some(state) = self.batches.remove(&batch) {
-                if self.batch_pool.len() < BATCH_POOL_CAP {
-                    self.batch_pool.push(state);
-                }
-            }
-        }
-        record
+        self.last_completion = self.last_completion.max(attribution.completion);
+        // Fleet-level completions carry no container: their records come
+        // from worker merges.
+        let record = attribution.record()?;
+        self.records.push(record);
+        Some(record)
     }
 
     /// Finishes the fold, yielding everything derived from the stream.
@@ -921,8 +742,11 @@ const MAX_VIOLATIONS: usize = 64;
 /// * **memory ledger** — per-category and global totals never go negative,
 ///   frees match live allocations, and the event's `total` agrees with the
 ///   running sum;
-/// * **latency tiling** — every derived record's components tile its
-///   end-to-end span ([`InvocationRecord::is_consistent`]);
+/// * **chain integrity** — every completion closes a whole event chain
+///   (arrival, dispatch decision, decision finish, container ready,
+///   `ExecBegin`, `ExecEnd`), member indices fit their batch, and the
+///   eleven phases read off the chain sum exactly to the end-to-end span
+///   ([`InvocationAttribution::is_exact`](crate::analysis::InvocationAttribution::is_exact));
 /// * **task pairing** — `TaskFinish`/`ColdStartEnd`/`RestoreDone` match an
 ///   open `TaskStart`/`ColdStartBegin`/`RestoreBegin`.
 #[derive(Debug, Default)]
@@ -942,7 +766,7 @@ pub struct AuditorSink {
     pending_scale_prewarms: u64,
     /// Gateway enqueues not yet matched by an admit, per invocation.
     gateway_open: HashMap<InvocationId, u32>,
-    reducer: RecordReducer,
+    fold: ChainFold,
     finished: bool,
 }
 
@@ -1256,17 +1080,37 @@ impl TraceSink for AuditorSink {
         self.check_container(at, &event.kind);
         self.check_memory(at, &event.kind);
 
-        if let Some(record) = self.reducer.on_event(event) {
-            if !record.is_consistent() {
-                let id = record.id;
-                self.violate(at, || {
-                    format!("{id} latency components do not tile its span")
-                });
+        match self.fold.on_event(event) {
+            // The conservation check above already named it.
+            Step::Quiet
+            | Step::Incomplete {
+                missing: NO_ARRIVAL,
+                ..
+            } => {}
+            Step::Complete(a) => {
+                let id = a.id;
+                if !a.is_exact() {
+                    self.violate(at, || {
+                        format!("{id} latency components do not tile its span")
+                    });
+                }
+                if a.completion < a.arrival {
+                    self.violate(at, || format!("{id} completed before it arrived"));
+                }
             }
-            if record.completion < record.arrival {
-                let id = record.id;
-                self.violate(at, || format!("{id} completed before it arrived"));
-            }
+            Step::Incomplete {
+                invocation,
+                missing,
+            } => self.violate(at, || {
+                format!("{invocation} completed on an incomplete chain (no {missing})")
+            }),
+            Step::OutOfBatch {
+                batch,
+                member,
+                size,
+            } => self.violate(at, || {
+                format!("batch #{batch} member {member} outside a batch of {size}")
+            }),
         }
     }
     fn as_any(&self) -> &dyn Any {

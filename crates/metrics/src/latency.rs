@@ -10,7 +10,20 @@
 //! 3. **queuing** — waiting inside the container before execution begins
 //!    (only batching-with-slack policies like Kraken have it);
 //! 4. **execution** — CPU time to run the invocation body.
+//!
+//! The four parts are not measured separately: they are a projection of the
+//! eleven [`Phase`](crate::analysis::Phase)s the chain fold reads off the
+//! event stream ([`LatencyBreakdown::from`] is the one place that builds
+//! them; DESIGN.md §13 has the table):
+//!
+//! | part | phases |
+//! |---|---|
+//! | scheduling | retry-delay + gateway-queue + window-wait + dispatch |
+//! | cold start | cold-start + restore |
+//! | queuing | queue + barrier |
+//! | execution | mux-wait + execution + cpu-contention |
 
+use crate::analysis::PhaseBreakdown;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -28,6 +41,20 @@ pub struct LatencyBreakdown {
     pub queuing: SimDuration,
     /// Execution time of the body.
     pub execution: SimDuration,
+}
+
+impl From<&PhaseBreakdown> for LatencyBreakdown {
+    /// Projects the eleven phases onto the paper's four parts (module docs
+    /// have the table). Every phase lands in exactly one part, so
+    /// `end_to_end()` equals [`PhaseBreakdown::total`].
+    fn from(p: &PhaseBreakdown) -> Self {
+        LatencyBreakdown {
+            scheduling: p.retry_delay + p.gateway_queue + p.window_wait + p.dispatch,
+            cold_start: p.cold_start + p.restore,
+            queuing: p.queue + p.barrier,
+            execution: p.mux_wait + p.execution + p.cpu_contention,
+        }
+    }
 }
 
 impl LatencyBreakdown {

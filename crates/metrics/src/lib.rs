@@ -7,7 +7,8 @@
 //! cost* (memory, container counts, CPU utilization sampled once per second;
 //! Fig. 13/14). This crate provides:
 //!
-//! * [`latency`] — [`latency::LatencyBreakdown`] and per-invocation
+//! * [`latency`] — [`latency::LatencyBreakdown`] (the paper's four parts, a
+//!   projection of the eleven attribution phases) and per-invocation
 //!   [`latency::InvocationRecord`]s with consistency checks;
 //! * [`stats`] — [`stats::Cdf`], nearest-rank quantiles (the p98 Kraken SLO
 //!   anchor), [`stats::Summary`];
@@ -17,9 +18,11 @@
 //!   [`report::text_table`] rendering;
 //! * [`events`] — the typed [`events::SimEvent`] trace stream every
 //!   simulation layer emits into, the pluggable [`events::TraceSink`]s
-//!   (no-op, ring, JSONL, counters, invariant auditor), and the
+//!   (no-op, collector, JSONL, fan-out, invariant auditor), and the
 //!   [`events::RecordReducer`] that derives records and samples from the
-//!   stream (DESIGN.md §11);
+//!   stream. One crate-private chain fold (`chain.rs`) follows each
+//!   invocation's event chain; reducer, auditor and attribution engine are
+//!   that fold plus their own counters (DESIGN.md §11);
 //! * [`autoscaler`] — the trace-driven [`autoscaler::AutoscalerSink`]
 //!   controller that folds the stream into per-function cold-start-rate /
 //!   backlog / occupancy estimates and emits [`autoscaler::ScaleAction`]s
@@ -59,6 +62,7 @@
 
 pub mod analysis;
 pub mod autoscaler;
+mod chain;
 pub mod events;
 pub mod latency;
 pub mod live;

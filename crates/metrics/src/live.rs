@@ -7,16 +7,16 @@
 //! [`SimTime`], and buffers them under one mutex.
 //! [`take_trace`](LiveTraceRecorder::take_trace) then yields a stream
 //! stable-sorted by timestamp, so the same consumers that audit and
-//! attribute simulated runs
-//! — [`AuditorSink`](crate::events::AuditorSink),
+//! attribute simulated runs — [`AuditorSink`](crate::events::AuditorSink),
 //! [`RecordReducer`](crate::events::RecordReducer), the
-//! [`AttributionEngine`](crate::analysis::AttributionEngine), and
-//! `faasbatch trace --analyze` — work unchanged on live ones.
+//! [`AttributionEngine`](crate::analysis::AttributionEngine) (three
+//! readings of one chain fold) and `faasbatch trace --analyze` — work
+//! unchanged on live ones.
 //!
 //! Concurrent emitters interleave, but every *causal chain* (arrival →
 //! decision → ready → exec → completion for one invocation) is stamped in
 //! happens-before order on a monotonic clock, so the per-invocation
-//! orderings the reducer relies on survive the global sort.
+//! orderings the chain fold reads exact phases off survive the global sort.
 
 use crate::events::{EventKind, SimEvent, TraceSink};
 use crate::telemetry::FlightRecorder;

@@ -6,10 +6,10 @@
 //! Vanilla, Kraken, SFS, and FaaSBatch guarantees the comparison sees
 //! identical arrivals and identical work — the paper's replay methodology.
 
-use crate::arrival::{bursty, BurstyConfig};
-use crate::duration::DurationDistribution;
+use crate::arrival::BurstyConfig;
 use crate::fib;
 use crate::function::{FunctionKind, FunctionRegistry};
+use crate::stream::WorkloadStream;
 use faasbatch_container::ids::{FunctionId, InvocationId};
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_simcore::time::{SimDuration, SimTime};
@@ -294,32 +294,7 @@ pub(crate) fn io_registry(functions: usize) -> (FunctionRegistry, Vec<FunctionId
 /// assert_eq!(w.len(), 800);
 /// ```
 pub fn cpu_workload(rng: &DetRng, cfg: &WorkloadConfig) -> Workload {
-    let mut arrivals_rng = rng.fork("cpu-arrivals");
-    let mut durations_rng = rng.fork("cpu-durations");
-    let mut assign_rng = rng.fork("cpu-assign");
-
-    let arrivals = bursty(&mut arrivals_rng, &bursty_config(cfg));
-    let dist = DurationDistribution::azure_fig9();
-    let weights = popularity(cfg.functions);
-    let scales = function_scales(rng, cfg.functions, cfg.heterogeneity);
-
-    let (registry, ids) = cpu_registry(&scales);
-
-    let invocations = arrivals
-        .into_iter()
-        .enumerate()
-        .map(|(n, arrival)| {
-            let fi = assign_rng.weighted_index(&weights);
-            let work = dist.sample(&mut durations_rng).mul_f64(scales[fi]);
-            Invocation {
-                id: InvocationId::new(n as u64),
-                function: ids[fi],
-                arrival,
-                work,
-            }
-        })
-        .collect();
-    Workload::new(registry, invocations)
+    WorkloadStream::cpu(rng, cfg).materialise()
 }
 
 /// Builds the I/O workload of §IV: functions that create storage clients
@@ -332,35 +307,13 @@ pub fn cpu_workload(rng: &DetRng, cfg: &WorkloadConfig) -> Workload {
 /// Multiplexer's savings show up behaviourally rather than being baked into
 /// the trace.
 pub fn io_workload(rng: &DetRng, cfg: &WorkloadConfig) -> Workload {
-    let mut arrivals_rng = rng.fork("io-arrivals");
-    let mut assign_rng = rng.fork("io-assign");
-    let mut glue_rng = rng.fork("io-glue");
-
-    let arrivals = bursty(&mut arrivals_rng, &bursty_config(cfg));
-    let weights = popularity(cfg.functions);
-    let (registry, ids) = io_registry(cfg.functions);
-
-    let invocations = arrivals
-        .into_iter()
-        .enumerate()
-        .map(|(n, arrival)| {
-            let function = ids[assign_rng.weighted_index(&weights)];
-            // Small glue computation around the storage calls: 2–8 ms.
-            let work = SimDuration::from_millis_f64(glue_rng.uniform_range(2.0, 8.0));
-            Invocation {
-                id: InvocationId::new(n as u64),
-                function,
-                arrival,
-                work,
-            }
-        })
-        .collect();
-    Workload::new(registry, invocations)
+    WorkloadStream::io(rng, cfg).materialise()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::duration::DurationDistribution;
 
     #[test]
     fn cpu_workload_shape() {

@@ -12,7 +12,8 @@ use faasbatch::fleet::config::FleetConfig;
 use faasbatch::fleet::sim::run_fleet;
 use faasbatch::gateway::{Gateway, GatewayError};
 use faasbatch::metrics::analysis::AttributionEngine;
-use faasbatch::metrics::events::{AuditorSink, EventKind, SimEvent, TraceSink};
+use faasbatch::metrics::events::{AuditorSink, EventKind, RecordReducer, SimEvent, TraceSink};
+use faasbatch::metrics::latency::LatencyBreakdown;
 use faasbatch::metrics::live::LiveTraceRecorder;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
@@ -112,12 +113,14 @@ fn gateway_stream_audits_clean_and_attributes_exactly() {
     let events = run_burst(gateway, &recorder, 48);
     let mut auditor = AuditorSink::new();
     let mut engine = AttributionEngine::new();
+    let mut reducer = RecordReducer::new();
     for event in &events {
         let line = serde_json::to_string(event).expect("serialize");
         let parsed: SimEvent = serde_json::from_str(&line).expect("round trip");
         assert_eq!(&parsed, event);
         auditor.record(&parsed);
         engine.record(&parsed);
+        reducer.on_event(&parsed);
     }
     let violations = auditor.finish().to_vec();
     assert!(violations.is_empty(), "{violations:?}");
@@ -126,6 +129,15 @@ fn gateway_stream_audits_clean_and_attributes_exactly() {
     assert_eq!(report.unfinished, 0);
     assert_eq!(report.skipped, 0);
     assert!(report.all_exact(), "phases must sum to end-to-end latency");
+    // The four-part records are the projection of the same attributions,
+    // gateway-queue charged to scheduling.
+    let records = reducer.finish().records;
+    assert_eq!(records.len(), 48);
+    for record in &records {
+        let a = report.get(record.id).expect("record is attributed");
+        assert_eq!(record.latency, LatencyBreakdown::from(&a.phases));
+        assert_eq!(Some(*record), a.record());
+    }
     assert!(
         report
             .invocations

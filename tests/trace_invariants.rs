@@ -1,14 +1,18 @@
 //! Event-stream properties: the online auditor finds zero violations across
 //! every scheduler (and the fleet under crash injection), tracing never
-//! perturbs the simulation itself, and the serialized event log is
-//! bit-identical run to run.
+//! perturbs the simulation itself, the serialized event log is
+//! bit-identical run to run, and a mutated stream is reported, never
+//! panicked on, by every consumer of the chain fold.
 
 use faasbatch::core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch::fleet::config::{FaultKind, FleetConfig, WorkerFault};
 use faasbatch::fleet::routing::RoutingKind;
 use faasbatch::fleet::sim::run_fleet_traced;
+use faasbatch::metrics::analysis::{AttributionEngine, AttributionReport};
 use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
-use faasbatch::metrics::events::{AuditorSink, MultiSink, SimEvent, TraceSink, VecSink};
+use faasbatch::metrics::events::{
+    AuditorSink, EventKind, MultiSink, RecordReducer, SimEvent, TraceSink, VecSink,
+};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
 use faasbatch::schedulers::harness::run_simulation_traced;
@@ -117,6 +121,36 @@ fn traced_autoscaled(scheduler: &str, w: &Workload) -> (RunReport, Vec<SimEvent>
     (report, events, violations)
 }
 
+/// Feeds `events` to the three consumers of the chain fold: the auditor's
+/// violations, the reducer's record count, the engine's report.
+fn consume(events: &[SimEvent]) -> (Vec<String>, usize, AttributionReport) {
+    let mut auditor = AuditorSink::new();
+    let mut reducer = RecordReducer::new();
+    let mut engine = AttributionEngine::new();
+    for e in events {
+        auditor.record(e);
+        reducer.on_event(e);
+        engine.record(e);
+    }
+    let violations = auditor.finish().to_vec();
+    (violations, reducer.completed(), engine.finish())
+}
+
+/// One event-level mutation of a recorded stream at position `at`: drop
+/// the event, duplicate it, swap it with its successor, or cut the stream
+/// there.
+fn mutate(events: &[SimEvent], kind: usize, at: usize) -> Vec<SimEvent> {
+    let mut out = events.to_vec();
+    let i = at % out.len();
+    match kind {
+        0 => drop(out.remove(i)),
+        1 => out.insert(i, events[i].clone()),
+        2 => out.swap(i, (i + 1).min(events.len() - 1)),
+        _ => out.truncate(i),
+    }
+    out
+}
+
 fn serialize(events: &[SimEvent]) -> String {
     let mut out = String::new();
     for e in events {
@@ -144,6 +178,61 @@ proptest! {
         );
         prop_assert_eq!(report.records.len(), w.len());
         prop_assert!(!events.is_empty());
+    }
+
+    /// The chain fold is lenient and its auditor strict: a recorded stream
+    /// is clean through all three consumers; any single-event mutation of
+    /// it is folded without a panic; and dropping one link of a completed
+    /// invocation's chain — its `Arrival`, its batch's `DispatchDecision`,
+    /// its `ExecBegin` — is always reported.
+    #[test]
+    fn mutated_streams_are_reported_never_panicked_on(
+        seed in 0u64..500,
+        io in 0usize..2,
+        scheduler in 0usize..6,
+        kind in 0usize..4,
+        at in 0usize..1_000_000,
+    ) {
+        let w = wl(seed, io == 1);
+        let (_, events, _) = traced(SCHEDULERS[scheduler], &w);
+        let (violations, records, report) = consume(&events);
+        prop_assert!(violations.is_empty(), "{:?}", violations);
+        prop_assert_eq!((records, report.skipped, report.unfinished), (w.len(), 0, 0));
+
+        consume(&mutate(&events, kind, at));
+
+        let completions: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::InvocationComplete {
+                    invocation,
+                    batch: Some(batch),
+                    member: Some(member),
+                } => Some((invocation, batch, member)),
+                _ => None,
+            })
+            .collect();
+        let (victim, its_batch, its_member) = completions[at % completions.len()];
+        for link in ["Arrival", "DispatchDecision", "ExecBegin"] {
+            let is_link = |k: &EventKind| match k {
+                EventKind::Arrival { invocation, .. } => link == "Arrival" && *invocation == victim,
+                EventKind::DispatchDecision { batch, .. } => {
+                    link == "DispatchDecision" && *batch == its_batch
+                }
+                EventKind::ExecBegin { batch, member, .. } => {
+                    link == "ExecBegin" && (*batch, *member) == (its_batch, its_member)
+                }
+                _ => false,
+            };
+            let cut: Vec<SimEvent> = events.iter().filter(|e| !is_link(&e.kind)).cloned().collect();
+            prop_assert_eq!(cut.len() + 1, events.len(), "one {} of {}", link, victim);
+            let (violations, _, report) = consume(&cut);
+            prop_assert!(
+                !violations.is_empty() && report.skipped >= 1,
+                "{}: dropping the {} of {} went unreported",
+                SCHEDULERS[scheduler], link, victim
+            );
+        }
     }
 
     /// Same seed + config ⇒ the serialized event log is bit-identical.
