@@ -12,9 +12,16 @@
 //! accrue progress and ask for [`next_completion`](CpuModel::next_completion)
 //! to know when to advance next. The simulation driver owns the event loop.
 //!
-//! Tasks live in one id-ordered table, groups in a slab, and every temporary
-//! is owned by the model, so the steady state allocates nothing. The *order*
-//! of every floating-point sum here is simulated semantics (DESIGN.md §16).
+//! Progress lives on the group, in integers. Every member of a group runs at
+//! the same rate, so a group carries one *service clock* — the service each
+//! member has received, in ticks of 2⁻³² core·µs — and a member is a finish
+//! tag (`clock at arrival + work`) in the group's min-heap. An event advances
+//! the clocks of the groups that have runnable members, pops the tags a clock
+//! has passed and re-divides the host over those groups; it never touches a
+//! task that neither arrived nor finished. Only the division itself (the
+//! weighted water-filling of [`water_fill`]) is floating point; everything it
+//! feeds is integer addition, so no result depends on the order or the
+//! grouping of the sums (DESIGN.md §16).
 //!
 //! # Examples
 //!
@@ -32,7 +39,17 @@
 //! assert_eq!(when, SimTime::from_secs(1));
 //! ```
 
+// Ticks cross between `u128`, `u64` and `f64` in a handful of places; each
+// one is a `try_from`, a checked operation or an `#[allow]` stating its bound.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_precision_loss
+)]
+
 use crate::time::{SimDuration, SimTime};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Identifies a task inside a [`CpuModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -41,29 +58,140 @@ pub struct CpuTaskId(u64);
 /// Identifies a scheduling group (e.g. one container) inside a [`CpuModel`].
 ///
 /// Ordered by creation (`seq` compares first): that order breaks ties in the
-/// water-filling sort, so it must not depend on which slab slot was reused.
+/// water-filling order, so it must not depend on which slab slot was reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CpuGroupId {
     seq: u64,
     slot: usize,
 }
 
-/// Work remaining below this many core-seconds counts as complete; it absorbs
-/// floating-point residue from rate integration.
-const WORK_EPSILON: f64 = 1e-9;
+/// Counts of the model's own work since it was created. They depend only on
+/// the operations applied, so they repeat exactly from run to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CpuStats {
+    /// Times the host was re-divided between the active groups.
+    pub recomputes: u64,
+    /// Active groups those re-divisions walked, summed.
+    pub group_visits: u64,
+    /// Finish tags pushed onto and popped off group heaps.
+    pub heap_ops: u64,
+    /// Tasks retired by [`CpuModel::advance_to`].
+    pub completions: u64,
+}
+
+/// Ticks (of 2⁻³² core·µs) a task gains per microsecond on a core of its own:
+/// the largest rate.
+const ONE: u64 = 1 << 32;
+/// [`ONE`] as a float (2³² exactly), so that no cast is needed to use it.
+const ONE_F64: f64 = 4_294_967_296.0;
 
 /// `Group::seq` of a slab slot that is on the free list.
 const FREE: u64 = u64::MAX;
 
+/// One group with runnable members, as the water-filling sees it. The model
+/// keeps these sorted by [`Fill::order`]; the test reference rebuilds them.
 #[derive(Debug, Clone)]
-struct Task {
-    id: CpuTaskId,
-    /// Slab slot of the task's group.
-    slot: usize,
-    /// Core-seconds of work left.
-    remaining: f64,
-    /// Current core allocation, recomputed on every membership change.
-    rate: f64,
+pub(crate) struct Fill {
+    /// `demand / weight`: groups are filled in ascending order of it.
+    key: f64,
+    seq: u64,
+    pub(crate) slot: usize,
+    /// Cores the group could use: one per member, up to its cap.
+    demand: f64,
+    weight: f64,
+    pub(crate) members: usize,
+    /// Ticks per microsecond each member gains (at most [`ONE`]); the output
+    /// of [`water_fill`].
+    pub(crate) rate: u64,
+}
+
+impl Fill {
+    pub(crate) fn new(
+        seq: u64,
+        slot: usize,
+        cap: Option<f64>,
+        weight: f64,
+        members: usize,
+    ) -> Self {
+        #[allow(clippy::cast_precision_loss)] // exact below 2^53 members
+        let demand = members as f64;
+        let demand = cap.map_or(demand, |cap| demand.min(cap));
+        Fill {
+            key: demand / weight,
+            seq,
+            slot,
+            demand,
+            weight,
+            members,
+            rate: 0,
+        }
+    }
+
+    /// Water-filling order: ascending `demand / weight`, ties by creation —
+    /// never by slab slot. Keys are unique, so an unstable sort is exact.
+    pub(crate) fn order(&self, other: &Fill) -> Ordering {
+        let keys = self.key.partial_cmp(&other.key).expect("finite ratios");
+        keys.then(self.seq.cmp(&other.seq))
+    }
+
+    /// The per-member rate of a group allotted `cores`, rounded down to a
+    /// whole tick: the members of a group never receive more than its
+    /// allocation, and lose less than 2⁻³² of a core each.
+    fn set_rate(&mut self, cores: f64) {
+        #[allow(clippy::cast_precision_loss)] // exact below 2^53 members
+        let per_member = cores / self.members as f64;
+        // A float-to-integer `as` floors a positive value and saturates; the
+        // value is at most 2^32 up to rounding, which the `min` absorbs.
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let ticks = (per_member * ONE_F64) as u64;
+        self.rate = ticks.min(ONE);
+    }
+}
+
+/// Weighted max-min fair division of `cores` over `order`, which must be
+/// sorted by [`Fill::order`]; writes every entry's `rate`.
+///
+/// Progressive filling: visiting groups in ascending demand/weight order, a
+/// group is pinned at its demand if that is below its proportional share of
+/// what remains; once one group's share falls short, all later groups (larger
+/// demand/weight) also fall short, so the remainder is split proportionally.
+/// These f64 sums are the only order-dependent arithmetic of the model.
+pub(crate) fn water_fill(cores: f64, order: &mut [Fill]) {
+    let mut weight_left: f64 = order.iter().map(|f| f.weight).sum();
+    let mut remaining = cores;
+    for i in 0..order.len() {
+        let f = &mut order[i];
+        let share = remaining * f.weight / weight_left;
+        if f.demand <= share + 1e-12 {
+            remaining -= f.demand;
+            weight_left -= f.weight;
+            f.set_rate(f.demand);
+        } else {
+            // Everyone from here on is share-limited.
+            let pool = remaining.max(0.0);
+            for f in &mut order[i..] {
+                f.set_rate(pool * f.weight / weight_left);
+            }
+            break;
+        }
+    }
+}
+
+/// Microseconds until a service clock running at `rate` ticks per µs has
+/// covered `left` ticks, rounded up; `None` if it never does.
+fn micros_to_cover(left: u128, rate: u64) -> Option<u64> {
+    match (left, rate) {
+        (0, _) => Some(0),
+        (_, 0) => None,
+        _ => Some(u64::try_from(left.div_ceil(u128::from(rate))).unwrap_or(u64::MAX)),
+    }
+}
+
+/// Core-ticks read out as core-seconds.
+fn core_seconds_of(ticks: u128) -> f64 {
+    #[allow(clippy::cast_precision_loss)] // read-out only: 2^-53 relative
+    let ticks = ticks as f64;
+    ticks / (ONE_F64 * 1e6)
 }
 
 #[derive(Debug, Clone)]
@@ -76,35 +204,36 @@ struct Group {
     /// cores proportional to its weight — the hook that lets an SFS-style
     /// scheduler prioritise short functions.
     weight: f64,
-    members: u64,
-    /// Core-seconds this group has consumed.
-    core_seconds: f64,
-    /// Scratch of `recompute_rates`: cores the group may use (its demand,
-    /// cut to its share when the host falls short) that no member has been
-    /// given yet, and the members still waiting for theirs.
-    budget: f64,
-    left: u64,
+    /// Service, in ticks, every member has received since the group was
+    /// created (a day on a whole core is 2^68: it does not wrap).
+    clock: u128,
+    /// Core-ticks this group has consumed.
+    ticks: u128,
+    /// Runnable members as `(finish tag, id)`, least first: a member is done
+    /// once `clock` reaches its tag. The allocation outlives the occupant.
+    heap: BinaryHeap<Reverse<(u128, CpuTaskId)>>,
 }
 
 /// Deterministic processor-sharing model of a `cores`-core host.
 #[derive(Debug, Clone)]
 pub struct CpuModel {
     cores: f64,
-    /// Runnable tasks in ascending id order (ids are monotone, so insertion
-    /// is a push).
-    tasks: Vec<Task>,
     groups: Vec<Group>,
     /// Vacant slots of `groups`.
     free: Vec<usize>,
-    /// Reused buffers: the groups with runnable tasks in water-filling order
-    /// (`demand / weight`, ties by creation), and the tasks retired by the
-    /// latest `advance_to`.
-    order: Vec<(f64, CpuGroupId)>,
+    /// The groups with runnable members, sorted by [`Fill::order`] and kept
+    /// so one entry at a time as members come and go.
+    active: Vec<Fill>,
+    /// Reused buffers: the tasks retired by the latest `advance_to`, and the
+    /// groups they left as `(slot, members before)`.
     done: Vec<CpuTaskId>,
+    shrunk: Vec<(usize, usize)>,
     last_accrual: SimTime,
-    core_seconds: f64,
+    /// Core-ticks the host has consumed.
+    ticks: u128,
     next_task: u64,
     next_group: u64,
+    stats: CpuStats,
 }
 
 impl CpuModel {
@@ -120,15 +249,16 @@ impl CpuModel {
         );
         CpuModel {
             cores,
-            tasks: Vec::new(),
             groups: Vec::new(),
             free: Vec::new(),
-            order: Vec::new(),
+            active: Vec::new(),
             done: Vec::new(),
+            shrunk: Vec::new(),
             last_accrual: SimTime::ZERO,
-            core_seconds: 0.0,
+            ticks: 0,
             next_task: 0,
             next_group: 0,
+            stats: CpuStats::default(),
         }
     }
 
@@ -148,26 +278,29 @@ impl CpuModel {
         }
         let seq = self.next_group;
         self.next_group += 1;
-        let group = Group {
-            seq,
-            cap,
-            weight: 1.0,
-            members: 0,
-            core_seconds: 0.0,
-            budget: 0.0,
-            left: 0,
-        };
         let slot = self.free.pop().unwrap_or(self.groups.len());
         if slot == self.groups.len() {
-            self.groups.push(group);
+            self.groups.push(Group {
+                seq,
+                cap,
+                weight: 1.0,
+                clock: 0,
+                ticks: 0,
+                heap: BinaryHeap::new(),
+            });
         } else {
-            self.groups[slot] = group;
+            // A vacated slot's heap is empty and keeps its allocation.
+            let g = &mut self.groups[slot];
+            (g.seq, g.cap, g.weight, g.clock, g.ticks) = (seq, cap, 1.0, 0, 0);
         }
         CpuGroupId { seq, slot }
     }
 
-    fn group(&self, id: CpuGroupId) -> Option<&Group> {
-        self.groups.get(id.slot).filter(|g| g.seq == id.seq)
+    fn group(&self, id: CpuGroupId) -> &Group {
+        self.groups
+            .get(id.slot)
+            .filter(|g| g.seq == id.seq)
+            .expect("unknown CPU group")
     }
 
     fn group_mut(&mut self, id: CpuGroupId) -> &mut Group {
@@ -194,12 +327,12 @@ impl CpuModel {
     ///
     /// Panics if the group does not exist.
     pub fn group_weight(&self, group: CpuGroupId) -> f64 {
-        self.group(group).expect("unknown CPU group").weight
+        self.group(group).weight
     }
 
-    /// Updates many group weights with a single rate recomputation. Use
-    /// this for periodic re-prioritisation sweeps (e.g. SFS aging). An empty
-    /// sweep does nothing, not even accrue.
+    /// Updates many group weights with at most one re-division of the host
+    /// (none if no group with runnable members changes weight). Use this for
+    /// periodic re-prioritisation sweeps (e.g. SFS aging).
     ///
     /// # Panics
     ///
@@ -212,19 +345,25 @@ impl CpuModel {
         now: SimTime,
         updates: impl IntoIterator<Item = (CpuGroupId, f64)>,
     ) {
-        let mut updates = updates.into_iter().peekable();
-        if updates.peek().is_none() {
-            return;
-        }
-        self.accrue(now, false);
+        self.accrue(now);
+        let mut moved = false;
         for (group, weight) in updates {
             assert!(
                 weight.is_finite() && weight > 0.0,
                 "invalid group weight: {weight}"
             );
-            self.group_mut(group).weight = weight;
+            let g = self.group_mut(group);
+            moved |= !g.heap.is_empty() && g.weight != weight;
+            g.weight = weight;
         }
-        self.recompute_rates();
+        if moved {
+            for f in &mut self.active {
+                let g = &self.groups[f.slot];
+                *f = Fill::new(g.seq, f.slot, g.cap, g.weight, f.members);
+            }
+            self.active.sort_unstable_by(Fill::order);
+            self.refill();
+        }
     }
 
     /// Removes an empty group; its slab slot is reused by a later
@@ -232,11 +371,12 @@ impl CpuModel {
     ///
     /// # Panics
     ///
-    /// Panics if the group does not exist or still has tasks.
+    /// Panics if the group does not exist, still has tasks, or `now`
+    /// precedes the last accrual.
     pub fn remove_group(&mut self, now: SimTime, group: CpuGroupId) {
-        self.accrue(now, false);
+        self.accrue(now);
         let g = self.group_mut(group);
-        assert_eq!(g.members, 0, "cannot remove non-empty CPU group");
+        assert!(g.heap.is_empty(), "cannot remove non-empty CPU group");
         g.seq = FREE;
         self.free.push(group.slot);
     }
@@ -247,34 +387,17 @@ impl CpuModel {
     ///
     /// Panics if the group does not exist or `now` precedes the last accrual.
     pub fn add_task(&mut self, now: SimTime, group: CpuGroupId, work: SimDuration) -> CpuTaskId {
-        self.accrue(now, false);
-        self.group_mut(group).members += 1;
+        self.accrue(now);
         let id = CpuTaskId(self.next_task);
         self.next_task += 1;
-        self.tasks.push(Task {
-            id,
-            slot: group.slot,
-            remaining: work.as_secs_f64(),
-            rate: 0.0,
-        });
-        self.recompute_rates();
+        let g = self.group_mut(group);
+        let before = g.heap.len();
+        let work = u128::from(work.as_micros()) * u128::from(ONE);
+        g.heap.push(Reverse((g.clock + work, id)));
+        self.stats.heap_ops += 1;
+        self.refile(group.slot, before);
+        self.refill();
         id
-    }
-
-    fn task(&self, id: CpuTaskId) -> Option<usize> {
-        self.tasks.binary_search_by_key(&id, |t| t.id).ok()
-    }
-
-    /// Cancels a task, discarding its remaining work.
-    ///
-    /// Returns the unfinished core-seconds, or `None` if the task is unknown
-    /// (e.g. already completed).
-    pub fn cancel_task(&mut self, now: SimTime, task: CpuTaskId) -> Option<SimDuration> {
-        self.accrue(now, false);
-        let t = self.tasks.remove(self.task(task)?);
-        self.groups[t.slot].members -= 1;
-        self.recompute_rates();
-        Some(SimDuration::from_secs_f64(t.remaining.max(0.0)))
     }
 
     /// Advances the clock to `now`, accruing progress, and removes every task
@@ -285,10 +408,33 @@ impl CpuModel {
     ///
     /// Panics if `now` precedes the previous accrual point.
     pub fn advance_to(&mut self, now: SimTime) -> &[CpuTaskId] {
+        self.accrue(now);
         self.done.clear();
-        self.accrue(now, true);
+        self.shrunk.clear();
+        for f in &self.active {
+            let g = &mut self.groups[f.slot];
+            while let Some(&Reverse((tag, id))) = g.heap.peek().filter(|t| t.0 .0 <= g.clock) {
+                g.heap.pop();
+                // The task was charged up to `clock` but stopped at its tag.
+                let unused = g.clock - tag;
+                g.ticks -= unused;
+                self.ticks -= unused;
+                self.done.push(id);
+            }
+            if g.heap.len() != f.members {
+                self.shrunk.push((f.slot, f.members));
+            }
+        }
         if !self.done.is_empty() {
-            self.recompute_rates();
+            for i in 0..self.shrunk.len() {
+                let (slot, before) = self.shrunk[i];
+                self.refile(slot, before);
+            }
+            self.done.sort_unstable();
+            let retired = self.done.len() as u64;
+            self.stats.heap_ops += retired;
+            self.stats.completions += retired;
+            self.refill();
         }
         &self.done
     }
@@ -297,43 +443,47 @@ impl CpuModel {
     ///
     /// Returns the absolute completion instant (rounded *up* to the next
     /// microsecond so the task is guaranteed done when the caller advances to
-    /// it) and the completing task — the lowest id among equals. `None` when
-    /// no runnable task exists.
+    /// it) and a task completing then: each group's member with the least
+    /// work left, the lowest id among groups. The instant does not depend on
+    /// `now`, which only bounds it from below. `None` when no runnable task
+    /// will ever complete.
     pub fn next_completion(&self, now: SimTime) -> Option<(SimTime, CpuTaskId)> {
         debug_assert!(now >= self.last_accrual);
-        let elapsed = now
-            .saturating_duration_since(self.last_accrual)
-            .as_secs_f64();
-        let mut best: Option<(f64, CpuTaskId)> = None;
-        for t in &self.tasks {
-            if t.rate <= 0.0 {
+        let mut best: Option<(u64, CpuTaskId)> = None;
+        for f in &self.active {
+            let g = &self.groups[f.slot];
+            let &Reverse((tag, id)) = g.heap.peek().expect("active groups have members");
+            let Some(micros) = micros_to_cover(tag.saturating_sub(g.clock), f.rate) else {
                 continue;
-            }
-            let remaining_at_now = (t.remaining - elapsed * t.rate).max(0.0);
-            let secs = remaining_at_now / t.rate;
-            if best.is_none_or(|(b, _)| secs < b) {
-                best = Some((secs, t.id));
+            };
+            if best.is_none_or(|b| (micros, id) < b) {
+                best = Some((micros, id));
             }
         }
-        best.map(|(secs, id)| {
-            let micros = (secs * 1e6).ceil() as u64;
-            (now + SimDuration::from_micros(micros), id)
+        best.map(|(micros, id)| {
+            let at = self.last_accrual.as_micros().saturating_add(micros);
+            (SimTime::from_micros(at).max(now), id)
         })
     }
 
     /// Instantaneous busy-core count (sum of task rates).
     pub fn busy_cores(&self) -> f64 {
-        self.tasks.iter().map(|t| t.rate).sum()
+        let ticks_per_micro: u128 = self
+            .active
+            .iter()
+            .map(|f| u128::from(f.rate) * f.members as u128)
+            .sum();
+        #[allow(clippy::cast_precision_loss)] // exact below 2^21 cores
+        let ticks_per_micro = ticks_per_micro as f64;
+        ticks_per_micro / ONE_F64
     }
 
-    /// Instantaneous utilization in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        self.busy_cores() / self.cores
-    }
-
-    /// Cumulative core-seconds consumed up to the last accrual point.
+    /// Cumulative core-seconds consumed up to the last accrual point. A task
+    /// that is past its finish tag but not yet retired by
+    /// [`advance_to`](Self::advance_to) is charged as if still running; the
+    /// excess is returned when it retires.
     pub fn core_seconds(&self) -> f64 {
-        self.core_seconds
+        core_seconds_of(self.core_ticks())
     }
 
     /// Core-seconds consumed by one group up to the last accrual.
@@ -343,116 +493,87 @@ impl CpuModel {
     /// Panics if the group does not exist (it may have been removed — query
     /// before [`remove_group`](Self::remove_group)).
     pub fn group_core_seconds(&self, group: CpuGroupId) -> f64 {
-        self.group(group).expect("unknown CPU group").core_seconds
+        core_seconds_of(self.group_core_ticks(group))
+    }
+
+    /// [`core_seconds`](Self::core_seconds) in ticks of 2⁻³² core·µs.
+    pub(crate) fn core_ticks(&self) -> u128 {
+        self.ticks
+    }
+
+    /// [`group_core_seconds`](Self::group_core_seconds) in ticks.
+    pub(crate) fn group_core_ticks(&self, group: CpuGroupId) -> u128 {
+        self.group(group).ticks
     }
 
     /// Number of runnable tasks.
     pub fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.active.iter().map(|f| f.members).sum()
     }
 
-    /// Number of tasks in `group` (0 if the group is unknown).
-    pub fn group_task_count(&self, group: CpuGroupId) -> u64 {
-        self.group(group).map_or(0, |g| g.members)
-    }
-
-    /// Remaining work of a task, if it is still running.
-    pub fn task_remaining(&self, task: CpuTaskId) -> Option<SimDuration> {
-        let t = &self.tasks[self.task(task)?];
-        Some(SimDuration::from_secs_f64(t.remaining.max(0.0)))
-    }
-
-    /// Current core allocation of a task, if it is still running.
+    /// Current core allocation of a task, if it is still running. The model
+    /// keeps no per-task table, so this searches the group heaps.
     pub fn task_rate(&self, task: CpuTaskId) -> Option<f64> {
-        Some(self.tasks[self.task(task)?].rate)
+        let holds = |f: &&Fill| self.groups[f.slot].heap.iter().any(|t| t.0 .1 == task);
+        #[allow(clippy::cast_precision_loss)] // a rate is at most 2^32
+        self.active
+            .iter()
+            .find(holds)
+            .map(|f| f.rate as f64 / ONE_F64)
     }
 
-    /// Moves the accrual point to `now`, charging every task its progress in
-    /// ascending id order; with `retire`, the same pass moves the tasks that
-    /// are finished by then to `self.done`.
-    fn accrue(&mut self, now: SimTime, retire: bool) {
+    /// Counts of the model's own work so far.
+    pub fn stats(&self) -> CpuStats {
+        self.stats
+    }
+
+    /// Moves the accrual point to `now`: every active group's clock gains
+    /// `rate · dt`, and each of its members is charged that much.
+    fn accrue(&mut self, now: SimTime) {
         assert!(
             now >= self.last_accrual,
             "CPU model cannot move backwards: {now} < {}",
             self.last_accrual
         );
-        let dt = now
-            .saturating_duration_since(self.last_accrual)
-            .as_secs_f64();
+        let dt = u128::from((now - self.last_accrual).as_micros());
         self.last_accrual = now;
-        if dt <= 0.0 && !retire {
+        if dt == 0 {
             return;
         }
-        self.tasks.retain_mut(|t| {
-            let g = &mut self.groups[t.slot];
-            if dt > 0.0 {
-                let burned = t.rate * dt;
-                let counted = burned.min(t.remaining.max(0.0));
-                self.core_seconds += counted;
-                g.core_seconds += counted;
-                t.remaining -= burned;
-            }
-            let finished = retire && t.remaining <= WORK_EPSILON;
-            if finished {
-                g.members -= 1;
-                self.done.push(t.id);
-            }
-            !finished
-        });
+        for f in &self.active {
+            let g = &mut self.groups[f.slot];
+            let gained = u128::from(f.rate) * dt;
+            let charged = gained * f.members as u128;
+            g.clock += gained;
+            g.ticks += charged;
+            self.ticks += charged;
+        }
     }
 
-    /// Weighted max-min fair allocation of `self.cores` across groups
-    /// (demand = min(cap, members): every task demands one core), then a
-    /// sequential equal split within each group.
-    fn recompute_rates(&mut self) {
-        self.order.clear();
-        for (slot, g) in self.groups.iter_mut().enumerate() {
-            if g.members > 0 {
-                let members = g.members as f64;
-                g.budget = g.cap.map_or(members, |cap| members.min(cap));
-                g.left = g.members;
-                let id = CpuGroupId { seq: g.seq, slot };
-                self.order.push((g.budget / g.weight, id));
-            }
+    /// Brings a group's entry in `active` up to date after its member count
+    /// changed from `before`; the caller re-fills.
+    fn refile(&mut self, slot: usize, before: usize) {
+        let g = &self.groups[slot];
+        let entry = |members| Fill::new(g.seq, slot, g.cap, g.weight, members);
+        if before > 0 {
+            let old = entry(before);
+            let at = self.active.binary_search_by(|f| f.order(&old));
+            self.active
+                .remove(at.expect("a group with members is filed"));
         }
-        // Weighted max-min (progressive filling): visiting groups in
-        // ascending demand/weight order, a group is pinned at its demand if
-        // that is below its proportional share of what remains; once one
-        // group's share falls short, all later groups (larger demand/weight)
-        // also fall short, so the remainder is split proportionally. Keys
-        // are unique (they end in the group id), so an unstable sort is exact.
-        self.order
-            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-        let weights = self
-            .order
-            .iter()
-            .map(|&(_, id)| self.groups[id.slot].weight);
-        let mut weight_left: f64 = weights.sum();
-        let mut remaining = self.cores;
-        for (i, &(_, id)) in self.order.iter().enumerate() {
-            let g = &self.groups[id.slot];
-            let share = remaining * g.weight / weight_left;
-            if g.budget <= share + 1e-12 {
-                remaining -= g.budget;
-                weight_left -= g.weight;
-            } else {
-                // Everyone from here on is share-limited.
-                let pool = remaining.max(0.0);
-                for &(_, id) in &self.order[i..] {
-                    let g = &mut self.groups[id.slot];
-                    g.budget = pool * g.weight / weight_left;
-                }
-                break;
-            }
+        if !g.heap.is_empty() {
+            let new = entry(g.heap.len());
+            let at = self.active.binary_search_by(|f| f.order(&new));
+            self.active
+                .insert(at.expect_err("group ids are unique"), new);
         }
-        // Within each group: the budget is handed out member by member in
-        // ascending task id, each taking an equal part of what is left.
-        for t in &mut self.tasks {
-            let g = &mut self.groups[t.slot];
-            t.rate = 1.0f64.min(g.budget / g.left as f64);
-            g.budget -= t.rate;
-            g.left -= 1;
-        }
+    }
+
+    /// Re-divides the host between the active groups.
+    fn refill(&mut self) {
+        self.stats.recomputes += 1;
+        self.stats.group_visits += self.active.len() as u64;
+        water_fill(self.cores, &mut self.active);
     }
 }
 
@@ -573,17 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_returns_remaining_work() {
-        let mut cpu = CpuModel::new(1.0);
-        let g = cpu.create_group(None);
-        let t = cpu.add_task(SimTime::ZERO, g, secs(2.0));
-        let left = cpu.cancel_task(SimTime::from_secs(1), t).unwrap();
-        assert!((left.as_secs_f64() - 1.0).abs() < 1e-6);
-        assert_eq!(cpu.task_count(), 0);
-        assert!(cpu.cancel_task(SimTime::from_secs(1), t).is_none());
-    }
-
-    #[test]
     fn core_seconds_accumulate() {
         let mut cpu = CpuModel::new(4.0);
         let g = cpu.create_group(None);
@@ -618,7 +728,6 @@ mod tests {
             cpu.add_task(SimTime::ZERO, g, secs(0.1));
         }
         assert!((cpu.busy_cores() - 4.0).abs() < 1e-9);
-        assert!((cpu.utilization() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -686,8 +795,11 @@ mod tests {
         let done = drain(&mut cpu, SimTime::ZERO);
         let find = |id| done.iter().find(|&&(d, _)| d == id).unwrap().1;
         assert!(find(ts) < find(tl));
-        // Work conservation: the long task still finishes at exactly 1 s.
-        assert_eq!(find(tl), SimTime::from_secs(1));
+        // Work conservation: the long task still finishes at 1 s — plus the
+        // microsecond the short one's completion was rounded up to (10/11 of
+        // a core is not a whole number of ticks, so 0.5 s takes 550,001 µs).
+        assert_eq!(find(ts), SimTime::from_micros(550_001));
+        assert_eq!(find(tl), SimTime::from_micros(1_000_001));
     }
 
     #[test]
@@ -710,13 +822,87 @@ mod tests {
     #[test]
     fn next_completion_is_stable_between_accruals() {
         // Asking for next_completion at a later `now` (without membership
-        // change) must return the same absolute instant.
+        // change) returns the same absolute instant, shared core or not.
         let mut cpu = CpuModel::new(1.0);
         let g = cpu.create_group(None);
-        cpu.add_task(SimTime::ZERO, g, secs(1.0));
-        let (a, _) = cpu.next_completion(SimTime::ZERO).unwrap();
-        let (b, _) = cpu.next_completion(SimTime::from_millis(400)).unwrap();
-        assert!(a.saturating_duration_since(b).as_micros() <= 1);
-        assert!(b.saturating_duration_since(a).as_micros() <= 1);
+        for work in [1.0, 0.7, 0.3] {
+            cpu.add_task(SimTime::ZERO, g, secs(work));
+            let asked_at_once = cpu.next_completion(SimTime::ZERO).unwrap();
+            for later in [1, 400, 899] {
+                let now = SimTime::from_millis(later);
+                assert_eq!(cpu.next_completion(now).unwrap(), asked_at_once);
+            }
+        }
+    }
+
+    #[test]
+    fn uncontended_task_completes_at_exactly_start_plus_work() {
+        // Plenty of cores: however many arrivals and completions in other
+        // groups move the accrual point in between, every task — the long
+        // watched one included — is done at its start plus its work to the
+        // microsecond, and is announced for that instant all along.
+        for others in [0u64, 1, 100] {
+            let mut cpu = CpuModel::new(256.0);
+            let start = |cpu: &mut CpuModel, at: SimTime, work: u64| {
+                let g = cpu.create_group(None);
+                let work = SimDuration::from_micros(work);
+                (cpu.add_task(at, g, work), at + work)
+            };
+            let mut now = SimTime::from_micros(17);
+            let mut due = std::collections::BTreeMap::from([start(&mut cpu, now, 1_234_567)]);
+            for i in 0..others {
+                // Short and long neighbours, so some overlap the next arrival.
+                let arrival = now + SimDuration::from_micros(7 + 13 * i);
+                while let Some((at, _)) = cpu.next_completion(now).filter(|c| c.0 <= arrival) {
+                    now = at;
+                    for id in cpu.advance_to(now).to_vec() {
+                        assert_eq!(due.remove(&id), Some(now), "{others} others");
+                    }
+                }
+                now = arrival;
+                due.extend([start(&mut cpu, now, 3 + 997 * (i % 9))]);
+                let (at, id) = cpu.next_completion(now).unwrap();
+                assert_eq!(due[&id], at, "{others} others");
+            }
+            for (id, at) in drain(&mut cpu, now) {
+                assert_eq!(due.remove(&id), Some(at), "{others} others");
+            }
+            assert!(due.is_empty());
+        }
+    }
+
+    #[test]
+    fn work_longer_than_2_pow_32_micros_does_not_overflow() {
+        // The benchmark's drill parks 1,000,000 s tasks in the model.
+        let mut cpu = CpuModel::new(2.0);
+        let g = cpu.create_group(None);
+        let work = SimDuration::from_secs(1_000_000);
+        assert!(work.as_micros() > 1 << 32);
+        for _ in 0..4 {
+            cpu.add_task(SimTime::ZERO, g, work);
+        }
+        let (due, _) = cpu.next_completion(SimTime::ZERO).unwrap();
+        assert_eq!(due, SimTime::from_secs(2_000_000));
+        assert_eq!(cpu.advance_to(due).len(), 4);
+        assert_eq!(cpu.core_seconds(), 4e6);
+    }
+
+    #[test]
+    fn a_task_that_can_never_finish_has_no_completion() {
+        // A weight ratio beyond 2^32 rounds the starved group's rate to zero.
+        let mut cpu = CpuModel::new(1.0);
+        let (hog, starved) = (cpu.create_group(None), cpu.create_group(None));
+        cpu.set_group_weight(SimTime::ZERO, hog, 1e12);
+        let t = cpu.add_task(SimTime::ZERO, starved, secs(1.0));
+        assert_eq!(
+            cpu.next_completion(SimTime::ZERO),
+            Some((SimTime::from_secs(1), t))
+        );
+        let h = cpu.add_task(SimTime::ZERO, hog, secs(1.0));
+        assert_eq!(cpu.task_rate(t), Some(0.0));
+        assert_eq!(
+            cpu.next_completion(SimTime::ZERO).map(|(_, id)| id),
+            Some(h)
+        );
     }
 }

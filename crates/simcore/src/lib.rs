@@ -49,7 +49,7 @@ pub mod memory;
 pub mod rng;
 pub mod time;
 
-pub use cpu::{CpuGroupId, CpuModel, CpuTaskId};
+pub use cpu::{CpuGroupId, CpuModel, CpuStats, CpuTaskId};
 pub use engine::{Engine, EventId};
 pub use memory::{AllocationId, MemCategory, MemOp, MemOpKind, MemoryLedger};
 pub use rng::DetRng;

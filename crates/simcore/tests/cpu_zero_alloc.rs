@@ -1,7 +1,8 @@
 //! The processor-sharing model allocates nothing in steady state: once its
-//! task table and reused buffers have reached their working size, the pump
-//! (`add_task` → `next_completion` → `advance_to`) and a re-weighting sweep
-//! never touch the heap.
+//! group heaps, active list and reused buffers have reached their working
+//! size, the pump (`add_task` → `next_completion` → `advance_to`), a
+//! re-weighting sweep and a container's `create_group` … `remove_group` (a
+//! recycled slab slot keeps its heap's allocation) never touch the allocator.
 //!
 //! Lives in its own test binary because it replaces the global allocator.
 
@@ -64,14 +65,20 @@ fn steady_state_pump_allocates_nothing() {
     let mut now = SimTime::ZERO;
     let mut pump = |cpu: &mut CpuModel, ops: usize| {
         for i in 0..ops {
+            // Every third task runs in a container of its own, which goes
+            // away with it and leaves its slab slot to the next one.
+            let container = (i % 3 == 0).then(|| cpu.create_group(None));
             cpu.add_task(
                 now,
-                groups[i % 64],
+                container.unwrap_or(groups[i % 64]),
                 SimDuration::from_micros(1 + i as u64 % 7),
             );
             let (at, _) = cpu.next_completion(now).expect("a task is runnable");
             now = at;
             black_box(cpu.advance_to(now));
+            if let Some(container) = container {
+                cpu.remove_group(now, container);
+            }
             if i % 50 == 0 {
                 // An aging sweep over every group, as SFS does.
                 cpu.set_group_weights(
@@ -84,13 +91,13 @@ fn steady_state_pump_allocates_nothing() {
             }
         }
     };
-    // Warm-up: the tables and buffers grow to their working size.
-    pump(&mut cpu, 100);
+    // Warm-up: the heaps, the list and the buffers grow to their working size.
+    pump(&mut cpu, 200);
     assert_eq!(allocations_in(|| pump(&mut cpu, 10_000)), 0);
     assert_eq!(cpu.task_count(), RUNNABLE);
 
     // The counter itself works: the same pump on a cold clone has to grow
-    // the clone's exact-size tables.
+    // the clone's exact-size heaps.
     let mut cold = cpu.clone();
     assert!(allocations_in(|| pump(&mut cold, 10)) > 0);
 }
