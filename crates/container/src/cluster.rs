@@ -259,9 +259,9 @@ impl Cluster {
     /// delay, then [`Cluster::start_cold_cpu_work`]) and finally
     /// [`Cluster::finish_cold_start`].
     pub fn acquire(&mut self, now: SimTime, spec: &ContainerSpec) -> Acquired {
+        // `check_out` drops TTL-stale entries without terminating them; see
+        // `expire_idle`.
         if let Some(id) = self.pool.check_out(now, spec.function()) {
-            // `check_out` can silently discard TTL-stale entries; reap them
-            // properly first so accounting stays exact.
             let c = self
                 .containers
                 .get_mut(&id)
@@ -474,6 +474,13 @@ impl Cluster {
     }
 
     /// Reaps idle containers that outlived the keep-alive TTL.
+    ///
+    /// Known gap (ROADMAP item 5): no scheduler harness calls this or
+    /// [`next_expiry`](Self::next_expiry), so in a simulated run a container
+    /// that outlives its keep-alive is never terminated — its memory and CPU
+    /// group stay charged, [`warm_count`](Self::warm_count) sees it until a
+    /// check-out pops it, and a later keep-alive raise resurrects it. Fixing
+    /// that moves committed results, so it is its own re-baselining PR.
     pub fn expire_idle(&mut self, now: SimTime) -> Vec<ContainerId> {
         let expired = self.pool.expire(now);
         for &id in &expired {

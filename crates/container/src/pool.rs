@@ -5,12 +5,18 @@
 //! tracks idle containers per function with a time-to-live, handing the most
 //! recently used one back first (LIFO — the standard keep-alive policy, it
 //! maximises the number of containers that age out).
+//!
+//! There is one pool for both backends. The simulator parks
+//! [`ContainerId`]s at virtual instants; the live dispatch core
+//! (`faasbatch_core::platform`) parks its container handles at wall-clock
+//! instants stamped as µs-since-origin [`SimTime`]s — the pool only ever
+//! compares the stamps it is given, so it needs no clock of its own.
 
 use crate::ids::{ContainerId, FunctionId};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Per-function LIFO pool of idle containers with TTL expiry.
+/// Per-function LIFO pool of idle containers `C` with TTL expiry.
 ///
 /// # Examples
 ///
@@ -26,16 +32,19 @@ use std::collections::{BTreeMap, VecDeque};
 /// assert_eq!(pool.check_out(SimTime::from_secs(1), f), None);
 /// ```
 #[derive(Debug, Clone)]
-pub struct WarmPool {
+pub struct WarmPool<C = ContainerId> {
     ttl: SimDuration,
     /// Per-function keep-alive overrides set by an autoscaling controller;
     /// functions without an entry use the base `ttl`.
     overrides: BTreeMap<FunctionId, SimDuration>,
-    // BTreeMap for deterministic iteration in expiry.
-    idle: BTreeMap<FunctionId, VecDeque<(SimTime, ContainerId)>>,
+    // BTreeMap for deterministic iteration in expiry. A function's queue
+    // stays once it has held a container: the steady state of a warm
+    // function is one check-out that empties it and one check-in that
+    // refills it, and neither should free or allocate.
+    idle: BTreeMap<FunctionId, VecDeque<(SimTime, C)>>,
 }
 
-impl WarmPool {
+impl<C> WarmPool<C> {
     /// Creates a pool whose idle containers expire after `ttl`.
     pub fn new(ttl: SimDuration) -> Self {
         WarmPool {
@@ -68,77 +77,78 @@ impl WarmPool {
     }
 
     /// Parks an idle container.
-    pub fn check_in(&mut self, now: SimTime, function: FunctionId, container: ContainerId) {
+    pub fn check_in(&mut self, now: SimTime, function: FunctionId, container: C) {
         self.idle
             .entry(function)
             .or_default()
             .push_back((now, container));
     }
 
-    /// Takes the most recently used warm container for `function`, skipping
-    /// (and discarding) any that have outlived the TTL.
+    /// Takes the most recently used warm container for `function`; it never
+    /// returns one that has outlived the TTL.
     ///
-    /// The caller is responsible for terminating discarded containers — use
-    /// [`expire`](Self::expire) beforehand if exact teardown accounting
-    /// matters; `check_out` itself never returns an expired container.
-    pub fn check_out(&mut self, now: SimTime, function: FunctionId) -> Option<ContainerId> {
+    /// Stale entries met on the way are dropped from the pool *silently* —
+    /// the caller never learns which containers to terminate. The simulated
+    /// [`Cluster`](crate::cluster::Cluster) still calls this one (the gap
+    /// recorded at [`Cluster::expire_idle`](crate::cluster::Cluster::expire_idle));
+    /// a caller that keeps exact teardown accounting uses
+    /// [`check_out_reaping`](Self::check_out_reaping).
+    pub fn check_out(&mut self, now: SimTime, function: FunctionId) -> Option<C> {
+        self.check_out_reaping(now, function, &mut Vec::new())
+    }
+
+    /// [`check_out`](Self::check_out), handing every stale entry it drops
+    /// to the caller through `stale` (newest first) instead of losing it.
+    pub fn check_out_reaping(
+        &mut self,
+        now: SimTime,
+        function: FunctionId,
+        stale: &mut Vec<C>,
+    ) -> Option<C> {
         let ttl = self.ttl_for(function);
         let q = self.idle.get_mut(&function)?;
-        while let Some(&(parked_at, id)) = q.back() {
-            if now.saturating_duration_since(parked_at) > ttl {
-                // Everything in front is even older; they will be reaped by
-                // `expire`. This entry itself is stale: drop it from the pool
-                // but report it via expire path too — here we simply skip.
-                q.pop_back();
-                continue;
+        while let Some((parked_at, container)) = q.pop_back() {
+            if now.saturating_duration_since(parked_at) <= ttl {
+                return Some(container);
             }
-            q.pop_back();
-            if q.is_empty() {
-                self.idle.remove(&function);
-            }
-            return Some(id);
+            stale.push(container);
         }
-        self.idle.remove(&function);
         None
     }
 
     /// Removes and returns every container whose idle time exceeded the TTL,
     /// in deterministic order.
-    pub fn expire(&mut self, now: SimTime) -> Vec<ContainerId> {
+    pub fn expire(&mut self, now: SimTime) -> Vec<C> {
         let mut expired = Vec::new();
-        let mut empty_functions = Vec::new();
         for (f, q) in self.idle.iter_mut() {
             let ttl = self.overrides.get(f).copied().unwrap_or(self.ttl);
-            while let Some(&(parked_at, id)) = q.front() {
-                if now.saturating_duration_since(parked_at) > ttl {
-                    expired.push(id);
-                    q.pop_front();
-                } else {
-                    break;
-                }
-            }
-            if q.is_empty() {
-                empty_functions.push(*f);
-            }
+            drain_expired(q, now, ttl, &mut expired);
         }
-        for f in empty_functions {
-            self.idle.remove(&f);
+        expired
+    }
+
+    /// [`expire`](Self::expire) for one function's queue, oldest first: what
+    /// a per-container reaper timer calls, so its cost does not grow with
+    /// the number of functions the pool has seen.
+    pub fn expire_function(&mut self, now: SimTime, function: FunctionId) -> Vec<C> {
+        let mut expired = Vec::new();
+        let ttl = self.ttl_for(function);
+        if let Some(q) = self.idle.get_mut(&function) {
+            drain_expired(q, now, ttl, &mut expired);
         }
         expired
     }
 
     /// Removes a specific container (e.g. when force-terminating), returning
     /// whether it was present.
-    pub fn remove(&mut self, container: ContainerId) -> bool {
-        let mut found = false;
-        self.idle.retain(|_, q| {
-            if let Some(pos) = q.iter().position(|&(_, id)| id == container) {
-                q.remove(pos);
-                found = true;
-            }
-            !q.is_empty()
-        });
-        found
+    pub fn remove(&mut self, container: C) -> bool
+    where
+        C: PartialEq,
+    {
+        self.idle.values_mut().any(|q| {
+            let pos = q.iter().position(|(_, c)| *c == container);
+            pos.is_some_and(|pos| q.remove(pos).is_some())
+        })
     }
 
     /// Number of idle containers for `function`.
@@ -161,6 +171,22 @@ impl WarmPool {
                 q.front().map(|&(parked_at, _)| parked_at + ttl)
             })
             .min()
+    }
+}
+
+/// Pops every front (oldest) entry of `q` that has been idle longer than
+/// `ttl` at `now` into `expired`.
+fn drain_expired<C>(
+    q: &mut VecDeque<(SimTime, C)>,
+    now: SimTime,
+    ttl: SimDuration,
+    expired: &mut Vec<C>,
+) {
+    while let Some(&(parked_at, _)) = q.front() {
+        if now.saturating_duration_since(parked_at) <= ttl {
+            break;
+        }
+        expired.extend(q.pop_front().map(|(_, container)| container));
     }
 }
 
@@ -202,6 +228,27 @@ mod tests {
     }
 
     #[test]
+    fn reaping_checkout_hands_back_what_plain_checkout_loses() {
+        // The item is whatever the caller parks — here a live-style handle.
+        let mut p: WarmPool<std::rc::Rc<str>> = WarmPool::new(SimDuration::from_secs(5));
+        p.check_in(SimTime::ZERO, f(0), "old".into());
+        p.check_in(SimTime::from_secs(1), f(0), "older-than-ttl".into());
+        p.check_in(SimTime::from_secs(4), f(0), "fresh".into());
+        let mut stale = Vec::new();
+        let got = p.check_out_reaping(SimTime::from_secs(7), f(0), &mut stale);
+        assert_eq!(got.as_deref(), Some("fresh"));
+        assert!(stale.is_empty(), "nothing stale sits above a fresh entry");
+        let got = p.check_out_reaping(SimTime::from_secs(7), f(0), &mut stale);
+        assert_eq!(got, None);
+        let stale: Vec<&str> = stale.iter().map(|c| &**c).collect();
+        assert_eq!(stale, ["older-than-ttl", "old"], "newest first");
+        // The emptied function reads as empty everywhere.
+        assert_eq!((p.idle_count(f(0)), p.total_idle()), (0, 0));
+        assert_eq!(p.next_expiry(), None);
+        assert!(p.expire(SimTime::from_secs(99)).is_empty());
+    }
+
+    #[test]
     fn boundary_is_inclusive() {
         // Exactly at TTL the container is still warm (expiry is strict `>`).
         let mut p = WarmPool::new(SimDuration::from_secs(5));
@@ -218,6 +265,20 @@ mod tests {
         let expired = p.expire(SimTime::from_secs(7));
         assert_eq!(expired, vec![c(1), c(2)]);
         assert_eq!(p.total_idle(), 1);
+    }
+
+    #[test]
+    fn expire_function_leaves_other_functions_alone() {
+        let mut p = WarmPool::new(SimDuration::from_secs(5));
+        p.set_ttl(f(1), SimDuration::from_secs(1));
+        p.check_in(SimTime::ZERO, f(0), c(1));
+        p.check_in(SimTime::from_secs(4), f(0), c(2));
+        p.check_in(SimTime::ZERO, f(1), c(3));
+        assert!(p.expire_function(SimTime::from_secs(7), f(2)).is_empty());
+        assert_eq!(p.expire_function(SimTime::from_secs(7), f(0)), vec![c(1)]);
+        assert_eq!((p.idle_count(f(0)), p.idle_count(f(1))), (1, 1));
+        // The per-function override governs it as it does `expire`.
+        assert_eq!(p.expire_function(SimTime::from_secs(2), f(1)), vec![c(3)]);
     }
 
     #[test]
@@ -313,7 +374,7 @@ mod tests {
 
     #[test]
     fn resetting_ttl_to_base_clears_the_override() {
-        let mut p = WarmPool::new(SimDuration::from_secs(10));
+        let mut p: WarmPool = WarmPool::new(SimDuration::from_secs(10));
         p.set_ttl(f(0), SimDuration::from_secs(2));
         p.set_ttl(f(0), SimDuration::from_secs(10));
         assert_eq!(p.ttl_for(f(0)), SimDuration::from_secs(10));

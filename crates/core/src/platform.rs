@@ -5,7 +5,13 @@
 //! * [`DispatchCore`] — the Inline-Parallel Producer: warm container reuse,
 //!   the snapshot-restore and cold start tiers, group expansion on the
 //!   shared work-stealing executor, and a per-container
-//!   [`ResourceMultiplexer`] for storage clients. It owns no thread:
+//!   [`ResourceMultiplexer`] for storage clients. The start tier is decided
+//!   on the simulator's own structures — a [`WarmPool`] of container
+//!   handles and a [`SnapshotCache`], stamped with wall time as
+//!   µs-since-origin [`SimTime`]s ([`DispatchCore::now`]) — in the order
+//!   `Cluster::acquire` uses, so the two backends cannot drift apart on
+//!   what is warm, what restores and what boots (DESIGN.md §19). It owns
+//!   no thread:
 //!   [`DispatchCore::dispatch`] acquires the container, records the
 //!   decision and hands the group to the executor **on the caller's
 //!   thread**, so a batch is on its way when the call returns.
@@ -18,9 +24,9 @@
 //! Each dispatched batch becomes one executor **task group**
 //! ([`faasbatch_exec::GroupJob`]s behind a completion barrier), so one
 //! process multiplexes every in-flight batch over a fixed worker pool
-//! instead of spawning a thread per invocation; cold-start delays and
-//! warm-pool keep-alive eviction ride the executor's timer wheel rather
-//! than sleeping threads.
+//! instead of spawning a thread per invocation; cold-start and restore
+//! delays and warm-pool keep-alive expiry ride the executor's timer wheel
+//! rather than sleeping threads.
 //!
 //! With a [`LiveTraceRecorder`] attached ([`PlatformBuilder::trace`]), every
 //! run emits the same typed [`SimEvent`] stream as the simulator — arrivals,
@@ -34,6 +40,9 @@ use crate::window::WindowQueue;
 use bytes::Bytes;
 use faasbatch_container::container::ContainerState;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
+use faasbatch_container::pool::WarmPool;
+use faasbatch_container::snapshot::{EvictionPolicy, SnapshotCache, SnapshotConfig};
+use faasbatch_container::spec::RestoreModel;
 use faasbatch_exec::{global_executor, Executor, GroupJob, GroupReport};
 use faasbatch_metrics::events::{EventKind, SimEvent, TaskKind};
 use faasbatch_metrics::live::LiveTraceRecorder;
@@ -425,26 +434,15 @@ pub struct PlatformStats {
     pub clients_created: AtomicU64,
 }
 
-/// A warm container parked in the keep-alive pool. The generation stamp
-/// lets the eviction timer recognise whether "its" entry is still the one
-/// sitting in the pool (reuse pops the entry; a later return gets a fresh
-/// generation, so a stale timer never evicts a just-returned container).
-struct WarmEntry {
-    env: Arc<ContainerEnv>,
-    generation: u64,
-}
-
 /// Everything [`CoreShared::acquire_container`] decides from, behind one
-/// lock: callers dispatch concurrently, and a pool miss must consult the
-/// templates before another caller's capture moves them.
-#[derive(Default)]
-struct Pools {
-    warm: HashMap<usize, Vec<WarmEntry>>,
-    next_generation: u64,
-    /// Snapshot templates: function → last-use stamp (LRU), bounded at
-    /// `snapshots` entries.
-    templates: HashMap<usize, u64>,
-    template_clock: u64,
+/// lock: the structures the simulated
+/// [`Cluster`](faasbatch_container::cluster::Cluster) decides from, fed
+/// wall-clock stamps ([`DispatchCore::now`]) instead of virtual ones.
+/// Callers dispatch concurrently, and a pool miss must consult the
+/// snapshots before another group's capture moves them.
+struct Tiers {
+    warm: WarmPool<Arc<ContainerEnv>>,
+    snapshots: SnapshotCache,
 }
 
 /// Counts in-flight batch groups so `drain`/shutdown can wait for work that
@@ -563,21 +561,22 @@ impl PlatformBuilder {
     }
 
     /// Enables the snapshot-restore start tier with at most `capacity`
-    /// templates (0 = disabled, the default).
+    /// snapshots (0 = disabled, the default).
     ///
-    /// The live approximation of snapshot restore: the first cold boot of a
-    /// function captures a pre-initialized template; when the warm pool
-    /// later misses but a template exists, a fresh container is cloned from
-    /// it and becomes ready after the (short) restore delay instead of the
-    /// full cold-start delay. Templates are bounded at `capacity` across
-    /// all functions, evicting least-recently-used.
+    /// The simulator's [`SnapshotCache`] on the wall clock: a cold boot that
+    /// *completes* captures a snapshot of its function; when the warm pool
+    /// later misses but a snapshot exists, a fresh container is restored
+    /// from it and becomes ready after the (short) restore delay instead of
+    /// the full cold-start delay. Snapshots are bounded at `capacity`
+    /// across all functions, evicting least-recently-used.
     pub fn snapshots(mut self, capacity: usize) -> Self {
         self.snapshots = capacity;
         self
     }
 
     /// Sets the synthetic restore delay paid when a container starts from a
-    /// snapshot template (default 2 ms; compare the 25 ms cold default).
+    /// snapshot (default 2 ms; compare the 25 ms cold default) — a
+    /// [`RestoreModel`] whose latency band is the single point `delay`.
     pub fn restore_delay(mut self, delay: Duration) -> Self {
         self.restore_delay = delay;
         self
@@ -608,9 +607,10 @@ impl PlatformBuilder {
         self
     }
 
-    /// Enables warm-pool keep-alive: a container idle for `ttl` after a
-    /// batch is evicted by a timer-wheel callback (off by default, so pools
-    /// grow monotonically as before).
+    /// Enables warm-pool keep-alive: a container idle for longer than `ttl`
+    /// after a batch is evicted — by a timer-wheel callback, or by the
+    /// check-out that finds it first (off by default, so pools grow
+    /// monotonically).
     pub fn keep_alive(mut self, ttl: Duration) -> Self {
         self.keep_alive = Some(ttl);
         self
@@ -678,8 +678,8 @@ impl PlatformBuilder {
 enum StartTier {
     /// Pooled warm container, ready immediately.
     Warm,
-    /// Fresh container cloned from a captured snapshot template; ready
-    /// after the restore delay.
+    /// Fresh container restored from a captured snapshot; ready after the
+    /// restore delay.
     Restored,
     /// Fresh container via a full cold boot; ready after the cold-start
     /// delay.
@@ -692,16 +692,20 @@ struct CoreShared {
     table: Arc<FunctionTable>,
     multiplex: bool,
     cold_start_delay: Duration,
-    snapshots: usize,
-    restore_delay: Duration,
     keep_alive: Option<Duration>,
+    /// Whether the snapshot cache has any capacity; a disabled cache is
+    /// never consulted, so a cold start takes no lock and reads no clock
+    /// for it.
+    snapshots: bool,
     store: ObjectStore,
     executor: Arc<Executor>,
     recorder: Option<LiveTraceRecorder>,
+    /// Time zero of [`CoreShared::now`] when no recorder is attached.
+    origin: Instant,
     telemetry: Option<Arc<PlatformTelemetry>>,
     ids: Arc<PlatformIds>,
     stats: PlatformStats,
-    pools: Mutex<Pools>,
+    tiers: Mutex<Tiers>,
     pending: PendingGroups,
 }
 
@@ -710,6 +714,60 @@ impl CoreShared {
         if let Some(rec) = &self.recorder {
             rec.record(kind);
         }
+    }
+
+    /// See [`DispatchCore::now`].
+    fn now(&self) -> SimTime {
+        match &self.recorder {
+            Some(rec) => rec.now(),
+            None => SimTime::ZERO + SimDuration::from(self.origin.elapsed()),
+        }
+    }
+
+    /// The stamp a check-out or check-in hands the warm pool. With
+    /// keep-alive off nothing ever ages (the TTL is `SimDuration::MAX`), so
+    /// no stamp is ever compared and the clock is not read for one: on a
+    /// workload of one-member groups those two reads were the measured cost
+    /// of the shared pool (EXPERIMENTS.md, "Live start tiers").
+    fn pool_stamp(&self) -> SimTime {
+        match self.keep_alive {
+            Some(_) => self.now(),
+            None => SimTime::ZERO,
+        }
+    }
+
+    /// The warm pool dropped `aged` for outliving the keep-alive: every one
+    /// is counted and leaves the trace as `Idle → Terminated`.
+    fn evict(&self, aged: Vec<Arc<ContainerEnv>>) {
+        for env in aged {
+            self.stats
+                .containers_evicted
+                .fetch_add(1, Ordering::Relaxed);
+            self.emit(EventKind::ContainerStateChange {
+                container: ContainerId::new(env.id()),
+                from: Some(ContainerState::Idle),
+                to: ContainerState::Terminated,
+            });
+        }
+    }
+
+    /// Arms the keep-alive timer of a container of `function` parked until
+    /// `due`. The reaper sweeps that function's queue only, for whatever has
+    /// aged out by then, not "its" entry: a reused-and-returned container
+    /// carries a newer stamp and waits for its own timer. The wheel rounds
+    /// to its tick and may fire up to one tick early; expiry is strict
+    /// (`>`), so a callback that is not yet past `due` re-arms itself.
+    fn arm_reaper(self: &Arc<Self>, function: FunctionId, due: SimTime) {
+        let core = Arc::clone(self);
+        let delay = due.saturating_duration_since(self.now()) + SimDuration::from_micros(1);
+        self.executor.schedule(delay.into(), move || {
+            let now = core.now();
+            if now <= due {
+                return core.arm_reaper(function, due);
+            }
+            let aged = core.tiers.lock().warm.expire_function(now, function);
+            core.evict(aged);
+        });
     }
 
     /// Dispatches one batch: container, decision, then the group goes to
@@ -721,7 +779,7 @@ impl CoreShared {
         members: Vec<RemoteJob>,
         on_done: Option<GroupDone>,
     ) {
-        let (env, tier) = self.acquire_container(function);
+        let (env, tier, delay) = self.acquire_container(function);
         let cold = tier == StartTier::Cold;
         let restored = tier == StartTier::Restored;
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
@@ -791,62 +849,50 @@ impl CoreShared {
             group.mark_ready();
             group.submit(members, on_done);
         };
-        let delay = match tier {
-            StartTier::Warm => return start(),
-            StartTier::Restored => self.restore_delay,
-            StartTier::Cold => self.cold_start_delay,
-        };
+        if tier == StartTier::Warm {
+            return start();
+        }
         self.executor.schedule(delay, start);
     }
 
-    /// Three start tiers, mirroring the simulator's
+    /// The three start tiers in the order, and on the structures, of the
+    /// simulator's
     /// [`Cluster::acquire`](faasbatch_container::cluster::Cluster::acquire):
-    /// warm-pool hit, then snapshot-template restore, then full cold boot
-    /// (which captures a template for later restores when the tier is on).
-    fn acquire_container(&self, function: usize) -> (Arc<ContainerEnv>, StartTier) {
-        let tier = {
-            let mut pools = self.pools.lock();
-            if let Some(entry) = pools.warm.get_mut(&function).and_then(Vec::pop) {
-                return (entry.env, StartTier::Warm);
-            }
-            if self.snapshots == 0 {
-                StartTier::Cold
-            } else {
-                pools.template_clock += 1;
-                let stamp = pools.template_clock;
-                if let Some(last_used) = pools.templates.get_mut(&function) {
-                    *last_used = stamp;
-                    StartTier::Restored
+    /// warm-pool check-out, then snapshot lookup, then full cold boot.
+    /// Returns the container, its tier and the start delay to wait out.
+    fn acquire_container(&self, function: usize) -> (Arc<ContainerEnv>, StartTier, Duration) {
+        let now = self.pool_stamp();
+        let function = FunctionId::new(function as u32);
+        let mut aged = Vec::new();
+        // A warm container, or else what the snapshot cache says of a miss.
+        // Its LRU needs the real time: one read, on the path that is about
+        // to wait out a restore or a boot. A disabled cache is not asked.
+        let checked_out = {
+            let mut tiers = self.tiers.lock();
+            let warm = tiers.warm.check_out_reaping(now, function, &mut aged);
+            warm.ok_or_else(|| {
+                if self.snapshots {
+                    tiers.snapshots.lookup(self.now(), function)
                 } else {
-                    // Live approximation of snapshot capture: remember the
-                    // function at provision time (the simulator captures at
-                    // boot completion), under the lock this decision was
-                    // made under.
-                    pools.templates.insert(function, stamp);
-                    while pools.templates.len() > self.snapshots {
-                        if let Some(victim) = pools
-                            .templates
-                            .iter()
-                            .min_by_key(|(_, &t)| t)
-                            .map(|(f, _)| *f)
-                        {
-                            pools.templates.remove(&victim);
-                        }
-                    }
-                    StartTier::Cold
+                    None
                 }
-            }
+            })
         };
-        let id = self.ids.next_container();
-        (
-            Arc::new(ContainerEnv {
-                id,
-                multiplexer: ResourceMultiplexer::new(),
-                sdk: StorageSdk::new(self.store.clone()),
-                multiplex: self.multiplex,
-            }),
-            tier,
-        )
+        self.evict(aged);
+        let restore = match checked_out {
+            Ok(env) => return (env, StartTier::Warm, Duration::ZERO),
+            Err(restore) => restore,
+        };
+        let env = Arc::new(ContainerEnv {
+            id: self.ids.next_container(),
+            multiplexer: ResourceMultiplexer::new(),
+            sdk: StorageSdk::new(self.store.clone()),
+            multiplex: self.multiplex,
+        });
+        match restore {
+            Some(latency) => (env, StartTier::Restored, latency.into()),
+            None => (env, StartTier::Cold, self.cold_start_delay),
+        }
     }
 }
 
@@ -865,18 +911,33 @@ impl Group {
         ContainerId::new(self.env.id())
     }
 
+    fn function_id(&self) -> FunctionId {
+        FunctionId::new(self.function as u32)
+    }
+
     /// The container checks out to this batch: a pooled one straight from
     /// idle; a cold or restored one after its start delay elapsed, when it
-    /// first becomes usable.
+    /// first becomes usable. A cold boot that completes is captured as its
+    /// function's snapshot (as `Cluster::finish_cold_start` does) — after
+    /// `ColdStartEnd` is recorded, so no restore begins before the boot it
+    /// copies ended.
     fn mark_ready(&self) {
+        let core = &*self.core;
         let container = self.container();
         let batch = Some(self.batch);
         if self.tier != StartTier::Warm {
-            self.core.emit(if self.tier == StartTier::Cold {
-                EventKind::ColdStartEnd { container, batch }
+            if self.tier == StartTier::Cold {
+                core.emit(EventKind::ColdStartEnd { container, batch });
+                if core.snapshots {
+                    let (now, boot) = (core.now(), core.cold_start_delay.into());
+                    core.tiers
+                        .lock()
+                        .snapshots
+                        .capture(now, self.function_id(), boot);
+                }
             } else {
-                EventKind::RestoreDone { container, batch }
-            });
+                core.emit(EventKind::RestoreDone { container, batch });
+            }
             self.core.emit(EventKind::ContainerStateChange {
                 container,
                 from: Some(ContainerState::Provisioning),
@@ -961,7 +1022,7 @@ impl Group {
 
     /// The batch epilogue: fold client/invocation counters into the worker
     /// stats, release the container back to the warm pool, and (when
-    /// keep-alive is on) arm the eviction timer.
+    /// keep-alive is on) arm the expiry timer.
     fn finish(&self, batch_size: u64, sdk_creations_before: u64, on_done: Option<GroupDone>) {
         let core = &self.core;
         let created = self.env.sdk.total_creations() as u64 - sdk_creations_before;
@@ -976,47 +1037,14 @@ impl Group {
             from: Some(ContainerState::Busy),
             to: ContainerState::Idle,
         });
-        // Return the container to the warm pool.
-        let generation = {
-            let mut pools = core.pools.lock();
-            let generation = pools.next_generation;
-            pools.next_generation += 1;
-            pools
-                .warm
-                .entry(self.function)
-                .or_default()
-                .push(WarmEntry {
-                    env: Arc::clone(&self.env),
-                    generation,
-                });
-            generation
-        };
+        // The clock is read before the lock is taken, not under it.
+        let now = core.pool_stamp();
+        core.tiers
+            .lock()
+            .warm
+            .check_in(now, self.function_id(), Arc::clone(&self.env));
         if let Some(ttl) = core.keep_alive {
-            let core = Arc::clone(core);
-            let function = self.function;
-            self.core.executor.schedule(ttl, move || {
-                let evicted = {
-                    let mut pools = core.pools.lock();
-                    let Some(pool) = pools.warm.get_mut(&function) else {
-                        return;
-                    };
-                    // Evict only if the exact entry we parked is still
-                    // idle; a reused-and-returned container carries a newer
-                    // generation and keeps its own timer.
-                    let Some(pos) = pool.iter().position(|e| e.generation == generation) else {
-                        return;
-                    };
-                    pool.remove(pos)
-                };
-                core.stats
-                    .containers_evicted
-                    .fetch_add(1, Ordering::Relaxed);
-                core.emit(EventKind::ContainerStateChange {
-                    container: ContainerId::new(evicted.env.id()),
-                    from: Some(ContainerState::Idle),
-                    to: ContainerState::Terminated,
-                });
-            });
+            core.arm_reaper(self.function_id(), now + SimDuration::from(ttl));
         }
         if let Some(on_done) = on_done {
             on_done(batch_size as usize);
@@ -1046,8 +1074,8 @@ impl fmt::Debug for DispatchCore {
 
 impl DispatchCore {
     /// Builds `workers` cores from one builder: they share its function
-    /// table, executor, id counters, recorder and telemetry, and each keeps
-    /// its own warm pools, snapshot templates and stats. The builder's
+    /// table, executor, id counters, recorder, clock and telemetry, and each
+    /// keeps its own warm pool, snapshot cache and stats. The builder's
     /// dispatch window is not used — a core never windows.
     pub fn fleet(builder: PlatformBuilder, workers: usize) -> Vec<DispatchCore> {
         let table = Arc::new(FunctionTable::new(builder.functions));
@@ -1060,22 +1088,35 @@ impl DispatchCore {
         }
         let executor = builder.executor.unwrap_or_else(global_executor);
         let ids = builder.ids.unwrap_or_default();
+        let origin = Instant::now();
+        let keep_alive = builder
+            .keep_alive
+            .map_or(SimDuration::MAX, SimDuration::from);
+        let restore = builder.restore_delay.into();
+        let snapshots = SnapshotConfig {
+            capacity: builder.snapshots,
+            eviction: EvictionPolicy::Lru,
+            model: RestoreModel::new(restore, restore, 0.0).expect("a point is a valid band"),
+        };
         (0..workers)
             .map(|_| DispatchCore {
                 shared: Arc::new(CoreShared {
                     table: Arc::clone(&table),
                     multiplex: builder.multiplex,
                     cold_start_delay: builder.cold_start_delay,
-                    snapshots: builder.snapshots,
-                    restore_delay: builder.restore_delay,
                     keep_alive: builder.keep_alive,
+                    snapshots: snapshots.enabled(),
                     store: builder.store.clone(),
                     executor: Arc::clone(&executor),
                     recorder: builder.recorder.clone(),
+                    origin,
                     telemetry: builder.telemetry.clone(),
                     ids: Arc::clone(&ids),
                     stats: PlatformStats::default(),
-                    pools: Mutex::new(Pools::default()),
+                    tiers: Mutex::new(Tiers {
+                        warm: WarmPool::new(keep_alive),
+                        snapshots: SnapshotCache::new(snapshots.clone()),
+                    }),
                     pending: PendingGroups::default(),
                 }),
             })
@@ -1099,6 +1140,15 @@ impl DispatchCore {
             tel.in_flight.add(members.len() as i64);
         }
         self.shared.spawn_group(function, members, on_done);
+    }
+
+    /// Wall time as a µs-since-origin [`SimTime`] — the stamp this core's
+    /// warm pool and snapshot cache age by, and the one the gateway routes
+    /// at. The attached recorder's clock ([`LiveTraceRecorder::now`]), so
+    /// decisions and trace share a timeline; without one, time since the
+    /// fleet was built.
+    pub fn now(&self) -> SimTime {
+        self.shared.now()
     }
 
     /// Blocks until every group dispatched so far has completed — cold ones
@@ -1265,6 +1315,18 @@ mod tests {
             assert_eq!(Some(*record), a.record());
         }
         records
+    }
+
+    fn assert_audits_clean(trace: &[SimEvent]) {
+        let mut auditor = AuditorSink::new();
+        for event in trace {
+            auditor.record(event);
+        }
+        assert!(
+            auditor.finish().is_empty(),
+            "trace has violations: {:?}",
+            auditor.finish()
+        );
     }
 
     fn fast_platform(multiplex: bool) -> (FaasBatchPlatform, Arc<AtomicUsize>) {
@@ -1472,15 +1534,7 @@ mod tests {
         drop(platform);
 
         let trace = recorder.take_trace();
-        let mut auditor = AuditorSink::new();
-        for event in &trace {
-            auditor.record(event);
-        }
-        assert!(
-            auditor.finish().is_empty(),
-            "trace has violations: {:?}",
-            auditor.finish()
-        );
+        assert_audits_clean(&trace);
         assert_eq!(projected_records(&trace).len(), 13);
     }
 
@@ -1659,15 +1713,7 @@ mod tests {
         drop(platform);
 
         let trace = recorder.take_trace();
-        let mut auditor = AuditorSink::new();
-        for event in &trace {
-            auditor.record(event);
-        }
-        assert!(
-            auditor.finish().is_empty(),
-            "restored trace has violations: {:?}",
-            auditor.finish()
-        );
+        assert_audits_clean(&trace);
         assert!(trace
             .iter()
             .any(|e| matches!(e.kind, EventKind::RestoreBegin { .. })));
@@ -1683,6 +1729,178 @@ mod tests {
             "the restore span lands in the cold_start component"
         );
         assert!(restored[0].is_consistent());
+    }
+
+    /// Dispatches one single-member group of function 0, as a front door
+    /// would (the `Arrival` is the caller's to record), and returns its
+    /// ticket.
+    fn dispatch_one(core: &DispatchCore, ids: &PlatformIds) -> InvokeTicket {
+        let invocation = ids.next_invocation();
+        core.shared.emit(EventKind::Arrival {
+            invocation,
+            function: FunctionId::new(0),
+        });
+        let (job, ticket) = RemoteJob::new(invocation, Bytes::new());
+        core.dispatch(0, vec![job], None);
+        ticket
+    }
+
+    #[test]
+    fn a_restore_never_precedes_the_boot_it_copies() {
+        let recorder = LiveTraceRecorder::new();
+        let ids = Arc::new(PlatformIds::new());
+        let core = DispatchCore::fleet(
+            PlatformBuilder::new()
+                .cold_start_delay(Duration::from_millis(60))
+                .restore_delay(Duration::from_millis(1))
+                .snapshots(4)
+                .keep_alive(Duration::from_millis(20))
+                .ids(Arc::clone(&ids))
+                .trace(recorder.clone())
+                .register("noop", |_env| {}),
+            1,
+        )
+        .pop()
+        .expect("one core");
+        // Two pool misses inside one cold-start delay: the first boot has
+        // not finished, so there is nothing to restore the second from.
+        let first = dispatch_one(&core, &ids);
+        let second = dispatch_one(&core, &ids);
+        for outcome in [first.wait(), second.wait()] {
+            assert!(outcome.cold && !outcome.restored, "{outcome:?}");
+        }
+        assert_eq!(core.stats().containers_restored.load(Ordering::Relaxed), 0);
+        core.wait_idle();
+        // Both boots completed and both containers aged out: now there is.
+        std::thread::sleep(Duration::from_millis(120));
+        let third = dispatch_one(&core, &ids).wait();
+        assert!(third.restored && !third.cold, "{third:?}");
+        core.wait_idle();
+        assert_eq!(core.stats().containers_evicted.load(Ordering::Relaxed), 2);
+
+        let trace = recorder.take_trace();
+        assert_audits_clean(&trace);
+        let position = |wanted: fn(&EventKind) -> bool| {
+            trace
+                .iter()
+                .position(|e| wanted(&e.kind))
+                .expect("event recorded")
+        };
+        assert!(
+            position(|k| matches!(k, EventKind::ColdStartEnd { .. }))
+                < position(|k| matches!(k, EventKind::RestoreBegin { .. })),
+            "the restore began before any boot had ended"
+        );
+    }
+
+    /// The keep-alive timer is late (the wheel's driver thread is held up),
+    /// so a check-out is what finds the container's age: it must still be
+    /// counted and terminated, and the late timer must not count it again.
+    #[test]
+    fn a_container_aged_out_at_check_out_is_evicted_like_any_other() {
+        let recorder = LiveTraceRecorder::new();
+        let ids = Arc::new(PlatformIds::new());
+        let exec = Executor::new(ExecutorConfig {
+            workers: 2,
+            ..ExecutorConfig::default()
+        });
+        let core = DispatchCore::fleet(
+            PlatformBuilder::new()
+                .cold_start_delay(Duration::ZERO)
+                .keep_alive(Duration::from_millis(30))
+                .executor(Arc::clone(&exec))
+                .ids(Arc::clone(&ids))
+                .trace(recorder.clone())
+                .register("noop", |_env| {}),
+            1,
+        )
+        .pop()
+        .expect("one core");
+        assert!(dispatch_one(&core, &ids).wait().cold);
+        core.wait_idle();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        exec.schedule(Duration::ZERO, move || {
+            let _ = held.recv();
+        });
+        std::thread::sleep(Duration::from_millis(80));
+        let evicted = || core.stats().containers_evicted.load(Ordering::Relaxed);
+        assert_eq!(evicted(), 0, "the timer is stuck behind the held callback");
+        let again = dispatch_one(&core, &ids);
+        assert_eq!(evicted(), 1, "the check-out met an aged container");
+        let terminated = |trace: &[SimEvent]| {
+            trace
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        EventKind::ContainerStateChange {
+                            to: ContainerState::Terminated,
+                            ..
+                        }
+                    )
+                })
+                .count()
+        };
+        let mut trace = recorder.take_trace();
+        assert_eq!(terminated(&trace), 1);
+        release.send(()).expect("the driver thread is waiting");
+        assert!(again.wait().cold, "an aged container is never reused");
+        core.wait_idle();
+        // Past the stale timer and the second container's own.
+        std::thread::sleep(Duration::from_millis(120));
+        assert_eq!(evicted(), 2, "one eviction per container, no more");
+        trace.extend(recorder.take_trace());
+        assert_eq!(terminated(&trace), 2);
+        assert_audits_clean(&trace);
+    }
+
+    /// The timer wheel fires a timer whenever its driver wakes in the
+    /// deadline's tick, and an unrelated earlier timer re-phases that wake:
+    /// it can come up to one tick before the delay asked for. A TTL that is
+    /// no multiple of the tick must still evict with no later traffic to
+    /// find the aged container. Here: a 20 ms tick, a check-in ~10 ms into
+    /// a tick with a 39 ms TTL (deadline two ticks on), and one unrelated
+    /// timer ~2 ms into the next tick — the reaper fires ~7 ms early.
+    #[test]
+    fn keep_alive_that_is_no_multiple_of_the_timer_tick_still_evicts() {
+        let tick_us = 20_000;
+        let ids = Arc::new(PlatformIds::new());
+        let wheel_start = Instant::now();
+        let exec = Executor::new(ExecutorConfig {
+            workers: 2,
+            timer_tick: Duration::from_micros(tick_us),
+            ..ExecutorConfig::default()
+        });
+        let core = DispatchCore::fleet(
+            PlatformBuilder::new()
+                .cold_start_delay(Duration::ZERO)
+                .keep_alive(Duration::from_millis(39))
+                .executor(Arc::clone(&exec))
+                .ids(Arc::clone(&ids))
+                .register("noop", |_env| {}),
+            1,
+        )
+        .pop()
+        .expect("one core");
+        let evicted = || core.stats().containers_evicted.load(Ordering::Relaxed);
+        for round in 1..=2 {
+            // Sleep to the middle of a tick.
+            let phase = wheel_start.elapsed().as_micros() as u64 % tick_us;
+            std::thread::sleep(Duration::from_micros((tick_us * 3 / 2 - phase) % tick_us));
+            assert!(dispatch_one(&core, &ids).wait().cold);
+            core.wait_idle();
+            std::thread::sleep(Duration::from_millis(12));
+            exec.schedule(Duration::ZERO, || {});
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while evicted() < round {
+                assert!(
+                    Instant::now() < deadline,
+                    "container {round} outlived its keep-alive with no timer left to reap it"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        assert_eq!(evicted(), 2);
     }
 
     #[test]

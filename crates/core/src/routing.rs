@@ -4,10 +4,12 @@
 //! The router places *function groups* (all invocations of one function
 //! arriving within one dispatch window), never individual invocations, so
 //! the Invoke Mapper's never-split invariant extends to the fleet: a group
-//! lands on exactly one worker and is batched there as usual. The same
-//! policies drive both `faasbatch-fleet` (simulated replay) and
-//! `faasbatch-gateway` (live sharded front door) — the trait only sees
-//! the [`RouterCtx`], so one implementation serves both clocks.
+//! lands on exactly one worker and is batched there as usual. One
+//! [`Router`] — a policy plus the load estimates it reads — drives both
+//! `faasbatch-fleet` (simulated replay) and `faasbatch-gateway` (live
+//! sharded front door, its shard threads sharing one behind a mutex):
+//! [`Router::place`] builds the [`RouterCtx`] a policy sees, so what is
+//! routed on is decided in one place for both clocks.
 //!
 //! Policies see only worker liveness plus router-side load *estimates* —
 //! mirroring a real front door that cannot inspect worker internals. All
@@ -90,7 +92,8 @@ impl RouterCtx<'_> {
 }
 
 /// A fleet routing policy: places one function group on one worker.
-pub trait RoutingPolicy {
+/// `Send`, because the live gateway's shard threads share one [`Router`].
+pub trait RoutingPolicy: Send {
     /// Policy name as it appears in reports.
     fn name(&self) -> String;
 
@@ -98,6 +101,75 @@ pub trait RoutingPolicy {
     /// with `ctx.alive[index]` true; at least one worker is always alive
     /// when this is called.
     fn route(&mut self, ctx: &RouterCtx<'_>) -> usize;
+}
+
+/// The router both backends place groups with: one policy instance — one
+/// round-robin cursor, however many threads route — over one set of
+/// [`WorkerLoad`] estimates.
+///
+/// `fleet::sim` owns one per replay; the live gateway shares one behind a
+/// mutex between its shard threads. [`Router::place`] is the only place a
+/// [`RouterCtx`] is built, so whatever a policy is shown (ROADMAP 3(b):
+/// real queue depth, warm sets) is decided here for both.
+pub struct Router {
+    policy: Box<dyn RoutingPolicy>,
+    load: Vec<WorkerLoad>,
+}
+
+impl Router {
+    /// A router placing onto `workers` idle workers under `policy`.
+    pub fn new(policy: Box<dyn RoutingPolicy>, workers: usize) -> Router {
+        Router {
+            policy,
+            load: vec![WorkerLoad::default(); workers],
+        }
+    }
+
+    /// The policy's name as it appears in reports.
+    pub fn policy_name(&self) -> String {
+        self.policy.name()
+    }
+
+    /// Places one group of `function` arriving at `now` on a worker with
+    /// `alive[worker]` set — at least one must be — and charges it the
+    /// estimated work of every member the caller can see: decay every
+    /// estimate to `now`, route, charge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy picks a worker that is not alive.
+    pub fn place(
+        &mut self,
+        now: SimTime,
+        function: FunctionId,
+        alive: &[bool],
+        members: impl IntoIterator<Item = SimDuration>,
+    ) -> usize {
+        for load in &mut self.load {
+            load.observe(now);
+        }
+        let worker = self.policy.route(&RouterCtx {
+            now,
+            function,
+            alive,
+            load: &self.load,
+        });
+        assert!(
+            alive[worker],
+            "routing policy `{}` picked dead worker {worker}",
+            self.policy.name()
+        );
+        for work in members {
+            self.charge(worker, now, work);
+        }
+        worker
+    }
+
+    /// Charges one more invocation of `work` to `worker` at `now` — a member
+    /// that joins a group after it was placed.
+    pub fn charge(&mut self, worker: usize, now: SimTime, work: SimDuration) {
+        self.load[worker].note(now, work);
+    }
 }
 
 /// Cycles through live workers in index order.
@@ -352,6 +424,44 @@ mod tests {
         load[1].note(SimTime::ZERO, SimDuration::from_secs(1));
         let alive = [true, true];
         assert_eq!(p.route(&ctx(&alive, &load, 0)), 1);
+    }
+
+    #[test]
+    fn router_keeps_one_cursor_and_charges_what_it_places() {
+        let mut router = Router::new(RoutingKind::RoundRobin.build(), 3);
+        let alive = [true, false, true];
+        let ms = SimDuration::from_millis;
+        let f = FunctionId::new(0);
+        assert_eq!(router.place(SimTime::ZERO, f, &alive, [ms(10), ms(30)]), 0);
+        assert_eq!(router.place(SimTime::ZERO, f, &alive, [ms(5)]), 2);
+        assert_eq!(router.place(SimTime::ZERO, f, &alive, []), 0);
+        router.charge(2, SimTime::ZERO, ms(50));
+        assert_eq!(router.load[0].assigned(), 2);
+        assert_eq!(router.load[0].busy_until(), SimTime::from_millis(40));
+        assert_eq!(router.load[2].runnable(), 2);
+        // Placing observes every worker first: estimates decay to `now`.
+        router.place(SimTime::from_millis(20), f, &alive, []);
+        assert_eq!(
+            (router.load[0].runnable(), router.load[2].runnable()),
+            (1, 1)
+        );
+        assert_eq!(router.policy_name(), "round-robin");
+    }
+
+    #[test]
+    #[should_panic(expected = "picked dead worker 1")]
+    fn router_rejects_a_policy_that_picks_a_dead_worker() {
+        struct Stuck;
+        impl RoutingPolicy for Stuck {
+            fn name(&self) -> String {
+                "stuck".to_owned()
+            }
+            fn route(&mut self, _ctx: &RouterCtx<'_>) -> usize {
+                1
+            }
+        }
+        let mut router = Router::new(Box::new(Stuck), 2);
+        router.place(SimTime::ZERO, FunctionId::new(0), &[true, false], []);
     }
 
     #[test]

@@ -7,6 +7,6 @@
 //! keep working unchanged.
 
 pub use faasbatch_core::routing::{
-    stable_hash, LeastLoaded, PullBased, RoundRobin, RouterCtx, RoutingKind, RoutingPolicy,
+    stable_hash, LeastLoaded, PullBased, RoundRobin, Router, RouterCtx, RoutingKind, RoutingPolicy,
     UnknownRoutingPolicy, WarmAffinity, WorkerLoad,
 };

@@ -7,9 +7,9 @@
 //! twice.
 //!
 //! * **Arrival.** The first member of a function group — key `(function,
-//!   arrival / window, attempt)` — places the whole group: the
-//!   [`RoutingPolicy`] picks a worker from the liveness flags and the
-//!   router-side [`WorkerLoad`] estimates *as they stand at that instant*,
+//!   arrival / window, attempt)` — places the whole group: the [`Router`]
+//!   (the same one the live gateway routes with) picks a worker from the
+//!   liveness flags and its load estimates *as they stand at that instant*,
 //!   and the group's work — the rest of its window in the trace — is
 //!   charged to the pick. Later members follow the group; each is injected
 //!   into its worker under its fleet id at its arrival.
@@ -36,7 +36,7 @@
 use crate::config::{FaultKind, FleetConfig, WorkerScheduler};
 use crate::error::FleetError;
 use crate::report::{FleetRecord, FleetReport, WorkerReport};
-use crate::routing::{RouterCtx, RoutingPolicy, WorkerLoad};
+use crate::routing::{Router, RoutingPolicy};
 use faasbatch_container::ids::{FunctionId, InvocationId};
 use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::autoscaler::AutoscalerSink;
@@ -120,11 +120,10 @@ struct Fleet<'a> {
     cfg: &'a FleetConfig,
     /// The workload; a fleet id is an index into it.
     invs: &'a [Invocation],
-    policy: Box<dyn RoutingPolicy>,
+    router: Router,
     seats: Vec<Seat>,
     /// Workers the router may still pick: no crash or drain has taken effect.
     accepting: Vec<bool>,
-    load: Vec<WorkerLoad>,
     /// Groups placed in the current window epoch: (function, attempt) →
     /// worker. Time only moves forward, so older epochs are dropped whole.
     placed: HashMap<(FunctionId, u32), usize>,
@@ -168,7 +167,7 @@ impl Fleet<'_> {
                 // charged as it joins.
                 if attempt > 0 {
                     for &id in ids {
-                        self.load[w].note(at, invs[id as usize].work);
+                        self.router.charge(w, at, invs[id as usize].work);
                     }
                 }
                 w
@@ -210,39 +209,26 @@ impl Fleet<'_> {
                 at,
             });
         }
-        for l in &mut self.load {
-            l.observe(at);
-        }
-        let w = self.policy.route(&RouterCtx {
-            now: at,
-            function,
-            alive: &self.accepting,
-            load: &self.load,
-        });
-        assert!(
-            self.accepting[w],
-            "routing policy `{}` picked dead worker {w}",
-            self.policy.name()
-        );
         let (invs, window, epoch) = (self.invs, self.cfg.window.as_micros(), self.epoch);
-        let mut members = self.events.is_some().then(Vec::new);
-        let load = &mut self.load[w];
-        let charge = |m: &Invocation| {
-            load.note(at, m.work);
-            if let Some(ids) = members.as_mut() {
-                ids.push(m.id);
-            }
+        // What the router can see of the group: a fresh one is the rest of
+        // its window in the trace, a re-dispatched one is the entry `ids`.
+        let (fresh, retried) = if attempt == 0 {
+            (&invs[first..], &[][..])
+        } else {
+            (&[][..], ids)
         };
-        if attempt == 0 {
-            invs[first..]
+        let members = || {
+            let fresh = fresh
                 .iter()
                 .take_while(|m| m.arrival.as_micros() / window == epoch)
-                .filter(|m| m.function == function)
-                .for_each(charge);
-        } else {
-            ids.iter().map(|&id| &invs[id as usize]).for_each(charge);
-        }
-        if let Some(members) = members {
+                .filter(|m| m.function == function);
+            fresh.chain(retried.iter().map(|&id| &invs[id as usize]))
+        };
+        let w = self
+            .router
+            .place(at, function, &self.accepting, members().map(|m| m.work));
+        if self.events.is_some() {
+            let members: Vec<InvocationId> = members().map(|m| m.id).collect();
             self.trace(
                 at,
                 EventKind::GroupFormed {
@@ -337,7 +323,7 @@ fn run_fleet_impl(
     let mut fleet = Fleet {
         cfg,
         invs,
-        policy,
+        router: Router::new(policy, n),
         seats: (0..n)
             .map(|_| Seat {
                 worker: Some(new_worker(workload, cfg, label)),
@@ -346,7 +332,6 @@ fn run_fleet_impl(
             })
             .collect(),
         accepting: vec![true; n],
-        load: vec![WorkerLoad::default(); n],
         placed: HashMap::new(),
         epoch: 0,
         queue: BinaryHeap::new(),
@@ -448,7 +433,7 @@ fn run_fleet_impl(
 
     Ok((
         FleetReport {
-            policy: fleet.policy.name(),
+            policy: fleet.router.policy_name(),
             scheduler: cfg.scheduler.name().to_owned(),
             workload: label.to_owned(),
             workers,

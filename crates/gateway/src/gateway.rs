@@ -6,14 +6,14 @@ use faasbatch_core::platform::{
     DispatchCore, FunctionTable, InvocationEnv, InvokeTicket, PlatformBuilder, PlatformIds,
     PlatformStats, RemoteJob,
 };
-use faasbatch_core::routing::{stable_hash, RouterCtx, RoutingKind, WorkerLoad};
+use faasbatch_core::routing::{stable_hash, Router, RoutingKind};
 use faasbatch_core::telemetry::PlatformTelemetry;
 use faasbatch_core::window::{PushError, WindowQueue};
 use faasbatch_exec::Executor;
 use faasbatch_metrics::events::EventKind;
 use faasbatch_metrics::live::LiveTraceRecorder;
 use faasbatch_metrics::telemetry::{Histogram, MetricRegistry};
-use faasbatch_simcore::time::{SimDuration, SimTime};
+use faasbatch_simcore::time::SimDuration;
 use faasbatch_storage::object_store::ObjectStore;
 use serde::Serialize;
 use std::fmt;
@@ -243,8 +243,8 @@ impl GatewayBuilder {
         self
     }
 
-    /// Routing policy placing window groups on workers. Each shard runs
-    /// its own instance over shared load estimates.
+    /// Routing policy placing window groups on workers. The shards share
+    /// one instance ([`Router`]): one cursor, one set of load estimates.
     pub fn policy(mut self, policy: RoutingKind) -> GatewayBuilder {
         self.policy = policy;
         self
@@ -328,8 +328,7 @@ impl GatewayBuilder {
         let cores = Arc::new(DispatchCore::fleet(cores, self.workers));
         let table = Arc::clone(cores[0].functions());
         let stats = Arc::new(GatewayStats::new(self.shards));
-        let loads = Arc::new(Mutex::new(vec![WorkerLoad::default(); self.workers]));
-        let origin = Instant::now();
+        let router = Arc::new(Mutex::new(Router::new(self.policy.build(), self.workers)));
         let queues: Vec<Arc<WindowQueue>> = (0..self.shards)
             .map(|_| Arc::new(WindowQueue::new(self.shard_depth)))
             .collect();
@@ -343,14 +342,12 @@ impl GatewayBuilder {
                 shard: shard as u64,
                 queue: Arc::clone(queue),
                 window: self.window,
-                policy: self.policy,
-                assumed_work: SimDuration::from_micros(self.assumed_work.as_micros() as u64),
+                assumed_work: self.assumed_work.into(),
                 cores: Arc::clone(&cores),
-                loads: Arc::clone(&loads),
+                router: Arc::clone(&router),
                 stats: Arc::clone(&stats),
                 recorder: self.recorder.clone(),
                 route_latency: route_latency.clone(),
-                origin,
             };
             let handle = std::thread::Builder::new()
                 .name(format!("faasbatch-gateway-shard-{shard}"))
@@ -440,26 +437,16 @@ struct ShardDispatcher {
     shard: u64,
     queue: Arc<WindowQueue>,
     window: Duration,
-    policy: RoutingKind,
     assumed_work: SimDuration,
     cores: Arc<Vec<DispatchCore>>,
-    loads: Arc<Mutex<Vec<WorkerLoad>>>,
+    router: Arc<Mutex<Router>>,
     stats: Arc<GatewayStats>,
     recorder: Option<LiveTraceRecorder>,
     route_latency: Option<Histogram>,
-    origin: Instant,
 }
 
 impl ShardDispatcher {
-    fn now(&self) -> SimTime {
-        match &self.recorder {
-            Some(recorder) => recorder.now(),
-            None => SimTime::from_micros(self.origin.elapsed().as_micros() as u64),
-        }
-    }
-
     fn run(self) {
-        let mut policy = self.policy.build();
         let alive = vec![true; self.cores.len()];
         self.queue.run(
             self.window,
@@ -474,26 +461,14 @@ impl ShardDispatcher {
             },
             |function, members| {
                 let route_started = Instant::now();
-                let now = self.now();
-                let worker = {
-                    let mut loads = self.loads.lock().expect("gateway load lock poisoned");
-                    for load in loads.iter_mut() {
-                        load.observe(now);
-                    }
-                    let worker = {
-                        let ctx = RouterCtx {
-                            now,
-                            function: FunctionId::new(function as u32),
-                            alive: &alive,
-                            load: &loads,
-                        };
-                        policy.route(&ctx)
-                    };
-                    for _ in 0..members.len() {
-                        loads[worker].note(now, self.assumed_work);
-                    }
-                    worker
-                };
+                // Every core of the fleet reads one clock; any of them has it.
+                let now = self.cores[0].now();
+                let worker = self.router.lock().expect("router lock poisoned").place(
+                    now,
+                    FunctionId::new(function as u32),
+                    &alive,
+                    std::iter::repeat_n(self.assumed_work, members.len()),
+                );
                 if let Some(recorder) = &self.recorder {
                     recorder.record(EventKind::GatewayRoute {
                         function: FunctionId::new(function as u32),

@@ -19,7 +19,7 @@
 //! the clocks of the groups that have runnable members, pops the tags a clock
 //! has passed and re-divides the host over those groups; it never touches a
 //! task that neither arrived nor finished. Only the division itself (the
-//! weighted water-filling of [`water_fill`]) is floating point; everything it
+//! weighted water-filling of `water_fill`) is floating point; everything it
 //! feeds is integer addition, so no result depends on the order or the
 //! grouping of the sums (DESIGN.md §16).
 //!

@@ -1298,7 +1298,6 @@ fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
 
     let seed: u64 = opts.num("--seed", 2023)?;
     let snapshots: usize = opts.num("--snapshots", 0)?;
-    let restore = std::time::Duration::from_millis(opts.num("--restore-ms", 1)?);
     let mut exec_config = ExecutorConfig {
         seed,
         ..ExecutorConfig::default()
@@ -1311,8 +1310,12 @@ fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
         .window(burst.window)
         .cold_start_delay(burst.cold)
         .snapshots(snapshots)
-        .restore_delay(restore)
         .executor(std::sync::Arc::clone(&executor));
+    // The restore delay has one default, the builder's.
+    if opts.flag("--restore-ms") {
+        let restore_ms = opts.num("--restore-ms", 0)?;
+        builder = builder.restore_delay(std::time::Duration::from_millis(restore_ms));
+    }
     if let Some(rec) = &burst.recorder {
         builder = builder.trace(rec.clone());
     }

@@ -4,20 +4,26 @@
 //! completion's latency exactly — gateway-queue phase included — and
 //! admission control rejects saturated shards with a typed error. Shard
 //! selection is property-tested to be a pure, deterministic function of
-//! the function registry.
+//! the function registry. The gateway routes with the fleet simulation's
+//! `Router`: one cursor however many shards route, and the same worker for
+//! every group of a scripted sequence under the timing-independent policies.
 
 use bytes::Bytes;
+use faasbatch::container::ids::InvocationId;
 use faasbatch::core::routing::{stable_hash, RoutingKind};
 use faasbatch::fleet::config::FleetConfig;
-use faasbatch::fleet::sim::run_fleet;
+use faasbatch::fleet::sim::{run_fleet, run_fleet_traced};
 use faasbatch::gateway::{Gateway, GatewayError};
 use faasbatch::metrics::analysis::AttributionEngine;
-use faasbatch::metrics::events::{AuditorSink, EventKind, RecordReducer, SimEvent, TraceSink};
+use faasbatch::metrics::events::{
+    AuditorSink, EventKind, RecordReducer, SimEvent, TraceSink, VecSink,
+};
 use faasbatch::metrics::latency::LatencyBreakdown;
 use faasbatch::metrics::live::LiveTraceRecorder;
 use faasbatch::simcore::rng::DetRng;
-use faasbatch::simcore::time::SimDuration;
-use faasbatch::trace::workload::{cpu_workload, WorkloadConfig};
+use faasbatch::simcore::time::{SimDuration, SimTime};
+use faasbatch::trace::function::{FunctionKind, FunctionRegistry};
+use faasbatch::trace::workload::{cpu_workload, Invocation, Workload, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
@@ -192,6 +198,167 @@ fn saturated_shards_reject_typed_and_stay_audit_clean() {
     let report = engine.finish();
     assert_eq!(report.invocations.len(), 3);
     assert_eq!(report.unfinished, 0, "rejected invocations are terminal");
+}
+
+/// A gateway whose window no test outlives: a window ends when the test
+/// drains, so the test decides what one window holds.
+fn scripted_gateway(
+    policy: RoutingKind,
+    workers: usize,
+    shards: usize,
+    recorder: &LiveTraceRecorder,
+) -> Gateway {
+    let mut builder = Gateway::builder()
+        .workers(workers)
+        .shards(shards)
+        .window(Duration::from_secs(3600))
+        .cold_start_delay(Duration::ZERO)
+        .policy(policy)
+        .trace(recorder.clone());
+    for f in 0..FUNCTIONS {
+        builder = builder.register(&format!("fn-{f}"), |_env| {});
+    }
+    builder.start()
+}
+
+/// Feeds `gateway` one window per entry of `windows` — every `(function,
+/// members)` group of the entry, then a drain — and returns each
+/// `GatewayRoute` as `(shard, function, members, worker)`, in routing order.
+fn route_windows(
+    gateway: Gateway,
+    recorder: &LiveTraceRecorder,
+    windows: &[&[(usize, usize)]],
+) -> Vec<(u64, u32, usize, u64)> {
+    for window in windows {
+        let tickets: Vec<_> = window
+            .iter()
+            .flat_map(|&(f, members)| std::iter::repeat_n(format!("fn-{f}"), members))
+            .map(|name| gateway.invoke(&name, Bytes::new()).expect("admitted"))
+            .collect();
+        gateway.drain().expect("drain");
+        for ticket in tickets {
+            ticket.wait();
+        }
+    }
+    drop(gateway);
+    let routes = recorder
+        .take_trace()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::GatewayRoute {
+                function,
+                shard,
+                worker,
+                members,
+            } => Some((shard, function.index(), members.len(), worker)),
+            _ => None,
+        });
+    routes.collect()
+}
+
+/// Round-robin is one cursor for the gateway, not one per shard thread:
+/// two groups of one window land on different workers even though
+/// different shards routed them.
+#[test]
+fn round_robin_is_one_cursor_however_many_shards_route() {
+    const WINDOWS: usize = 5;
+    let recorder = LiveTraceRecorder::new();
+    let gateway = scripted_gateway(RoutingKind::RoundRobin, 2, 2, &recorder);
+    let on_shard = |shard: u64| {
+        (0..FUNCTIONS)
+            .find(|f| gateway.shard_of(&format!("fn-{f}")) == Some(shard))
+            .expect("six functions cover two shards")
+    };
+    let window = [(on_shard(0), 1), (on_shard(1), 1)];
+    let routes = route_windows(gateway, &recorder, &[&window[..]; WINDOWS]);
+    assert_eq!(routes.len(), 2 * WINDOWS);
+    let mut groups_on = [0usize; 2];
+    for pair in routes.chunks(2) {
+        let ((shard_a, .., worker_a), (shard_b, .., worker_b)) = (pair[0], pair[1]);
+        assert_ne!(shard_a, shard_b, "one group per shard per window");
+        assert_ne!(worker_a, worker_b, "two cursors both started at 0");
+        groups_on[worker_a as usize] += 1;
+        groups_on[worker_b as usize] += 1;
+    }
+    assert!(groups_on[0].abs_diff(groups_on[1]) <= 1, "{groups_on:?}");
+}
+
+/// ROADMAP 3(d), first half: one group sequence, placed by the fleet
+/// simulation and by the live gateway, lands on the same worker group for
+/// group under the policies that do not read the clock.
+#[test]
+fn fleet_sim_and_gateway_place_every_group_on_the_same_worker() {
+    const WORKERS: usize = 3;
+    // One `(function, members)` group per dispatch window.
+    const SCRIPT: [(usize, usize); 10] = [
+        (0, 2),
+        (3, 1),
+        (0, 3),
+        (5, 1),
+        (1, 2),
+        (3, 2),
+        (2, 1),
+        (0, 1),
+        (4, 2),
+        (5, 3),
+    ];
+    for kind in [RoutingKind::RoundRobin, RoutingKind::WarmAffinity] {
+        let cfg = FleetConfig {
+            workers: WORKERS,
+            ..FleetConfig::default()
+        };
+        let mut registry = FunctionRegistry::new();
+        let ids: Vec<_> = (0..FUNCTIONS)
+            .map(|f| registry.register(&format!("fn-{f}"), FunctionKind::Cpu { fib_n: 20 }))
+            .collect();
+        let invocations = SCRIPT
+            .iter()
+            .enumerate()
+            .flat_map(|(window, &(f, members))| {
+                let function = ids[f];
+                let opens = cfg.window.as_micros() * window as u64;
+                (0..members as u64).map(move |m| Invocation {
+                    // `Workload::new` renumbers in arrival order.
+                    id: InvocationId::new(0),
+                    function,
+                    arrival: SimTime::from_micros(opens + m),
+                    work: SimDuration::from_millis(1),
+                })
+            });
+        let (_, sink) = run_fleet_traced(
+            &Workload::new(registry, invocations.collect()),
+            &cfg,
+            kind.build(),
+            "script",
+            Box::new(VecSink::new()),
+        )
+        .expect("no faults configured");
+        let sink = sink.as_any().downcast_ref::<VecSink>().expect("vec sink");
+        let simulated: Vec<(u32, usize, u64)> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::GroupFormed {
+                    function,
+                    size,
+                    worker,
+                    ..
+                } => Some((function.index(), *size as usize, *worker)),
+                _ => None,
+            })
+            .collect();
+
+        let recorder = LiveTraceRecorder::new();
+        let gateway = scripted_gateway(kind, WORKERS, 2, &recorder);
+        let windows: Vec<&[(usize, usize)]> = SCRIPT.iter().map(std::slice::from_ref).collect();
+        let live: Vec<(u32, usize, u64)> = route_windows(gateway, &recorder, &windows)
+            .into_iter()
+            .map(|(_, function, members, worker)| (function, members, worker))
+            .collect();
+
+        assert_eq!(simulated.len(), SCRIPT.len(), "{}", kind.name());
+        assert_eq!(simulated, live, "{}", kind.name());
+    }
 }
 
 proptest! {

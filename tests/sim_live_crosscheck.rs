@@ -4,14 +4,23 @@
 //! creations). Wall-clock timing is NOT compared — only decision outcomes,
 //! which are robust to scheduling jitter.
 //!
+//! The start tier is compared decision for decision: the live dispatch core
+//! decides warm → restore → cold on the simulator's own `WarmPool` and
+//! `SnapshotCache`, so one scripted sequence of groups driven through a
+//! simulated `Cluster` and through a live `DispatchCore` must start every
+//! group in the same tier.
+//!
 //! With a trace recorder attached, the live side must emit a [`SimEvent`]
 //! stream that passes the
 //! auditor clean, attributes exactly, and round-trips through the same
 //! JSONL format `faasbatch trace --analyze` consumes.
 
 use bytes::Bytes;
+use faasbatch::container::cluster::{Acquired, Cluster};
 use faasbatch::container::ids::{FunctionId, InvocationId};
-use faasbatch::core::platform::PlatformBuilder;
+use faasbatch::container::snapshot::SnapshotConfig;
+use faasbatch::container::spec::{ColdStartModel, ContainerSpec};
+use faasbatch::core::platform::{DispatchCore, PlatformBuilder, PlatformIds, RemoteJob};
 use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};
 use faasbatch::exec::{Executor, ExecutorConfig};
 use faasbatch::metrics::analysis::{parse_events, AttributionEngine};
@@ -220,4 +229,128 @@ fn seeded_executor_runs_are_decision_deterministic() {
     assert_eq!(second.0, BURST as u64);
     check_live_side(first.1, first.2);
     check_live_side(second.1, second.2);
+}
+
+/// How a group's container started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Warm,
+    Restored,
+    Cold,
+}
+
+/// Whether a group follows the previous one at once or after the warm pool
+/// has aged out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gap {
+    Within,
+    Past,
+}
+
+const KEEP_ALIVE_MS: u64 = 50;
+const PAST_MS: u64 = 150;
+
+/// `(function, gap since the previous group finished)`, against one snapshot
+/// slot, and the tier each group must start in.
+const SCRIPT: [((u32, Gap), Tier); 9] = [
+    ((0, Gap::Within), Tier::Cold),   // nothing pooled, nothing captured
+    ((0, Gap::Within), Tier::Warm),   // warm hit
+    ((0, Gap::Past), Tier::Restored), // pool miss with a snapshot
+    ((1, Gap::Within), Tier::Cold),   // pool miss without one; its capture evicts fn 0's
+    ((0, Gap::Past), Tier::Cold),     // fn 0 lost its snapshot to the capacity bound
+    ((0, Gap::Within), Tier::Warm),
+    ((1, Gap::Past), Tier::Cold), // ... and took fn 1's in turn
+    ((1, Gap::Within), Tier::Warm),
+    ((1, Gap::Past), Tier::Restored), // reuse after keep-alive expiry
+];
+
+/// The script through the simulator's `Cluster`, at scripted instants.
+fn simulated_tiers() -> Vec<Tier> {
+    let mut cluster = Cluster::new(
+        4.0,
+        ColdStartModel::default(),
+        SimDuration::from_millis(KEEP_ALIVE_MS),
+    );
+    cluster.configure_snapshots(SnapshotConfig::with_capacity(1));
+    let boot = cluster.cold_model().total();
+    let mut now = SimTime::ZERO;
+    let mut tiers = Vec::new();
+    for ((function, gap), _) in SCRIPT {
+        if gap == Gap::Past {
+            now += SimDuration::from_millis(PAST_MS);
+        }
+        let acquired = cluster.acquire(now, &ContainerSpec::new(FunctionId::new(function)));
+        let id = acquired.container();
+        tiers.push(match acquired {
+            Acquired::Warm(_) => Tier::Warm,
+            Acquired::Restored { latency, .. } => {
+                now += latency;
+                cluster.finish_restore(now, id);
+                Tier::Restored
+            }
+            Acquired::Cold(_) => {
+                now += boot;
+                cluster.finish_cold_start(now, id);
+                Tier::Cold
+            }
+        });
+        now += SimDuration::from_millis(1);
+        cluster.release(now, id, 1);
+    }
+    tiers
+}
+
+/// The script through a live `DispatchCore`, on the wall clock. Also returns
+/// the core's containers (started, evicted) once every one has aged out.
+fn live_tiers() -> (Vec<Tier>, (u64, u64)) {
+    let ids = Arc::new(PlatformIds::new());
+    let core = DispatchCore::fleet(
+        PlatformBuilder::new()
+            .cold_start_delay(Duration::from_millis(5))
+            .restore_delay(Duration::from_millis(1))
+            .snapshots(1)
+            .keep_alive(Duration::from_millis(KEEP_ALIVE_MS))
+            .ids(Arc::clone(&ids))
+            .register("f0", |_env| {})
+            .register("f1", |_env| {}),
+        1,
+    )
+    .pop()
+    .expect("one core");
+    let mut tiers = Vec::new();
+    for ((function, gap), _) in SCRIPT {
+        if gap == Gap::Past {
+            std::thread::sleep(Duration::from_millis(PAST_MS));
+        }
+        let (job, ticket) = RemoteJob::new(ids.next_invocation(), Bytes::new());
+        core.dispatch(function as usize, vec![job], None);
+        let outcome = ticket.wait();
+        tiers.push(match (outcome.cold, outcome.restored) {
+            (false, false) => Tier::Warm,
+            (false, true) => Tier::Restored,
+            (true, false) => Tier::Cold,
+            (true, true) => panic!("cold and restored: {outcome:?}"),
+        });
+        core.wait_idle();
+    }
+    std::thread::sleep(Duration::from_millis(PAST_MS));
+    let stats = core.stats();
+    let started = stats.containers_created.load(Ordering::Relaxed)
+        + stats.containers_restored.load(Ordering::Relaxed);
+    (
+        tiers,
+        (started, stats.containers_evicted.load(Ordering::Relaxed)),
+    )
+}
+
+#[test]
+fn scripted_groups_start_in_the_same_tier_simulated_and_live() {
+    let expected: Vec<Tier> = SCRIPT.iter().map(|&(_, tier)| tier).collect();
+    assert_eq!(simulated_tiers(), expected, "simulated");
+    let (live, (started, evicted)) = live_tiers();
+    assert_eq!(live, expected, "live");
+    // Whether the timer or a check-out found its age, every container the
+    // live pool dropped was counted.
+    assert_eq!(started, 6);
+    assert_eq!(evicted, started);
 }
