@@ -105,6 +105,10 @@ pub struct Cluster {
     cold_model: ColdStartModel,
     platform_group: CpuGroupId,
     next_container: u64,
+    /// Containers not yet terminated: +1 in `provision_new`, −1 in
+    /// `terminate`, the only two places a container enters or leaves that
+    /// set (the table itself keeps terminated containers).
+    live: u64,
     stats: ClusterStats,
     transitions: Vec<ContainerTransition>,
 }
@@ -124,6 +128,7 @@ impl Cluster {
             cold_model,
             platform_group,
             next_container: 0,
+            live: 0,
             stats: ClusterStats::default(),
             transitions: Vec::new(),
         }
@@ -219,6 +224,12 @@ impl Cluster {
 
     /// Number of live (non-terminated) containers.
     pub fn live_containers(&self) -> u64 {
+        self.live
+    }
+
+    /// [`live_containers`](Self::live_containers) counted the slow way, by
+    /// walking the container table — what the counter is checked against.
+    pub fn recount_live_containers(&self) -> u64 {
         self.containers
             .values()
             .filter(|c| c.state() != ContainerState::Terminated)
@@ -295,7 +306,8 @@ impl Cluster {
             Container::provisioning(id, spec.clone(), group, memory, now),
         );
         self.stats.provisioned += 1;
-        self.stats.peak_live = self.stats.peak_live.max(self.live_containers());
+        self.live += 1;
+        self.stats.peak_live = self.stats.peak_live.max(self.live);
         self.log_transition(now, id, None, ContainerState::Provisioning);
         id
     }
@@ -504,6 +516,7 @@ impl Cluster {
         self.pool.remove(id);
         let c = self.containers.get_mut(&id).expect("unknown container id");
         c.mark_terminated();
+        self.live -= 1;
         let group = c.cpu_group();
         let memory = c.memory();
         self.mem.free(now, memory);
@@ -809,6 +822,88 @@ mod tests {
         assert!(c.snapshots().is_empty());
         assert!(c.acquire(SimTime::from_secs(2), &spec()).is_cold());
         assert_eq!(c.stats().restored_starts, 0);
+    }
+
+    proptest::proptest! {
+        /// The live count is a counter; the walk it replaced is its oracle.
+        #[test]
+        fn live_counter_matches_a_recount_after_any_operation(
+            ops in proptest::collection::vec((0u8..9, 0u32..4000), 1..160),
+        ) {
+            let mut c = Cluster::new(4.0, ColdStartModel::default(), SimDuration::from_secs(5));
+            c.configure_snapshots(SnapshotConfig::with_capacity(2));
+            let mut now = SimTime::ZERO;
+            // Containers by what may legally happen to them next. `idle`
+            // includes the ones a check-out dropped as stale: still Idle,
+            // no longer pooled.
+            let mut booting: Vec<(ContainerId, bool)> = Vec::new();
+            let mut prewarming: Vec<ContainerId> = Vec::new();
+            let mut busy: Vec<ContainerId> = Vec::new();
+            let mut idle: Vec<ContainerId> = Vec::new();
+            fn take<T>(from: &mut Vec<T>, pick: u32) -> Option<T> {
+                (!from.is_empty()).then(|| from.swap_remove(pick as usize % from.len()))
+            }
+            for (op, pick) in ops {
+                now += SimDuration::from_millis(u64::from(pick));
+                let spec = ContainerSpec::new(FunctionId::new(pick % 3));
+                match op {
+                    0 | 1 => match c.acquire(now, &spec) {
+                        Acquired::Warm(id) => {
+                            idle.retain(|&i| i != id);
+                            busy.push(id);
+                        }
+                        Acquired::Cold(id) => booting.push((id, false)),
+                        Acquired::Restored { id, .. } => booting.push((id, true)),
+                    },
+                    2 => prewarming.push(c.provision_cold(now, &spec)),
+                    3 => {
+                        if let Some((id, restored)) = take(&mut booting, pick) {
+                            if restored {
+                                c.finish_restore(now, id);
+                            } else {
+                                c.finish_cold_start(now, id);
+                            }
+                            busy.push(id);
+                        }
+                    }
+                    4 => {
+                        if let Some(id) = take(&mut prewarming, pick) {
+                            if pick % 2 == 0 {
+                                c.finish_cold_start_idle(now, id);
+                                idle.push(id);
+                            } else {
+                                c.finish_cold_start_snapshot(now, id);
+                            }
+                        }
+                    }
+                    5 => {
+                        if let Some(id) = take(&mut busy, pick) {
+                            c.release(now, id, 1);
+                            idle.push(id);
+                        }
+                    }
+                    6 => {
+                        if let Some(id) = take(&mut idle, pick) {
+                            c.terminate(now, id);
+                        }
+                    }
+                    7 => {
+                        let expired = c.expire_idle(now);
+                        idle.retain(|id| !expired.contains(id));
+                    }
+                    _ => {
+                        c.drain(now);
+                        idle.clear();
+                    }
+                }
+                proptest::prop_assert_eq!(c.live_containers(), c.recount_live_containers());
+                proptest::prop_assert_eq!(
+                    c.live_containers() as usize,
+                    booting.len() + prewarming.len() + busy.len() + idle.len()
+                );
+                proptest::prop_assert!(c.stats().peak_live >= c.live_containers());
+            }
+        }
     }
 
     #[test]

@@ -67,6 +67,11 @@ impl FaasBatchConfig {
 pub struct FaasBatchPolicy {
     cfg: FaasBatchConfig,
     mapper: InvokeMapper,
+    /// A window tick is queued. Windows close on the grid `W, 2W, 3W, …`
+    /// whether or not anything arrived, but only a window that holds
+    /// something needs its tick: the first arrival arms it, the tick
+    /// disarms, and idle simulated time costs no events (DESIGN.md §16).
+    armed: bool,
 }
 
 impl FaasBatchPolicy {
@@ -79,7 +84,11 @@ impl FaasBatchPolicy {
         if let Some(cap) = cfg.max_group_size {
             mapper = mapper.with_max_group(cap);
         }
-        FaasBatchPolicy { cfg, mapper }
+        FaasBatchPolicy {
+            cfg,
+            mapper,
+            armed: false,
+        }
     }
 
     /// The configuration in use.
@@ -103,15 +112,23 @@ impl Policy for FaasBatchPolicy {
         }
     }
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.cfg.window, Self::WINDOW);
-    }
-
-    fn on_arrival(&mut self, _ctx: &mut Ctx<'_>, invocation: &Invocation) {
+    fn on_arrival(&mut self, ctx: &mut Ctx<'_>, invocation: &Invocation) {
+        if !self.armed {
+            self.armed = true;
+            // The close of the window this arrival falls in: the first grid
+            // instant at or after now, and never 0. An arrival exactly on
+            // the grid is drained at its own instant — the harness delivers
+            // an arrival ahead of the events queued for that instant.
+            let window = self.cfg.window.as_micros();
+            let now = ctx.now().as_micros();
+            let close = now.div_ceil(window).max(1) * window;
+            ctx.set_timer(SimDuration::from_micros(close - now), Self::WINDOW);
+        }
         self.mapper.observe(invocation.clone());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        self.armed = false;
         for group in self.mapper.drain() {
             let mut req = DispatchRequest::new(group.invocations, ExecMode::Parallel);
             req.multiplex_clients = self.cfg.multiplex;
@@ -122,9 +139,6 @@ impl Policy for FaasBatchPolicy {
                 Completion::PerInvocation
             };
             ctx.dispatch(req);
-        }
-        if !ctx.all_done() {
-            ctx.set_timer(self.cfg.window, Self::WINDOW);
         }
     }
 }

@@ -43,10 +43,11 @@ use faasbatch_metrics::autoscaler::AutoscalerSink;
 use faasbatch_metrics::events::{EventKind, NoopSink, SimEvent, TraceSink};
 use faasbatch_metrics::report::RunReport;
 use faasbatch_schedulers::harness::Worker;
+use faasbatch_simcore::idmap::IdMap;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::workload::{Invocation, Workload};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Replays `workload` over a fleet configured by `cfg` under `policy`.
 ///
@@ -67,7 +68,27 @@ pub fn run_fleet(
     policy: Box<dyn RoutingPolicy>,
     label: &str,
 ) -> Result<FleetReport, FleetError> {
-    run_fleet_impl(workload, cfg, policy, label, None).map(|(report, _)| report)
+    run_fleet_with_workers(workload, cfg, policy, label, &|| {
+        new_worker(workload, cfg, label)
+    })
+}
+
+/// [`run_fleet`] over workers the caller builds: `new_worker` is called
+/// once per seat and `cfg.scheduler` is not consulted. This is the seam
+/// that lets a test run the real loop — routing, crashes, drains,
+/// re-dispatch — over a reference policy and compare reports.
+///
+/// # Errors
+///
+/// Same as [`run_fleet`].
+pub fn run_fleet_with_workers(
+    workload: &Workload,
+    cfg: &FleetConfig,
+    policy: Box<dyn RoutingPolicy>,
+    label: &str,
+    new_worker: &dyn Fn() -> Worker,
+) -> Result<FleetReport, FleetError> {
+    run_fleet_impl(workload, cfg, policy, label, new_worker, None).map(|(report, _)| report)
 }
 
 /// [`run_fleet`] with an observable fleet-level event stream.
@@ -92,7 +113,14 @@ pub fn run_fleet_traced(
     label: &str,
     mut sink: Box<dyn TraceSink>,
 ) -> Result<(FleetReport, Box<dyn TraceSink>), FleetError> {
-    let (report, events) = run_fleet_impl(workload, cfg, policy, label, Some(Vec::new()))?;
+    let (report, events) = run_fleet_impl(
+        workload,
+        cfg,
+        policy,
+        label,
+        &|| new_worker(workload, cfg, label),
+        Some(Vec::new()),
+    )?;
     let mut events = events.unwrap_or_default();
     // Workers are stepped lazily, so completions surface out of order;
     // present one time-ordered stream (the sort is stable, so causal order
@@ -126,7 +154,7 @@ struct Fleet<'a> {
     accepting: Vec<bool>,
     /// Groups placed in the current window epoch: (function, attempt) →
     /// worker. Time only moves forward, so older epochs are dropped whole.
-    placed: HashMap<(FunctionId, u32), usize>,
+    placed: IdMap<(FunctionId, u32), usize>,
     epoch: u64,
     /// Re-dispatches waiting for their instant, earliest first: (effective
     /// arrival, fleet ids sharing one function and attempt — what one crash
@@ -134,7 +162,7 @@ struct Fleet<'a> {
     /// run.
     queue: BinaryHeap<Reverse<(SimTime, Vec<u64>)>>,
     /// Re-dispatches consumed, per invocation that has been lost at all.
-    attempts: HashMap<u64, u32>,
+    attempts: IdMap<u64, u32>,
     retries: u64,
     events: Option<Vec<SimEvent>>,
 }
@@ -315,6 +343,7 @@ fn run_fleet_impl(
     cfg: &FleetConfig,
     policy: Box<dyn RoutingPolicy>,
     label: &str,
+    new_worker: &dyn Fn() -> Worker,
     events: Option<Vec<SimEvent>>,
 ) -> Result<(FleetReport, Option<Vec<SimEvent>>), FleetError> {
     cfg.validate()?;
@@ -326,16 +355,16 @@ fn run_fleet_impl(
         router: Router::new(policy, n),
         seats: (0..n)
             .map(|_| Seat {
-                worker: Some(new_worker(workload, cfg, label)),
+                worker: Some(new_worker()),
                 crashed: None,
                 lost: 0,
             })
             .collect(),
         accepting: vec![true; n],
-        placed: HashMap::new(),
+        placed: IdMap::default(),
         epoch: 0,
         queue: BinaryHeap::new(),
-        attempts: HashMap::new(),
+        attempts: IdMap::default(),
         retries: 0,
         events,
     };
@@ -454,6 +483,7 @@ mod tests {
     use faasbatch_core::policy::run_faasbatch;
     use faasbatch_simcore::rng::DetRng;
     use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
+    use std::collections::HashMap;
 
     fn small_workload(seed: u64) -> Workload {
         cpu_workload(

@@ -21,8 +21,8 @@
 use crate::analysis::attribution::{InvocationAttribution, PhaseBreakdown};
 use crate::events::{EventKind, SimEvent, TaskKind};
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
+use faasbatch_simcore::idmap::IdMap;
 use faasbatch_simcore::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// What folding one event produced.
 #[derive(Debug)]
@@ -78,27 +78,27 @@ pub(crate) const NO_ARRIVAL: &str = "arrival";
 #[derive(Debug, Default)]
 pub(crate) struct ChainFold {
     /// Open invocations: arrived, neither completed nor rejected.
-    arrivals: HashMap<InvocationId, (SimTime, FunctionId)>,
+    arrivals: IdMap<InvocationId, (SimTime, FunctionId)>,
     /// Chain slab. A retired slot keeps its stamp array for the next
     /// dispatch, so a steady-state dispatch allocates nothing.
     chains: Vec<Chain>,
     free: Vec<usize>,
     /// Open batch → its slot in `chains`.
-    slot_of: HashMap<u64, usize>,
+    slot_of: IdMap<u64, usize>,
     /// The batch resolved last: one batch's events come in runs (`ExecBegin`
     /// then `TaskStart{Body}`; `TaskFinish{Body}`, `ExecEnd`, completion), so
     /// most lookups skip the hash probe.
     hot: Option<(u64, usize)>,
     /// Fleet layer: latest group-formation instant per member.
-    group_at: HashMap<InvocationId, SimTime>,
+    group_at: IdMap<InvocationId, SimTime>,
     /// Fleet layer: latest re-dispatch instant and retry count per member.
-    redispatch: HashMap<InvocationId, (SimTime, u32)>,
+    redispatch: IdMap<InvocationId, (SimTime, u32)>,
     /// Gateway layer: instant the member's group was routed to a worker.
-    route_at: HashMap<InvocationId, SimTime>,
+    route_at: IdMap<InvocationId, SimTime>,
 }
 
 /// Records `at` as the latest instant seen for each of `members`.
-fn latest(map: &mut HashMap<InvocationId, SimTime>, members: &[InvocationId], at: SimTime) {
+fn latest(map: &mut IdMap<InvocationId, SimTime>, members: &[InvocationId], at: SimTime) {
     for m in members {
         let slot = map.entry(*m).or_insert(at);
         *slot = (*slot).max(at);
@@ -107,7 +107,7 @@ fn latest(map: &mut HashMap<InvocationId, SimTime>, members: &[InvocationId], at
 
 /// Removes `id`'s entry — without hashing when the layer that writes the
 /// map never spoke (every single-worker stream).
-fn take<V>(map: &mut HashMap<InvocationId, V>, id: InvocationId) -> Option<V> {
+fn take<V>(map: &mut IdMap<InvocationId, V>, id: InvocationId) -> Option<V> {
     if map.is_empty() {
         None
     } else {

@@ -19,6 +19,7 @@ use crate::latency::InvocationRecord;
 use crate::sampler::{ResourceSample, ResourceSampler};
 use faasbatch_container::container::ContainerState;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
+use faasbatch_simcore::idmap::IdMap;
 use faasbatch_simcore::memory::MemCategory;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -755,17 +756,17 @@ pub struct AuditorSink {
     truncated: u64,
     last_at: Option<SimTime>,
     /// arrival time → completion count per invocation.
-    seen: HashMap<InvocationId, u32>,
-    containers: HashMap<ContainerId, ContainerState>,
+    seen: IdMap<InvocationId, u32>,
+    containers: IdMap<ContainerId, ContainerState>,
     mem_by_category: HashMap<MemCategory, i128>,
     mem_total: i128,
-    open_tasks: HashMap<TaskKind, u32>,
-    open_cold_starts: HashMap<ContainerId, u32>,
-    open_restores: HashMap<ContainerId, u32>,
+    open_tasks: IdMap<TaskKind, u32>,
+    open_cold_starts: IdMap<ContainerId, u32>,
+    open_restores: IdMap<ContainerId, u32>,
     /// Scale-prewarm requests not yet matched by a `PrewarmLaunch` start.
     pending_scale_prewarms: u64,
     /// Gateway enqueues not yet matched by an admit, per invocation.
-    gateway_open: HashMap<InvocationId, u32>,
+    gateway_open: IdMap<InvocationId, u32>,
     fold: ChainFold,
     finished: bool,
 }

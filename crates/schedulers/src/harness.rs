@@ -37,14 +37,15 @@ use faasbatch_metrics::events::{
 use faasbatch_metrics::latency::InvocationRecord;
 use faasbatch_metrics::report::RunReport;
 use faasbatch_simcore::cpu::{CpuGroupId, CpuTaskId};
-use faasbatch_simcore::engine::{Engine, EventArg, EventId};
+use faasbatch_simcore::engine::{Engine, EngineStats, EventArg, EventId};
+use faasbatch_simcore::idmap::{IdMap, IdSet};
 use faasbatch_simcore::memory::{AllocationId, MemCategory, MemOpKind};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::function::{FunctionKind, FunctionRegistry};
 use faasbatch_trace::stream::InvocationSource;
 use faasbatch_trace::workload::{Invocation, Workload};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 /// Identifies one dispatched batch inside the harness.
@@ -130,9 +131,9 @@ pub struct SimWorld {
     cluster: Cluster,
     registry: FunctionRegistry,
     daemon_group: CpuGroupId,
-    batches: HashMap<BatchId, Batch>,
+    batches: IdMap<BatchId, Batch>,
     next_batch: u64,
-    running: HashMap<CpuTaskId, WorkKind>,
+    running: IdMap<CpuTaskId, WorkKind>,
     cpu_event: Option<EventId>,
     /// Scratch of `cpu_tick` (the completions it is handling), kept between
     /// ticks for its capacity.
@@ -144,9 +145,9 @@ pub struct SimWorld {
     /// Pre-warm pipelines bound for the snapshot tier: on boot completion
     /// the container's state is captured and the container terminated
     /// instead of parking in the warm pool.
-    snapshot_prewarms: HashSet<ContainerId>,
-    ext: HashMap<ContainerId, ContainerExt>,
-    transient_clients: HashMap<(BatchId, usize), AllocationId>,
+    snapshot_prewarms: IdSet<ContainerId>,
+    ext: IdMap<ContainerId, ContainerExt>,
+    transient_clients: IdMap<(BatchId, usize), AllocationId>,
     /// Folds the event stream into records, samples, and counters.
     reducer: RecordReducer,
     /// Observer for the same stream the reducer folds.
@@ -158,8 +159,10 @@ pub struct SimWorld {
     /// Invocations injected so far.
     injected: usize,
     /// The caller has no more arrivals to inject. Only then can the run be
-    /// done: while the input is open, window timers and the sampler keep
-    /// ticking through idle stretches, exactly as they do mid-trace.
+    /// done: while the input is open the sampler (and the periodic timers of
+    /// Kraken and SFS) keep ticking through idle stretches, exactly as they
+    /// do mid-trace. FaaSBatch's window tick is armed by arrivals and needs
+    /// no stop condition.
     closed: bool,
 }
 
@@ -194,15 +197,15 @@ impl SimWorld {
             cluster,
             registry,
             daemon_group,
-            batches: HashMap::new(),
+            batches: IdMap::default(),
             next_batch: 0,
-            running: HashMap::new(),
+            running: IdMap::default(),
             cpu_event: None,
             finished: Vec::new(),
             open_prewarms: 0,
-            snapshot_prewarms: HashSet::new(),
-            ext: HashMap::new(),
-            transient_clients: HashMap::new(),
+            snapshot_prewarms: IdSet::default(),
+            ext: IdMap::default(),
+            transient_clients: IdMap::default(),
             reducer: RecordReducer::new(),
             trace,
             pending_events: Vec::with_capacity(EVENT_BATCH),
@@ -1152,6 +1155,11 @@ fn apply_scale_actions(world: &mut SimWorld, engine: &mut Engine<Sim>) {
 }
 
 fn record_sample(world: &mut SimWorld, now: SimTime) {
+    debug_assert_eq!(
+        world.cluster.live_containers(),
+        world.cluster.recount_live_containers(),
+        "the live-container counter drifted from the container table"
+    );
     let kind = EventKind::HostSample {
         memory_bytes: world.cluster.mem().current_bytes(),
         busy_cores: world.cluster.cpu().busy_cores(),
@@ -1247,9 +1255,12 @@ pub fn run_source_traced(
 /// paths share this mechanism.
 ///
 /// The worker cannot know that an idle stretch is the end of the run, so
-/// window timers and the sampler keep ticking until the input is closed:
-/// [`finish`](Worker::finish) closes it and runs to completion,
-/// [`abandon`](Worker::abandon) stops the worker dead at a crash instant.
+/// the sampler and any periodic policy timer (Kraken's rounds, SFS's sweeps)
+/// keep ticking until the input is closed: [`finish`](Worker::finish)
+/// closes it and runs to completion, [`abandon`](Worker::abandon) stops the
+/// worker dead at a crash instant. What an idle stretch costs is those
+/// ticks only — FaaSBatch's window tick exists only for a window that holds
+/// an arrival.
 pub struct Worker {
     engine: Engine<Sim>,
     sim: Sim,
@@ -1293,6 +1304,13 @@ impl Worker {
             label: workload_label.to_owned(),
             dispatch_interval,
         }
+    }
+
+    /// The event engine's work counters: how many events this worker has
+    /// scheduled, run and cancelled so far. A profile reading, not a result
+    /// — it is not part of the [`RunReport`].
+    pub fn engine_stats(&self) -> EngineStats {
+        self.engine.stats()
     }
 
     /// Runs every queued event strictly before `inv.arrival`, then delivers
@@ -1342,6 +1360,18 @@ impl Worker {
     /// Panics if the simulation stalls (a policy dropped invocations) —
     /// every injected invocation must eventually complete.
     pub fn finish(mut self) -> (RunReport, Box<dyn TraceSink>) {
+        self.close();
+        self.into_report()
+    }
+
+    /// The running half of [`finish`](Self::finish): closes the input and
+    /// runs to completion, leaving the worker readable (its
+    /// [`engine_stats`](Self::engine_stats) are then the whole run's).
+    ///
+    /// # Panics
+    ///
+    /// As [`finish`](Self::finish).
+    pub fn close(&mut self) {
         self.sim.world.closed = true;
         // Safety horizon, a day past the last arrival (where the clock
         // stands): a healthy run finishes long before this.
@@ -1360,7 +1390,6 @@ impl Worker {
         // its cold-start end; runs with nothing in flight take zero extra
         // steps.
         while self.sim.world.open_prewarms > 0 && self.engine.step(&mut self.sim) {}
-        self.into_report()
     }
 
     /// Stops the worker dead at `at` (a crash): events up to and including

@@ -109,8 +109,9 @@ impl Ctx<'_> {
     }
 
     /// True when the run's input is closed and every injected invocation
-    /// has completed — the point past which a periodic timer need not
-    /// re-arm.
+    /// has completed — the point past which a periodic timer (Kraken's
+    /// provisioning round, SFS's sweep) need not re-arm. A timer armed only
+    /// by arrivals, like FaaSBatch's window tick, never needs to ask.
     pub fn all_done(&self) -> bool {
         self.world.done()
     }

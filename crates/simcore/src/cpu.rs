@@ -180,11 +180,15 @@ pub(crate) fn water_fill(cores: f64, order: &mut [Fill]) {
 /// Microseconds until a service clock running at `rate` ticks per µs has
 /// covered `left` ticks, rounded up; `None` if it never does.
 fn micros_to_cover(left: u128, rate: u64) -> Option<u64> {
-    match (left, rate) {
-        (0, _) => Some(0),
-        (_, 0) => None,
-        _ => Some(u64::try_from(left.div_ceil(u128::from(rate))).unwrap_or(u64::MAX)),
+    if rate == 0 {
+        return (left == 0).then_some(0);
     }
+    Some(match u64::try_from(left) {
+        // Under 2^64 ticks — 4,294 s of work on a whole core — outstanding:
+        // a hardware divide.
+        Ok(left) => left.div_ceil(rate),
+        Err(_) => u64::try_from(left.div_ceil(u128::from(rate))).unwrap_or(u64::MAX),
+    })
 }
 
 /// Core-ticks read out as core-seconds.
@@ -595,6 +599,41 @@ mod tests {
             }
         }
         finished
+    }
+
+    #[test]
+    fn micros_to_cover_agrees_across_the_u64_boundary() {
+        let wide = |left: u128, rate: u64| {
+            u64::try_from(left.div_ceil(u128::from(rate))).unwrap_or(u64::MAX)
+        };
+        let edge = u128::from(u64::MAX);
+        for rate in [1, 3, ONE - 1, ONE, u64::MAX] {
+            for left in [
+                1,
+                2,
+                edge - 1,
+                edge,
+                edge + 1,
+                edge + 2,
+                edge * 3,
+                u128::MAX,
+            ] {
+                assert_eq!(
+                    micros_to_cover(left, rate),
+                    Some(wide(left, rate)),
+                    "{left} / {rate}"
+                );
+            }
+            assert_eq!(micros_to_cover(0, rate), Some(0));
+        }
+        // Exact at the boundary: 2^64 ticks at one tick per µs is 2^64 µs,
+        // one more than a u64 holds.
+        assert_eq!(micros_to_cover(edge, 1), Some(u64::MAX));
+        assert_eq!(micros_to_cover(edge + 1, 1), Some(u64::MAX));
+        assert_eq!(micros_to_cover(edge + 1, 2), Some(1 << 63));
+        assert_eq!(micros_to_cover(0, 0), Some(0));
+        assert_eq!(micros_to_cover(1, 0), None);
+        assert_eq!(micros_to_cover(edge + 1, 0), None);
     }
 
     #[test]

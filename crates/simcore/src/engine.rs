@@ -119,6 +119,22 @@ enum SlotEntry<W> {
 
 const NO_FREE_SLOT: u32 = u32::MAX;
 
+/// Counts of the engine's own work since it was created. They depend only
+/// on the calls made, so they repeat exactly from run to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EngineStats {
+    /// Events pushed onto the queue.
+    pub scheduled: u64,
+    /// Handlers run.
+    pub executed: u64,
+    /// Events cancelled before they ran.
+    pub cancelled: u64,
+    /// Heap keys of cancelled events discarded when they surfaced. The live
+    /// events are `scheduled - executed - cancelled`; [`Engine::pending`]
+    /// also counts the `cancelled - stale_skipped` keys still to surface.
+    pub stale_skipped: u64,
+}
+
 /// A deterministic discrete-event simulation engine over world state `W`.
 pub struct Engine<W> {
     now: SimTime,
@@ -126,7 +142,7 @@ pub struct Engine<W> {
     queue: BinaryHeap<Reverse<HeapKey>>,
     slots: Vec<SlotEntry<W>>,
     free_head: u32,
-    executed: u64,
+    stats: EngineStats,
     horizon: Option<SimTime>,
 }
 
@@ -135,7 +151,7 @@ impl<W> std::fmt::Debug for Engine<W> {
         f.debug_struct("Engine")
             .field("now", &self.now)
             .field("pending", &self.queue.len())
-            .field("executed", &self.executed)
+            .field("executed", &self.stats.executed)
             .finish()
     }
 }
@@ -155,7 +171,7 @@ impl<W> Engine<W> {
             queue: BinaryHeap::new(),
             slots: Vec::new(),
             free_head: NO_FREE_SLOT,
-            executed: 0,
+            stats: EngineStats::default(),
             horizon: None,
         }
     }
@@ -167,7 +183,12 @@ impl<W> Engine<W> {
 
     /// Number of events executed so far.
     pub fn executed(&self) -> u64 {
-        self.executed
+        self.stats.executed
+    }
+
+    /// The engine's work counters.
+    pub fn stats(&self) -> EngineStats {
+        self.stats
     }
 
     /// Number of events still pending (including cancelled-but-unpopped ones).
@@ -216,6 +237,7 @@ impl<W> Engine<W> {
         );
         let seq = self.seq;
         self.seq += 1;
+        self.stats.scheduled += 1;
         let slot = self.claim_slot(seq, handler);
         self.queue.push(Reverse(HeapKey {
             time: at,
@@ -307,6 +329,7 @@ impl<W> Engine<W> {
         match self.slots.get(id.slot as usize) {
             Some(SlotEntry::Live { seq, .. }) if *seq == id.seq => {
                 self.release_slot(id.slot);
+                self.stats.cancelled += 1;
                 true
             }
             _ => false,
@@ -334,6 +357,7 @@ impl<W> Engine<W> {
                 return Some(key.time);
             }
             self.queue.pop();
+            self.stats.stale_skipped += 1;
         }
         None
     }
@@ -363,9 +387,9 @@ impl<W> Engine<W> {
     ///
     /// Returns the number of events executed by this call.
     pub fn run(&mut self, world: &mut W) -> u64 {
-        let before = self.executed;
+        let before = self.stats.executed;
         while self.step(world) {}
-        self.executed - before
+        self.stats.executed - before
     }
 
     /// Executes the single next event.
@@ -373,12 +397,18 @@ impl<W> Engine<W> {
     /// Returns `false` when there is nothing left to do (empty queue or
     /// horizon reached).
     pub fn step(&mut self, world: &mut W) -> bool {
+        // Every key pushed leaves the heap executed or skipped as stale.
+        debug_assert_eq!(
+            self.queue.len() as u64,
+            self.stats.scheduled - self.stats.executed - self.stats.stale_skipped
+        );
         loop {
             let Some(Reverse(key)) = self.queue.peek().copied() else {
                 return false;
             };
             if !self.key_is_live(&key) {
                 self.queue.pop();
+                self.stats.stale_skipped += 1;
                 continue;
             }
             if let Some(h) = self.horizon {
@@ -399,7 +429,7 @@ impl<W> Engine<W> {
             };
             debug_assert!(key.time >= self.now, "event queue went backwards");
             self.now = key.time;
-            self.executed += 1;
+            self.stats.executed += 1;
             match handler {
                 HandlerKind::Fn(f) => f(world, self),
                 HandlerKind::FnArg(f, arg) => f(world, self, arg),
@@ -612,6 +642,36 @@ mod tests {
         e.schedule_at(SimTime::from_secs(2), |_, _| {});
         e.run(&mut ());
         assert_eq!(e.executed(), 2);
+    }
+
+    #[test]
+    fn stats_account_for_every_key_on_the_heap() {
+        let mut e: Engine<()> = Engine::new();
+        let ids: Vec<EventId> = (1..=6)
+            .map(|ms| e.schedule_at(SimTime::from_millis(ms), |_, _| {}))
+            .collect();
+        assert!(e.cancel(ids[0]));
+        assert!(e.cancel(ids[3]));
+        assert!(!e.cancel(ids[3]), "a failed cancel is not counted");
+        let live = |s: EngineStats| s.scheduled - s.executed - s.cancelled;
+        let stale = |s: EngineStats| s.cancelled - s.stale_skipped;
+        assert_eq!(live(e.stats()), 4);
+        assert_eq!(e.pending() as u64, live(e.stats()) + stale(e.stats()));
+        // The peek discards the cancelled key at the top, and only that one.
+        assert_eq!(e.next_event_time(), Some(SimTime::from_millis(2)));
+        assert_eq!(e.stats().stale_skipped, 1);
+        assert_eq!(e.pending() as u64, live(e.stats()) + stale(e.stats()));
+        e.run(&mut ());
+        assert_eq!(
+            e.stats(),
+            EngineStats {
+                scheduled: 6,
+                executed: 4,
+                cancelled: 2,
+                stale_skipped: 2,
+            }
+        );
+        assert_eq!(e.pending(), 0);
     }
 
     #[test]

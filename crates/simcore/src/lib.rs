@@ -45,12 +45,14 @@ pub mod cpu;
 #[cfg(test)]
 mod cpu_oracle;
 pub mod engine;
+pub mod idmap;
 pub mod memory;
 pub mod rng;
 pub mod time;
 
 pub use cpu::{CpuGroupId, CpuModel, CpuStats, CpuTaskId};
-pub use engine::{Engine, EventId};
+pub use engine::{Engine, EngineStats, EventId};
+pub use idmap::{IdMap, IdSet};
 pub use memory::{AllocationId, MemCategory, MemOp, MemOpKind, MemoryLedger};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -20,9 +20,9 @@
 //! assert_eq!(mem.high_water_bytes(), 50 << 20);
 //! ```
 
+use crate::idmap::IdMap;
 use crate::time::SimTime;
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::HashMap;
 
 /// What a ledger allocation is for. Serialises to its lower-case
 /// [`name`](Self::name) — the `category` string of a `MemAlloc`/`MemFree`
@@ -122,7 +122,7 @@ pub struct MemoryLedger {
     current: u64,
     high_water: u64,
     by_category: [u64; MemCategory::ALL.len()],
-    live: HashMap<AllocationId, (MemCategory, u64)>,
+    live: IdMap<AllocationId, (MemCategory, u64)>,
     next_id: u64,
     last_update: SimTime,
     byte_seconds: f64,
