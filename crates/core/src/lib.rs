@@ -58,9 +58,9 @@ pub mod telemetry;
 pub mod window;
 
 pub use mapper::{FunctionGroup, InvokeMapper};
-pub use multiplexer::{mux_trace_events, MultiplexerStats, MuxEvent, ResourceMultiplexer};
-pub use platform::{FaasBatchPlatform, InvokeOutcome, OutcomeSummary, PlatformBuilder};
+pub use multiplexer::{MultiplexerStats, ResourceMultiplexer};
+pub use platform::{FaasBatchPlatform, InvokeOutcome, PlatformBuilder};
 pub use policy::{run_faasbatch, FaasBatchConfig, FaasBatchPolicy};
 pub use routing::{RoutingKind, RoutingPolicy, UnknownRoutingPolicy};
 pub use scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup, UnknownScheduler};
-pub use telemetry::{register_executor, PlatformTelemetry};
+pub use telemetry::register_executor;

@@ -13,56 +13,18 @@
 //! speed up the matching process. … there is no need to consider hash
 //! collisions that occur with extremely low probability" — collisions at
 //! container scope are negligible).
+//!
+//! The cache is unbounded and container-scoped, as in the paper: it lives
+//! and dies with its container, so what it holds is bounded by the distinct
+//! argument sets the container's functions ask for, never by the number of
+//! requests. A hit is one counter bump; only builds are journalled
+//! ([`ResourceMultiplexer::take_events`]).
 
-use faasbatch_container::ids::ContainerId;
-use faasbatch_metrics::events::{EventKind, SimEvent};
-use faasbatch_simcore::time::SimTime;
-use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// One journalled multiplexer operation, in the order the cache observed it.
-///
-/// The multiplexer is wall-clock-free and container-agnostic, so it journals
-/// raw operations; [`mux_trace_events`] stamps them with a container and a
-/// timestamp to join the simulation's [`SimEvent`] stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MuxEvent {
-    /// Request served from cache (or by waiting on an in-flight build).
-    Hit {
-        /// Hashed creation arguments.
-        key: u64,
-    },
-    /// Request that actually built the resource.
-    Miss {
-        /// Hashed creation arguments.
-        key: u64,
-    },
-    /// A built resource was evicted by the LRU bound.
-    Evicted {
-        /// Hashed creation arguments of the victim.
-        key: u64,
-    },
-}
-
-/// Converts a journalled multiplexer history into trace events attributed to
-/// `container` at `at`. Evictions have no trace-stream counterpart (the
-/// simulation's per-container caches are unbounded, like the paper's) and
-/// are skipped.
-pub fn mux_trace_events(container: ContainerId, at: SimTime, events: &[MuxEvent]) -> Vec<SimEvent> {
-    events
-        .iter()
-        .filter_map(|e| match *e {
-            MuxEvent::Hit { key } => Some(EventKind::ClientCacheHit { container, key }),
-            MuxEvent::Miss { key } => Some(EventKind::ClientCacheMiss { container, key }),
-            MuxEvent::Evicted { .. } => None,
-        })
-        .map(|kind| SimEvent::new(at, kind))
-        .collect()
-}
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Hit/miss counters of one multiplexer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,22 +33,6 @@ pub struct MultiplexerStats {
     pub hits: u64,
     /// Requests that actually built the resource.
     pub misses: u64,
-}
-
-impl MultiplexerStats {
-    /// Total requests.
-    pub fn requests(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hit rate in `[0, 1]` (0 when no requests yet).
-    pub fn hit_rate(&self) -> f64 {
-        if self.requests() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.requests() as f64
-        }
-    }
 }
 
 /// A per-container cache of expensive resources keyed by hashed creation
@@ -110,24 +56,11 @@ impl MultiplexerStats {
 /// ```
 #[derive(Debug)]
 pub struct ResourceMultiplexer<R> {
-    inner: Mutex<Inner<R>>,
+    cells: Mutex<HashMap<u64, Arc<OnceLock<Arc<R>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    events: Mutex<Vec<MuxEvent>>,
-}
-
-#[derive(Debug)]
-struct Cell<R> {
-    once: Arc<OnceLock<Arc<R>>>,
-    last_used: u64,
-}
-
-#[derive(Debug)]
-struct Inner<R> {
-    cells: HashMap<u64, Cell<R>>,
-    tick: u64,
-    capacity: Option<usize>,
+    /// Hashed key of every build, oldest first.
+    built: Mutex<Vec<u64>>,
 }
 
 impl<R> Default for ResourceMultiplexer<R> {
@@ -137,35 +70,13 @@ impl<R> Default for ResourceMultiplexer<R> {
 }
 
 impl<R> ResourceMultiplexer<R> {
-    /// Creates an unbounded multiplexer (the paper's design — container
-    /// lifetimes bound the cache naturally).
+    /// Creates an empty multiplexer.
     pub fn new() -> Self {
-        Self::build(None)
-    }
-
-    /// Creates a multiplexer that keeps at most `capacity` built resources,
-    /// evicting the least recently used beyond that — an extension for
-    /// memory-constrained containers caching many distinct configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        Self::build(Some(capacity))
-    }
-
-    fn build(capacity: Option<usize>) -> Self {
         ResourceMultiplexer {
-            inner: Mutex::new(Inner {
-                cells: HashMap::new(),
-                tick: 0,
-                capacity,
-            }),
+            cells: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
+            built: Mutex::default(),
         }
     }
 
@@ -176,26 +87,15 @@ impl<R> ResourceMultiplexer<R> {
     pub fn get_or_create<K: Hash, F: FnOnce() -> R>(&self, args: &K, build: F) -> Arc<R> {
         let key = Self::hash_args(args);
         let cell = {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner
-                .cells
-                .entry(key)
-                .and_modify(|c| c.last_used = tick)
-                .or_insert_with(|| Cell {
-                    once: Arc::default(),
-                    last_used: tick,
-                })
-                .once
-                .clone()
+            let mut cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
+            let cell = cells.entry(key).or_default();
+            // Fast path: already built.
+            if let Some(existing) = cell.get() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(existing);
+            }
+            Arc::clone(cell)
         };
-        // Fast path: already built.
-        if let Some(existing) = cell.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.events.lock().push(MuxEvent::Hit { key });
-            return existing.clone();
-        }
         let mut built_here = false;
         let resource = cell
             .get_or_init(|| {
@@ -205,74 +105,15 @@ impl<R> ResourceMultiplexer<R> {
             .clone();
         if built_here {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.events.lock().push(MuxEvent::Miss { key });
-            self.enforce_capacity(key);
+            self.built
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(key);
         } else {
             // We raced an in-flight build and got its result — a hit.
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.events.lock().push(MuxEvent::Hit { key });
         }
         resource
-    }
-
-    /// Evicts least-recently-used built entries beyond the capacity, never
-    /// the just-built `protect` key.
-    fn enforce_capacity(&self, protect: u64) {
-        let mut inner = self.inner.lock();
-        let Some(capacity) = inner.capacity else {
-            return;
-        };
-        loop {
-            let built = inner
-                .cells
-                .iter()
-                .filter(|(_, c)| c.once.get().is_some())
-                .count();
-            if built <= capacity {
-                return;
-            }
-            let victim = inner
-                .cells
-                .iter()
-                .filter(|(&k, c)| k != protect && c.once.get().is_some())
-                .min_by_key(|(_, c)| c.last_used)
-                .map(|(&k, _)| k);
-            match victim {
-                Some(k) => {
-                    inner.cells.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.events.lock().push(MuxEvent::Evicted { key: k });
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Looks up without building.
-    pub fn get<K: Hash>(&self, args: &K) -> Option<Arc<R>> {
-        let key = Self::hash_args(args);
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.cells.get_mut(&key).and_then(|cell| {
-            cell.last_used = tick;
-            cell.once.get().cloned()
-        })
-    }
-
-    /// Number of cached (fully built) resources.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .cells
-            .values()
-            .filter(|c| c.once.get().is_some())
-            .count()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Hit/miss counters.
@@ -283,28 +124,11 @@ impl<R> ResourceMultiplexer<R> {
         }
     }
 
-    /// Number of LRU evictions performed (bounded caches only).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Drains the operation journal, oldest first. Ordering between threads
-    /// follows the cache's own observation order; totals always agree with
-    /// [`stats`](Self::stats) and [`evictions`](Self::evictions) once all
-    /// requests have returned.
-    pub fn take_events(&self) -> Vec<MuxEvent> {
-        std::mem::take(&mut *self.events.lock())
-    }
-
-    /// The hashed key this multiplexer uses for `args` — lets callers
-    /// correlate journal entries with the arguments that produced them.
-    pub fn key_of<K: Hash>(args: &K) -> u64 {
-        Self::hash_args(args)
-    }
-
-    /// Drops every cached resource (container teardown).
-    pub fn clear(&self) {
-        self.inner.lock().cells.clear();
+    /// Drains the build journal: the hashed key of every resource built
+    /// since the last drain, oldest first. One entry per miss, so it is
+    /// bounded by the distinct keys requested.
+    pub fn take_events(&self) -> Vec<u64> {
+        std::mem::take(&mut *self.built.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     fn hash_args<K: Hash>(args: &K) -> u64 {
@@ -329,16 +153,7 @@ mod tests {
         assert_eq!(*a, 1);
         assert_eq!(*b, 2);
         assert!(Arc::ptr_eq(&a, &a2));
-        assert_eq!(mux.len(), 2);
         assert_eq!(mux.stats(), MultiplexerStats { hits: 1, misses: 2 });
-    }
-
-    #[test]
-    fn get_does_not_build() {
-        let mux: ResourceMultiplexer<u32> = ResourceMultiplexer::new();
-        assert!(mux.get(&"x").is_none());
-        mux.get_or_create(&"x", || 7);
-        assert_eq!(*mux.get(&"x").unwrap(), 7);
     }
 
     #[test]
@@ -381,38 +196,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(mux.len(), 8);
         assert_eq!(mux.stats().misses, 8);
-    }
-
-    #[test]
-    fn clear_resets_cache_but_not_stats() {
-        let mux: ResourceMultiplexer<u32> = ResourceMultiplexer::new();
-        mux.get_or_create(&"x", || 1);
-        mux.clear();
-        assert!(mux.is_empty());
-        assert_eq!(mux.stats().misses, 1);
-        // Rebuild after clear is a miss again.
-        mux.get_or_create(&"x", || 1);
-        assert_eq!(mux.stats().misses, 2);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_lru() {
-        let mux: ResourceMultiplexer<u32> = ResourceMultiplexer::with_capacity(2);
-        mux.get_or_create(&"a", || 1);
-        mux.get_or_create(&"b", || 2);
-        // Touch "a" so "b" becomes the LRU victim.
-        mux.get_or_create(&"a", || unreachable!());
-        mux.get_or_create(&"c", || 3);
-        assert_eq!(mux.len(), 2);
-        assert_eq!(mux.evictions(), 1);
-        assert!(mux.get(&"a").is_some(), "recently used survives");
-        assert!(mux.get(&"b").is_none(), "LRU evicted");
-        assert!(mux.get(&"c").is_some());
-        // Re-requesting the victim rebuilds it.
-        let rebuilt = mux.get_or_create(&"b", || 22);
-        assert_eq!(*rebuilt, 22);
+        assert_eq!(mux.take_events().len(), 8);
     }
 
     #[test]
@@ -421,43 +206,37 @@ mod tests {
         for i in 0..100usize {
             mux.get_or_create(&i, move || i);
         }
-        assert_eq!(mux.len(), 100);
-        assert_eq!(mux.evictions(), 0);
+        // Every one of the hundred is still cached: no rebuild.
+        for i in 0..100usize {
+            assert_eq!(*mux.get_or_create(&i, || unreachable!("evicted")), i);
+        }
+        assert_eq!(
+            mux.stats(),
+            MultiplexerStats {
+                hits: 100,
+                misses: 100
+            }
+        );
     }
 
+    /// A container's journal grows with the keys it builds, not with the
+    /// requests it serves: 10,000 hits on one key and one on another are
+    /// two entries.
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _: ResourceMultiplexer<u32> = ResourceMultiplexer::with_capacity(0);
-    }
-
-    #[test]
-    fn lru_eviction_order_is_journalled() {
-        type Mux = ResourceMultiplexer<u32>;
-        let mux: Mux = ResourceMultiplexer::with_capacity(2);
-        mux.get_or_create(&"a", || 1);
-        mux.get_or_create(&"b", || 2);
-        // Touch "a", then overflow twice: victims must be exactly "b" (the
-        // LRU at the first overflow) then "a" (LRU at the second).
-        mux.get_or_create(&"a", || unreachable!());
-        mux.get_or_create(&"c", || 3);
-        mux.get_or_create(&"d", || 4);
-        let evicted: Vec<u64> = mux
-            .take_events()
-            .into_iter()
-            .filter_map(|e| match e {
-                MuxEvent::Evicted { key } => Some(key),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(evicted, vec![Mux::key_of(&"b"), Mux::key_of(&"a")]);
-        assert_eq!(mux.evictions(), 2);
+    fn the_journal_holds_builds_not_hits() {
+        let mux: ResourceMultiplexer<u32> = ResourceMultiplexer::new();
+        for _ in 0..10_000 {
+            mux.get_or_create(&"hot", || 1);
+        }
+        mux.get_or_create(&"cold", || 2);
+        let journal = mux.take_events();
+        assert_eq!(journal.len(), 2);
+        assert_ne!(journal[0], journal[1]);
+        assert!(mux.take_events().is_empty());
     }
 
     #[test]
     fn race_stats_agree_with_event_stream() {
-        use faasbatch_simcore::time::SimTime;
-
         let mux: Arc<ResourceMultiplexer<u64>> = Arc::new(ResourceMultiplexer::new());
         // 4 distinct keys × 8 racing threads each: one build per key, the
         // rest hits (either from cache or by waiting on the in-flight build).
@@ -478,53 +257,12 @@ mod tests {
         let stats = mux.stats();
         assert_eq!(stats.misses, 4, "single-flight: one build per key");
         assert_eq!(stats.hits, 28);
-
-        // The journal must tell the same story, and survive conversion into
-        // the typed trace stream.
-        let journal = mux.take_events();
-        let journal_hits = journal
-            .iter()
-            .filter(|e| matches!(e, MuxEvent::Hit { .. }))
-            .count() as u64;
-        let journal_misses = journal
-            .iter()
-            .filter(|e| matches!(e, MuxEvent::Miss { .. }))
-            .count() as u64;
-        assert_eq!(journal_hits, stats.hits);
-        assert_eq!(journal_misses, stats.misses);
-
-        let sim_events = mux_trace_events(
-            faasbatch_container::ids::ContainerId::new(7),
-            SimTime::ZERO,
-            &journal,
-        );
-        let count = |name: &str| sim_events.iter().filter(|e| e.kind.name() == name).count() as u64;
-        assert_eq!(count("ClientCacheHit"), stats.hits);
-        assert_eq!(count("ClientCacheMiss"), stats.misses);
-        assert_eq!(sim_events.len() as u64, stats.requests());
-    }
-
-    #[test]
-    fn eviction_has_no_trace_counterpart() {
-        use faasbatch_simcore::time::SimTime;
-        let events = [
-            MuxEvent::Miss { key: 1 },
-            MuxEvent::Evicted { key: 1 },
-            MuxEvent::Hit { key: 2 },
-        ];
-        let sim = mux_trace_events(
-            faasbatch_container::ids::ContainerId::new(0),
-            SimTime::ZERO,
-            &events,
-        );
-        assert_eq!(sim.len(), 2);
-    }
-
-    #[test]
-    fn hit_rate_math() {
-        let s = MultiplexerStats { hits: 3, misses: 1 };
-        assert_eq!(s.requests(), 4);
-        assert_eq!(s.hit_rate(), 0.75);
-        assert_eq!(MultiplexerStats::default().hit_rate(), 0.0);
+        // The journal tells the same story: one entry per build, each key
+        // once.
+        let mut journal = mux.take_events();
+        assert_eq!(journal.len() as u64, stats.misses);
+        journal.sort_unstable();
+        journal.dedup();
+        assert_eq!(journal.len(), 4);
     }
 }

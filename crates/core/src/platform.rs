@@ -33,9 +33,11 @@
 //! dispatch decisions, cold-start spans, container state changes, exec
 //! spans, completions — so the auditor and `faasbatch trace --analyze` work
 //! on live runs (DESIGN.md §14).
+//!
+//! [`SimEvent`]: faasbatch_metrics::events::SimEvent
 
-use crate::multiplexer::{mux_trace_events, MultiplexerStats, ResourceMultiplexer};
-use crate::telemetry::PlatformTelemetry;
+use crate::multiplexer::ResourceMultiplexer;
+use crate::telemetry::{Recorded, Registered};
 use crate::window::WindowQueue;
 use bytes::Bytes;
 use faasbatch_container::container::ContainerState;
@@ -44,17 +46,17 @@ use faasbatch_container::pool::WarmPool;
 use faasbatch_container::snapshot::{EvictionPolicy, SnapshotCache, SnapshotConfig};
 use faasbatch_container::spec::RestoreModel;
 use faasbatch_exec::{global_executor, Executor, GroupJob, GroupReport};
-use faasbatch_metrics::events::{EventKind, SimEvent, TaskKind};
+use faasbatch_metrics::events::{EventKind, TaskKind};
 use faasbatch_metrics::live::LiveTraceRecorder;
+use faasbatch_metrics::telemetry::MetricRegistry;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_storage::client::{ClientConfig, StorageClient, StorageSdk};
 use faasbatch_storage::object_store::ObjectStore;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -104,49 +106,6 @@ impl InvokeOutcome {
     }
 }
 
-/// Aggregate view over a set of live outcomes (one burst, one benchmark
-/// run, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OutcomeSummary {
-    /// Outcomes aggregated.
-    pub count: usize,
-    /// Cold invocations.
-    pub cold: usize,
-    /// Snapshot-restored invocations.
-    pub restored: usize,
-    /// Panicked invocations.
-    pub panicked: usize,
-    /// Mean queued time.
-    pub mean_queued: Duration,
-    /// Mean execution time.
-    pub mean_execution: Duration,
-    /// Worst end-to-end time.
-    pub max_total: Duration,
-}
-
-impl OutcomeSummary {
-    /// Summarises `outcomes` (all zeroes when empty).
-    pub fn from_outcomes(outcomes: &[InvokeOutcome]) -> OutcomeSummary {
-        if outcomes.is_empty() {
-            return OutcomeSummary::default();
-        }
-        let n = outcomes.len() as u32;
-        OutcomeSummary {
-            count: outcomes.len(),
-            cold: outcomes.iter().filter(|o| o.cold).count(),
-            restored: outcomes.iter().filter(|o| o.restored).count(),
-            panicked: outcomes.iter().filter(|o| o.panicked).count(),
-            mean_queued: outcomes.iter().map(|o| o.queued).sum::<Duration>() / n,
-            mean_execution: outcomes.iter().map(|o| o.execution).sum::<Duration>() / n,
-            max_total: outcomes
-                .iter()
-                .map(InvokeOutcome::total)
-                .max()
-                .unwrap_or_default(),
-        }
-    }
-}
-
 /// Where one invocation's outcome lands: written once through the job's
 /// [`Reply`], awaited by its [`InvokeTicket`].
 ///
@@ -156,7 +115,7 @@ impl OutcomeSummary {
 /// nobody waits on yet costs no wake-up syscall.
 #[derive(Debug, Default)]
 struct ReplySlot {
-    state: std::sync::Mutex<ReplyState>,
+    state: Mutex<ReplyState>,
     ready: std::sync::Condvar,
 }
 
@@ -168,10 +127,8 @@ struct ReplyState {
 }
 
 impl ReplySlot {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ReplyState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, ReplyState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn put(&self, outcome: Option<InvokeOutcome>) {
@@ -225,7 +182,7 @@ impl InvokeTicket {
             .slot
             .ready
             .wait_while(state, |state| state.outcome.is_none())
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         state
             .outcome
             .take()
@@ -267,20 +224,6 @@ impl ContainerEnv {
         } else {
             Arc::new(self.sdk.connect(config))
         }
-    }
-
-    /// Hit/miss counters of this container's multiplexer.
-    pub fn multiplexer_stats(&self) -> MultiplexerStats {
-        self.multiplexer.stats()
-    }
-
-    /// Drains this container's multiplexer journal as typed trace events
-    /// stamped at `at` — live containers run on the wall clock, so the
-    /// caller chooses the simulated timestamp under which the history joins
-    /// a [`SimEvent`] stream (DESIGN.md §11).
-    pub fn take_mux_trace(&self, at: SimTime) -> Vec<SimEvent> {
-        let events = self.multiplexer.take_events();
-        mux_trace_events(ContainerId::new(self.id), at, &events)
     }
 }
 
@@ -416,9 +359,15 @@ impl PlatformIds {
     }
 }
 
-/// Aggregate counters of a live platform.
+/// Aggregate counters of a live platform — the one count of each fact;
+/// telemetry polls these rather than recording its own
+/// ([`PlatformBuilder::telemetry`]). Every batch starts on exactly one tier,
+/// so `warm_hits + containers_created + containers_restored == batches`
+/// once no dispatch is mid-flight.
 #[derive(Debug, Default)]
 pub struct PlatformStats {
+    /// Batches dispatched onto a pooled warm container.
+    pub warm_hits: AtomicU64,
     /// Containers created (cold starts).
     pub containers_created: AtomicU64,
     /// Containers started by restoring a snapshot template instead of a
@@ -428,7 +377,7 @@ pub struct PlatformStats {
     pub containers_evicted: AtomicU64,
     /// Batches dispatched.
     pub batches: AtomicU64,
-    /// Invocations completed.
+    /// Invocations completed, counted when their batch finishes.
     pub invocations: AtomicU64,
     /// Storage clients actually built across all containers.
     pub clients_created: AtomicU64,
@@ -449,15 +398,13 @@ struct Tiers {
 /// no longer lives on joinable threads (executor groups, cold-start timers).
 #[derive(Default)]
 struct PendingGroups {
-    count: std::sync::Mutex<usize>,
+    count: Mutex<usize>,
     cvar: std::sync::Condvar,
 }
 
 impl PendingGroups {
-    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
-        self.count
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn enter(&self) {
@@ -478,7 +425,7 @@ impl PendingGroups {
             count = self
                 .cvar
                 .wait(count)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -492,7 +439,7 @@ pub struct PlatformBuilder {
     restore_delay: Duration,
     executor: Option<Arc<Executor>>,
     recorder: Option<LiveTraceRecorder>,
-    telemetry: Option<Arc<PlatformTelemetry>>,
+    telemetry: Option<Registered>,
     keep_alive: Option<Duration>,
     store: ObjectStore,
     ids: Option<Arc<PlatformIds>>,
@@ -591,19 +538,23 @@ impl PlatformBuilder {
     }
 
     /// Attaches a wall-clock trace recorder; the platform then emits the
-    /// full typed [`SimEvent`] stream (arrivals, dispatch decisions,
-    /// cold-start spans, container state changes, exec spans, completions).
+    /// full typed [`SimEvent`](faasbatch_metrics::events::SimEvent) stream
+    /// (arrivals, dispatch decisions, cold-start spans, container state
+    /// changes, exec spans, completions).
     pub fn trace(mut self, recorder: LiveTraceRecorder) -> Self {
         self.recorder = Some(recorder);
         self
     }
 
-    /// Attaches live metrics (DESIGN.md §18): warm/cold dispatch counters,
-    /// batch-size and per-function end-to-end latency histograms, and the
-    /// in-flight gauge, all recorded straight into the handle's
-    /// [`MetricRegistry`](faasbatch_metrics::MetricRegistry).
-    pub fn telemetry(mut self, telemetry: Arc<PlatformTelemetry>) -> Self {
-        self.telemetry = Some(telemetry);
+    /// Attaches live metrics (DESIGN.md §18), registering the
+    /// `faasbatch_platform_*` families on `registry` now: the batch, tier
+    /// and invocation counters are polled from the cores' [`PlatformStats`]
+    /// at scrape time; the in-flight gauge and the batch-size and
+    /// per-function end-to-end latency histograms (registered when the
+    /// platform starts) are recorded. Summed over every core started from
+    /// this builder.
+    pub fn telemetry(mut self, registry: &MetricRegistry) -> Self {
+        self.telemetry = Some(Registered::new(registry));
         self
     }
 
@@ -702,14 +653,19 @@ struct CoreShared {
     recorder: Option<LiveTraceRecorder>,
     /// Time zero of [`CoreShared::now`] when no recorder is attached.
     origin: Instant,
-    telemetry: Option<Arc<PlatformTelemetry>>,
+    telemetry: Option<Arc<Recorded>>,
     ids: Arc<PlatformIds>,
-    stats: PlatformStats,
+    /// Shared with the telemetry registry's polled counters, if any.
+    stats: Arc<PlatformStats>,
     tiers: Mutex<Tiers>,
     pending: PendingGroups,
 }
 
 impl CoreShared {
+    fn tiers(&self) -> MutexGuard<'_, Tiers> {
+        self.tiers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn emit(&self, kind: EventKind) {
         if let Some(rec) = &self.recorder {
             rec.record(kind);
@@ -765,7 +721,7 @@ impl CoreShared {
             if now <= due {
                 return core.arm_reaper(function, due);
             }
-            let aged = core.tiers.lock().warm.expire_function(now, function);
+            let aged = core.tiers().warm.expire_function(now, function);
             core.evict(aged);
         });
     }
@@ -783,18 +739,14 @@ impl CoreShared {
         let cold = tier == StartTier::Cold;
         let restored = tier == StartTier::Restored;
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        if cold {
-            self.stats
-                .containers_created
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if restored {
-            self.stats
-                .containers_restored
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        let started_on = match tier {
+            StartTier::Warm => &self.stats.warm_hits,
+            StartTier::Restored => &self.stats.containers_restored,
+            StartTier::Cold => &self.stats.containers_created,
+        };
+        started_on.fetch_add(1, Ordering::Relaxed);
         if let Some(tel) = &self.telemetry {
-            tel.on_batch(members.len(), cold, restored);
+            tel.batch_size.record(members.len() as u64);
         }
         let batch = self.ids.next_batch();
         let container = ContainerId::new(env.id());
@@ -868,7 +820,7 @@ impl CoreShared {
         // Its LRU needs the real time: one read, on the path that is about
         // to wait out a restore or a boot. A disabled cache is not asked.
         let checked_out = {
-            let mut tiers = self.tiers.lock();
+            let mut tiers = self.tiers();
             let warm = tiers.warm.check_out_reaping(now, function, &mut aged);
             warm.ok_or_else(|| {
                 if self.snapshots {
@@ -930,8 +882,7 @@ impl Group {
                 core.emit(EventKind::ColdStartEnd { container, batch });
                 if core.snapshots {
                     let (now, boot) = (core.now(), core.cold_start_delay.into());
-                    core.tiers
-                        .lock()
+                    core.tiers()
                         .snapshots
                         .capture(now, self.function_id(), boot);
                 }
@@ -1007,10 +958,9 @@ impl Group {
             panicked: result.is_err(),
         };
         if let Some(tel) = &core.telemetry {
-            tel.on_member_done(
-                self.function,
-                u64::try_from(outcome.total().as_micros()).unwrap_or(u64::MAX),
-            );
+            tel.in_flight.sub(1);
+            tel.e2e[self.function]
+                .record(u64::try_from(outcome.total().as_micros()).unwrap_or(u64::MAX));
         }
         job.reply.send(outcome);
         core.emit(EventKind::InvocationComplete {
@@ -1039,8 +989,7 @@ impl Group {
         });
         // The clock is read before the lock is taken, not under it.
         let now = core.pool_stamp();
-        core.tiers
-            .lock()
+        core.tiers()
             .warm
             .check_in(now, self.function_id(), Arc::clone(&self.env));
         if let Some(ttl) = core.keep_alive {
@@ -1079,13 +1028,10 @@ impl DispatchCore {
     /// dispatch window is not used — a core never windows.
     pub fn fleet(builder: PlatformBuilder, workers: usize) -> Vec<DispatchCore> {
         let table = Arc::new(FunctionTable::new(builder.functions));
-        if let Some(tel) = &builder.telemetry {
-            // Pre-register every function's latency family so exposition
-            // order is registration order, not first-completion order.
-            for function in 0..table.names.len() {
-                tel.ensure_function(function);
-            }
-        }
+        let stats: Vec<Arc<PlatformStats>> = (0..workers).map(|_| Arc::default()).collect();
+        let telemetry = builder
+            .telemetry
+            .map(|registered| Arc::new(registered.attach(stats.clone(), &table)));
         let executor = builder.executor.unwrap_or_else(global_executor);
         let ids = builder.ids.unwrap_or_default();
         let origin = Instant::now();
@@ -1098,8 +1044,9 @@ impl DispatchCore {
             eviction: EvictionPolicy::Lru,
             model: RestoreModel::new(restore, restore, 0.0).expect("a point is a valid band"),
         };
-        (0..workers)
-            .map(|_| DispatchCore {
+        stats
+            .into_iter()
+            .map(|stats| DispatchCore {
                 shared: Arc::new(CoreShared {
                     table: Arc::clone(&table),
                     multiplex: builder.multiplex,
@@ -1110,9 +1057,9 @@ impl DispatchCore {
                     executor: Arc::clone(&executor),
                     recorder: builder.recorder.clone(),
                     origin,
-                    telemetry: builder.telemetry.clone(),
+                    telemetry: telemetry.clone(),
                     ids: Arc::clone(&ids),
-                    stats: PlatformStats::default(),
+                    stats,
                     tiers: Mutex::new(Tiers {
                         warm: WarmPool::new(keep_alive),
                         snapshots: SnapshotCache::new(snapshots.clone()),
@@ -1292,7 +1239,7 @@ mod tests {
     use super::*;
     use faasbatch_exec::ExecutorConfig;
     use faasbatch_metrics::analysis::AttributionEngine;
-    use faasbatch_metrics::events::{AuditorSink, RecordReducer, TraceSink};
+    use faasbatch_metrics::events::{AuditorSink, RecordReducer, SimEvent, TraceSink};
     use faasbatch_metrics::latency::{InvocationRecord, LatencyBreakdown};
     use std::sync::atomic::AtomicUsize;
 
@@ -1394,30 +1341,6 @@ mod tests {
     }
 
     #[test]
-    fn container_env_exports_mux_trace() {
-        use faasbatch_metrics::events::EventKind;
-        let store = ObjectStore::new();
-        store.create_bucket("b").unwrap();
-        let env = ContainerEnv {
-            id: 3,
-            multiplexer: ResourceMultiplexer::new(),
-            sdk: StorageSdk::new(store),
-            multiplex: true,
-        };
-        let cfg = ClientConfig::for_bucket("b");
-        env.storage_client(&cfg);
-        env.storage_client(&cfg);
-        let trace = env.take_mux_trace(SimTime::from_secs(1));
-        assert_eq!(trace.len(), 2);
-        assert!(
-            matches!(trace[0].kind, EventKind::ClientCacheMiss { container, .. }
-            if container == ContainerId::new(3))
-        );
-        assert!(matches!(trace[1].kind, EventKind::ClientCacheHit { .. }));
-        assert!(env.take_mux_trace(SimTime::from_secs(2)).is_empty());
-    }
-
-    #[test]
     fn multiplexer_limits_client_creations() {
         let (platform, _) = fast_platform(true);
         let tickets: Vec<_> = (0..12)
@@ -1446,29 +1369,6 @@ mod tests {
         }
         platform.drain().unwrap();
         assert_eq!(platform.stats().clients_created.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn outcome_summary_aggregates() {
-        let mk = |q: u64, e: u64, cold: bool, panicked: bool| InvokeOutcome {
-            queued: Duration::from_millis(q),
-            execution: Duration::from_millis(e),
-            cold,
-            restored: !cold,
-            panicked,
-        };
-        let s = OutcomeSummary::from_outcomes(&[mk(10, 20, true, false), mk(30, 40, false, true)]);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.cold, 1);
-        assert_eq!(s.restored, 1);
-        assert_eq!(s.panicked, 1);
-        assert_eq!(s.mean_queued, Duration::from_millis(20));
-        assert_eq!(s.mean_execution, Duration::from_millis(30));
-        assert_eq!(s.max_total, Duration::from_millis(70));
-        assert_eq!(
-            OutcomeSummary::from_outcomes(&[]),
-            OutcomeSummary::default()
-        );
     }
 
     #[test]

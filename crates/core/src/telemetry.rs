@@ -1,75 +1,88 @@
 //! Live-platform instrumentation onto the telemetry plane (DESIGN.md §18).
 //!
-//! Two pieces:
+//! Every live fact has one owner and one count, and telemetry reads it
+//! where it is kept rather than counting it a second time:
 //!
-//! * [`PlatformTelemetry`] — the platform's recording handles (warm hits,
-//!   cold boots, batch sizes, in-flight gauge, per-function end-to-end
-//!   latency histograms), registered once on a
-//!   [`MetricRegistry`] and attached via
-//!   [`PlatformBuilder::telemetry`](crate::platform::PlatformBuilder::telemetry).
-//!   Hot-path recording is a relaxed `fetch_add` on sharded atomics.
-//! * [`register_executor`] — polled gauges/counters over
-//!   [`ExecutorMetrics`](faasbatch_exec::ExecutorMetrics). `faasbatch-exec`
-//!   is dependency-free by design, so instead of recording into the
-//!   registry it keeps its own atomics and this helper exposes them as
-//!   closure-backed metrics read at scrape time.
+//! * the platform's counters — batches, warm hits, cold boots, restores,
+//!   completed invocations — are the [`PlatformStats`] atomics every
+//!   [`DispatchCore`](crate::platform::DispatchCore) keeps anyway.
+//!   [`PlatformBuilder::telemetry`](crate::platform::PlatformBuilder::telemetry)
+//!   exposes them as polled families summed over the fleet at scrape time.
+//!   Only what nothing else keeps is recorded on the hot path: the
+//!   in-flight gauge, the batch-size histogram and one end-to-end latency
+//!   histogram per function;
+//! * [`register_executor`] exposes
+//!   [`ExecutorMetrics`](faasbatch_exec::ExecutorMetrics) the same way.
+//!   `faasbatch-exec` is dependency-free by design, so it keeps its own
+//!   atomics and this helper polls them at scrape time.
 
+use crate::platform::{FunctionTable, PlatformStats};
 use faasbatch_exec::Executor;
-use faasbatch_metrics::telemetry::{Counter, Gauge, Histogram, MetricRegistry};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use faasbatch_metrics::telemetry::{Gauge, Histogram, MetricRegistry};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// Recording handles for one live platform. Build with
-/// [`PlatformTelemetry::new`], attach with
-/// [`PlatformBuilder::telemetry`](crate::platform::PlatformBuilder::telemetry);
-/// clones share the same cells.
-pub struct PlatformTelemetry {
+/// The stats of every core of one fleet, set once the fleet is built.
+type FleetStats = Arc<OnceLock<Vec<Arc<PlatformStats>>>>;
+
+/// The [`PlatformStats`] field one polled counter sums.
+type StatsField = fn(&PlatformStats) -> &AtomicU64;
+
+/// The platform families on one registry, registered when telemetry is
+/// attached to a builder, before the fleet whose stats the counters poll
+/// exists ([`Registered::attach`] hands them over). Registering here, not
+/// in the fleet, keeps the exposition order callers already see.
+pub(crate) struct Registered {
     registry: MetricRegistry,
-    pub(crate) warm_hits: Counter,
-    pub(crate) cold_boots: Counter,
-    pub(crate) restores: Counter,
-    pub(crate) batches: Counter,
-    pub(crate) invocations: Counter,
-    pub(crate) in_flight: Gauge,
-    pub(crate) batch_size: Histogram,
-    e2e: Mutex<HashMap<usize, Histogram>>,
+    fleet: FleetStats,
+    in_flight: Gauge,
+    batch_size: Histogram,
 }
 
-impl std::fmt::Debug for PlatformTelemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlatformTelemetry")
-            .field("batches", &self.batches.value())
-            .field("in_flight", &self.in_flight.value())
-            .finish()
-    }
-}
-
-impl PlatformTelemetry {
-    /// Registers the platform metric families on `registry`.
-    pub fn new(registry: &MetricRegistry) -> Arc<Self> {
-        Arc::new(PlatformTelemetry {
-            registry: registry.clone(),
-            warm_hits: registry.counter(
+impl Registered {
+    pub(crate) fn new(registry: &MetricRegistry) -> Registered {
+        let fleet = FleetStats::default();
+        let polled: [(&str, &str, StatsField); 5] = [
+            (
                 "faasbatch_platform_warm_hits_total",
                 "Batches dispatched onto a pooled warm container.",
+                |s| &s.warm_hits,
             ),
-            cold_boots: registry.counter(
+            (
                 "faasbatch_platform_cold_boots_total",
                 "Batches that had to create a fresh container via a full cold boot.",
+                |s| &s.containers_created,
             ),
-            restores: registry.counter(
+            (
                 "faasbatch_platform_restores_total",
                 "Batches served by restoring a snapshot template instead of booting cold.",
+                |s| &s.containers_restored,
             ),
-            batches: registry.counter(
+            (
                 "faasbatch_platform_batches_total",
                 "Dispatch decisions (batches) made.",
+                |s| &s.batches,
             ),
-            invocations: registry.counter(
+            (
                 "faasbatch_platform_invocations_total",
                 "Invocations completed end to end.",
+                |s| &s.invocations,
             ),
+        ];
+        for (name, help, field) in polled {
+            let fleet = Arc::clone(&fleet);
+            registry.counter_fn(name, help, move || {
+                fleet.get().map_or(0, |cores| {
+                    cores
+                        .iter()
+                        .map(|stats| field(stats).load(Ordering::Relaxed))
+                        .sum()
+                })
+            });
+        }
+        Registered {
+            registry: registry.clone(),
+            fleet,
             in_flight: registry.gauge(
                 "faasbatch_platform_in_flight",
                 "Invocations accepted but not yet completed.",
@@ -78,59 +91,41 @@ impl PlatformTelemetry {
                 "faasbatch_platform_batch_size",
                 "Members per dispatched batch (count, not microseconds).",
             ),
-            e2e: Mutex::new(HashMap::new()),
-        })
-    }
-
-    /// Pre-registers the per-function latency family for `function`, so
-    /// exposition order follows registration order rather than first
-    /// completion. Called by the builder for every registered function.
-    pub(crate) fn ensure_function(&self, function: usize) {
-        let mut map = self.e2e.lock();
-        map.entry(function).or_insert_with(|| {
-            let label = function.to_string();
-            self.registry.histogram_with(
-                "faasbatch_platform_e2e_latency_us",
-                "End-to-end invocation latency (queued + execution), microseconds.",
-                &[("function", &label)],
-            )
-        });
-    }
-
-    /// One dispatch decision: batch size plus the warm/restore/cold split
-    /// (`cold` and `restored` are mutually exclusive; neither = warm hit).
-    pub(crate) fn on_batch(&self, size: usize, cold: bool, restored: bool) {
-        self.batches.inc();
-        self.batch_size.record(size as u64);
-        if cold {
-            self.cold_boots.inc();
-        } else if restored {
-            self.restores.inc();
-        } else {
-            self.warm_hits.inc();
         }
     }
 
-    /// One member completed: end-to-end latency in microseconds.
-    pub(crate) fn on_member_done(&self, function: usize, e2e_us: u64) {
-        self.invocations.inc();
-        self.in_flight.sub(1);
-        // Functions are pre-registered by the builder; the lock here is
-        // uncontended in steady state and only guards the map lookup.
-        let hist = {
-            let map = self.e2e.lock();
-            map.get(&function).cloned()
-        };
-        match hist {
-            Some(hist) => hist.record(e2e_us),
-            None => {
-                self.ensure_function(function);
-                if let Some(hist) = self.e2e.lock().get(&function) {
-                    hist.record(e2e_us);
-                }
-            }
+    /// Points the counters at the fleet's `cores` and registers one
+    /// end-to-end latency histogram per function of `table`.
+    pub(crate) fn attach(self, cores: Vec<Arc<PlatformStats>>, table: &FunctionTable) -> Recorded {
+        self.fleet
+            .set(cores)
+            .expect("a builder's telemetry attaches to one fleet");
+        let e2e = (0..table.names().len())
+            .map(|function| {
+                self.registry.histogram_with(
+                    "faasbatch_platform_e2e_latency_us",
+                    "End-to-end invocation latency (queued + execution), microseconds.",
+                    &[("function", &function.to_string())],
+                )
+            })
+            .collect();
+        Recorded {
+            in_flight: self.in_flight,
+            batch_size: self.batch_size,
+            e2e,
         }
     }
+}
+
+/// What a fleet records on its hot path: only what no [`PlatformStats`]
+/// field already counts.
+pub(crate) struct Recorded {
+    /// Invocations accepted and not yet completed.
+    pub(crate) in_flight: Gauge,
+    /// Members per dispatched batch.
+    pub(crate) batch_size: Histogram,
+    /// End-to-end latency in microseconds, indexed by function.
+    pub(crate) e2e: Vec<Histogram>,
 }
 
 /// Exposes a live [`Executor`]'s internal counters on `registry` as polled
@@ -248,28 +243,51 @@ pub fn register_executor(registry: &MetricRegistry, executor: &Arc<Executor>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::PlatformBuilder;
+    use bytes::Bytes;
     use faasbatch_exec::ExecutorConfig;
+    use std::time::Duration;
 
+    /// All three start tiers through a real platform: a cold boot, a warm
+    /// hit, then — keep-alive evicted the container, the boot left a
+    /// snapshot — a restore. Every counter is the platform's own.
     #[test]
     fn platform_telemetry_registers_and_records() {
         let registry = MetricRegistry::new();
-        let telemetry = PlatformTelemetry::new(&registry);
-        telemetry.ensure_function(0);
-        telemetry.on_batch(4, true, false);
-        telemetry.on_batch(2, false, false);
-        telemetry.on_batch(1, false, true);
-        telemetry.in_flight.add(7);
-        for _ in 0..7 {
-            telemetry.on_member_done(0, 1_500);
-        }
+        let platform = PlatformBuilder::new()
+            .window(Duration::from_millis(5))
+            .cold_start_delay(Duration::from_millis(1))
+            .restore_delay(Duration::from_millis(1))
+            .snapshots(4)
+            .keep_alive(Duration::from_millis(60))
+            .telemetry(&registry)
+            .register("f", |_env| {})
+            .start();
+        // Each invocation is dispatched at once (`drain` ends the window)
+        // and checked back in before the next one.
+        let invoke = || {
+            let ticket = platform.invoke("f", Bytes::new()).unwrap();
+            platform.drain().unwrap();
+            ticket.wait()
+        };
+        let cold = invoke();
+        let warm = invoke();
+        std::thread::sleep(Duration::from_millis(250));
+        let restored = invoke();
+        assert!(cold.cold && !warm.cold && !warm.restored && restored.restored);
         let text = registry.render_prometheus();
-        assert!(text.contains("faasbatch_platform_cold_boots_total 1"));
-        assert!(text.contains("faasbatch_platform_warm_hits_total 1"));
-        assert!(text.contains("faasbatch_platform_restores_total 1"));
-        assert!(text.contains("faasbatch_platform_batches_total 3"));
-        assert!(text.contains("faasbatch_platform_invocations_total 7"));
-        assert!(text.contains("faasbatch_platform_in_flight 0"));
-        assert!(text.contains("faasbatch_platform_e2e_latency_us_count{function=\"0\"} 7"));
+        for line in [
+            "faasbatch_platform_warm_hits_total 1",
+            "faasbatch_platform_cold_boots_total 1",
+            "faasbatch_platform_restores_total 1",
+            "faasbatch_platform_batches_total 3",
+            "faasbatch_platform_invocations_total 3",
+            "faasbatch_platform_in_flight 0",
+            "faasbatch_platform_batch_size_count 3",
+            "faasbatch_platform_e2e_latency_us_count{function=\"0\"} 3",
+        ] {
+            assert!(text.contains(line), "{line} missing from\n{text}");
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@ use faasbatch_core::platform::{
     PlatformStats, RemoteJob,
 };
 use faasbatch_core::routing::{stable_hash, Router, RoutingKind};
-use faasbatch_core::telemetry::PlatformTelemetry;
 use faasbatch_core::window::{PushError, WindowQueue};
 use faasbatch_exec::Executor;
 use faasbatch_metrics::events::EventKind;
@@ -21,6 +20,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Per-invocation cost the router charges its load estimator: the gateway
+/// cannot see real handler durations.
+const ASSUMED_WORK: SimDuration = SimDuration::from_millis(1);
 
 /// Gateway submission failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,7 +171,6 @@ pub struct GatewayBuilder {
     shard_depth: usize,
     window: Duration,
     policy: RoutingKind,
-    assumed_work: Duration,
     recorder: Option<LiveTraceRecorder>,
     registry: Option<MetricRegistry>,
     /// Everything about the workers: start delays, multiplexer, executor,
@@ -205,7 +207,6 @@ impl GatewayBuilder {
             shard_depth: 65_536,
             window: Duration::from_millis(200),
             policy: RoutingKind::LeastLoaded,
-            assumed_work: Duration::from_millis(1),
             recorder: None,
             registry: None,
             cores: PlatformBuilder::new(),
@@ -250,13 +251,6 @@ impl GatewayBuilder {
         self
     }
 
-    /// Per-invocation cost the router charges its load estimator (the
-    /// gateway cannot see real handler durations; default 1 ms).
-    pub fn assumed_work(mut self, work: Duration) -> GatewayBuilder {
-        self.assumed_work = work;
-        self
-    }
-
     /// Cold-start delay of the workers.
     pub fn cold_start_delay(mut self, delay: Duration) -> GatewayBuilder {
         self.cores = self.cores.cold_start_delay(delay);
@@ -293,8 +287,9 @@ impl GatewayBuilder {
 
     /// Attaches live metrics (DESIGN.md §18): per-shard admission counters
     /// and ingress-depth gauges, the in-flight gauge, a route-latency
-    /// histogram, and a [`PlatformTelemetry`] shared by every worker — all
-    /// registered on `registry`.
+    /// histogram, and one `faasbatch_platform_*` family set summed over
+    /// every worker ([`PlatformBuilder::telemetry`]) — all registered on
+    /// `registry`.
     pub fn telemetry(mut self, registry: &MetricRegistry) -> GatewayBuilder {
         self.registry = Some(registry.clone());
         self
@@ -321,9 +316,7 @@ impl GatewayBuilder {
         let ids = Arc::new(PlatformIds::new());
         let mut cores = self.cores.ids(Arc::clone(&ids));
         if let Some(registry) = &self.registry {
-            // One telemetry handle shared by every worker: the fleet
-            // aggregates into a single faasbatch_platform_* family set.
-            cores = cores.telemetry(PlatformTelemetry::new(registry));
+            cores = cores.telemetry(registry);
         }
         let cores = Arc::new(DispatchCore::fleet(cores, self.workers));
         let table = Arc::clone(cores[0].functions());
@@ -342,7 +335,6 @@ impl GatewayBuilder {
                 shard: shard as u64,
                 queue: Arc::clone(queue),
                 window: self.window,
-                assumed_work: self.assumed_work.into(),
                 cores: Arc::clone(&cores),
                 router: Arc::clone(&router),
                 stats: Arc::clone(&stats),
@@ -437,7 +429,6 @@ struct ShardDispatcher {
     shard: u64,
     queue: Arc<WindowQueue>,
     window: Duration,
-    assumed_work: SimDuration,
     cores: Arc<Vec<DispatchCore>>,
     router: Arc<Mutex<Router>>,
     stats: Arc<GatewayStats>,
@@ -467,7 +458,7 @@ impl ShardDispatcher {
                     now,
                     FunctionId::new(function as u32),
                     &alive,
-                    std::iter::repeat_n(self.assumed_work, members.len()),
+                    std::iter::repeat_n(ASSUMED_WORK, members.len()),
                 );
                 if let Some(recorder) = &self.recorder {
                     recorder.record(EventKind::GatewayRoute {
@@ -611,15 +602,6 @@ impl Gateway {
     /// High-water mark of [`Gateway::in_flight`].
     pub fn peak_in_flight(&self) -> usize {
         self.stats.peak_in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Total invocations refused by admission control, across every shard.
-    pub fn rejected_total(&self) -> u64 {
-        self.stats
-            .shards
-            .iter()
-            .map(|s| s.rejected.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// Aggregate counters of each worker, indexed by worker.
@@ -825,7 +807,8 @@ mod tests {
         assert!(text.contains("faasbatch_platform_batches_total"));
         assert!(text.contains("faasbatch_platform_e2e_latency_us_count{function=\"0\"}"));
         if rejected {
-            assert_eq!(gateway.rejected_total(), 1);
+            let snap = gateway.stats();
+            assert_eq!(snap.shards.iter().map(|s| s.rejected).sum::<u64>(), 1);
             assert!(text.contains("faasbatch_gateway_rejects_total"));
         }
     }

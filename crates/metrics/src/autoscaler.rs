@@ -27,20 +27,11 @@ use std::collections::BTreeMap;
 /// auditor can hold controllers to account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ScaleAction {
-    /// Launch `count` pre-warmed containers for `function` now.
-    Prewarm {
-        /// Function to warm up.
-        function: FunctionId,
-        /// How many containers to launch (> 0).
-        count: usize,
-    },
-    /// Launch `count` pre-warms for `function` into a specific start tier.
-    ///
-    /// Emitted instead of [`ScaleAction::Prewarm`] when the controller is
-    /// tier-aware ([`AutoscalerConfig::snapshot_prewarm`]): the warm tier
-    /// parks a booted container (fast next hit, holds memory); the snapshot
-    /// tier boots, captures, and terminates (slower next hit, zero memory
-    /// held while idle).
+    /// Launch `count` pre-warms for `function` now, into a start tier: the
+    /// warm tier parks a booted container (fast next hit, holds memory);
+    /// the snapshot tier boots, captures, and terminates (slower next hit,
+    /// zero memory held while idle). Only a tier-aware controller
+    /// ([`AutoscalerConfig::snapshot_prewarm`]) picks the snapshot tier.
     PrewarmTier {
         /// Function to warm up.
         function: FunctionId,
@@ -96,11 +87,11 @@ pub struct AutoscalerConfig {
     /// EWMA smoothing factor in `(0, 1]` for the cold-rate and occupancy
     /// estimates; higher reacts faster.
     pub alpha: f64,
-    /// Emit tier-aware [`ScaleAction::PrewarmTier`] actions instead of
-    /// plain [`ScaleAction::Prewarm`]: functions whose predicted re-use
-    /// horizon (EWMA inter-arrival gap) outlives the keep-alive are parked
-    /// in the snapshot tier, the rest in the warm tier. Default off, which
-    /// keeps every pre-0.9 configuration byte-identical.
+    /// Pick each pre-warm's tier: functions whose predicted re-use horizon
+    /// (EWMA inter-arrival gap) outlives the keep-alive are parked in the
+    /// snapshot tier, the rest in the warm tier. Default off — every
+    /// pre-warm goes to the warm tier, which keeps every pre-0.9
+    /// configuration byte-identical.
     #[serde(default)]
     pub snapshot_prewarm: bool,
 }
@@ -199,9 +190,9 @@ impl FnState {
 /// Summary counters exposed after a run for reports and the ablation JSON.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct AutoscalerStats {
-    /// `Prewarm` actions emitted.
+    /// Pre-warm actions emitted.
     pub prewarm_actions: u64,
-    /// Containers requested across all `Prewarm` actions.
+    /// Containers requested across all pre-warm actions.
     pub prewarmed_containers: u64,
     /// `SetKeepAlive` actions emitted.
     pub keepalive_actions: u64,
@@ -356,29 +347,26 @@ impl TraceSink for AutoscalerSink {
                         .max(st.outstanding_prewarm);
                     self.stats.prewarm_actions += 1;
                     self.stats.prewarmed_containers += deficit as u64;
-                    let action = if cfg.snapshot_prewarm {
+                    let tier = if cfg.snapshot_prewarm {
                         // Predicted re-use horizon vs the keep-alive in
                         // force: if the next hit is expected after the warm
                         // container would have idled out, park a snapshot
                         // (no memory held) instead of a warm container.
                         let horizon_us = st.gap_ewma_us.unwrap_or(0.0);
-                        let tier = if horizon_us > st.keep_alive_set.as_micros() as f64 {
+                        if horizon_us > st.keep_alive_set.as_micros() as f64 {
                             self.stats.snapshot_tier_prewarms += deficit as u64;
                             PrewarmTier::Snapshot
                         } else {
                             self.stats.warm_tier_prewarms += deficit as u64;
                             PrewarmTier::Warm
-                        };
-                        ScaleAction::PrewarmTier {
-                            function,
-                            count: deficit,
-                            tier,
                         }
                     } else {
-                        ScaleAction::Prewarm {
-                            function,
-                            count: deficit,
-                        }
+                        PrewarmTier::Warm
+                    };
+                    let action = ScaleAction::PrewarmTier {
+                        function,
+                        count: deficit,
+                        tier,
                     };
                     self.actions.push((now, action));
                     out.push(action);
@@ -484,9 +472,10 @@ mod tests {
         let actions = s.poll_actions(SimTime::from_secs(1));
         assert_eq!(
             actions,
-            vec![ScaleAction::Prewarm {
+            vec![ScaleAction::PrewarmTier {
                 function: f(0),
-                count: 3
+                count: 3,
+                tier: PrewarmTier::Warm,
             }]
         );
         // Cap already saturated: polling again adds nothing.
@@ -498,9 +487,10 @@ mod tests {
         let actions = s.poll_actions(SimTime::from_secs(3));
         assert_eq!(
             actions,
-            vec![ScaleAction::Prewarm {
+            vec![ScaleAction::PrewarmTier {
                 function: f(0),
-                count: 1
+                count: 1,
+                tier: PrewarmTier::Warm,
             }]
         );
         assert_eq!(s.stats().max_outstanding_prewarm, 3);

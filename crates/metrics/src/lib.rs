@@ -87,7 +87,5 @@ pub use live::LiveTraceRecorder;
 pub use report::{percent_reduction, text_table, RunReport};
 pub use sampler::{ResourceSample, ResourceSampler};
 pub use stats::{Cdf, Summary};
-pub use telemetry::{
-    Counter, FlightRecorder, Gauge, Histogram, MetricRegistry, TelemetryServer, TelemetrySink,
-};
+pub use telemetry::{Counter, FlightRecorder, Gauge, Histogram, MetricRegistry, TelemetryServer};
 pub use timeline::{Series, Timeline};

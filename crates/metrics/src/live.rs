@@ -18,19 +18,15 @@
 //! happens-before order on a monotonic clock, so the per-invocation
 //! orderings the chain fold reads exact phases off survive the global sort.
 
-use crate::events::{EventKind, SimEvent, TraceSink};
+use crate::events::{EventKind, SimEvent};
 use crate::telemetry::FlightRecorder;
 use faasbatch_simcore::time::SimTime;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 struct RecorderInner {
     origin: Instant,
     events: Mutex<Vec<SimEvent>>,
-    /// Lock-free mirror of the buffer length, so gauges and the flight
-    /// recorder can read occupancy without taking the event mutex.
-    pending: AtomicUsize,
     /// Optional post-mortem mirror: every recorded event is also pushed
     /// into this bounded ring, so a crash dump needs no drain.
     flight: Option<FlightRecorder>,
@@ -92,15 +88,9 @@ impl LiveTraceRecorder {
             inner: Arc::new(RecorderInner {
                 origin: Instant::now(),
                 events: Mutex::new(Vec::new()),
-                pending: AtomicUsize::new(0),
                 flight,
             }),
         }
-    }
-
-    /// The flight-recorder mirror, when one was attached.
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.inner.flight.as_ref()
     }
 
     /// Wall-clock time since the origin, as a [`SimTime`] (µs resolution).
@@ -117,29 +107,17 @@ impl LiveTraceRecorder {
         at
     }
 
-    /// Records `kind` at an explicit timestamp (e.g. to reuse one stamp
-    /// across a pair of adjacent events).
-    pub fn record_at(&self, at: SimTime, kind: EventKind) {
+    fn record_at(&self, at: SimTime, kind: EventKind) {
         let event = SimEvent::new(at, kind);
         if let Some(flight) = &self.inner.flight {
             flight.record(event.clone());
         }
         self.lock_events().push(event);
-        self.inner.pending.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Events buffered so far (exact; takes the buffer lock).
     pub fn len(&self) -> usize {
         self.lock_events().len()
-    }
-
-    /// Events buffered since the last drain, without locking: a relaxed
-    /// atomic mirror of [`len`](Self::len), momentarily stale while a
-    /// record or drain is mid-flight. The in-flight gauge and flight
-    /// recorder read this instead of guessing (or contending on) the
-    /// buffer mutex.
-    pub fn approx_pending(&self) -> usize {
-        self.inner.pending.load(Ordering::Relaxed)
     }
 
     /// Whether nothing has been recorded (or everything was taken).
@@ -148,40 +126,24 @@ impl LiveTraceRecorder {
     }
 
     /// Drains the buffer, returning the events stable-sorted by timestamp —
-    /// a stream legal to feed any [`TraceSink`].
+    /// a stream legal to feed any [`TraceSink`](crate::events::TraceSink).
     pub fn take_trace(&self) -> Vec<SimEvent> {
-        let mut events = {
-            let mut guard = self.lock_events();
-            let events = std::mem::take(&mut *guard);
-            self.inner.pending.store(0, Ordering::Relaxed);
-            events
-        };
+        let mut events = std::mem::take(&mut *self.lock_events());
         events.sort_by_key(|e| e.at);
         events
     }
 
-    /// Drains the buffer into `sink` in timestamp order; returns the number
-    /// of events delivered.
-    pub fn drain_into(&self, sink: &mut dyn TraceSink) -> usize {
-        let events = self.take_trace();
-        for event in &events {
-            sink.record(event);
-        }
-        events.len()
-    }
-
-    fn lock_events(&self) -> std::sync::MutexGuard<'_, Vec<SimEvent>> {
+    fn lock_events(&self) -> MutexGuard<'_, Vec<SimEvent>> {
         self.inner
             .events
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::VecSink;
     use faasbatch_container::ids::{FunctionId, InvocationId};
 
     fn arrival(n: u64) -> EventKind {
@@ -227,18 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_pending_tracks_records_and_drains() {
-        let rec = LiveTraceRecorder::new();
-        assert_eq!(rec.approx_pending(), 0);
-        rec.record(arrival(0));
-        rec.record(arrival(1));
-        assert_eq!(rec.approx_pending(), 2);
-        assert_eq!(rec.approx_pending(), rec.len());
-        rec.take_trace();
-        assert_eq!(rec.approx_pending(), 0);
-    }
-
-    #[test]
     fn flight_mirror_survives_a_drain() {
         let flight = crate::telemetry::FlightRecorder::new(64);
         let rec = LiveTraceRecorder::with_flight(flight.clone());
@@ -246,17 +196,6 @@ mod tests {
         rec.record(arrival(1));
         assert_eq!(rec.take_trace().len(), 2);
         assert!(rec.is_empty());
-        assert_eq!(rec.flight().unwrap().len(), 2);
         assert_eq!(flight.dump().len(), 2);
-    }
-
-    #[test]
-    fn drain_into_feeds_a_sink_in_order() {
-        let rec = LiveTraceRecorder::new();
-        rec.record_at(SimTime::from_micros(9), arrival(1));
-        rec.record_at(SimTime::from_micros(3), arrival(0));
-        let mut sink = VecSink::new();
-        assert_eq!(rec.drain_into(&mut sink), 2);
-        assert_eq!(sink.events()[0].at, SimTime::from_micros(3));
     }
 }

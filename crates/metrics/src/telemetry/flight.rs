@@ -18,9 +18,8 @@
 //! [`LiveTraceRecorder`](crate::live::LiveTraceRecorder) gets from its
 //! single insertion-ordered buffer.
 
-use crate::events::SimEvent;
+use crate::events::{to_jsonl, SimEvent};
 use std::collections::VecDeque;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -140,24 +139,15 @@ impl FlightRecorder {
         slots.into_iter().map(|s| s.event).collect()
     }
 
-    /// Writes the merged stream as JSON Lines — the exact format
-    /// [`load_events`](crate::analysis::load_events) and
-    /// `faasbatch trace --analyze` parse. Returns the line count.
-    pub fn dump_jsonl(&self, out: &mut dyn Write) -> std::io::Result<usize> {
-        let events = self.dump();
-        for event in &events {
-            let line = serde_json::to_string(event)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            writeln!(out, "{line}")?;
-        }
-        out.flush()?;
-        Ok(events.len())
-    }
-
-    /// Writes the post-mortem to `path` (created or truncated).
+    /// Writes the merged stream to `path` (created or truncated) as JSON
+    /// Lines — the exact format [`load_events`](crate::analysis::load_events)
+    /// and `faasbatch trace --analyze` parse. Returns the line count.
     pub fn dump_to_path(&self, path: &Path) -> std::io::Result<usize> {
-        let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.dump_jsonl(&mut file)
+        let events = self.dump();
+        let jsonl = to_jsonl(&events)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        std::fs::write(path, jsonl)?;
+        Ok(events.len())
     }
 
     /// Chains a panic hook that writes the post-mortem to `path` before
@@ -240,9 +230,10 @@ mod tests {
         let flight = FlightRecorder::new(64);
         flight.record(arrival(10, 0));
         flight.record(arrival(20, 1));
-        let mut buf = Vec::new();
-        assert_eq!(flight.dump_jsonl(&mut buf).unwrap(), 2);
-        let parsed = crate::analysis::parse_events(std::str::from_utf8(&buf).unwrap()).unwrap();
+        let path = std::env::temp_dir().join(format!("flight-{}.jsonl", std::process::id()));
+        assert_eq!(flight.dump_to_path(&path).unwrap(), 2);
+        let parsed = crate::analysis::load_events(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].at, SimTime::from_micros(10));
     }

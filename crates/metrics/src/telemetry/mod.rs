@@ -17,19 +17,22 @@
 //! * [`FlightRecorder`] — a bounded sharded ring of recent
 //!   [`SimEvent`](crate::events::SimEvent)s that dumps a causally-ordered
 //!   JSONL post-mortem (readable by `faasbatch trace --analyze`) on
-//!   panic, auditor violation, or shutdown;
-//! * [`TelemetrySink`] — a [`TraceSink`](crate::events::TraceSink) that
-//!   folds any event stream into a registry, giving simulated runs the
-//!   same metric families the live layers record directly.
+//!   panic, auditor violation, or shutdown.
+//!
+//! Each live layer registers its families once and keeps one count per
+//! fact: the gateway, the platform cores and the executor expose the
+//! atomics they already keep as polled closures; only what nothing else
+//! counts (the platform's in-flight gauge, latency and batch-size
+//! histograms) is recorded through a handle. Nothing folds the event stream into a
+//! second set of counters — explaining a run after it ends is the chain
+//! fold's job (DESIGN.md §11).
 
 mod expose;
 mod flight;
 mod histogram;
 mod registry;
-mod sink;
 
 pub use expose::{http_get, TelemetryServer};
 pub use flight::FlightRecorder;
 pub use histogram::{bucket_max, bucket_of, Histogram, HistogramSnapshot, BUCKETS, SUB_BITS};
 pub use registry::{Counter, Gauge, MetricRegistry};
-pub use sink::TelemetrySink;

@@ -1,11 +1,7 @@
 //! Integration properties of the telemetry plane (DESIGN.md §18):
-//! concurrent histogram recording merges losslessly, and identical event
-//! streams fold into byte-identical registry snapshots.
+//! concurrent histogram recording merges losslessly.
 
-use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
-use faasbatch_metrics::events::{EventKind, SimEvent, TraceSink};
-use faasbatch_metrics::telemetry::{bucket_of, Histogram, MetricRegistry, TelemetrySink};
-use faasbatch_simcore::time::SimTime;
+use faasbatch_metrics::telemetry::{bucket_of, Histogram};
 use proptest::prelude::*;
 use std::thread;
 
@@ -81,84 +77,4 @@ proptest! {
         }
         prop_assert_eq!(concurrent.snapshot(), sequential.snapshot());
     }
-}
-
-/// A deterministic synthetic event stream exercising every branch the
-/// sink folds: arrivals, dispatches (warm and cold), rejects, completes.
-fn synthetic_stream(invocations: u64) -> Vec<SimEvent> {
-    let mut events = Vec::new();
-    for i in 0..invocations {
-        let inv = InvocationId::new(i);
-        let function = FunctionId::new((i % 5) as u32);
-        let at = i * 137;
-        events.push(SimEvent::new(
-            SimTime::from_micros(at),
-            EventKind::Arrival {
-                invocation: inv,
-                function,
-            },
-        ));
-        if i % 11 == 10 {
-            events.push(SimEvent::new(
-                SimTime::from_micros(at + 5),
-                EventKind::GatewayReject {
-                    invocation: inv,
-                    shard: i % 4,
-                    depth: 64,
-                },
-            ));
-            continue;
-        }
-        events.push(SimEvent::new(
-            SimTime::from_micros(at + 40),
-            EventKind::DispatchDecision {
-                batch: i,
-                function,
-                container: ContainerId::new(i % 3),
-                cold: i % 3 == 0,
-                restored: false,
-                barrier: false,
-                members: vec![inv],
-            },
-        ));
-        events.push(SimEvent::new(
-            SimTime::from_micros(at + 40 + (i % 7) * 900),
-            EventKind::InvocationComplete {
-                invocation: inv,
-                batch: Some(i),
-                member: Some(0),
-            },
-        ));
-    }
-    events
-}
-
-fn fold(events: &[SimEvent]) -> String {
-    let registry = MetricRegistry::new();
-    let mut sink = TelemetrySink::new(registry.clone());
-    for event in events {
-        sink.record(event);
-    }
-    registry.render_json()
-}
-
-/// Two identical runs routed through [`TelemetrySink`] must produce
-/// byte-identical `/json` snapshots — registration order, folded values,
-/// and formatting are all functions of the event stream alone.
-#[test]
-fn identical_streams_render_byte_identical_json() {
-    let stream = synthetic_stream(200);
-    let a = fold(&stream);
-    let b = fold(&stream);
-    assert_eq!(a, b, "identical streams diverged in /json output");
-    assert!(a.contains("\"faasbatch_arrivals_total\""));
-    assert!(a.contains("\"faasbatch_e2e_latency_us\""));
-    assert!(a.ends_with('\n'));
-}
-
-/// Different streams must *not* collide — guards against the snapshot
-/// accidentally ignoring folded state.
-#[test]
-fn different_streams_render_differently() {
-    assert_ne!(fold(&synthetic_stream(200)), fold(&synthetic_stream(201)));
 }

@@ -1104,18 +1104,6 @@ fn apply_scale_actions(world: &mut SimWorld, engine: &mut Engine<Sim>) {
     }
     for action in actions {
         match action {
-            ScaleAction::Prewarm { function, count } if count > 0 => {
-                emit(
-                    world,
-                    now,
-                    EventKind::ScalePrewarm {
-                        function,
-                        count: count as u64,
-                    },
-                );
-                prewarm(world, engine, function, count);
-            }
-            ScaleAction::Prewarm { .. } => {}
             ScaleAction::PrewarmTier {
                 function,
                 count,

@@ -10,10 +10,9 @@
 
 use crate::object_store::{ObjectStore, StoreError};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Connection arguments for a storage client — the `args` that the paper's
@@ -142,7 +141,10 @@ impl StorageSdk {
         let work = self.cost.work_at_concurrency(k);
         let ballast = {
             // Serialised section: the runtime builds one client at a time.
-            let _guard = self.creation_lock.lock();
+            let _guard = self
+                .creation_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             spin_for(work);
             vec![0xA5u8; self.cost.ballast_bytes]
         };

@@ -7,10 +7,9 @@
 //! live-mode containers can hit it from many function threads at once.
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Errors returned by object-store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +90,7 @@ impl ObjectStore {
     ///
     /// Returns [`StoreError::BucketExists`] if the name is taken.
     pub fn create_bucket(&self, name: &str) -> Result<(), StoreError> {
-        let mut buckets = self.buckets.write();
+        let mut buckets = self.write();
         if buckets.contains_key(name) {
             return Err(StoreError::BucketExists(name.to_owned()));
         }
@@ -105,7 +104,7 @@ impl ObjectStore {
     ///
     /// Returns [`StoreError::BucketNotFound`] if the bucket is missing.
     pub fn put(&self, bucket: &str, key: &str, data: Bytes) -> Result<u64, StoreError> {
-        let mut buckets = self.buckets.write();
+        let mut buckets = self.write();
         let b = buckets
             .get_mut(bucket)
             .ok_or_else(|| StoreError::BucketNotFound(bucket.to_owned()))?;
@@ -120,7 +119,7 @@ impl ObjectStore {
     ///
     /// Returns [`StoreError::BucketNotFound`] or [`StoreError::ObjectNotFound`].
     pub fn get(&self, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
-        let buckets = self.buckets.read();
+        let buckets = self.read();
         let b = buckets
             .get(bucket)
             .ok_or_else(|| StoreError::BucketNotFound(bucket.to_owned()))?;
@@ -139,7 +138,7 @@ impl ObjectStore {
     ///
     /// Returns [`StoreError::BucketNotFound`] or [`StoreError::ObjectNotFound`].
     pub fn head(&self, bucket: &str, key: &str) -> Result<ObjectMeta, StoreError> {
-        let buckets = self.buckets.read();
+        let buckets = self.read();
         let b = buckets
             .get(bucket)
             .ok_or_else(|| StoreError::BucketNotFound(bucket.to_owned()))?;
@@ -161,7 +160,7 @@ impl ObjectStore {
     ///
     /// Returns [`StoreError::BucketNotFound`] if the bucket is missing.
     pub fn delete(&self, bucket: &str, key: &str) -> Result<bool, StoreError> {
-        let mut buckets = self.buckets.write();
+        let mut buckets = self.write();
         let b = buckets
             .get_mut(bucket)
             .ok_or_else(|| StoreError::BucketNotFound(bucket.to_owned()))?;
@@ -174,7 +173,7 @@ impl ObjectStore {
     ///
     /// Returns [`StoreError::BucketNotFound`] if the bucket is missing.
     pub fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<String>, StoreError> {
-        let buckets = self.buckets.read();
+        let buckets = self.read();
         let b = buckets
             .get(bucket)
             .ok_or_else(|| StoreError::BucketNotFound(bucket.to_owned()))?;
@@ -187,17 +186,24 @@ impl ObjectStore {
 
     /// Number of objects across all buckets.
     pub fn object_count(&self) -> usize {
-        self.buckets.read().values().map(|b| b.objects.len()).sum()
+        self.read().values().map(|b| b.objects.len()).sum()
     }
 
     /// Total stored payload bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.buckets
-            .read()
+        self.read()
             .values()
             .flat_map(|b| b.objects.values())
             .map(|(d, _)| d.len() as u64)
             .sum()
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Bucket>> {
+        self.buckets.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Bucket>> {
+        self.buckets.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -1320,7 +1320,7 @@ fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
         builder = builder.trace(rec.clone());
     }
     if let Some(registry) = &burst.registry {
-        builder = builder.telemetry(faasbatch::core::telemetry::PlatformTelemetry::new(registry));
+        builder = builder.telemetry(registry);
         faasbatch::core::telemetry::register_executor(registry, &executor);
     }
     for f in 0..burst.functions {

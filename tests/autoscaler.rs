@@ -142,7 +142,7 @@ proptest! {
         let ac = AutoscalerConfig { prewarm_cap: cap, ..active_cfg() };
         let (_, actions, _) = run_autoscaled(SCHEDULERS[scheduler], &w, &cfg, &ac);
         for a in &actions {
-            if let ScaleAction::Prewarm { count, .. } = a {
+            if let ScaleAction::PrewarmTier { count, .. } = a {
                 prop_assert!(
                     *count <= cap,
                     "a single prewarm burst ({count}) exceeded the cap ({cap})"

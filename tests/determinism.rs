@@ -152,24 +152,3 @@ fn ablation_summary_is_deterministic() {
         "ablation summary not reproducible"
     );
 }
-
-/// Two identical simulated runs routed through a `TelemetrySink` fold to
-/// byte-identical `/json` registry snapshots — the live-metrics plane
-/// inherits the determinism guarantee of the trace spine.
-#[test]
-fn telemetry_registry_snapshot_is_byte_identical() {
-    use faasbatch::metrics::telemetry::{MetricRegistry, TelemetrySink};
-    fn snapshot(seed: u64) -> String {
-        let w = wl(seed);
-        let registry = MetricRegistry::new();
-        let sink: Box<dyn TraceSink> = Box::new(TelemetrySink::new(registry.clone()));
-        let _ = run_with("faasbatch", &w, &SimConfig::default(), sink);
-        registry.render_json()
-    }
-    let a = snapshot(29);
-    let b = snapshot(29);
-    assert_eq!(a, b, "telemetry /json snapshot not reproducible");
-    assert!(a.contains("\"faasbatch_arrivals_total\""));
-    assert!(a.contains("\"faasbatch_e2e_latency_us\""));
-    assert_ne!(a, snapshot(30), "different seeds must fold differently");
-}

@@ -240,7 +240,7 @@ fn controller_survives_burst_beyond_core_capacity() {
         .expect("controller sink")
         .actions()
     {
-        if let ScaleAction::Prewarm { count, .. } = action {
+        if let ScaleAction::PrewarmTier { count, .. } = action {
             assert!(*count <= ac.prewarm_cap, "burst blew the pre-warm cap");
         }
     }

@@ -7,9 +7,11 @@
 //! the function registry. The gateway routes with the fleet simulation's
 //! `Router`: one cursor however many shards route, and the same worker for
 //! every group of a scripted sequence under the timing-independent policies.
+//! Its platform telemetry is the workers' own counters, summed.
 
 use bytes::Bytes;
 use faasbatch::container::ids::InvocationId;
+use faasbatch::core::platform::PlatformStats;
 use faasbatch::core::routing::{stable_hash, RoutingKind};
 use faasbatch::fleet::config::FleetConfig;
 use faasbatch::fleet::sim::{run_fleet, run_fleet_traced};
@@ -20,12 +22,14 @@ use faasbatch::metrics::events::{
 };
 use faasbatch::metrics::latency::LatencyBreakdown;
 use faasbatch::metrics::live::LiveTraceRecorder;
+use faasbatch::metrics::telemetry::MetricRegistry;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::{SimDuration, SimTime};
 use faasbatch::trace::function::{FunctionKind, FunctionRegistry};
 use faasbatch::trace::workload::{cpu_workload, Invocation, Workload, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const FUNCTIONS: usize = 6;
@@ -198,6 +202,94 @@ fn saturated_shards_reject_typed_and_stay_audit_clean() {
     let report = engine.finish();
     assert_eq!(report.invocations.len(), 3);
     assert_eq!(report.unfinished, 0, "rejected invocations are terminal");
+}
+
+/// The value of the unlabelled counter `name` in a `render_json` snapshot.
+fn json_counter(json: &str, name: &str) -> u64 {
+    let prefix = format!("{{\"name\":\"{name}\",\"labels\":{{}},\"type\":\"counter\",\"value\":");
+    let start = json.find(&prefix).expect("family registered") + prefix.len();
+    let digits = &json[start..];
+    let end = digits.find('}').expect("value ends the object");
+    digits[..end].parse().expect("an integer counter")
+}
+
+/// Telemetry keeps one count per fact: each `faasbatch_platform_*` counter
+/// a scrape shows is the workers' own `PlatformStats` field, summed, over
+/// batches that started cold (first round), warm (second round) and cold
+/// again after keep-alive evicted every container (third round).
+#[test]
+fn platform_counters_are_the_workers_stats_summed() {
+    let registry = MetricRegistry::new();
+    let mut builder = Gateway::builder()
+        .workers(2)
+        .shards(2)
+        .window(Duration::from_millis(5))
+        .cold_start_delay(Duration::from_millis(1))
+        .keep_alive(Duration::from_millis(50))
+        .policy(RoutingKind::WarmAffinity)
+        .telemetry(&registry);
+    for f in 0..FUNCTIONS {
+        builder = builder.register(&format!("fn-{f}"), |_env| {});
+    }
+    let gateway = builder.start();
+    let mut jobs = 0u64;
+    for round in 0..3 {
+        if round == 2 {
+            std::thread::sleep(Duration::from_millis(250));
+        }
+        let tickets: Vec<_> = (0..24)
+            .map(|i| {
+                gateway
+                    .invoke(&format!("fn-{}", i % FUNCTIONS), Bytes::new())
+                    .expect("registered, unbounded depth")
+            })
+            .collect();
+        gateway.drain().expect("drain");
+        for ticket in tickets {
+            ticket.wait();
+        }
+        jobs += 24;
+    }
+
+    let json = registry.render_json();
+    let summed = |field: fn(&PlatformStats) -> &AtomicU64| -> u64 {
+        gateway
+            .worker_stats()
+            .iter()
+            .map(|stats| field(stats).load(Ordering::Relaxed))
+            .sum()
+    };
+    let counter = |family: &str, field: fn(&PlatformStats) -> &AtomicU64| -> u64 {
+        let value = json_counter(&json, family);
+        assert_eq!(value, summed(field), "{family}");
+        value
+    };
+    let batches = counter("faasbatch_platform_batches_total", |s| &s.batches);
+    let cold = counter("faasbatch_platform_cold_boots_total", |s| {
+        &s.containers_created
+    });
+    let restores = counter("faasbatch_platform_restores_total", |s| {
+        &s.containers_restored
+    });
+    let warm = counter("faasbatch_platform_warm_hits_total", |s| &s.warm_hits);
+    let invocations = counter("faasbatch_platform_invocations_total", |s| &s.invocations);
+    assert!(warm > 0 && cold > 0, "warm {warm}, cold {cold}");
+    assert_eq!(warm + cold + restores, batches);
+    assert_eq!(invocations, jobs);
+
+    let text = registry.render_prometheus();
+    let families: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE faasbatch_platform_"))
+        .collect();
+    assert_eq!(families.len(), 8, "{families:?}");
+    for family in &families {
+        let occurrences = families.iter().filter(|f| *f == family).count();
+        assert_eq!(
+            occurrences, 1,
+            "# TYPE faasbatch_platform_{family} repeated"
+        );
+    }
 }
 
 /// A gateway whose window no test outlives: a window ends when the test

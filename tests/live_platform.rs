@@ -7,8 +7,10 @@ use faasbatch::core::platform::{FaasBatchPlatform, PlatformBuilder};
 use faasbatch::storage::client::ClientConfig;
 use faasbatch::storage::object_store::ObjectStore;
 use faasbatch::trace::fib::fib;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 fn io_platform(multiplex: bool, store: ObjectStore) -> FaasBatchPlatform {
@@ -138,7 +140,7 @@ fn sustained_load_reuses_warm_containers() {
 fn handlers_run_on_many_threads_within_a_batch() {
     // Inline parallelism: a batch's invocations must observe distinct
     // threads (expansion, not serialization).
-    let seen = Arc::new(parking_lot_thread_ids());
+    let seen = Arc::new(thread_ids());
     let seen2 = seen.clone();
     let platform = PlatformBuilder::new()
         .window(Duration::from_millis(25))
@@ -173,7 +175,7 @@ fn large_burst_runs_on_executor_workers_without_thread_per_job() {
         seed: 7,
         ..ExecutorConfig::default()
     });
-    let seen = Arc::new(parking_lot_thread_ids());
+    let seen = Arc::new(thread_ids());
     let seen2 = seen.clone();
     let on_exec_worker = Arc::new(AtomicUsize::new(0));
     let on_exec2 = on_exec_worker.clone();
@@ -229,24 +231,27 @@ fn large_burst_runs_on_executor_workers_without_thread_per_job() {
 }
 
 struct ThreadIds {
-    ids: parking_lot::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    ids: Mutex<HashSet<ThreadId>>,
     count: AtomicUsize,
 }
 
-fn parking_lot_thread_ids() -> ThreadIds {
+fn thread_ids() -> ThreadIds {
     ThreadIds {
-        ids: parking_lot::Mutex::new(std::collections::HashSet::new()),
+        ids: Mutex::new(HashSet::new()),
         count: AtomicUsize::new(0),
     }
 }
 
 impl ThreadIds {
+    fn lock(&self) -> MutexGuard<'_, HashSet<ThreadId>> {
+        self.ids.lock().unwrap_or_else(PoisonError::into_inner)
+    }
     fn record(&self) {
-        self.ids.lock().insert(std::thread::current().id());
+        self.lock().insert(std::thread::current().id());
         self.count.fetch_add(1, Ordering::SeqCst);
     }
     fn distinct(&self) -> usize {
-        self.ids.lock().len()
+        self.lock().len()
     }
     fn total(&self) -> usize {
         self.count.load(Ordering::SeqCst)
