@@ -10,13 +10,15 @@
 //! (`faasbatch-exec`, DESIGN.md §14): jobs are tasks, and the
 //! group-completion barrier replaces a per-batch thread join. Parallelism
 //! bounds (cpuset pins) and job-panic containment are the executor's
-//! business and are tested there.
+//! business and are tested there. The barrier only counts, so the timing
+//! Fig. 1 reports is stamped here, around each job body.
 
-use faasbatch_exec::{global_executor, GroupJob, JobReport};
+use faasbatch_exec::{global_executor, GroupJob};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-job timing produced by a live batch run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobTiming {
     /// Delay between batch start and the job starting.
     pub queued: Duration,
@@ -59,16 +61,10 @@ pub enum ExpandMode {
 /// A unit of work for the live backend.
 pub type Job = Box<dyn FnOnce() + Send>;
 
-fn job_timing(job: &JobReport) -> JobTiming {
-    JobTiming {
-        queued: job.queued,
-        execution: job.execution,
-    }
-}
-
 /// Runs `jobs` under the chosen [`ExpandMode`], blocks until all finish
 /// (the "HTTP request" returns only when the whole group is done), and
-/// reports batch timing.
+/// reports batch timing, stamped around each job from the batch start (a
+/// job that panics reports zero).
 ///
 /// Under [`ExpandMode::Sharing`] all jobs run in one container (one task
 /// group on the executor); under [`ExpandMode::Monopoly`] each job gets its
@@ -90,31 +86,33 @@ fn job_timing(job: &JobReport) -> JobTiming {
 /// ```
 pub fn run_expanded(mode: ExpandMode, jobs: Vec<Job>) -> BatchTiming {
     let executor = global_executor();
-    let jobs = jobs.into_iter().map(GroupJob::Blocking);
-    match mode {
-        ExpandMode::Sharing => {
-            let report = executor.submit_group(jobs.collect(), None).wait();
-            BatchTiming {
-                makespan: report.makespan,
-                jobs: report.jobs.iter().map(job_timing).collect(),
-            }
-        }
-        ExpandMode::Monopoly => {
-            let batch_start = Instant::now();
-            // One isolated "container" (task group) per job.
-            let handles: Vec<_> = jobs
-                .map(|job| executor.submit_group(vec![job], None))
-                .collect();
-            let jobs = handles
-                .into_iter()
-                .map(|handle| job_timing(&handle.wait().jobs[0]))
-                .collect();
-            BatchTiming {
-                makespan: batch_start.elapsed(),
-                jobs,
-            }
-        }
+    let timings = Arc::new(Mutex::new(vec![JobTiming::default(); jobs.len()]));
+    let batch_start = Instant::now();
+    let jobs = jobs.into_iter().enumerate().map(|(index, job)| {
+        let timings = Arc::clone(&timings);
+        GroupJob::blocking(move || {
+            let started = Instant::now();
+            job();
+            let timing = JobTiming {
+                queued: started - batch_start,
+                execution: started.elapsed(),
+            };
+            timings.lock().unwrap_or_else(PoisonError::into_inner)[index] = timing;
+        })
+    });
+    let handles: Vec<_> = match mode {
+        ExpandMode::Sharing => vec![executor.submit_group(jobs.collect(), None)],
+        // One isolated "container" (task group) per job.
+        ExpandMode::Monopoly => jobs
+            .map(|job| executor.submit_group(vec![job], None))
+            .collect(),
+    };
+    for handle in handles {
+        handle.wait();
     }
+    let makespan = batch_start.elapsed();
+    let jobs = std::mem::take(&mut *timings.lock().unwrap_or_else(PoisonError::into_inner));
+    BatchTiming { makespan, jobs }
 }
 
 #[cfg(test)]

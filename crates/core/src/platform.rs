@@ -396,35 +396,44 @@ struct Tiers {
 
 /// Counts in-flight batch groups so `drain`/shutdown can wait for work that
 /// no longer lives on joinable threads (executor groups, cold-start timers).
+/// Like `ReplySlot`, reaching zero costs a wake-up syscall only when a
+/// `wait_idle` is blocked.
 #[derive(Default)]
 struct PendingGroups {
-    count: Mutex<usize>,
+    state: Mutex<PendingState>,
     cvar: std::sync::Condvar,
 }
 
+#[derive(Default)]
+struct PendingState {
+    count: usize,
+    waiting: bool,
+}
+
 impl PendingGroups {
-    fn lock(&self) -> MutexGuard<'_, usize> {
-        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, PendingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn enter(&self) {
-        *self.lock() += 1;
+        self.lock().count += 1;
     }
 
     fn exit(&self) {
-        let mut count = self.lock();
-        *count = count.saturating_sub(1);
-        if *count == 0 {
+        let mut state = self.lock();
+        state.count = state.count.saturating_sub(1);
+        if state.count == 0 && std::mem::take(&mut state.waiting) {
             self.cvar.notify_all();
         }
     }
 
     fn wait_idle(&self) {
-        let mut count = self.lock();
-        while *count > 0 {
-            count = self
+        let mut state = self.lock();
+        while state.count > 0 {
+            state.waiting = true;
+            state = self
                 .cvar
-                .wait(count)
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }

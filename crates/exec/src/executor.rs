@@ -397,7 +397,7 @@ impl Executor {
     }
 
     /// [`Executor::submit_group`] with an `on_complete` callback, run by
-    /// the last finishing job with the assembled report.
+    /// the last finishing job with the group's report.
     pub fn submit_group_with(
         &self,
         jobs: Vec<GroupJob>,
@@ -575,8 +575,7 @@ mod tests {
             .collect();
         let report = exec.submit_group(jobs, None).wait();
         assert_eq!(counter.load(Ordering::SeqCst), 16);
-        assert_eq!(report.jobs.len(), 16);
-        assert_eq!(report.failed(), 0);
+        assert!(report.failures.is_empty());
     }
 
     #[test]
@@ -586,16 +585,24 @@ mod tests {
         let exec = test_executor(4);
         let (tx, rx) = mpsc::channel();
         let inner = Arc::clone(&exec);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&ran);
         exec.spawn(async move {
             let jobs: Vec<GroupJob> = (0..64)
-                .map(|_| GroupJob::blocking(|| std::thread::sleep(Duration::from_millis(2))))
+                .map(|_| {
+                    let counter = Arc::clone(&counter);
+                    GroupJob::blocking(move || {
+                        std::thread::sleep(Duration::from_millis(2));
+                        counter.fetch_add(1, Ordering::SeqCst);
+                    })
+                })
                 .collect();
             tx.send(inner.submit_group(jobs, None))
                 .expect("send handle");
         });
         let handle = rx.recv_timeout(Duration::from_secs(5)).expect("handle");
         let report = handle.wait();
-        assert_eq!(report.jobs.len(), 64);
+        assert_eq!(ran.load(Ordering::SeqCst), 64);
         assert_eq!(report.failed(), 0);
         let metrics = exec.metrics();
         assert!(
@@ -637,21 +644,38 @@ mod tests {
     #[test]
     fn panicking_job_fails_only_its_own_invocation() {
         let exec = test_executor(2);
+        let siblings_done = Arc::new(AtomicUsize::new(0));
+        let sibling = |pause: u64| {
+            let done = Arc::clone(&siblings_done);
+            GroupJob::blocking(move || {
+                std::thread::sleep(Duration::from_millis(pause));
+                done.fetch_add(1, Ordering::SeqCst);
+            })
+        };
         let jobs = vec![
-            GroupJob::blocking(|| {}),
+            sibling(0),
             GroupJob::blocking(|| panic!("boom")),
-            GroupJob::blocking(|| std::thread::sleep(Duration::from_millis(5))),
-            GroupJob::blocking(|| {}),
+            sibling(5),
+            sibling(0),
         ];
-        let report = exec.submit_group(jobs, None).wait();
-        assert_eq!(report.failed(), 1);
+        let callbacks = Arc::new(AtomicUsize::new(0));
+        let fired = Arc::clone(&callbacks);
+        let report = exec
+            .submit_group_with(
+                jobs,
+                None,
+                Some(Box::new(move |report: &GroupReport| {
+                    assert_eq!(report.failed(), 1);
+                    fired.fetch_add(1, Ordering::SeqCst);
+                })),
+            )
+            .wait();
         assert_eq!(
-            report.jobs[1].result,
-            Err(JobError::Panicked("boom".to_string()))
+            report.failures,
+            vec![(1, JobError::Panicked("boom".to_string()))]
         );
-        for index in [0usize, 2, 3] {
-            assert!(report.jobs[index].result.is_ok(), "job {index} poisoned");
-        }
+        assert_eq!(siblings_done.load(Ordering::SeqCst), 3, "siblings poisoned");
+        assert_eq!(callbacks.load(Ordering::SeqCst), 1, "on_complete runs once");
         // The executor is still fully functional afterwards.
         let again = exec.submit_group((0..4).map(|_| GroupJob::blocking(|| {})).collect(), None);
         assert_eq!(again.wait().failed(), 0);
@@ -747,7 +771,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("handle")
             .wait();
-        assert_eq!(report.jobs.len(), 64);
+        assert_eq!(report.failed(), 0);
         assert!(
             exec.metrics().shed_total > 0,
             "64 local pushes past capacity 4 must shed to the injector"
@@ -757,9 +781,9 @@ mod tests {
     #[test]
     fn empty_group_is_fine() {
         let exec = test_executor(1);
-        let report = exec.submit_group(Vec::new(), None).wait();
-        assert!(report.jobs.is_empty());
-        assert!(report.makespan < Duration::from_secs(1));
+        let handle = exec.submit_group(Vec::new(), None);
+        assert!(handle.is_done());
+        assert!(handle.wait().failures.is_empty());
     }
 
     #[test]
@@ -778,15 +802,29 @@ mod tests {
     fn on_complete_runs_with_report() {
         let exec = test_executor(2);
         let (tx, rx) = mpsc::channel();
-        let jobs: Vec<GroupJob> = (0..3).map(|_| GroupJob::blocking(|| {})).collect();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<GroupJob> = (0..3)
+            .map(|_| {
+                let ran = Arc::clone(&ran);
+                GroupJob::blocking(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+            .collect();
+        let seen = Arc::clone(&ran);
         exec.submit_group_with(
             jobs,
             None,
             Some(Box::new(move |report: &GroupReport| {
-                tx.send(report.jobs.len()).expect("send");
+                // The callback runs after every member, never before.
+                tx.send((seen.load(Ordering::SeqCst), report.failed()))
+                    .expect("send");
             })),
         );
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).expect("recv"), 3);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).expect("recv"),
+            (3, 0)
+        );
     }
 
     #[test]

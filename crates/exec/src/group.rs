@@ -14,8 +14,14 @@
 //! in flight on a handful of workers).
 //!
 //! A panicking job fails only its own invocation: the panic is caught at
-//! the job boundary, surfaced as a typed [`JobError::Panicked`] in that
-//! job's [`JobReport`], and the barrier still resolves.
+//! the job boundary, surfaced as a typed [`JobError::Panicked`] in the
+//! group's [`GroupReport::failures`], and the barrier still resolves.
+//!
+//! The barrier only counts. It reads no clock and keeps nothing per job
+//! but a failure; callers that want timing stamp it themselves (the
+//! platform's `InvokeOutcome`, `container::live`'s `JobTiming`). It wakes
+//! a condvar only when [`GroupHandle::wait`] is actually blocked on it,
+//! so a group nobody waits for costs no wake-up syscall.
 
 use crate::park::lock_unpoisoned;
 use std::future::Future;
@@ -23,7 +29,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
-use std::time::{Duration, Instant};
 
 /// A boxed blocking job body.
 pub type BlockingJob = Box<dyn FnOnce() + Send + 'static>;
@@ -78,123 +83,88 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// Per-job timing and outcome, mirroring the old live backend's `JobTiming`.
-#[derive(Debug, Clone)]
-pub struct JobReport {
-    /// Time from group submission until the job first ran.
-    pub queued: Duration,
-    /// Time the job spent executing (first poll to completion).
-    pub execution: Duration,
-    /// `Ok` or a typed failure.
-    pub result: Result<(), JobError>,
-}
-
-/// The resolved barrier: every member's report, in submission order.
-#[derive(Debug, Clone)]
+/// The resolved barrier: which members failed, and why.
+#[derive(Debug, Clone, Default)]
 pub struct GroupReport {
-    /// Submission-to-last-completion span.
-    pub makespan: Duration,
-    /// Per-job reports, indexed like the submitted job vector.
-    pub jobs: Vec<JobReport>,
+    /// `(member index, error)` for every failed member, in completion
+    /// order. Empty — and unallocated — when every member succeeded.
+    pub failures: Vec<(usize, JobError)>,
 }
 
 impl GroupReport {
     /// Number of jobs that failed.
     pub fn failed(&self) -> usize {
-        self.jobs.iter().filter(|j| j.result.is_err()).count()
+        self.failures.len()
     }
 }
 
-/// Callback run by the last finishing job, with the assembled report.
+/// Callback run by the last finishing job, with the resolved report.
 pub type OnComplete = Box<dyn FnOnce(&GroupReport) + Send + 'static>;
 
 struct GroupState {
+    /// Members still running; the barrier is resolved at zero.
     remaining: usize,
-    reports: Vec<Option<JobReport>>,
-    finished_at: Option<Instant>,
     on_complete: Option<OnComplete>,
+    /// Set by a blocked [`GroupHandle::wait`]; only then does the last
+    /// member pay for a condvar wake-up.
+    waiting: bool,
+    /// Pushed only when a member panics.
+    failures: Vec<(usize, JobError)>,
 }
 
 /// Shared core of one group; jobs hold an `Arc` to it.
 pub(crate) struct GroupCore {
-    submitted: Instant,
     state: Mutex<GroupState>,
     cvar: Condvar,
 }
 
 impl GroupCore {
-    pub(crate) fn new(members: usize, on_complete: Option<OnComplete>) -> Arc<Self> {
-        let core = Arc::new(GroupCore {
-            submitted: Instant::now(),
+    /// A barrier over `members` jobs. An empty group is resolved at once,
+    /// running `on_complete` on the caller.
+    pub(crate) fn new(members: usize, mut on_complete: Option<OnComplete>) -> Arc<Self> {
+        if members == 0 {
+            if let Some(callback) = on_complete.take() {
+                callback(&GroupReport::default());
+            }
+        }
+        Arc::new(GroupCore {
             state: Mutex::new(GroupState {
                 remaining: members,
-                reports: (0..members).map(|_| None).collect(),
-                finished_at: None,
                 on_complete,
+                waiting: false,
+                failures: Vec::new(),
             }),
             cvar: Condvar::new(),
-        });
-        if members == 0 {
-            core.resolve_if_empty();
-        }
-        core
+        })
     }
 
-    fn resolve_if_empty(self: &Arc<Self>) {
-        let callback = {
+    /// Counts one member down; the last member resolves the barrier, wakes
+    /// a blocked waiter if there is one, and runs the `on_complete`
+    /// callback on its own worker thread.
+    pub(crate) fn complete(&self, index: usize, result: Result<(), JobError>) {
+        let (wake, callback) = {
             let mut state = lock_unpoisoned(&self.state);
-            state.finished_at = Some(Instant::now());
-            state.on_complete.take()
-        };
-        self.cvar.notify_all();
-        if let Some(callback) = callback {
-            callback(&self.assemble());
-        }
-    }
-
-    pub(crate) fn submitted_at(&self) -> Instant {
-        self.submitted
-    }
-
-    /// Records one member's report; the last member resolves the barrier
-    /// and runs the `on_complete` callback on its own worker thread.
-    pub(crate) fn complete(self: &Arc<Self>, index: usize, report: JobReport) {
-        let (finished, callback) = {
-            let mut state = lock_unpoisoned(&self.state);
-            debug_assert!(state.reports[index].is_none(), "job completed twice");
-            state.reports[index] = Some(report);
-            state.remaining = state.remaining.saturating_sub(1);
-            if state.remaining == 0 {
-                state.finished_at = Some(Instant::now());
-                (true, state.on_complete.take())
-            } else {
-                (false, None)
+            if let Err(error) = result {
+                state.failures.push((index, error));
             }
+            debug_assert!(state.remaining > 0, "more completions than members");
+            state.remaining = state.remaining.saturating_sub(1);
+            if state.remaining > 0 {
+                return;
+            }
+            let callback = state.on_complete.take().map(|callback| {
+                let report = GroupReport {
+                    failures: state.failures.clone(),
+                };
+                (callback, report)
+            });
+            (std::mem::take(&mut state.waiting), callback)
         };
-        if finished {
+        if wake {
             self.cvar.notify_all();
         }
-        if let Some(callback) = callback {
-            callback(&self.assemble());
-        }
-    }
-
-    fn assemble(&self) -> GroupReport {
-        let state = lock_unpoisoned(&self.state);
-        let finished = state.finished_at.unwrap_or_else(Instant::now);
-        GroupReport {
-            makespan: finished.duration_since(self.submitted),
-            jobs: state
-                .reports
-                .iter()
-                .map(|r| {
-                    r.clone().unwrap_or(JobReport {
-                        queued: Duration::ZERO,
-                        execution: Duration::ZERO,
-                        result: Err(JobError::Panicked("job report missing".into())),
-                    })
-                })
-                .collect(),
+        if let Some((callback, report)) = callback {
+            callback(&report);
         }
     }
 }
@@ -220,29 +190,22 @@ impl GroupHandle {
 
     /// Whether every member has completed.
     pub fn is_done(&self) -> bool {
-        lock_unpoisoned(&self.core.state).finished_at.is_some()
+        lock_unpoisoned(&self.core.state).remaining == 0
     }
 
-    /// Blocks until the barrier resolves and returns the assembled report.
+    /// Blocks until the barrier resolves and returns its report.
     pub fn wait(&self) -> GroupReport {
         let mut state = lock_unpoisoned(&self.core.state);
-        while state.finished_at.is_none() {
+        while state.remaining > 0 {
+            state.waiting = true;
             state = self
                 .core
                 .cvar
                 .wait(state)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        drop(state);
-        self.core.assemble()
-    }
-
-    /// Non-blocking report fetch; `None` while members are still running.
-    pub fn try_report(&self) -> Option<GroupReport> {
-        if self.is_done() {
-            Some(self.core.assemble())
-        } else {
-            None
+        GroupReport {
+            failures: state.failures.clone(),
         }
     }
 }
@@ -264,8 +227,6 @@ pub(crate) struct MemberFuture {
     job: Option<GroupJob>,
     group: Arc<GroupCore>,
     index: usize,
-    /// First-poll instant; set lazily so `queued` measures real queue time.
-    started: Option<Instant>,
 }
 
 impl MemberFuture {
@@ -274,17 +235,7 @@ impl MemberFuture {
             job: Some(job),
             group,
             index,
-            started: None,
         }
-    }
-
-    fn finish(&mut self, started: Instant, result: Result<(), JobError>) {
-        let report = JobReport {
-            queued: started.duration_since(self.group.submitted_at()),
-            execution: started.elapsed(),
-            result,
-        };
-        self.group.complete(self.index, report);
     }
 }
 
@@ -292,38 +243,32 @@ impl Future for MemberFuture {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let started = *self.started.get_or_insert_with(Instant::now);
-        match self.job.take() {
-            None => Poll::Ready(()), // completed on an earlier poll
-            Some(GroupJob::Blocking(body)) => {
-                let outcome = catch_unwind(AssertUnwindSafe(body))
-                    .map_err(|payload| JobError::Panicked(panic_message(payload)));
-                self.finish(started, outcome);
-                Poll::Ready(())
-            }
+        let outcome = match self.job.take() {
+            None => return Poll::Ready(()), // completed on an earlier poll
+            Some(GroupJob::Blocking(body)) => catch_unwind(AssertUnwindSafe(body)),
             Some(GroupJob::Future(mut body)) => {
                 match catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(cx))) {
                     Ok(Poll::Pending) => {
                         self.job = Some(GroupJob::Future(body));
-                        Poll::Pending
+                        return Poll::Pending;
                     }
-                    Ok(Poll::Ready(())) => {
-                        self.finish(started, Ok(()));
-                        Poll::Ready(())
-                    }
-                    Err(payload) => {
-                        self.finish(started, Err(JobError::Panicked(panic_message(payload))));
-                        Poll::Ready(())
-                    }
+                    Ok(Poll::Ready(())) => Ok(()),
+                    Err(payload) => Err(payload),
                 }
             }
-        }
+        };
+        let result = outcome.map_err(|payload| JobError::Panicked(panic_message(payload)));
+        self.group.complete(self.index, result);
+        Poll::Ready(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{Executor, ExecutorConfig};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn empty_group_resolves_immediately() {
@@ -331,13 +276,13 @@ mod tests {
         let core = GroupCore::new(0, {
             let fired = Arc::clone(&fired);
             Some(Box::new(move |report: &GroupReport| {
-                assert!(report.jobs.is_empty());
+                assert!(report.failures.is_empty());
                 *fired.lock().expect("fired lock") = true;
             }))
         });
         let handle = GroupHandle::new(core);
         assert!(handle.is_done());
-        assert_eq!(handle.wait().jobs.len(), 0);
+        assert_eq!(handle.wait().failed(), 0);
         assert!(*fired.lock().expect("fired lock"));
     }
 
@@ -350,16 +295,68 @@ mod tests {
                 *count.lock().expect("count lock") += 1;
             }))
         });
-        let ok = || JobReport {
-            queued: Duration::ZERO,
-            execution: Duration::ZERO,
-            result: Ok(()),
-        };
-        core.complete(1, ok());
+        core.complete(1, Ok(()));
         assert_eq!(*count.lock().expect("count lock"), 0);
-        core.complete(0, ok());
+        core.complete(0, Ok(()));
         assert_eq!(*count.lock().expect("count lock"), 1);
         let report = GroupHandle::new(core).wait();
         assert_eq!(report.failed(), 0);
+    }
+
+    /// The conditional wake-up must not lose a waiter: one that blocked
+    /// before the last member finished is woken, and a `wait` after the
+    /// barrier resolved returns without blocking or asking for a wake-up —
+    /// on one worker (members run in turn) and on four (they race).
+    #[test]
+    fn a_blocked_waiter_is_woken_and_a_late_wait_returns_at_once() {
+        for workers in [1, 4] {
+            let exec = Executor::new(ExecutorConfig {
+                workers,
+                seed: 42,
+                ..ExecutorConfig::default()
+            });
+            let (release, gate) = mpsc::channel::<()>();
+            let jobs = vec![
+                GroupJob::blocking(|| {}),
+                GroupJob::blocking(move || {
+                    gate.recv_timeout(Duration::from_secs(10))
+                        .expect("the test releases the gate");
+                }),
+            ];
+            let handle = exec.submit_group(jobs, None);
+            let (woken, woken_rx) = mpsc::channel();
+            let waiter = {
+                let handle = handle.clone();
+                std::thread::spawn(move || woken.send(handle.wait().failed()).expect("send"))
+            };
+            // Open the gate only once the waiter is blocked on the barrier.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !lock_unpoisoned(&handle.core.state).waiting {
+                assert!(
+                    Instant::now() < deadline,
+                    "{workers} worker(s): waiter never blocked"
+                );
+                std::thread::yield_now();
+            }
+            release.send(()).expect("gate");
+            let failed = woken_rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{workers} worker(s): blocked waiter never woken"));
+            assert_eq!(failed, 0, "{workers} worker(s)");
+            waiter.join().expect("waiter thread");
+
+            assert!(handle.is_done());
+            let started = Instant::now();
+            assert_eq!(handle.wait().failed(), 0);
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "late wait blocked"
+            );
+            assert!(
+                !lock_unpoisoned(&handle.core.state).waiting,
+                "a resolved barrier asks for no wake-up"
+            );
+            exec.shutdown();
+        }
     }
 }

@@ -24,7 +24,9 @@
 //! - **Task groups** ([`group`]) — a live container's batch becomes a group
 //!   of tasks pinned to a [`CpuSet`]; a group-completion barrier replaces
 //!   the per-batch thread join, and a panicking job fails only its own
-//!   invocation (typed [`JobError`]).
+//!   invocation (typed [`JobError`]). The barrier is a countdown: it reads
+//!   no clock, records only failures, and wakes a waiter only when one is
+//!   blocked. Per-job timing belongs to the callers that want it.
 //!
 //! No tokio, no new external dependencies: the `Future`/`Waker` layer is
 //! built on [`std::task::Wake`] and the whole crate forbids `unsafe`.
@@ -39,11 +41,11 @@
 //!     ..ExecutorConfig::default()
 //! });
 //! let jobs: Vec<GroupJob> = (0..4)
-//!     .map(|_| GroupJob::blocking(|| { /* handler body */ }))
+//!     .map(|i| GroupJob::blocking(move || assert!(i != 2, "member {i} fails")))
 //!     .collect();
 //! let report = exec.submit_group(jobs, None).wait();
-//! assert_eq!(report.jobs.len(), 4);
-//! assert!(report.jobs.iter().all(|j| j.result.is_ok()));
+//! assert_eq!(report.failed(), 1);
+//! assert_eq!(report.failures[0].0, 2);
 //! ```
 //!
 //! [`DetRng`]: faasbatch_simcore::rng::DetRng
@@ -64,6 +66,6 @@ pub mod steal;
 pub mod timer;
 
 pub use executor::{global_executor, Executor, ExecutorConfig, ExecutorMetrics};
-pub use group::{GroupHandle, GroupJob, GroupReport, JobError, JobReport, OnComplete};
+pub use group::{GroupHandle, GroupJob, GroupReport, JobError, OnComplete};
 pub use task::CpuSet;
 pub use timer::{Sleep, TimerHandle};

@@ -451,7 +451,11 @@ impl ShardDispatcher {
                 self.stats.admit(self.shard as usize);
             },
             |function, members| {
-                let route_started = Instant::now();
+                // The clock is read only for an attached histogram.
+                let timed = self
+                    .route_latency
+                    .as_ref()
+                    .map(|hist| (hist, Instant::now()));
                 // Every core of the fleet reads one clock; any of them has it.
                 let now = self.cores[0].now();
                 let worker = self.router.lock().expect("router lock poisoned").place(
@@ -475,8 +479,8 @@ impl ShardDispatcher {
                     members,
                     Some(Box::new(move |n| stats.finish(n))),
                 );
-                if let Some(hist) = &self.route_latency {
-                    hist.record(route_started.elapsed().as_micros() as u64);
+                if let Some((hist, started)) = timed {
+                    hist.record(started.elapsed().as_micros() as u64);
                 }
             },
         );
