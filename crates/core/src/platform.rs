@@ -28,6 +28,14 @@
 //! delays and warm-pool keep-alive expiry ride the executor's timer wheel
 //! rather than sleeping threads.
 //!
+//! A group of `n` members is `min(n, workers)` tasks, not `n`: contiguous
+//! runs whose sizes differ by at most one, each running its members back
+//! to back — the paper's expansion capped at the container's `cpu_count`,
+//! with the executor's worker count as that cap. Every member keeps its own
+//! group index, panic boundary, [`InvokeOutcome`] and exec events. The
+//! price is skew: a slow member delays the rest of its run, where one task
+//! per member would have let an idle worker steal them (DESIGN.md §14).
+//!
 //! With a [`LiveTraceRecorder`] attached ([`PlatformBuilder::trace`]), every
 //! run emits the same typed [`SimEvent`] stream as the simulator — arrivals,
 //! dispatch decisions, cold-start spans, container state changes, exec
@@ -911,26 +919,48 @@ impl Group {
         });
     }
 
-    /// The batch becomes one executor task group of per-member runs; the
-    /// barrier's `on_complete` — run by the last finishing member on its
-    /// worker — is the finishing step (no per-batch join thread).
-    fn submit(self: Arc<Self>, members: Vec<RemoteJob>, on_done: Option<GroupDone>) {
-        let batch_size = members.len() as u64;
+    /// The batch becomes one executor task group of at most one run per
+    /// worker: `min(n, workers)` contiguous runs whose sizes differ by at
+    /// most one, each running its members back to back under their own
+    /// group indices. The barrier's `on_complete` — run by the last
+    /// finishing run on its worker — is the finishing step (no per-batch
+    /// join thread).
+    ///
+    /// A one-member run carries its job by value. A longer run owns an
+    /// exact-size slice drained off the tail of `members`, never `members`
+    /// itself: the grouping buffer is freed here, on the thread that
+    /// allocated it, not on a worker (EXPERIMENTS.md, "Runs per worker").
+    fn submit(self: Arc<Self>, mut members: Vec<RemoteJob>, on_done: Option<GroupDone>) {
+        let n = members.len();
         let sdk_creations_before = self.env.sdk.total_creations() as u64;
-        let jobs: Vec<GroupJob> = members
-            .into_iter()
-            .enumerate()
-            .map(|(index, job)| {
+        let executor = Arc::clone(&self.core.executor);
+        let runs = n.min(executor.workers()).max(1);
+        let (base, longer) = (n / runs, n % runs);
+        // Runs are carved off the tail, so no member is moved twice; they
+        // are submitted in member order.
+        let mut jobs: Vec<GroupJob> = (0..runs)
+            .rev()
+            .map(|run| {
+                let first = run * base + run.min(longer);
                 let group = Arc::clone(&self);
-                GroupJob::blocking(move || group.run_member(index as u32, job))
+                if members.len() - first == 1 {
+                    let job = members.pop().expect("a run holds a member");
+                    return GroupJob::blocking(move || group.run_member(first as u32, job));
+                }
+                let jobs: Box<[RemoteJob]> = members.drain(first..).collect();
+                GroupJob::blocking(move || {
+                    for (member, job) in (first as u32..).zip(jobs.into_vec()) {
+                        group.run_member(member, job);
+                    }
+                })
             })
             .collect();
-        let executor = Arc::clone(&self.core.executor);
+        jobs.reverse();
         executor.submit_group_with(
             jobs,
             None,
             Some(Box::new(move |_report: &GroupReport| {
-                self.finish(batch_size, sdk_creations_before, on_done);
+                self.finish(n as u64, sdk_creations_before, on_done);
             })),
         );
     }
@@ -1838,6 +1868,20 @@ mod tests {
         platform.drain().unwrap();
     }
 
+    /// `Σ min(size, workers)` over the batches `trace` dispatched: the most
+    /// executor tasks they may spawn, at most one run per worker each.
+    fn most_runs(trace: &[SimEvent], workers: usize) -> u64 {
+        trace
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::DispatchDecision { members, .. } => {
+                    Some(members.len().min(workers) as u64)
+                }
+                _ => None,
+            })
+            .sum()
+    }
+
     #[test]
     fn seeded_executor_platform_is_usable() {
         let exec = Executor::new(ExecutorConfig {
@@ -1845,12 +1889,14 @@ mod tests {
             seed: 2024,
             ..ExecutorConfig::default()
         });
+        let recorder = LiveTraceRecorder::new();
         let counter = Arc::new(AtomicUsize::new(0));
         let c = counter.clone();
         let platform = PlatformBuilder::new()
             .window(Duration::from_millis(10))
             .cold_start_delay(Duration::from_millis(1))
             .executor(Arc::clone(&exec))
+            .trace(recorder.clone())
             .register("count", move |_env| {
                 c.fetch_add(1, Ordering::SeqCst);
             })
@@ -1862,8 +1908,190 @@ mod tests {
             t.wait();
         }
         platform.drain().unwrap();
+        let batches = platform.stats().batches.load(Ordering::Relaxed);
         drop(platform);
         assert_eq!(counter.load(Ordering::SeqCst), 20);
-        assert!(exec.metrics().spawned_total >= 20, "batch ran on this pool");
+        let spawned = exec.metrics().spawned_total;
+        let most = most_runs(&recorder.take_trace(), exec.workers());
+        assert!(
+            batches <= spawned && spawned <= most,
+            "batches ran on this pool as runs: {batches} <= {spawned} <= {most}"
+        );
+    }
+
+    /// A platform on `exec` whose window no test outlives, and the log of
+    /// its one function: the group index each run member carried (its
+    /// payload, [`indexed_jobs`]), in execution order. It panics on
+    /// `panic_on`.
+    fn recording_platform(
+        exec: &Arc<Executor>,
+        panic_on: Option<u32>,
+    ) -> (FaasBatchPlatform, Arc<Mutex<Vec<u32>>>) {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&ran);
+        let platform = PlatformBuilder::new()
+            .window(Duration::from_secs(3600))
+            .cold_start_delay(Duration::ZERO)
+            .executor(Arc::clone(exec))
+            .register("record", move |env| {
+                let member = u32::from_le_bytes(env.payload[..4].try_into().unwrap());
+                log.lock().unwrap().push(member);
+                if Some(member) == panic_on {
+                    panic!("member {member} crashed");
+                }
+            })
+            .start();
+        (platform, ran)
+    }
+
+    /// `size` jobs whose payload is their group index, and their tickets.
+    fn indexed_jobs(ids: &PlatformIds, size: usize) -> (Vec<RemoteJob>, Vec<InvokeTicket>) {
+        (0..size as u32)
+            .map(|i| RemoteJob::new(ids.next_invocation(), Bytes::from(i.to_le_bytes().to_vec())))
+            .unzip()
+    }
+
+    #[test]
+    fn a_group_expands_into_at_most_one_run_per_worker() {
+        let exec = Executor::new(ExecutorConfig {
+            workers: 4,
+            seed: 28,
+            ..ExecutorConfig::default()
+        });
+        let (platform, ran) = recording_platform(&exec, None);
+        for (size, tasks) in [(1, 1), (3, 3), (4, 4), (1_000, 4)] {
+            ran.lock().unwrap().clear();
+            let before = exec.metrics().spawned_total;
+            let (members, tickets) = indexed_jobs(platform.ids(), size);
+            platform.submit_group(0, members, None).unwrap();
+            for ticket in tickets {
+                assert!(!ticket.wait().panicked, "group of {size}");
+            }
+            platform.drain().unwrap();
+            assert_eq!(
+                exec.metrics().spawned_total - before,
+                tasks,
+                "group of {size}"
+            );
+            let mut ran = std::mem::take(&mut *ran.lock().unwrap());
+            ran.sort_unstable();
+            assert_eq!(
+                ran,
+                (0..size as u32).collect::<Vec<_>>(),
+                "every member of {size} ran once"
+            );
+        }
+        assert_eq!(platform.stats().invocations.load(Ordering::Relaxed), 1_008);
+    }
+
+    #[test]
+    fn a_panicking_member_fails_alone_and_its_run_goes_on() {
+        let exec = Executor::new(ExecutorConfig {
+            workers: 2,
+            seed: 28,
+            ..ExecutorConfig::default()
+        });
+        let (platform, ran) = recording_platform(&exec, Some(2));
+        let done = Arc::new(Mutex::new(Vec::new()));
+        let on_done = {
+            let done = Arc::clone(&done);
+            Box::new(move |size| done.lock().unwrap().push(size))
+        };
+        let (members, tickets) = indexed_jobs(platform.ids(), 10);
+        platform.submit_group(0, members, Some(on_done)).unwrap();
+        let panicked: Vec<bool> = tickets.into_iter().map(|t| t.wait().panicked).collect();
+        platform.drain().unwrap();
+        let expected: Vec<bool> = (0..10).map(|member| member == 2).collect();
+        assert_eq!(panicked, expected);
+        // Two runs of five: members 3 and 4 follow the crash in its run.
+        let ran = ran.lock().unwrap().clone();
+        let first_run: Vec<u32> = ran.iter().copied().filter(|&m| m < 5).collect();
+        assert_eq!(first_run, [0, 1, 2, 3, 4]);
+        assert_eq!(ran.len(), 10);
+        assert_eq!(*done.lock().unwrap(), [10], "on_done fires once");
+        assert_eq!(exec.metrics().spawned_total, 2);
+    }
+
+    #[test]
+    fn traced_runs_keep_every_members_index_and_attribute_exactly() {
+        const GROUPS: usize = 3;
+        const SIZE: usize = 64;
+        const WORKERS: usize = 4;
+        let recorder = LiveTraceRecorder::new();
+        let ids = Arc::new(PlatformIds::new());
+        let exec = Executor::new(ExecutorConfig {
+            workers: WORKERS,
+            seed: 28,
+            ..ExecutorConfig::default()
+        });
+        let core = DispatchCore::fleet(
+            PlatformBuilder::new()
+                .cold_start_delay(Duration::from_millis(1))
+                .executor(Arc::clone(&exec))
+                .ids(Arc::clone(&ids))
+                .trace(recorder.clone())
+                .register("noop", |_env| {}),
+            1,
+        )
+        .pop()
+        .expect("one core");
+        // One cold group, then warm ones.
+        for _ in 0..GROUPS {
+            let (members, tickets) = indexed_jobs(&ids, SIZE);
+            for job in &members {
+                core.shared.emit(EventKind::Arrival {
+                    invocation: job.invocation(),
+                    function: FunctionId::new(0),
+                });
+            }
+            core.dispatch(0, members, None);
+            for ticket in tickets {
+                ticket.wait();
+            }
+            core.wait_idle();
+        }
+        assert_eq!(exec.metrics().spawned_total, (GROUPS * WORKERS) as u64);
+        let trace = recorder.take_trace();
+        assert_audits_clean(&trace);
+        assert_eq!(projected_records(&trace).len(), GROUPS * SIZE);
+
+        let mut decisions = 0;
+        for event in &trace {
+            let EventKind::DispatchDecision { batch, members, .. } = &event.kind else {
+                continue;
+            };
+            decisions += 1;
+            let begun: Vec<u32> = trace
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::ExecBegin {
+                        batch: b, member, ..
+                    } if b == *batch => Some(member),
+                    _ => None,
+                })
+                .collect();
+            let mut sorted = begun.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..SIZE as u32).collect::<Vec<_>>(), "once each");
+            // Four runs of 16, each in member order on its worker.
+            for run in sorted.chunks(SIZE / WORKERS) {
+                let in_run: Vec<u32> = begun.iter().copied().filter(|m| run.contains(m)).collect();
+                assert_eq!(in_run, run, "batch {batch}");
+            }
+            // A member's index names its invocation in the decision.
+            for e in &trace {
+                if let EventKind::InvocationComplete {
+                    invocation,
+                    batch: Some(b),
+                    member: Some(member),
+                } = e.kind
+                {
+                    if b == *batch {
+                        assert_eq!(members[member as usize], invocation);
+                    }
+                }
+            }
+        }
+        assert_eq!(decisions, GROUPS);
     }
 }

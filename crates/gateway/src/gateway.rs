@@ -85,7 +85,8 @@ impl GatewayStats {
     }
 
     /// One invocation admitted to `shard`'s queue: it is now in flight
-    /// until its group completes on a worker.
+    /// until its group completes on a worker. Runs under the queue lock,
+    /// before the job is visible to the shard ([`Gateway::invoke`]).
     fn enter(&self, shard: usize) {
         self.shards[shard].enqueued.fetch_add(1, Ordering::Relaxed);
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
@@ -117,9 +118,12 @@ impl GatewayStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A routed group of `n` members completed on its worker.
+    /// A routed group of `n` members completed on its worker. Its members
+    /// entered before they became visible to a shard, so the count cannot
+    /// go below zero.
     fn finish(&self, n: usize) {
-        self.in_flight.fetch_sub(n, Ordering::Relaxed);
+        let before = self.in_flight.fetch_sub(n, Ordering::Relaxed);
+        debug_assert!(before >= n, "in_flight {before} - {n} underflows");
     }
 
     fn snapshot(&self) -> GatewaySnapshot {
@@ -541,16 +545,17 @@ impl Gateway {
             });
         }
         let (job, ticket) = RemoteJob::new(invocation, payload);
+        // Counted in flight before the job is visible: once it is, the shard
+        // thread may dispatch it and its group finish (`GatewayStats::finish`)
+        // before `try_push_job` even returns.
         let pushed = self.queues[shard as usize].try_push_job(idx, job, || {
             if let Some(recorder) = &self.recorder {
                 recorder.record(EventKind::GatewayEnqueue { invocation, shard });
             }
+            self.stats.enter(shard as usize);
         });
         match pushed {
-            Ok(()) => {
-                self.stats.enter(shard as usize);
-                Ok(ticket)
-            }
+            Ok(()) => Ok(ticket),
             Err(PushError::Full { depth }) => {
                 if let Some(recorder) = &self.recorder {
                     recorder.record(EventKind::GatewayReject {
@@ -780,6 +785,47 @@ mod tests {
         let snap = gateway.stats();
         assert_eq!(snap.shards[0].rejected, 1);
         assert_eq!(snap.in_flight, 0);
+    }
+
+    /// A job is in flight from before a shard can see it: the group a shard
+    /// drains the instant it is pushed may finish before `invoke` returns,
+    /// and its `finish` must never find the count below its members. In a
+    /// debug build an underflow panics (`GatewayStats::finish`, or the next
+    /// `enter` overflowing); in any build it leaves a wrapped peak.
+    #[test]
+    fn in_flight_never_underflows_under_one_member_groups() {
+        const FUNCTIONS: usize = 1_000;
+        const INVOCATIONS: usize = 20_000;
+        let mut builder = Gateway::builder()
+            .workers(1)
+            .shards(1)
+            .window(Duration::from_millis(1))
+            .cold_start_delay(Duration::ZERO)
+            .executor(Executor::new(faasbatch_exec::ExecutorConfig {
+                workers: 1,
+                ..faasbatch_exec::ExecutorConfig::default()
+            }));
+        let names: Vec<String> = (0..FUNCTIONS).map(|f| format!("f{f}")).collect();
+        for name in &names {
+            builder = builder.register(name, |_env| {});
+        }
+        let gateway = builder.start();
+        // Round-robin over many functions: a window holds about one
+        // invocation of each, and after the first pass every group is warm,
+        // so it runs the moment its shard dispatches it.
+        for name in names.iter().cycle().take(INVOCATIONS) {
+            let _ticket = gateway.invoke(name, Bytes::new()).unwrap();
+        }
+        gateway.drain().unwrap();
+        let snap = gateway.stats();
+        assert_eq!(snap.in_flight, 0);
+        assert!(
+            snap.peak_in_flight <= INVOCATIONS,
+            "peak {}",
+            snap.peak_in_flight
+        );
+        let admitted: u64 = snap.shards.iter().map(|s| s.admitted).sum();
+        assert_eq!(admitted, INVOCATIONS as u64);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 
 use bytes::Bytes;
 use faasbatch::core::platform::{FaasBatchPlatform, PlatformBuilder};
+use faasbatch::metrics::events::EventKind;
+use faasbatch::metrics::live::LiveTraceRecorder;
 use faasbatch::storage::client::ClientConfig;
 use faasbatch::storage::object_store::ObjectStore;
 use faasbatch::trace::fib::fib;
@@ -179,10 +181,12 @@ fn large_burst_runs_on_executor_workers_without_thread_per_job() {
     let seen2 = seen.clone();
     let on_exec_worker = Arc::new(AtomicUsize::new(0));
     let on_exec2 = on_exec_worker.clone();
+    let recorder = LiveTraceRecorder::new();
     let platform = PlatformBuilder::new()
         .window(Duration::from_millis(20))
         .cold_start_delay(Duration::from_millis(1))
         .executor(Arc::clone(&exec))
+        .trace(recorder.clone())
         .register("spy", move |_env| {
             seen2.record();
             if std::thread::current()
@@ -204,6 +208,7 @@ fn large_burst_runs_on_executor_workers_without_thread_per_job() {
         }
     }
     platform.drain().unwrap();
+    let batches = platform.stats().batches.load(Ordering::Relaxed);
     drop(platform);
     assert_eq!(panicked, 0);
     assert_eq!(seen.total(), JOBS);
@@ -225,7 +230,22 @@ fn large_burst_runs_on_executor_workers_without_thread_per_job() {
         std::thread::yield_now();
     }
     let metrics = exec.metrics();
-    assert!(metrics.spawned_total >= JOBS as u64);
+    // One task per run: at least one per batch, at most one per worker.
+    let most: u64 = recorder
+        .take_trace()
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::DispatchDecision { members, .. } => {
+                Some(members.len().min(exec.workers()) as u64)
+            }
+            _ => None,
+        })
+        .sum();
+    assert!(
+        batches <= metrics.spawned_total && metrics.spawned_total <= most,
+        "{batches} <= {} <= {most}",
+        metrics.spawned_total
+    );
     assert_eq!(metrics.in_flight, 0, "all work drained");
     exec.shutdown();
 }

@@ -213,13 +213,32 @@ fn seeded_executor_runs_are_decision_deterministic() {
             ..ExecutorConfig::default()
         });
         assert_eq!(exec.seed(), seed);
-        let platform = live_platform(None).executor(Arc::clone(&exec)).start();
+        let recorder = LiveTraceRecorder::new();
+        let platform = live_platform(Some(recorder.clone()))
+            .executor(Arc::clone(&exec))
+            .start();
         run_burst(&platform);
         let invocations = platform.stats().invocations.load(Ordering::Relaxed);
         let containers = platform.stats().containers_created.load(Ordering::Relaxed);
         let clients = platform.stats().clients_created.load(Ordering::Relaxed);
+        let batches = platform.stats().batches.load(Ordering::Relaxed);
         drop(platform);
-        assert!(exec.metrics().spawned_total >= BURST as u64);
+        // One task per run: at least one per batch, at most one per worker.
+        let spawned = exec.metrics().spawned_total;
+        let most: u64 = recorder
+            .take_trace()
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::DispatchDecision { members, .. } => {
+                    Some(members.len().min(exec.workers()) as u64)
+                }
+                _ => None,
+            })
+            .sum();
+        assert!(
+            batches <= spawned && spawned <= most,
+            "{batches} <= {spawned} <= {most}"
+        );
         exec.shutdown();
         (invocations, containers, clients)
     };
