@@ -2,10 +2,10 @@
 //!
 //! Runs all six schedulers twice over each paper workload: once with the
 //! static prewarm/keep-alive config only, once with the per-function
-//! controller (`AutoscalerSink`, DESIGN.md §12) attached. The static
-//! keep-alive is deliberately short (2 s) so the trade the controller
-//! navigates — memory held by warm containers vs cold-start latency — is
-//! visible in both directions.
+//! controller (`SimConfig::autoscaler`, DESIGN.md §12) switched on. The
+//! static keep-alive is deliberately short (2 s) so the trade the
+//! controller navigates — memory held by warm containers vs cold-start
+//! latency — is visible in both directions.
 //!
 //! Writes `results/ablation_autoscaler.json`.
 

@@ -18,7 +18,7 @@
 
 use faasbatch_core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::analysis::{AttributionEngine, AttributionReport};
-use faasbatch_metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, AutoscalerStats};
+use faasbatch_metrics::autoscaler::{AutoscalerConfig, AutoscalerStats};
 use faasbatch_metrics::events::{NoopSink, SimEvent, TraceSink, VecSink};
 use faasbatch_metrics::report::{text_table, RunReport};
 use faasbatch_metrics::stats::Cdf;
@@ -244,26 +244,27 @@ pub fn autoscaler_ablation(
     ac: &AutoscalerConfig,
 ) -> Value {
     let setup = SchedulerSetup::new(window);
-    let (static_runs, _) =
+    let compare = |cfg: &SimConfig| {
         run_comparison(&SchedulerKind::ALL, workload, label, cfg, &setup, |_| {
             Box::new(NoopSink)
-        });
-    // One fresh controller per run; Vanilla's doubles as Kraken's calibration run.
-    let (auto_runs, controllers) =
-        run_comparison(&SchedulerKind::ALL, workload, label, cfg, &setup, |_| {
-            Box::new(AutoscalerSink::new(ac.clone()))
-        });
+        })
+        .0
+    };
+    let static_runs = compare(cfg);
+    // Every run gets a fresh controller; Vanilla's doubles as Kraken's
+    // calibration run.
+    let auto_runs = compare(&SimConfig {
+        autoscaler: Some(ac.clone()),
+        ..cfg.clone()
+    });
     let schedulers = Value::Map(
         static_runs
             .iter()
             .zip(&auto_runs)
-            .zip(&controllers)
-            .map(|((static_run, auto_run), controller)| {
-                let stats = controller
-                    .as_any()
-                    .downcast_ref::<AutoscalerSink>()
-                    .expect("autoscaled run returns its controller sink")
-                    .stats();
+            .map(|(static_run, auto_run)| {
+                let stats = auto_run
+                    .autoscaler
+                    .expect("an autoscaled run reports its controller");
                 (
                     static_run.scheduler.clone(),
                     ablation_row(static_run, auto_run, &stats),

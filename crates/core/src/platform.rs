@@ -1255,11 +1255,6 @@ impl FaasBatchPlatform {
     pub fn functions(&self) -> &[String] {
         self.core.functions().names()
     }
-
-    /// The attached trace recorder, if any ([`PlatformBuilder::trace`]).
-    pub fn trace_recorder(&self) -> Option<&LiveTraceRecorder> {
-        self.core.shared.recorder.as_ref()
-    }
 }
 
 impl Drop for FaasBatchPlatform {

@@ -172,9 +172,10 @@ impl SchedulerKind {
 ///
 /// `sink_for` supplies one fresh sink per run (`|_| Box::new(NoopSink)` for
 /// an untraced comparison); each comes back for downcasting. When `kinds`
-/// holds [`SchedulerKind::Kraken`], Vanilla runs first — exactly once, its
-/// run doubling as the Vanilla entry when `kinds` asks for one, untraced
-/// otherwise — and Kraken is calibrated from that report
+/// holds [`SchedulerKind::Kraken`], Vanilla runs first under the same
+/// `cfg` (its controller included) — exactly once, its run doubling as the
+/// Vanilla entry when `kinds` asks for one, untraced otherwise — and
+/// Kraken is calibrated from that report
 /// ([`KrakenCalibration::from_vanilla`]) in place of `setup.kraken`. This is
 /// the only place that calibration happens.
 ///

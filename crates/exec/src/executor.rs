@@ -386,11 +386,6 @@ impl Executor {
         self.spawn_task(Box::pin(future), None);
     }
 
-    /// Spawns a detached future pinned to `cpuset`.
-    pub fn spawn_pinned(&self, future: impl Future<Output = ()> + Send + 'static, cpuset: CpuSet) {
-        self.spawn_task(Box::pin(future), Some(cpuset));
-    }
-
     /// Submits a job group; the returned handle is the completion barrier.
     pub fn submit_group(&self, jobs: Vec<GroupJob>, cpuset: Option<CpuSet>) -> GroupHandle {
         self.submit_group_with(jobs, cpuset, None)
@@ -476,15 +471,6 @@ impl Executor {
             timer_scheduled_total: self.shared.timer.scheduled_total(),
             shed_total: self.shared.shed_total.load(Ordering::Acquire),
         }
-    }
-
-    /// Resets the in-flight high-water mark to the current level (used
-    /// between bench tiers).
-    pub fn reset_peak_in_flight(&self) {
-        self.shared.peak_in_flight.store(
-            self.shared.in_flight.load(Ordering::Acquire),
-            Ordering::Release,
-        );
     }
 
     /// Stops worker and timer threads. Does not drain: callers are expected

@@ -3,7 +3,6 @@
 
 use crate::error::FleetError;
 use faasbatch_core::policy::FaasBatchConfig;
-use faasbatch_metrics::autoscaler::AutoscalerConfig;
 use faasbatch_schedulers::config::SimConfig;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -67,7 +66,8 @@ pub struct FleetConfig {
     /// (the fleet-level extension of the Invoke Mapper's never-split
     /// invariant).
     pub window: SimDuration,
-    /// Per-worker simulation config (identical across workers).
+    /// Per-worker simulation config (identical across workers). With
+    /// `sim.autoscaler` set, every worker runs its own controller.
     pub sim: SimConfig,
     /// Per-worker scheduler.
     pub scheduler: WorkerScheduler,
@@ -79,11 +79,6 @@ pub struct FleetConfig {
     /// Delay between a crash and the re-dispatch of its lost invocations
     /// (failure detection + re-routing cost, charged to scheduling latency).
     pub redispatch_delay: SimDuration,
-    /// When set, every worker runs its own trace-driven autoscaling
-    /// controller with this configuration (DESIGN.md §12). `None` replays
-    /// with the static prewarm/keep-alive config only.
-    #[serde(default)]
-    pub autoscaler: Option<AutoscalerConfig>,
 }
 
 impl Default for FleetConfig {
@@ -96,7 +91,6 @@ impl Default for FleetConfig {
             faults: Vec::new(),
             max_retries: 3,
             redispatch_delay: SimDuration::from_millis(50),
-            autoscaler: None,
         }
     }
 }
@@ -134,9 +128,9 @@ impl FleetConfig {
                 f.worker
             ));
         }
-        if let Some(ac) = &self.autoscaler {
+        if let Some(ac) = &self.sim.autoscaler {
             if let Err(e) = ac.validate() {
-                return invalid(format!("autoscaler: {e}"));
+                return invalid(format!("sim.autoscaler: {e}"));
             }
         }
         Ok(())
@@ -146,6 +140,7 @@ impl FleetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasbatch_metrics::autoscaler::AutoscalerConfig;
 
     #[test]
     fn defaults_validate() {
@@ -193,6 +188,21 @@ mod tests {
         };
         let why = rejection(dies_twice);
         assert!(why.starts_with("faults") && why.contains("more than one crash"));
+        let bad_controller = FleetConfig {
+            sim: SimConfig {
+                autoscaler: Some(AutoscalerConfig {
+                    alpha: 0.0,
+                    ..AutoscalerConfig::default()
+                }),
+                ..SimConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let why = rejection(bad_controller);
+        assert!(
+            why.starts_with("sim.autoscaler") && why.contains("alpha"),
+            "{why}"
+        );
     }
 
     #[test]

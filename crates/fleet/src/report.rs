@@ -136,14 +136,6 @@ impl FleetReport {
             .sum()
     }
 
-    /// Fraction of fleet records that completed on a re-dispatch.
-    pub fn retried_fraction(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.retries > 0).count() as f64 / self.records.len() as f64
-    }
-
     /// Ids of records whose latency components do not add up — always empty
     /// for a correct run; exposed for tests.
     pub fn inconsistencies(&self) -> Vec<InvocationId> {

@@ -39,7 +39,6 @@ use crate::report::{FleetRecord, FleetReport, WorkerReport};
 use crate::routing::{Router, RoutingPolicy};
 use faasbatch_container::ids::{FunctionId, InvocationId};
 use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
-use faasbatch_metrics::autoscaler::AutoscalerSink;
 use faasbatch_metrics::events::{EventKind, NoopSink, SimEvent, TraceSink};
 use faasbatch_metrics::report::RunReport;
 use faasbatch_schedulers::harness::Worker;
@@ -318,7 +317,8 @@ impl Fleet<'_> {
     }
 }
 
-/// A fresh worker for one seat, running the fleet's scheduler.
+/// A fresh worker for one seat, running the fleet's scheduler — and, when
+/// `cfg.sim` configures one, its own controller.
 fn new_worker(workload: &Workload, cfg: &FleetConfig, label: &str) -> Worker {
     let (kind, setup) = match &cfg.scheduler {
         WorkerScheduler::Vanilla => (SchedulerKind::Vanilla, SchedulerSetup::new(cfg.window)),
@@ -328,14 +328,15 @@ fn new_worker(workload: &Workload, cfg: &FleetConfig, label: &str) -> Worker {
         ),
     };
     let (policy, interval) = kind.build(&setup);
-    // With a controller configured, every worker runs its own fresh
-    // `AutoscalerSink`: the control loop lives where the containers are.
-    let sink: Box<dyn TraceSink> = match &cfg.autoscaler {
-        Some(ac) => Box::new(AutoscalerSink::new(ac.clone())),
-        None => Box::new(NoopSink),
-    };
     let registry = workload.registry().clone();
-    Worker::new(policy, registry, cfg.sim.clone(), label, interval, sink)
+    Worker::new(
+        policy,
+        registry,
+        cfg.sim.clone(),
+        label,
+        interval,
+        Box::new(NoopSink),
+    )
 }
 
 fn run_fleet_impl(
@@ -481,6 +482,7 @@ mod tests {
     use crate::config::{FaultKind, WorkerFault};
     use crate::routing::RoutingKind;
     use faasbatch_core::policy::run_faasbatch;
+    use faasbatch_schedulers::config::SimConfig;
     use faasbatch_simcore::rng::DetRng;
     use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
     use std::collections::HashMap;
@@ -883,7 +885,10 @@ mod tests {
         let w = small_workload(10);
         let cfg = FleetConfig {
             workers: 3,
-            autoscaler: Some(AutoscalerConfig::default()),
+            sim: SimConfig {
+                autoscaler: Some(AutoscalerConfig::default()),
+                ..SimConfig::default()
+            },
             faults: vec![WorkerFault {
                 worker: 0,
                 at: SimTime::from_secs(2),

@@ -618,11 +618,6 @@ impl Gateway {
         self.cores.iter().map(DispatchCore::stats).collect()
     }
 
-    /// The attached trace recorder, if any ([`GatewayBuilder::trace`]).
-    pub fn trace_recorder(&self) -> Option<&LiveTraceRecorder> {
-        self.recorder.as_ref()
-    }
-
     /// Blocks until every invocation admitted so far has completed: flushes
     /// each shard (everything queued is routed and dispatched), then waits
     /// for each worker's groups.

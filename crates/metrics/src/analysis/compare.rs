@@ -137,6 +137,7 @@ mod tests {
             clients_created: 0,
             client_requests: 0,
             client_bytes_allocated: 0,
+            autoscaler: None,
         }
     }
 

@@ -1,23 +1,23 @@
 //! Trace-driven autoscaling controller.
 //!
-//! [`AutoscalerSink`] is a [`TraceSink`] that watches the event spine and
-//! maintains per-function online estimates of cold-start rate, queue
-//! pressure (backlog), and dispatch-window occupancy. At every sampler tick
-//! the harness calls [`TraceSink::poll_actions`]; the controller turns its
-//! estimates into typed [`ScaleAction`]s — pre-warm `N` containers, extend
-//! or shrink a function's keep-alive — which the harness applies at that
-//! safe point between engine steps.
+//! [`Autoscaler`] maintains per-function online estimates of cold-start
+//! rate, queue pressure (backlog), and dispatch-window occupancy from the
+//! simulated worker's event stream. It is worker state, not a trace sink:
+//! a run configures it through `SimConfig::autoscaler`, the worker feeds it
+//! every event where the record reducer folds it ([`Autoscaler::observe`]),
+//! and at every sampler tick asks it for typed [`ScaleAction`]s
+//! ([`Autoscaler::poll`]) — pre-warm `N` containers, extend or shrink a
+//! function's keep-alive — which the worker applies at that safe point
+//! between engine steps. A sink only observes and cannot change a run.
 //!
-//! The controller is *observational*: it never mutates simulation state
-//! itself, and a configuration whose actions are all no-ops (prewarm cap 0,
-//! keep-alive floor = ceiling = the static TTL) leaves the run bit-identical
-//! to an untraced one. See DESIGN.md §12 for the estimator math.
+//! A configuration whose actions are all no-ops (prewarm cap 0, keep-alive
+//! floor = ceiling = the static TTL) leaves the event stream bit-identical
+//! to a run without a controller. See DESIGN.md §12 for the estimator math.
 
-use crate::events::{EventKind, SimEvent, TraceSink};
+use crate::events::{EventKind, SimEvent};
 use faasbatch_container::ids::FunctionId;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::collections::BTreeMap;
 
 /// One control decision emitted by an autoscaling controller.
@@ -62,7 +62,7 @@ pub enum PrewarmTier {
     Warm,
 }
 
-/// Tuning knobs for [`AutoscalerSink`].
+/// Tuning knobs for [`Autoscaler`].
 ///
 /// The defaults pair with [`AutoscalerConfig::noop`]'s counterpart: `noop()`
 /// produces a controller that provably never acts, while `default()` is an
@@ -150,7 +150,7 @@ struct FnState {
     arrived: u64,
     /// Invocations bound to a container by a dispatch decision.
     dispatched: u64,
-    /// Arrivals since the last `poll_actions` call.
+    /// Arrivals since the last [`Autoscaler::poll`].
     arrivals_since_poll: u64,
     /// EWMA of the per-batch cold indicator (1.0 = cold, 0.0 = warm).
     cold_rate: f64,
@@ -187,8 +187,9 @@ impl FnState {
     }
 }
 
-/// Summary counters exposed after a run for reports and the ablation JSON.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+/// Summary counters a run reports (`RunReport::autoscaler`) and the
+/// ablation JSON reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AutoscalerStats {
     /// Pre-warm actions emitted.
     pub prewarm_actions: u64,
@@ -209,23 +210,21 @@ pub struct AutoscalerStats {
 /// # Examples
 ///
 /// ```
-/// use faasbatch_metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
-/// use faasbatch_metrics::events::TraceSink;
-/// use faasbatch_simcore::time::{SimDuration, SimTime};
+/// use faasbatch_metrics::autoscaler::{Autoscaler, AutoscalerConfig};
+/// use faasbatch_simcore::time::SimDuration;
 ///
 /// // A no-op band never produces actions, whatever it observes.
-/// let mut sink = AutoscalerSink::new(AutoscalerConfig::noop(SimDuration::from_secs(600)));
-/// assert!(sink.poll_actions(SimTime::from_secs(1)).is_empty());
+/// let mut controller = Autoscaler::new(AutoscalerConfig::noop(SimDuration::from_secs(600)));
+/// assert!(controller.poll().is_empty());
 /// ```
 #[derive(Debug)]
-pub struct AutoscalerSink {
+pub struct Autoscaler {
     config: AutoscalerConfig,
     functions: BTreeMap<FunctionId, FnState>,
-    actions: Vec<(SimTime, ScaleAction)>,
     stats: AutoscalerStats,
 }
 
-impl AutoscalerSink {
+impl Autoscaler {
     /// Builds a controller. Panics on an invalid configuration (validate
     /// with [`AutoscalerConfig::validate`] first when the config is
     /// user-supplied).
@@ -233,22 +232,11 @@ impl AutoscalerSink {
         if let Err(e) = config.validate() {
             panic!("invalid autoscaler config: {e}");
         }
-        AutoscalerSink {
+        Autoscaler {
             config,
             functions: BTreeMap::new(),
-            actions: Vec::new(),
             stats: AutoscalerStats::default(),
         }
-    }
-
-    /// The configuration the controller runs with.
-    pub fn config(&self) -> &AutoscalerConfig {
-        &self.config
-    }
-
-    /// Every action emitted so far, with the poll time it was emitted at.
-    pub fn actions(&self) -> &[(SimTime, ScaleAction)] {
-        &self.actions
     }
 
     /// Summary counters for reports.
@@ -280,10 +268,11 @@ impl AutoscalerSink {
             .entry(function)
             .or_insert_with(|| FnState::new(base))
     }
-}
 
-impl TraceSink for AutoscalerSink {
-    fn record(&mut self, event: &SimEvent) {
+    /// Folds one event of the worker's stream into the estimates. Events
+    /// arrive in stream order; only arrivals and dispatch decisions move
+    /// anything.
+    pub fn observe(&mut self, event: &SimEvent) {
         let alpha = self.config.alpha;
         match &event.kind {
             EventKind::Arrival { function, .. } => {
@@ -322,10 +311,17 @@ impl TraceSink for AutoscalerSink {
         }
     }
 
-    fn poll_actions(&mut self, now: SimTime) -> Vec<ScaleAction> {
-        let cfg = self.config.clone();
+    /// Turns the estimates into the actions due now. The worker calls this
+    /// at every sampler tick, once every event up to the tick has been
+    /// observed, and applies whatever comes back.
+    pub fn poll(&mut self) -> Vec<ScaleAction> {
+        let Autoscaler {
+            config: cfg,
+            functions,
+            stats,
+        } = self;
         let mut out = Vec::new();
-        for (&function, st) in self.functions.iter_mut() {
+        for (&function, st) in functions.iter_mut() {
             let busy = st.arrivals_since_poll > 0 || st.backlog() > 0;
 
             // Pre-warm when cold starts are biting and traffic is live:
@@ -341,12 +337,10 @@ impl TraceSink for AutoscalerSink {
                 let deficit = want.saturating_sub(st.outstanding_prewarm);
                 if deficit > 0 {
                     st.outstanding_prewarm += deficit;
-                    self.stats.max_outstanding_prewarm = self
-                        .stats
-                        .max_outstanding_prewarm
-                        .max(st.outstanding_prewarm);
-                    self.stats.prewarm_actions += 1;
-                    self.stats.prewarmed_containers += deficit as u64;
+                    stats.max_outstanding_prewarm =
+                        stats.max_outstanding_prewarm.max(st.outstanding_prewarm);
+                    stats.prewarm_actions += 1;
+                    stats.prewarmed_containers += deficit as u64;
                     let tier = if cfg.snapshot_prewarm {
                         // Predicted re-use horizon vs the keep-alive in
                         // force: if the next hit is expected after the warm
@@ -354,22 +348,20 @@ impl TraceSink for AutoscalerSink {
                         // (no memory held) instead of a warm container.
                         let horizon_us = st.gap_ewma_us.unwrap_or(0.0);
                         if horizon_us > st.keep_alive_set.as_micros() as f64 {
-                            self.stats.snapshot_tier_prewarms += deficit as u64;
+                            stats.snapshot_tier_prewarms += deficit as u64;
                             PrewarmTier::Snapshot
                         } else {
-                            self.stats.warm_tier_prewarms += deficit as u64;
+                            stats.warm_tier_prewarms += deficit as u64;
                             PrewarmTier::Warm
                         }
                     } else {
                         PrewarmTier::Warm
                     };
-                    let action = ScaleAction::PrewarmTier {
+                    out.push(ScaleAction::PrewarmTier {
                         function,
                         count: deficit,
                         tier,
-                    };
-                    self.actions.push((now, action));
-                    out.push(action);
+                    });
                 }
             }
 
@@ -383,26 +375,16 @@ impl TraceSink for AutoscalerSink {
             };
             if target != st.keep_alive_set {
                 st.keep_alive_set = target;
-                self.stats.keepalive_actions += 1;
-                let action = ScaleAction::SetKeepAlive {
+                stats.keepalive_actions += 1;
+                out.push(ScaleAction::SetKeepAlive {
                     function,
                     keep_alive: target,
-                };
-                self.actions.push((now, action));
-                out.push(action);
+                });
             }
 
             st.arrivals_since_poll = 0;
         }
         out
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -442,13 +424,12 @@ mod tests {
 
     #[test]
     fn noop_band_never_acts() {
-        let mut s = AutoscalerSink::new(AutoscalerConfig::noop(SimDuration::from_secs(600)));
+        let mut s = Autoscaler::new(AutoscalerConfig::noop(SimDuration::from_secs(600)));
         for i in 0..20 {
-            s.record(&arrival(i, 0, i));
-            s.record(&dispatch(i, 0, true, &[i]));
+            s.observe(&arrival(i, 0, i));
+            s.observe(&dispatch(i, 0, true, &[i]));
         }
-        assert!(s.poll_actions(SimTime::from_secs(1)).is_empty());
-        assert!(s.actions().is_empty());
+        assert!(s.poll().is_empty());
         assert_eq!(s.stats(), AutoscalerStats::default());
     }
 
@@ -461,15 +442,15 @@ mod tests {
             keepalive_floor: SimDuration::from_secs(600),
             ..AutoscalerConfig::default()
         };
-        let mut s = AutoscalerSink::new(cfg);
+        let mut s = Autoscaler::new(cfg);
         // Ten cold singleton dispatches with a large backlog behind them.
         for i in 0..30 {
-            s.record(&arrival(i, 0, i));
+            s.observe(&arrival(i, 0, i));
         }
         for i in 0..10 {
-            s.record(&dispatch(100 + i, 0, true, &[i]));
+            s.observe(&dispatch(100 + i, 0, true, &[i]));
         }
-        let actions = s.poll_actions(SimTime::from_secs(1));
+        let actions = s.poll();
         assert_eq!(
             actions,
             vec![ScaleAction::PrewarmTier {
@@ -479,12 +460,12 @@ mod tests {
             }]
         );
         // Cap already saturated: polling again adds nothing.
-        assert!(s.poll_actions(SimTime::from_secs(2)).is_empty());
+        assert!(s.poll().is_empty());
         assert_eq!(s.stats().max_outstanding_prewarm, 3);
         // A warm dispatch frees one slot of budget.
-        s.record(&arrival(200, 0, 40));
-        s.record(&dispatch(201, 0, false, &[40]));
-        let actions = s.poll_actions(SimTime::from_secs(3));
+        s.observe(&arrival(200, 0, 40));
+        s.observe(&dispatch(201, 0, false, &[40]));
+        let actions = s.poll();
         assert_eq!(
             actions,
             vec![ScaleAction::PrewarmTier {
@@ -509,12 +490,12 @@ mod tests {
 
         // Function 0: arrivals every 60 s — far past the 10 s keep-alive,
         // so a parked warm container would expire before its next hit.
-        let mut s = AutoscalerSink::new(cfg.clone());
+        let mut s = Autoscaler::new(cfg.clone());
         for i in 0..5u64 {
-            s.record(&arrival(i * 60_000, 0, i));
-            s.record(&dispatch(i * 60_000, 0, true, &[i]));
+            s.observe(&arrival(i * 60_000, 0, i));
+            s.observe(&dispatch(i * 60_000, 0, true, &[i]));
         }
-        let actions = s.poll_actions(SimTime::from_secs(301));
+        let actions = s.poll();
         assert!(
             actions.iter().any(|a| matches!(
                 a,
@@ -530,12 +511,12 @@ mod tests {
 
         // Function 1: arrivals every 100 ms — well inside the keep-alive,
         // so classic warm parking wins.
-        let mut s = AutoscalerSink::new(cfg);
+        let mut s = Autoscaler::new(cfg);
         for i in 0..5u64 {
-            s.record(&arrival(i * 100, 1, i));
-            s.record(&dispatch(i * 100, 1, true, &[i]));
+            s.observe(&arrival(i * 100, 1, i));
+            s.observe(&dispatch(i * 100, 1, true, &[i]));
         }
-        let actions = s.poll_actions(SimTime::from_secs(1));
+        let actions = s.poll();
         assert!(
             actions.iter().any(|a| matches!(
                 a,
@@ -559,11 +540,11 @@ mod tests {
             base_keep_alive: SimDuration::from_secs(10),
             ..AutoscalerConfig::default()
         };
-        let mut s = AutoscalerSink::new(cfg);
-        s.record(&arrival(0, 0, 0));
+        let mut s = Autoscaler::new(cfg);
+        s.observe(&arrival(0, 0, 0));
         // Live traffic ⇒ extend to the ceiling.
         assert_eq!(
-            s.poll_actions(SimTime::from_secs(1)),
+            s.poll(),
             vec![ScaleAction::SetKeepAlive {
                 function: f(0),
                 keep_alive: SimDuration::from_secs(60)
@@ -572,11 +553,11 @@ mod tests {
         assert_eq!(s.keep_alive_set(f(0)), SimDuration::from_secs(60));
         // Still a backlog (arrived but never dispatched) ⇒ stay up, and the
         // value is unchanged so nothing is emitted.
-        assert!(s.poll_actions(SimTime::from_secs(2)).is_empty());
+        assert!(s.poll().is_empty());
         // Drain the backlog; the function goes quiet ⇒ shrink to the floor.
-        s.record(&dispatch(2500, 0, true, &[0]));
+        s.observe(&dispatch(2500, 0, true, &[0]));
         assert_eq!(
-            s.poll_actions(SimTime::from_secs(3)),
+            s.poll(),
             vec![ScaleAction::SetKeepAlive {
                 function: f(0),
                 keep_alive: SimDuration::from_secs(2)
@@ -587,12 +568,12 @@ mod tests {
 
     #[test]
     fn backlog_tracks_arrived_minus_dispatched() {
-        let mut s = AutoscalerSink::new(AutoscalerConfig::default());
+        let mut s = Autoscaler::new(AutoscalerConfig::default());
         for i in 0..5 {
-            s.record(&arrival(i, 1, i));
+            s.observe(&arrival(i, 1, i));
         }
         assert_eq!(s.backlog(f(1)), 5);
-        s.record(&dispatch(10, 1, true, &[0, 1, 2]));
+        s.observe(&dispatch(10, 1, true, &[0, 1, 2]));
         assert_eq!(s.backlog(f(1)), 2);
         assert!(s.cold_rate(f(1)) > 0.0);
     }

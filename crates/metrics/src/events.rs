@@ -13,7 +13,6 @@
 //!
 //! See DESIGN.md §11 for the taxonomy and the emission contract.
 
-use crate::autoscaler::ScaleAction;
 use crate::chain::{ChainFold, Step, NO_ARRIVAL};
 use crate::latency::InvocationRecord;
 use crate::sampler::{ResourceSample, ResourceSampler};
@@ -392,6 +391,9 @@ impl SimEvent {
 ///
 /// Implementations must be cheap enough to sit on the simulation hot path;
 /// [`NoopSink`] in particular must cost nothing beyond the virtual call.
+/// A sink only observes: nothing it returns reaches the run that feeds it.
+/// A controller that acts on the stream is worker state instead
+/// ([`Autoscaler`](crate::autoscaler::Autoscaler)).
 pub trait TraceSink {
     /// Observes one event. Events arrive in non-decreasing time order.
     fn record(&mut self, event: &SimEvent);
@@ -408,16 +410,6 @@ pub trait TraceSink {
         for event in events {
             self.record(event);
         }
-    }
-
-    /// Asks the sink for pending [`ScaleAction`]s. The simulation harness
-    /// calls this at safe points between engine steps (the sampler tick) and
-    /// applies whatever comes back; passive sinks return nothing (the
-    /// default), while controllers such as
-    /// [`AutoscalerSink`](crate::autoscaler::AutoscalerSink) turn their
-    /// online estimates into actions here.
-    fn poll_actions(&mut self, _now: SimTime) -> Vec<ScaleAction> {
-        Vec::new()
     }
 
     /// Downcast support: recover the concrete sink after a traced run
@@ -460,11 +452,6 @@ impl VecSink {
     /// The collected events, oldest first.
     pub fn events(&self) -> &[SimEvent] {
         &self.events
-    }
-
-    /// Consumes the sink, yielding the collected events.
-    pub fn into_events(self) -> Vec<SimEvent> {
-        self.events
     }
 }
 
@@ -566,13 +553,6 @@ impl MultiSink {
     pub fn into_sinks(self) -> Vec<Box<dyn TraceSink>> {
         self.sinks
     }
-
-    /// Borrows the inner sinks, in construction order — lets callers
-    /// downcast individual children after a traced run hands the fan-out
-    /// back as `Box<dyn TraceSink>`.
-    pub fn sinks(&self) -> &[Box<dyn TraceSink>] {
-        &self.sinks
-    }
 }
 
 impl std::fmt::Debug for MultiSink {
@@ -593,13 +573,6 @@ impl TraceSink for MultiSink {
         for sink in &mut self.sinks {
             sink.record_batch(events);
         }
-    }
-    fn poll_actions(&mut self, now: SimTime) -> Vec<ScaleAction> {
-        let mut actions = Vec::new();
-        for sink in &mut self.sinks {
-            actions.extend(sink.poll_actions(now));
-        }
-        actions
     }
     fn as_any(&self) -> &dyn Any {
         self

@@ -23,10 +23,11 @@
 //!   stream. One crate-private chain fold (`chain.rs`) follows each
 //!   invocation's event chain; reducer, auditor and attribution engine are
 //!   that fold plus their own counters (DESIGN.md §11);
-//! * [`autoscaler`] — the trace-driven [`autoscaler::AutoscalerSink`]
-//!   controller that folds the stream into per-function cold-start-rate /
-//!   backlog / occupancy estimates and emits [`autoscaler::ScaleAction`]s
-//!   the harness applies between engine steps (DESIGN.md §12);
+//! * [`autoscaler`] — the trace-driven [`autoscaler::Autoscaler`]
+//!   controller that folds a simulated worker's stream into per-function
+//!   cold-start-rate / backlog / occupancy estimates and emits
+//!   [`autoscaler::ScaleAction`]s the worker applies between engine steps.
+//!   It is worker state configured per run, not a sink (DESIGN.md §12);
 //! * [`analysis`] — trace analysis over the event stream: per-invocation
 //!   latency attribution whose phases provably sum to end-to-end latency,
 //!   critical-path extraction, trace diffing (`faasbatch trace-diff`), and
@@ -77,7 +78,7 @@ pub use analysis::{
     Comparison, FunctionPhaseSummary, InvocationAttribution, InvocationDelta, Phase,
     PhaseBreakdown, PhaseDelta, QuantileShift, TraceDiff, TraceLoadError,
 };
-pub use autoscaler::{AutoscalerConfig, AutoscalerSink, AutoscalerStats, PrewarmTier, ScaleAction};
+pub use autoscaler::{Autoscaler, AutoscalerConfig, AutoscalerStats, PrewarmTier, ScaleAction};
 pub use events::{
     chrome_trace, chrome_trace_to, AuditorSink, EventKind, JsonlSink, MultiSink, NoopSink,
     RecordReducer, ReducedRun, SimEvent, TaskKind, TraceSink, VecSink,

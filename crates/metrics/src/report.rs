@@ -1,6 +1,7 @@
 //! Per-run result bundle: everything a paper figure needs from one
 //! scheduler × workload execution.
 
+use crate::autoscaler::AutoscalerStats;
 use crate::latency::InvocationRecord;
 use crate::sampler::ResourceSampler;
 use crate::stats::{Cdf, Summary};
@@ -54,6 +55,10 @@ pub struct RunReport {
     /// Cumulative bytes allocated for storage clients over the run (each
     /// creation charges one client footprint).
     pub client_bytes_allocated: u64,
+    /// The controller's counters when the run had one
+    /// (`SimConfig::autoscaler`); `None` for a static run.
+    #[serde(default)]
+    pub autoscaler: Option<AutoscalerStats>,
 }
 
 impl RunReport {
@@ -129,14 +134,6 @@ impl RunReport {
             return 0.0;
         }
         self.records.iter().filter(|r| r.cold).count() as f64 / self.records.len() as f64
-    }
-
-    /// Fraction of invocations served from the snapshot-restore tier.
-    pub fn restored_fraction(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.restored).count() as f64 / self.records.len() as f64
     }
 
     /// Average bytes of client memory allocated per client-creation
@@ -250,6 +247,7 @@ mod tests {
             clients_created: 1,
             client_requests: 4,
             client_bytes_allocated: 15 << 20,
+            autoscaler: None,
         }
     }
 

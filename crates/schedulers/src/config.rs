@@ -7,6 +7,7 @@
 
 use faasbatch_container::snapshot::SnapshotConfig;
 use faasbatch_container::spec::ColdStartModel;
+use faasbatch_metrics::autoscaler::AutoscalerConfig;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_storage::cost::ClientCostModel;
 use serde::{Deserialize, Serialize};
@@ -38,6 +39,12 @@ pub struct SimConfig {
     /// (capacity 0), which leaves every pre-0.9 run byte-identical.
     #[serde(default)]
     pub snapshot: SnapshotConfig,
+    /// When set, the worker runs the trace-driven autoscaling controller
+    /// with this configuration (DESIGN.md §12): it observes the worker's
+    /// event stream and acts at every sampler tick. `None` (the default)
+    /// replays with the static keep-alive only.
+    #[serde(default)]
+    pub autoscaler: Option<AutoscalerConfig>,
 }
 
 impl Default for SimConfig {
@@ -53,6 +60,7 @@ impl Default for SimConfig {
             container_base_memory: 50 << 20,
             sample_period: SimDuration::from_secs(1),
             snapshot: SnapshotConfig::default(),
+            autoscaler: None,
         }
     }
 }

@@ -23,14 +23,17 @@
 //! stream by a [`RecordReducer`] folding alongside the sink, so what a
 //! report claims and what a trace shows cannot drift apart
 //! (DESIGN.md §11). [`run_simulation_traced`] exposes the stream;
-//! [`run_simulation`] wires in the zero-cost no-op sink.
+//! [`run_simulation`] wires in the zero-cost no-op sink. A run whose
+//! [`SimConfig::autoscaler`] is set folds the same stream into its
+//! controller and applies the controller's actions at the sampler tick
+//! (DESIGN.md §12); the sink only observes.
 
 use crate::config::SimConfig;
 use crate::policy::{Completion, Ctx, DispatchRequest, ExecMode, Policy};
 use faasbatch_container::cluster::Cluster;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
 use faasbatch_container::spec::ContainerSpec;
-use faasbatch_metrics::autoscaler::{PrewarmTier, ScaleAction};
+use faasbatch_metrics::autoscaler::{Autoscaler, PrewarmTier, ScaleAction};
 use faasbatch_metrics::events::{
     EventKind, NoopSink, RecordReducer, SimEvent, TaskKind, TraceSink,
 };
@@ -150,6 +153,9 @@ pub struct SimWorld {
     transient_clients: IdMap<(BatchId, usize), AllocationId>,
     /// Folds the event stream into records, samples, and counters.
     reducer: RecordReducer,
+    /// The autoscaling controller, when the config asks for one: it folds
+    /// the same events as the reducer and acts at the sampler tick.
+    autoscaler: Option<Autoscaler>,
     /// Observer for the same stream the reducer folds.
     trace: Box<dyn TraceSink>,
     /// Events folded by the reducer but not yet handed to the sink; flushed
@@ -207,6 +213,7 @@ impl SimWorld {
             ext: IdMap::default(),
             transient_clients: IdMap::default(),
             reducer: RecordReducer::new(),
+            autoscaler: cfg.autoscaler.clone().map(Autoscaler::new),
             trace,
             pending_events: Vec::with_capacity(EVENT_BATCH),
             injected: 0,
@@ -300,12 +307,26 @@ fn drain_journals(world: &mut SimWorld) {
                 },
             )
         };
-        world.reducer.on_event(&event);
-        world.pending_events.push(event);
+        fold(world, event);
     }
     if world.pending_events.len() >= EVENT_BATCH {
         flush_events(world);
     }
+}
+
+/// Folds one event into the reducer and, when the run has one, the
+/// controller, then buffers it for the sink. Returns the completed
+/// invocation's record when the event completes one.
+// Forced: as an outlined call this per-event step cost `sim_azure_day`
+// ~4 % of its throughput.
+#[inline(always)]
+fn fold(world: &mut SimWorld, event: SimEvent) -> Option<InvocationRecord> {
+    let record = world.reducer.on_event(&event);
+    if let Some(controller) = world.autoscaler.as_mut() {
+        controller.observe(&event);
+    }
+    world.pending_events.push(event);
+    record
 }
 
 /// Emits one semantic event at `at`, after flushing any journalled
@@ -313,9 +334,7 @@ fn drain_journals(world: &mut SimWorld) {
 /// completed invocation's record when the event completes one.
 fn emit(world: &mut SimWorld, at: SimTime, kind: EventKind) -> Option<InvocationRecord> {
     drain_journals(world);
-    let event = SimEvent::new(at, kind);
-    let record = world.reducer.on_event(&event);
-    world.pending_events.push(event);
+    let record = fold(world, SimEvent::new(at, kind));
     if world.pending_events.len() >= EVENT_BATCH {
         flush_events(world);
     }
@@ -1082,26 +1101,34 @@ fn sampler_tick(sim: &mut Sim, engine: &mut Engine<Sim>) {
         return;
     }
     record_sample(&mut sim.world, engine.now());
+    // Not an ordering requirement (the controller folds events as they are
+    // emitted): in sparse simulated time the buffer would otherwise hold
+    // its events for many seconds, and handing them over once per sample
+    // keeps it small and hot — dropping this flush cost `sim_azure_day`
+    // ~4 % of its throughput and ~6 % on its p50.
+    flush_events(&mut sim.world);
     apply_scale_actions(&mut sim.world, engine);
     let period = sim.world.cfg.sample_period;
     engine.schedule_fn_in(period, sampler_tick);
 }
 
-/// Polls the trace sink for autoscaler actions and applies them. The sampler
-/// tick is the designated safe point: no CPU task or policy callback is
-/// mid-flight, so pre-warm launches and keep-alive changes slot in exactly
-/// like policy-initiated ones. Passive sinks return nothing and the function
-/// is a strict no-op — it must not touch the engine in that case, because
-/// re-arming the CPU event would reorder same-instant callbacks and perturb
-/// the run.
+/// Polls the controller, if the run has one, and applies its actions. The
+/// sampler tick is the designated safe point: no CPU task or policy
+/// callback is mid-flight, so pre-warm launches and keep-alive changes slot
+/// in exactly like policy-initiated ones, and the controller has already
+/// folded every event up to now. With no controller, or no action due, the
+/// function is a strict no-op — it must not touch the engine in that case,
+/// because re-arming the CPU event would reorder same-instant callbacks and
+/// perturb the run.
 fn apply_scale_actions(world: &mut SimWorld, engine: &mut Engine<Sim>) {
-    let now = engine.now();
-    // The controller must see every event up to now before deciding.
-    flush_events(world);
-    let actions = world.trace.poll_actions(now);
+    let Some(controller) = world.autoscaler.as_mut() else {
+        return;
+    };
+    let actions = controller.poll();
     if actions.is_empty() {
         return;
     }
+    let now = engine.now();
     for action in actions {
         match action {
             ScaleAction::PrewarmTier {
@@ -1433,6 +1460,7 @@ impl Worker {
             clients_created: reduced.clients_created,
             client_requests: reduced.client_requests,
             client_bytes_allocated: reduced.client_bytes_allocated,
+            autoscaler: world.autoscaler.as_ref().map(Autoscaler::stats),
         };
         (report, world.trace)
     }

@@ -12,9 +12,9 @@ use faasbatch::fleet::sim::run_fleet;
 use faasbatch::metrics::analysis::{
     diff_reports, load_events, AttributionEngine, AttributionReport,
 };
-use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
+use faasbatch::metrics::autoscaler::AutoscalerConfig;
 use faasbatch::metrics::events::{
-    chrome_trace_to, to_jsonl, AuditorSink, MultiSink, NoopSink, SimEvent, TraceSink, VecSink,
+    chrome_trace_to, to_jsonl, AuditorSink, NoopSink, SimEvent, TraceSink, VecSink,
 };
 use faasbatch::metrics::report::{text_table, RunReport};
 use faasbatch::schedulers::config::SimConfig;
@@ -833,21 +833,14 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
         w.len()
     );
     let (static_report, _) = run_one(kind, &w, &label, &cfg, &setup, |_| Box::new(NoopSink));
-    let (auto_report, sink) = run_one(kind, &w, &label, &cfg, &setup, |_| {
-        Box::new(MultiSink::new(vec![
-            Box::new(AutoscalerSink::new(ac.clone())),
-            Box::new(VecSink::new()),
-        ]))
+    let auto_cfg = SimConfig {
+        autoscaler: Some(ac),
+        ..cfg
+    };
+    let (auto_report, sink) = run_one(kind, &w, &label, &auto_cfg, &setup, |_| {
+        Box::new(VecSink::new())
     });
-    let multi = sink
-        .as_any()
-        .downcast_ref::<MultiSink>()
-        .expect("the multi sink comes back from the run");
-    let controller = multi.sinks()[0]
-        .as_any()
-        .downcast_ref::<AutoscalerSink>()
-        .expect("controller sink");
-    let events = vec_events(multi.sinks()[1].as_ref());
+    let events = vec_events(sink.as_ref());
 
     let rows: Vec<Vec<String>> = [("static", &static_report), ("autoscaled", &auto_report)]
         .iter()
@@ -878,7 +871,9 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
             &rows,
         )
     );
-    let stats = controller.stats();
+    let stats = auto_report
+        .autoscaler
+        .expect("an autoscaled run reports its controller");
     println!(
         "controller: {} prewarm action(s) launching {} container(s), \
          {} keep-alive change(s), max outstanding prewarm {}",

@@ -3,8 +3,8 @@
 //! its cap, and keep-alive honours the floor while work is queued.
 
 use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
-use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, ScaleAction};
-use faasbatch::metrics::events::{MultiSink, NoopSink, SimEvent, TraceSink, VecSink};
+use faasbatch::metrics::autoscaler::AutoscalerConfig;
+use faasbatch::metrics::events::{EventKind, SimEvent, TraceSink, VecSink};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
 use faasbatch::simcore::rng::DetRng;
@@ -50,67 +50,53 @@ fn active_cfg() -> AutoscalerConfig {
     }
 }
 
-/// Runs `scheduler` over `w` through `sink` (Kraken calibrated from an
-/// untraced Vanilla run of the same workload) and hands the sink back.
-fn run_with(
-    scheduler: &str,
-    w: &Workload,
-    cfg: &SimConfig,
-    sink: Box<dyn TraceSink>,
-) -> (RunReport, Box<dyn TraceSink>) {
+/// Runs `scheduler` over `w` under `cfg` with an event capture, and returns
+/// (report, captured events). Kraken is calibrated from a Vanilla run of the
+/// same workload under the same `cfg`, controller included.
+fn run_with(scheduler: &str, w: &Workload, cfg: &SimConfig) -> (RunReport, Vec<SimEvent>) {
     let kind = SchedulerKind::parse(scheduler).expect("known scheduler");
-    let mut sink = Some(sink);
-    let (mut reports, mut sinks) =
+    let (mut reports, sinks) =
         run_comparison(&[kind], w, "t", cfg, &SchedulerSetup::new(WINDOW), |_| {
-            sink.take().expect("one kind, one run")
+            Box::new(VecSink::new())
         });
-    (reports.remove(0), sinks.remove(0))
+    (reports.remove(0), vec_events(sinks[0].as_ref()))
 }
 
-/// Runs `scheduler` over `w` untraced.
-fn run_plain(scheduler: &str, w: &Workload, cfg: &SimConfig) -> RunReport {
-    run_with(scheduler, w, cfg, Box::new(NoopSink)).0
+fn vec_events(sink: &dyn TraceSink) -> Vec<SimEvent> {
+    sink.as_any()
+        .downcast_ref::<VecSink>()
+        .expect("vec sink round-trips")
+        .events()
+        .to_vec()
 }
 
-/// Runs `scheduler` over `w` with a controller plus an event capture, and
-/// returns (report, controller actions, captured events).
+/// [`run_with`] under `cfg` with the controller `ac` switched on.
 fn run_autoscaled(
     scheduler: &str,
     w: &Workload,
     cfg: &SimConfig,
     ac: &AutoscalerConfig,
-) -> (RunReport, Vec<ScaleAction>, Vec<SimEvent>) {
-    let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
-        Box::new(AutoscalerSink::new(ac.clone())),
-        Box::new(VecSink::new()),
-    ]));
-    let (report, sink) = run_with(scheduler, w, cfg, sink);
-    let multi = sink
-        .as_any()
-        .downcast_ref::<MultiSink>()
-        .expect("multi sink round-trips");
-    let controller = multi.sinks()[0]
-        .as_any()
-        .downcast_ref::<AutoscalerSink>()
-        .expect("controller sink");
-    let events = multi.sinks()[1]
-        .as_any()
-        .downcast_ref::<VecSink>()
-        .expect("vec sink")
-        .events()
-        .to_vec();
-    let actions = controller
-        .actions()
-        .iter()
-        .map(|&(_, a)| a)
-        .collect::<Vec<_>>();
-    (report, actions, events)
+) -> (RunReport, Vec<SimEvent>) {
+    let cfg = SimConfig {
+        autoscaler: Some(ac.clone()),
+        ..cfg.clone()
+    };
+    run_with(scheduler, w, &cfg)
+}
+
+/// The `count` of every `ScalePrewarm` the controller's actions narrated.
+fn prewarm_counts(events: &[SimEvent]) -> impl Iterator<Item = u64> + '_ {
+    events.iter().filter_map(|e| match e.kind {
+        EventKind::ScalePrewarm { count, .. } => Some(count),
+        _ => None,
+    })
 }
 
 proptest! {
     /// (a) A controller whose actions are all no-ops (pre-warm disabled,
-    /// keep-alive band pinned to the static TTL) leaves the run
-    /// bit-identical to the untraced one.
+    /// keep-alive band pinned to the static TTL) leaves the event stream
+    /// bit-identical to a run without one, and the report too — apart from
+    /// the controller's own (all-zero) counters.
     #[test]
     fn noop_controller_never_perturbs(
         seed in 0u64..300,
@@ -120,9 +106,15 @@ proptest! {
         let w = wl(seed, io == 1);
         let cfg = sim_cfg();
         let noop = AutoscalerConfig::noop(cfg.keep_alive);
-        let plain = run_plain(SCHEDULERS[scheduler], &w, &cfg);
-        let (auto_report, actions, _) = run_autoscaled(SCHEDULERS[scheduler], &w, &cfg, &noop);
-        prop_assert!(actions.is_empty(), "no-op controller acted: {actions:?}");
+        let (plain, plain_events) = run_with(SCHEDULERS[scheduler], &w, &cfg);
+        let (mut auto_report, auto_events) =
+            run_autoscaled(SCHEDULERS[scheduler], &w, &cfg, &noop);
+        prop_assert_eq!(plain.autoscaler, None);
+        prop_assert_eq!(auto_report.autoscaler.take(), Some(Default::default()));
+        prop_assert!(
+            plain_events == auto_events,
+            "{}: a no-op controller changed the event stream", SCHEDULERS[scheduler]
+        );
         prop_assert_eq!(
             plain, auto_report,
             "{} perturbed by a no-op controller", SCHEDULERS[scheduler]
@@ -140,14 +132,12 @@ proptest! {
         let w = wl(seed, false);
         let cfg = sim_cfg();
         let ac = AutoscalerConfig { prewarm_cap: cap, ..active_cfg() };
-        let (_, actions, _) = run_autoscaled(SCHEDULERS[scheduler], &w, &cfg, &ac);
-        for a in &actions {
-            if let ScaleAction::PrewarmTier { count, .. } = a {
-                prop_assert!(
-                    *count <= cap,
-                    "a single prewarm burst ({count}) exceeded the cap ({cap})"
-                );
-            }
+        let (_, events) = run_autoscaled(SCHEDULERS[scheduler], &w, &cfg, &ac);
+        for count in prewarm_counts(&events) {
+            prop_assert!(
+                count <= cap as u64,
+                "a single prewarm burst ({count}) exceeded the cap ({cap})"
+            );
         }
     }
 
@@ -162,8 +152,7 @@ proptest! {
         let w = wl(seed, false);
         let cfg = sim_cfg();
         let ac = active_cfg();
-        let (_, _, events) = run_autoscaled(SCHEDULERS[scheduler], &w, &cfg, &ac);
-        use faasbatch::metrics::events::EventKind;
+        let (_, events) = run_autoscaled(SCHEDULERS[scheduler], &w, &cfg, &ac);
         use std::collections::HashMap;
         let mut backlog: HashMap<u32, i64> = HashMap::new();
         for e in &events {
@@ -195,8 +184,8 @@ proptest! {
 }
 
 /// The watermark the controller reports never exceeds the cap either —
-/// exhaustive over schedulers at a fixed seed, checking the sink's own
-/// accounting rather than the emitted events.
+/// exhaustive over schedulers at a fixed seed, checking the controller's
+/// own accounting rather than the emitted events.
 #[test]
 fn max_outstanding_watermark_respects_cap() {
     let w = wl(11, false);
@@ -207,17 +196,8 @@ fn max_outstanding_watermark_respects_cap() {
             ..active_cfg()
         };
         for scheduler in SCHEDULERS {
-            let (_, sink) = run_with(
-                scheduler,
-                &w,
-                &cfg,
-                Box::new(AutoscalerSink::new(ac.clone())),
-            );
-            let stats = sink
-                .as_any()
-                .downcast_ref::<AutoscalerSink>()
-                .expect("controller sink")
-                .stats();
+            let (report, _) = run_autoscaled(scheduler, &w, &cfg, &ac);
+            let stats = report.autoscaler.expect("the controller reports");
             assert!(
                 stats.max_outstanding_prewarm <= cap,
                 "{scheduler}: watermark {} exceeded cap {cap}",
@@ -228,17 +208,16 @@ fn max_outstanding_watermark_respects_cap() {
 }
 
 /// An active controller is itself deterministic: identical inputs produce
-/// identical action sequences and reports.
+/// identical reports and event streams, scale actions included.
 #[test]
 fn controller_actions_are_deterministic() {
     let w = wl(5, false);
     let cfg = sim_cfg();
     let ac = active_cfg();
     for scheduler in SCHEDULERS {
-        let (ra, aa, ea) = run_autoscaled(scheduler, &w, &cfg, &ac);
-        let (rb, ab, eb) = run_autoscaled(scheduler, &w, &cfg, &ac);
+        let (ra, ea) = run_autoscaled(scheduler, &w, &cfg, &ac);
+        let (rb, eb) = run_autoscaled(scheduler, &w, &cfg, &ac);
         assert_eq!(ra, rb, "{scheduler} report diverged");
-        assert_eq!(aa, ab, "{scheduler} actions diverged");
         assert_eq!(ea, eb, "{scheduler} event stream diverged");
     }
 }

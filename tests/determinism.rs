@@ -2,8 +2,8 @@
 //! Bit-identical reports make every figure in EXPERIMENTS.md reproducible.
 
 use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
-use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
-use faasbatch::metrics::events::{MultiSink, NoopSink, SimEvent, TraceSink, VecSink};
+use faasbatch::metrics::autoscaler::AutoscalerConfig;
+use faasbatch::metrics::events::{to_jsonl, NoopSink, TraceSink, VecSink};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
 use faasbatch::simcore::rng::DetRng;
@@ -24,7 +24,8 @@ fn wl(seed: u64) -> Workload {
 }
 
 /// Runs `name` over `w` through `sink` (Kraken calibrated from an untraced
-/// Vanilla run of the same workload) and hands the sink back.
+/// Vanilla run of the same workload under the same `cfg`) and hands the sink
+/// back.
 fn run_with(
     name: &str,
     w: &Workload,
@@ -88,28 +89,16 @@ fn run_scheduler_autoscaled(
 ) -> (RunReport, String) {
     let cfg = SimConfig {
         keep_alive: SimDuration::from_secs(2),
+        autoscaler: Some(ac.clone()),
         ..SimConfig::default()
     };
-    let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
-        Box::new(AutoscalerSink::new(ac.clone())),
-        Box::new(VecSink::new()),
-    ]));
-    let (report, sink) = run_with(name, w, &cfg, sink);
-    let events: &[SimEvent] = sink
-        .as_any()
-        .downcast_ref::<MultiSink>()
-        .expect("multi sink round-trips")
-        .sinks()[1]
+    let (report, sink) = run_with(name, w, &cfg, Box::new(VecSink::new()));
+    let events = sink
         .as_any()
         .downcast_ref::<VecSink>()
-        .expect("vec sink")
+        .expect("vec sink round-trips")
         .events();
-    let mut jsonl = String::new();
-    for e in events {
-        jsonl.push_str(&serde_json::to_string(e).expect("events serialize"));
-        jsonl.push('\n');
-    }
-    (report, jsonl)
+    (report, to_jsonl(events).expect("events serialize"))
 }
 
 /// Same seed + controller config ⇒ bit-identical reports *and* bit-identical

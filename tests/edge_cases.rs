@@ -163,29 +163,21 @@ fn very_long_idle_gap_between_arrivals() {
 /// no actions, no containers, and no panics.
 #[test]
 fn controller_on_zero_invocation_workload() {
-    use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
-    use faasbatch::metrics::events::TraceSink;
-    use faasbatch::schedulers::harness::run_simulation_traced;
+    use faasbatch::metrics::autoscaler::AutoscalerConfig;
+    use faasbatch::schedulers::harness::run_simulation;
     use faasbatch::schedulers::vanilla::Vanilla;
     let w = Workload::new(FunctionRegistry::new(), Vec::new());
-    let sink: Box<dyn TraceSink> = Box::new(AutoscalerSink::new(AutoscalerConfig::default()));
-    let (report, sink) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        &w,
-        SimConfig::default(),
-        "empty",
-        None,
-        sink,
-    );
+    let cfg = SimConfig {
+        autoscaler: Some(AutoscalerConfig::default()),
+        ..SimConfig::default()
+    };
+    let report = run_simulation(Box::new(Vanilla::new()), &w, cfg, "empty", None);
     assert!(report.records.is_empty());
     assert_eq!(report.provisioned_containers, 0);
     assert_eq!(report.makespan, SimDuration::ZERO);
-    let controller = sink
-        .as_any()
-        .downcast_ref::<AutoscalerSink>()
-        .expect("controller sink");
-    assert!(
-        controller.actions().is_empty(),
+    assert_eq!(
+        report.autoscaler,
+        Some(Default::default()),
         "an empty run must produce no scale actions"
     );
 }
@@ -195,14 +187,22 @@ fn controller_on_zero_invocation_workload() {
 /// audited stream stays clean, and the pre-warm burst respects its cap.
 #[test]
 fn controller_survives_burst_beyond_core_capacity() {
-    use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, ScaleAction};
-    use faasbatch::metrics::events::{AuditorSink, MultiSink, TraceSink, VecSink};
+    use faasbatch::metrics::autoscaler::AutoscalerConfig;
+    use faasbatch::metrics::events::{AuditorSink, EventKind, TraceSink, VecSink};
     use faasbatch::schedulers::harness::run_simulation_traced;
     use faasbatch::schedulers::vanilla::Vanilla;
     let mut reg = FunctionRegistry::new();
     let f = reg.register("hot", FunctionKind::Cpu { fib_n: 20 });
+    let ac = AutoscalerConfig {
+        prewarm_cap: 4,
+        keepalive_floor: SimDuration::from_secs(2),
+        keepalive_ceiling: SimDuration::from_secs(30),
+        base_keep_alive: SimDuration::from_secs(2),
+        ..AutoscalerConfig::default()
+    };
     let cfg = SimConfig {
         keep_alive: SimDuration::from_secs(2),
+        autoscaler: Some(ac.clone()),
         ..SimConfig::default()
     };
     // Far more simultaneous invocations than the host has cores.
@@ -215,42 +215,29 @@ fn controller_survives_burst_beyond_core_capacity() {
         })
         .collect();
     let w = Workload::new(reg, invs);
-    let ac = AutoscalerConfig {
-        prewarm_cap: 4,
-        keepalive_floor: SimDuration::from_secs(2),
-        keepalive_ceiling: SimDuration::from_secs(30),
-        base_keep_alive: SimDuration::from_secs(2),
-        ..AutoscalerConfig::default()
-    };
-    let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
-        Box::new(AutoscalerSink::new(ac.clone())),
+    let (report, sink) = run_simulation_traced(
+        Box::new(Vanilla::new()),
+        &w,
+        cfg,
+        "burst",
+        None,
         Box::new(VecSink::new()),
-    ]));
-    let (report, sink) =
-        run_simulation_traced(Box::new(Vanilla::new()), &w, cfg, "burst", None, sink);
+    );
     assert_eq!(report.records.len(), w.len());
     assert!(report.inconsistencies().is_empty());
-    let multi = sink
-        .as_any()
-        .downcast_ref::<MultiSink>()
-        .expect("multi sink round-trips");
-    for (_, action) in multi.sinks()[0]
-        .as_any()
-        .downcast_ref::<AutoscalerSink>()
-        .expect("controller sink")
-        .actions()
-    {
-        if let ScaleAction::PrewarmTier { count, .. } = action {
-            assert!(*count <= ac.prewarm_cap, "burst blew the pre-warm cap");
-        }
-    }
-    let mut auditor = AuditorSink::new();
-    for e in multi.sinks()[1]
+    let events = sink
         .as_any()
         .downcast_ref::<VecSink>()
         .expect("vec sink")
-        .events()
-    {
+        .events();
+    let mut auditor = AuditorSink::new();
+    for e in events {
+        if let EventKind::ScalePrewarm { count, .. } = e.kind {
+            assert!(
+                count <= ac.prewarm_cap as u64,
+                "burst blew the pre-warm cap"
+            );
+        }
         auditor.record(e);
     }
     let violations = auditor.finish();
@@ -292,22 +279,34 @@ fn controller_during_fleet_crash_and_redispatch() {
         at: SimTime::from_secs(1),
         kind: FaultKind::Crash,
     };
+    let sim = SimConfig {
+        autoscaler: Some(ac),
+        ..SimConfig::default()
+    };
     let mut cfg = FleetConfig {
         workers: 3,
         max_retries: 5,
-        autoscaler: Some(ac.clone()),
+        sim: sim.clone(),
         ..FleetConfig::default()
     };
     cfg.faults.push(crash);
     let report = run_fleet(&w, &cfg, RoutingKind::ALL[0].build(), "crash")
         .expect("survivors absorb the crash within the retry budget");
     assert_eq!(report.records.len(), w.len());
+    // Each worker ran its own controller, configured through `cfg.sim`.
+    for worker in report.workers.iter().filter(|w| w.fault.is_none()) {
+        assert!(
+            worker.report.autoscaler.is_some(),
+            "surviving worker {} carries no controller stats",
+            worker.worker
+        );
+    }
 
     // Same scenario with no retry budget: a typed error, not a panic.
     let mut strict = FleetConfig {
         workers: 3,
         max_retries: 0,
-        autoscaler: Some(ac),
+        sim,
         ..FleetConfig::default()
     };
     strict.faults.push(crash);

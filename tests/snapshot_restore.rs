@@ -11,8 +11,8 @@
 use faasbatch::container::snapshot::{EvictionPolicy, SnapshotConfig};
 use faasbatch::core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch::metrics::analysis::AttributionEngine;
-use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, AutoscalerStats};
-use faasbatch::metrics::events::{AuditorSink, EventKind, MultiSink, SimEvent, TraceSink, VecSink};
+use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerStats};
+use faasbatch::metrics::events::{AuditorSink, EventKind, SimEvent, TraceSink, VecSink};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
 use faasbatch::schedulers::harness::run_simulation_traced;
@@ -239,38 +239,20 @@ fn disabled_cache_never_restores() {
     assert!(report.records.iter().all(|r| !r.restored));
 }
 
-/// Runs vanilla over `w` with the tier-aware controller attached and
+/// Runs vanilla over `w` with the tier-aware controller switched on and
 /// returns (report, controller stats, auditor violations).
 fn run_tiered(
     w: &Workload,
     cfg: SimConfig,
     ac: AutoscalerConfig,
 ) -> (RunReport, AutoscalerStats, Vec<String>) {
-    let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
-        Box::new(AutoscalerSink::new(ac)),
-        Box::new(VecSink::new()),
-    ]));
-    let (policy, interval) = build("vanilla");
-    let (report, sink) = run_simulation_traced(policy, w, cfg, "t", interval, sink);
-    let multi = sink
-        .as_any()
-        .downcast_ref::<MultiSink>()
-        .expect("multi sink round-trips");
-    let stats = multi.sinks()[0]
-        .as_any()
-        .downcast_ref::<AutoscalerSink>()
-        .expect("controller sink")
-        .stats();
-    let events = multi.sinks()[1]
-        .as_any()
-        .downcast_ref::<VecSink>()
-        .expect("vec sink")
-        .events();
-    let mut auditor = AuditorSink::new();
-    for e in events {
-        auditor.record(e);
-    }
-    (report, stats, auditor.finish().to_vec())
+    let cfg = SimConfig {
+        autoscaler: Some(ac),
+        ..cfg
+    };
+    let (report, _, violations) = traced("vanilla", w, &cfg);
+    let stats = report.autoscaler.expect("the controller reports");
+    (report, stats, violations)
 }
 
 /// The tier-aware controller splits its prewarm actions across the warm and

@@ -9,9 +9,9 @@ use faasbatch::fleet::config::{FaultKind, FleetConfig, WorkerFault};
 use faasbatch::fleet::routing::RoutingKind;
 use faasbatch::fleet::sim::run_fleet_traced;
 use faasbatch::metrics::analysis::{AttributionEngine, AttributionReport};
-use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
+use faasbatch::metrics::autoscaler::AutoscalerConfig;
 use faasbatch::metrics::events::{
-    AuditorSink, EventKind, MultiSink, RecordReducer, SimEvent, TraceSink, VecSink,
+    AuditorSink, EventKind, RecordReducer, SimEvent, TraceSink, VecSink,
 };
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
@@ -54,18 +54,17 @@ fn build(scheduler: &str) -> (Box<dyn Policy>, Option<SimDuration>) {
     kind.build(&SchedulerSetup::new(SimDuration::from_millis(200)))
 }
 
-/// Runs `scheduler` over `w` with both an auditor and a vec capture, and
-/// returns (report, captured events, violations).
-fn traced(scheduler: &str, w: &Workload) -> (RunReport, Vec<SimEvent>, Vec<String>) {
+/// Runs `scheduler` over `w` under `cfg` with a vec capture, replays the
+/// stream through the auditor, and returns (report, captured events,
+/// violations).
+fn traced_cfg(
+    scheduler: &str,
+    w: &Workload,
+    cfg: SimConfig,
+) -> (RunReport, Vec<SimEvent>, Vec<String>) {
     let (policy, interval) = build(scheduler);
-    let (report, sink) = run_simulation_traced(
-        policy,
-        w,
-        SimConfig::default(),
-        "t",
-        interval,
-        Box::new(VecSink::new()),
-    );
+    let (report, sink) =
+        run_simulation_traced(policy, w, cfg, "t", interval, Box::new(VecSink::new()));
     let events = sink
         .as_any()
         .downcast_ref::<VecSink>()
@@ -80,45 +79,28 @@ fn traced(scheduler: &str, w: &Workload) -> (RunReport, Vec<SimEvent>, Vec<Strin
     (report, events, violations)
 }
 
+/// [`traced_cfg`] under the default worker.
+fn traced(scheduler: &str, w: &Workload) -> (RunReport, Vec<SimEvent>, Vec<String>) {
+    traced_cfg(scheduler, w, SimConfig::default())
+}
+
 /// Like [`traced`], but with the autoscaling controller enabled: a short
-/// static keep-alive, pre-warming on, and the keep-alive band open. Returns
-/// (report, events, violations) where the violations come from replaying the
-/// captured stream — now containing `ScalePrewarm` / `ScaleKeepAlive`
-/// events — through the auditor.
+/// static keep-alive, pre-warming on, and the keep-alive band open. The
+/// violations come from replaying the captured stream — now containing
+/// `ScalePrewarm` / `ScaleKeepAlive` events — through the auditor.
 fn traced_autoscaled(scheduler: &str, w: &Workload) -> (RunReport, Vec<SimEvent>, Vec<String>) {
     let cfg = SimConfig {
         keep_alive: SimDuration::from_secs(2),
+        autoscaler: Some(AutoscalerConfig {
+            prewarm_cap: 3,
+            keepalive_floor: SimDuration::from_secs(2),
+            keepalive_ceiling: SimDuration::from_secs(30),
+            base_keep_alive: SimDuration::from_secs(2),
+            ..AutoscalerConfig::default()
+        }),
         ..SimConfig::default()
     };
-    let ac = AutoscalerConfig {
-        prewarm_cap: 3,
-        keepalive_floor: SimDuration::from_secs(2),
-        keepalive_ceiling: SimDuration::from_secs(30),
-        base_keep_alive: SimDuration::from_secs(2),
-        ..AutoscalerConfig::default()
-    };
-    let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
-        Box::new(AutoscalerSink::new(ac)),
-        Box::new(VecSink::new()),
-    ]));
-    let (policy, interval) = build(scheduler);
-    let (report, sink) = run_simulation_traced(policy, w, cfg, "t", interval, sink);
-    let events = sink
-        .as_any()
-        .downcast_ref::<MultiSink>()
-        .expect("multi sink round-trips")
-        .sinks()[1]
-        .as_any()
-        .downcast_ref::<VecSink>()
-        .expect("vec sink")
-        .events()
-        .to_vec();
-    let mut auditor = AuditorSink::new();
-    for e in &events {
-        auditor.record(e);
-    }
-    let violations = auditor.finish().to_vec();
-    (report, events, violations)
+    traced_cfg(scheduler, w, cfg)
 }
 
 /// Feeds `events` to the three consumers of the chain fold: the auditor's
