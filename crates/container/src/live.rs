@@ -8,10 +8,11 @@
 //!
 //! A "container" is a task group on the shared work-stealing executor
 //! (`faasbatch-exec`, DESIGN.md §14): jobs are tasks, and the
-//! group-completion barrier replaces a per-batch thread join. Parallelism
-//! bounds (cpuset pins) and job-panic containment are the executor's
-//! business and are tested there. The barrier only counts, so the timing
-//! Fig. 1 reports is stamped here, around each job body.
+//! group-completion barrier replaces a per-batch thread join. Job-panic
+//! containment is the executor's business and is tested there. Every job
+//! is its own task, so a batch runs on as many workers as the executor
+//! has. The barrier only counts, so the timing Fig. 1 reports is stamped
+//! here, around each job body.
 
 use faasbatch_exec::{global_executor, GroupJob};
 use std::sync::{Arc, Mutex, PoisonError};

@@ -956,9 +956,8 @@ impl Group {
             })
             .collect();
         jobs.reverse();
-        executor.submit_group_with(
+        executor.submit_group(
             jobs,
-            None,
             Some(Box::new(move |_report: &GroupReport| {
                 self.finish(n as u64, sdk_creations_before, on_done);
             })),

@@ -5,22 +5,20 @@
 //! 1. **Own local queue** — LIFO slot first, then FIFO backlog.
 //! 2. **Injector refill** — grab a batch of globally submitted tasks.
 //! 3. **Steal** — visit the other workers in a seeded-random order
-//!    ([`crate::steal`]) and take half of one victim's eligible backlog.
+//!    ([`crate::steal`]) and take the oldest half of one victim's backlog.
 //! 4. **Park** — sleep on the per-worker `Parker` (`park`) until new
 //!    work is pushed (bounded by a timeout heartbeat).
 //!
-//! Pinned tasks (carrying a [`CpuSet`]) are dispatched round-robin to the
-//! set's workers and may only be stolen *within* the set, which is what
-//! enforces the paper's `cpu_count`-style parallelism cap structurally:
-//! each worker runs one task at a time, so a group pinned to `n` workers
-//! can never have more than `n` member jobs running at once.
+//! Every task may run on any worker. The paper's `cpu_count`-style cap on
+//! a group's parallelism is the caller's: the live platform submits a batch
+//! as at most [`Executor::workers`] runs.
 
-use crate::group::{GroupCore, GroupHandle, GroupJob, MemberFuture};
+use crate::group::{GroupCore, GroupHandle, GroupJob, MemberFuture, OnComplete};
 use crate::park::{lock_unpoisoned, Parker};
-use crate::queue::{Injector, LocalQueue};
+use crate::queue::{Injector, LocalQueue, LOCAL_CAPACITY};
 use crate::steal;
-use crate::task::{BoxFuture, CpuSet, Schedule, TaskCore};
-use crate::timer::{Sleep, TimerHandle, TimerWheel};
+use crate::task::{BoxFuture, Schedule, TaskCore};
+use crate::timer::{Sleep, TimerWheel};
 use std::cell::Cell;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,6 +30,13 @@ use std::time::Duration;
 /// stay friendly on 2-vCPU runners).
 pub const WORKERS_ENV: &str = "FAASBATCH_EXEC_WORKERS";
 
+/// Number of timer-wheel slots.
+const TIMER_SLOTS: usize = 256;
+
+/// Idle-park heartbeat: the upper bound on how long a worker sleeps before
+/// re-scanning for stealable work.
+const PARK_TIMEOUT: Duration = Duration::from_millis(10);
+
 /// Executor construction parameters.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
@@ -40,16 +45,8 @@ pub struct ExecutorConfig {
     /// Seed for the randomized steal order (forked per worker through
     /// `simcore`'s `DetRng`, so steal behaviour is reproducible).
     pub seed: u64,
-    /// Soft bound on each worker's local FIFO backlog; unpinned overflow is
-    /// shed to the global injector.
-    pub local_capacity: usize,
-    /// Number of timer-wheel slots.
-    pub timer_slots: usize,
     /// Timer-wheel tick granularity.
     pub timer_tick: Duration,
-    /// Idle-park heartbeat: the upper bound on how long a worker sleeps
-    /// before re-scanning for stealable work.
-    pub park_timeout: Duration,
 }
 
 fn default_workers() -> usize {
@@ -74,10 +71,7 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             workers: default_workers(),
             seed: 0xFAA5_BA7C,
-            local_capacity: 256,
-            timer_slots: 256,
             timer_tick: Duration::from_millis(1),
-            park_timeout: Duration::from_millis(10),
         }
     }
 }
@@ -151,7 +145,6 @@ pub(crate) struct Shared {
     spawned_total: AtomicU64,
     shed_total: AtomicU64,
     unpark_hint: AtomicUsize,
-    cpuset_hint: AtomicUsize,
 }
 
 impl Shared {
@@ -164,34 +157,22 @@ impl Shared {
     }
 
     fn enqueue(&self, task: Arc<TaskCore>) {
-        match task.cpuset().cloned() {
-            Some(set) => {
-                // Pinned: prefer the current worker when it is in the set
-                // (cache locality), else round-robin through the set.
-                let target = match self.current_worker() {
-                    Some(here) if set.allows(here) => here,
-                    _ => set.next_target(),
-                };
-                self.workers[target].queue.push_remote(task);
-                self.workers[target].parker.unpark();
-            }
-            None => match self.current_worker() {
-                Some(here) => {
-                    if let Some(overflow) = self.workers[here].queue.push_owner(task) {
-                        self.shed_total.fetch_add(1, Ordering::Relaxed);
-                        self.injector.push(overflow);
-                        self.unpark_one();
-                    } else if self.workers[here].queue.len() > 1 {
-                        // Backlog behind the running task: give a sleeper a
-                        // chance to steal it.
-                        self.unpark_one();
-                    }
-                }
-                None => {
-                    self.injector.push(task);
+        match self.current_worker() {
+            Some(here) => {
+                if let Some(overflow) = self.workers[here].queue.push_owner(task) {
+                    self.shed_total.fetch_add(1, Ordering::Relaxed);
+                    self.injector.push(overflow);
+                    self.unpark_one();
+                } else if self.workers[here].queue.len() > 1 {
+                    // Backlog behind the running task: give a sleeper a
+                    // chance to steal it.
                     self.unpark_one();
                 }
-            },
+            }
+            None => {
+                self.injector.push(task);
+                self.unpark_one();
+            }
         }
     }
 
@@ -220,9 +201,7 @@ impl Shared {
             return Some(task);
         }
         // Refill from the injector in a batch (amortizes the global lock).
-        let mut batch = self
-            .injector
-            .pop_batch(self.config.local_capacity.max(2) / 2);
+        let mut batch = self.injector.pop_batch(LOCAL_CAPACITY / 2);
         if !batch.is_empty() {
             let first = batch.remove(0);
             for task in batch {
@@ -235,7 +214,7 @@ impl Shared {
         }
         // Steal: seeded-random victim order, half of one victim's backlog.
         for victim in steal::next_victim_round(rng, index, self.workers.len()) {
-            let mut stolen = self.workers[victim].queue.steal_for(index);
+            let mut stolen = self.workers[victim].queue.steal();
             if stolen.is_empty() {
                 continue;
             }
@@ -268,13 +247,11 @@ impl Shared {
                 continue;
             }
             self.workers[index].parked.fetch_add(1, Ordering::Relaxed);
-            self.workers[index]
-                .parker
-                .park_timeout(self.config.park_timeout, || {
-                    !self.injector.is_empty()
-                        || !self.workers[index].queue.is_empty()
-                        || self.shutdown.load(Ordering::Acquire)
-                });
+            self.workers[index].parker.park_timeout(PARK_TIMEOUT, || {
+                !self.injector.is_empty()
+                    || !self.workers[index].queue.is_empty()
+                    || self.shutdown.load(Ordering::Acquire)
+            });
         }
     }
 }
@@ -312,12 +289,12 @@ impl Executor {
     /// Builds an executor and starts its worker + timer-driver threads.
     pub fn new(config: ExecutorConfig) -> Arc<Executor> {
         let workers = config.workers.max(1);
-        let timer = Arc::new(TimerWheel::new(config.timer_slots, config.timer_tick));
+        let timer = Arc::new(TimerWheel::new(TIMER_SLOTS, config.timer_tick));
         let shared = Arc::new(Shared {
             id: EXEC_IDS.fetch_add(1, Ordering::Relaxed),
             workers: (0..workers)
                 .map(|_| WorkerShared {
-                    queue: LocalQueue::new(config.local_capacity),
+                    queue: LocalQueue::default(),
                     parker: Parker::default(),
                     executed: AtomicU64::new(0),
                     stolen: AtomicU64::new(0),
@@ -333,7 +310,6 @@ impl Executor {
             spawned_total: AtomicU64::new(0),
             shed_total: AtomicU64::new(0),
             unpark_hint: AtomicUsize::new(0),
-            cpuset_hint: AtomicUsize::new(0),
         });
         let threads = (0..workers)
             .map(|index| {
@@ -366,14 +342,9 @@ impl Executor {
         self.shared.config.seed
     }
 
-    /// Index of the calling worker thread, if it belongs to this executor.
-    pub fn current_worker(&self) -> Option<usize> {
-        self.shared.current_worker()
-    }
-
-    fn spawn_task(&self, future: BoxFuture, cpuset: Option<CpuSet>) {
+    fn spawn_task(&self, future: BoxFuture) {
         let weak: Weak<dyn Schedule> = Arc::downgrade(&self.shared) as Weak<dyn Schedule>;
-        let task = TaskCore::new(future, cpuset, weak);
+        let task = TaskCore::new(future, weak);
         self.shared.spawned_total.fetch_add(1, Ordering::Relaxed);
         let now = self.shared.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
         self.shared.peak_in_flight.fetch_max(now, Ordering::AcqRel);
@@ -381,63 +352,37 @@ impl Executor {
         self.shared.enqueue(task);
     }
 
-    /// Spawns a detached unpinned future.
+    /// Spawns a detached future.
     pub fn spawn(&self, future: impl Future<Output = ()> + Send + 'static) {
-        self.spawn_task(Box::pin(future), None);
+        self.spawn_task(Box::pin(future));
     }
 
-    /// Submits a job group; the returned handle is the completion barrier.
-    pub fn submit_group(&self, jobs: Vec<GroupJob>, cpuset: Option<CpuSet>) -> GroupHandle {
-        self.submit_group_with(jobs, cpuset, None)
-    }
-
-    /// [`Executor::submit_group`] with an `on_complete` callback, run by
-    /// the last finishing job with the group's report.
-    pub fn submit_group_with(
+    /// Submits a job group, one task per job; the returned handle is the
+    /// completion barrier. `on_complete`, if any, is run by the last
+    /// finishing job with the group's report.
+    pub fn submit_group(
         &self,
         jobs: Vec<GroupJob>,
-        cpuset: Option<CpuSet>,
-        on_complete: Option<crate::group::OnComplete>,
+        on_complete: Option<OnComplete>,
     ) -> GroupHandle {
         let core = GroupCore::new(jobs.len(), on_complete);
         let handle = GroupHandle::new(Arc::clone(&core));
         for (index, job) in jobs.into_iter().enumerate() {
-            self.spawn_task(
-                Box::pin(MemberFuture::new(job, Arc::clone(&core), index)),
-                cpuset.clone(),
-            );
+            self.spawn_task(Box::pin(MemberFuture::new(job, Arc::clone(&core), index)));
         }
         handle
     }
 
     /// Runs `callback` after `delay` on the timer-driver thread. Used for
-    /// cold-start delays and warm-container keep-alive eviction.
-    pub fn schedule(
-        &self,
-        delay: Duration,
-        callback: impl FnOnce() + Send + 'static,
-    ) -> TimerHandle {
-        self.shared.timer.schedule(delay, Box::new(callback))
+    /// cold-start delays and warm-container keep-alive eviction. A timer
+    /// cannot be cancelled; a callback that finds its work gone returns.
+    pub fn schedule(&self, delay: Duration, callback: impl FnOnce() + Send + 'static) {
+        self.shared.timer.schedule(delay, Box::new(callback));
     }
 
     /// A leaf future completing after `delay`, driven by the timer wheel.
     pub fn sleep(&self, delay: Duration) -> Sleep {
         Sleep::new(Arc::clone(&self.shared.timer), delay)
-    }
-
-    /// Picks a cpuset of `max` workers (rotating the starting offset so
-    /// successive groups spread across the pool), or `None` when `max`
-    /// covers every worker — the executor-level mirror of Docker's
-    /// `cpu_count`/`cpuset_cpus`.
-    pub fn pick_cpuset(&self, max: usize) -> Option<CpuSet> {
-        let workers = self.workers();
-        if max == 0 || max >= workers {
-            return None;
-        }
-        let start = self.shared.cpuset_hint.fetch_add(max, Ordering::Relaxed);
-        Some(CpuSet::new(
-            (0..max).map(|i| (start + i) % workers).collect(),
-        ))
     }
 
     /// Current counters.
@@ -647,9 +592,8 @@ mod tests {
         let callbacks = Arc::new(AtomicUsize::new(0));
         let fired = Arc::clone(&callbacks);
         let report = exec
-            .submit_group_with(
+            .submit_group(
                 jobs,
-                None,
                 Some(Box::new(move |report: &GroupReport| {
                     assert_eq!(report.failed(), 1);
                     fired.fetch_add(1, Ordering::SeqCst);
@@ -665,51 +609,6 @@ mod tests {
         // The executor is still fully functional afterwards.
         let again = exec.submit_group((0..4).map(|_| GroupJob::blocking(|| {})).collect(), None);
         assert_eq!(again.wait().failed(), 0);
-    }
-
-    #[test]
-    fn cpuset_caps_group_parallelism() {
-        let exec = test_executor(4);
-        let cpuset = exec.pick_cpuset(2).expect("4 workers > cap 2");
-        assert_eq!(cpuset.len(), 2);
-        let allowed: Vec<usize> = cpuset.workers().to_vec();
-        let current = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let seen: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let jobs: Vec<GroupJob> = (0..8)
-            .map(|_| {
-                let (current, peak, seen) =
-                    (Arc::clone(&current), Arc::clone(&peak), Arc::clone(&seen));
-                let exec = Arc::clone(&exec);
-                GroupJob::blocking(move || {
-                    let now = current.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    if let Some(worker) = exec.current_worker() {
-                        seen.lock().expect("seen").push(worker);
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                    current.fetch_sub(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        let report = exec.submit_group(jobs, Some(cpuset)).wait();
-        assert_eq!(report.failed(), 0);
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "cpuset of 2 must cap parallelism at 2, saw {}",
-            peak.load(Ordering::SeqCst)
-        );
-        for worker in seen.lock().expect("seen").iter() {
-            assert!(allowed.contains(worker), "job ran off-cpuset on {worker}");
-        }
-    }
-
-    #[test]
-    fn pick_cpuset_none_when_cap_covers_pool() {
-        let exec = test_executor(2);
-        assert!(exec.pick_cpuset(2).is_none());
-        assert!(exec.pick_cpuset(0).is_none());
-        assert!(exec.pick_cpuset(1).is_some());
     }
 
     #[test]
@@ -741,16 +640,13 @@ mod tests {
 
     #[test]
     fn local_overflow_sheds_to_injector() {
-        let exec = Executor::new(ExecutorConfig {
-            workers: 2,
-            seed: 7,
-            local_capacity: 4,
-            ..ExecutorConfig::default()
-        });
+        // One worker: no thief drains the backlog while the task pushes.
+        let exec = test_executor(1);
         let (tx, rx) = mpsc::channel();
         let inner = Arc::clone(&exec);
+        let jobs = 2 * LOCAL_CAPACITY;
         exec.spawn(async move {
-            let jobs: Vec<GroupJob> = (0..64).map(|_| GroupJob::blocking(|| {})).collect();
+            let jobs: Vec<GroupJob> = (0..jobs).map(|_| GroupJob::blocking(|| {})).collect();
             tx.send(inner.submit_group(jobs, None)).expect("send");
         });
         let report = rx
@@ -760,7 +656,7 @@ mod tests {
         assert_eq!(report.failed(), 0);
         assert!(
             exec.metrics().shed_total > 0,
-            "64 local pushes past capacity 4 must shed to the injector"
+            "{jobs} local pushes past capacity {LOCAL_CAPACITY} must shed to the injector"
         );
     }
 
@@ -776,12 +672,11 @@ mod tests {
     fn timer_schedule_fires_callback() {
         let exec = test_executor(1);
         let (tx, rx) = mpsc::channel();
-        let handle = exec.schedule(Duration::from_millis(5), move || {
+        exec.schedule(Duration::from_millis(5), move || {
             tx.send(()).expect("send");
         });
         rx.recv_timeout(Duration::from_secs(5))
             .expect("timer fired");
-        assert!(handle.has_fired());
     }
 
     #[test]
@@ -798,9 +693,8 @@ mod tests {
             })
             .collect();
         let seen = Arc::clone(&ran);
-        exec.submit_group_with(
+        exec.submit_group(
             jobs,
-            None,
             Some(Box::new(move |report: &GroupReport| {
                 // The callback runs after every member, never before.
                 tx.send((seen.load(Ordering::SeqCst), report.failed()))

@@ -1,11 +1,11 @@
 //! Task groups: the executor-level unit a live container's batch maps onto.
 //!
-//! A group is a set of jobs submitted together, optionally pinned to a
-//! [`CpuSet`](crate::CpuSet). A **group-completion barrier** replaces the
-//! per-batch thread join of the old live backend: the submitter can block on
-//! [`GroupHandle::wait`], or attach an `on_complete` callback that the last
-//! finishing job runs (which is how the platform returns containers to the
-//! warm pool without dedicating a thread to each batch).
+//! A group is a set of jobs submitted together, one executor task per job.
+//! A **group-completion barrier** replaces the per-batch thread join of the
+//! old live backend: the submitter can block on [`GroupHandle::wait`], or
+//! pass an `on_complete` callback that the last finishing job runs (which
+//! is how the platform returns containers to the warm pool without
+//! dedicating a thread to each batch).
 //!
 //! Jobs come in two shapes ([`GroupJob`]): a **blocking** closure that
 //! occupies its worker for the duration (the paper's CPU-bound expanded

@@ -8,25 +8,27 @@
 //! Architecture (DESIGN.md §14):
 //!
 //! - **Per-worker local queues** (`queue`) — a LIFO slot for the freshest
-//!   task plus a soft-bounded FIFO deque; unpinned overflow sheds to the
-//!   global injector.
-//! - **Global injector** — unpinned tasks submitted from outside a worker
-//!   land here; idle workers refill from it in batches.
+//!   task plus a FIFO deque bounded at 256; overflow sheds its oldest task
+//!   to the global injector, and a thief takes the oldest half.
+//! - **Global injector** — tasks submitted from outside a worker land
+//!   here; idle workers refill from it in batches.
 //! - **Randomized stealing** ([`steal`]) — victim order is a Fisher–Yates
 //!   permutation drawn from the existing `simcore` [`DetRng`], forked
 //!   per-worker, so steal order is a pure function of `(seed, worker)` and
 //!   tests are reproducible.
 //! - **Hashed timer wheel** ([`timer`]) — O(1) insert, per-tick slot scan;
-//!   drives deadlines, cold-start delays, warm-container keep-alive, and
-//!   the [`Sleep`] leaf future.
+//!   drives cold-start delays, warm-container keep-alive and the [`Sleep`]
+//!   leaf future. A timer cannot be cancelled: its callback always runs.
 //! - **Parker/unparker** (`park`) — idle workers sleep on a condvar with
 //!   a lost-wakeup-free hand-off protocol.
 //! - **Task groups** ([`group`]) — a live container's batch becomes a group
-//!   of tasks pinned to a [`CpuSet`]; a group-completion barrier replaces
-//!   the per-batch thread join, and a panicking job fails only its own
-//!   invocation (typed [`JobError`]). The barrier is a countdown: it reads
-//!   no clock, records only failures, and wakes a waiter only when one is
-//!   blocked. Per-job timing belongs to the callers that want it.
+//!   of tasks, one per job; a group-completion barrier replaces the
+//!   per-batch thread join, and a panicking job fails only its own
+//!   invocation (typed [`JobError`]). How many tasks a batch becomes, and
+//!   so how many of its jobs run at once, is the caller's choice. The
+//!   barrier is a countdown: it reads no clock, records only failures, and
+//!   wakes a waiter only when one is blocked. Per-job timing belongs to the
+//!   callers that want it.
 //!
 //! No tokio, no new external dependencies: the `Future`/`Waker` layer is
 //! built on [`std::task::Wake`] and the whole crate forbids `unsafe`.
@@ -67,5 +69,4 @@ pub mod timer;
 
 pub use executor::{global_executor, Executor, ExecutorConfig, ExecutorMetrics};
 pub use group::{GroupHandle, GroupJob, GroupReport, JobError, OnComplete};
-pub use task::CpuSet;
-pub use timer::{Sleep, TimerHandle};
+pub use timer::Sleep;

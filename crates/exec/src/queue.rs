@@ -8,10 +8,9 @@
 //! - The **FIFO deque** holds the backlog. The owner pops from the front,
 //!   and thieves also steal from the front — oldest-first stealing moves the
 //!   coldest work, which is the work least likely to hit the owner's cache.
-//! - The deque is **soft-bounded**: unpinned overflow is shed to the global
-//!   injector so one flooded worker cannot hoard the whole backlog, while
-//!   pinned tasks (cpuset-restricted) are always accepted because the
-//!   injector cannot express their affinity.
+//! - The deque is **soft-bounded** at [`LOCAL_CAPACITY`]: an owner push past
+//!   it sheds the oldest entry to the global injector, so one flooded worker
+//!   cannot hoard the whole backlog. A thief takes the oldest half.
 //!
 //! Everything is a plain mutex-guarded `VecDeque`: this crate forbids
 //! `unsafe`, so the lock-free Chase–Lev array is out of reach — but at the
@@ -24,6 +23,10 @@ use crate::task::TaskCore;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+/// Soft bound on each worker's FIFO backlog; an owner push past it sheds
+/// the oldest entry to the injector.
+pub(crate) const LOCAL_CAPACITY: usize = 256;
+
 #[derive(Default)]
 struct LocalInner {
     lifo: Option<Arc<TaskCore>>,
@@ -31,42 +34,31 @@ struct LocalInner {
 }
 
 /// One worker's local queue.
+#[derive(Default)]
 pub(crate) struct LocalQueue {
     inner: Mutex<LocalInner>,
-    /// Soft bound on the FIFO backlog; unpinned pushes past it are shed.
-    capacity: usize,
 }
 
 impl LocalQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
-        LocalQueue {
-            inner: Mutex::new(LocalInner::default()),
-            capacity: capacity.max(1),
-        }
-    }
-
     /// Push from the owning worker: the task takes the LIFO slot, displacing
     /// any previous occupant to the back of the FIFO deque.
     ///
-    /// Returns an overflow task (the oldest unpinned entry) when the deque
-    /// exceeds its soft bound; the caller must route it to the injector.
+    /// Returns the oldest backlog entry when the deque exceeds
+    /// [`LOCAL_CAPACITY`]; the caller must route it to the injector.
     pub(crate) fn push_owner(&self, task: Arc<TaskCore>) -> Option<Arc<TaskCore>> {
         let mut inner = lock_unpoisoned(&self.inner);
         if let Some(displaced) = inner.lifo.replace(task) {
             inner.fifo.push_back(displaced);
         }
-        if inner.fifo.len() > self.capacity {
-            let unpinned_at = inner.fifo.iter().position(|t| t.cpuset().is_none());
-            if let Some(at) = unpinned_at {
-                return inner.fifo.remove(at);
-            }
+        if inner.fifo.len() > LOCAL_CAPACITY {
+            return inner.fifo.pop_front();
         }
         None
     }
 
-    /// Push from outside the owning worker (pinned dispatch or injector
-    /// refill). Goes to the back of the FIFO deque; never shed, because the
-    /// caller chose this worker deliberately.
+    /// Push from outside the owning worker (injector refill or a steal's
+    /// remainder). Goes to the back of the FIFO deque; never shed, because
+    /// the caller chose this worker deliberately.
     pub(crate) fn push_remote(&self, task: Arc<TaskCore>) {
         lock_unpoisoned(&self.inner).fifo.push_back(task);
     }
@@ -78,35 +70,12 @@ impl LocalQueue {
         inner.lifo.take().or_else(|| inner.fifo.pop_front())
     }
 
-    /// Steal up to half of the tasks runnable by `thief` (cpuset-eligible),
-    /// oldest first. The LIFO slot is never stolen — it is the owner's
-    /// cache-locality reserve.
-    pub(crate) fn steal_for(&self, thief: usize) -> Vec<Arc<TaskCore>> {
+    /// Steals the oldest half of the backlog, rounded up. The LIFO slot is
+    /// never stolen — it is the owner's cache-locality reserve.
+    pub(crate) fn steal(&self) -> Vec<Arc<TaskCore>> {
         let mut inner = lock_unpoisoned(&self.inner);
-        let eligible = inner
-            .fifo
-            .iter()
-            .filter(|t| t.cpuset().is_none_or(|set| set.allows(thief)))
-            .count();
-        if eligible == 0 {
-            return Vec::new();
-        }
-        let take = eligible.div_ceil(2);
-        let mut stolen = Vec::with_capacity(take);
-        let mut index = 0;
-        while stolen.len() < take && index < inner.fifo.len() {
-            let ok = inner.fifo[index]
-                .cpuset()
-                .is_none_or(|set| set.allows(thief));
-            if ok {
-                if let Some(task) = inner.fifo.remove(index) {
-                    stolen.push(task);
-                    continue; // same index now holds the next task
-                }
-            }
-            index += 1;
-        }
-        stolen
+        let take = inner.fifo.len().div_ceil(2);
+        inner.fifo.drain(..take).collect()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -120,7 +89,7 @@ impl LocalQueue {
     }
 }
 
-/// The global injector: unpinned tasks submitted from outside a worker, and
+/// The global injector: tasks submitted from outside a worker, and
 /// local-queue overflow.
 #[derive(Default)]
 pub(crate) struct Injector {
@@ -145,5 +114,103 @@ impl Injector {
 
     pub(crate) fn len(&self) -> usize {
         lock_unpoisoned(&self.inner).len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::task::Schedule;
+    use std::sync::Weak;
+
+    struct Unscheduled;
+
+    impl Schedule for Unscheduled {
+        fn reschedule(&self, _task: Arc<TaskCore>) {}
+        fn task_finished(&self) {}
+    }
+
+    fn tasks(n: usize) -> Vec<Arc<TaskCore>> {
+        (0..n)
+            .map(|_| TaskCore::new(Box::pin(async {}), Weak::<Unscheduled>::new()))
+            .collect()
+    }
+
+    fn same(a: &[Arc<TaskCore>], b: &[Arc<TaskCore>]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+    }
+
+    /// Owner-pushes `tasks` in order; the last one holds the LIFO slot.
+    fn owned(tasks: &[Arc<TaskCore>]) -> LocalQueue {
+        let queue = LocalQueue::default();
+        for task in tasks {
+            assert!(queue.push_owner(Arc::clone(task)).is_none());
+        }
+        queue
+    }
+
+    #[test]
+    fn an_owner_push_displaces_the_slot_to_the_back_of_the_fifo() {
+        let t = tasks(3);
+        let queue = owned(&t);
+        let order: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
+        assert!(same(&order, &[t[2].clone(), t[0].clone(), t[1].clone()]));
+    }
+
+    #[test]
+    fn a_push_past_the_bound_sheds_the_oldest_backlog_entry() {
+        // The slot plus a full backlog, then one more push.
+        let t = tasks(LOCAL_CAPACITY + 2);
+        let queue = owned(&t[..=LOCAL_CAPACITY]);
+        let shed = queue
+            .push_owner(Arc::clone(&t[LOCAL_CAPACITY + 1]))
+            .expect("the backlog is past its bound");
+        assert!(Arc::ptr_eq(&shed, &t[0]));
+        assert_eq!(queue.len(), LOCAL_CAPACITY + 1);
+    }
+
+    #[test]
+    fn steal_takes_the_oldest_half_rounded_up_and_never_the_slot() {
+        // Five in the backlog, one in the slot: a thief takes three.
+        let t = tasks(6);
+        let queue = owned(&t);
+        assert!(same(&queue.steal(), &t[..3]));
+        assert!(same(&queue.steal(), &t[3..4]));
+        assert!(same(&queue.steal(), &t[4..5]));
+        assert!(queue.steal().is_empty(), "only the slot is left");
+        assert!(Arc::ptr_eq(&queue.pop().expect("the slot"), &t[5]));
+    }
+
+    #[test]
+    fn len_and_is_empty_count_the_slot() {
+        let queue = LocalQueue::default();
+        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
+        let t = tasks(2);
+        queue.push_owner(Arc::clone(&t[0]));
+        assert!(!queue.is_empty());
+        assert_eq!(queue.len(), 1);
+        queue.push_owner(Arc::clone(&t[1]));
+        assert_eq!(queue.len(), 2);
+        queue.pop();
+        queue.pop();
+        assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn pop_batch_is_bounded_by_what_the_injector_holds() {
+        let injector = Injector::default();
+        assert!(injector.pop_batch(4).is_empty());
+        let t = tasks(3);
+        for task in &t {
+            injector.push(Arc::clone(task));
+        }
+        assert_eq!(injector.len(), 3);
+        assert!(same(&injector.pop_batch(0), &t[..1]), "at least one");
+        assert!(
+            same(&injector.pop_batch(8), &t[1..]),
+            "never more than held"
+        );
+        assert!(injector.is_empty());
     }
 }

@@ -19,68 +19,12 @@
 use crate::park::lock_unpoisoned;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
 /// A boxed future as stored inside a task.
 pub(crate) type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
-
-/// The set of workers a task (or task group) may run on.
-///
-/// This is the executor-level analogue of Docker's `cpu_count` /
-/// `cpuset_cpus` knobs that the paper's Inline-Parallel Producer relies on:
-/// a batch pinned to a cpuset of size `n` can have at most `n` member jobs
-/// running simultaneously, because each worker runs one task at a time.
-#[derive(Clone, Debug)]
-pub struct CpuSet {
-    workers: Arc<Vec<usize>>,
-    /// Round-robin cursor for spreading pinned dispatch across the set.
-    cursor: Arc<AtomicUsize>,
-}
-
-impl CpuSet {
-    /// Builds a cpuset from worker indices (deduplicated, order-insensitive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is empty.
-    pub fn new(mut workers: Vec<usize>) -> Self {
-        workers.sort_unstable();
-        workers.dedup();
-        assert!(!workers.is_empty(), "cpuset must name at least one worker");
-        CpuSet {
-            workers: Arc::new(workers),
-            cursor: Arc::new(AtomicUsize::new(0)),
-        }
-    }
-
-    /// Whether `worker` belongs to this set.
-    pub fn allows(&self, worker: usize) -> bool {
-        self.workers.binary_search(&worker).is_ok()
-    }
-
-    /// Number of workers in the set.
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// A cpuset is never empty; provided for clippy's `len`/`is_empty` pair.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The worker indices, sorted ascending.
-    pub fn workers(&self) -> &[usize] {
-        &self.workers
-    }
-
-    /// Next dispatch target, rotating round-robin through the set.
-    pub(crate) fn next_target(&self) -> usize {
-        let at = self.cursor.fetch_add(1, Ordering::Relaxed);
-        self.workers[at % self.workers.len()]
-    }
-}
 
 const IDLE: u8 = 0;
 const QUEUED: u8 = 1;
@@ -97,32 +41,22 @@ pub(crate) trait Schedule: Send + Sync {
     fn task_finished(&self);
 }
 
-/// One spawned task: the future, its scheduling state, and its affinity.
+/// One spawned task: the future and its scheduling state.
 pub(crate) struct TaskCore {
     future: Mutex<Option<BoxFuture>>,
     state: AtomicU8,
-    cpuset: Option<CpuSet>,
     scheduler: Weak<dyn Schedule>,
 }
 
 impl TaskCore {
     /// Creates a task in the `IDLE` state; the caller transitions it to
     /// `QUEUED` via [`TaskCore::transition_to_queued`] before enqueueing.
-    pub(crate) fn new(
-        future: BoxFuture,
-        cpuset: Option<CpuSet>,
-        scheduler: Weak<dyn Schedule>,
-    ) -> Arc<Self> {
+    pub(crate) fn new(future: BoxFuture, scheduler: Weak<dyn Schedule>) -> Arc<Self> {
         Arc::new(TaskCore {
             future: Mutex::new(Some(future)),
             state: AtomicU8::new(IDLE),
-            cpuset,
             scheduler,
         })
-    }
-
-    pub(crate) fn cpuset(&self) -> Option<&CpuSet> {
-        self.cpuset.as_ref()
     }
 
     /// Marks a freshly created task as queued (pre-enqueue).
@@ -218,33 +152,5 @@ impl Wake for TaskCore {
                 _ => return,
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cpuset_dedups_and_sorts() {
-        let set = CpuSet::new(vec![3, 1, 3, 0]);
-        assert_eq!(set.workers(), &[0, 1, 3]);
-        assert_eq!(set.len(), 3);
-        assert!(set.allows(1));
-        assert!(!set.allows(2));
-        assert!(!set.is_empty());
-    }
-
-    #[test]
-    fn cpuset_round_robins_targets() {
-        let set = CpuSet::new(vec![2, 5]);
-        let firsts: Vec<usize> = (0..4).map(|_| set.next_target()).collect();
-        assert_eq!(firsts, vec![2, 5, 2, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn empty_cpuset_panics() {
-        let _ = CpuSet::new(Vec::new());
     }
 }

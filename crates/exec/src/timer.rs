@@ -17,7 +17,7 @@
 use crate::park::lock_unpoisoned;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
@@ -25,49 +25,9 @@ use std::time::{Duration, Instant};
 /// A timer callback, run on the driver thread when the deadline passes.
 pub(crate) type TimerCallback = Box<dyn FnOnce() + Send + 'static>;
 
-const PENDING: u8 = 0;
-const CANCELLED: u8 = 1;
-const FIRED: u8 = 2;
-
-/// Handle to a scheduled timer; cancel is race-free against firing.
-#[derive(Clone, Debug)]
-pub struct TimerHandle {
-    state: Arc<AtomicU8>,
-}
-
-impl TimerHandle {
-    fn new() -> Self {
-        TimerHandle {
-            state: Arc::new(AtomicU8::new(PENDING)),
-        }
-    }
-
-    /// Cancels the timer. Returns `true` if the cancel won the race (the
-    /// callback will never run), `false` if it already fired or was
-    /// already cancelled.
-    pub fn cancel(&self) -> bool {
-        self.state
-            .compare_exchange(PENDING, CANCELLED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Whether the callback has already run (or begun running).
-    pub fn has_fired(&self) -> bool {
-        self.state.load(Ordering::Acquire) == FIRED
-    }
-
-    /// Claims the right to fire; only the driver calls this.
-    fn claim_fire(&self) -> bool {
-        self.state
-            .compare_exchange(PENDING, FIRED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-}
-
 pub(crate) struct TimerEntry {
     deadline_ticks: u64,
     seq: u64,
-    handle: TimerHandle,
     callback: TimerCallback,
 }
 
@@ -94,9 +54,8 @@ impl TimerWheel {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Entries currently occupying the wheel, cancelled ones included
-    /// (they hold slot memory until their deadline's drain). Walks every
-    /// slot lock — snapshot/scrape cost, not hot-path cost.
+    /// Entries currently occupying the wheel. Walks every slot lock —
+    /// snapshot/scrape cost, not hot-path cost.
     pub(crate) fn occupancy(&self) -> usize {
         self.slots
             .iter()
@@ -132,13 +91,11 @@ impl TimerWheel {
     }
 
     /// Schedules `callback` to run after `delay` (rounded up to the tick).
-    pub(crate) fn schedule(&self, delay: Duration, callback: TimerCallback) -> TimerHandle {
+    pub(crate) fn schedule(&self, delay: Duration, callback: TimerCallback) {
         let deadline_ticks = self.delay_to_deadline(delay);
-        let handle = TimerHandle::new();
         let entry = TimerEntry {
             deadline_ticks,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            handle: handle.clone(),
             callback,
         };
         let slot = (deadline_ticks % self.slots.len() as u64) as usize;
@@ -149,11 +106,10 @@ impl TimerWheel {
             driver.next_wake_tick = Some(deadline_ticks);
             self.cvar.notify_all();
         }
-        handle
     }
 
     /// Removes every entry due at or before `now_ticks`, sorted by
-    /// `(deadline, schedule order)` with cancelled entries dropped.
+    /// `(deadline, schedule order)`.
     /// Separated from the driver loop so tests can drain deterministically.
     pub(crate) fn drain_due(&self, now_ticks: u64) -> Vec<TimerEntry> {
         let mut due = Vec::new();
@@ -169,7 +125,6 @@ impl TimerWheel {
             }
         }
         due.sort_by_key(|e| (e.deadline_ticks, e.seq));
-        due.retain(|e| e.handle.state.load(Ordering::Acquire) == PENDING);
         due
     }
 
@@ -177,22 +132,14 @@ impl TimerWheel {
     fn min_pending(&self) -> Option<u64> {
         self.slots
             .iter()
-            .filter_map(|slot| {
-                lock_unpoisoned(slot)
-                    .iter()
-                    .filter(|e| e.handle.state.load(Ordering::Acquire) == PENDING)
-                    .map(|e| e.deadline_ticks)
-                    .min()
-            })
+            .filter_map(|slot| lock_unpoisoned(slot).iter().map(|e| e.deadline_ticks).min())
             .min()
     }
 
     /// Fires one batch of due entries; callbacks run on the calling thread.
     pub(crate) fn fire(entries: Vec<TimerEntry>) {
         for entry in entries {
-            if entry.handle.claim_fire() {
-                (entry.callback)();
-            }
+            (entry.callback)();
         }
     }
 
@@ -344,40 +291,6 @@ mod tests {
         );
         TimerWheel::fire(wheel.drain_due(20));
         assert_eq!(*log.lock().expect("log lock"), vec![3, 11]);
-    }
-
-    #[test]
-    fn cancelled_timers_do_not_fire() {
-        let wheel = TimerWheel::new(8, Duration::from_millis(1));
-        let fired = Arc::new(AtomicUsize::new(0));
-        let make = |fired: &Arc<AtomicUsize>| {
-            let fired = Arc::clone(fired);
-            Box::new(move || {
-                fired.fetch_add(1, Ordering::SeqCst);
-            }) as TimerCallback
-        };
-        let keep = wheel.schedule(Duration::from_millis(30), make(&fired));
-        let drop_me = wheel.schedule(Duration::from_millis(10), make(&fired));
-        assert!(drop_me.cancel(), "first cancel wins");
-        assert!(!drop_me.cancel(), "second cancel is a no-op");
-        TimerWheel::fire(wheel.drain_due(1_000));
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(keep.has_fired());
-        assert!(!drop_me.has_fired());
-        assert!(!keep.cancel(), "cancelling after firing loses the race");
-    }
-
-    #[test]
-    fn min_pending_skips_cancelled() {
-        let wheel = TimerWheel::new(8, Duration::from_millis(1));
-        let early = wheel.schedule(Duration::from_millis(5), Box::new(|| {}));
-        let _late = wheel.schedule(Duration::from_millis(50), Box::new(|| {}));
-        early.cancel();
-        let min = wheel.min_pending().expect("one pending timer");
-        assert!(
-            min >= 50,
-            "min pending should be the 50 ms entry, got {min}"
-        );
     }
 
     #[test]

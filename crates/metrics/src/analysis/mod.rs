@@ -5,7 +5,7 @@
 //! answers *where the time went* and *why one run beats another* — the
 //! paper's headline claims (batching removes cold starts, expansion removes
 //! queueing, the multiplexer removes client-creation latency) are exactly
-//! such claims. Four submodules:
+//! such claims. Three submodules:
 //!
 //! * [`attribution`] — folds a [`SimEvent`](crate::events::SimEvent) stream
 //!   (live, as a [`TraceSink`](crate::events::TraceSink), or offline from a
@@ -14,11 +14,9 @@
 //!   extraction (DESIGN.md §13);
 //! * [`diff`] — aligns two attributed runs by invocation id and explains
 //!   the latency delta phase by phase (`faasbatch trace-diff`);
-//! * [`load`] — typed-error JSONL loading for offline analysis;
-//! * [`compare`] — the paper-style "X reduces Y by Z %" report comparisons.
+//! * [`load`] — typed-error JSONL loading for offline analysis.
 
 pub mod attribution;
-pub mod compare;
 pub mod diff;
 pub mod load;
 
@@ -26,6 +24,5 @@ pub use attribution::{
     AttributionEngine, AttributionReport, FunctionPhaseSummary, InvocationAttribution, Phase,
     PhaseBreakdown,
 };
-pub use compare::{against_all, Comparison};
 pub use diff::{diff_reports, InvocationDelta, PhaseDelta, QuantileShift, TraceDiff};
 pub use load::{load_events, parse_events, TraceLoadError};

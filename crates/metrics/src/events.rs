@@ -160,15 +160,6 @@ pub enum EventKind {
         /// What the task computes.
         task: TaskKind,
     },
-    /// A CPU task was preempted.
-    ///
-    /// The current CPU model is processor-sharing, which slows tasks down
-    /// instead of descheduling them, so this is never emitted today; it is
-    /// reserved for a future quantum-based model.
-    TaskPreempt {
-        /// What the task computes.
-        task: TaskKind,
-    },
     /// A CPU task retired all of its work.
     TaskFinish {
         /// What the task computed.
@@ -347,7 +338,6 @@ impl EventKind {
             EventKind::RestoreDone { .. } => "RestoreDone",
             EventKind::ContainerStateChange { .. } => "ContainerStateChange",
             EventKind::TaskStart { .. } => "TaskStart",
-            EventKind::TaskPreempt { .. } => "TaskPreempt",
             EventKind::TaskFinish { .. } => "TaskFinish",
             EventKind::ExecBegin { .. } => "ExecBegin",
             EventKind::ExecEnd { .. } => "ExecEnd",
@@ -964,7 +954,7 @@ impl TraceSink for AuditorSink {
             EventKind::ScaleKeepAlive { keep_alive, .. } if keep_alive.is_zero() => {
                 self.violate(at, || "scale action set a zero keep-alive TTL".to_owned());
             }
-            EventKind::TaskPreempt { task } | EventKind::TaskFinish { task } => {
+            EventKind::TaskFinish { task } => {
                 let open = self.open_tasks.entry(*task).or_insert(0);
                 if *open == 0 {
                     self.violate(at, || format!("task {task:?} finished without starting"));
@@ -1199,7 +1189,7 @@ pub fn chrome_trace_to(events: &[SimEvent], out: &mut dyn Write) -> std::io::Res
             EventKind::TaskStart { task } => {
                 open_tasks.insert(*task, event.at);
             }
-            EventKind::TaskFinish { task } | EventKind::TaskPreempt { task } => {
+            EventKind::TaskFinish { task } => {
                 if let Some(begin) = open_tasks.remove(task) {
                     let dur = ts - begin.as_micros();
                     let (name, args) = task_name_args(task);
@@ -1977,7 +1967,7 @@ mod tests {
             EventKind::TaskStart {
                 task: TaskKind::Decision { batch: 5 },
             },
-            EventKind::TaskPreempt {
+            EventKind::TaskFinish {
                 task: TaskKind::ColdBoot { batch: 5 },
             },
             EventKind::TaskFinish {

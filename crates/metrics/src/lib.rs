@@ -74,9 +74,9 @@ pub mod telemetry;
 pub mod timeline;
 
 pub use analysis::{
-    against_all, diff_reports, load_events, parse_events, AttributionEngine, AttributionReport,
-    Comparison, FunctionPhaseSummary, InvocationAttribution, InvocationDelta, Phase,
-    PhaseBreakdown, PhaseDelta, QuantileShift, TraceDiff, TraceLoadError,
+    diff_reports, load_events, parse_events, AttributionEngine, AttributionReport,
+    FunctionPhaseSummary, InvocationAttribution, InvocationDelta, Phase, PhaseBreakdown,
+    PhaseDelta, QuantileShift, TraceDiff, TraceLoadError,
 };
 pub use autoscaler::{Autoscaler, AutoscalerConfig, AutoscalerStats, PrewarmTier, ScaleAction};
 pub use events::{
