@@ -21,17 +21,18 @@
 //!   The sharded gateway (`faasbatch-gateway`) runs the same queue per
 //!   shard over a fleet of cores.
 //!
-//! Each dispatched batch becomes one executor **task group**
-//! ([`faasbatch_exec::GroupJob`]s behind a completion barrier), so one
-//! process multiplexes every in-flight batch over a fixed worker pool
-//! instead of spawning a thread per invocation; cold-start and restore
-//! delays and warm-pool keep-alive expiry ride the executor's timer wheel
-//! rather than sleeping threads.
+//! Each dispatched batch becomes plain executor tasks that count
+//! themselves down on the batch's own `Group`, so one process
+//! multiplexes every in-flight batch over a fixed worker pool instead of
+//! spawning a thread per invocation;
+//! cold-start and restore delays and warm-pool keep-alive expiry ride the
+//! executor's timer wheel rather than sleeping threads.
 //!
 //! A group of `n` members is `min(n, workers)` tasks, not `n`: contiguous
 //! runs whose sizes differ by at most one, each running its members back
 //! to back — the paper's expansion capped at the container's `cpu_count`,
-//! with the executor's worker count as that cap. Every member keeps its own
+//! with the executor's worker count as that cap. The last run to finish,
+//! on its own worker, runs the batch epilogue. Every member keeps its own
 //! group index, panic boundary, [`InvokeOutcome`] and exec events. The
 //! price is skew: a slow member delays the rest of its run, where one task
 //! per member would have let an idle worker steal them (DESIGN.md §14).
@@ -53,7 +54,7 @@ use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
 use faasbatch_container::pool::WarmPool;
 use faasbatch_container::snapshot::{EvictionPolicy, SnapshotCache, SnapshotConfig};
 use faasbatch_container::spec::RestoreModel;
-use faasbatch_exec::{global_executor, Executor, GroupJob, GroupReport};
+use faasbatch_exec::{global_executor, Executor};
 use faasbatch_metrics::events::{EventKind, TaskKind};
 use faasbatch_metrics::live::LiveTraceRecorder;
 use faasbatch_metrics::telemetry::MetricRegistry;
@@ -63,7 +64,7 @@ use faasbatch_storage::object_store::ObjectStore;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -803,12 +804,17 @@ impl CoreShared {
             }
         }
         self.pending.enter();
+        let size = members.len();
         let group = Arc::new(Group {
             core: Arc::clone(self),
+            sdk_creations_before: env.sdk.total_creations() as u64,
             env,
             function,
             batch,
             tier,
+            size,
+            runs_left: AtomicUsize::new(size.min(self.executor.workers()).max(1)),
+            on_done: Mutex::new(on_done),
         });
         // A start delay rides the timer wheel: the ready events are emitted
         // in the callback *before* the group is submitted, so
@@ -816,7 +822,7 @@ impl CoreShared {
         // of the batch.
         let start = move || {
             group.mark_ready();
-            group.submit(members, on_done);
+            group.submit(members);
         };
         if tier == StartTier::Warm {
             return start();
@@ -866,13 +872,37 @@ impl CoreShared {
 }
 
 /// One dispatched batch from decision to epilogue: its container and how it
-/// started, on the worker whose state the finishing side updates.
+/// started, on the worker whose state the finishing side updates. It is
+/// also the batch's completion count: each run holds a [`RunGuard`], and
+/// the last guard to drop runs [`Group::finish`].
 struct Group {
     core: Arc<CoreShared>,
     env: Arc<ContainerEnv>,
     function: usize,
     batch: u64,
     tier: StartTier,
+    size: usize,
+    /// The container's SDK-creation count when the batch took it, read while
+    /// the container is still exclusively checked out to it.
+    sdk_creations_before: u64,
+    /// Runs not yet finished; `min(size, workers)`, at least one.
+    runs_left: AtomicUsize,
+    on_done: Mutex<Option<GroupDone>>,
+}
+
+/// One run's share of its group's completion count. Dropped when the run
+/// returns — or unwinds, or is dropped unrun by a stopping executor — so a
+/// batch always finishes exactly once, after its last run.
+struct RunGuard(Arc<Group>);
+
+impl Drop for RunGuard {
+    fn drop(&mut self) {
+        // AcqRel: the run that reaches zero sees every other run's members
+        // done before it finishes the batch.
+        if self.0.runs_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.0.finish();
+        }
+    }
 }
 
 impl Group {
@@ -919,49 +949,39 @@ impl Group {
         });
     }
 
-    /// The batch becomes one executor task group of at most one run per
-    /// worker: `min(n, workers)` contiguous runs whose sizes differ by at
-    /// most one, each running its members back to back under their own
-    /// group indices. The barrier's `on_complete` — run by the last
-    /// finishing run on its worker — is the finishing step (no per-batch
-    /// join thread).
+    /// The batch becomes at most one plain executor task per worker:
+    /// `min(n, workers)` contiguous runs whose sizes differ by at most one,
+    /// each running its members back to back under their own group indices
+    /// and counting itself down when it ends ([`RunGuard`]). The last run
+    /// to end finishes the batch on its worker (no per-batch join thread).
     ///
     /// A one-member run carries its job by value. A longer run owns an
-    /// exact-size slice drained off the tail of `members`, never `members`
-    /// itself: the grouping buffer is freed here, on the thread that
-    /// allocated it, not on a worker (EXPERIMENTS.md, "Runs per worker").
-    fn submit(self: Arc<Self>, mut members: Vec<RemoteJob>, on_done: Option<GroupDone>) {
-        let n = members.len();
-        let sdk_creations_before = self.env.sdk.total_creations() as u64;
-        let executor = Arc::clone(&self.core.executor);
-        let runs = n.min(executor.workers()).max(1);
-        let (base, longer) = (n / runs, n % runs);
-        // Runs are carved off the tail, so no member is moved twice; they
-        // are submitted in member order.
-        let mut jobs: Vec<GroupJob> = (0..runs)
-            .rev()
-            .map(|run| {
-                let first = run * base + run.min(longer);
-                let group = Arc::clone(&self);
-                if members.len() - first == 1 {
-                    let job = members.pop().expect("a run holds a member");
-                    return GroupJob::blocking(move || group.run_member(first as u32, job));
-                }
-                let jobs: Box<[RemoteJob]> = members.drain(first..).collect();
-                GroupJob::blocking(move || {
+    /// exact-size slice drained off `members`, never `members` itself: the
+    /// grouping buffer is freed here, on the thread that allocated it, not
+    /// on a worker (EXPERIMENTS.md, "Runs per worker").
+    fn submit(self: Arc<Self>, mut members: Vec<RemoteJob>) {
+        let runs = self.runs_left.load(Ordering::Relaxed);
+        let (base, longer) = (self.size / runs, self.size % runs);
+        let executor = &self.core.executor;
+        // One drain in member order moves every member exactly once.
+        let mut rest = members.drain(..);
+        let mut first = 0;
+        for run in 0..runs {
+            let len = base + usize::from(run < longer);
+            let guard = RunGuard(Arc::clone(&self));
+            if len == 1 {
+                let job = rest.next().expect("a run holds a member");
+                executor.spawn(async move { guard.0.run_member(first as u32, job) });
+            } else {
+                let jobs: Box<[RemoteJob]> = rest.by_ref().take(len).collect();
+                executor.spawn(async move {
                     for (member, job) in (first as u32..).zip(jobs.into_vec()) {
-                        group.run_member(member, job);
+                        guard.0.run_member(member, job);
                     }
-                })
-            })
-            .collect();
-        jobs.reverse();
-        executor.submit_group(
-            jobs,
-            Some(Box::new(move |_report: &GroupReport| {
-                self.finish(n as u64, sdk_creations_before, on_done);
-            })),
-        );
+                });
+            }
+            first += len;
+        }
     }
 
     /// One batch member: runs the handler with the panic boundary, reports
@@ -1008,18 +1028,20 @@ impl Group {
         });
     }
 
-    /// The batch epilogue: fold client/invocation counters into the worker
-    /// stats, release the container back to the warm pool, and (when
-    /// keep-alive is on) arm the expiry timer.
-    fn finish(&self, batch_size: u64, sdk_creations_before: u64, on_done: Option<GroupDone>) {
+    /// The batch epilogue, run once by its last run: fold client/invocation
+    /// counters into the worker stats, release the container back to the
+    /// warm pool, and (when keep-alive is on) arm the expiry timer.
+    fn finish(&self) {
         let core = &self.core;
-        let created = self.env.sdk.total_creations() as u64 - sdk_creations_before;
+        let created = self.env.sdk.total_creations() as u64 - self.sdk_creations_before;
         core.stats
             .clients_created
             .fetch_add(created, Ordering::Relaxed);
+        // Release: whoever reads this count with `Acquire` (the gateway's
+        // in-flight count) also sees the admissions of these members.
         core.stats
             .invocations
-            .fetch_add(batch_size, Ordering::Relaxed);
+            .fetch_add(self.size as u64, Ordering::Release);
         core.emit(EventKind::ContainerStateChange {
             container: self.container(),
             from: Some(ContainerState::Busy),
@@ -1033,8 +1055,13 @@ impl Group {
         if let Some(ttl) = core.keep_alive {
             core.arm_reaper(self.function_id(), now + SimDuration::from(ttl));
         }
+        let on_done = self
+            .on_done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
         if let Some(on_done) = on_done {
-            on_done(batch_size as usize);
+            on_done(self.size);
         }
         core.pending.exit();
     }
@@ -2004,6 +2031,59 @@ mod tests {
         assert_eq!(ran.len(), 10);
         assert_eq!(*done.lock().unwrap(), [10], "on_done fires once");
         assert_eq!(exec.metrics().spawned_total, 2);
+    }
+
+    /// A batch is its own completion count: whichever run ends last
+    /// finishes it, once, after every member's handler ran and its reply
+    /// landed — for groups smaller than, as large as and larger than the
+    /// pool.
+    #[test]
+    fn a_batch_finishes_once_after_its_last_run() {
+        for workers in [1, 2, 4] {
+            let exec = Executor::new(ExecutorConfig {
+                workers,
+                seed: 32,
+                ..ExecutorConfig::default()
+            });
+            let ran = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&ran);
+            let platform = PlatformBuilder::new()
+                .window(Duration::from_secs(3600))
+                .cold_start_delay(Duration::ZERO)
+                .executor(Arc::clone(&exec))
+                .register("count", move |_env| {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                })
+                .start();
+            let sizes = [1, workers - 1, workers, workers + 1, 1_000];
+            // Per group: (size passed to `on_done`, handlers run by then,
+            // replies landed by then).
+            let finished = Arc::new(Mutex::new(Vec::new()));
+            for size in sizes {
+                let before = ran.load(Ordering::SeqCst);
+                let (members, tickets) = indexed_jobs(platform.ids(), size);
+                let slots: Vec<Arc<ReplySlot>> =
+                    tickets.iter().map(|t| Arc::clone(&t.slot)).collect();
+                let (ran, finished) = (Arc::clone(&ran), Arc::clone(&finished));
+                let on_done: GroupDone = Box::new(move |n| {
+                    let replied = slots.iter().filter(|s| s.lock().outcome.is_some()).count();
+                    let handled = ran.load(Ordering::SeqCst) - before;
+                    finished.lock().unwrap().push((n, handled, replied));
+                });
+                platform.submit_group(0, members, Some(on_done)).unwrap();
+                platform.drain().unwrap();
+                for ticket in tickets {
+                    assert!(!ticket.wait().panicked, "group of {size}");
+                }
+            }
+            let expected: Vec<_> = sizes.iter().map(|&n| (n, n, n)).collect();
+            assert_eq!(*finished.lock().unwrap(), expected, "{workers} workers");
+            assert_eq!(
+                platform.stats().invocations.load(Ordering::Relaxed),
+                sizes.iter().sum::<usize>() as u64,
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

@@ -66,22 +66,45 @@ struct ShardCounters {
     routed_groups: AtomicU64,
 }
 
-/// Live counters shared by the front door, the shard dispatchers, and the
-/// group-completion callbacks.
+/// Live counters shared by the front door and the shard dispatchers.
+///
+/// In flight is admitted minus completed: `entered` counts admissions, and
+/// completions are the workers' own [`PlatformStats::invocations`], bumped
+/// once per finished batch, so a group needs no callback into the gateway.
 #[derive(Debug)]
 struct GatewayStats {
     shards: Vec<ShardCounters>,
-    in_flight: AtomicUsize,
+    /// Invocations ever admitted ([`GatewayStats::enter`]).
+    entered: AtomicUsize,
     peak_in_flight: AtomicUsize,
+    cores: Arc<Vec<DispatchCore>>,
 }
 
 impl GatewayStats {
-    fn new(shards: usize) -> GatewayStats {
+    fn new(shards: usize, cores: Arc<Vec<DispatchCore>>) -> GatewayStats {
         GatewayStats {
             shards: (0..shards).map(|_| ShardCounters::default()).collect(),
-            in_flight: AtomicUsize::new(0),
+            entered: AtomicUsize::new(0),
             peak_in_flight: AtomicUsize::new(0),
+            cores,
         }
+    }
+
+    /// Invocations completed on every worker. `Acquire` pairs with the
+    /// `Release` bump at the end of a batch, so an admission count read
+    /// after this one includes every member it counts.
+    fn completed(&self) -> usize {
+        self.cores
+            .iter()
+            .map(|core| core.stats().invocations.load(Ordering::Acquire) as usize)
+            .sum()
+    }
+
+    /// Invocations admitted but not yet completed. Completions are read
+    /// first, so the difference cannot go below zero.
+    fn in_flight(&self) -> usize {
+        let completed = self.completed();
+        self.entered.load(Ordering::Relaxed) - completed
     }
 
     /// One invocation admitted to `shard`'s queue: it is now in flight
@@ -89,18 +112,12 @@ impl GatewayStats {
     /// before the job is visible to the shard ([`Gateway::invoke`]).
     fn enter(&self, shard: usize) {
         self.shards[shard].enqueued.fetch_add(1, Ordering::Relaxed);
-        let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut peak = self.peak_in_flight.load(Ordering::Relaxed);
-        while now > peak {
-            match self.peak_in_flight.compare_exchange_weak(
-                peak,
-                now,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(observed) => peak = observed,
-            }
+        let completed = self.completed();
+        let now = self.entered.fetch_add(1, Ordering::Relaxed) + 1 - completed;
+        // A plain load first: once the peak is reached, most admissions
+        // are below it and skip the read-modify-write.
+        if now > self.peak_in_flight.load(Ordering::Relaxed) {
+            self.peak_in_flight.fetch_max(now, Ordering::Relaxed);
         }
     }
 
@@ -118,14 +135,6 @@ impl GatewayStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A routed group of `n` members completed on its worker. Its members
-    /// entered before they became visible to a shard, so the count cannot
-    /// go below zero.
-    fn finish(&self, n: usize) {
-        let before = self.in_flight.fetch_sub(n, Ordering::Relaxed);
-        debug_assert!(before >= n, "in_flight {before} - {n} underflows");
-    }
-
     fn snapshot(&self) -> GatewaySnapshot {
         GatewaySnapshot {
             shards: self
@@ -138,7 +147,7 @@ impl GatewayStats {
                     routed_groups: s.routed_groups.load(Ordering::Relaxed),
                 })
                 .collect(),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
+            in_flight: self.in_flight(),
             peak_in_flight: self.peak_in_flight.load(Ordering::Relaxed),
         }
     }
@@ -324,7 +333,7 @@ impl GatewayBuilder {
         }
         let cores = Arc::new(DispatchCore::fleet(cores, self.workers));
         let table = Arc::clone(cores[0].functions());
-        let stats = Arc::new(GatewayStats::new(self.shards));
+        let stats = Arc::new(GatewayStats::new(self.shards, Arc::clone(&cores)));
         let router = Arc::new(Mutex::new(Router::new(self.policy.build(), self.workers)));
         let queues: Vec<Arc<WindowQueue>> = (0..self.shards)
             .map(|_| Arc::new(WindowQueue::new(self.shard_depth)))
@@ -376,7 +385,7 @@ fn register_gateway(
     registry.gauge_fn(
         "faasbatch_gateway_in_flight",
         "Invocations admitted and not yet completed on a worker.",
-        move || s.in_flight.load(Ordering::Relaxed) as i64,
+        move || s.in_flight() as i64,
     );
     let s = Arc::clone(stats);
     registry.gauge_fn(
@@ -477,12 +486,7 @@ impl ShardDispatcher {
                     });
                 }
                 self.stats.routed(self.shard as usize);
-                let stats = Arc::clone(&self.stats);
-                self.cores[worker].dispatch(
-                    function,
-                    members,
-                    Some(Box::new(move |n| stats.finish(n))),
-                );
+                self.cores[worker].dispatch(function, members, None);
                 if let Some((hist, started)) = timed {
                     hist.record(started.elapsed().as_micros() as u64);
                 }
@@ -546,8 +550,8 @@ impl Gateway {
         }
         let (job, ticket) = RemoteJob::new(invocation, payload);
         // Counted in flight before the job is visible: once it is, the shard
-        // thread may dispatch it and its group finish (`GatewayStats::finish`)
-        // before `try_push_job` even returns.
+        // thread may dispatch it and its group finish before `try_push_job`
+        // even returns.
         let pushed = self.queues[shard as usize].try_push_job(idx, job, || {
             if let Some(recorder) = &self.recorder {
                 recorder.record(EventKind::GatewayEnqueue { invocation, shard });
@@ -605,7 +609,7 @@ impl Gateway {
 
     /// Invocations admitted but not yet completed, right now.
     pub fn in_flight(&self) -> usize {
-        self.stats.in_flight.load(Ordering::Relaxed)
+        self.stats.in_flight()
     }
 
     /// High-water mark of [`Gateway::in_flight`].
@@ -640,13 +644,17 @@ impl Gateway {
 impl Drop for Gateway {
     fn drop(&mut self) {
         // Shard threads exit after a final drain-and-route pass, so
-        // everything admitted still reaches a worker; the cores then wait
-        // for their outstanding groups as they drop.
+        // everything admitted still reaches a worker; then the cores' groups
+        // are waited for here, since a metric registry may keep the cores
+        // themselves alive past the gateway.
         for queue in &self.queues {
             queue.close();
         }
         for handle in self.shard_threads.drain(..) {
             let _ = handle.join();
+        }
+        for core in self.cores.iter() {
+            core.wait_idle();
         }
     }
 }
@@ -784,9 +792,10 @@ mod tests {
 
     /// A job is in flight from before a shard can see it: the group a shard
     /// drains the instant it is pushed may finish before `invoke` returns,
-    /// and its `finish` must never find the count below its members. In a
-    /// debug build an underflow panics (`GatewayStats::finish`, or the next
-    /// `enter` overflowing); in any build it leaves a wrapped peak.
+    /// and its completions must never outrun the admissions they are
+    /// subtracted from. In a debug build an underflow panics (admitted minus
+    /// completed, in `enter` or `in_flight`); in any build it leaves a
+    /// wrapped peak.
     #[test]
     fn in_flight_never_underflows_under_one_member_groups() {
         const FUNCTIONS: usize = 1_000;
@@ -821,6 +830,47 @@ mod tests {
         );
         let admitted: u64 = snap.shards.iter().map(|s| s.admitted).sum();
         assert_eq!(admitted, INVOCATIONS as u64);
+    }
+
+    /// In flight is admitted minus what the workers completed: exact while a
+    /// long window holds the jobs, zero once `drain` returns, and the peak,
+    /// the snapshot and the gauge all read that one count.
+    #[test]
+    fn in_flight_is_admitted_minus_completed() {
+        let registry = MetricRegistry::default();
+        let gateway = Gateway::builder()
+            .workers(1)
+            .shards(1)
+            .window(Duration::from_secs(5))
+            .cold_start_delay(Duration::ZERO)
+            .telemetry(&registry)
+            .register("f", |_env| {})
+            .start();
+        let gauge = |n: usize| {
+            let json = registry.render_json();
+            let entry = format!(
+                "\"name\":\"faasbatch_gateway_in_flight\",\"labels\":{{}},\"type\":\"gauge\",\"value\":{n}"
+            );
+            assert!(json.contains(&entry), "gauge is not {n}: {json}");
+        };
+        let invoke = |count: usize| {
+            for _ in 0..count {
+                gateway.invoke("f", Bytes::new()).unwrap();
+            }
+        };
+        invoke(3);
+        assert_eq!((gateway.in_flight(), gateway.peak_in_flight()), (3, 3));
+        assert_eq!(gateway.stats().in_flight, 3);
+        gauge(3);
+        gateway.drain().unwrap();
+        assert_eq!(gateway.in_flight(), 0);
+        gauge(0);
+        invoke(2);
+        assert_eq!((gateway.in_flight(), gateway.peak_in_flight()), (2, 3));
+        gauge(2);
+        gateway.drain().unwrap();
+        assert_eq!((gateway.in_flight(), gateway.peak_in_flight()), (0, 3));
+        gauge(0);
     }
 
     #[test]
