@@ -12,30 +12,36 @@
 //!   `Cluster::acquire` uses, so the two backends cannot drift apart on
 //!   what is warm, what restores and what boots (DESIGN.md §19). It owns
 //!   no thread:
-//!   [`DispatchCore::dispatch`] acquires the container, records the
-//!   decision and hands the group to the executor **on the caller's
-//!   thread**, so a batch is on its way when the call returns.
+//!   [`DispatchCore::dispatch_window`] acquires each group's container,
+//!   records its decision and hands the window's runs to the executor **on
+//!   the caller's thread**, so every batch is on its way when the call
+//!   returns.
 //! * [`FaasBatchPlatform`] — one core behind a front door: `invoke` pushes
 //!   into a [`WindowQueue`], and one window thread groups each wall-clock
-//!   window per function (Invoke Mapper) and dispatches the groups inline.
+//!   window per function (Invoke Mapper) and dispatches the window inline.
 //!   The sharded gateway (`faasbatch-gateway`) runs the same queue per
-//!   shard over a fleet of cores.
+//!   shard over a fleet of cores, handing each core its share of a window
+//!   in one call.
 //!
-//! Each dispatched batch becomes plain executor tasks that count
-//! themselves down on the batch's own `Group`, so one process
-//! multiplexes every in-flight batch over a fixed worker pool instead of
-//! spawning a thread per invocation;
-//! cold-start and restore delays and warm-pool keep-alive expiry ride the
-//! executor's timer wheel rather than sleeping threads.
+//! A group of `n` members is `min(n, workers)` runs, not `n` tasks:
+//! contiguous runs whose sizes differ by at most one, each running its
+//! members back to back — the paper's expansion capped at the container's
+//! `cpu_count`, with the executor's worker count as that cap. Every member
+//! keeps its own group index, panic boundary, [`InvokeOutcome`] and exec
+//! events, and each run counts itself down on its batch's own `Group`: the
+//! last run to finish, on its own worker, runs the batch epilogue.
 //!
-//! A group of `n` members is `min(n, workers)` tasks, not `n`: contiguous
-//! runs whose sizes differ by at most one, each running its members back
-//! to back — the paper's expansion capped at the container's `cpu_count`,
-//! with the executor's worker count as that cap. The last run to finish,
-//! on its own worker, runs the batch epilogue. Every member keeps its own
-//! group index, panic boundary, [`InvokeOutcome`] and exec events. The
-//! price is skew: a slow member delays the rest of its run, where one task
-//! per member would have let an idle worker steal them (DESIGN.md §14).
+//! The runs of a window's warm groups reach the executor together, as one
+//! `RunList` per core, pulled by at most `workers` plain tasks: each claims
+//! the next run off a shared cursor until the list is empty. One process
+//! thus multiplexes every in-flight batch over a fixed worker pool, paying
+//! for at most one task per worker per window instead of one per group.
+//! Claiming is dynamic, so a run that blocks holds back only its own
+//! members; the price is skew inside a run, where one task per member
+//! would have let an idle worker steal them (DESIGN.md §14). A cold or
+//! restored group's runs wait out its start delay on the executor's timer
+//! wheel and then go out the same way, as a list of their own; warm-pool
+//! keep-alive expiry rides the same wheel.
 //!
 //! With a [`LiveTraceRecorder`] attached ([`PlatformBuilder::trace`]), every
 //! run emits the same typed [`SimEvent`] stream as the simulator — arrivals,
@@ -626,11 +632,7 @@ impl PlatformBuilder {
                 .spawn(move || {
                     // Inline-Parallel-Producer phase: one container per
                     // group, every group expanded concurrently.
-                    queue.run(
-                        window,
-                        |_job| {},
-                        |function, members| shared.spawn_group(function, members, None),
-                    );
+                    queue.run(window, |_job| {}, |groups| shared.dispatch_window(groups));
                 })
                 .expect("spawn window thread")
         };
@@ -744,14 +746,26 @@ impl CoreShared {
         });
     }
 
-    /// Dispatches one batch: container, decision, then the group goes to
-    /// the executor — directly when the container is warm, from the timer
-    /// wheel after the start delay otherwise.
-    fn spawn_group(
+    /// Dispatches a window's groups onto this core, in order: each is
+    /// started ([`CoreShared::start_group`]), and the runs of the warm ones
+    /// go to the executor together, as one [`RunList`].
+    fn dispatch_window(self: &Arc<Self>, groups: Vec<(usize, Vec<RemoteJob>)>) {
+        let mut runs = RunList::default();
+        for (function, members) in groups {
+            self.start_group(function, members, None, &mut runs);
+        }
+        runs.submit(&self.executor);
+    }
+
+    /// Starts one batch: container, decision, then its runs — into `runs`
+    /// when the container is warm, or, after the start delay, from the
+    /// timer wheel as a list of their own.
+    fn start_group(
         self: &Arc<Self>,
         function: usize,
         members: Vec<RemoteJob>,
         on_done: Option<GroupDone>,
+        runs: &mut RunList,
     ) {
         let (env, tier, delay) = self.acquire_container(function);
         let cold = tier == StartTier::Cold;
@@ -816,18 +830,20 @@ impl CoreShared {
             runs_left: AtomicUsize::new(size.min(self.executor.workers()).max(1)),
             on_done: Mutex::new(on_done),
         });
+        if tier == StartTier::Warm {
+            group.mark_ready();
+            return group.expand(members, runs);
+        }
         // A start delay rides the timer wheel: the ready events are emitted
-        // in the callback *before* the group is submitted, so
+        // in the callback *before* the runs are submitted, so
         // `ColdStartEnd`/`RestoreDone` strictly precedes every `ExecBegin`
         // of the batch.
-        let start = move || {
+        self.executor.schedule(delay, move || {
             group.mark_ready();
-            group.submit(members);
-        };
-        if tier == StartTier::Warm {
-            return start();
-        }
-        self.executor.schedule(delay, start);
+            let mut runs = RunList::default();
+            group.expand(members, &mut runs);
+            runs.submit(&group.core.executor);
+        });
     }
 
     /// The three start tiers in the order, and on the structures, of the
@@ -895,6 +911,88 @@ struct Group {
 /// batch always finishes exactly once, after its last run.
 struct RunGuard(Arc<Group>);
 
+/// Consecutive members of one batch, run back to back on one worker.
+struct Run {
+    guard: RunGuard,
+    /// Group index of the run's first member.
+    first: u32,
+    members: RunMembers,
+}
+
+/// A one-member run carries its job by value. A longer run owns an
+/// exact-size slice, never the grouping buffer itself: that buffer is
+/// freed on the thread that allocated it, not on a worker (EXPERIMENTS.md,
+/// "Runs per worker").
+enum RunMembers {
+    One(RemoteJob),
+    Many(Box<[RemoteJob]>),
+}
+
+impl Run {
+    fn run(self) {
+        let group = &self.guard.0;
+        match self.members {
+            RunMembers::One(job) => group.run_member(self.first, job),
+            RunMembers::Many(jobs) => {
+                for (member, job) in (self.first..).zip(jobs.into_vec()) {
+                    group.run_member(member, job);
+                }
+            }
+        }
+    }
+}
+
+/// The runs one dispatch hands a core's executor: a window's warm groups,
+/// or one cold or restored group after its start delay. It is the one way
+/// runs reach the executor ([`RunList::submit`]): at most `workers` tasks,
+/// each claiming the next unclaimed run off `next` until none is left. A
+/// run is claimed once, so every member runs once; a run that blocks or
+/// is preempted holds back only its own members, as the other tasks keep
+/// claiming past it.
+#[derive(Default)]
+struct RunList {
+    runs: Vec<Mutex<Option<Run>>>,
+    /// Index of the next run to claim.
+    next: AtomicUsize,
+}
+
+impl RunList {
+    fn push(&mut self, run: Run) {
+        self.runs.push(Mutex::new(Some(run)));
+    }
+
+    /// Spawns `min(runs, workers)` tasks that drain the list. Runs left
+    /// unclaimed when a stopping executor drops those tasks are dropped with
+    /// the list: their guards still finish their batches and their tickets
+    /// are released.
+    fn submit(self, executor: &Executor) {
+        let tasks = self.runs.len().min(executor.workers());
+        if tasks == 0 {
+            return;
+        }
+        let list = Arc::new(self);
+        for _ in 0..tasks {
+            let list = Arc::clone(&list);
+            executor.spawn(async move { list.drain() });
+        }
+    }
+
+    fn drain(&self) {
+        loop {
+            // Relaxed: the cursor only hands out indices; a run reaches its
+            // claimer through its slot's lock.
+            let claimed = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.runs.get(claimed) else {
+                return;
+            };
+            let run = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+            if let Some(run) = run {
+                run.run();
+            }
+        }
+    }
+}
+
 impl Drop for RunGuard {
     fn drop(&mut self) {
         // AcqRel: the run that reaches zero sees every other run's members
@@ -949,37 +1047,29 @@ impl Group {
         });
     }
 
-    /// The batch becomes at most one plain executor task per worker:
-    /// `min(n, workers)` contiguous runs whose sizes differ by at most one,
-    /// each running its members back to back under their own group indices
-    /// and counting itself down when it ends ([`RunGuard`]). The last run
-    /// to end finishes the batch on its worker (no per-batch join thread).
-    ///
-    /// A one-member run carries its job by value. A longer run owns an
-    /// exact-size slice drained off `members`, never `members` itself: the
-    /// grouping buffer is freed here, on the thread that allocated it, not
-    /// on a worker (EXPERIMENTS.md, "Runs per worker").
-    fn submit(self: Arc<Self>, mut members: Vec<RemoteJob>) {
-        let runs = self.runs_left.load(Ordering::Relaxed);
-        let (base, longer) = (self.size / runs, self.size % runs);
-        let executor = &self.core.executor;
+    /// Splits the batch into `min(n, workers)` contiguous runs whose sizes
+    /// differ by at most one and adds them to `runs`. Each run holds a
+    /// [`RunGuard`] and runs its members back to back under their own group
+    /// indices; the last run to end finishes the batch on its worker (no
+    /// per-batch join thread).
+    fn expand(self: &Arc<Self>, mut members: Vec<RemoteJob>, runs: &mut RunList) {
+        let count = self.runs_left.load(Ordering::Relaxed);
+        let (base, longer) = (self.size / count, self.size % count);
         // One drain in member order moves every member exactly once.
         let mut rest = members.drain(..);
         let mut first = 0;
-        for run in 0..runs {
+        for run in 0..count {
             let len = base + usize::from(run < longer);
-            let guard = RunGuard(Arc::clone(&self));
-            if len == 1 {
-                let job = rest.next().expect("a run holds a member");
-                executor.spawn(async move { guard.0.run_member(first as u32, job) });
+            let members = if len == 1 {
+                RunMembers::One(rest.next().expect("a run holds a member"))
             } else {
-                let jobs: Box<[RemoteJob]> = rest.by_ref().take(len).collect();
-                executor.spawn(async move {
-                    for (member, job) in (first as u32..).zip(jobs.into_vec()) {
-                        guard.0.run_member(member, job);
-                    }
-                });
-            }
+                RunMembers::Many(rest.by_ref().take(len).collect())
+            };
+            runs.push(Run {
+                guard: RunGuard(Arc::clone(self)),
+                first: first as u32,
+                members,
+            });
             first += len;
         }
     }
@@ -1135,23 +1225,37 @@ impl DispatchCore {
             .collect()
     }
 
-    /// Dispatches `members` (non-empty) as **one** batch of `function` — an
-    /// index into [`DispatchCore::functions`] — on the caller's thread:
-    /// when this returns, the container is acquired, the
-    /// `DispatchDecision` is recorded, and the group is on the executor (or
-    /// on its cold/restore timer).
+    /// Dispatches this core's share of one dispatch window — `(function,
+    /// members)` groups, each non-empty, `function` an index into
+    /// [`DispatchCore::functions`] — on the caller's thread, each group as
+    /// **one** batch: when this returns, every container is acquired, every
+    /// `DispatchDecision` is recorded in `groups` order, and the warm
+    /// groups' runs are on the executor as one list pulled by at most
+    /// `workers` tasks (the others are on their cold/restore timers).
     ///
-    /// The caller already collected a dispatch window, so nothing here can
-    /// merge or split the group. It is also responsible for the members'
-    /// `Arrival` events, minting invocation ids from the shared
-    /// [`PlatformIds`]; the core emits everything from the dispatch
-    /// decision on. `on_done` runs once the whole group finished, with the
-    /// batch size.
+    /// The caller already collected the window, so nothing here can merge
+    /// or split a group. It is also responsible for the members' `Arrival`
+    /// events, minting invocation ids from the shared [`PlatformIds`]; the
+    /// core emits everything from the dispatch decision on.
+    pub fn dispatch_window(&self, groups: Vec<(usize, Vec<RemoteJob>)>) {
+        if let Some(tel) = &self.shared.telemetry {
+            let members: usize = groups.iter().map(|(_, members)| members.len()).sum();
+            tel.in_flight.add(members as i64);
+        }
+        self.shared.dispatch_window(groups);
+    }
+
+    /// Dispatches `members` (non-empty) as **one** batch of `function`, a
+    /// one-group [`DispatchCore::dispatch_window`]. `on_done` runs once the
+    /// whole group finished, with the batch size.
     pub fn dispatch(&self, function: usize, members: Vec<RemoteJob>, on_done: Option<GroupDone>) {
         if let Some(tel) = &self.shared.telemetry {
             tel.in_flight.add(members.len() as i64);
         }
-        self.shared.spawn_group(function, members, on_done);
+        let mut runs = RunList::default();
+        self.shared
+            .start_group(function, members, on_done, &mut runs);
+        runs.submit(&self.shared.executor);
     }
 
     /// Wall time as a µs-since-origin [`SimTime`] — the stamp this core's
@@ -2081,6 +2185,125 @@ mod tests {
             assert_eq!(
                 platform.stats().invocations.load(Ordering::Relaxed),
                 sizes.iter().sum::<usize>() as u64,
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// A platform on `exec` whose window no test outlives, with `functions`
+    /// functions `f0`, `f1`, … running `handler`, each function warmed by
+    /// one invocation (and so one cold group) of its own.
+    fn warmed_platform(
+        exec: &Arc<Executor>,
+        functions: usize,
+        handler: impl Fn(usize) + Send + Sync + 'static,
+    ) -> FaasBatchPlatform {
+        let handler = Arc::new(handler);
+        let mut builder = PlatformBuilder::new()
+            .window(Duration::from_secs(3600))
+            .cold_start_delay(Duration::ZERO)
+            .executor(Arc::clone(exec));
+        for f in 0..functions {
+            let handler = Arc::clone(&handler);
+            builder = builder.register(&format!("f{f}"), move |env| {
+                if !env.payload.is_empty() {
+                    handler(f);
+                }
+            });
+        }
+        let platform = builder.start();
+        let warming: Vec<_> = (0..functions)
+            .map(|f| platform.invoke(&format!("f{f}"), Bytes::new()).unwrap())
+            .collect();
+        platform.drain().unwrap();
+        for ticket in warming {
+            assert!(ticket.wait().cold);
+        }
+        platform
+    }
+
+    /// One window of warm one-member groups A, B and C on two workers,
+    /// where A's handler waits for B's: a static split of the window's
+    /// runs (A, B | C) would hold B behind A forever. Pulled from one list,
+    /// the second task claims B while the first is blocked in A.
+    #[test]
+    fn a_blocked_member_does_not_hold_back_its_window() {
+        let exec = Executor::new(ExecutorConfig {
+            workers: 2,
+            seed: 33,
+            ..ExecutorConfig::default()
+        });
+        let b_ran = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+        let flag = Arc::clone(&b_ran);
+        let platform = warmed_platform(&exec, 3, move |f| {
+            let (ran, cvar) = &*flag;
+            match f {
+                0 => {
+                    let ran = ran.lock().unwrap();
+                    let (ran, _) = cvar
+                        .wait_timeout_while(ran, Duration::from_secs(10), |ran| !*ran)
+                        .unwrap();
+                    assert!(*ran, "A waited 10 s for B: B is stuck behind A");
+                }
+                1 => {
+                    *ran.lock().unwrap() = true;
+                    cvar.notify_all();
+                }
+                _ => {}
+            }
+        });
+        let tickets: Vec<_> = ["f0", "f1", "f2"]
+            .iter()
+            .map(|f| platform.invoke(f, Bytes::from_static(b"x")).unwrap())
+            .collect();
+        platform.drain().unwrap();
+        for (f, ticket) in ["A", "B", "C"].iter().zip(tickets) {
+            let outcome = ticket.wait();
+            assert!(!outcome.cold && !outcome.panicked, "{f}: {outcome:?}");
+        }
+        assert_eq!(platform.stats().warm_hits.load(Ordering::Relaxed), 3);
+    }
+
+    /// A window of 64 warm one-member groups reaches the executor as one
+    /// run list: at most one task per worker, however many groups.
+    #[test]
+    fn a_window_spawns_at_most_one_task_per_worker() {
+        const FUNCTIONS: usize = 64;
+        for workers in [1, 2, 4] {
+            let exec = Executor::new(ExecutorConfig {
+                workers,
+                seed: 33,
+                ..ExecutorConfig::default()
+            });
+            let ran: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..FUNCTIONS).map(|_| AtomicUsize::new(0)).collect());
+            let counts = Arc::clone(&ran);
+            let platform = warmed_platform(&exec, FUNCTIONS, move |f| {
+                counts[f].fetch_add(1, Ordering::Relaxed);
+            });
+            let invocations = platform.stats().invocations.load(Ordering::Relaxed);
+            let spawned = exec.metrics().spawned_total;
+            let tickets: Vec<_> = (0..FUNCTIONS)
+                .map(|f| {
+                    let ticket = platform.invoke(&format!("f{f}"), Bytes::from_static(b"x"));
+                    ticket.unwrap()
+                })
+                .collect();
+            platform.drain().unwrap();
+            let spawned = exec.metrics().spawned_total - spawned;
+            assert!(
+                spawned <= workers as u64,
+                "{FUNCTIONS} groups on {workers} workers spawned {spawned} tasks"
+            );
+            for ticket in tickets {
+                let outcome = ticket.wait();
+                assert!(!outcome.cold && !outcome.panicked, "{outcome:?}");
+            }
+            let ran: Vec<usize> = ran.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+            assert_eq!(ran, vec![1; FUNCTIONS], "{workers} workers");
+            assert_eq!(
+                platform.stats().invocations.load(Ordering::Relaxed) - invocations,
+                FUNCTIONS as u64,
                 "{workers} workers"
             );
         }

@@ -18,6 +18,8 @@
 
 use faasbatch_container::ids::FunctionId;
 use faasbatch_simcore::time::{SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Router-side load estimate for one worker.
@@ -25,11 +27,13 @@ use std::fmt;
 /// The router charges each assignment to the estimate at routing time and
 /// lets it decay as estimated completions pass — it never reads the worker's
 /// actual simulation state.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerLoad {
     /// Estimated completion instants of assigned, not-yet-finished
-    /// invocations (pruned lazily against the routing clock).
-    pending: Vec<SimTime>,
+    /// invocations, earliest on top (pruned lazily against the routing
+    /// clock: [`WorkerLoad::observe`] pops only what has completed, where a
+    /// scan would visit every estimate still pending).
+    pending: BinaryHeap<Reverse<SimTime>>,
     /// When the worker is estimated to drain everything assigned so far,
     /// treating its capacity as serial (a deliberate, deterministic proxy).
     busy_until: SimTime,
@@ -55,13 +59,18 @@ impl WorkerLoad {
 
     /// Drops estimates that have completed by `now`.
     pub fn observe(&mut self, now: SimTime) {
-        self.pending.retain(|&done| done > now);
+        while let Some(&Reverse(done)) = self.pending.peek() {
+            if done > now {
+                break;
+            }
+            self.pending.pop();
+        }
     }
 
     /// Charges one invocation of `work` assigned at `now`.
     pub fn note(&mut self, now: SimTime, work: SimDuration) {
         self.busy_until = self.busy_until.max(now) + work;
-        self.pending.push(now + work);
+        self.pending.push(Reverse(now + work));
         self.assigned += 1;
     }
 }
@@ -474,6 +483,66 @@ mod tests {
         assert_eq!(l.runnable(), 1);
         assert_eq!(l.assigned(), 2);
         assert_eq!(l.busy_until(), SimTime::from_secs(4));
+    }
+
+    /// The heap against the scan it replaced: per worker a `Vec` pruned
+    /// with `retain(done > now)` wherever the router observes, fed the same
+    /// seeded `place`/`charge` steps — zero work and repeated instants
+    /// included. Every step must leave the same estimates behind.
+    #[test]
+    fn heap_estimates_match_the_scan() {
+        const WORKERS: usize = 3;
+        let alive = [true; WORKERS];
+        for seed in 0..64u64 {
+            let mut router = Router::new(RoutingKind::LeastLoaded.build(), WORKERS);
+            // (pending completions, busy_until) per worker.
+            let mut scan = vec![(Vec::<SimTime>::new(), SimTime::ZERO); WORKERS];
+            let mut now = SimTime::ZERO;
+            for step in 0..500u64 {
+                let r = stable_hash(seed << 32 | step);
+                // A third of the steps repeat the previous instant.
+                if !r.is_multiple_of(3) {
+                    now += SimDuration::from_micros((r >> 8) % 1_500);
+                }
+                // 0, 0.5, 1 or 1.5 ms of work per member.
+                let work = |k: u64| SimDuration::from_micros(stable_hash(r ^ k) % 4 * 500);
+                let charge = |(pending, busy_until): &mut (Vec<SimTime>, SimTime),
+                              work: SimDuration| {
+                    *busy_until = (*busy_until).max(now) + work;
+                    pending.push(now + work);
+                };
+                if r & 16 == 0 {
+                    let works: Vec<SimDuration> = (0..(r >> 5) % 4).map(work).collect();
+                    let worker = router.place(
+                        now,
+                        FunctionId::new((r >> 12) as u32 % 8),
+                        &alive,
+                        works.iter().copied(),
+                    );
+                    for (pending, _) in &mut scan {
+                        pending.retain(|&done| done > now);
+                    }
+                    for work in works {
+                        charge(&mut scan[worker], work);
+                    }
+                } else {
+                    let worker = (r >> 5) as usize % WORKERS;
+                    router.charge(worker, now, work(0));
+                    charge(&mut scan[worker], work(0));
+                }
+                for (w, (load, (pending, busy_until))) in router.load.iter().zip(&scan).enumerate()
+                {
+                    let at = format!("seed {seed} step {step} worker {w}");
+                    assert_eq!(load.runnable(), pending.len(), "{at}");
+                    assert_eq!(load.busy_until(), *busy_until, "{at}");
+                    let mut heap: Vec<SimTime> = load.pending.iter().map(|r| r.0).collect();
+                    let mut pending = pending.clone();
+                    heap.sort_unstable();
+                    pending.sort_unstable();
+                    assert_eq!(heap, pending, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

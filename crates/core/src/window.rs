@@ -10,7 +10,10 @@
 //! Both front doors run on it: [`FaasBatchPlatform::invoke`] pushes into one
 //! unbounded-depth queue, each gateway shard into a depth-bounded one, and
 //! both serve it with [`WindowQueue::run`] — collect a window, group it per
-//! function (the Invoke Mapper), hand each group to the caller's dispatch.
+//! function (the Invoke Mapper), hand the whole window's groups to the
+//! caller's dispatch in one call. One call per window, not per group, is
+//! what lets a dispatch core hand each executor worker the window as one
+//! run list instead of a task per group.
 //!
 //! Admission control lives here: [`WindowQueue::try_push_job`] refuses the
 //! push once a window has accumulated `depth` jobs, returning the observed
@@ -174,16 +177,17 @@ impl WindowQueue {
 
     /// The window loop, run by the queue's one window thread until
     /// [`WindowQueue::close`]: every `window`, drain the queue (`admit`
-    /// sees each job, in arrival order), hand each function's group to
-    /// `dispatch` as a unit — ascending function order, so dispatch order
-    /// is deterministic per window; members in arrival order — then
-    /// acknowledge the flushes that were queued behind those jobs. The pass
-    /// after `close` still dispatches everything admitted.
+    /// sees each job, in arrival order), call `dispatch` once with the
+    /// window's `(function, members)` groups — ascending function order, so
+    /// dispatch order is deterministic per window; members in arrival
+    /// order; a window with no job is not dispatched — then acknowledge the
+    /// flushes that were queued behind those jobs. The pass after `close`
+    /// still dispatches everything admitted.
     pub fn run(
         &self,
         window: Duration,
         mut admit: impl FnMut(&RemoteJob),
-        mut dispatch: impl FnMut(usize, Vec<RemoteJob>),
+        mut dispatch: impl FnMut(Vec<(usize, Vec<RemoteJob>)>),
     ) {
         let mut deadline = Instant::now() + window;
         loop {
@@ -203,8 +207,8 @@ impl WindowQueue {
                     Msg::Flush(ack) => flushes.push(ack),
                 }
             }
-            for (function, members) in groups {
-                dispatch(function, members);
+            if !groups.is_empty() {
+                dispatch(groups.into_iter().collect());
             }
             for ack in flushes {
                 let _ = ack.send(());
@@ -226,8 +230,15 @@ mod tests {
         RemoteJob::new(InvocationId::new(n), Bytes::new()).0
     }
 
-    fn ids(members: &[RemoteJob]) -> Vec<u64> {
-        members.iter().map(|j| j.invocation().value()).collect()
+    /// A dispatched window as `(function, invocation ids)` groups.
+    fn ids(window: Vec<(usize, Vec<RemoteJob>)>) -> Vec<(usize, Vec<u64>)> {
+        window
+            .into_iter()
+            .map(|(function, members)| {
+                let ids = members.iter().map(|j| j.invocation().value()).collect();
+                (function, ids)
+            })
+            .collect()
     }
 
     #[test]
@@ -256,17 +267,17 @@ mod tests {
             queue.try_push_job(function, job(n as u64), || {}).unwrap();
         }
         queue.close();
-        let (mut admitted, mut groups) = (Vec::new(), Vec::new());
+        let (mut admitted, mut windows) = (Vec::new(), Vec::new());
         queue.run(
             Duration::from_secs(30),
             |j| admitted.push(j.invocation().value()),
-            |function, members| groups.push((function, ids(&members))),
+            |window| windows.push(ids(window)),
         );
         assert_eq!(admitted, vec![0, 1, 2, 3, 4]);
         assert_eq!(
-            groups,
-            vec![(0, vec![1, 4]), (1, vec![3]), (2, vec![0, 2])],
-            "ascending function order, members in arrival order"
+            windows,
+            vec![vec![(0, vec![1, 4]), (1, vec![3]), (2, vec![0, 2])]],
+            "one call for the window; ascending function order, members in arrival order"
         );
     }
 
@@ -281,7 +292,7 @@ mod tests {
                 queue.run(
                     Duration::from_secs(30),
                     |_| {},
-                    |function, members| dispatched.push((function, ids(&members))),
+                    |window| dispatched.extend(ids(window)),
                 );
             });
             queue.flush().recv().expect("window thread acks the flush");
@@ -305,7 +316,7 @@ mod tests {
         queue.run(
             Duration::from_secs(30),
             |_| {},
-            |function, members| dispatched.push((function, ids(&members))),
+            |window| dispatched.extend(ids(window)),
         );
         assert_eq!(dispatched, vec![(3, vec![1])]);
     }

@@ -452,6 +452,9 @@ struct ShardDispatcher {
 impl ShardDispatcher {
     fn run(self) {
         let alive = vec![true; self.cores.len()];
+        // Per worker, the groups of the window being routed.
+        let mut shares: Vec<Vec<(usize, Vec<RemoteJob>)>> =
+            (0..self.cores.len()).map(|_| Vec::new()).collect();
         self.queue.run(
             self.window,
             |job| {
@@ -463,32 +466,46 @@ impl ShardDispatcher {
                 }
                 self.stats.admit(self.shard as usize);
             },
-            |function, members| {
+            |groups| {
                 // The clock is read only for an attached histogram.
-                let timed = self
+                let drained = self
                     .route_latency
                     .as_ref()
                     .map(|hist| (hist, Instant::now()));
-                // Every core of the fleet reads one clock; any of them has it.
-                let now = self.cores[0].now();
-                let worker = self.router.lock().expect("router lock poisoned").place(
-                    now,
-                    FunctionId::new(function as u32),
-                    &alive,
-                    std::iter::repeat_n(ASSUMED_WORK, members.len()),
-                );
-                if let Some(recorder) = &self.recorder {
-                    recorder.record(EventKind::GatewayRoute {
-                        function: FunctionId::new(function as u32),
-                        shard: self.shard,
-                        worker: worker as u64,
-                        members: members.iter().map(RemoteJob::invocation).collect(),
-                    });
+                for (function, members) in groups {
+                    // Every core of the fleet reads one clock; any of them
+                    // has it.
+                    let now = self.cores[0].now();
+                    let worker = self.router.lock().expect("router lock poisoned").place(
+                        now,
+                        FunctionId::new(function as u32),
+                        &alive,
+                        std::iter::repeat_n(ASSUMED_WORK, members.len()),
+                    );
+                    if let Some(recorder) = &self.recorder {
+                        recorder.record(EventKind::GatewayRoute {
+                            function: FunctionId::new(function as u32),
+                            shard: self.shard,
+                            worker: worker as u64,
+                            members: members.iter().map(RemoteJob::invocation).collect(),
+                        });
+                    }
+                    self.stats.routed(self.shard as usize);
+                    shares[worker].push((function, members));
                 }
-                self.stats.routed(self.shard as usize);
-                self.cores[worker].dispatch(function, members, None);
-                if let Some((hist, started)) = timed {
-                    hist.record(started.elapsed().as_micros() as u64);
+                // Each worker gets its share of the window in one call.
+                for (core, share) in self.cores.iter().zip(&mut shares) {
+                    if share.is_empty() {
+                        continue;
+                    }
+                    let routed = share.len();
+                    core.dispatch_window(std::mem::take(share));
+                    if let Some((hist, drained)) = drained {
+                        let latency = drained.elapsed().as_micros() as u64;
+                        for _ in 0..routed {
+                            hist.record(latency);
+                        }
+                    }
                 }
             },
         );
@@ -906,6 +923,44 @@ mod tests {
             assert_eq!(snap.shards.iter().map(|s| s.rejected).sum::<u64>(), 1);
             assert!(text.contains("faasbatch_gateway_rejects_total"));
         }
+    }
+
+    /// One window of six functions on one shard and two round-robin
+    /// workers: each worker receives its share, three one-member batches,
+    /// and the route-latency histogram still holds one value per group.
+    #[test]
+    fn a_window_is_shared_out_per_worker_and_timed_per_group() {
+        let registry = MetricRegistry::default();
+        let mut builder = Gateway::builder()
+            .workers(2)
+            .shards(1)
+            .window(Duration::from_secs(3600))
+            .cold_start_delay(Duration::ZERO)
+            .policy(RoutingKind::RoundRobin)
+            .telemetry(&registry);
+        for f in 0..6 {
+            builder = builder.register(&format!("f{f}"), |_env| {});
+        }
+        let gateway = builder.start();
+        let tickets: Vec<_> = (0..6)
+            .map(|f| gateway.invoke(&format!("f{f}"), Bytes::new()).unwrap())
+            .collect();
+        gateway.drain().unwrap();
+        for ticket in tickets {
+            assert!(!ticket.wait().panicked);
+        }
+        let batches: Vec<u64> = gateway
+            .worker_stats()
+            .iter()
+            .map(|s| s.batches.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(batches, [3, 3]);
+        assert_eq!(gateway.stats().shards[0].routed_groups, 6);
+        let text = registry.render_prometheus();
+        assert!(
+            text.contains("faasbatch_gateway_route_latency_us_count 6"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! 4. **Route** — each group is placed **as a unit** on one worker by a
 //!    pluggable [`RoutingKind`](faasbatch_core::routing::RoutingKind)
 //!    policy (round-robin, least-loaded, warm-affinity, or Hiku-style
-//!    pull-based) over shared router-side load estimates, then dispatched
-//!    inline on the shard thread via `DispatchCore::dispatch` — workers
-//!    have no window and no thread, so a group can never be split or
-//!    merged downstream.
+//!    pull-based) over shared router-side load estimates; then each
+//!    worker's share of the window is dispatched inline on the shard thread
+//!    in one `DispatchCore::dispatch_window` call — workers have no window
+//!    and no thread, so a group can never be split or merged downstream.
 //!
 //! With a [`LiveTraceRecorder`](faasbatch_metrics::live::LiveTraceRecorder)
 //! attached, the gateway emits `GatewayEnqueue` / `GatewayAdmit` /
