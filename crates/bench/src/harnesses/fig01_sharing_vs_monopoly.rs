@@ -5,32 +5,68 @@
 //!
 //! The paper measures concurrency 10–640 on a 32-core server and finds the
 //! two comparable — the observation motivating FaaSBatch. We reproduce it
-//! twice: live (real threads, real `fib`) and in the CPU model (where the
-//! 32-core processor-sharing host shows the same equivalence exactly).
+//! twice: live, on the platform's own dispatch core (real executor
+//! workers, real `fib`), and in the CPU model (where the 32-core
+//! processor-sharing host shows the same equivalence exactly).
 
 use crate::Output;
-use faasbatch_container::live::{run_expanded, ExpandMode, Job};
+use faasbatch_core::platform::{DispatchCore, PlatformBuilder, PlatformIds, RemoteJob};
 use faasbatch_simcore::cpu::CpuModel;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::fib::fib;
 use std::io::{self, Write};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const FIB_N: u32 = 30;
 const CONCURRENCY: [usize; 7] = [10, 20, 40, 80, 160, 320, 640];
 
-fn live_batch(mode: ExpandMode, n: usize) -> (f64, f64) {
-    let jobs: Vec<Job> = (0..n)
-        .map(|_| {
-            Box::new(|| {
-                std::hint::black_box(fib(FIB_N));
-            }) as Job
-        })
-        .collect();
-    let timing = run_expanded(mode, jobs);
-    (
-        timing.makespan.as_secs_f64() * 1e3,
-        timing.mean_execution().as_secs_f64() * 1e3,
-    )
+/// One live measurement of `n` invocations.
+struct Live {
+    makespan_ms: f64,
+    mean_ms: f64,
+    containers: u64,
+}
+
+/// Runs `n` `fib` invocations twice through a fresh dispatch core — as one
+/// group (Sharing) or as `n` one-member groups of the same function
+/// (Monopoly) — and times the second round, when every container is warm:
+/// the makespan from dispatch to the last ticket, the mean over each
+/// invocation's handler time.
+fn live(n: usize, sharing: bool) -> Live {
+    let ids = Arc::new(PlatformIds::new());
+    let builder = PlatformBuilder::new()
+        .cold_start_delay(Duration::ZERO)
+        .ids(Arc::clone(&ids))
+        .register("fib", |_| {
+            std::hint::black_box(fib(FIB_N));
+        });
+    let core = DispatchCore::fleet(builder, 1)
+        .pop()
+        .expect("a fleet of one has one core");
+    let round = || {
+        let (jobs, tickets): (Vec<_>, Vec<_>) = (0..n)
+            .map(|_| RemoteJob::new(ids.next_invocation(), Default::default()))
+            .unzip();
+        let started = Instant::now();
+        if sharing {
+            core.dispatch_window(vec![(0, jobs)]);
+        } else {
+            core.dispatch_window(jobs.into_iter().map(|job| (0, vec![job])).collect());
+        }
+        let execution: Duration = tickets.into_iter().map(|t| t.wait().execution).sum();
+        let makespan = started.elapsed();
+        core.wait_idle();
+        (makespan, execution / n as u32)
+    };
+    round();
+    let (makespan, mean) = round();
+    Live {
+        makespan_ms: makespan.as_secs_f64() * 1e3,
+        mean_ms: mean.as_secs_f64() * 1e3,
+        containers: core.stats().containers_created.load(Ordering::Relaxed),
+    }
 }
 
 /// Simulated equivalent on a 32-core host: `n` equal tasks in one group
@@ -61,17 +97,18 @@ pub fn run(out: &mut Output) -> io::Result<()> {
     let per_task = SimDuration::from_millis(300); // paper-scale fib(30)
     let mut rows = Vec::new();
     for &n in &CONCURRENCY {
-        let (share_makespan, share_mean) = live_batch(ExpandMode::Sharing, n);
-        let (mono_makespan, mono_mean) = live_batch(ExpandMode::Monopoly, n);
+        let share = live(n, true);
+        let mono = live(n, false);
         let sim_share = simulated(n, per_task, true);
         let sim_mono = simulated(n, per_task, false);
         rows.push(vec![
             n.to_string(),
-            format!("{share_makespan:.1}"),
-            format!("{mono_makespan:.1}"),
-            format!("{:.3}", share_makespan / mono_makespan),
-            format!("{share_mean:.1}"),
-            format!("{mono_mean:.1}"),
+            format!("{:.1}", share.makespan_ms),
+            format!("{:.1}", mono.makespan_ms),
+            format!("{:.3}", share.makespan_ms / mono.makespan_ms),
+            format!("{:.1}", share.mean_ms),
+            format!("{:.1}", mono.mean_ms),
+            format!("{} / {}", share.containers, mono.containers),
             format!("{sim_share:.1}"),
             format!("{sim_mono:.1}"),
         ]);
@@ -84,6 +121,7 @@ pub fn run(out: &mut Output) -> io::Result<()> {
             "ratio",
             "share mean (ms)",
             "mono mean (ms)",
+            "containers share / mono",
             "sim share (ms)",
             "sim mono (ms)",
         ],
@@ -92,4 +130,16 @@ pub fn run(out: &mut Output) -> io::Result<()> {
     out.line("Expected shape: ratio ≈ 1 at every concurrency (sharing is free),")?;
     out.line("while Sharing uses ONE container and Monopoly uses N.")?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sharing_uses_one_container_and_monopoly_one_per_invocation() {
+        let n = 4;
+        assert_eq!(live(n, true).containers, 1);
+        assert_eq!(live(n, false).containers, n as u64);
+    }
 }

@@ -70,7 +70,7 @@ harnesses! {
             "trace_faasbatch.jsonl",
             "trace_diff_vanilla_vs_faasbatch.txt"
         ];
-    fig01_sharing_vs_monopoly: "Fig. 1 — sharing vs monopoly (live threads, wall-clock)" => [];
+    fig01_sharing_vs_monopoly: "Fig. 1 — sharing vs monopoly (live dispatch core, wall-clock)" => [];
     fig02_invocation_patterns: "Fig. 2 — hot-function day patterns" => [];
     fig03_blob_iat_cdf: "Fig. 3 — blob inter-access-time CDF" => [];
     fig04_client_creation_latency: "Fig. 4 — client creation time (model + live wall-clock)" => [];

@@ -246,11 +246,6 @@ impl Cluster {
         self.pool.idle_count(function)
     }
 
-    /// The keep-alive TTL currently in force for `function`.
-    pub fn keep_alive_for(&self, function: FunctionId) -> SimDuration {
-        self.pool.ttl_for(function)
-    }
-
     /// Overrides the keep-alive TTL for one function — the autoscaler's
     /// extend/shrink hook. Applies to containers already idle in the warm
     /// pool as well as future check-ins.
@@ -686,10 +681,6 @@ mod tests {
         // Shrink the function's keep-alive to 1 s: the parked container is
         // stale 3 s later and the acquire goes cold.
         c.set_keep_alive(FunctionId::new(0), SimDuration::from_secs(1));
-        assert_eq!(
-            c.keep_alive_for(FunctionId::new(0)),
-            SimDuration::from_secs(1)
-        );
         assert!(c.acquire(SimTime::from_secs(5), &spec()).is_cold());
         assert_eq!(c.stats().warm_hits, 0);
     }

@@ -16,8 +16,11 @@
 //! * [`cluster`] — [`cluster::Cluster`], the worker-node facade bundling the
 //!   CPU model, memory ledger, container table and warm pool; all schedulers
 //!   pay identical costs for identical decisions.
-//! * [`live`] — real-thread batch execution ([`live::run_expanded`]) for the
-//!   motivation experiments and live examples.
+//!
+//! The crate is a model and runs nothing itself: the live platform
+//! (`faasbatch-core`) keeps its warm containers in the same [`pool::WarmPool`]
+//! and [`snapshot::SnapshotCache`] and runs their handlers on the
+//! `faasbatch-exec` executor.
 //!
 //! # Examples
 //!
@@ -41,7 +44,6 @@
 pub mod cluster;
 pub mod container;
 pub mod ids;
-pub mod live;
 pub mod pool;
 pub mod snapshot;
 pub mod spec;

@@ -160,12 +160,6 @@ pub fn register_executor(registry: &MetricRegistry, executor: &Arc<Executor>) {
         move || exec.metrics().spawned_total,
     );
     let exec = Arc::clone(executor);
-    registry.counter_fn(
-        "faasbatch_exec_shed_total",
-        "Local-queue overflows shed to the global injector.",
-        move || exec.metrics().shed_total,
-    );
-    let exec = Arc::clone(executor);
     registry.gauge_fn(
         "faasbatch_exec_injector_depth",
         "Tasks waiting in the global injector.",

@@ -2,12 +2,16 @@
 //!
 //! Scheduling policy, in the order a worker looks for work:
 //!
-//! 1. **Own local queue** — LIFO slot first, then FIFO backlog.
-//! 2. **Injector refill** — grab a batch of globally submitted tasks.
+//! 1. **Own local queue** — the FIFO backlog a refill or a steal left.
+//! 2. **Injector refill** — take a batch of up to 128 queued tasks.
 //! 3. **Steal** — visit the other workers in a seeded-random order
 //!    ([`crate::steal`]) and take the oldest half of one victim's backlog.
 //! 4. **Park** — sleep on the per-worker `Parker` (`park`) until new
 //!    work is pushed (bounded by a timeout heartbeat).
+//!
+//! There is one enqueue path: every spawn and every wake, from any thread,
+//! pushes to the injector and unparks one sleeper. A local queue is only
+//! ever filled by its own worker's refill or steal.
 //!
 //! Every task may run on any worker. The paper's `cpu_count`-style cap on
 //! a group's parallelism is the caller's: the live platform submits a batch
@@ -15,11 +19,10 @@
 
 use crate::group::{GroupCore, GroupHandle, GroupJob, MemberFuture, OnComplete};
 use crate::park::{lock_unpoisoned, Parker};
-use crate::queue::{Injector, LocalQueue, LOCAL_CAPACITY};
+use crate::queue::{Injector, LocalQueue, REFILL_BATCH};
 use crate::steal;
 use crate::task::{BoxFuture, Schedule, TaskCore};
 use crate::timer::{Sleep, TimerWheel};
-use std::cell::Cell;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -93,7 +96,7 @@ pub struct ExecutorMetrics {
     pub stolen_per_worker: Vec<u64>,
     /// Times each worker parked (went idle) since start.
     pub parked_per_worker: Vec<u64>,
-    /// Current local-queue depth per worker (LIFO slot + FIFO backlog).
+    /// Current local-queue depth per worker.
     pub queue_depths: Vec<usize>,
     /// Tasks currently waiting in the global injector.
     pub injector_depth: usize,
@@ -102,7 +105,8 @@ pub struct ExecutorMetrics {
     pub timer_occupancy: usize,
     /// Total timers ever scheduled on the wheel.
     pub timer_scheduled_total: u64,
-    /// Local-queue overflows shed to the injector.
+    /// Local-queue overflows shed to the injector. Always 0: every push
+    /// lands in the injector, so a local queue never overflows.
     pub shed_total: u64,
 }
 
@@ -110,11 +114,6 @@ impl ExecutorMetrics {
     /// Total successful steals across all workers.
     pub fn total_steals(&self) -> u64 {
         self.stolen_per_worker.iter().sum()
-    }
-
-    /// Number of workers that executed at least one task.
-    pub fn busy_workers(&self) -> usize {
-        self.executed_per_worker.iter().filter(|&&n| n > 0).count()
     }
 }
 
@@ -126,15 +125,7 @@ struct WorkerShared {
     parked: AtomicU64,
 }
 
-static EXEC_IDS: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(executor id, worker index)` for threads owned by an executor.
-    static CURRENT: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
-}
-
 pub(crate) struct Shared {
-    id: u64,
     config: ExecutorConfig,
     injector: Injector,
     workers: Vec<WorkerShared>,
@@ -143,37 +134,13 @@ pub(crate) struct Shared {
     in_flight: AtomicUsize,
     peak_in_flight: AtomicUsize,
     spawned_total: AtomicU64,
-    shed_total: AtomicU64,
     unpark_hint: AtomicUsize,
 }
 
 impl Shared {
-    /// Index of the calling worker, if it belongs to this executor.
-    fn current_worker(&self) -> Option<usize> {
-        CURRENT.with(|current| match current.get() {
-            Some((id, index)) if id == self.id => Some(index),
-            _ => None,
-        })
-    }
-
     fn enqueue(&self, task: Arc<TaskCore>) {
-        match self.current_worker() {
-            Some(here) => {
-                if let Some(overflow) = self.workers[here].queue.push_owner(task) {
-                    self.shed_total.fetch_add(1, Ordering::Relaxed);
-                    self.injector.push(overflow);
-                    self.unpark_one();
-                } else if self.workers[here].queue.len() > 1 {
-                    // Backlog behind the running task: give a sleeper a
-                    // chance to steal it.
-                    self.unpark_one();
-                }
-            }
-            None => {
-                self.injector.push(task);
-                self.unpark_one();
-            }
-        }
+        self.injector.push(task);
+        self.unpark_one();
     }
 
     fn unpark_one(&self) {
@@ -201,11 +168,11 @@ impl Shared {
             return Some(task);
         }
         // Refill from the injector in a batch (amortizes the global lock).
-        let mut batch = self.injector.pop_batch(LOCAL_CAPACITY / 2);
+        let mut batch = self.injector.pop_batch(REFILL_BATCH);
         if !batch.is_empty() {
             let first = batch.remove(0);
             for task in batch {
-                self.workers[index].queue.push_remote(task);
+                self.workers[index].queue.push(task);
             }
             if !self.injector.is_empty() {
                 self.unpark_one();
@@ -223,7 +190,7 @@ impl Shared {
                 .fetch_add(stolen.len() as u64, Ordering::Relaxed);
             let first = stolen.remove(0);
             for task in stolen {
-                self.workers[index].queue.push_remote(task);
+                self.workers[index].queue.push(task);
             }
             return Some(first);
         }
@@ -231,7 +198,6 @@ impl Shared {
     }
 
     fn worker_loop(self: &Arc<Self>, index: usize) {
-        CURRENT.with(|current| current.set(Some((self.id, index))));
         let mut rng = steal::steal_rng(self.config.seed, index);
         loop {
             if self.shutdown.load(Ordering::Acquire) {
@@ -291,7 +257,6 @@ impl Executor {
         let workers = config.workers.max(1);
         let timer = Arc::new(TimerWheel::new(TIMER_SLOTS, config.timer_tick));
         let shared = Arc::new(Shared {
-            id: EXEC_IDS.fetch_add(1, Ordering::Relaxed),
             workers: (0..workers)
                 .map(|_| WorkerShared {
                     queue: LocalQueue::default(),
@@ -308,7 +273,6 @@ impl Executor {
             in_flight: AtomicUsize::new(0),
             peak_in_flight: AtomicUsize::new(0),
             spawned_total: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
             unpark_hint: AtomicUsize::new(0),
         });
         let threads = (0..workers)
@@ -414,7 +378,7 @@ impl Executor {
             injector_depth: self.shared.injector.len(),
             timer_occupancy: self.shared.timer.occupancy(),
             timer_scheduled_total: self.shared.timer.scheduled_total(),
-            shed_total: self.shared.shed_total.load(Ordering::Acquire),
+            shed_total: 0,
         }
     }
 
@@ -455,7 +419,7 @@ mod tests {
     use super::*;
     use crate::group::{GroupReport, JobError};
     use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Condvar};
     use std::task::Waker;
     use std::time::Instant;
 
@@ -511,40 +475,70 @@ mod tests {
 
     #[test]
     fn steal_balances_skewed_submission() {
-        // All 64 children are spawned from inside one worker's task, so they
-        // land on that worker's local queue; the other workers must steal.
-        let exec = test_executor(4);
-        let (tx, rx) = mpsc::channel();
-        let inner = Arc::clone(&exec);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&ran);
-        exec.spawn(async move {
-            let jobs: Vec<GroupJob> = (0..64)
-                .map(|_| {
-                    let counter = Arc::clone(&counter);
-                    GroupJob::blocking(move || {
-                        std::thread::sleep(Duration::from_millis(2));
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    })
-                })
-                .collect();
-            tx.send(inner.submit_group(jobs, None))
-                .expect("send handle");
-        });
-        let handle = rx.recv_timeout(Duration::from_secs(5)).expect("handle");
-        let report = handle.wait();
-        assert_eq!(ran.load(Ordering::SeqCst), 64);
-        assert_eq!(report.failed(), 0);
-        let metrics = exec.metrics();
+        // Both workers are held while a backlog is queued from outside the
+        // pool, so all of it waits in the injector. Once released, the first
+        // worker to look refills the whole backlog (64 < REFILL_BATCH); the
+        // other finds the injector empty and can only get work by stealing.
+        // Every backlog task holds its worker until two threads have run
+        // one, so without a steal the test fails instead of passing late.
+        let exec = test_executor(2);
+        let (started, holding) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Arc::new(Mutex::new(gate));
+        for _ in 0..2 {
+            let (started, gate) = (started.clone(), Arc::clone(&gate));
+            exec.spawn(async move {
+                started.send(()).expect("send");
+                lock_unpoisoned(&gate)
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("the test releases the workers");
+            });
+        }
+        for _ in 0..2 {
+            holding
+                .recv_timeout(Duration::from_secs(5))
+                .expect("both workers are held");
+        }
+        let threads = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
+        let (done, finished) = mpsc::channel();
+        for _ in 0..64 {
+            let (threads, done) = (Arc::clone(&threads), done.clone());
+            exec.spawn(async move {
+                let (seen, cvar) = &*threads;
+                let mut seen = lock_unpoisoned(seen);
+                let me = std::thread::current().id();
+                if !seen.contains(&me) {
+                    seen.push(me);
+                    cvar.notify_all();
+                }
+                let (seen, _) = cvar
+                    .wait_timeout_while(seen, Duration::from_secs(5), |seen| seen.len() < 2)
+                    .expect("threads lock");
+                done.send(seen.len()).expect("send");
+            });
+        }
+        let queued = exec.metrics();
+        assert_eq!(queued.injector_depth, 64, "a spawn from outside the pool");
+        assert!(queued.queue_depths.iter().all(|&d| d == 0));
+        // One release per held worker.
+        release.send(()).expect("release");
+        release.send(()).expect("release");
+        for _ in 0..64 {
+            let seen = finished
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every backlog task runs");
+            assert_eq!(seen, 2, "a backlog task ran before a second worker did");
+        }
+        let metrics = quiescent_metrics(&exec);
         assert!(
-            metrics.busy_workers() >= 2,
-            "skewed submission should spread via stealing: {:?}",
-            metrics.executed_per_worker
+            metrics.total_steals() > queued.total_steals(),
+            "one worker's refill must be spread by stealing: {:?}",
+            metrics.stolen_per_worker
         );
         assert!(
-            metrics.total_steals() >= 1,
-            "expected at least one steal: {:?}",
-            metrics.stolen_per_worker
+            metrics.executed_per_worker.iter().all(|&n| n > 0),
+            "{:?}",
+            metrics.executed_per_worker
         );
     }
 
@@ -589,14 +583,14 @@ mod tests {
             sibling(5),
             sibling(0),
         ];
-        let callbacks = Arc::new(AtomicUsize::new(0));
-        let fired = Arc::clone(&callbacks);
+        // The last member wakes `wait` before it runs `on_complete`, so the
+        // callback reports on a channel rather than a counter read later.
+        let (fired, callbacks) = mpsc::channel();
         let report = exec
             .submit_group(
                 jobs,
                 Some(Box::new(move |report: &GroupReport| {
-                    assert_eq!(report.failed(), 1);
-                    fired.fetch_add(1, Ordering::SeqCst);
+                    fired.send(report.failed()).expect("send");
                 })),
             )
             .wait();
@@ -605,7 +599,18 @@ mod tests {
             vec![(1, JobError::Panicked("boom".to_string()))]
         );
         assert_eq!(siblings_done.load(Ordering::SeqCst), 3, "siblings poisoned");
-        assert_eq!(callbacks.load(Ordering::SeqCst), 1, "on_complete runs once");
+        assert_eq!(
+            callbacks.recv_timeout(Duration::from_secs(5)),
+            Ok(1),
+            "on_complete runs with the report"
+        );
+        // Running the callback consumed it: its sender is gone, and no
+        // second signal ever arrived.
+        assert_eq!(
+            callbacks.recv_timeout(Duration::from_secs(5)),
+            Err(mpsc::RecvTimeoutError::Disconnected),
+            "on_complete runs once"
+        );
         // The executor is still fully functional afterwards.
         let again = exec.submit_group((0..4).map(|_| GroupJob::blocking(|| {})).collect(), None);
         assert_eq!(again.wait().failed(), 0);
@@ -635,28 +640,6 @@ mod tests {
             started.elapsed() < Duration::from_secs(10),
             "500 overlapping 40 ms sleeps took {:?}",
             started.elapsed()
-        );
-    }
-
-    #[test]
-    fn local_overflow_sheds_to_injector() {
-        // One worker: no thief drains the backlog while the task pushes.
-        let exec = test_executor(1);
-        let (tx, rx) = mpsc::channel();
-        let inner = Arc::clone(&exec);
-        let jobs = 2 * LOCAL_CAPACITY;
-        exec.spawn(async move {
-            let jobs: Vec<GroupJob> = (0..jobs).map(|_| GroupJob::blocking(|| {})).collect();
-            tx.send(inner.submit_group(jobs, None)).expect("send");
-        });
-        let report = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("handle")
-            .wait();
-        assert_eq!(report.failed(), 0);
-        assert!(
-            exec.metrics().shed_total > 0,
-            "{jobs} local pushes past capacity {LOCAL_CAPACITY} must shed to the injector"
         );
     }
 

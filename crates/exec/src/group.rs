@@ -1,11 +1,10 @@
-//! Task groups: the executor-level unit a live container's batch maps onto.
+//! Task groups: a set of jobs submitted together, one executor task per job.
 //!
-//! A group is a set of jobs submitted together, one executor task per job.
-//! A **group-completion barrier** replaces the per-batch thread join of the
-//! old live backend: the submitter can block on [`GroupHandle::wait`], or
-//! pass an `on_complete` callback that the last finishing job runs (which
-//! is how the platform returns containers to the warm pool without
-//! dedicating a thread to each batch).
+//! A **group-completion barrier** stands in for a thread join: the
+//! submitter can block on [`GroupHandle::wait`], or pass an `on_complete`
+//! callback that the last finishing job runs on its own worker. The live
+//! platform does not use groups (a batch counts down its own runs); the
+//! benchmark's executor drills and this crate's tests do.
 //!
 //! Jobs come in two shapes ([`GroupJob`]): a **blocking** closure that
 //! occupies its worker for the duration (the paper's CPU-bound expanded
@@ -18,8 +17,8 @@
 //! group's [`GroupReport::failures`], and the barrier still resolves.
 //!
 //! The barrier only counts. It reads no clock and keeps nothing per job
-//! but a failure; callers that want timing stamp it themselves (the
-//! platform's `InvokeOutcome`, `container::live`'s `JobTiming`). It wakes
+//! but a failure; callers that want timing stamp it themselves (as the
+//! platform's `InvokeOutcome` does). It wakes
 //! a condvar only when [`GroupHandle::wait`] is actually blocked on it,
 //! so a group nobody waits for costs no wake-up syscall.
 

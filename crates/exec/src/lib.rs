@@ -1,17 +1,17 @@
 //! Work-stealing async executor for the live platform.
 //!
-//! `live.rs` used to spawn one OS thread per job per batch, which caps a
-//! single process at a few hundred concurrent in-flight invocations. This
-//! crate is the replacement runtime layer: a hand-rolled, dependency-free
-//! work-stealing executor in the shape of an inference-server scheduler.
+//! One OS thread per job caps a process at a few hundred concurrent
+//! in-flight invocations. This crate is the runtime layer the live
+//! platform runs on instead: a hand-rolled, dependency-free work-stealing
+//! executor in the shape of an inference-server scheduler.
 //!
 //! Architecture (DESIGN.md §14):
 //!
-//! - **Per-worker local queues** (`queue`) — a LIFO slot for the freshest
-//!   task plus a FIFO deque bounded at 256; overflow sheds its oldest task
-//!   to the global injector, and a thief takes the oldest half.
-//! - **Global injector** — tasks submitted from outside a worker land
-//!   here; idle workers refill from it in batches.
+//! - **Global injector** (`queue`) — the one enqueue path: every spawn and
+//!   every wake, from any thread, lands here and unparks one sleeper.
+//! - **Per-worker local queues** — a FIFO deque an idle worker fills by
+//!   taking a batch of up to 128 tasks from the injector; a thief takes
+//!   the oldest half of another worker's deque.
 //! - **Randomized stealing** ([`steal`]) — victim order is a Fisher–Yates
 //!   permutation drawn from the existing `simcore` [`DetRng`], forked
 //!   per-worker, so steal order is a pure function of `(seed, worker)` and
@@ -21,14 +21,12 @@
 //!   leaf future. A timer cannot be cancelled: its callback always runs.
 //! - **Parker/unparker** (`park`) — idle workers sleep on a condvar with
 //!   a lost-wakeup-free hand-off protocol.
-//! - **Task groups** ([`group`]) — a live container's batch becomes a group
-//!   of tasks, one per job; a group-completion barrier replaces the
-//!   per-batch thread join, and a panicking job fails only its own
-//!   invocation (typed [`JobError`]). How many tasks a batch becomes, and
-//!   so how many of its jobs run at once, is the caller's choice. The
-//!   barrier is a countdown: it reads no clock, records only failures, and
-//!   wakes a waiter only when one is blocked. Per-job timing belongs to the
-//!   callers that want it.
+//! - **Task groups** ([`group`]) — a set of jobs, one task each, behind a
+//!   completion barrier; a panicking job fails only its own member (typed
+//!   [`JobError`]). The barrier is a countdown: it reads no clock, records
+//!   only failures, and wakes a waiter only when one is blocked. The live
+//!   platform does not use groups (its batches count down their own runs);
+//!   the benchmark's executor drills do.
 //!
 //! No tokio, no new external dependencies: the `Future`/`Waker` layer is
 //! built on [`std::task::Wake`] and the whole crate forbids `unsafe`.

@@ -279,25 +279,6 @@ impl InvocationAttribution {
     }
 }
 
-/// Per-function aggregate of attributed invocations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct FunctionPhaseSummary {
-    /// The function.
-    pub function: FunctionId,
-    /// Invocations attributed.
-    pub count: usize,
-    /// How many waited on a full cold boot.
-    pub cold: usize,
-    /// How many waited on a snapshot restore.
-    pub restored: usize,
-    /// Mean end-to-end latency.
-    pub mean_end_to_end: SimDuration,
-    /// Per-phase mean durations.
-    pub mean: PhaseBreakdown,
-    /// The phase that is critical for the most invocations.
-    pub critical: Phase,
-}
-
 /// Everything the engine derives from one stream.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct AttributionReport {
@@ -356,44 +337,6 @@ impl AttributionReport {
                 .map(InvocationAttribution::end_to_end)
                 .collect(),
         )
-    }
-
-    /// Per-function summaries, ordered by function id.
-    pub fn function_summaries(&self) -> Vec<FunctionPhaseSummary> {
-        let mut by_function: BTreeMap<FunctionId, Vec<&InvocationAttribution>> = BTreeMap::new();
-        for a in &self.invocations {
-            by_function.entry(a.function).or_default().push(a);
-        }
-        by_function
-            .into_iter()
-            .map(|(function, attrs)| {
-                let n = attrs.len() as u64;
-                let mut mean = PhaseBreakdown::default();
-                for &phase in &Phase::ALL {
-                    let total: SimDuration = attrs.iter().map(|a| a.phases.get(phase)).sum();
-                    *mean.get_mut(phase) = total / n;
-                }
-                let e2e: SimDuration = attrs.iter().map(|a| a.end_to_end()).sum();
-                let mut census: BTreeMap<Phase, usize> = BTreeMap::new();
-                for a in &attrs {
-                    *census.entry(a.phases.critical()).or_insert(0) += 1;
-                }
-                let critical = census
-                    .into_iter()
-                    .max_by_key(|&(_, n)| n)
-                    .map(|(p, _)| p)
-                    .unwrap_or(Phase::Execution);
-                FunctionPhaseSummary {
-                    function,
-                    count: attrs.len(),
-                    cold: attrs.iter().filter(|a| a.cold).count(),
-                    restored: attrs.iter().filter(|a| a.restored).count(),
-                    mean_end_to_end: e2e / n,
-                    mean,
-                    critical,
-                }
-            })
-            .collect()
     }
 
     /// How often each phase is the per-invocation bottleneck, most common
@@ -696,9 +639,6 @@ mod tests {
         assert_eq!(a.phases.restore, SimDuration::from_micros(39));
         assert_eq!(a.phases.cold_start, SimDuration::ZERO);
         assert_eq!(a.critical_path(), (Phase::Execution, "function"));
-        let summary = &report.function_summaries()[0];
-        assert_eq!(summary.restored, 1);
-        assert_eq!(summary.cold, 0);
     }
 
     #[test]

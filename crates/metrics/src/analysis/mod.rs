@@ -21,8 +21,7 @@ pub mod diff;
 pub mod load;
 
 pub use attribution::{
-    AttributionEngine, AttributionReport, FunctionPhaseSummary, InvocationAttribution, Phase,
-    PhaseBreakdown,
+    AttributionEngine, AttributionReport, InvocationAttribution, Phase, PhaseBreakdown,
 };
 pub use diff::{diff_reports, InvocationDelta, PhaseDelta, QuantileShift, TraceDiff};
 pub use load::{load_events, parse_events, TraceLoadError};

@@ -75,8 +75,8 @@ pub mod timeline;
 
 pub use analysis::{
     diff_reports, load_events, parse_events, AttributionEngine, AttributionReport,
-    FunctionPhaseSummary, InvocationAttribution, InvocationDelta, Phase, PhaseBreakdown,
-    PhaseDelta, QuantileShift, TraceDiff, TraceLoadError,
+    InvocationAttribution, InvocationDelta, Phase, PhaseBreakdown, PhaseDelta, QuantileShift,
+    TraceDiff, TraceLoadError,
 };
 pub use autoscaler::{Autoscaler, AutoscalerConfig, AutoscalerStats, PrewarmTier, ScaleAction};
 pub use events::{

@@ -4,7 +4,7 @@
 use crate::autoscaler::AutoscalerStats;
 use crate::latency::InvocationRecord;
 use crate::sampler::ResourceSampler;
-use crate::stats::{Cdf, Summary};
+use crate::stats::Cdf;
 use faasbatch_container::snapshot::SnapshotStats;
 use faasbatch_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -91,16 +91,6 @@ impl RunReport {
     /// CDF of end-to-end invocation latency.
     pub fn end_to_end_cdf(&self) -> Cdf {
         Cdf::from_samples(
-            self.records
-                .iter()
-                .map(|r| r.latency.end_to_end())
-                .collect(),
-        )
-    }
-
-    /// Summary of end-to-end latency; `None` when no records exist.
-    pub fn latency_summary(&self) -> Option<Summary> {
-        Summary::from_samples(
             self.records
                 .iter()
                 .map(|r| r.latency.end_to_end())
@@ -259,8 +249,6 @@ mod tests {
             SimDuration::from_millis(20)
         );
         assert_eq!(r.end_to_end_cdf().max(), SimDuration::from_millis(40));
-        let s = r.latency_summary().unwrap();
-        assert_eq!(s.count, 4);
     }
 
     #[test]

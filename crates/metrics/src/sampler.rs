@@ -71,15 +71,6 @@ impl ResourceSampler {
             / self.samples.len() as f64
     }
 
-    /// Peak allocated memory across samples (bytes).
-    pub fn peak_memory_bytes(&self) -> u64 {
-        self.samples
-            .iter()
-            .map(|s| s.memory_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Mean busy-core count.
     pub fn mean_busy_cores(&self) -> f64 {
         if self.samples.is_empty() {
@@ -96,27 +87,6 @@ impl ResourceSampler {
     pub fn mean_utilization(&self, cores: f64) -> f64 {
         assert!(cores > 0.0, "invalid core count");
         self.mean_busy_cores() / cores
-    }
-
-    /// Peak live containers across samples.
-    pub fn peak_containers(&self) -> u64 {
-        self.samples
-            .iter()
-            .map(|s| s.live_containers)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean live containers across samples.
-    pub fn mean_containers(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples
-            .iter()
-            .map(|s| s.live_containers as f64)
-            .sum::<f64>()
-            / self.samples.len() as f64
     }
 }
 
@@ -140,11 +110,8 @@ mod tests {
         s.record(sample(1, 300, 4.0, 3));
         assert_eq!(s.len(), 2);
         assert_eq!(s.mean_memory_bytes(), 200.0);
-        assert_eq!(s.peak_memory_bytes(), 300);
         assert_eq!(s.mean_busy_cores(), 3.0);
         assert_eq!(s.mean_utilization(8.0), 0.375);
-        assert_eq!(s.peak_containers(), 3);
-        assert_eq!(s.mean_containers(), 2.0);
     }
 
     #[test]
@@ -152,8 +119,6 @@ mod tests {
         let s = ResourceSampler::new();
         assert!(s.is_empty());
         assert_eq!(s.mean_memory_bytes(), 0.0);
-        assert_eq!(s.peak_memory_bytes(), 0);
-        assert_eq!(s.peak_containers(), 0);
     }
 
     #[test]

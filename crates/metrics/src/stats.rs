@@ -158,24 +158,6 @@ impl Summary {
     }
 }
 
-/// Mean of plain f64 values (0 when empty).
-pub fn mean_f64(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Maximum of plain f64 values (0 when empty, NaNs ignored).
-pub fn max_f64(values: &[f64]) -> f64 {
-    values
-        .iter()
-        .copied()
-        .filter(|v| !v.is_nan())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,13 +233,5 @@ mod tests {
         assert_eq!(s.p98, ms(98));
         assert_eq!(s.max, ms(100));
         assert!(Summary::from_samples(Vec::new()).is_none());
-    }
-
-    #[test]
-    fn f64_helpers() {
-        assert_eq!(mean_f64(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean_f64(&[]), 0.0);
-        assert_eq!(max_f64(&[1.0, 5.0, 2.0]), 5.0);
-        assert_eq!(max_f64(&[]), 0.0);
     }
 }

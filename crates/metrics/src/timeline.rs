@@ -6,7 +6,7 @@
 //! aggregates (e.g. peak memory within each 5-second window).
 
 use crate::sampler::{ResourceSample, ResourceSampler};
-use faasbatch_simcore::time::{SimDuration, SimTime};
+use faasbatch_simcore::time::SimTime;
 
 /// Which field of a [`ResourceSample`] a series tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,29 +64,6 @@ impl Timeline {
     /// Largest value (0 when empty).
     pub fn max(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
-    /// Downsamples into fixed windows, keeping each window's maximum (peaks
-    /// are what resource provisioning must cover).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn window_max(&self, window: SimDuration) -> Timeline {
-        assert!(!window.is_zero(), "window must be positive");
-        let mut out: Vec<(SimTime, f64)> = Vec::new();
-        for &(t, v) in &self.points {
-            let bucket = t.as_micros() / window.as_micros();
-            let start = SimTime::from_micros(bucket * window.as_micros());
-            match out.last_mut() {
-                Some((bt, bv)) if *bt == start => *bv = bv.max(v),
-                _ => out.push((start, v)),
-            }
-        }
-        Timeline {
-            name: self.name.clone(),
-            points: out,
-        }
     }
 
     /// Renders an ASCII sparkline (one char per point, 8 levels), scaled to
@@ -163,20 +140,6 @@ mod tests {
         assert_eq!(cores.points[1].1, 2.0);
         let ctrs = Timeline::from_sampler("x", &s, Series::LiveContainers);
         assert_eq!(ctrs.points[2].1, 2.0);
-    }
-
-    #[test]
-    fn window_max_keeps_peaks() {
-        let t = Timeline {
-            name: "t".into(),
-            points: (0..10)
-                .map(|i| (SimTime::from_secs(i), if i == 7 { 99.0 } else { 1.0 }))
-                .collect(),
-        };
-        let w = t.window_max(SimDuration::from_secs(5));
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.points[0].1, 1.0);
-        assert_eq!(w.points[1].1, 99.0);
     }
 
     #[test]

@@ -33,9 +33,6 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CoreLateBind {
-    /// Configured core count; 0 means derive the user-visible cores
-    /// (machine cores minus daemon reservation) at [`Policy::on_start`].
-    cores: usize,
     /// Cores currently free.
     free: usize,
     /// Centrally held invocations not yet bound to any core.
@@ -48,20 +45,6 @@ impl CoreLateBind {
     /// the run starts).
     pub fn new() -> Self {
         CoreLateBind::default()
-    }
-
-    /// Creates the policy over exactly `cores` run slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    pub fn with_cores(cores: usize) -> Self {
-        assert!(cores > 0, "core-late-bind needs at least one core");
-        CoreLateBind {
-            cores,
-            free: 0,
-            queue: VecDeque::new(),
-        }
     }
 
     /// Binds queued invocations to free cores, oldest first. Each bound
@@ -85,11 +68,8 @@ impl Policy for CoreLateBind {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.cores == 0 {
-            let cfg = ctx.config();
-            self.cores = ((cfg.cores - cfg.daemon_cores).floor() as usize).max(1);
-        }
-        self.free = self.cores;
+        let cfg = ctx.config();
+        self.free = ((cfg.cores - cfg.daemon_cores).floor() as usize).max(1);
     }
 
     fn on_arrival(&mut self, ctx: &mut Ctx<'_>, invocation: &Invocation) {
@@ -112,6 +92,16 @@ mod tests {
     use faasbatch_simcore::rng::DetRng;
     use faasbatch_simcore::time::SimDuration;
     use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
+
+    /// A host whose user-visible cores (machine minus daemon) number `n`.
+    fn user_cores(n: usize) -> SimConfig {
+        let daemon_cores = SimConfig::default().daemon_cores;
+        SimConfig {
+            cores: n as f64 + daemon_cores,
+            daemon_cores,
+            ..SimConfig::default()
+        }
+    }
 
     #[test]
     fn completes_small_cpu_workload() {
@@ -181,9 +171,9 @@ mod tests {
             },
         );
         let report = run_simulation(
-            Box::new(CoreLateBind::with_cores(2)),
+            Box::new(CoreLateBind::new()),
             &w,
-            SimConfig::default(),
+            user_cores(2),
             "cpu",
             None,
         );
@@ -210,9 +200,9 @@ mod tests {
             },
         );
         let report = run_simulation(
-            Box::new(CoreLateBind::with_cores(1)),
+            Box::new(CoreLateBind::new()),
             &w,
-            SimConfig::default(),
+            user_cores(1),
             "cpu",
             None,
         );

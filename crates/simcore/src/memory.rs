@@ -3,8 +3,7 @@
 //! The ledger tracks every live allocation (container images, runtime heaps,
 //! storage clients, …) with a category label, so experiments can report both
 //! total system memory (Fig. 13(a)/14(a) of the paper) and per-category
-//! breakdowns (Fig. 14(d): per-client footprints). It also integrates
-//! byte-seconds over simulated time for time-weighted averages.
+//! breakdowns (Fig. 14(d): per-client footprints).
 //!
 //! # Examples
 //!
@@ -116,7 +115,7 @@ pub struct MemOp {
     pub total_after: u64,
 }
 
-/// Tracks live allocations, a high-water mark, and time-weighted usage.
+/// Tracks live allocations and a high-water mark.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryLedger {
     current: u64,
@@ -125,7 +124,6 @@ pub struct MemoryLedger {
     live: IdMap<AllocationId, (MemCategory, u64)>,
     next_id: u64,
     last_update: SimTime,
-    byte_seconds: f64,
     journal: Vec<MemOp>,
 }
 
@@ -142,7 +140,7 @@ impl MemoryLedger {
     ///
     /// Panics if `now` precedes an earlier ledger operation.
     pub fn alloc(&mut self, now: SimTime, category: MemCategory, bytes: u64) -> AllocationId {
-        self.integrate(now);
+        self.advance_to(now);
         let id = AllocationId(self.next_id);
         self.next_id += 1;
         self.current += bytes;
@@ -166,7 +164,7 @@ impl MemoryLedger {
     /// Panics if the allocation was already freed (double free) or `now`
     /// precedes an earlier ledger operation.
     pub fn free(&mut self, now: SimTime, id: AllocationId) -> u64 {
-        self.integrate(now);
+        self.advance_to(now);
         let (category, bytes) = self
             .live
             .remove(&id)
@@ -221,40 +219,18 @@ impl MemoryLedger {
             .filter(|&(_, b)| b > 0)
     }
 
-    /// Advances the integration clock, accruing byte-seconds.
+    /// Advances the ledger clock; every later operation must be at or
+    /// after `now`.
     ///
     /// # Panics
     ///
     /// Panics if `now` precedes an earlier ledger operation.
     pub fn advance_to(&mut self, now: SimTime) {
-        self.integrate(now);
-    }
-
-    /// Time-weighted average usage in bytes over `[start, last update]`.
-    ///
-    /// Returns 0 when no time has elapsed.
-    pub fn mean_bytes_since(&self, start: SimTime) -> f64 {
-        let span = self
-            .last_update
-            .saturating_duration_since(start)
-            .as_secs_f64();
-        if span == 0.0 {
-            0.0
-        } else {
-            self.byte_seconds / span
-        }
-    }
-
-    fn integrate(&mut self, now: SimTime) {
         assert!(
             now >= self.last_update,
             "memory ledger cannot move backwards: {now} < {}",
             self.last_update
         );
-        let dt = now
-            .saturating_duration_since(self.last_update)
-            .as_secs_f64();
-        self.byte_seconds += self.current as f64 * dt;
         self.last_update = now;
     }
 }
@@ -297,22 +273,6 @@ mod tests {
         let a = mem.alloc(SimTime::ZERO, Platform, 1);
         mem.free(SimTime::ZERO, a);
         mem.free(SimTime::ZERO, a);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut mem = MemoryLedger::new();
-        // 100 bytes for 1 s, then 300 bytes for 1 s => mean 200 over 2 s.
-        mem.alloc(SimTime::ZERO, Platform, 100);
-        mem.alloc(SimTime::from_secs(1), Platform, 200);
-        mem.advance_to(SimTime::from_secs(2));
-        assert!((mem.mean_bytes_since(SimTime::ZERO) - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_with_zero_span_is_zero() {
-        let mem = MemoryLedger::new();
-        assert_eq!(mem.mean_bytes_since(SimTime::ZERO), 0.0);
     }
 
     #[test]

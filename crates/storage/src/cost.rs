@@ -55,11 +55,6 @@ impl ClientCostModel {
     pub fn burst_total(&self, k: usize) -> SimDuration {
         self.creation_work(k) * k as u64
     }
-
-    /// Memory a container holds after `clients` distinct live clients.
-    pub fn memory_for(&self, clients: usize) -> u64 {
-        self.memory_per_client * clients as u64
-    }
 }
 
 #[cfg(test)]
@@ -85,13 +80,6 @@ mod tests {
             assert!(w > prev);
             prev = w;
         }
-    }
-
-    #[test]
-    fn memory_scales_with_clients() {
-        let m = ClientCostModel::default();
-        assert_eq!(m.memory_for(0), 0);
-        assert_eq!(m.memory_for(4), 60 << 20);
     }
 
     #[test]

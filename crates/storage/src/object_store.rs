@@ -189,15 +189,6 @@ impl ObjectStore {
         self.read().values().map(|b| b.objects.len()).sum()
     }
 
-    /// Total stored payload bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.read()
-            .values()
-            .flat_map(|b| b.objects.values())
-            .map(|(d, _)| d.len() as u64)
-            .sum()
-    }
-
     fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Bucket>> {
         self.buckets.read().unwrap_or_else(PoisonError::into_inner)
     }
@@ -289,7 +280,6 @@ mod tests {
         s.put("b", "k1", Bytes::from(vec![0u8; 10])).unwrap();
         s.put("b", "k2", Bytes::from(vec![0u8; 30])).unwrap();
         assert_eq!(s.object_count(), 2);
-        assert_eq!(s.total_bytes(), 40);
     }
 
     #[test]

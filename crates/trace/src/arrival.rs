@@ -21,22 +21,6 @@ pub fn constant_rate(n: usize, span: SimDuration) -> Vec<SimTime> {
         .collect()
 }
 
-/// Poisson arrivals at `rate` per second, truncated to `span`.
-pub fn poisson(rng: &mut DetRng, rate_per_sec: f64, span: SimDuration) -> Vec<SimTime> {
-    assert!(rate_per_sec > 0.0, "rate must be positive");
-    let mut out = Vec::new();
-    let mut t = 0.0;
-    let horizon = span.as_secs_f64();
-    loop {
-        t += rng.exponential(1.0 / rate_per_sec);
-        if t >= horizon {
-            break;
-        }
-        out.push(SimTime::from_secs_f64(t));
-    }
-    out
-}
-
 /// Configuration for the bursty generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BurstyConfig {
@@ -190,15 +174,6 @@ mod tests {
     #[test]
     fn constant_rate_empty() {
         assert!(constant_rate(0, SimDuration::from_secs(1)).is_empty());
-    }
-
-    #[test]
-    fn poisson_rate_is_close() {
-        let mut rng = DetRng::new(1);
-        let a = poisson(&mut rng, 100.0, SimDuration::from_secs(100));
-        let rate = a.len() as f64 / 100.0;
-        assert!((rate - 100.0).abs() < 5.0, "rate {rate}");
-        assert!(a.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

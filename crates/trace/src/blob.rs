@@ -88,28 +88,6 @@ impl BlobIatModel {
         }
         acc.min(1.0)
     }
-
-    /// Generates a day's access log for `blobs` blobs, each re-accessed with
-    /// IaTs from this model, `accesses_per_blob` times. Returns flattened
-    /// `(blob index, access instant)` pairs sorted by time.
-    pub fn day_trace(
-        &self,
-        rng: &mut DetRng,
-        blobs: usize,
-        accesses_per_blob: usize,
-        day_span: SimDuration,
-    ) -> Vec<(usize, SimDuration)> {
-        let mut out = Vec::with_capacity(blobs * accesses_per_blob);
-        for blob in 0..blobs {
-            let mut t = SimDuration::from_micros(rng.uniform_u64(0, day_span.as_micros()));
-            for _ in 0..accesses_per_blob {
-                out.push((blob, t));
-                t += self.sample(rng);
-            }
-        }
-        out.sort_by_key(|&(_, t)| t);
-        out
-    }
 }
 
 /// Empirical CDF points `(value, fraction ≤ value)` from raw IaT samples —
@@ -166,15 +144,6 @@ mod tests {
             assert!(c >= prev, "cdf not monotonic at {ms} ms");
             prev = c;
         }
-    }
-
-    #[test]
-    fn day_trace_is_sorted_and_complete() {
-        let m = BlobIatModel::azure_fig3();
-        let mut rng = DetRng::new(1);
-        let trace = m.day_trace(&mut rng, 10, 5, SimDuration::from_secs(3600));
-        assert_eq!(trace.len(), 50);
-        assert!(trace.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]

@@ -82,28 +82,6 @@ impl DurationDistribution {
         }
     }
 
-    /// Creates a distribution from explicit buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is empty, any bucket is malformed, or the masses
-    /// do not sum to 1 within 1 %.
-    pub fn from_buckets(buckets: Vec<DurationBucket>) -> Self {
-        assert!(!buckets.is_empty(), "no buckets");
-        let total: f64 = buckets.iter().map(|b| b.probability).sum();
-        assert!(
-            (total - 1.0).abs() < 0.01,
-            "bucket probabilities sum to {total}"
-        );
-        for b in &buckets {
-            assert!(
-                b.lo_ms >= 0.0 && b.hi_ms > b.lo_ms && b.probability >= 0.0,
-                "malformed bucket {b:?}"
-            );
-        }
-        DurationDistribution { buckets }
-    }
-
     /// The buckets.
     pub fn buckets(&self) -> &[DurationBucket] {
         &self.buckets
@@ -204,15 +182,5 @@ mod tests {
             (0..50).map(|_| d.sample(&mut r)).collect()
         };
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "probabilities sum")]
-    fn bad_masses_panic() {
-        DurationDistribution::from_buckets(vec![DurationBucket {
-            lo_ms: 0.0,
-            hi_ms: 1.0,
-            probability: 0.5,
-        }]);
     }
 }

@@ -23,8 +23,8 @@
 //! | [`fleet`] | multi-worker fleet simulation: pluggable routing, faults, aggregate reports |
 //! | [`gateway`] | live sharded front door: admission control, window routing over N workers |
 //! | [`schedulers`] | shared simulation harness + Vanilla / Kraken / SFS / Hiku / core-late-bind |
-//! | [`container`] | container lifecycle, warm pool, cold-start model, live executor |
-//! | [`exec`] | dependency-free work-stealing executor: deques, task groups, timer wheel |
+//! | [`container`] | container lifecycle, warm pool, snapshot cache, cold-start model |
+//! | [`exec`] | dependency-free work-stealing executor: injector, deques, task groups, timer wheel |
 //! | [`storage`] | in-memory object store + costly-client SDK (the multiplexed resource) |
 //! | [`trace`] | Azure-style workload generators and trace parsers |
 //! | [`metrics`] | latency decomposition, CDFs, resource sampling, run reports |
