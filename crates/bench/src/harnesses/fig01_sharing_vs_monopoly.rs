@@ -50,11 +50,12 @@ fn live(n: usize, sharing: bool) -> Live {
             .map(|_| RemoteJob::new(ids.next_invocation(), Default::default()))
             .unzip();
         let started = Instant::now();
-        if sharing {
-            core.dispatch_window(vec![(0, jobs)]);
+        let mut window = if sharing {
+            vec![(0, jobs)]
         } else {
-            core.dispatch_window(jobs.into_iter().map(|job| (0, vec![job])).collect());
-        }
+            jobs.into_iter().map(|job| (0, vec![job])).collect()
+        };
+        core.dispatch_window(&mut window);
         let execution: Duration = tickets.into_iter().map(|t| t.wait().execution).sum();
         let makespan = started.elapsed();
         core.wait_idle();

@@ -37,11 +37,13 @@ pub struct WarmPool<C = ContainerId> {
     /// Per-function keep-alive overrides set by an autoscaling controller;
     /// functions without an entry use the base `ttl`.
     overrides: BTreeMap<FunctionId, SimDuration>,
-    // BTreeMap for deterministic iteration in expiry. A function's queue
-    // stays once it has held a container: the steady state of a warm
-    // function is one check-out that empties it and one check-in that
-    // refills it, and neither should free or allocate.
-    idle: BTreeMap<FunctionId, VecDeque<(SimTime, C)>>,
+    // Indexed by `FunctionId::index()`: a check-out or check-in is one
+    // bounds-checked index, and `expire`, `next_expiry` and `remove` walk
+    // the functions in ascending id order, so their output is deterministic.
+    // A function's queue stays once it has held a container: the steady
+    // state of a warm function is one check-out that empties it and one
+    // check-in that refills it, and neither should free or allocate.
+    idle: Vec<VecDeque<(SimTime, C)>>,
 }
 
 impl<C> WarmPool<C> {
@@ -50,7 +52,7 @@ impl<C> WarmPool<C> {
         WarmPool {
             ttl,
             overrides: BTreeMap::new(),
-            idle: BTreeMap::new(),
+            idle: Vec::new(),
         }
     }
 
@@ -78,10 +80,11 @@ impl<C> WarmPool<C> {
 
     /// Parks an idle container.
     pub fn check_in(&mut self, now: SimTime, function: FunctionId, container: C) {
-        self.idle
-            .entry(function)
-            .or_default()
-            .push_back((now, container));
+        let index = function.index() as usize;
+        if index >= self.idle.len() {
+            self.idle.resize_with(index + 1, VecDeque::new);
+        }
+        self.idle[index].push_back((now, container));
     }
 
     /// Takes the most recently used warm container for `function`; it never
@@ -106,7 +109,7 @@ impl<C> WarmPool<C> {
         stale: &mut Vec<C>,
     ) -> Option<C> {
         let ttl = self.ttl_for(function);
-        let q = self.idle.get_mut(&function)?;
+        let q = self.idle.get_mut(function.index() as usize)?;
         while let Some((parked_at, container)) = q.pop_back() {
             if now.saturating_duration_since(parked_at) <= ttl {
                 return Some(container);
@@ -120,8 +123,12 @@ impl<C> WarmPool<C> {
     /// in deterministic order.
     pub fn expire(&mut self, now: SimTime) -> Vec<C> {
         let mut expired = Vec::new();
-        for (f, q) in self.idle.iter_mut() {
-            let ttl = self.overrides.get(f).copied().unwrap_or(self.ttl);
+        for (f, q) in self.idle.iter_mut().enumerate() {
+            if q.is_empty() {
+                continue;
+            }
+            let f = FunctionId::new(f as u32);
+            let ttl = self.overrides.get(&f).copied().unwrap_or(self.ttl);
             drain_expired(q, now, ttl, &mut expired);
         }
         expired
@@ -133,7 +140,7 @@ impl<C> WarmPool<C> {
     pub fn expire_function(&mut self, now: SimTime, function: FunctionId) -> Vec<C> {
         let mut expired = Vec::new();
         let ttl = self.ttl_for(function);
-        if let Some(q) = self.idle.get_mut(&function) {
+        if let Some(q) = self.idle.get_mut(function.index() as usize) {
             drain_expired(q, now, ttl, &mut expired);
         }
         expired
@@ -145,7 +152,7 @@ impl<C> WarmPool<C> {
     where
         C: PartialEq,
     {
-        self.idle.values_mut().any(|q| {
+        self.idle.iter_mut().any(|q| {
             let pos = q.iter().position(|(_, c)| *c == container);
             pos.is_some_and(|pos| q.remove(pos).is_some())
         })
@@ -153,12 +160,14 @@ impl<C> WarmPool<C> {
 
     /// Number of idle containers for `function`.
     pub fn idle_count(&self, function: FunctionId) -> usize {
-        self.idle.get(&function).map_or(0, VecDeque::len)
+        self.idle
+            .get(function.index() as usize)
+            .map_or(0, VecDeque::len)
     }
 
     /// Total idle containers across functions.
     pub fn total_idle(&self) -> usize {
-        self.idle.values().map(VecDeque::len).sum()
+        self.idle.iter().map(VecDeque::len).sum()
     }
 
     /// Earliest instant at which some idle container will have exceeded the
@@ -166,9 +175,11 @@ impl<C> WarmPool<C> {
     pub fn next_expiry(&self) -> Option<SimTime> {
         self.idle
             .iter()
+            .enumerate()
             .filter_map(|(f, q)| {
-                let ttl = self.overrides.get(f).copied().unwrap_or(self.ttl);
-                q.front().map(|&(parked_at, _)| parked_at + ttl)
+                let &(parked_at, _) = q.front()?;
+                let ttl = self.ttl_for(FunctionId::new(f as u32));
+                Some(parked_at + ttl)
             })
             .min()
     }
@@ -193,6 +204,7 @@ fn drain_expired<C>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasbatch_simcore::rng::DetRng;
 
     fn f(i: u32) -> FunctionId {
         FunctionId::new(i)
@@ -389,5 +401,173 @@ mod tests {
         assert!(!p.remove(c(1)));
         assert_eq!(p.check_out(SimTime::ZERO, f(0)), Some(c(2)));
         assert_eq!(p.check_out(SimTime::ZERO, f(0)), None);
+    }
+
+    /// The pool as it was before its queues went dense: a `BTreeMap` keyed
+    /// by function, walked in key order. The reference the dense pool must
+    /// match, call for call.
+    struct OraclePool {
+        ttl: SimDuration,
+        overrides: BTreeMap<FunctionId, SimDuration>,
+        idle: BTreeMap<FunctionId, VecDeque<(SimTime, ContainerId)>>,
+    }
+
+    impl OraclePool {
+        fn ttl_for(&self, function: FunctionId) -> SimDuration {
+            self.overrides.get(&function).copied().unwrap_or(self.ttl)
+        }
+
+        fn set_ttl(&mut self, function: FunctionId, ttl: SimDuration) {
+            if ttl == self.ttl {
+                self.overrides.remove(&function);
+            } else {
+                self.overrides.insert(function, ttl);
+            }
+        }
+
+        fn check_in(&mut self, now: SimTime, function: FunctionId, container: ContainerId) {
+            let q = self.idle.entry(function).or_default();
+            q.push_back((now, container));
+        }
+
+        fn check_out_reaping(
+            &mut self,
+            now: SimTime,
+            function: FunctionId,
+            stale: &mut Vec<ContainerId>,
+        ) -> Option<ContainerId> {
+            let ttl = self.ttl_for(function);
+            let q = self.idle.get_mut(&function)?;
+            while let Some((parked_at, container)) = q.pop_back() {
+                if now.saturating_duration_since(parked_at) <= ttl {
+                    return Some(container);
+                }
+                stale.push(container);
+            }
+            None
+        }
+
+        fn expire(&mut self, now: SimTime) -> Vec<ContainerId> {
+            let mut expired = Vec::new();
+            for (f, q) in self.idle.iter_mut() {
+                let ttl = self.overrides.get(f).copied().unwrap_or(self.ttl);
+                drain_expired(q, now, ttl, &mut expired);
+            }
+            expired
+        }
+
+        fn expire_function(&mut self, now: SimTime, function: FunctionId) -> Vec<ContainerId> {
+            let mut expired = Vec::new();
+            let ttl = self.ttl_for(function);
+            if let Some(q) = self.idle.get_mut(&function) {
+                drain_expired(q, now, ttl, &mut expired);
+            }
+            expired
+        }
+
+        fn remove(&mut self, container: ContainerId) -> bool {
+            self.idle.values_mut().any(|q| {
+                let pos = q.iter().position(|(_, c)| *c == container);
+                pos.is_some_and(|pos| q.remove(pos).is_some())
+            })
+        }
+
+        fn idle_count(&self, function: FunctionId) -> usize {
+            self.idle.get(&function).map_or(0, VecDeque::len)
+        }
+
+        fn total_idle(&self) -> usize {
+            self.idle.values().map(VecDeque::len).sum()
+        }
+
+        fn next_expiry(&self) -> Option<SimTime> {
+            self.idle
+                .iter()
+                .filter_map(|(f, q)| {
+                    let ttl = self.overrides.get(f).copied().unwrap_or(self.ttl);
+                    q.front().map(|&(parked_at, _)| parked_at + ttl)
+                })
+                .min()
+        }
+    }
+
+    /// Seeded random op sequences over a few sparse function ids (up to
+    /// ~5,000), every TTL knob and every query, against [`OraclePool`]:
+    /// each return value, and each stale list, must be equal. Walking the
+    /// functions in any order but ascending id fails it.
+    #[test]
+    fn dense_pool_matches_the_btreemap_oracle() {
+        let base = SimDuration::from_secs(10);
+        for seed in 0..64 {
+            let mut rng = DetRng::new(seed);
+            let functions: Vec<FunctionId> = (0..12)
+                .map(|_| f(rng.uniform_u64(0, 5_000) as u32))
+                .collect();
+            let ttls = [1, 3, 10, 30].map(SimDuration::from_secs);
+            let mut pool = WarmPool::new(base);
+            let mut oracle = OraclePool {
+                ttl: base,
+                overrides: BTreeMap::new(),
+                idle: BTreeMap::new(),
+            };
+            let (mut now, mut next_container) = (SimTime::ZERO, 0);
+            for op in 0..2_000 {
+                let at = format!("seed {seed}, op {op}");
+                now += SimDuration::from_millis(rng.uniform_u64(0, 1_500));
+                let function = functions[rng.uniform_u64(0, functions.len() as u64) as usize];
+                match rng.uniform_u64(0, 11) {
+                    0..=3 => {
+                        // Now and then a container id parked before, maybe
+                        // under another function: that is what makes the
+                        // order `remove` walks the functions in observable.
+                        let container = if next_container > 0 && rng.uniform_u64(0, 4) == 0 {
+                            c(rng.uniform_u64(1, next_container + 1))
+                        } else {
+                            next_container += 1;
+                            c(next_container)
+                        };
+                        pool.check_in(now, function, container);
+                        oracle.check_in(now, function, container);
+                    }
+                    4 => assert_eq!(
+                        pool.check_out(now, function),
+                        oracle.check_out_reaping(now, function, &mut Vec::new()),
+                        "{at}"
+                    ),
+                    5 => {
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        assert_eq!(
+                            pool.check_out_reaping(now, function, &mut got),
+                            oracle.check_out_reaping(now, function, &mut want),
+                            "{at}"
+                        );
+                        assert_eq!(got, want, "{at}");
+                    }
+                    6 => assert_eq!(pool.expire(now), oracle.expire(now), "{at}"),
+                    7 => assert_eq!(
+                        pool.expire_function(now, function),
+                        oracle.expire_function(now, function),
+                        "{at}"
+                    ),
+                    8 => {
+                        let ttl = ttls[rng.uniform_u64(0, ttls.len() as u64) as usize];
+                        pool.set_ttl(function, ttl);
+                        oracle.set_ttl(function, ttl);
+                    }
+                    9 => {
+                        let container = c(rng.uniform_u64(0, next_container + 2));
+                        assert_eq!(pool.remove(container), oracle.remove(container), "{at}");
+                    }
+                    _ => assert_eq!(pool.next_expiry(), oracle.next_expiry(), "{at}"),
+                }
+                assert_eq!(
+                    pool.idle_count(function),
+                    oracle.idle_count(function),
+                    "{at}"
+                );
+                assert_eq!(pool.total_idle(), oracle.total_idle(), "{at}");
+                assert_eq!(pool.ttl_for(function), oracle.ttl_for(function), "{at}");
+            }
+        }
     }
 }

@@ -36,12 +36,15 @@
 //! the next run off a shared cursor until the list is empty. One process
 //! thus multiplexes every in-flight batch over a fixed worker pool, paying
 //! for at most one task per worker per window instead of one per group.
-//! Claiming is dynamic, so a run that blocks holds back only its own
-//! members; the price is skew inside a run, where one task per member
-//! would have let an idle worker steal them (DESIGN.md §14). A cold or
-//! restored group's runs wait out its start delay on the executor's timer
-//! wheel and then go out the same way, as a list of their own; warm-pool
-//! keep-alive expiry rides the same wheel.
+//! The list also owns its batches' `Group`s, and a run names its group by
+//! index, so a window costs one list allocation, not one per group; a run
+//! nobody claimed (a stopping executor dropped the list's tasks) is
+//! counted down when the list drops. Claiming is dynamic, so a run that
+//! blocks holds back only its own members; the price is skew inside a run,
+//! where one task per member would have let an idle worker steal them
+//! (DESIGN.md §14). A cold or restored group's runs wait out its start
+//! delay on the executor's timer wheel and then go out the same way, as a
+//! list of their own; warm-pool keep-alive expiry rides the same wheel.
 //!
 //! With a [`LiveTraceRecorder`] attached ([`PlatformBuilder::trace`]), every
 //! run emits the same typed [`SimEvent`] stream as the simulator — arrivals,
@@ -746,12 +749,12 @@ impl CoreShared {
         });
     }
 
-    /// Dispatches a window's groups onto this core, in order: each is
-    /// started ([`CoreShared::start_group`]), and the runs of the warm ones
-    /// go to the executor together, as one [`RunList`].
-    fn dispatch_window(self: &Arc<Self>, groups: Vec<(usize, Vec<RemoteJob>)>) {
-        let mut runs = RunList::default();
-        for (function, members) in groups {
+    /// Dispatches (and drains) a window's groups onto this core, in order:
+    /// each is started ([`CoreShared::start_group`]), and the runs of the
+    /// warm ones go to the executor together, as one [`RunList`].
+    fn dispatch_window(self: &Arc<Self>, groups: &mut Vec<(usize, Vec<RemoteJob>)>) {
+        let mut runs = RunList::new(Arc::clone(self), groups.len());
+        for (function, members) in groups.drain(..) {
             self.start_group(function, members, None, &mut runs);
         }
         runs.submit(&self.executor);
@@ -819,8 +822,7 @@ impl CoreShared {
         }
         self.pending.enter();
         let size = members.len();
-        let group = Arc::new(Group {
-            core: Arc::clone(self),
+        let group = Group {
             sdk_creations_before: env.sdk.total_creations() as u64,
             env,
             function,
@@ -829,20 +831,21 @@ impl CoreShared {
             size,
             runs_left: AtomicUsize::new(size.min(self.executor.workers()).max(1)),
             on_done: Mutex::new(on_done),
-        });
+        };
         if tier == StartTier::Warm {
-            group.mark_ready();
-            return group.expand(members, runs);
+            group.mark_ready(self);
+            return runs.push(group, members);
         }
         // A start delay rides the timer wheel: the ready events are emitted
         // in the callback *before* the runs are submitted, so
         // `ColdStartEnd`/`RestoreDone` strictly precedes every `ExecBegin`
         // of the batch.
+        let core = Arc::clone(self);
         self.executor.schedule(delay, move || {
-            group.mark_ready();
-            let mut runs = RunList::default();
-            group.expand(members, &mut runs);
-            runs.submit(&group.core.executor);
+            group.mark_ready(&core);
+            let mut runs = RunList::new(Arc::clone(&core), 1);
+            runs.push(group, members);
+            runs.submit(&core.executor);
         });
     }
 
@@ -888,11 +891,10 @@ impl CoreShared {
 }
 
 /// One dispatched batch from decision to epilogue: its container and how it
-/// started, on the worker whose state the finishing side updates. It is
-/// also the batch's completion count: each run holds a [`RunGuard`], and
-/// the last guard to drop runs [`Group::finish`].
+/// started. It lives in the [`RunList`] that carries its runs, and it is the
+/// batch's completion count: each run holds a [`RunGuard`], and the last
+/// guard to drop runs [`Group::finish`].
 struct Group {
-    core: Arc<CoreShared>,
     env: Arc<ContainerEnv>,
     function: usize,
     batch: u64,
@@ -906,14 +908,29 @@ struct Group {
     on_done: Mutex<Option<GroupDone>>,
 }
 
-/// One run's share of its group's completion count. Dropped when the run
-/// returns — or unwinds, or is dropped unrun by a stopping executor — so a
-/// batch always finishes exactly once, after its last run.
-struct RunGuard(Arc<Group>);
+/// One run's share of its group's completion count, borrowed from the run's
+/// list. Dropped when the run returns or unwinds — or, for a run nobody
+/// claimed, when the list is dropped — so a batch always finishes exactly
+/// once, after its last run.
+struct RunGuard<'a> {
+    core: &'a Arc<CoreShared>,
+    group: &'a Group,
+}
+
+impl Drop for RunGuard<'_> {
+    fn drop(&mut self) {
+        // AcqRel: the run that reaches zero sees every other run's members
+        // done before it finishes the batch.
+        if self.group.runs_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.group.finish(self.core);
+        }
+    }
+}
 
 /// Consecutive members of one batch, run back to back on one worker.
 struct Run {
-    guard: RunGuard,
+    /// Index of the run's batch in its list's `groups`.
+    group: u32,
     /// Group index of the run's first member.
     first: u32,
     members: RunMembers,
@@ -928,43 +945,65 @@ enum RunMembers {
     Many(Box<[RemoteJob]>),
 }
 
-impl Run {
-    fn run(self) {
-        let group = &self.guard.0;
-        match self.members {
-            RunMembers::One(job) => group.run_member(self.first, job),
-            RunMembers::Many(jobs) => {
-                for (member, job) in (self.first..).zip(jobs.into_vec()) {
-                    group.run_member(member, job);
-                }
-            }
-        }
-    }
-}
-
-/// The runs one dispatch hands a core's executor: a window's warm groups,
-/// or one cold or restored group after its start delay. It is the one way
-/// runs reach the executor ([`RunList::submit`]): at most `workers` tasks,
-/// each claiming the next unclaimed run off `next` until none is left. A
-/// run is claimed once, so every member runs once; a run that blocks or
-/// is preempted holds back only its own members, as the other tasks keep
-/// claiming past it.
-#[derive(Default)]
+/// The runs one dispatch hands a core's executor, and the batches they
+/// belong to: a window's warm groups, or one cold or restored group after
+/// its start delay. It is the one way runs reach the executor
+/// ([`RunList::submit`]): at most `workers` tasks, each claiming the next
+/// unclaimed run off `next` until none is left. A run is claimed once, so
+/// every member runs once; a run that blocks or is preempted holds back
+/// only its own members, as the other tasks keep claiming past it. The
+/// list is one allocation per dispatch, however many groups it carries.
 struct RunList {
+    core: Arc<CoreShared>,
+    groups: Vec<Group>,
     runs: Vec<Mutex<Option<Run>>>,
     /// Index of the next run to claim.
     next: AtomicUsize,
 }
 
 impl RunList {
-    fn push(&mut self, run: Run) {
-        self.runs.push(Mutex::new(Some(run)));
+    /// An empty list for about `groups` batches of `core`.
+    fn new(core: Arc<CoreShared>, groups: usize) -> RunList {
+        RunList {
+            core,
+            groups: Vec::with_capacity(groups),
+            runs: Vec::with_capacity(groups),
+            next: AtomicUsize::new(0),
+        }
     }
 
-    /// Spawns `min(runs, workers)` tasks that drain the list. Runs left
-    /// unclaimed when a stopping executor drops those tasks are dropped with
-    /// the list: their guards still finish their batches and their tickets
-    /// are released.
+    /// Adds `group` and its `min(n, workers)` contiguous runs, whose sizes
+    /// differ by at most one. Each run holds its members back to back under
+    /// their own group indices; the last run to end finishes the batch on
+    /// its worker (no per-batch join thread).
+    fn push(&mut self, mut group: Group, mut members: Vec<RemoteJob>) {
+        let index = self.groups.len() as u32;
+        let count = *group.runs_left.get_mut();
+        let (base, longer) = (group.size / count, group.size % count);
+        // One drain in member order moves every member exactly once.
+        let mut rest = members.drain(..);
+        let mut first = 0;
+        for run in 0..count {
+            let len = base + usize::from(run < longer);
+            let members = if len == 1 {
+                RunMembers::One(rest.next().expect("a run holds a member"))
+            } else {
+                RunMembers::Many(rest.by_ref().take(len).collect())
+            };
+            self.runs.push(Mutex::new(Some(Run {
+                group: index,
+                first: first as u32,
+                members,
+            })));
+            first += len;
+        }
+        self.groups.push(group);
+    }
+
+    /// Spawns `min(runs, workers)` tasks on `executor` that drain the list.
+    /// Runs left unclaimed when a stopping executor drops those tasks are
+    /// counted down when the list drops: their batches still finish and
+    /// their tickets are released.
     fn submit(self, executor: &Executor) {
         let tasks = self.runs.len().min(executor.workers());
         if tasks == 0 {
@@ -987,18 +1026,45 @@ impl RunList {
             };
             let run = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
             if let Some(run) = run {
-                run.run();
+                self.run(run);
+            }
+        }
+    }
+
+    fn run(&self, run: Run) {
+        let group = &self.groups[run.group as usize];
+        let _guard = RunGuard {
+            core: &self.core,
+            group,
+        };
+        match run.members {
+            RunMembers::One(job) => group.run_member(&self.core, run.first, job),
+            RunMembers::Many(jobs) => {
+                for (member, job) in (run.first..).zip(jobs.into_vec()) {
+                    group.run_member(&self.core, member, job);
+                }
             }
         }
     }
 }
 
-impl Drop for RunGuard {
+impl Drop for RunList {
+    /// Counts down the runs nobody claimed — a stopping executor dropped
+    /// every task of the list before it ran. Their jobs are dropped first,
+    /// which releases their tickets.
     fn drop(&mut self) {
-        // AcqRel: the run that reaches zero sees every other run's members
-        // done before it finishes the batch.
-        if self.0.runs_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.0.finish();
+        for slot in &mut self.runs {
+            let run = slot
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            if let Some(run) = run {
+                let _guard = RunGuard {
+                    core: &self.core,
+                    group: &self.groups[run.group as usize],
+                };
+                drop(run.members);
+            }
         }
     }
 }
@@ -1018,8 +1084,7 @@ impl Group {
     /// function's snapshot (as `Cluster::finish_cold_start` does) — after
     /// `ColdStartEnd` is recorded, so no restore begins before the boot it
     /// copies ended.
-    fn mark_ready(&self) {
-        let core = &*self.core;
+    fn mark_ready(&self, core: &CoreShared) {
         let container = self.container();
         let batch = Some(self.batch);
         if self.tier != StartTier::Warm {
@@ -1034,50 +1099,22 @@ impl Group {
             } else {
                 core.emit(EventKind::RestoreDone { container, batch });
             }
-            self.core.emit(EventKind::ContainerStateChange {
+            core.emit(EventKind::ContainerStateChange {
                 container,
                 from: Some(ContainerState::Provisioning),
                 to: ContainerState::Idle,
             });
         }
-        self.core.emit(EventKind::ContainerStateChange {
+        core.emit(EventKind::ContainerStateChange {
             container,
             from: Some(ContainerState::Idle),
             to: ContainerState::Busy,
         });
     }
 
-    /// Splits the batch into `min(n, workers)` contiguous runs whose sizes
-    /// differ by at most one and adds them to `runs`. Each run holds a
-    /// [`RunGuard`] and runs its members back to back under their own group
-    /// indices; the last run to end finishes the batch on its worker (no
-    /// per-batch join thread).
-    fn expand(self: &Arc<Self>, mut members: Vec<RemoteJob>, runs: &mut RunList) {
-        let count = self.runs_left.load(Ordering::Relaxed);
-        let (base, longer) = (self.size / count, self.size % count);
-        // One drain in member order moves every member exactly once.
-        let mut rest = members.drain(..);
-        let mut first = 0;
-        for run in 0..count {
-            let len = base + usize::from(run < longer);
-            let members = if len == 1 {
-                RunMembers::One(rest.next().expect("a run holds a member"))
-            } else {
-                RunMembers::Many(rest.by_ref().take(len).collect())
-            };
-            runs.push(Run {
-                guard: RunGuard(Arc::clone(self)),
-                first: first as u32,
-                members,
-            });
-            first += len;
-        }
-    }
-
     /// One batch member: runs the handler with the panic boundary, reports
     /// the outcome, and emits the member's exec/completion events.
-    fn run_member(&self, member: u32, job: RemoteJob) {
-        let core = &*self.core;
+    fn run_member(&self, core: &CoreShared, member: u32, job: RemoteJob) {
         let started = Instant::now();
         core.emit(EventKind::ExecBegin {
             batch: self.batch,
@@ -1121,8 +1158,7 @@ impl Group {
     /// The batch epilogue, run once by its last run: fold client/invocation
     /// counters into the worker stats, release the container back to the
     /// warm pool, and (when keep-alive is on) arm the expiry timer.
-    fn finish(&self) {
-        let core = &self.core;
+    fn finish(&self, core: &Arc<CoreShared>) {
         let created = self.env.sdk.total_creations() as u64 - self.sdk_creations_before;
         core.stats
             .clients_created
@@ -1228,7 +1264,8 @@ impl DispatchCore {
     /// Dispatches this core's share of one dispatch window — `(function,
     /// members)` groups, each non-empty, `function` an index into
     /// [`DispatchCore::functions`] — on the caller's thread, each group as
-    /// **one** batch: when this returns, every container is acquired, every
+    /// **one** batch, draining `groups` (the caller keeps its buffer for the
+    /// next window): when this returns, every container is acquired, every
     /// `DispatchDecision` is recorded in `groups` order, and the warm
     /// groups' runs are on the executor as one list pulled by at most
     /// `workers` tasks (the others are on their cold/restore timers).
@@ -1237,7 +1274,7 @@ impl DispatchCore {
     /// or split a group. It is also responsible for the members' `Arrival`
     /// events, minting invocation ids from the shared [`PlatformIds`]; the
     /// core emits everything from the dispatch decision on.
-    pub fn dispatch_window(&self, groups: Vec<(usize, Vec<RemoteJob>)>) {
+    pub fn dispatch_window(&self, groups: &mut Vec<(usize, Vec<RemoteJob>)>) {
         if let Some(tel) = &self.shared.telemetry {
             let members: usize = groups.iter().map(|(_, members)| members.len()).sum();
             tel.in_flight.add(members as i64);
@@ -1252,7 +1289,7 @@ impl DispatchCore {
         if let Some(tel) = &self.shared.telemetry {
             tel.in_flight.add(members.len() as i64);
         }
-        let mut runs = RunList::default();
+        let mut runs = RunList::new(Arc::clone(&self.shared), 1);
         self.shared
             .start_group(function, members, on_done, &mut runs);
         runs.submit(&self.shared.executor);
@@ -2306,6 +2343,72 @@ mod tests {
                 FUNCTIONS as u64,
                 "{workers} workers"
             );
+        }
+    }
+
+    /// A window's list whose tasks a stopped executor drops before any of
+    /// them ran: the list counts every unclaimed run down as it drops, so
+    /// every batch still finishes exactly once, `wait_idle` returns, every
+    /// member is counted and every ticket is released, unrun.
+    #[test]
+    fn a_list_an_executor_drops_unclaimed_still_finishes_its_batches() {
+        for workers in [1, 2, 4] {
+            let exec = Executor::new(ExecutorConfig {
+                workers,
+                seed: 35,
+                ..ExecutorConfig::default()
+            });
+            let sizes = [1, workers, workers + 1, 100];
+            // Dropped by hand once every check passed: a batch left
+            // unfinished would hang the platform's drop, and so the test,
+            // instead of failing it.
+            let platform = std::mem::ManuallyDrop::new(warmed_platform(&exec, sizes.len(), |_| {
+                panic!("no member of the dropped list may run")
+            }));
+            let shared = &platform.core.shared;
+            let invocations = platform.stats().invocations.load(Ordering::Relaxed);
+            let stopped = Executor::new(ExecutorConfig {
+                workers,
+                seed: 35,
+                ..ExecutorConfig::default()
+            });
+            stopped.shutdown();
+            let finished = Arc::new(Mutex::new(Vec::new()));
+            let mut runs = RunList::new(Arc::clone(shared), sizes.len());
+            let mut tickets = Vec::new();
+            for (function, size) in sizes.into_iter().enumerate() {
+                let (members, group_tickets) = indexed_jobs(platform.ids(), size);
+                tickets.extend(group_tickets);
+                let finished = Arc::clone(&finished);
+                let on_done: GroupDone =
+                    Box::new(move |n| finished.lock().unwrap().push((function, n)));
+                shared.start_group(function, members, Some(on_done), &mut runs);
+            }
+            runs.submit(&stopped);
+            assert!(finished.lock().unwrap().is_empty(), "{workers} workers");
+            assert_eq!(
+                stopped.metrics().spawned_total,
+                workers as u64,
+                "{workers} workers"
+            );
+            // The last handle goes: the executor drops its queued tasks, and
+            // with them the list, on this thread.
+            drop(stopped);
+            let mut finished = finished.lock().unwrap().clone();
+            finished.sort_unstable();
+            let expected: Vec<_> = sizes.into_iter().enumerate().collect();
+            assert_eq!(finished, expected, "once per batch; {workers} workers");
+            platform.core.wait_idle();
+            assert_eq!(
+                platform.stats().invocations.load(Ordering::Relaxed) - invocations,
+                sizes.iter().sum::<usize>() as u64,
+                "{workers} workers"
+            );
+            for ticket in tickets {
+                let outcome = ticket.slot.lock().outcome;
+                assert_eq!(outcome, Some(None), "released unrun; {workers} workers");
+            }
+            drop(std::mem::ManuallyDrop::into_inner(platform));
         }
     }
 

@@ -1,11 +1,14 @@
 //! The dispatch-window queue: the one place a window is collected.
 //!
 //! A deliberately simple, `unsafe`-free swap-drain design: producers push
-//! under a mutex and one window thread drains the *whole* queue in one lock
-//! acquisition at the dispatch-window boundary. Job pushes never signal the
-//! condvar — the window thread wakes at the deadline anyway, so the hot
-//! ingress path is one lock + one `VecDeque` push. Only control messages
-//! (flush) and shutdown wake it early.
+//! under a mutex, and at the dispatch-window boundary the one window thread
+//! swaps the queue's buffer for an empty spare of its own — O(1) under the
+//! lock, whatever the window holds — and groups the drained buffer outside
+//! it. Both buffers keep their capacity, so a steady load drains without
+//! allocating. Job pushes never signal the condvar — the window thread
+//! wakes at the deadline anyway, so the hot ingress path is one lock + one
+//! `VecDeque` push. Only control messages (flush) and shutdown wake it
+//! early.
 //!
 //! Both front doors run on it: [`FaasBatchPlatform::invoke`] pushes into one
 //! unbounded-depth queue, each gateway shard into a depth-bounded one, and
@@ -13,7 +16,10 @@
 //! function (the Invoke Mapper), hand the whole window's groups to the
 //! caller's dispatch in one call. One call per window, not per group, is
 //! what lets a dispatch core hand each executor worker the window as one
-//! run list instead of a task per group.
+//! run list instead of a task per group. Grouping is dense: a function →
+//! group-slot index that lives across windows, reset for exactly the
+//! functions a window touched, then one sort of the window's groups by
+//! function — no map is built per window.
 //!
 //! Admission control lives here: [`WindowQueue::try_push_job`] refuses the
 //! push once a window has accumulated `depth` jobs, returning the observed
@@ -23,7 +29,7 @@
 //! [`FaasBatchPlatform::invoke`]: crate::platform::FaasBatchPlatform::invoke
 
 use crate::platform::RemoteJob;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -151,9 +157,10 @@ impl WindowQueue {
     }
 
     /// Sleeps until `deadline` (or an early flush/close wake-up), then
-    /// drains the whole queue. Returns the drained messages in arrival
-    /// order and whether the queue has been closed.
-    fn collect_window(&self, deadline: Instant) -> (Vec<Msg>, bool) {
+    /// drains the whole queue into `drained` (empty on entry) by swapping
+    /// buffers, and returns whether the queue has been closed. The messages
+    /// stay in arrival order.
+    fn collect_window(&self, deadline: Instant, drained: &mut VecDeque<Msg>) -> bool {
         let mut inner = self.lock();
         loop {
             if inner.closed || inner.controls > 0 {
@@ -171,8 +178,8 @@ impl WindowQueue {
         }
         inner.jobs = 0;
         inner.controls = 0;
-        let msgs = inner.queue.drain(..).collect();
-        (msgs, inner.closed)
+        std::mem::swap(&mut inner.queue, drained);
+        inner.closed
     }
 
     /// The window loop, run by the queue's one window thread until
@@ -181,34 +188,58 @@ impl WindowQueue {
     /// window's `(function, members)` groups — ascending function order, so
     /// dispatch order is deterministic per window; members in arrival
     /// order; a window with no job is not dispatched — then acknowledge the
-    /// flushes that were queued behind those jobs. The pass after `close`
-    /// still dispatches everything admitted.
+    /// flushes that were queued behind those jobs. `dispatch` may drain the
+    /// groups it is lent; what it leaves is dropped before the next window.
+    /// The pass after `close` still dispatches everything admitted.
     pub fn run(
         &self,
         window: Duration,
         mut admit: impl FnMut(&RemoteJob),
-        mut dispatch: impl FnMut(Vec<(usize, Vec<RemoteJob>)>),
+        mut dispatch: impl FnMut(&mut Vec<(usize, Vec<RemoteJob>)>),
     ) {
         let mut deadline = Instant::now() + window;
+        // Kept across windows, with their capacity: the spare the queue's
+        // buffer is swapped with, the window's groups, and each function's
+        // slot in them (`u32::MAX` for a function this window has not seen).
+        let mut drained = VecDeque::new();
+        let mut groups: Vec<(usize, Vec<RemoteJob>)> = Vec::new();
+        let mut slots: Vec<u32> = Vec::new();
         loop {
-            let (msgs, closed) = self.collect_window(deadline);
+            let closed = self.collect_window(deadline, &mut drained);
             // The next window runs from this drain, not from the end of the
             // dispatch pass below: the pass is inline work on this thread,
             // and the period between drains stays `window`.
             deadline = Instant::now() + window;
-            let mut groups: BTreeMap<usize, Vec<RemoteJob>> = BTreeMap::new();
             let mut flushes = Vec::new();
-            for msg in msgs {
+            for msg in drained.drain(..) {
                 match msg {
                     Msg::Job { function, job } => {
                         admit(&job);
-                        groups.entry(function).or_default().push(job);
+                        if function >= slots.len() {
+                            slots.resize(function + 1, u32::MAX);
+                        }
+                        match slots[function] {
+                            u32::MAX => {
+                                slots[function] = groups.len() as u32;
+                                groups.push((function, vec![job]));
+                            }
+                            slot => groups[slot as usize].1.push(job),
+                        }
                     }
                     Msg::Flush(ack) => flushes.push(ack),
                 }
             }
             if !groups.is_empty() {
-                dispatch(groups.into_iter().collect());
+                // Only the slots this window touched are reset: a stale one
+                // would merge the next window's members into a group of this
+                // one.
+                for &(function, _) in &groups {
+                    slots[function] = u32::MAX;
+                }
+                // One function per group, so the unstable sort is exact.
+                groups.sort_unstable_by_key(|&(function, _)| function);
+                dispatch(&mut groups);
+                groups.clear();
             }
             for ack in flushes {
                 let _ = ack.send(());
@@ -225,15 +256,17 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use faasbatch_container::ids::InvocationId;
+    use faasbatch_simcore::rng::DetRng;
+    use std::collections::BTreeMap;
 
     fn job(n: u64) -> RemoteJob {
         RemoteJob::new(InvocationId::new(n), Bytes::new()).0
     }
 
     /// A dispatched window as `(function, invocation ids)` groups.
-    fn ids(window: Vec<(usize, Vec<RemoteJob>)>) -> Vec<(usize, Vec<u64>)> {
+    fn ids(window: &mut Vec<(usize, Vec<RemoteJob>)>) -> Vec<(usize, Vec<u64>)> {
         window
-            .into_iter()
+            .drain(..)
             .map(|(function, members)| {
                 let ids = members.iter().map(|j| j.invocation().value()).collect();
                 (function, ids)
@@ -254,8 +287,9 @@ mod tests {
         assert!(!ran, "a refused job must not run its visibility hook");
         assert_eq!(queue.waiting(), 2);
         // Draining the window resets the admission count.
-        let (msgs, closed) = queue.collect_window(Instant::now());
-        assert_eq!((msgs.len(), closed), (2, false));
+        let mut drained = VecDeque::new();
+        let closed = queue.collect_window(Instant::now(), &mut drained);
+        assert_eq!((drained.len(), closed), (2, false));
         assert_eq!(queue.waiting(), 0);
         assert_eq!(queue.try_push_job(0, job(3), || {}), Ok(()));
     }
@@ -319,5 +353,49 @@ mod tests {
             |window| dispatched.extend(ids(window)),
         );
         assert_eq!(dispatched, vec![(3, vec![1])]);
+    }
+
+    /// Consecutive windows of seeded random pushes over sparse function ids
+    /// (up to ~5,000), each ended by a flush, against a `BTreeMap` grouping
+    /// of the same pushes: the same `(function, invocation ids)` groups, in
+    /// the same order, one dispatch per non-empty window. A slot index left
+    /// stale by one window would merge the next window's members into a
+    /// group of the wrong window.
+    #[test]
+    fn dense_grouping_matches_a_btreemap_over_consecutive_windows() {
+        for seed in 0..16 {
+            let mut rng = DetRng::new(seed);
+            let functions: Vec<usize> = (0..24)
+                .map(|_| rng.uniform_u64(0, 5_000) as usize)
+                .collect();
+            let queue = WindowQueue::new(usize::MAX);
+            let (mut expected, mut dispatched) = (Vec::new(), Vec::new());
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    queue.run(
+                        Duration::from_secs(3600),
+                        |_| {},
+                        |window| dispatched.push(ids(window)),
+                    );
+                });
+                let mut next = 0;
+                for _ in 0..12 {
+                    let mut reference: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+                    for _ in 0..rng.uniform_u64(0, 200) {
+                        let function =
+                            functions[rng.uniform_u64(0, functions.len() as u64) as usize];
+                        queue.try_push_job(function, job(next), || {}).unwrap();
+                        reference.entry(function).or_default().push(next);
+                        next += 1;
+                    }
+                    queue.flush().recv().expect("window thread acks the flush");
+                    if !reference.is_empty() {
+                        expected.push(reference.into_iter().collect::<Vec<_>>());
+                    }
+                }
+                queue.close();
+            });
+            assert_eq!(dispatched, expected, "seed {seed}");
+        }
     }
 }

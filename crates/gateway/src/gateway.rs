@@ -452,7 +452,8 @@ struct ShardDispatcher {
 impl ShardDispatcher {
     fn run(self) {
         let alive = vec![true; self.cores.len()];
-        // Per worker, the groups of the window being routed.
+        // Per worker, the groups of the window being routed; each buffer is
+        // drained by its core and kept for the next window.
         let mut shares: Vec<Vec<(usize, Vec<RemoteJob>)>> =
             (0..self.cores.len()).map(|_| Vec::new()).collect();
         self.queue.run(
@@ -472,7 +473,7 @@ impl ShardDispatcher {
                     .route_latency
                     .as_ref()
                     .map(|hist| (hist, Instant::now()));
-                for (function, members) in groups {
+                for (function, members) in groups.drain(..) {
                     // Every core of the fleet reads one clock; any of them
                     // has it.
                     let now = self.cores[0].now();
@@ -499,7 +500,7 @@ impl ShardDispatcher {
                         continue;
                     }
                     let routed = share.len();
-                    core.dispatch_window(std::mem::take(share));
+                    core.dispatch_window(share);
                     if let Some((hist, drained)) = drained {
                         let latency = drained.elapsed().as_micros() as u64;
                         for _ in 0..routed {
