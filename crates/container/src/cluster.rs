@@ -482,12 +482,13 @@ impl Cluster {
 
     /// Reaps idle containers that outlived the keep-alive TTL.
     ///
-    /// Known gap (ROADMAP item 5): no scheduler harness calls this or
-    /// [`next_expiry`](Self::next_expiry), so in a simulated run a container
-    /// that outlives its keep-alive is never terminated — its memory and CPU
-    /// group stay charged, [`warm_count`](Self::warm_count) sees it until a
-    /// check-out pops it, and a later keep-alive raise resurrects it. Fixing
-    /// that moves committed results, so it is its own re-baselining PR.
+    /// Known gap (ROADMAP, "Simulated keep-alive is real"): no scheduler
+    /// harness calls this or [`next_expiry`](Self::next_expiry), so in a
+    /// simulated run a container that outlives its keep-alive is never
+    /// terminated — its memory and CPU group stay charged,
+    /// [`warm_count`](Self::warm_count) sees it until a check-out pops it,
+    /// and a later keep-alive raise resurrects it. Fixing that moves
+    /// committed results, so it is its own re-baselining change.
     pub fn expire_idle(&mut self, now: SimTime) -> Vec<ContainerId> {
         let expired = self.pool.expire(now);
         for &id in &expired {

@@ -4,12 +4,14 @@
 //! 0.2 s) and classifies everything that arrived into *function groups* —
 //! all concurrent invocations of an identical function — so each group can
 //! be placed into a **single** container instead of one container per
-//! invocation.
+//! invocation. The grouping itself is [`WindowGroups`], the one the live
+//! window queue and Kraken's rounds use too; what the mapper adds is the
+//! optional cap on a group's size.
 
 use faasbatch_container::ids::FunctionId;
+use faasbatch_simcore::group::WindowGroups;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::Invocation;
-use std::collections::BTreeMap;
 
 /// All invocations of one function observed within one dispatch window.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,8 +60,8 @@ impl FunctionGroup {
 #[derive(Debug, Clone)]
 pub struct InvokeMapper {
     window: SimDuration,
-    /// Per-function pending lists; BTreeMap so drains are deterministic.
-    pending: BTreeMap<FunctionId, Vec<Invocation>>,
+    /// The open window's invocations, grouped by function index.
+    pending: WindowGroups<Invocation>,
     /// Optional cap on group size (None = the paper's stuff-everything
     /// strategy).
     max_group: Option<usize>,
@@ -78,7 +80,7 @@ impl InvokeMapper {
         assert!(!window.is_zero(), "window must be positive");
         InvokeMapper {
             window,
-            pending: BTreeMap::new(),
+            pending: WindowGroups::default(),
             max_group: None,
         }
     }
@@ -99,44 +101,37 @@ impl InvokeMapper {
         self.window
     }
 
-    /// Invocations currently buffered.
-    pub fn pending_count(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
-    }
-
     /// Buffers one arriving invocation into its function's group.
     pub fn observe(&mut self, invocation: Invocation) {
         self.pending
-            .entry(invocation.function)
-            .or_default()
-            .push(invocation);
+            .push(invocation.function.index() as usize, invocation);
     }
 
-    /// Closes the window: returns every non-empty function group (split by
-    /// the group cap if one is set) and resets the buffers.
+    /// Closes the window: returns every non-empty function group, in
+    /// ascending function order with invocations in arrival order (split
+    /// into consecutive runs of at most the group cap, if one is set), and
+    /// resets the buffers.
     pub fn drain(&mut self) -> Vec<FunctionGroup> {
-        let pending = std::mem::take(&mut self.pending);
-        let mut out = Vec::new();
-        for (function, invocations) in pending {
-            match self.max_group {
-                None => out.push(FunctionGroup {
+        let cap = self.max_group.unwrap_or(usize::MAX);
+        self.pending.close(|window| {
+            let mut out = Vec::with_capacity(window.len());
+            for (function, mut invocations) in window.drain(..) {
+                let function = FunctionId::new(function as u32);
+                while invocations.len() > cap {
+                    let rest = invocations.split_off(cap);
+                    out.push(FunctionGroup {
+                        function,
+                        invocations,
+                    });
+                    invocations = rest;
+                }
+                out.push(FunctionGroup {
                     function,
                     invocations,
-                }),
-                Some(cap) => {
-                    let mut invocations = invocations;
-                    while !invocations.is_empty() {
-                        let rest = invocations.split_off(invocations.len().min(cap));
-                        out.push(FunctionGroup {
-                            function,
-                            invocations,
-                        });
-                        invocations = rest;
-                    }
-                }
+                });
             }
-        }
-        out
+            out
+        })
     }
 }
 
@@ -144,7 +139,9 @@ impl InvokeMapper {
 mod tests {
     use super::*;
     use faasbatch_container::ids::InvocationId;
+    use faasbatch_simcore::rng::DetRng;
     use faasbatch_simcore::time::SimTime;
+    use std::collections::BTreeMap;
 
     fn inv(n: u64, f: u32) -> Invocation {
         Invocation {
@@ -161,14 +158,13 @@ mod tests {
         m.observe(inv(0, 0));
         m.observe(inv(1, 1));
         m.observe(inv(2, 0));
-        assert_eq!(m.pending_count(), 3);
         let groups = m.drain();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].function, FunctionId::new(0));
         assert_eq!(groups[0].len(), 2);
         assert_eq!(groups[1].function, FunctionId::new(1));
         assert_eq!(groups[1].len(), 1);
-        assert_eq!(m.pending_count(), 0);
+        assert!(m.drain().is_empty());
     }
 
     #[test]
@@ -217,6 +213,57 @@ mod tests {
             .flat_map(|g| g.invocations.iter().map(|i| i.id.value()))
             .collect();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
+    }
+
+    /// Consecutive seeded windows over sparse function ids (up to ~5,000),
+    /// with and without a cap, against the mapper as it was: a `BTreeMap`
+    /// per window, each function's invocations split into consecutive runs
+    /// of at most the cap. The same groups in the same order, window after
+    /// window.
+    #[test]
+    fn capped_drains_match_a_btreemap_then_split_reference() {
+        for seed in 0..32 {
+            let mut rng = DetRng::new(seed);
+            let cap = match seed % 4 {
+                0 => None,
+                _ => Some(rng.uniform_u64(1, 9) as usize),
+            };
+            let functions: Vec<u32> = (0..16).map(|_| rng.uniform_u64(0, 5_000) as u32).collect();
+            let mut m = InvokeMapper::new(InvokeMapper::DEFAULT_WINDOW);
+            if let Some(cap) = cap {
+                m = m.with_max_group(cap);
+            }
+            let mut next = 0;
+            for window in 0..12 {
+                let mut reference: BTreeMap<FunctionId, Vec<Invocation>> = BTreeMap::new();
+                for _ in 0..rng.uniform_u64(0, 120) {
+                    let f = functions[rng.uniform_u64(0, functions.len() as u64) as usize];
+                    m.observe(inv(next, f));
+                    reference
+                        .entry(FunctionId::new(f))
+                        .or_default()
+                        .push(inv(next, f));
+                    next += 1;
+                }
+                let expected: Vec<FunctionGroup> = reference
+                    .into_iter()
+                    .flat_map(|(function, invocations)| {
+                        invocations
+                            .chunks(cap.unwrap_or(usize::MAX))
+                            .map(|chunk| FunctionGroup {
+                                function,
+                                invocations: chunk.to_vec(),
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                assert_eq!(
+                    m.drain(),
+                    expected,
+                    "seed {seed}, cap {cap:?}, window {window}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -118,8 +118,9 @@ pub trait RoutingPolicy: Send {
 ///
 /// `fleet::sim` owns one per replay; the live gateway shares one behind a
 /// mutex between its shard threads. [`Router::place`] is the only place a
-/// [`RouterCtx`] is built, so whatever a policy is shown (ROADMAP 3(b):
-/// real queue depth, warm sets) is decided here for both.
+/// [`RouterCtx`] is built, so whatever a policy is shown (closed-loop
+/// routing would add real queue depth and warm sets) is decided here for
+/// both.
 pub struct Router {
     policy: Box<dyn RoutingPolicy>,
     load: Vec<WorkerLoad>,

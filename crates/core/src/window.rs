@@ -16,10 +16,8 @@
 //! function (the Invoke Mapper), hand the whole window's groups to the
 //! caller's dispatch in one call. One call per window, not per group, is
 //! what lets a dispatch core hand each executor worker the window as one
-//! run list instead of a task per group. Grouping is dense: a function →
-//! group-slot index that lives across windows, reset for exactly the
-//! functions a window touched, then one sort of the window's groups by
-//! function — no map is built per window.
+//! run list instead of a task per group. Grouping is [`WindowGroups`], the
+//! one the simulator's Invoke Mapper uses: no map is built per window.
 //!
 //! Admission control lives here: [`WindowQueue::try_push_job`] refuses the
 //! push once a window has accumulated `depth` jobs, returning the observed
@@ -29,6 +27,7 @@
 //! [`FaasBatchPlatform::invoke`]: crate::platform::FaasBatchPlatform::invoke
 
 use crate::platform::RemoteJob;
+use faasbatch_simcore::group::WindowGroups;
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -199,11 +198,9 @@ impl WindowQueue {
     ) {
         let mut deadline = Instant::now() + window;
         // Kept across windows, with their capacity: the spare the queue's
-        // buffer is swapped with, the window's groups, and each function's
-        // slot in them (`u32::MAX` for a function this window has not seen).
+        // buffer is swapped with, and the grouping of the window's jobs.
         let mut drained = VecDeque::new();
-        let mut groups: Vec<(usize, Vec<RemoteJob>)> = Vec::new();
-        let mut slots: Vec<u32> = Vec::new();
+        let mut groups = WindowGroups::default();
         loop {
             let closed = self.collect_window(deadline, &mut drained);
             // The next window runs from this drain, not from the end of the
@@ -215,31 +212,13 @@ impl WindowQueue {
                 match msg {
                     Msg::Job { function, job } => {
                         admit(&job);
-                        if function >= slots.len() {
-                            slots.resize(function + 1, u32::MAX);
-                        }
-                        match slots[function] {
-                            u32::MAX => {
-                                slots[function] = groups.len() as u32;
-                                groups.push((function, vec![job]));
-                            }
-                            slot => groups[slot as usize].1.push(job),
-                        }
+                        groups.push(function, job);
                     }
                     Msg::Flush(ack) => flushes.push(ack),
                 }
             }
             if !groups.is_empty() {
-                // Only the slots this window touched are reset: a stale one
-                // would merge the next window's members into a group of this
-                // one.
-                for &(function, _) in &groups {
-                    slots[function] = u32::MAX;
-                }
-                // One function per group, so the unstable sort is exact.
-                groups.sort_unstable_by_key(|&(function, _)| function);
-                dispatch(&mut groups);
-                groups.clear();
+                groups.close(&mut dispatch);
             }
             for ack in flushes {
                 let _ = ack.send(());

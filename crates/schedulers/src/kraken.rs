@@ -16,6 +16,7 @@
 use crate::policy::{Ctx, DispatchRequest, ExecMode, Policy};
 use faasbatch_container::ids::FunctionId;
 use faasbatch_metrics::report::RunReport;
+use faasbatch_simcore::group::WindowGroups;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::{Invocation, Workload};
 use serde::{Deserialize, Serialize};
@@ -157,9 +158,9 @@ pub struct Kraken {
     calibration: KrakenCalibration,
     /// Scheduling-round length (the batch window).
     window: SimDuration,
-    /// Invocations waiting for the next round, per function (BTreeMap for
-    /// deterministic round processing).
-    queued: BTreeMap<FunctionId, Vec<Invocation>>,
+    /// Invocations waiting for the next round, grouped by function index
+    /// (a round is processed in ascending function order).
+    queued: WindowGroups<Invocation>,
     /// Load-forecasting mode for pre-provisioning.
     prediction: KrakenPrediction,
     /// Rounds completed so far.
@@ -180,7 +181,7 @@ impl Kraken {
         Kraken {
             calibration,
             window,
-            queued: BTreeMap::new(),
+            queued: WindowGroups::default(),
             prediction: KrakenPrediction::Lazy,
             round: 0,
             ewma: BTreeMap::new(),
@@ -337,25 +338,31 @@ impl Policy for Kraken {
 
     fn on_arrival(&mut self, _ctx: &mut Ctx<'_>, invocation: &Invocation) {
         self.queued
-            .entry(invocation.function)
-            .or_default()
-            .push(invocation.clone());
+            .push(invocation.function.index() as usize, invocation.clone());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         let now = ctx.now();
         let cold = ctx.config().cold_start.clone();
         let cold_estimate = cold.image_latency() + cold.cpu_work();
-        let queued = std::mem::take(&mut self.queued);
-        let actual: BTreeMap<FunctionId, usize> =
-            queued.iter().map(|(&f, q)| (f, q.len())).collect();
-        for (function, queue) in queued {
-            let warm = ctx.warm_count(function);
-            let batches = self.pack(now, function, queue, warm, cold_estimate);
-            for batch in batches {
-                ctx.dispatch(DispatchRequest::new(batch, ExecMode::Serial));
+        // Out of `self` while the round is closed: packing reads `self`.
+        let mut queued = std::mem::take(&mut self.queued);
+        let actual = queued.close(|round| {
+            let actual: BTreeMap<FunctionId, usize> = round
+                .iter()
+                .map(|(f, q)| (FunctionId::new(*f as u32), q.len()))
+                .collect();
+            for (function, queue) in round.drain(..) {
+                let function = FunctionId::new(function as u32);
+                let warm = ctx.warm_count(function);
+                let batches = self.pack(now, function, queue, warm, cold_estimate);
+                for batch in batches {
+                    ctx.dispatch(DispatchRequest::new(batch, ExecMode::Serial));
+                }
             }
-        }
+            actual
+        });
+        self.queued = queued;
         self.provision_ahead(ctx, &actual);
         self.round += 1;
         if !ctx.all_done() {

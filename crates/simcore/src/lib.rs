@@ -8,8 +8,9 @@
 //! ([`engine::Engine`]), microsecond-resolution clocks ([`time`]), a
 //! processor-sharing multicore model with container-style group caps
 //! ([`cpu::CpuModel`]), per-category memory accounting
-//! ([`memory::MemoryLedger`]), and forkable seeded randomness
-//! ([`rng::DetRng`]).
+//! ([`memory::MemoryLedger`]), forkable seeded randomness
+//! ([`rng::DetRng`]), and the one grouping of a dispatch window's members
+//! by function ([`group::WindowGroups`]).
 //!
 //! Everything here is *passive and single-threaded by design*: higher layers
 //! (containers, schedulers, the FaaSBatch platform) own the control flow, so
@@ -45,6 +46,7 @@ pub mod cpu;
 #[cfg(test)]
 mod cpu_oracle;
 pub mod engine;
+pub mod group;
 pub mod idmap;
 pub mod memory;
 pub mod rng;
@@ -52,6 +54,7 @@ pub mod time;
 
 pub use cpu::{CpuGroupId, CpuModel, CpuStats, CpuTaskId};
 pub use engine::{Engine, EngineStats, EventId};
+pub use group::WindowGroups;
 pub use idmap::{IdMap, IdSet};
 pub use memory::{AllocationId, MemCategory, MemOp, MemOpKind, MemoryLedger};
 pub use rng::DetRng;

@@ -375,7 +375,7 @@ fn round_robin_is_one_cursor_however_many_shards_route() {
     assert!(groups_on[0].abs_diff(groups_on[1]) <= 1, "{groups_on:?}");
 }
 
-/// ROADMAP 3(d), first half: one group sequence, placed by the fleet
+/// Sim predicts live, for placement: one group sequence, placed by the fleet
 /// simulation and by the live gateway, lands on the same worker group for
 /// group under the policies that do not read the clock.
 #[test]

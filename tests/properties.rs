@@ -272,7 +272,7 @@ proptest! {
         seen.sort_unstable();
         let expected: Vec<u64> = (0..assignments.len() as u64).collect();
         prop_assert_eq!(seen, expected, "not a partition");
-        prop_assert_eq!(mapper.pending_count(), 0);
+        prop_assert!(mapper.drain().is_empty());
     }
 
     /// Resource Multiplexer: per distinct key exactly one build (and one

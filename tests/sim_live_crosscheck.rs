@@ -10,6 +10,11 @@
 //! simulated `Cluster` and through a live `DispatchCore` must start every
 //! group in the same tier.
 //!
+//! One deviation is pinned rather than compared: the simulator splits a
+//! window's group at `FaasBatchConfig::max_group_size`, while the live
+//! platform never splits one and expands it into at most W runs, W being
+//! the executor's worker count (DESIGN.md §9).
+//!
 //! With a trace recorder attached, the live side must emit a [`SimEvent`]
 //! stream that passes the
 //! auditor clean, attributes exactly, and round-trips through the same
@@ -21,12 +26,15 @@ use faasbatch::container::ids::{FunctionId, InvocationId};
 use faasbatch::container::snapshot::SnapshotConfig;
 use faasbatch::container::spec::{ColdStartModel, ContainerSpec};
 use faasbatch::core::platform::{DispatchCore, PlatformBuilder, PlatformIds, RemoteJob};
-use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};
+use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig, FaasBatchPolicy};
 use faasbatch::exec::{Executor, ExecutorConfig};
 use faasbatch::metrics::analysis::{parse_events, AttributionEngine};
-use faasbatch::metrics::events::{AuditorSink, EventKind, RecordReducer, TraceSink};
+use faasbatch::metrics::events::{
+    AuditorSink, EventKind, RecordReducer, SimEvent, TraceSink, VecSink,
+};
 use faasbatch::metrics::live::LiveTraceRecorder;
 use faasbatch::schedulers::config::SimConfig;
+use faasbatch::schedulers::harness::run_simulation_traced;
 use faasbatch::simcore::time::{SimDuration, SimTime};
 use faasbatch::storage::client::ClientConfig;
 use faasbatch::storage::object_store::ObjectStore;
@@ -372,4 +380,92 @@ fn scripted_groups_start_in_the_same_tier_simulated_and_live() {
     // live pool dropped was counted.
     assert_eq!(started, 6);
     assert_eq!(evicted, started);
+}
+
+/// The member count of every `DispatchDecision` in `events`, in order.
+fn decision_sizes(events: &[SimEvent]) -> Vec<usize> {
+    events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::DispatchDecision { members, .. } => Some(members.len()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One window holding `n` invocations of one function, through the
+/// simulated FaaSBatch with group cap `cap`: the sizes of its decisions.
+fn simulated_decisions(n: usize, cap: Option<usize>) -> Vec<usize> {
+    let mut reg = FunctionRegistry::new();
+    let f = reg.register("f0", FunctionKind::Cpu { fib_n: 20 });
+    let invs: Vec<Invocation> = (0..n as u64)
+        .map(|id| Invocation {
+            id: InvocationId::new(id),
+            function: f,
+            arrival: SimTime::from_millis(1),
+            work: SimDuration::from_millis(3),
+        })
+        .collect();
+    let cfg = FaasBatchConfig {
+        max_group_size: cap,
+        ..FaasBatchConfig::default()
+    };
+    let window = cfg.window;
+    let (_, sink) = run_simulation_traced(
+        Box::new(FaasBatchPolicy::new(cfg)),
+        &Workload::new(reg, invs),
+        SimConfig::default(),
+        "xcheck",
+        Some(window),
+        Box::new(VecSink::new()),
+    );
+    let sink = sink.as_any().downcast_ref::<VecSink>().expect("vec sink");
+    decision_sizes(sink.events())
+}
+
+#[test]
+fn a_capped_simulated_group_splits_and_a_live_group_expands_into_at_most_w_runs() {
+    const N: usize = 40;
+    const CAP: usize = 6;
+    const W: usize = 4;
+    // The simulator: ⌈N / CAP⌉ decisions of at most CAP members, and one
+    // decision without a cap.
+    let capped = simulated_decisions(N, Some(CAP));
+    assert_eq!(capped.len(), N.div_ceil(CAP), "{capped:?}");
+    assert!(capped.iter().all(|&size| size <= CAP), "{capped:?}");
+    assert_eq!(capped.iter().sum::<usize>(), N);
+    assert_eq!(simulated_decisions(N, None), vec![N]);
+
+    // Live: the same window is one decision of all N members, run by at
+    // most W executor tasks. There is no cap to set.
+    let exec = Executor::new(ExecutorConfig {
+        workers: W,
+        seed: 38,
+        ..ExecutorConfig::default()
+    });
+    let recorder = LiveTraceRecorder::new();
+    let platform = PlatformBuilder::new()
+        .window(Duration::from_secs(30))
+        .cold_start_delay(Duration::from_millis(1))
+        .executor(Arc::clone(&exec))
+        .trace(recorder.clone())
+        .register("f0", |_env| {})
+        .start();
+    let before = exec.metrics().spawned_total;
+    let tickets: Vec<_> = (0..N)
+        .map(|_| platform.invoke("f0", Bytes::new()).expect("registered"))
+        .collect();
+    // The flush ends the 30 s window: every invocation is in this one.
+    platform.drain().unwrap();
+    let spawned = exec.metrics().spawned_total - before;
+    for ticket in tickets {
+        assert!(!ticket.wait().panicked);
+    }
+    drop(platform);
+    assert_eq!(decision_sizes(&recorder.take_trace()), vec![N]);
+    assert!(
+        (1..=W as u64).contains(&spawned),
+        "{spawned} tasks for one group on {W} workers"
+    );
+    exec.shutdown();
 }
