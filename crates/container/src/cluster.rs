@@ -60,6 +60,20 @@ impl Acquired {
     }
 }
 
+/// Which start tier a pre-warm parks its warmth in: where the booted
+/// container ends up in [`Cluster::finish_prewarm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PrewarmTier {
+    /// Boot → capture a snapshot → terminate: the next start restores in
+    /// tens of milliseconds and no memory is held while idle. Chosen when
+    /// the predicted re-use horizon outlives the keep-alive (a parked warm
+    /// container would expire before its next hit).
+    Snapshot,
+    /// Boot → park idle in the warm pool (the classic pre-warm). Chosen
+    /// when re-use is expected within the keep-alive window.
+    Warm,
+}
+
 /// Aggregate counters for resource-cost reporting (Fig. 13/14).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClusterStats {
@@ -268,13 +282,8 @@ impl Cluster {
         // `check_out` drops TTL-stale entries without terminating them; see
         // `expire_idle`.
         if let Some(id) = self.pool.check_out(now, spec.function()) {
-            let c = self
-                .containers
-                .get_mut(&id)
-                .expect("pooled container exists");
-            c.mark_busy();
+            self.mark_busy(now, id);
             self.stats.warm_hits += 1;
-            self.log_transition(now, id, Some(ContainerState::Idle), ContainerState::Busy);
             return Acquired::Warm(id);
         }
         let restore = self.snapshots.lookup(now, spec.function());
@@ -289,7 +298,11 @@ impl Cluster {
     }
 
     /// Creates a container in Provisioning, charging memory and a CPU group.
-    fn provision_new(&mut self, now: SimTime, spec: &ContainerSpec) -> ContainerId {
+    /// [`acquire`](Self::acquire) calls it on a warm-pool miss; a pre-warm
+    /// calls it directly — it never consults the warm pool, so the caller
+    /// controls exactly how many containers exist — and finishes the boot
+    /// with [`finish_prewarm`](Self::finish_prewarm).
+    pub fn provision_new(&mut self, now: SimTime, spec: &ContainerSpec) -> ContainerId {
         let id = ContainerId::new(self.next_container);
         self.next_container += 1;
         let group = self.cpu.create_group(spec.cpu_limit());
@@ -341,17 +354,8 @@ impl Cluster {
     ///
     /// Panics if the container is not provisioning.
     pub fn finish_cold_start(&mut self, now: SimTime, id: ContainerId) {
-        let c = self.containers.get_mut(&id).expect("unknown container id");
-        c.mark_ready(now);
-        c.mark_busy();
-        self.capture_snapshot(now, id);
-        self.log_transition(
-            now,
-            id,
-            Some(ContainerState::Provisioning),
-            ContainerState::Idle,
-        );
-        self.log_transition(now, id, Some(ContainerState::Idle), ContainerState::Busy);
+        self.mark_ready(now, id, true);
+        self.mark_busy(now, id);
     }
 
     /// Completes a snapshot restore begun by an [`Acquired::Restored`]
@@ -361,66 +365,52 @@ impl Cluster {
     ///
     /// Panics if the container is not provisioning.
     pub fn finish_restore(&mut self, now: SimTime, id: ContainerId) {
+        self.mark_ready(now, id, false);
+        self.mark_busy(now, id);
+    }
+
+    /// Completes a pre-warm's cold start (a container from
+    /// [`provision_new`](Self::provision_new)). Its initialized state is
+    /// captured as the function's snapshot (with the snapshot tier enabled),
+    /// and then the container parks where `tier` says: idle in the warm
+    /// pool, or terminated at once — the snapshot outlives it at zero
+    /// memory cost, which is the point of pre-warming to the snapshot tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the container is not provisioning.
+    pub fn finish_prewarm(&mut self, now: SimTime, id: ContainerId, tier: PrewarmTier) {
+        self.mark_ready(now, id, true);
+        match tier {
+            PrewarmTier::Warm => {
+                let function = self.container(id).function();
+                self.pool.check_in(now, function, id);
+            }
+            PrewarmTier::Snapshot => self.terminate(now, id),
+        }
+    }
+
+    /// Provisioning → Idle, the step every start shares; a full boot
+    /// (`capture`) also snapshots the state it initialized.
+    fn mark_ready(&mut self, now: SimTime, id: ContainerId, capture: bool) {
         let c = self.containers.get_mut(&id).expect("unknown container id");
         c.mark_ready(now);
+        if capture {
+            self.capture_snapshot(now, id);
+        }
+        self.log_transition(
+            now,
+            id,
+            Some(ContainerState::Provisioning),
+            ContainerState::Idle,
+        );
+    }
+
+    /// Idle → Busy: the container takes a batch.
+    fn mark_busy(&mut self, now: SimTime, id: ContainerId) {
+        let c = self.containers.get_mut(&id).expect("unknown container id");
         c.mark_busy();
-        self.log_transition(
-            now,
-            id,
-            Some(ContainerState::Provisioning),
-            ContainerState::Idle,
-        );
         self.log_transition(now, id, Some(ContainerState::Idle), ContainerState::Busy);
-    }
-
-    /// Provisions a fresh container unconditionally (pre-warming): unlike
-    /// [`acquire`](Self::acquire) it never consults the warm pool, so the
-    /// caller controls exactly how many containers exist.
-    pub fn provision_cold(&mut self, now: SimTime, spec: &ContainerSpec) -> ContainerId {
-        self.provision_new(now, spec)
-    }
-
-    /// Completes a pre-warming cold start: the container goes straight into
-    /// the warm pool instead of serving a batch, and (with the snapshot tier
-    /// enabled) its initialized state is captured as the function's snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the container is not provisioning.
-    pub fn finish_cold_start_idle(&mut self, now: SimTime, id: ContainerId) {
-        let c = self.containers.get_mut(&id).expect("unknown container id");
-        c.mark_ready(now);
-        let function = c.function();
-        self.pool.check_in(now, function, id);
-        self.capture_snapshot(now, id);
-        self.log_transition(
-            now,
-            id,
-            Some(ContainerState::Provisioning),
-            ContainerState::Idle,
-        );
-    }
-
-    /// Completes a snapshot-tier prewarm: the boot's initialized state is
-    /// captured as the function's snapshot and the container is torn down
-    /// immediately — the snapshot outlives it at zero memory cost, which is
-    /// the whole point of prewarming to the snapshot tier instead of the
-    /// warm tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the container is not provisioning.
-    pub fn finish_cold_start_snapshot(&mut self, now: SimTime, id: ContainerId) {
-        let c = self.containers.get_mut(&id).expect("unknown container id");
-        c.mark_ready(now);
-        self.capture_snapshot(now, id);
-        self.log_transition(
-            now,
-            id,
-            Some(ContainerState::Provisioning),
-            ContainerState::Idle,
-        );
-        self.terminate(now, id);
     }
 
     /// Adds `work` core-seconds of invocation execution to a Busy container.
@@ -689,17 +679,17 @@ mod tests {
     #[test]
     fn prewarm_provisions_into_pool() {
         let mut c = cluster();
-        // provision_cold never consults the pool.
-        let id1 = c.provision_cold(SimTime::ZERO, &spec());
-        let id2 = c.provision_cold(SimTime::ZERO, &spec());
+        // provision_new never consults the pool.
+        let id1 = c.provision_new(SimTime::ZERO, &spec());
+        let id2 = c.provision_new(SimTime::ZERO, &spec());
         assert_ne!(id1, id2);
         assert_eq!(c.stats().provisioned, 2);
         assert_eq!(c.idle_containers(), 0, "still provisioning");
         // Finish them idle: both land in the warm pool.
         let t = SimTime::from_secs(2);
         c.cpu_mut().advance_to(t);
-        c.finish_cold_start_idle(t, id1);
-        c.finish_cold_start_idle(t, id2);
+        c.finish_prewarm(t, id1, PrewarmTier::Warm);
+        c.finish_prewarm(t, id2, PrewarmTier::Warm);
         assert_eq!(c.warm_count(FunctionId::new(0)), 2);
         // A subsequent acquire is warm (LIFO: most recent first).
         match c.acquire(t, &spec()) {
@@ -712,12 +702,12 @@ mod tests {
     #[test]
     fn prewarmed_container_serves_and_releases_normally() {
         let mut c = cluster();
-        let id = c.provision_cold(SimTime::ZERO, &spec());
+        let id = c.provision_new(SimTime::ZERO, &spec());
         let boot = c.start_cold_cpu_work(SimTime::ZERO, id);
         let (done, t) = c.cpu().next_completion(SimTime::ZERO).unwrap();
         assert_eq!(t, boot);
         c.cpu_mut().advance_to(done);
-        c.finish_cold_start_idle(done, id);
+        c.finish_prewarm(done, id, PrewarmTier::Warm);
         let acq = c.acquire(done, &spec());
         assert!(!acq.is_cold());
         c.start_invocation_work(done, id, SimDuration::from_millis(10));
@@ -756,9 +746,9 @@ mod tests {
     #[should_panic(expected = "mark_ready from Idle")]
     fn finishing_idle_twice_panics() {
         let mut c = cluster();
-        let id = c.provision_cold(SimTime::ZERO, &spec());
-        c.finish_cold_start_idle(SimTime::ZERO, id);
-        c.finish_cold_start_idle(SimTime::ZERO, id);
+        let id = c.provision_new(SimTime::ZERO, &spec());
+        c.finish_prewarm(SimTime::ZERO, id, PrewarmTier::Warm);
+        c.finish_prewarm(SimTime::ZERO, id, PrewarmTier::Warm);
     }
 
     #[test]
@@ -794,9 +784,9 @@ mod tests {
     fn snapshot_prewarm_captures_then_frees_resources() {
         let mut c = cluster();
         c.configure_snapshots(SnapshotConfig::with_capacity(2));
-        let id = c.provision_cold(SimTime::ZERO, &spec());
+        let id = c.provision_new(SimTime::ZERO, &spec());
         let t = SimTime::from_millis(1300);
-        c.finish_cold_start_snapshot(t, id);
+        c.finish_prewarm(t, id, PrewarmTier::Snapshot);
         assert_eq!(c.live_containers(), 0, "container torn down after capture");
         assert_eq!(c.mem().current_bytes(), 0, "base memory freed");
         assert_eq!(c.idle_containers(), 0, "nothing parked in the warm pool");
@@ -847,7 +837,7 @@ mod tests {
                         Acquired::Cold(id) => booting.push((id, false)),
                         Acquired::Restored { id, .. } => booting.push((id, true)),
                     },
-                    2 => prewarming.push(c.provision_cold(now, &spec)),
+                    2 => prewarming.push(c.provision_new(now, &spec)),
                     3 => {
                         if let Some((id, restored)) = take(&mut booting, pick) {
                             if restored {
@@ -861,10 +851,10 @@ mod tests {
                     4 => {
                         if let Some(id) = take(&mut prewarming, pick) {
                             if pick % 2 == 0 {
-                                c.finish_cold_start_idle(now, id);
+                                c.finish_prewarm(now, id, PrewarmTier::Warm);
                                 idle.push(id);
                             } else {
-                                c.finish_cold_start_snapshot(now, id);
+                                c.finish_prewarm(now, id, PrewarmTier::Snapshot);
                             }
                         }
                     }

@@ -15,6 +15,9 @@
 //! to a run without a controller. See DESIGN.md §12 for the estimator math.
 
 use crate::events::{EventKind, SimEvent};
+/// Which start tier a [`ScaleAction::PrewarmTier`] parks warmth in. It lives
+/// with the cluster that finishes the pre-warm; this is its public path here.
+pub use faasbatch_container::cluster::PrewarmTier;
 use faasbatch_container::ids::FunctionId;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -47,19 +50,6 @@ pub enum ScaleAction {
         /// New idle TTL (> 0).
         keep_alive: SimDuration,
     },
-}
-
-/// Which start tier a [`ScaleAction::PrewarmTier`] parks warmth in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PrewarmTier {
-    /// Boot → capture a snapshot → terminate: the next start restores in
-    /// tens of milliseconds and no memory is held while idle. Chosen when
-    /// the predicted re-use horizon outlives the keep-alive (a parked warm
-    /// container would expire before its next hit).
-    Snapshot,
-    /// Boot → park idle in the warm pool (the classic pre-warm). Chosen
-    /// when re-use is expected within the keep-alive window.
-    Warm,
 }
 
 /// Tuning knobs for [`Autoscaler`].

@@ -96,28 +96,6 @@ impl Cdf {
     pub fn min(&self) -> SimDuration {
         *self.sorted.first().expect("min of empty cdf")
     }
-
-    /// Evenly spaced CDF points `(value, cumulative fraction)` for plotting;
-    /// at most `points` entries, always ending at the maximum.
-    pub fn plot_points(&self, points: usize) -> Vec<(SimDuration, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let n = self.sorted.len();
-        let step = (n as f64 / points as f64).max(1.0);
-        let mut out = Vec::new();
-        let mut i = 0.0;
-        while (i as usize) < n {
-            let idx = i as usize;
-            out.push((self.sorted[idx], (idx + 1) as f64 / n as f64));
-            i += step;
-        }
-        let last = (self.sorted[n - 1], 1.0);
-        if out.last() != Some(&last) {
-            out.push(last);
-        }
-        out
-    }
 }
 
 /// Five-number-style summary of a latency distribution.
@@ -199,30 +177,12 @@ mod tests {
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_or_below(ms(1)), 0.0);
         assert_eq!(cdf.mean(), SimDuration::ZERO);
-        assert!(cdf.plot_points(10).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "quantile of empty")]
     fn quantile_of_empty_panics() {
         Cdf::from_samples(Vec::new()).quantile(0.5);
-    }
-
-    #[test]
-    fn plot_points_cover_range() {
-        let cdf = Cdf::from_samples((1..=1000).map(ms).collect());
-        let pts = cdf.plot_points(50);
-        assert!(pts.len() <= 52);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        assert!(pts.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
-    #[test]
-    fn plot_points_smaller_than_requested() {
-        let cdf = Cdf::from_samples(vec![ms(1), ms(2)]);
-        let pts = cdf.plot_points(10);
-        assert_eq!(pts.len(), 2);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   per-invocation provisioning therefore queues up under bursts, the
 //!   root cause of Vanilla's and SFS's scheduling-latency explosion);
 //! * cold starts run their two phases (image latency, then runtime-boot CPU
-//!   inside the container's group) before the batch executes;
+//!   inside the container's group) before the batch executes; a pre-warm
+//!   boots through the same pipeline and only parks its container elsewhere;
 //! * I/O-function bodies request a storage client first: creations are
 //!   serialized per container with Fig. 4's contention-scaled cost, and a
 //!   per-container *resource multiplexer* (FaaSBatch only) caches instances
@@ -30,7 +31,7 @@
 
 use crate::config::SimConfig;
 use crate::policy::{Completion, Ctx, DispatchRequest, ExecMode, Policy};
-use faasbatch_container::cluster::Cluster;
+use faasbatch_container::cluster::{Acquired, Cluster};
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
 use faasbatch_container::spec::ContainerSpec;
 use faasbatch_metrics::autoscaler::{Autoscaler, PrewarmTier, ScaleAction};
@@ -41,7 +42,7 @@ use faasbatch_metrics::latency::InvocationRecord;
 use faasbatch_metrics::report::RunReport;
 use faasbatch_simcore::cpu::{CpuGroupId, CpuTaskId};
 use faasbatch_simcore::engine::{Engine, EngineStats, EventArg, EventId};
-use faasbatch_simcore::idmap::{IdMap, IdSet};
+use faasbatch_simcore::idmap::IdMap;
 use faasbatch_simcore::memory::{AllocationId, MemCategory, MemOpKind};
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::function::{FunctionKind, FunctionRegistry};
@@ -55,21 +56,70 @@ use std::hash::{Hash, Hasher};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct BatchId(u64);
 
+/// One simulated cold boot, by what it is for. A dispatched batch's start
+/// and a pre-warm of either tier run the same pipeline — a daemon launch
+/// task, [`begin_boot`], the image pull, the boot CPU task in the
+/// container's group, [`on_boot_done`] — and differ only in where the
+/// booted container ends up.
+#[derive(Debug, Clone, Copy)]
+enum Boot {
+    /// The batch runs in the container (bound at dispatch).
+    Batch(BatchId),
+    /// A pre-warm: the container parks in `tier` — idle in the warm pool,
+    /// or captured as a snapshot and terminated.
+    Prewarm(ContainerId, PrewarmTier),
+}
+
+impl Boot {
+    /// The container that boots.
+    fn container(self, world: &SimWorld) -> ContainerId {
+        match self {
+            Boot::Batch(id) => world.batches[&id].start.container(),
+            Boot::Prewarm(cid, _) => cid,
+        }
+    }
+
+    /// The batch the boot serves, as the trace names it.
+    fn batch(self) -> Option<u64> {
+        match self {
+            Boot::Batch(id) => Some(id.0),
+            Boot::Prewarm(..) => None,
+        }
+    }
+
+    /// The boot as an event payload: `a` names the batch or the container,
+    /// `b` says which of the three it is.
+    fn to_arg(self) -> EventArg {
+        match self {
+            Boot::Batch(id) => EventArg::new(id.0, 0),
+            Boot::Prewarm(cid, PrewarmTier::Warm) => EventArg::new(cid.value(), 1),
+            Boot::Prewarm(cid, PrewarmTier::Snapshot) => EventArg::new(cid.value(), 2),
+        }
+    }
+
+    /// The inverse of [`to_arg`](Self::to_arg).
+    fn from_arg(arg: EventArg) -> Self {
+        match arg.b {
+            0 => Boot::Batch(BatchId(arg.a)),
+            1 => Boot::Prewarm(ContainerId::new(arg.a), PrewarmTier::Warm),
+            _ => Boot::Prewarm(ContainerId::new(arg.a), PrewarmTier::Snapshot),
+        }
+    }
+}
+
 /// What a running CPU task represents.
 #[derive(Debug, Clone, Copy)]
 enum WorkKind {
     /// Daemon-side decision / launch processing for a batch.
     Decision(BatchId),
-    /// CPU phase of a cold start.
-    ColdBoot(BatchId),
+    /// Daemon-side launch processing for a pre-warmed container.
+    PrewarmLaunch(ContainerId, PrewarmTier),
+    /// CPU phase of a cold boot.
+    Boot(Boot),
     /// Storage-client creation for one batch member.
     ClientCreation(BatchId, usize),
     /// The invocation body.
     Body(BatchId, usize),
-    /// Daemon-side launch processing for a pre-warmed container.
-    PrewarmLaunch(ContainerId),
-    /// CPU phase of a pre-warming cold start.
-    PrewarmBoot(ContainerId),
     /// Fire-and-forget platform overhead (e.g. SFS scheduler bookkeeping).
     Overhead,
 }
@@ -78,7 +128,9 @@ enum WorkKind {
 fn task_kind(kind: WorkKind) -> TaskKind {
     match kind {
         WorkKind::Decision(b) => TaskKind::Decision { batch: b.0 },
-        WorkKind::ColdBoot(b) => TaskKind::ColdBoot { batch: b.0 },
+        WorkKind::PrewarmLaunch(c, _) => TaskKind::PrewarmLaunch { container: c },
+        WorkKind::Boot(Boot::Batch(b)) => TaskKind::ColdBoot { batch: b.0 },
+        WorkKind::Boot(Boot::Prewarm(c, _)) => TaskKind::PrewarmBoot { container: c },
         WorkKind::ClientCreation(b, i) => TaskKind::ClientCreation {
             batch: b.0,
             member: i as u32,
@@ -87,8 +139,6 @@ fn task_kind(kind: WorkKind) -> TaskKind {
             batch: b.0,
             member: i as u32,
         },
-        WorkKind::PrewarmLaunch(c) => TaskKind::PrewarmLaunch { container: c },
-        WorkKind::PrewarmBoot(c) => TaskKind::PrewarmBoot { container: c },
         WorkKind::Overhead => TaskKind::Overhead,
     }
 }
@@ -103,12 +153,9 @@ struct Batch {
     group_weight: f64,
     completion: Completion,
     invocations: Vec<Invocation>,
-    container: Option<ContainerId>,
-    cold: bool,
-    /// Served from the snapshot tier: the container becomes ready after
-    /// `restore_latency` of pure delay instead of a full boot.
-    restored: bool,
-    restore_latency: SimDuration,
+    /// How the batch's container started; the container itself
+    /// ([`Acquired::container`]) is bound at dispatch.
+    start: Acquired,
     serial_next: usize,
     remaining: usize,
 }
@@ -145,10 +192,6 @@ pub struct SimWorld {
     /// Non-zero keeps the run stepping after the last invocation completes
     /// so every speculative cold start closes before the stream ends.
     open_prewarms: usize,
-    /// Pre-warm pipelines bound for the snapshot tier: on boot completion
-    /// the container's state is captured and the container terminated
-    /// instead of parking in the warm pool.
-    snapshot_prewarms: IdSet<ContainerId>,
     ext: IdMap<ContainerId, ContainerExt>,
     transient_clients: IdMap<(BatchId, usize), AllocationId>,
     /// Folds the event stream into records, samples, and counters.
@@ -209,7 +252,6 @@ impl SimWorld {
             cpu_event: None,
             finished: Vec::new(),
             open_prewarms: 0,
-            snapshot_prewarms: IdSet::default(),
             ext: IdMap::default(),
             transient_clients: IdMap::default(),
             reducer: RecordReducer::new(),
@@ -399,17 +441,12 @@ pub(crate) fn dispatch(world: &mut SimWorld, engine: &mut Engine<Sim>, req: Disp
     let acq = world.cluster.acquire(now, &spec);
     let cid = acq.container();
     world.ext.entry(cid).or_default();
-    let restore_latency = match &acq {
-        faasbatch_container::cluster::Acquired::Restored { latency, .. } => *latency,
-        _ => SimDuration::ZERO,
-    };
     // Warm hits are routed for pennies; both a full boot and a snapshot
     // restore launch a fresh container, so the daemon pays the launch cost
     // either way — the tiers differ in what happens after the decision.
-    let decision_work = if acq.is_cold() || acq.is_restored() {
-        world.cfg.container_launch_work
-    } else {
-        world.cfg.warm_dispatch_work
+    let decision_work = match acq {
+        Acquired::Warm(_) => world.cfg.warm_dispatch_work,
+        Acquired::Cold(_) | Acquired::Restored { .. } => world.cfg.container_launch_work,
     };
     emit(
         world,
@@ -428,14 +465,7 @@ pub(crate) fn dispatch(world: &mut SimWorld, engine: &mut Engine<Sim>, req: Disp
         let t = world
             .cluster
             .start_platform_work(now, req.extra_platform_work);
-        world.running.insert(t, WorkKind::Overhead);
-        emit(
-            world,
-            now,
-            EventKind::TaskStart {
-                task: TaskKind::Overhead,
-            },
-        );
+        track_task(world, now, t, WorkKind::Overhead);
     }
     let n = req.invocations.len();
     world.batches.insert(
@@ -446,10 +476,7 @@ pub(crate) fn dispatch(world: &mut SimWorld, engine: &mut Engine<Sim>, req: Disp
             group_weight: req.group_weight,
             completion: req.completion,
             invocations: req.invocations,
-            container: Some(cid),
-            cold: acq.is_cold(),
-            restored: acq.is_restored(),
-            restore_latency,
+            start: acq,
             serial_next: 0,
             remaining: n,
         },
@@ -458,77 +485,46 @@ pub(crate) fn dispatch(world: &mut SimWorld, engine: &mut Engine<Sim>, req: Disp
         .cluster
         .cpu_mut()
         .add_task(now, world.daemon_group, decision_work);
-    world.running.insert(task, WorkKind::Decision(id));
+    track_task(world, now, task, WorkKind::Decision(id));
+    // The caller (arrival/timer/cpu-tick wrapper) pumps the CPU afterwards.
+}
+
+/// Registers a started CPU task as `kind` and emits its `TaskStart`.
+fn track_task(world: &mut SimWorld, now: SimTime, task: CpuTaskId, kind: WorkKind) {
+    world.running.insert(task, kind);
     emit(
         world,
         now,
         EventKind::TaskStart {
-            task: TaskKind::Decision { batch: id.0 },
+            task: task_kind(kind),
         },
     );
-    // The caller (arrival/timer/cpu-tick wrapper) pumps the CPU afterwards.
 }
 
-/// Pre-warms `count` fresh containers for `function`: each pays the full
-/// launch + cold-start pipeline and lands in the warm pool when ready —
-/// Kraken's EWMA-driven provisioning uses this.
+/// Pre-warms `count` fresh containers for `function` into `tier`: each pays
+/// the launch and the cold boot a dispatched batch pays, then parks idle in
+/// the warm pool (Kraken's EWMA-driven provisioning, a controller's warm
+/// tier) or captures a snapshot and terminates, so warmth persists with no
+/// memory held (a controller's snapshot tier).
 pub(crate) fn prewarm(
     world: &mut SimWorld,
     engine: &mut Engine<Sim>,
     function: FunctionId,
     count: usize,
+    tier: PrewarmTier,
 ) {
     let now = engine.now();
     for _ in 0..count {
         let spec = ContainerSpec::new(function).with_base_memory(world.cfg.container_base_memory);
-        let cid = world.cluster.provision_cold(now, &spec);
+        let cid = world.cluster.provision_new(now, &spec);
         world.ext.entry(cid).or_default();
+        world.open_prewarms += 1;
         let task = world.cluster.cpu_mut().add_task(
             now,
             world.daemon_group,
             world.cfg.container_launch_work,
         );
-        world.running.insert(task, WorkKind::PrewarmLaunch(cid));
-        world.open_prewarms += 1;
-        emit(
-            world,
-            now,
-            EventKind::TaskStart {
-                task: TaskKind::PrewarmLaunch { container: cid },
-            },
-        );
-    }
-}
-
-/// Like [`prewarm`], but bound for the snapshot tier: each container pays
-/// the full launch + boot pipeline, then captures a snapshot and terminates
-/// instead of parking warm — warmth persists with no memory held.
-pub(crate) fn prewarm_snapshot(
-    world: &mut SimWorld,
-    engine: &mut Engine<Sim>,
-    function: FunctionId,
-    count: usize,
-) {
-    let now = engine.now();
-    for _ in 0..count {
-        let spec = ContainerSpec::new(function).with_base_memory(world.cfg.container_base_memory);
-        let cid = world.cluster.provision_cold(now, &spec);
-        world.ext.entry(cid).or_default();
-        world.snapshot_prewarms.insert(cid);
-        let task = world.cluster.cpu_mut().add_task(
-            now,
-            world.daemon_group,
-            world.cfg.container_launch_work,
-        );
-        world.running.insert(task, WorkKind::PrewarmLaunch(cid));
-        world.open_prewarms += 1;
-        emit(
-            world,
-            now,
-            EventKind::TaskStart {
-                task: TaskKind::PrewarmLaunch { container: cid },
-            },
-        );
+        track_task(world, now, task, WorkKind::PrewarmLaunch(cid, tier));
     }
 }
 
@@ -566,41 +562,12 @@ fn cpu_tick(sim: &mut Sim, engine: &mut Engine<Sim>) {
         );
         match kind {
             WorkKind::Decision(b) => on_decision_done(sim, engine, b),
-            WorkKind::ColdBoot(b) => on_cold_boot_done(sim, engine, b),
+            WorkKind::PrewarmLaunch(cid, tier) => {
+                begin_boot(&mut sim.world, engine, Boot::Prewarm(cid, tier));
+            }
+            WorkKind::Boot(boot) => on_boot_done(sim, engine, boot),
             WorkKind::ClientCreation(b, i) => on_creation_done(sim, engine, b, i),
             WorkKind::Body(b, i) => on_body_done(sim, engine, b, i),
-            WorkKind::PrewarmLaunch(cid) => {
-                // Daemon processed the launch; begin the boot phases.
-                emit(
-                    &mut sim.world,
-                    now,
-                    EventKind::ColdStartBegin {
-                        container: cid,
-                        batch: None,
-                    },
-                );
-                let image = sim.world.cfg.cold_start.image_latency();
-                engine.schedule_arg_in(image, prewarm_image_done, EventArg::one(cid.value()));
-            }
-            WorkKind::PrewarmBoot(cid) => {
-                sim.world.open_prewarms -= 1;
-                if sim.world.snapshot_prewarms.remove(&cid) {
-                    // Snapshot-tier pre-warm: capture the booted state and
-                    // terminate — the snapshot outlives the container at
-                    // zero memory cost.
-                    sim.world.cluster.finish_cold_start_snapshot(now, cid);
-                } else {
-                    sim.world.cluster.finish_cold_start_idle(now, cid);
-                }
-                emit(
-                    &mut sim.world,
-                    now,
-                    EventKind::ColdStartEnd {
-                        container: cid,
-                        batch: None,
-                    },
-                );
-            }
             WorkKind::Overhead => {}
         }
     }
@@ -608,92 +575,89 @@ fn cpu_tick(sim: &mut Sim, engine: &mut Engine<Sim>) {
     pump_cpu(&mut sim.world, engine);
 }
 
-/// Image pull finished for a pre-warm pipeline (`arg.a` = container id):
-/// start the runtime-boot CPU phase inside the container's group.
-fn prewarm_image_done(sim: &mut Sim, engine: &mut Engine<Sim>, arg: EventArg) {
-    let cid = ContainerId::new(arg.a);
-    let now = engine.now();
-    let world = &mut sim.world;
-    let boot = world.cluster.start_cold_cpu_work(now, cid);
-    world.running.insert(boot, WorkKind::PrewarmBoot(cid));
-    emit(
-        world,
-        now,
-        EventKind::TaskStart {
-            task: TaskKind::PrewarmBoot { container: cid },
-        },
-    );
-    pump_cpu(world, engine);
-}
-
-/// Image pull finished for a dispatched cold start (`arg.a` = batch id,
-/// `arg.b` = container id): start the runtime-boot CPU phase.
-fn cold_image_done(sim: &mut Sim, engine: &mut Engine<Sim>, arg: EventArg) {
-    let id = BatchId(arg.a);
-    let cid = ContainerId::new(arg.b);
-    let now = engine.now();
-    let world = &mut sim.world;
-    let task = world.cluster.start_cold_cpu_work(now, cid);
-    world.running.insert(task, WorkKind::ColdBoot(id));
-    emit(
-        world,
-        now,
-        EventKind::TaskStart {
-            task: TaskKind::ColdBoot { batch: id.0 },
-        },
-    );
-    pump_cpu(world, engine);
-}
-
 fn on_decision_done(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId) {
-    let now = engine.now();
-    let world = &mut sim.world;
-    let batch = world.batches.get(&id).expect("unknown batch");
-    let cid = batch.container.expect("container bound at dispatch");
-    if batch.cold {
-        // The daemon has processed the launch; the container now boots
-        // (image/runtime phase, then CPU phase inside its own group).
-        emit(
-            world,
-            now,
-            EventKind::ColdStartBegin {
-                container: cid,
-                batch: Some(id.0),
-            },
-        );
-        let image = world.cfg.cold_start.image_latency();
-        engine.schedule_arg_in(image, cold_image_done, EventArg::new(id.0, cid.value()));
-    } else if batch.restored {
-        // Snapshot restore: the pre-initialized state is mapped back in —
-        // pure latency, no host CPU burned re-running initialization.
-        let latency = batch.restore_latency;
-        emit(
-            world,
-            now,
-            EventKind::RestoreBegin {
-                container: cid,
-                batch: Some(id.0),
-            },
-        );
-        engine.schedule_arg_in(latency, restore_finished, EventArg::new(id.0, cid.value()));
-    } else {
-        let function = batch.invocations[0].function;
-        let weight = batch.group_weight;
-        set_container_weight(world, now, cid, weight);
-        start_batch_execution(world, now, id);
-        let Sim { world, policy } = sim;
-        policy.on_batch_ready(&mut Ctx { world, engine }, cid, function);
+    match sim.world.batches[&id].start {
+        Acquired::Warm(_) => batch_ready(sim, engine, id),
+        Acquired::Cold(_) => begin_boot(&mut sim.world, engine, Boot::Batch(id)),
+        Acquired::Restored { id: cid, latency } => {
+            // Snapshot restore: the pre-initialized state is mapped back in —
+            // pure latency, no host CPU burned re-running initialization.
+            emit(
+                &mut sim.world,
+                engine.now(),
+                EventKind::RestoreBegin {
+                    container: cid,
+                    batch: Some(id.0),
+                },
+            );
+            engine.schedule_arg_in(latency, restore_finished, EventArg::one(id.0));
+        }
     }
 }
 
-/// Snapshot restore landed (`arg.a` = batch id, `arg.b` = container id):
-/// the container is ready and the batch executes, exactly as after a cold
-/// boot but tens of milliseconds later instead of seconds.
-fn restore_finished(sim: &mut Sim, engine: &mut Engine<Sim>, arg: EventArg) {
-    let id = BatchId(arg.a);
-    let cid = ContainerId::new(arg.b);
+/// The daemon has processed a launch: the container boots — the image pull
+/// as pure delay, then the boot CPU phase inside the container's group.
+fn begin_boot(world: &mut SimWorld, engine: &mut Engine<Sim>, boot: Boot) {
+    let container = boot.container(world);
+    emit(
+        world,
+        engine.now(),
+        EventKind::ColdStartBegin {
+            container,
+            batch: boot.batch(),
+        },
+    );
+    let image = world.cfg.cold_start.image_latency();
+    engine.schedule_arg_in(image, image_pulled, boot.to_arg());
+}
+
+/// The image pull finished (`arg` = [`Boot::to_arg`]): start the
+/// runtime-boot CPU phase.
+fn image_pulled(sim: &mut Sim, engine: &mut Engine<Sim>, arg: EventArg) {
+    let boot = Boot::from_arg(arg);
     let now = engine.now();
     let world = &mut sim.world;
+    let task = world
+        .cluster
+        .start_cold_cpu_work(now, boot.container(world));
+    track_task(world, now, task, WorkKind::Boot(boot));
+    pump_cpu(world, engine);
+}
+
+/// The boot CPU phase finished: the container is ready and goes where the
+/// boot was for.
+fn on_boot_done(sim: &mut Sim, engine: &mut Engine<Sim>, boot: Boot) {
+    let now = engine.now();
+    let world = &mut sim.world;
+    let container = boot.container(world);
+    match boot {
+        Boot::Batch(_) => world.cluster.finish_cold_start(now, container),
+        Boot::Prewarm(_, tier) => {
+            world.open_prewarms -= 1;
+            world.cluster.finish_prewarm(now, container, tier);
+        }
+    }
+    emit(
+        world,
+        now,
+        EventKind::ColdStartEnd {
+            container,
+            batch: boot.batch(),
+        },
+    );
+    if let Boot::Batch(id) = boot {
+        batch_ready(sim, engine, id);
+    }
+}
+
+/// Snapshot restore landed (`arg.a` = batch id): the container is ready
+/// and the batch executes, exactly as after a cold boot but tens of
+/// milliseconds later instead of seconds.
+fn restore_finished(sim: &mut Sim, engine: &mut Engine<Sim>, arg: EventArg) {
+    let id = BatchId(arg.a);
+    let now = engine.now();
+    let world = &mut sim.world;
+    let cid = world.batches[&id].start.container();
     world.cluster.finish_restore(now, cid);
     emit(
         world,
@@ -703,35 +667,20 @@ fn restore_finished(sim: &mut Sim, engine: &mut Engine<Sim>, arg: EventArg) {
             batch: Some(id.0),
         },
     );
-    let function = world.batches[&id].invocations[0].function;
-    let weight = world.batches[&id].group_weight;
-    set_container_weight(world, now, cid, weight);
-    start_batch_execution(world, now, id);
-    {
-        let Sim { world, policy } = sim;
-        policy.on_batch_ready(&mut Ctx { world, engine }, cid, function);
-    }
+    batch_ready(sim, engine, id);
     pump_cpu(&mut sim.world, engine);
 }
 
-fn on_cold_boot_done(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId) {
+/// The batch's container is ready — a warm hit, a restore or a boot: weight
+/// its CPU group, start the members, tell the policy. The caller pumps the
+/// CPU.
+fn batch_ready(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId) {
     let now = engine.now();
     let world = &mut sim.world;
-    let cid = world.batches[&id]
-        .container
-        .expect("cold boot without container");
-    world.cluster.finish_cold_start(now, cid);
-    emit(
-        world,
-        now,
-        EventKind::ColdStartEnd {
-            container: cid,
-            batch: Some(id.0),
-        },
-    );
-    let function = world.batches[&id].invocations[0].function;
-    let weight = world.batches[&id].group_weight;
-    set_container_weight(world, now, cid, weight);
+    let batch = &world.batches[&id];
+    let cid = batch.start.container();
+    let function = batch.invocations[0].function;
+    set_container_weight(world, now, cid, batch.group_weight);
     start_batch_execution(world, now, id);
     let Sim { world, policy } = sim;
     policy.on_batch_ready(&mut Ctx { world, engine }, cid, function);
@@ -777,7 +726,7 @@ fn start_invocation_chain(world: &mut SimWorld, now: SimTime, id: BatchId, idx: 
         (
             batch.invocations[idx].function,
             batch.multiplex,
-            batch.container.expect("chain without container"),
+            batch.start.container(),
             batch.invocations[idx].work,
         )
     };
@@ -872,9 +821,6 @@ fn start_next_creation(world: &mut SimWorld, now: SimTime, cid: ContainerId) {
     };
     let work = world.cfg.client_cost.creation_work(concurrent);
     let task = world.cluster.start_invocation_work(now, cid, work);
-    world
-        .running
-        .insert(task, WorkKind::ClientCreation(id, idx));
     emit(
         world,
         now,
@@ -884,16 +830,7 @@ fn start_next_creation(world: &mut SimWorld, now: SimTime, cid: ContainerId) {
             member: idx as u32,
         },
     );
-    emit(
-        world,
-        now,
-        EventKind::TaskStart {
-            task: TaskKind::ClientCreation {
-                batch: id.0,
-                member: idx as u32,
-            },
-        },
-    );
+    track_task(world, now, task, WorkKind::ClientCreation(id, idx));
 }
 
 fn on_creation_done(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId, idx: usize) {
@@ -906,11 +843,7 @@ fn on_creation_done(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId, idx: u
             FunctionKind::Io { bucket, .. } => bucket.clone(),
             FunctionKind::Cpu { .. } => unreachable!("creation for CPU function"),
         };
-        (
-            batch.container.expect("no container"),
-            batch.multiplex,
-            bucket,
-        )
+        (batch.start.container(), batch.multiplex, bucket)
     };
     let bytes = world.cfg.client_cost.memory_per_client;
     let alloc = world
@@ -952,23 +885,10 @@ fn on_creation_done(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId, idx: u
 fn start_body(world: &mut SimWorld, now: SimTime, id: BatchId, idx: usize) {
     let (cid, work) = {
         let batch = &world.batches[&id];
-        (
-            batch.container.expect("body without container"),
-            batch.invocations[idx].work,
-        )
+        (batch.start.container(), batch.invocations[idx].work)
     };
     let task = world.cluster.start_invocation_work(now, cid, work);
-    world.running.insert(task, WorkKind::Body(id, idx));
-    emit(
-        world,
-        now,
-        EventKind::TaskStart {
-            task: TaskKind::Body {
-                batch: id.0,
-                member: idx as u32,
-            },
-        },
-    );
+    track_task(world, now, task, WorkKind::Body(id, idx));
 }
 
 fn on_body_done(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId, idx: usize) {
@@ -1058,7 +978,7 @@ fn finish_invocation(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId, idx: 
         (
             next,
             batch.remaining == 0,
-            batch.container.expect("no container"),
+            batch.start.container(),
             batch.invocations.len() as u64,
         )
     };
@@ -1144,10 +1064,7 @@ fn apply_scale_actions(world: &mut SimWorld, engine: &mut Engine<Sim>) {
                         count: count as u64,
                     },
                 );
-                match tier {
-                    PrewarmTier::Warm => prewarm(world, engine, function, count),
-                    PrewarmTier::Snapshot => prewarm_snapshot(world, engine, function, count),
-                }
+                prewarm(world, engine, function, count, tier);
             }
             ScaleAction::PrewarmTier { .. } => {}
             ScaleAction::SetKeepAlive {
@@ -1536,6 +1453,144 @@ mod tests {
             report.provisioned_containers,
             5 + (report.records.len() - warm_served) as u64
         );
+    }
+
+    /// Launches one warm-tier and one snapshot-tier pre-warm of the same
+    /// function at t = 0 — both boot at once — and dispatches each arrival
+    /// alone.
+    struct PrewarmBothTiers;
+
+    impl Policy for PrewarmBothTiers {
+        fn name(&self) -> String {
+            "prewarm-both-tiers".to_owned()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let f = FunctionId::new(0);
+            prewarm(ctx.world, ctx.engine, f, 1, PrewarmTier::Warm);
+            prewarm(ctx.world, ctx.engine, f, 1, PrewarmTier::Snapshot);
+        }
+        fn on_arrival(&mut self, ctx: &mut Ctx<'_>, invocation: &Invocation) {
+            ctx.dispatch(DispatchRequest::new(
+                vec![invocation.clone()],
+                ExecMode::Serial,
+            ));
+        }
+    }
+
+    #[test]
+    fn both_prewarm_tiers_in_flight_land_where_their_tier_says() {
+        use faasbatch_container::container::ContainerState;
+        use faasbatch_container::snapshot::SnapshotConfig;
+        use faasbatch_metrics::events::MultiSink;
+
+        let registry = tiny_workload().registry().clone();
+        let f = FunctionId::new(0);
+        // One arrival long after both boots landed.
+        let w = Workload::new(
+            registry,
+            vec![Invocation {
+                id: InvocationId::new(0),
+                function: f,
+                arrival: SimTime::from_secs(10),
+                work: SimDuration::from_millis(10),
+            }],
+        );
+        let cfg = SimConfig {
+            snapshot: SnapshotConfig::with_capacity(4),
+            ..SimConfig::default()
+        };
+        let (report, mut sink) = run_simulation_traced(
+            Box::new(PrewarmBothTiers),
+            &w,
+            cfg,
+            "t",
+            None,
+            Box::new(MultiSink::new(vec![
+                Box::new(VecSink::new()),
+                Box::new(AuditorSink::new()),
+            ])),
+        );
+        let mut sinks = sink
+            .as_any_mut()
+            .downcast_mut::<MultiSink>()
+            .map(std::mem::take)
+            .expect("fan-out comes back")
+            .into_sinks();
+        let auditor = sinks[1]
+            .as_any_mut()
+            .downcast_mut::<AuditorSink>()
+            .expect("auditor");
+        assert_eq!(auditor.finish(), &[] as &[String]);
+        let events = sinks[0]
+            .as_any()
+            .downcast_ref::<VecSink>()
+            .expect("vec sink")
+            .events();
+
+        // Launched in order: the warm pre-warm first.
+        let (warm, snap) = (ContainerId::new(0), ContainerId::new(1));
+        let states = |c: ContainerId| -> Vec<ContainerState> {
+            events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::ContainerStateChange { container, to, .. } if container == c => {
+                        Some(to)
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        use ContainerState::{Busy, Idle, Provisioning, Terminated};
+        // The warm one parks Idle and serves the batch warm; the snapshot
+        // one is captured and terminated.
+        assert_eq!(states(warm), [Provisioning, Idle, Busy, Idle]);
+        assert_eq!(states(snap), [Provisioning, Idle, Terminated]);
+        let decision = events
+            .iter()
+            .find_map(|e| match &e.kind {
+                EventKind::DispatchDecision {
+                    container,
+                    cold,
+                    restored,
+                    ..
+                } => Some((*container, *cold, *restored)),
+                _ => None,
+            })
+            .expect("one dispatch");
+        assert_eq!(decision, (warm, false, false));
+        assert_eq!((report.warm_hits, report.provisioned_containers), (1, 2));
+        assert_eq!(report.snapshot_stats.captures, 2, "both boots capture");
+
+        // Each pre-warm's launch and boot tasks pair with one boot-phase
+        // pair of its own container, and the two boots overlap.
+        let count = |p: &dyn Fn(&EventKind) -> bool| events.iter().filter(|e| p(&e.kind)).count();
+        let mut boot_spans = Vec::new();
+        for c in [warm, snap] {
+            for task in [
+                TaskKind::PrewarmLaunch { container: c },
+                TaskKind::PrewarmBoot { container: c },
+            ] {
+                assert_eq!(count(&|k| *k == EventKind::TaskStart { task }), 1);
+                assert_eq!(count(&|k| *k == EventKind::TaskFinish { task }), 1);
+            }
+            let at = |kind: EventKind| {
+                let mut hits = events.iter().filter(|e| e.kind == kind);
+                let at = hits.next().expect("boot phase").at;
+                assert!(hits.next().is_none(), "{kind:?} twice");
+                at
+            };
+            boot_spans.push((
+                at(EventKind::ColdStartBegin {
+                    container: c,
+                    batch: None,
+                }),
+                at(EventKind::ColdStartEnd {
+                    container: c,
+                    batch: None,
+                }),
+            ));
+        }
+        assert!(boot_spans[1].0 < boot_spans[0].1, "boots overlap");
     }
 
     #[test]

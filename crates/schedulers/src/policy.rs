@@ -8,6 +8,7 @@
 
 use crate::config::SimConfig;
 use crate::harness::{Sim, SimWorld};
+use faasbatch_container::cluster::PrewarmTier;
 use faasbatch_container::ids::{ContainerId, FunctionId};
 use faasbatch_metrics::latency::InvocationRecord;
 use faasbatch_simcore::engine::Engine;
@@ -153,7 +154,7 @@ impl Ctx<'_> {
     /// full launch and cold-start cost and joins the warm pool when ready.
     /// This is the mechanism behind Kraken's EWMA-driven provisioning.
     pub fn prewarm(&mut self, function: FunctionId, count: usize) {
-        crate::harness::prewarm(self.world, self.engine, function, count);
+        crate::harness::prewarm(self.world, self.engine, function, count, PrewarmTier::Warm);
     }
 
     /// Dispatches a batch: charges the decision work, acquires a container

@@ -10,17 +10,6 @@
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 
-/// Evenly spaced arrivals: `n` invocations across `span`.
-pub fn constant_rate(n: usize, span: SimDuration) -> Vec<SimTime> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let step = span.as_micros() / n as u64;
-    (0..n)
-        .map(|i| SimTime::from_micros(i as u64 * step))
-        .collect()
-}
-
 /// Configuration for the bursty generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BurstyConfig {
@@ -164,19 +153,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_rate_spacing() {
-        let a = constant_rate(6, SimDuration::from_secs(6));
-        assert_eq!(a.len(), 6);
-        assert_eq!(a[0], SimTime::ZERO);
-        assert_eq!(a[5], SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn constant_rate_empty() {
-        assert!(constant_rate(0, SimDuration::from_secs(1)).is_empty());
-    }
-
-    #[test]
     fn bursty_emits_exact_total_sorted_in_span() {
         let mut rng = DetRng::new(7);
         let cfg = BurstyConfig::default();
@@ -193,7 +169,10 @@ mod tests {
         let a = bursty(&mut rng, &cfg);
         let bin = SimDuration::from_secs(1);
         let b = bin_counts(&a, bin, cfg.span);
-        let uniform = constant_rate(cfg.total, cfg.span);
+        let step = cfg.span.as_micros() / cfg.total as u64;
+        let uniform: Vec<SimTime> = (0..cfg.total as u64)
+            .map(|i| SimTime::from_micros(i * step))
+            .collect();
         let u = bin_counts(&uniform, bin, cfg.span);
         assert!(
             burstiness(&b) > 2.0 * burstiness(&u),
