@@ -1,5 +1,6 @@
 //! The online invariant auditor.
 
+use super::span::{self, Edge, SpanKey, SpanLedger};
 use super::{EventKind, SimEvent, TaskKind, TraceSink};
 use crate::chain::{ChainFold, Step, NO_ARRIVAL};
 use faasbatch_container::container::ContainerState;
@@ -31,8 +32,10 @@ const MAX_VIOLATIONS: usize = 64;
 ///   `ExecBegin`, `ExecEnd`), member indices fit their batch, and the
 ///   eleven phases read off the chain sum exactly to the end-to-end span
 ///   ([`InvocationAttribution::is_exact`](crate::analysis::InvocationAttribution::is_exact));
-/// * **task pairing** — `TaskFinish`/`ColdStartEnd`/`RestoreDone` match an
-///   open `TaskStart`/`ColdStartBegin`/`RestoreBegin`.
+/// * **span pairing** — `TaskFinish`/`ColdStartEnd`/`RestoreDone`/
+///   `GatewayAdmit` close an open `TaskStart`/`ColdStartBegin`/
+///   `RestoreBegin`/`GatewayEnqueue` span (`span.rs` says which pairs), and
+///   (at [`AuditorSink::finish`]) no span is left open.
 #[derive(Debug, Default)]
 pub struct AuditorSink {
     violations: Vec<String>,
@@ -43,13 +46,10 @@ pub struct AuditorSink {
     containers: IdMap<ContainerId, ContainerState>,
     mem_by_category: HashMap<MemCategory, i128>,
     mem_total: i128,
-    open_tasks: IdMap<TaskKind, u32>,
-    open_cold_starts: IdMap<ContainerId, u32>,
-    open_restores: IdMap<ContainerId, u32>,
+    /// Tasks, cold starts, restores and gateway enqueues still open.
+    spans: SpanLedger,
     /// Scale-prewarm requests not yet matched by a `PrewarmLaunch` start.
     pending_scale_prewarms: u64,
-    /// Gateway enqueues not yet matched by an admit, per invocation.
-    gateway_open: IdMap<InvocationId, u32>,
     fold: ChainFold,
     finished: bool,
 }
@@ -77,8 +77,16 @@ impl AuditorSink {
         &self.violations
     }
 
-    /// Runs end-of-stream checks (unfinished arrivals, unbalanced tasks)
-    /// once, then returns all violations.
+    /// Spans (tasks, cold starts, restores, gateway enqueues) open at this
+    /// point of the stream.
+    pub fn open_spans(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Runs end-of-stream checks (unfinished arrivals, spans left open,
+    /// unlaunched scale-prewarms) once, then returns all violations. A
+    /// span left open is reported once per key, at the instant its oldest
+    /// open span began.
     pub fn finish(&mut self) -> &[String] {
         if !self.finished {
             self.finished = true;
@@ -94,52 +102,13 @@ impl AuditorSink {
                     format!("{id} arrived but never completed")
                 });
             }
-            let mut open: Vec<String> = self
-                .open_tasks
-                .iter()
-                .filter(|(_, n)| **n > 0)
-                .map(|(task, n)| format!("task {task:?} left open {n} time(s)"))
-                .collect();
-            open.sort();
-            for msg in open {
-                self.violate(SimTime::ZERO, || msg);
-            }
-            let mut cold: Vec<ContainerId> = self
-                .open_cold_starts
-                .iter()
-                .filter(|(_, n)| **n > 0)
-                .map(|(c, _)| *c)
-                .collect();
-            cold.sort();
-            for c in cold {
-                self.violate(SimTime::ZERO, || format!("{c} cold start never ended"));
-            }
-            let mut restores: Vec<ContainerId> = self
-                .open_restores
-                .iter()
-                .filter(|(_, n)| **n > 0)
-                .map(|(c, _)| *c)
-                .collect();
-            restores.sort();
-            for c in restores {
-                self.violate(SimTime::ZERO, || format!("{c} restore never ended"));
+            for (key, opened, n) in self.spans.leftovers() {
+                self.violate(opened, || left_open(key, n));
             }
             if self.pending_scale_prewarms > 0 {
                 let n = self.pending_scale_prewarms;
                 self.violate(SimTime::ZERO, || {
                     format!("{n} scale-prewarm request(s) never launched a container")
-                });
-            }
-            let mut stuck: Vec<InvocationId> = self
-                .gateway_open
-                .iter()
-                .filter(|(_, n)| **n > 0)
-                .map(|(id, _)| *id)
-                .collect();
-            stuck.sort();
-            for id in stuck {
-                self.violate(SimTime::ZERO, || {
-                    format!("{id} enqueued on a gateway shard but never admitted")
                 });
             }
             if self.truncated > 0 {
@@ -240,6 +209,12 @@ impl TraceSink for AuditorSink {
         }
         self.last_at = Some(at);
 
+        // Pair first: the checks below read how the event paired.
+        let (open_now, unmatched) = match span::edge(&event.kind) {
+            Some(Edge::Open(key)) => (self.spans.open(key, at), false),
+            Some(Edge::Close(key)) => (0, self.spans.close(&key).is_none()),
+            None => (0, false),
+        };
         match &event.kind {
             EventKind::Arrival { invocation, .. } if self.seen.insert(*invocation, 0).is_some() => {
                 self.violate(at, || format!("{invocation} arrived twice"));
@@ -256,14 +231,12 @@ impl TraceSink for AuditorSink {
                     None => self.violate(at, || format!("{invocation} completed without arriving")),
                 }
             }
-            EventKind::TaskStart { task } => {
-                *self.open_tasks.entry(*task).or_insert(0) += 1;
-                // A pre-warm launch consumes one outstanding scale-prewarm
-                // request (policy-initiated pre-warms simply don't consume).
-                if matches!(task, TaskKind::PrewarmLaunch { .. }) && self.pending_scale_prewarms > 0
-                {
-                    self.pending_scale_prewarms -= 1;
-                }
+            // A pre-warm launch consumes one outstanding scale-prewarm
+            // request (policy-initiated pre-warms simply don't consume).
+            EventKind::TaskStart {
+                task: TaskKind::PrewarmLaunch { .. },
+            } if self.pending_scale_prewarms > 0 => {
+                self.pending_scale_prewarms -= 1;
             }
             EventKind::ScalePrewarm { count, .. } => {
                 if *count == 0 {
@@ -274,39 +247,18 @@ impl TraceSink for AuditorSink {
             EventKind::ScaleKeepAlive { keep_alive, .. } if keep_alive.is_zero() => {
                 self.violate(at, || "scale action set a zero keep-alive TTL".to_owned());
             }
-            EventKind::TaskFinish { task } => {
-                let open = self.open_tasks.entry(*task).or_insert(0);
-                if *open == 0 {
-                    self.violate(at, || format!("task {task:?} finished without starting"));
-                } else {
-                    *open -= 1;
-                }
+            EventKind::TaskFinish { task } if unmatched => {
+                self.violate(at, || format!("task {task:?} finished without starting"));
             }
-            EventKind::ColdStartBegin { container, .. } => {
-                *self.open_cold_starts.entry(*container).or_insert(0) += 1;
+            EventKind::ColdStartEnd { container, .. } if unmatched => {
+                self.violate(at, || {
+                    format!("{container} cold start ended without beginning")
+                });
             }
-            EventKind::ColdStartEnd { container, .. } => {
-                let open = self.open_cold_starts.entry(*container).or_insert(0);
-                if *open == 0 {
-                    self.violate(at, || {
-                        format!("{container} cold start ended without beginning")
-                    });
-                } else {
-                    *open -= 1;
-                }
-            }
-            EventKind::RestoreBegin { container, .. } => {
-                *self.open_restores.entry(*container).or_insert(0) += 1;
-            }
-            EventKind::RestoreDone { container, .. } => {
-                let open = self.open_restores.entry(*container).or_insert(0);
-                if *open == 0 {
-                    self.violate(at, || {
-                        format!("{container} restore ended without beginning")
-                    });
-                } else {
-                    *open -= 1;
-                }
+            EventKind::RestoreDone { container, .. } if unmatched => {
+                self.violate(at, || {
+                    format!("{container} restore ended without beginning")
+                });
             }
             EventKind::GatewayEnqueue { invocation, shard } => {
                 if !self.seen.contains_key(invocation) {
@@ -314,26 +266,19 @@ impl TraceSink for AuditorSink {
                         format!("{invocation} enqueued on shard {shard} without arriving")
                     });
                 }
-                let open = self.gateway_open.entry(*invocation).or_insert(0);
-                *open += 1;
-                if *open > 1 {
+                if open_now > 1 {
                     self.violate(at, || format!("{invocation} enqueued twice"));
                 }
             }
-            EventKind::GatewayAdmit { invocation, shard } => {
-                let open = self.gateway_open.entry(*invocation).or_insert(0);
-                if *open == 0 {
-                    self.violate(at, || {
-                        format!("{invocation} admitted by shard {shard} without an enqueue")
-                    });
-                } else {
-                    *open -= 1;
-                }
+            EventKind::GatewayAdmit { invocation, shard } if unmatched => {
+                self.violate(at, || {
+                    format!("{invocation} admitted by shard {shard} without an enqueue")
+                });
             }
             EventKind::GatewayReject { invocation, .. } => {
                 // Rejection is terminal and must come straight from the
                 // front door — a queued (enqueued) invocation is committed.
-                if self.gateway_open.get(invocation).copied().unwrap_or(0) > 0 {
+                if self.spans.is_open(&SpanKey::Gateway(*invocation)) {
                     self.violate(at, || format!("{invocation} rejected after being enqueued"));
                 }
                 match self.seen.get_mut(invocation) {
@@ -402,5 +347,15 @@ impl TraceSink for AuditorSink {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+/// The end-of-stream violation for `n` spans of `key` left open.
+fn left_open(key: SpanKey, n: usize) -> String {
+    match key {
+        SpanKey::Task(task) => format!("task {task:?} left open {n} time(s)"),
+        SpanKey::ColdStart(c) => format!("{c} cold start never ended"),
+        SpanKey::Restore(c) => format!("{c} restore never ended"),
+        SpanKey::Gateway(id) => format!("{id} enqueued on a gateway shard but never admitted"),
     }
 }

@@ -1,5 +1,6 @@
 //! The Chrome `about:tracing` / Perfetto export.
 
+use super::span::{self, Edge, SpanKey, SpanLedger};
 use super::{EventKind, SimEvent, TaskKind};
 use faasbatch_container::ids::{ContainerId, InvocationId};
 use faasbatch_simcore::time::SimTime;
@@ -10,9 +11,11 @@ use std::io::Write;
 /// Renders an event stream in Chrome `about:tracing` / Perfetto JSON.
 ///
 /// CPU tasks, cold starts, and snapshot restores become complete (`"X"`)
-/// duration slices by pairing their begin/end events; everything else becomes an instant
-/// (`"i"`) event. Timestamps are microseconds, which is exactly
-/// [`SimTime::as_micros`], so the trace plays back at simulated time.
+/// duration slices by pairing their begin/end events (overlapping spans of
+/// one key pair first in, first out); everything else, gateway enqueues and
+/// admits included, becomes an instant (`"i"`) event. Timestamps are
+/// microseconds, which is exactly [`SimTime::as_micros`], so the trace
+/// plays back at simulated time.
 ///
 /// Two higher-level overlays live on pid 1: every invocation gets an
 /// arrival→completion slice (its own lane), and each fleet `GroupFormed`
@@ -42,15 +45,32 @@ pub fn chrome_trace_to(events: &[SimEvent], out: &mut dyn Write) -> std::io::Res
     }
     out.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")?;
     let mut first = true;
-    let mut open_tasks: HashMap<TaskKind, SimTime> = HashMap::new();
-    let mut open_cold: HashMap<ContainerId, SimTime> = HashMap::new();
-    let mut open_restores: HashMap<ContainerId, SimTime> = HashMap::new();
+    let mut spans = SpanLedger::default();
     let mut arrivals: HashMap<InvocationId, SimTime> = HashMap::new();
     // member → every (flow id, formation time) of a group it was routed in.
     let mut member_groups: HashMap<InvocationId, Vec<(u64, SimTime)>> = HashMap::new();
     let mut group_seq = 0u64;
     for event in events {
         let ts = event.at.as_micros();
+        match span::edge(&event.kind) {
+            // Gateway queueing is drawn as its two instants below.
+            None | Some(Edge::Open(SpanKey::Gateway(_)) | Edge::Close(SpanKey::Gateway(_))) => {}
+            Some(Edge::Open(key)) => {
+                spans.open(key, event.at);
+                continue;
+            }
+            Some(Edge::Close(key)) => {
+                if let Some(begin) = spans.close(&key) {
+                    let (name, cat, tid, args) = slice(&key);
+                    push(out, &mut first, format_args!(
+                            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{tid},\"args\":{{{args}}}}}",
+                            begin.as_micros(),
+                            ts - begin.as_micros(),
+                        ))?;
+                }
+                continue;
+            }
+        }
         match &event.kind {
             EventKind::Arrival { invocation, .. } => {
                 arrivals.insert(*invocation, event.at);
@@ -108,48 +128,6 @@ pub fn chrome_trace_to(events: &[SimEvent], out: &mut dyn Write) -> std::io::Res
                         "{{\"name\":\"InvocationComplete\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{ts},\"pid\":0,\"tid\":0,\"args\":{{{args}}}}}"
                     ))?;
             }
-            EventKind::TaskStart { task } => {
-                open_tasks.insert(*task, event.at);
-            }
-            EventKind::TaskFinish { task } => {
-                if let Some(begin) = open_tasks.remove(task) {
-                    let dur = ts - begin.as_micros();
-                    let (name, args) = task_name_args(task);
-                    push(out, &mut first, format_args!(
-                            "{{\"name\":\"{name}\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\"pid\":0,\"tid\":{},\"args\":{{{args}}}}}",
-                            begin.as_micros(),
-                            task_tid(task),
-                        ))?;
-                }
-            }
-            EventKind::ColdStartBegin { container, .. } => {
-                open_cold.insert(*container, event.at);
-            }
-            EventKind::ColdStartEnd { container, .. } => {
-                if let Some(begin) = open_cold.remove(container) {
-                    let dur = ts - begin.as_micros();
-                    push(out, &mut first, format_args!(
-                            "{{\"name\":\"ColdStart\",\"cat\":\"container\",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\"pid\":0,\"tid\":{},\"args\":{{\"container\":{}}}}}",
-                            begin.as_micros(),
-                            container.value(),
-                            container.value(),
-                        ))?;
-                }
-            }
-            EventKind::RestoreBegin { container, .. } => {
-                open_restores.insert(*container, event.at);
-            }
-            EventKind::RestoreDone { container, .. } => {
-                if let Some(begin) = open_restores.remove(container) {
-                    let dur = ts - begin.as_micros();
-                    push(out, &mut first, format_args!(
-                            "{{\"name\":\"Restore\",\"cat\":\"container\",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\"pid\":0,\"tid\":{},\"args\":{{\"container\":{}}}}}",
-                            begin.as_micros(),
-                            container.value(),
-                            container.value(),
-                        ))?;
-                }
-            }
             EventKind::HostSample {
                 memory_bytes,
                 busy_cores,
@@ -173,15 +151,29 @@ pub fn chrome_trace_to(events: &[SimEvent], out: &mut dyn Write) -> std::io::Res
     Ok(())
 }
 
-/// Chrome trace thread id for a task: containers get their own lane,
-/// daemon-side work shares lane 0.
-fn task_tid(task: &TaskKind) -> u64 {
-    match task {
-        TaskKind::PrewarmLaunch { container } | TaskKind::PrewarmBoot { container } => {
-            container.value()
+/// Name, category, thread id and `args` body of a span's slice.
+/// Containers get their own lane; daemon-side work shares lane 0. Gateway
+/// queueing has no slice: [`chrome_trace_to`] draws its two instants.
+fn slice(key: &SpanKey) -> (&'static str, &'static str, u64, String) {
+    match *key {
+        SpanKey::Task(task) => {
+            let tid = match task {
+                TaskKind::PrewarmLaunch { container } | TaskKind::PrewarmBoot { container } => {
+                    container.value()
+                }
+                _ => 0,
+            };
+            let (name, args) = task_name_args(&task);
+            (name, "task", tid, args)
         }
-        _ => 0,
+        SpanKey::ColdStart(c) => ("ColdStart", "container", c.value(), container_args(c)),
+        SpanKey::Restore(c) => ("Restore", "container", c.value(), container_args(c)),
+        SpanKey::Gateway(_) => unreachable!("gateway queueing is drawn as two instants"),
     }
+}
+
+fn container_args(c: ContainerId) -> String {
+    format!("\"container\":{}", c.value())
 }
 
 /// Name and `args` body for a task slice.

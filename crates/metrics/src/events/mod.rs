@@ -10,6 +10,10 @@
 //! legality, memory-ledger non-negativity, and chain integrity online as
 //! the stream flows. The state machine that follows an invocation's event
 //! chain lives once, in `crate::chain`; reducer and auditor both hold it.
+//! Which events open and close a span (a CPU task, a cold start, a restore,
+//! a gateway enqueue) is said once too, in `span.rs`: the auditor and
+//! [`chrome_trace`] pair through its ledger, and the reducer counts open
+//! spans with it.
 //!
 //! See DESIGN.md §11 for the taxonomy and the emission contract.
 
@@ -17,6 +21,7 @@ mod auditor;
 mod chrome;
 mod reducer;
 mod sink;
+mod span;
 
 pub use auditor::AuditorSink;
 pub use chrome::{chrome_trace, chrome_trace_to};
@@ -34,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// This is the serializable mirror of the scheduler harness's internal work
 /// kinds; fleet- and platform-level emitters use the same vocabulary so one
 /// exporter serves every layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum TaskKind {
     /// Daemon-side dispatch/launch processing for a batch.
     Decision {

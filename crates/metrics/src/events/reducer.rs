@@ -1,5 +1,6 @@
 //! The stream folded into a run's records and counters.
 
+use super::span::{self, Edge};
 use super::{EventKind, SimEvent};
 use crate::chain::{ChainFold, Step};
 use crate::latency::InvocationRecord;
@@ -46,6 +47,7 @@ pub struct RecordReducer {
     client_requests: u64,
     clients_created: u64,
     client_bytes_allocated: u64,
+    open_spans: usize,
 }
 
 impl RecordReducer {
@@ -68,6 +70,15 @@ impl RecordReducer {
     /// stopped mid-run still held. Linear in what is open.
     pub fn open_invocations(&self) -> Vec<InvocationId> {
         self.fold.open_invocations()
+    }
+
+    /// Spans (tasks, cold starts, restores, gateway enqueues) opened and
+    /// not yet closed, counted through the classifier the auditor pairs
+    /// with: on a stream whose every end has its begin, the auditor's
+    /// [`open_spans`](super::AuditorSink::open_spans). A run that closes
+    /// clean ends at 0.
+    pub fn open_spans(&self) -> usize {
+        self.open_spans
     }
 
     /// Folds one event. Returns the invocation record when the event
@@ -99,6 +110,12 @@ impl RecordReducer {
                 });
             }
             _ => {}
+        }
+        match span::edge(&event.kind) {
+            Some(Edge::Open(_)) => self.open_spans += 1,
+            // An end without a begin is the auditor's to name.
+            Some(Edge::Close(_)) => self.open_spans = self.open_spans.saturating_sub(1),
+            None => {}
         }
         let Step::Complete(attribution) = self.fold.on_event(event) else {
             return None;

@@ -735,3 +735,123 @@ fn chrome_trace_links_groups_to_invocation_slices() {
     // The flow terminus binds inside the invocation slice's span.
     assert!(json.contains("\"bp\":\"e\""));
 }
+
+#[test]
+fn chrome_trace_draws_every_overlapping_task_from_its_own_begin() {
+    let overhead = |us, start| {
+        let task = TaskKind::Overhead;
+        ev(
+            us,
+            if start {
+                EventKind::TaskStart { task }
+            } else {
+                EventKind::TaskFinish { task }
+            },
+        )
+    };
+    let stream = [
+        overhead(10, true),
+        overhead(20, true),
+        overhead(30, true),
+        overhead(40, false),
+        overhead(55, false),
+        overhead(70, false),
+    ];
+    let json = chrome_trace(&stream);
+    let slices: Vec<&str> = json
+        .lines()
+        .filter(|l| l.contains("\"name\":\"Overhead\""))
+        .collect();
+    assert_eq!(slices.len(), 3, "{json}");
+    // First in, first out: each finish closes the oldest open task.
+    for (slice, (ts, dur)) in slices.iter().zip([(10, 30), (20, 35), (30, 40)]) {
+        assert!(
+            slice.contains(&format!("\"ts\":{ts},\"dur\":{dur},")),
+            "{slice}"
+        );
+    }
+}
+
+#[test]
+fn auditor_stamps_a_span_left_open_at_the_instant_it_opened() {
+    let mut auditor = AuditorSink::new();
+    auditor.record(&arrival(1, 4));
+    auditor.record(&ev(
+        3,
+        EventKind::GatewayEnqueue {
+            invocation: InvocationId::new(4),
+            shard: 0,
+        },
+    ));
+    for us in [5, 6] {
+        auditor.record(&ev(
+            us,
+            EventKind::TaskStart {
+                task: TaskKind::Overhead,
+            },
+        ));
+    }
+    auditor.record(&ev(
+        7,
+        EventKind::ColdStartBegin {
+            container: ContainerId::new(1),
+            batch: None,
+        },
+    ));
+    auditor.record(&ev(
+        9,
+        EventKind::RestoreBegin {
+            container: ContainerId::new(2),
+            batch: Some(0),
+        },
+    ));
+    assert_eq!(auditor.open_spans(), 5);
+    let violations = auditor.finish();
+    for expected in [
+        "[0.000005s] task Overhead left open 2 time(s)",
+        "[0.000007s] ctr#1 cold start never ended",
+        "[0.000009s] ctr#2 restore never ended",
+        "[0.000003s] inv#4 enqueued on a gateway shard but never admitted",
+    ] {
+        assert!(violations.iter().any(|v| v == expected), "{violations:?}");
+    }
+}
+
+#[test]
+fn reducer_counts_the_spans_the_auditor_holds_open() {
+    let mut reducer = RecordReducer::new();
+    let mut auditor = AuditorSink::new();
+    let stream = [
+        ev(
+            0,
+            EventKind::TaskStart {
+                task: TaskKind::Overhead,
+            },
+        ),
+        ev(
+            1,
+            EventKind::TaskStart {
+                task: TaskKind::Overhead,
+            },
+        ),
+        ev(
+            2,
+            EventKind::ColdStartBegin {
+                container: ContainerId::new(1),
+                batch: None,
+            },
+        ),
+        ev(
+            3,
+            EventKind::TaskFinish {
+                task: TaskKind::Overhead,
+            },
+        ),
+    ];
+    for event in &stream {
+        reducer.on_event(event);
+        auditor.record(event);
+        assert_eq!(reducer.open_spans(), auditor.open_spans(), "{event:?}");
+    }
+    assert_eq!(reducer.open_spans(), 2);
+}

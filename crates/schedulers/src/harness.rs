@@ -188,10 +188,6 @@ pub struct SimWorld {
     /// Scratch of `cpu_tick` (the completions it is handling), kept between
     /// ticks for its capacity.
     finished: Vec<CpuTaskId>,
-    /// Pre-warm pipelines (launch → image pull → boot) still in flight.
-    /// Non-zero keeps the run stepping after the last invocation completes
-    /// so every speculative cold start closes before the stream ends.
-    open_prewarms: usize,
     ext: IdMap<ContainerId, ContainerExt>,
     transient_clients: IdMap<(BatchId, usize), AllocationId>,
     /// Folds the event stream into records, samples, and counters.
@@ -251,7 +247,6 @@ impl SimWorld {
             running: IdMap::default(),
             cpu_event: None,
             finished: Vec::new(),
-            open_prewarms: 0,
             ext: IdMap::default(),
             transient_clients: IdMap::default(),
             reducer: RecordReducer::new(),
@@ -518,7 +513,6 @@ pub(crate) fn prewarm(
         let spec = ContainerSpec::new(function).with_base_memory(world.cfg.container_base_memory);
         let cid = world.cluster.provision_new(now, &spec);
         world.ext.entry(cid).or_default();
-        world.open_prewarms += 1;
         let task = world.cluster.cpu_mut().add_task(
             now,
             world.daemon_group,
@@ -632,10 +626,7 @@ fn on_boot_done(sim: &mut Sim, engine: &mut Engine<Sim>, boot: Boot) {
     let container = boot.container(world);
     match boot {
         Boot::Batch(_) => world.cluster.finish_cold_start(now, container),
-        Boot::Prewarm(_, tier) => {
-            world.open_prewarms -= 1;
-            world.cluster.finish_prewarm(now, container, tier);
-        }
+        Boot::Prewarm(_, tier) => world.cluster.finish_prewarm(now, container, tier),
     }
     emit(
         world,
@@ -1309,19 +1300,19 @@ impl Worker {
         // stands): a healthy run finishes long before this.
         self.engine
             .set_horizon(self.engine.now() + SimDuration::from_secs(24 * 3600));
-        while !self.sim.world.done() && self.engine.step(&mut self.sim) {}
+        // Work can outlive the last completion: a speculative pre-warm
+        // still booting, a fire-and-forget overhead task still on the CPU.
+        // Step until every span the stream opened has closed as well; a run
+        // with nothing in flight takes no extra step.
+        let settled = |world: &SimWorld| world.done() && world.reducer.open_spans() == 0;
+        while !settled(&self.sim.world) && self.engine.step(&mut self.sim) {}
         assert!(
-            self.sim.world.done(),
-            "simulation stalled: {}/{} invocations completed",
+            settled(&self.sim.world),
+            "simulation stalled: {}/{} invocations completed, {} span(s) open",
             self.sim.world.completed(),
-            self.sim.world.injected
+            self.sim.world.injected,
+            self.sim.world.reducer.open_spans()
         );
-        // A speculative pre-warm (controller- or Kraken-initiated) can still
-        // be booting when the final invocation completes. Keep stepping
-        // until those pipelines land so the stream pairs every launch with
-        // its cold-start end; runs with nothing in flight take zero extra
-        // steps.
-        while self.sim.world.open_prewarms > 0 && self.engine.step(&mut self.sim) {}
     }
 
     /// Stops the worker dead at `at` (a crash): events up to and including
