@@ -197,6 +197,10 @@ pub struct SimWorld {
     autoscaler: Option<Autoscaler>,
     /// Observer for the same stream the reducer folds.
     trace: Box<dyn TraceSink>,
+    /// Debug builds audit every run: the stream folds through an auditor
+    /// as well, and [`Worker::finish`] asserts that it is clean.
+    #[cfg(debug_assertions)]
+    auditor: faasbatch_metrics::events::AuditorSink,
     /// Events folded by the reducer but not yet handed to the sink; flushed
     /// in contiguous batches (the reducer always sees each event first, so
     /// report derivation is unaffected by the buffering).
@@ -252,6 +256,8 @@ impl SimWorld {
             reducer: RecordReducer::new(),
             autoscaler: cfg.autoscaler.clone().map(Autoscaler::new),
             trace,
+            #[cfg(debug_assertions)]
+            auditor: Default::default(),
             pending_events: Vec::with_capacity(EVENT_BATCH),
             injected: 0,
             closed: false,
@@ -362,6 +368,8 @@ fn fold(world: &mut SimWorld, event: SimEvent) -> Option<InvocationRecord> {
     if let Some(controller) = world.autoscaler.as_mut() {
         controller.observe(&event);
     }
+    #[cfg(debug_assertions)]
+    world.auditor.record(&event);
     world.pending_events.push(event);
     record
 }
@@ -1101,7 +1109,8 @@ fn record_sample(world: &mut SimWorld, now: SimTime) {
 /// # Panics
 ///
 /// Panics if the simulation stalls (a policy dropped invocations) — every
-/// workload invocation must eventually complete.
+/// workload invocation must eventually complete — and, in debug builds, if
+/// the stream breaks an auditor invariant ([`Worker::finish`]).
 pub fn run_simulation(
     policy: Box<dyn Policy>,
     workload: &Workload,
@@ -1281,9 +1290,20 @@ impl Worker {
     /// # Panics
     ///
     /// Panics if the simulation stalls (a policy dropped invocations) —
-    /// every injected invocation must eventually complete.
+    /// every injected invocation must eventually complete — and, in debug
+    /// builds, if the run's event stream breaks an
+    /// [`AuditorSink`](faasbatch_metrics::events::AuditorSink) invariant.
     pub fn finish(mut self) -> (RunReport, Box<dyn TraceSink>) {
         self.close();
+        #[cfg(debug_assertions)]
+        {
+            drain_journals(&mut self.sim.world);
+            let violations = self.sim.world.auditor.finish();
+            assert!(
+                violations.is_empty(),
+                "the run's event stream broke an invariant: {violations:?}"
+            );
+        }
         self.into_report()
     }
 

@@ -4,7 +4,8 @@
 //! bit-identical run to run, and a mutated stream is reported, never
 //! panicked on, by every consumer of the chain fold.
 
-use faasbatch::core::scheduler_kind::{SchedulerKind, SchedulerSetup};
+use faasbatch::container::snapshot::SnapshotConfig;
+use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch::fleet::config::{FaultKind, FleetConfig, WorkerFault};
 use faasbatch::fleet::routing::RoutingKind;
 use faasbatch::fleet::sim::run_fleet_traced;
@@ -15,12 +16,14 @@ use faasbatch::metrics::events::{
 };
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::run_simulation_traced;
+use faasbatch::schedulers::harness::{run_simulation_traced, Worker};
 use faasbatch::schedulers::policy::Policy;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::{SimDuration, SimTime};
 use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const SCHEDULERS: [&str; 6] = [
     "vanilla",
@@ -349,5 +352,169 @@ fn scheduler_names_match_the_typed_registry() {
     let msg = err.to_string();
     for name in SCHEDULERS {
         assert!(msg.contains(name), "error should list `{name}`: {msg}");
+    }
+}
+
+/// The CLI's default workload: `faasbatch trace --workload cpu|io --seed N`.
+fn cli_workload(seed: u64, io: bool) -> Workload {
+    let rng = DetRng::new(seed);
+    if io {
+        let cfg = WorkloadConfig {
+            total: 400,
+            span: SimDuration::from_secs(30),
+            bursts: 4,
+            ..WorkloadConfig::default()
+        };
+        io_workload(&rng, &cfg)
+    } else {
+        cpu_workload(&rng, &WorkloadConfig::default())
+    }
+}
+
+/// Every stream `faasbatch trace` (autoscaler off) and `faasbatch
+/// autoscale` (on) write for `kind` over seeds 1–8, both workloads and
+/// snapshot caps 0 and 4 audits clean, and closes every span it opens:
+/// the reducer's open-span count and the auditor's both end at 0. SFS
+/// seed 1 once ended with an `Overhead` task still on the CPU.
+fn cli_sweep_closes_clean(kind: SchedulerKind) {
+    let setup = SchedulerSetup::new(SimDuration::from_millis(200));
+    for io in [false, true] {
+        for seed in 1..=8 {
+            let w = cli_workload(seed, io);
+            for cap in [0, 4] {
+                for autoscale in [false, true] {
+                    let mut cfg = SimConfig {
+                        snapshot: SnapshotConfig::with_capacity(cap),
+                        ..SimConfig::default()
+                    };
+                    if autoscale {
+                        cfg.keep_alive = SimDuration::from_secs(2);
+                        cfg.autoscaler = Some(AutoscalerConfig {
+                            prewarm_cap: 4,
+                            keepalive_floor: SimDuration::from_secs(2),
+                            keepalive_ceiling: SimDuration::from_secs(60),
+                            base_keep_alive: SimDuration::from_secs(2),
+                            snapshot_prewarm: cap > 0,
+                            ..AutoscalerConfig::default()
+                        });
+                    }
+                    let (_, sinks) =
+                        run_comparison(
+                            &[kind],
+                            &w,
+                            "t",
+                            &cfg,
+                            &setup,
+                            |_| Box::new(VecSink::new()),
+                        );
+                    let events = sinks[0]
+                        .as_any()
+                        .downcast_ref::<VecSink>()
+                        .expect("vec sink round-trips")
+                        .events();
+                    let (mut auditor, reducer) = audit_and_reduce(events);
+                    let run = format!(
+                        "{} io={io} seed {seed} cap {cap} autoscale={autoscale}",
+                        kind.name()
+                    );
+                    assert_eq!(auditor.finish(), &[] as &[String], "{run}");
+                    assert_eq!(
+                        (reducer.open_spans(), auditor.open_spans()),
+                        (0, 0),
+                        "{run}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Folds `events` through an auditor and a reducer.
+fn audit_and_reduce(events: &[SimEvent]) -> (AuditorSink, RecordReducer) {
+    let mut auditor = AuditorSink::new();
+    let mut reducer = RecordReducer::new();
+    for e in events {
+        auditor.record(e);
+        reducer.on_event(e);
+    }
+    (auditor, reducer)
+}
+
+#[test]
+fn cli_sweep_closes_clean_vanilla() {
+    cli_sweep_closes_clean(SchedulerKind::Vanilla);
+}
+
+#[test]
+fn cli_sweep_closes_clean_sfs() {
+    cli_sweep_closes_clean(SchedulerKind::Sfs);
+}
+
+#[test]
+fn cli_sweep_closes_clean_kraken() {
+    cli_sweep_closes_clean(SchedulerKind::Kraken);
+}
+
+#[test]
+fn cli_sweep_closes_clean_hiku() {
+    cli_sweep_closes_clean(SchedulerKind::Hiku);
+}
+
+#[test]
+fn cli_sweep_closes_clean_core_late_bind() {
+    cli_sweep_closes_clean(SchedulerKind::CoreLateBind);
+}
+
+#[test]
+fn cli_sweep_closes_clean_faasbatch() {
+    cli_sweep_closes_clean(SchedulerKind::FaasBatch);
+}
+
+/// A sink the test keeps a handle on: `Worker::abandon` drops the worker's.
+#[derive(Clone, Default)]
+struct SharedSink(Rc<RefCell<Vec<SimEvent>>>);
+
+impl TraceSink for SharedSink {
+    fn record(&mut self, event: &SimEvent) {
+        self.0.borrow_mut().push(event.clone());
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A worker stopped dead mid-run (a crash) leaves work open on purpose:
+/// its stream ends with spans open, and the reducer counts exactly the
+/// spans the auditor holds open.
+#[test]
+fn an_abandoned_worker_ends_with_the_open_spans_the_auditor_holds() {
+    let w = cli_workload(1, false);
+    let crash = w.invocations()[w.len() / 2].arrival + SimDuration::from_millis(100);
+    for scheduler in SCHEDULERS {
+        let (policy, interval) = build(scheduler);
+        let sink = SharedSink::default();
+        let mut worker = Worker::new(
+            policy,
+            w.registry().clone(),
+            SimConfig::default(),
+            "t",
+            interval,
+            Box::new(sink.clone()),
+        );
+        for inv in w.invocations().iter().filter(|i| i.arrival <= crash) {
+            worker.inject(inv);
+        }
+        let (_, lost) = worker.abandon(crash);
+        let events = sink.0.borrow();
+        let (auditor, reducer) = audit_and_reduce(&events);
+        assert!(!lost.is_empty(), "{scheduler}: the crash lost nothing");
+        assert!(
+            reducer.open_spans() > 0,
+            "{scheduler}: nothing was in flight"
+        );
+        assert_eq!(reducer.open_spans(), auditor.open_spans(), "{scheduler}");
     }
 }
