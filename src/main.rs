@@ -50,7 +50,7 @@ struct Command {
     flags: &'static [&'static str],
     /// Its paragraph in the COMMANDS section, continuation lines indented.
     about: &'static str,
-    run: fn(&Options) -> Result<(), String>,
+    run: fn(&Options) -> Result<(), CliError>,
 }
 
 impl Command {
@@ -110,9 +110,11 @@ const COMMANDS: &[Command] = &[
         ],
         about: "replay one workload under one scheduler, audit the event
                stream, print the latency attribution summary, and export the
-               stream as JSONL (and optionally as a Chrome about:tracing
-               timeline via --chrome); --analyze FILE instead attributes an
-               existing JSONL log offline",
+               stream as JSONL (--out FILE, default
+               faasbatch-trace-<scheduler>.jsonl in the temp dir) and
+               optionally as a Chrome about:tracing timeline (--chrome
+               FILE); --analyze FILE instead attributes an existing JSONL
+               log offline",
         run: cmd_trace,
     },
     Command {
@@ -271,6 +273,31 @@ without its value is an error.",
     text
 }
 
+/// Why a command failed. A usage mistake — an unknown command, an unknown,
+/// repeated or value-less flag, a bad value — is followed by the usage
+/// text; a run-time failure (an auditor violation, a failed fleet replay,
+/// an I/O error) prints its cause alone.
+#[derive(Debug)]
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl CliError {
+    fn message(&self) -> &str {
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => msg,
+        }
+    }
+}
+
+/// A bare cause is a run-time failure; usage mistakes say so.
+impl From<String> for CliError {
+    fn from(cause: String) -> Self {
+        CliError::Failed(cause)
+    }
+}
+
 /// One subcommand's parsed arguments: `--key value` options (boolean
 /// flags map to \"true\") and positionals, each in order of appearance.
 #[derive(Debug, Default)]
@@ -283,30 +310,33 @@ impl Options {
     /// Parses `args` against `command`'s flag table: an unknown flag, a
     /// repeated flag, a flag without its value, or a positional the
     /// command does not take is an error naming the offender.
-    fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
+    fn parse(command: &Command, args: &[String]) -> Result<Options, CliError> {
         let mut opts = Options::default();
         let mut args = args.iter();
         while let Some(arg) = args.next() {
             if !arg.starts_with("--") {
                 if command.positionals.is_empty() {
-                    return Err(format!("unexpected argument: {arg}"));
+                    return Err(CliError::Usage(format!("unexpected argument: {arg}")));
                 }
                 opts.positionals.push(arg.clone());
                 continue;
             }
-            let (_, placeholder) = command
-                .flags()
-                .find(|(name, _)| name == arg)
-                .ok_or_else(|| format!("unknown flag for `{}`: {arg}", command.name))?;
+            let (_, placeholder) =
+                command
+                    .flags()
+                    .find(|(name, _)| name == arg)
+                    .ok_or_else(|| {
+                        CliError::Usage(format!("unknown flag for `{}`: {arg}", command.name))
+                    })?;
             let value = match placeholder {
                 None => "true".to_owned(),
                 Some(_) => args
                     .next()
-                    .ok_or_else(|| format!("missing value for {arg}"))?
+                    .ok_or_else(|| CliError::Usage(format!("missing value for {arg}")))?
                     .clone(),
             };
             if opts.values.insert(arg.clone(), value).is_some() {
-                return Err(format!("{arg} given more than once"));
+                return Err(CliError::Usage(format!("{arg} given more than once")));
             }
         }
         Ok(opts)
@@ -319,24 +349,24 @@ impl Options {
             .unwrap_or_else(|| default.to_owned())
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
         match self.values.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("invalid number for {key}: {v}")),
+                .map_err(|_| CliError::Usage(format!("invalid number for {key}: {v}"))),
         }
     }
 
     /// A numeric option that must be at least 1 — a zero dispatch window,
     /// trace span or function count has no meaning downstream.
-    fn positive<T>(&self, key: &str, default: T) -> Result<T, String>
+    fn positive<T>(&self, key: &str, default: T) -> Result<T, CliError>
     where
         T: std::str::FromStr + PartialEq + From<u8>,
     {
         let n = self.num(key, default)?;
         if n == T::from(0) {
-            return Err(format!("{key} must be at least 1"));
+            return Err(CliError::Usage(format!("{key} must be at least 1")));
         }
         Ok(n)
     }
@@ -348,7 +378,7 @@ impl Options {
 
 /// Parses and runs one subcommand — everything `main` does after picking
 /// the command name off the argument list.
-fn run(name: &str, args: &[String]) -> Result<(), String> {
+fn run(name: &str, args: &[String]) -> Result<(), CliError> {
     let name = match name {
         "--help" | "-h" => "help",
         other => other,
@@ -356,18 +386,22 @@ fn run(name: &str, args: &[String]) -> Result<(), String> {
     let command = COMMANDS
         .iter()
         .find(|c| c.name == name)
-        .ok_or_else(|| format!("unknown command: {name}"))?;
+        .ok_or_else(|| CliError::Usage(format!("unknown command: {name}")))?;
     (command.run)(&Options::parse(command, args)?)
 }
 
-fn build_workload(opts: &Options) -> Result<(String, Workload), String> {
+fn build_workload(opts: &Options) -> Result<(String, Workload), CliError> {
     let kind = opts.str("--workload", "cpu");
     let seed: u64 = opts.num("--seed", 2023)?;
     let rng = DetRng::new(seed);
     let (default_total, default_span) = match kind.as_str() {
         "cpu" => (800usize, 60u64),
         "io" => (400, 30),
-        other => return Err(format!("unknown workload kind: {other} (use cpu|io)")),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown workload kind: {other} (use cpu|io)"
+            )))
+        }
     };
     let cfg = WorkloadConfig {
         total: opts.num("--total", default_total)?,
@@ -385,7 +419,7 @@ fn build_workload(opts: &Options) -> Result<(String, Workload), String> {
 
 /// The workload a replay subcommand runs: `--import FILE` or a generated
 /// one. Replays need at least one invocation (their tables take quantiles).
-fn load_or_build(opts: &Options) -> Result<(String, Workload), String> {
+fn load_or_build(opts: &Options) -> Result<(String, Workload), CliError> {
     let (label, w) = match opts.values.get("--import") {
         None => build_workload(opts)?,
         Some(path) => {
@@ -397,21 +431,23 @@ fn load_or_build(opts: &Options) -> Result<(String, Workload), String> {
         }
     };
     if w.is_empty() {
-        return Err("the workload holds no invocations (--total must be at least 1)".to_owned());
+        return Err(CliError::Usage(
+            "the workload holds no invocations (--total must be at least 1)".to_owned(),
+        ));
     }
     Ok((label, w))
 }
 
 /// Parses the `--snapshot-cap` / `--snapshot-eviction` pair shared by the
 /// simulation subcommands. Capacity 0 (the default) leaves the tier off.
-fn snapshot_config(opts: &Options) -> Result<SnapshotConfig, String> {
+fn snapshot_config(opts: &Options) -> Result<SnapshotConfig, CliError> {
     let capacity: usize = opts.num("--snapshot-cap", 0)?;
     let name = opts.str("--snapshot-eviction", EvictionPolicy::default().name());
     let eviction = EvictionPolicy::parse(&name).ok_or_else(|| {
-        format!(
+        CliError::Usage(format!(
             "unknown eviction policy: {name} (use {})",
             EvictionPolicy::ALL.map(EvictionPolicy::name).join("|")
-        )
+        ))
     })?;
     Ok(SnapshotConfig {
         capacity,
@@ -420,7 +456,7 @@ fn snapshot_config(opts: &Options) -> Result<SnapshotConfig, String> {
     })
 }
 
-fn cmd_compare(opts: &Options) -> Result<(), String> {
+fn cmd_compare(opts: &Options) -> Result<(), CliError> {
     let (label, w) = load_or_build(opts)?;
     let window = SimDuration::from_millis(opts.positive("--window-ms", 200)?);
     let cfg = SimConfig {
@@ -480,7 +516,7 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_workload(opts: &Options) -> Result<(), String> {
+fn cmd_workload(opts: &Options) -> Result<(), CliError> {
     let (label, w) = build_workload(opts)?;
     if let Some(path) = opts.values.get("--export") {
         let json = serde_json::to_string(&w).map_err(|e| e.to_string())?;
@@ -555,26 +591,26 @@ fn parse_faults(spec: &str, kind: FaultKind) -> Result<Vec<WorkerFault>, String>
         .collect()
 }
 
-fn cmd_fleet(opts: &Options) -> Result<(), String> {
+fn cmd_fleet(opts: &Options) -> Result<(), CliError> {
     let (label, w) = load_or_build(opts)?;
     let policy_name = opts.str("--policy", "least-loaded");
-    let kind = RoutingKind::parse(&policy_name).map_err(|e| e.to_string())?;
+    let kind = RoutingKind::parse(&policy_name).map_err(|e| CliError::Usage(e.to_string()))?;
     let window = SimDuration::from_millis(opts.positive("--window-ms", 200)?);
     let scheduler = match opts.str("--scheduler", "faasbatch").as_str() {
         "faasbatch" => WorkerScheduler::FaasBatch(FaasBatchConfig::with_window(window)),
         "vanilla" => WorkerScheduler::Vanilla,
         other => {
-            return Err(format!(
+            return Err(CliError::Usage(format!(
                 "unknown scheduler: {other} (use faasbatch|vanilla)"
-            ))
+            )))
         }
     };
     let mut faults = Vec::new();
     if let Some(spec) = opts.values.get("--crash") {
-        faults.extend(parse_faults(spec, FaultKind::Crash)?);
+        faults.extend(parse_faults(spec, FaultKind::Crash).map_err(CliError::Usage)?);
     }
     if let Some(spec) = opts.values.get("--drain") {
-        faults.extend(parse_faults(spec, FaultKind::Drain)?);
+        faults.extend(parse_faults(spec, FaultKind::Drain).map_err(CliError::Usage)?);
     }
     let cfg = FleetConfig {
         workers: opts.num("--workers", 4)?,
@@ -720,14 +756,14 @@ fn analyze_trace(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(opts: &Options) -> Result<(), String> {
+fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     if let Some(path) = opts.values.get("--analyze") {
-        return analyze_trace(path);
+        return Ok(analyze_trace(path)?);
     }
     let (label, w) = load_or_build(opts)?;
     let scheduler = opts.str("--scheduler", "faasbatch");
     // An unknown name is a typed error listing every valid scheduler.
-    let kind = SchedulerKind::parse(&scheduler).map_err(|e| e.to_string())?;
+    let kind = SchedulerKind::parse(&scheduler).map_err(|e| CliError::Usage(e.to_string()))?;
     let mut setup =
         SchedulerSetup::new(SimDuration::from_millis(opts.positive("--window-ms", 200)?));
     setup.faasbatch.multiplex = !opts.flag("--no-multiplex");
@@ -742,7 +778,8 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     let (report, sink) = run_one(kind, &w, &label, &cfg, &setup, |_| Box::new(VecSink::new()));
     let events = vec_events(sink.as_ref());
 
-    let out = opts.str("--out", &format!("results/trace_{scheduler}.jsonl"));
+    let default_out = std::env::temp_dir().join(format!("faasbatch-trace-{scheduler}.jsonl"));
+    let out = opts.str("--out", &default_out.to_string_lossy());
     write_jsonl(&out, events)?;
     println!(
         "wrote {} events ({} invocation records) to {out}",
@@ -765,19 +802,21 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     let attribution = attribute_events(events);
     print!("{}", attribution.render());
     if !attribution.all_exact() {
-        return Err("attribution phases do not sum to end-to-end latency".to_owned());
+        return Err("attribution phases do not sum to end-to-end latency"
+            .to_owned()
+            .into());
     }
-    audit(events)
+    Ok(audit(events)?)
 }
 
 /// `faasbatch trace-diff A.jsonl B.jsonl`: attribute both logs and explain
 /// the latency delta phase by phase.
-fn cmd_trace_diff(opts: &Options) -> Result<(), String> {
+fn cmd_trace_diff(opts: &Options) -> Result<(), CliError> {
     let [a_path, b_path] = opts.positionals.as_slice() else {
-        return Err(format!(
+        return Err(CliError::Usage(format!(
             "trace-diff takes exactly two trace files, got {}",
             opts.positionals.len()
-        ));
+        )));
     };
     let top_k: usize = opts.num("--top", 10)?;
     let attribute = |path: &String| -> Result<AttributionReport, String> {
@@ -805,10 +844,10 @@ fn cmd_trace_diff(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_autoscale(opts: &Options) -> Result<(), String> {
+fn cmd_autoscale(opts: &Options) -> Result<(), CliError> {
     let (label, w) = load_or_build(opts)?;
     let scheduler = opts.str("--scheduler", "faasbatch");
-    let kind = SchedulerKind::parse(&scheduler).map_err(|e| e.to_string())?;
+    let kind = SchedulerKind::parse(&scheduler).map_err(|e| CliError::Usage(e.to_string()))?;
     let setup = SchedulerSetup::new(SimDuration::from_millis(opts.positive("--window-ms", 200)?));
     let keep_alive = SimDuration::from_secs(opts.num("--keepalive-s", 2)?);
     let cfg = SimConfig {
@@ -825,7 +864,7 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
         ..AutoscalerConfig::default()
     };
     ac.validate()
-        .map_err(|e| format!("invalid autoscaler config: {e}"))?;
+        .map_err(|e| CliError::Usage(format!("invalid autoscaler config: {e}")))?;
 
     println!(
         "replaying {} invocations ({label}) under {scheduler}, static {keep_alive} \
@@ -889,7 +928,7 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
             stats.snapshot_tier_prewarms, stats.warm_tier_prewarms, auto_report.restored_starts
         );
     }
-    audit(events)
+    Ok(audit(events)?)
 }
 
 /// Live-telemetry wiring shared by `live` and `live --gateway`:
@@ -904,7 +943,7 @@ struct LiveTelemetry {
 }
 
 impl LiveTelemetry {
-    fn from_opts(opts: &Options) -> Result<LiveTelemetry, String> {
+    fn from_opts(opts: &Options) -> Result<LiveTelemetry, CliError> {
         let serve_ms: u64 = opts.num("--serve-ms", 0)?;
         let capacity: usize = opts.num("--flight-capacity", 262_144)?;
         let flight = opts.values.get("--flight-record").map(|path| {
@@ -992,7 +1031,7 @@ fn cumulative_quantile(buckets: &[(u64, u64)], count: u64, q: f64) -> u64 {
 }
 
 /// `faasbatch top`: one-shot snapshot of a running live endpoint.
-fn cmd_top(opts: &Options) -> Result<(), String> {
+fn cmd_top(opts: &Options) -> Result<(), CliError> {
     let addr = opts.str("--addr", "127.0.0.1:9100");
     let body = faasbatch::metrics::telemetry::http_get(addr.as_str(), "/json")
         .map_err(|e| format!("cannot scrape {addr}: {e}"))?;
@@ -1141,12 +1180,14 @@ fn audit_and_export(
 
 /// The first flag of `spec` (a [`Command::flags`] spec string) that was
 /// given — as the parser's own unknown-flag error, scoped to `front_door`.
-fn reject_flags_of(spec: &str, opts: &Options, front_door: &str) -> Result<(), String> {
+fn reject_flags_of(spec: &str, opts: &Options, front_door: &str) -> Result<(), CliError> {
     match spec
         .split_whitespace()
         .find(|token| token.starts_with("--") && opts.flag(token))
     {
-        Some(flag) => Err(format!("unknown flag for `{front_door}`: {flag}")),
+        Some(flag) => Err(CliError::Usage(format!(
+            "unknown flag for `{front_door}`: {flag}"
+        ))),
         None => Ok(()),
     }
 }
@@ -1230,13 +1271,13 @@ const LIVE_PLATFORM: &str = "--seed N --snapshots N --restore-ms N";
 /// What only `live --gateway` reads.
 const LIVE_GATEWAY: &str = "--shards N --shard-depth N --policy {policies}";
 
-fn live_gateway(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
+fn live_gateway(opts: &Options, burst: &LiveBurst) -> Result<(), CliError> {
     use faasbatch::gateway::{Gateway, GatewayError};
 
     let shards: usize = opts.num("--shards", 4)?;
     let shard_depth: usize = opts.num("--shard-depth", 65_536)?;
-    let policy =
-        RoutingKind::parse(&opts.str("--policy", "least-loaded")).map_err(|e| e.to_string())?;
+    let policy = RoutingKind::parse(&opts.str("--policy", "least-loaded"))
+        .map_err(|e| CliError::Usage(e.to_string()))?;
     let mut builder = Gateway::builder()
         .workers(burst.workers)
         .shards(shards)
@@ -1286,7 +1327,7 @@ fn live_gateway(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
     Ok(())
 }
 
-fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
+fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), CliError> {
     use faasbatch::core::platform::PlatformBuilder;
     use faasbatch::exec::{Executor, ExecutorConfig};
     use std::sync::atomic::Ordering::Relaxed;
@@ -1363,7 +1404,7 @@ fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), String> {
 /// `faasbatch live`: a synthetic burst against the real platform, or with
 /// `--gateway` against the sharded gateway. A flag the chosen front door
 /// never reads is an error, not a silent no-op.
-fn cmd_live(opts: &Options) -> Result<(), String> {
+fn cmd_live(opts: &Options) -> Result<(), CliError> {
     let gateway = opts.flag("--gateway");
     if gateway {
         reject_flags_of(LIVE_PLATFORM, opts, "live --gateway")?;
@@ -1373,7 +1414,9 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
     let jobs: usize = opts.num("--jobs", if gateway { 20_000 } else { 2_000 })?;
     let batch_size: usize = opts.num("--batch-size", 100)?;
     if jobs == 0 || batch_size == 0 {
-        return Err("--jobs and --batch-size must be at least 1".to_owned());
+        return Err(CliError::Usage(
+            "--jobs and --batch-size must be at least 1".to_owned(),
+        ));
     }
     let telemetry = LiveTelemetry::from_opts(opts)?;
     let trace =
@@ -1398,12 +1441,12 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
     }
     telemetry.finish()?;
     match burst.recorder {
-        Some(recorder) => audit_and_export(recorder, opts),
+        Some(recorder) => Ok(audit_and_export(recorder, opts)?),
         None => Ok(()),
     }
 }
 
-fn cmd_figures(_opts: &Options) -> Result<(), String> {
+fn cmd_figures(_opts: &Options) -> Result<(), CliError> {
     println!(
         "The figure and ablation harnesses are subcommands of one binary, generated\n\
          from its harness table (name, what it reproduces, results/ files it owns):\n\n\
@@ -1422,8 +1465,11 @@ fn main() -> ExitCode {
     };
     match run(command, rest) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{}", usage());
+        Err(err) => {
+            eprintln!("error: {}", err.message());
+            if let CliError::Usage(_) = err {
+                eprintln!("\n{}", usage());
+            }
             ExitCode::FAILURE
         }
     }
@@ -1442,7 +1488,7 @@ mod tests {
     }
 
     /// `args` parsed against `compare`'s table (workload, window, snapshot).
-    fn opts(args: &[&str]) -> Result<Options, String> {
+    fn opts(args: &[&str]) -> Result<Options, CliError> {
         Options::parse(command("compare"), &strings(args))
     }
 
@@ -1478,43 +1524,86 @@ mod tests {
     /// Every input that used to reach a panic (or, for `live`, a livelock)
     /// comes back as an `Err` naming the flag or the typed fleet error — and
     /// so does every flag the subcommand's table does not hold, holds once,
-    /// or holds with a value.
+    /// or holds with a value. Each case says whether it is a usage mistake
+    /// (`main` prints the usage text after it) or a run-time failure (the
+    /// cause alone).
     #[test]
     fn bad_inputs_are_errors_naming_the_flag_not_panics() {
-        let cases: [(&str, &[&str], &str); 15] = [
-            ("compare", &["--window-ms", "0"], "--window-ms"),
-            ("compare", &["--total", "0"], "--total"),
-            ("compare", &["--span-s", "0"], "--span-s"),
-            ("compare", &["--functions", "0"], "--functions"),
-            ("trace", &["--window-ms", "0"], "--window-ms"),
-            ("autoscale", &["--window-ms", "0"], "--window-ms"),
-            ("fleet", &["--window-ms", "0"], "--window-ms"),
-            ("fleet", &["--workers", "0"], "workers"),
+        const USAGE: bool = true;
+        const FAILED: bool = false;
+        let missing = std::env::temp_dir().join("faasbatch-no-such-dir/missing.jsonl");
+        let missing = missing.to_str().expect("temp dir is UTF-8");
+        let cases: [(&str, &[&str], &str, bool); 23] = [
+            ("compare", &["--window-ms", "0"], "--window-ms", USAGE),
+            ("compare", &["--total", "0"], "--total", USAGE),
+            ("compare", &["--span-s", "0"], "--span-s", USAGE),
+            ("compare", &["--functions", "0"], "--functions", USAGE),
+            ("compare", &["--seed", "abc"], "--seed", USAGE),
+            ("compare", &["--workload", "gpu"], "gpu", USAGE),
+            ("trace", &["--window-ms", "0"], "--window-ms", USAGE),
+            ("trace", &["--scheduler", "bogus"], "bogus", USAGE),
+            ("autoscale", &["--window-ms", "0"], "--window-ms", USAGE),
+            ("fleet", &["--window-ms", "0"], "--window-ms", USAGE),
+            ("fleet", &["--crash", "0-100"], "0-100", USAGE),
+            (
+                "live",
+                &["--jobs", "10", "--window-ms", "0"],
+                "--window-ms",
+                USAGE,
+            ),
+            (
+                "live",
+                &["--gateway", "--window-ms", "0"],
+                "--window-ms",
+                USAGE,
+            ),
+            ("compare", &["--windw-ms", "10"], "--windw-ms", USAGE),
+            ("trace", &["--seed", "1", "--seed", "2"], "--seed", USAGE),
+            ("frobnicate", &[], "unknown command", USAGE),
+            // The fleet's own validation fails the replay, not the parse.
+            ("fleet", &["--workers", "0"], "workers", FAILED),
             (
                 "fleet",
                 &["--workers", "1", "--drain", "0@100"],
                 "no live worker",
+                FAILED,
             ),
             (
                 "fleet",
                 &["--workers", "2", "--crash", "5@100"],
                 "fault references worker 5",
+                FAILED,
             ),
             (
                 "fleet",
                 &["--workers", "2", "--crash", "0@2000,0@1000"],
                 "more than one crash",
+                FAILED,
             ),
-            ("live", &["--jobs", "10", "--window-ms", "0"], "--window-ms"),
-            ("live", &["--gateway", "--window-ms", "0"], "--window-ms"),
-            ("compare", &["--windw-ms", "10"], "--windw-ms"),
-            ("trace", &["--seed", "1", "--seed", "2"], "--seed"),
+            (
+                "trace",
+                &["--analyze", missing],
+                "cannot read trace",
+                FAILED,
+            ),
+            ("compare", &["--import", missing], "cannot read", FAILED),
+            (
+                "trace-diff",
+                &[missing, missing],
+                "cannot read trace",
+                FAILED,
+            ),
         ];
-        for (name, args, needle) in cases {
+        for (name, args, needle, usage) in cases {
             let err = run(name, &strings(args)).expect_err(&format!("{name} {args:?}"));
             assert!(
-                err.contains(needle),
-                "{name} {args:?}: `{err}` must name `{needle}`"
+                err.message().contains(needle),
+                "{name} {args:?}: `{err:?}` must name `{needle}`"
+            );
+            assert_eq!(
+                matches!(err, CliError::Usage(_)),
+                usage,
+                "{name} {args:?}: `{err:?}` is a usage mistake: {usage}"
             );
         }
         // Per subcommand: a typo'd flag, a duplicated flag, and a trailing
@@ -1522,7 +1611,11 @@ mod tests {
         for c in COMMANDS {
             let Some((flag, _)) = c.flags().find(|(_, value)| value.is_some()) else {
                 let err = run(c.name, &strings(&["--bogus"])).unwrap_err();
-                assert!(err.contains("--bogus"), "{}: {err}", c.name);
+                assert!(
+                    matches!(&err, CliError::Usage(msg) if msg.contains("--bogus")),
+                    "{}: {err:?}",
+                    c.name
+                );
                 continue;
             };
             let typo = format!("{flag}x");
@@ -1533,8 +1626,8 @@ mod tests {
             ] {
                 let err = run(c.name, &strings(&args)).expect_err(&format!("{} {args:?}", c.name));
                 assert!(
-                    err.contains(needle) && err.contains(why),
-                    "{} {args:?}: `{err}` must say `{why}` of `{needle}`",
+                    matches!(&err, CliError::Usage(msg) if msg.contains(needle) && msg.contains(why)),
+                    "{} {args:?}: `{err:?}` must be a usage mistake saying `{why}` of `{needle}`",
                     c.name
                 );
             }
@@ -1556,8 +1649,9 @@ mod tests {
         for (args, flag) in cases {
             let err = run("live", &strings(args)).expect_err(&format!("live {args:?}"));
             assert!(
-                err.starts_with("unknown flag for `live") && err.ends_with(flag),
-                "live {args:?}: `{err}` must reject `{flag}` as unknown"
+                matches!(&err, CliError::Usage(msg)
+                    if msg.starts_with("unknown flag for `live") && msg.ends_with(flag)),
+                "live {args:?}: `{err:?}` must reject `{flag}` as unknown"
             );
         }
     }
@@ -1678,6 +1772,6 @@ mod tests {
     fn trace_diff_requires_two_paths() {
         let err = run("trace-diff", &strings(&["only-one.jsonl"]))
             .expect_err("one path must be rejected");
-        assert!(err.contains("exactly two"));
+        assert!(matches!(err, CliError::Usage(msg) if msg.contains("exactly two")));
     }
 }
