@@ -41,7 +41,7 @@ pub struct AuditorSink {
     violations: Vec<String>,
     truncated: u64,
     last_at: Option<SimTime>,
-    /// arrival time → completion count per invocation.
+    /// Completions (or rejections) per arrived invocation.
     seen: IdMap<InvocationId, u32>,
     containers: IdMap<ContainerId, ContainerState>,
     mem_by_category: HashMap<MemCategory, i128>,
