@@ -802,9 +802,9 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     let attribution = attribute_events(events);
     print!("{}", attribution.render());
     if !attribution.all_exact() {
-        return Err("attribution phases do not sum to end-to-end latency"
-            .to_owned()
-            .into());
+        return Err(CliError::Failed(
+            "attribution phases do not sum to end-to-end latency".to_owned(),
+        ));
     }
     Ok(audit(events)?)
 }
