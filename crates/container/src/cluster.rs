@@ -556,7 +556,7 @@ mod tests {
         };
         let after_image = now + c.cold_model().image_latency();
         let task = c.start_cold_cpu_work(after_image, id);
-        let (done, t) = c.cpu().next_completion(after_image).unwrap();
+        let (done, t) = c.cpu_mut().next_completion(after_image).unwrap();
         assert_eq!(t, task);
         c.cpu_mut().advance_to(done);
         c.finish_cold_start(done, id);
@@ -620,7 +620,7 @@ mod tests {
         let id = cold_start(&mut c, SimTime::ZERO);
         let t = c.container(id).ready_at().unwrap();
         let task = c.start_invocation_work(t, id, SimDuration::from_secs(1));
-        let (done, tid) = c.cpu().next_completion(t).unwrap();
+        let (done, tid) = c.cpu_mut().next_completion(t).unwrap();
         assert_eq!(tid, task);
         assert_eq!(done, t + SimDuration::from_secs(1));
     }
@@ -633,13 +633,13 @@ mod tests {
         let id = acq.container();
         let after = SimTime::ZERO + c.cold_model().image_latency();
         c.start_cold_cpu_work(after, id);
-        let (done, _) = c.cpu().next_completion(after).unwrap();
+        let (done, _) = c.cpu_mut().next_completion(after).unwrap();
         c.cpu_mut().advance_to(done);
         c.finish_cold_start(done, id);
         // Two 1s tasks in a 1-core-capped group on a 4-core host: 2s each.
         c.start_invocation_work(done, id, SimDuration::from_secs(1));
         c.start_invocation_work(done, id, SimDuration::from_secs(1));
-        let (fin, _) = c.cpu().next_completion(done).unwrap();
+        let (fin, _) = c.cpu_mut().next_completion(done).unwrap();
         assert_eq!(fin, done + SimDuration::from_secs(2));
     }
 
@@ -704,14 +704,14 @@ mod tests {
         let mut c = cluster();
         let id = c.provision_new(SimTime::ZERO, &spec());
         let boot = c.start_cold_cpu_work(SimTime::ZERO, id);
-        let (done, t) = c.cpu().next_completion(SimTime::ZERO).unwrap();
+        let (done, t) = c.cpu_mut().next_completion(SimTime::ZERO).unwrap();
         assert_eq!(t, boot);
         c.cpu_mut().advance_to(done);
         c.finish_prewarm(done, id, PrewarmTier::Warm);
         let acq = c.acquire(done, &spec());
         assert!(!acq.is_cold());
         c.start_invocation_work(done, id, SimDuration::from_millis(10));
-        let (fin, _) = c.cpu().next_completion(done).unwrap();
+        let (fin, _) = c.cpu_mut().next_completion(done).unwrap();
         c.cpu_mut().advance_to(fin);
         c.release(fin, id, 1);
         assert_eq!(c.idle_containers(), 1);

@@ -40,7 +40,7 @@ use faasbatch_metrics::events::{
 };
 use faasbatch_metrics::latency::InvocationRecord;
 use faasbatch_metrics::report::RunReport;
-use faasbatch_simcore::cpu::{CpuGroupId, CpuTaskId};
+use faasbatch_simcore::cpu::{CpuGroupId, CpuStats, CpuTaskId};
 use faasbatch_simcore::engine::{Engine, EngineStats, EventArg, EventId};
 use faasbatch_simcore::idmap::IdMap;
 use faasbatch_simcore::memory::{AllocationId, MemCategory, MemOpKind};
@@ -535,7 +535,7 @@ fn pump_cpu(world: &mut SimWorld, engine: &mut Engine<Sim>) {
     if let Some(ev) = world.cpu_event.take() {
         engine.cancel(ev);
     }
-    if let Some((when, _)) = world.cluster.cpu().next_completion(engine.now()) {
+    if let Some((when, _)) = world.cluster.cpu_mut().next_completion(engine.now()) {
         let ev = engine.schedule_fn_at(when, cpu_tick);
         world.cpu_event = Some(ev);
     }
@@ -1093,7 +1093,7 @@ fn record_sample(world: &mut SimWorld, now: SimTime) {
     );
     let kind = EventKind::HostSample {
         memory_bytes: world.cluster.mem().current_bytes(),
-        busy_cores: world.cluster.cpu().busy_cores(),
+        busy_cores: world.cluster.cpu_mut().busy_cores(),
         live_containers: world.cluster.live_containers(),
     };
     emit(world, now, kind);
@@ -1243,6 +1243,14 @@ impl Worker {
     /// — it is not part of the [`RunReport`].
     pub fn engine_stats(&self) -> EngineStats {
         self.engine.stats()
+    }
+
+    /// The CPU model's work counters (divisions of the host, groups they
+    /// visited, heap operations, retirements) so far: like
+    /// [`engine_stats`](Self::engine_stats), a profile reading that repeats
+    /// exactly, not a result.
+    pub fn cpu_stats(&self) -> CpuStats {
+        self.sim.world.cluster.cpu().stats()
     }
 
     /// Runs every queued event strictly before `inv.arrival`, then delivers
@@ -1602,6 +1610,45 @@ mod tests {
             ));
         }
         assert!(boot_spans[1].0 < boot_spans[0].1, "boots overlap");
+    }
+
+    /// The CPU model divides the host at most once per pump: every engine
+    /// event and every injected arrival ends in one `pump_cpu`, whatever
+    /// number of tasks its handlers added, retired or re-weighted, and the
+    /// model is divided only at a read that needs rates.
+    #[test]
+    fn a_contended_replay_divides_the_host_at_most_once_per_pump() {
+        let w = cpu_workload(
+            &DetRng::new(7),
+            &WorkloadConfig {
+                total: 600,
+                span: SimDuration::from_secs(20),
+                functions: 32,
+                bursts: 3,
+                ..WorkloadConfig::default()
+            },
+        );
+        let policies: [(&str, Box<dyn Policy>); 2] = [
+            ("vanilla", Box::new(crate::vanilla::Vanilla::new())),
+            ("sfs", Box::new(crate::sfs::Sfs::new())),
+        ];
+        for (name, policy) in policies {
+            let cfg = SimConfig::default();
+            let registry = w.registry().clone();
+            let mut worker = Worker::new(policy, registry, cfg, "cpu", None, Box::new(NoopSink));
+            for inv in w.invocations() {
+                worker.inject(inv);
+            }
+            worker.close();
+            let (cpu, engine) = (worker.cpu_stats(), worker.engine_stats());
+            let pumps = engine.executed + w.len() as u64;
+            assert!(cpu.recomputes <= pumps, "{name}: {cpu:?} for {pumps} pumps");
+            // Contended: a division walks dozens of active groups.
+            let per_division = cpu.group_visits / cpu.recomputes;
+            assert!(per_division >= 20, "{name}: {cpu:?}");
+            let (report, _) = worker.finish();
+            assert_eq!(report.records.len(), w.len());
+        }
     }
 
     #[test]
