@@ -9,7 +9,7 @@ use faasbatch_simcore::idmap::IdMap;
 use faasbatch_simcore::memory::MemCategory;
 use faasbatch_simcore::time::SimTime;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Upper bound on retained violation messages before truncation.
 const MAX_VIOLATIONS: usize = 64;
@@ -41,15 +41,17 @@ pub struct AuditorSink {
     violations: Vec<String>,
     truncated: u64,
     last_at: Option<SimTime>,
-    /// Completions (or rejections) per arrived invocation.
-    seen: IdMap<InvocationId, u32>,
+    /// Per arrived invocation: its arrival instant and its completions (or
+    /// rejections).
+    seen: IdMap<InvocationId, (SimTime, u32)>,
     containers: IdMap<ContainerId, ContainerState>,
     mem_by_category: HashMap<MemCategory, i128>,
     mem_total: i128,
     /// Tasks, cold starts, restores and gateway enqueues still open.
     spans: SpanLedger,
-    /// Scale-prewarm requests not yet matched by a `PrewarmLaunch` start.
-    pending_scale_prewarms: u64,
+    /// Scale-prewarm requests not yet matched by a `PrewarmLaunch` start, as
+    /// `(requested at, containers left)`, oldest first.
+    pending_scale_prewarms: VecDeque<(SimTime, u64)>,
     fold: ChainFold,
     finished: bool,
 }
@@ -84,30 +86,29 @@ impl AuditorSink {
     }
 
     /// Runs end-of-stream checks (unfinished arrivals, spans left open,
-    /// unlaunched scale-prewarms) once, then returns all violations. A
-    /// span left open is reported once per key, at the instant its oldest
-    /// open span began.
+    /// unlaunched scale-prewarms) once, then returns all violations. An
+    /// unfinished invocation is reported at its arrival; a span left open
+    /// once per key, at the instant its oldest open span began; unlaunched
+    /// scale-prewarms once, at the oldest request not launched.
     pub fn finish(&mut self) -> &[String] {
         if !self.finished {
             self.finished = true;
-            let mut unfinished: Vec<InvocationId> = self
+            let mut unfinished: Vec<(InvocationId, SimTime)> = self
                 .seen
                 .iter()
-                .filter(|(_, n)| **n == 0)
-                .map(|(id, _)| *id)
+                .filter(|(_, (_, n))| *n == 0)
+                .map(|(id, (arrived, _))| (*id, *arrived))
                 .collect();
             unfinished.sort();
-            for id in unfinished {
-                self.violate(SimTime::ZERO, || {
-                    format!("{id} arrived but never completed")
-                });
+            for (id, arrived) in unfinished {
+                self.violate(arrived, || format!("{id} arrived but never completed"));
             }
             for (key, opened, n) in self.spans.leftovers() {
                 self.violate(opened, || left_open(key, n));
             }
-            if self.pending_scale_prewarms > 0 {
-                let n = self.pending_scale_prewarms;
-                self.violate(SimTime::ZERO, || {
+            if let Some(&(oldest, _)) = self.pending_scale_prewarms.front() {
+                let n: u64 = self.pending_scale_prewarms.iter().map(|p| p.1).sum();
+                self.violate(oldest, || {
                     format!("{n} scale-prewarm request(s) never launched a container")
                 });
             }
@@ -216,12 +217,14 @@ impl TraceSink for AuditorSink {
             None => (0, false),
         };
         match &event.kind {
-            EventKind::Arrival { invocation, .. } if self.seen.insert(*invocation, 0).is_some() => {
+            EventKind::Arrival { invocation, .. }
+                if self.seen.insert(*invocation, (at, 0)).is_some() =>
+            {
                 self.violate(at, || format!("{invocation} arrived twice"));
             }
             EventKind::InvocationComplete { invocation, .. } => {
                 match self.seen.get_mut(invocation) {
-                    Some(n) => {
+                    Some((_, n)) => {
                         *n += 1;
                         if *n > 1 {
                             let n = *n;
@@ -235,14 +238,20 @@ impl TraceSink for AuditorSink {
             // request (policy-initiated pre-warms simply don't consume).
             EventKind::TaskStart {
                 task: TaskKind::PrewarmLaunch { .. },
-            } if self.pending_scale_prewarms > 0 => {
-                self.pending_scale_prewarms -= 1;
+            } => {
+                if let Some(oldest) = self.pending_scale_prewarms.front_mut() {
+                    oldest.1 -= 1;
+                    if oldest.1 == 0 {
+                        self.pending_scale_prewarms.pop_front();
+                    }
+                }
             }
             EventKind::ScalePrewarm { count, .. } => {
                 if *count == 0 {
                     self.violate(at, || "scale-prewarm requested zero containers".to_owned());
+                } else {
+                    self.pending_scale_prewarms.push_back((at, *count));
                 }
-                self.pending_scale_prewarms += count;
             }
             EventKind::ScaleKeepAlive { keep_alive, .. } if keep_alive.is_zero() => {
                 self.violate(at, || "scale action set a zero keep-alive TTL".to_owned());
@@ -282,7 +291,7 @@ impl TraceSink for AuditorSink {
                     self.violate(at, || format!("{invocation} rejected after being enqueued"));
                 }
                 match self.seen.get_mut(invocation) {
-                    Some(n) => {
+                    Some((_, n)) => {
                         *n += 1;
                         if *n > 1 {
                             let n = *n;

@@ -818,6 +818,61 @@ fn auditor_stamps_a_span_left_open_at_the_instant_it_opened() {
 }
 
 #[test]
+fn auditor_stamps_end_of_stream_leftovers_at_their_own_instants() {
+    let mut auditor = AuditorSink::new();
+    auditor.record(&arrival(5_000_000, 3));
+    auditor.record(&ev(
+        6_000_000,
+        EventKind::ScalePrewarm {
+            function: FunctionId::new(0),
+            count: 2,
+        },
+    ));
+    assert_eq!(
+        auditor.finish(),
+        [
+            "[5.000000s] inv#3 arrived but never completed",
+            "[6.000000s] 2 scale-prewarm request(s) never launched a container",
+        ]
+    );
+
+    // Launches consume requests oldest first; the leftover count is the
+    // total, stamped at the oldest request still waiting.
+    let mut auditor = AuditorSink::new();
+    for (us, count) in [(1, 2), (4, 3)] {
+        auditor.record(&ev(
+            us,
+            EventKind::ScalePrewarm {
+                function: FunctionId::new(0),
+                count,
+            },
+        ));
+    }
+    for container in 0..3 {
+        auditor.record(&ev(
+            7 + container,
+            EventKind::TaskStart {
+                task: TaskKind::PrewarmLaunch {
+                    container: ContainerId::new(container),
+                },
+            },
+        ));
+        auditor.record(&ev(
+            7 + container,
+            EventKind::TaskFinish {
+                task: TaskKind::PrewarmLaunch {
+                    container: ContainerId::new(container),
+                },
+            },
+        ));
+    }
+    assert_eq!(
+        auditor.finish(),
+        ["[0.000004s] 2 scale-prewarm request(s) never launched a container"]
+    );
+}
+
+#[test]
 fn reducer_counts_the_spans_the_auditor_holds_open() {
     let mut reducer = RecordReducer::new();
     let mut auditor = AuditorSink::new();
