@@ -5,7 +5,10 @@
 //! survive — notably whether SFS's short-function priority and Kraken's
 //! per-function SLOs start paying off.
 
-use crate::{paper_four, summary_table, Output, DEFAULT_WINDOW, SEED};
+use crate::{summary_table, Output, DEFAULT_WINDOW, PAPER_FOUR, SEED};
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
+use faasbatch_schedulers::config::SimConfig;
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
 use std::io::{self, Write};
@@ -25,7 +28,14 @@ pub fn run(out: &mut Output) -> io::Result<()> {
             w.len(),
             w.registry().len()
         )?;
-        let reports = paper_four(&w, "cpu-hetero", DEFAULT_WINDOW);
+        let (reports, _) = run_comparison(
+            &PAPER_FOUR,
+            &w,
+            "cpu-hetero",
+            &SimConfig::default(),
+            &SchedulerSetup::new(DEFAULT_WINDOW),
+            |_| Box::new(NoopSink),
+        );
         writeln!(out, "{}", summary_table(&reports))?;
     }
     out.line("Expected: the FaaSBatch-first ordering is unchanged; with distinct")?;

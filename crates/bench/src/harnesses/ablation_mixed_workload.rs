@@ -4,8 +4,11 @@
 //! interference between the classes.
 
 use crate::{
-    paper_cpu_workload, paper_four, paper_io_workload, summary_table, Output, DEFAULT_WINDOW,
+    paper_cpu_workload, paper_io_workload, summary_table, Output, DEFAULT_WINDOW, PAPER_FOUR,
 };
+use faasbatch_core::scheduler_kind::{run_comparison, SchedulerSetup};
+use faasbatch_metrics::events::NoopSink;
+use faasbatch_schedulers::config::SimConfig;
 use std::io::{self, Write};
 
 pub fn run(out: &mut Output) -> io::Result<()> {
@@ -15,7 +18,14 @@ pub fn run(out: &mut Output) -> io::Result<()> {
         "Ablation — mixed workload ({} invocations: 800 cpu + 400 io)\n",
         mixed.len()
     )?;
-    let reports = paper_four(&mixed, "mixed", DEFAULT_WINDOW);
+    let (reports, _) = run_comparison(
+        &PAPER_FOUR,
+        &mixed,
+        "mixed",
+        &SimConfig::default(),
+        &SchedulerSetup::new(DEFAULT_WINDOW),
+        |_| Box::new(NoopSink),
+    );
     writeln!(out, "{}", summary_table(&reports))?;
     let fb = &reports[3];
     let van = &reports[0];

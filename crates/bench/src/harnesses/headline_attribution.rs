@@ -22,7 +22,7 @@
 
 use crate::{
     attribute, collected_events, json_pretty, paper_cpu_workload, paper_io_workload, six_traced,
-    snapshot_ablation_setup, Output,
+    snapshot_ablation_setup, Output, DEFAULT_WINDOW,
 };
 use faasbatch_container::snapshot::SnapshotConfig;
 use faasbatch_metrics::analysis::{diff_reports, AttributionReport, Phase};
@@ -53,7 +53,8 @@ pub fn run(out: &mut Output) -> io::Result<()> {
     let mut json: Vec<(String, Value)> = Vec::new();
 
     for (label, workload) in [("cpu", paper_cpu_workload()), ("io", paper_io_workload())] {
-        let (reports, streams) = six_traced(&workload, label, &SimConfig::default());
+        let (reports, streams) =
+            six_traced(&workload, label, &SimConfig::default(), DEFAULT_WINDOW);
         let attributed: Vec<AttributionReport> = streams
             .iter()
             .map(|s| attribute(collected_events(s.as_ref())))
@@ -125,8 +126,8 @@ pub fn run(out: &mut Output) -> io::Result<()> {
         ..base.clone()
     };
     let cpu = paper_cpu_workload();
-    let (off_reports, off_streams) = six_traced(&cpu, "cpu-churn", &base);
-    let (on_reports, on_streams) = six_traced(&cpu, "cpu-snap", &snap);
+    let (off_reports, off_streams) = six_traced(&cpu, "cpu-churn", &base, DEFAULT_WINDOW);
+    let (on_reports, on_streams) = six_traced(&cpu, "cpu-snap", &snap, DEFAULT_WINDOW);
     let _ = writeln!(
         text,
         "=== snapshot tier (cpu workload, 2s keep-alive, cache off vs capacity 8) ===\n"

@@ -24,15 +24,9 @@ mod fig04_client_creation_latency;
 mod fig05_client_creation_memory;
 mod fig09_duration_distribution;
 mod fig10_workload_pattern;
-mod fig11_cpu_latency;
-mod fig12_io_latency;
-mod fig13_cpu_resources;
-mod fig14_io_resources;
 mod fleet_scaling;
 mod headline_attribution;
-mod headline_summary;
 mod six_schedulers;
-mod timeline_resources;
 
 /// One figure or ablation harness.
 #[derive(Clone, Copy)]
@@ -60,9 +54,14 @@ macro_rules! harnesses {
 }
 
 harnesses! {
-    headline_summary: "abstract/§V reduction table, FaaSBatch vs Vanilla/SFS/Kraken" => [];
-    six_schedulers: "six-way comparison (+Hiku, +core-late-bind) on audited, exactly-attributed streams"
-        => ["six_schedulers_cpu.json", "six_schedulers_io.json"];
+    six_schedulers: "§V comparison: headline cuts, Figs. 11–14, I/O timelines, six-way table on audited streams"
+        => [
+            "six_schedulers_cpu.json",
+            "six_schedulers_io.json",
+            "timeline_io_memory.csv",
+            "timeline_io_containers.csv",
+            "timeline_io_busy_cores.csv"
+        ];
     headline_attribution: "six-way eleven-phase attribution, Vanilla-vs-FaaSBatch trace diff, reference event log"
         => [
             "headline_attribution.txt",
@@ -77,16 +76,6 @@ harnesses! {
     fig05_client_creation_memory: "Fig. 5 — client creation memory" => [];
     fig09_duration_distribution: "Fig. 9 — duration distribution" => [];
     fig10_workload_pattern: "Fig. 10 — arrival pattern of the replayed minute" => [];
-    fig11_cpu_latency: "Fig. 11 — CPU-workload latency CDFs" => [];
-    fig12_io_latency: "Fig. 12 — I/O-workload latency CDFs" => [];
-    fig13_cpu_resources: "Fig. 13 — CPU-workload resources vs dispatch interval" => [];
-    fig14_io_resources: "Fig. 14 — I/O-workload resources vs dispatch interval" => [];
-    timeline_resources: "per-second memory/container/busy-core trajectories behind Fig. 14"
-        => [
-            "timeline_io_memory.csv",
-            "timeline_io_containers.csv",
-            "timeline_io_busy_cores.csv"
-        ];
     ablation_multiplexer: "ablation — resource multiplexer on/off" => [];
     ablation_group_cap: "ablation — inline-parallelism degree" => [];
     ablation_window_sweep: "ablation — extended dispatch-window sweep" => [];

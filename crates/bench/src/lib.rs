@@ -18,7 +18,7 @@
 
 use faasbatch_core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::analysis::{AttributionEngine, AttributionReport};
-use faasbatch_metrics::autoscaler::{AutoscalerConfig, AutoscalerStats};
+use faasbatch_metrics::autoscaler::AutoscalerConfig;
 use faasbatch_metrics::events::{NoopSink, SimEvent, TraceSink, VecSink};
 use faasbatch_metrics::report::{text_table, RunReport};
 use faasbatch_metrics::stats::Cdf;
@@ -27,7 +27,6 @@ use faasbatch_simcore::rng::DetRng;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
 use serde::{Serialize, Value};
-use std::io::{self, Write};
 
 mod harnesses;
 mod output;
@@ -74,61 +73,16 @@ pub const PAPER_FOUR: [SchedulerKind; 4] = [
     SchedulerKind::FaasBatch,
 ];
 
-/// [`PAPER_FOUR`] over `workload` under the default worker and the given
-/// dispatch window, untraced — the run behind Fig. 11–14.
-pub(crate) fn paper_four(workload: &Workload, label: &str, window: SimDuration) -> Vec<RunReport> {
-    let setup = SchedulerSetup::new(window);
-    run_comparison(
-        &PAPER_FOUR,
-        workload,
-        label,
-        &SimConfig::default(),
-        &setup,
-        |_| Box::new(NoopSink),
-    )
-    .0
-}
-
-/// One Fig. 13/14 panel: its title and the cell a scheduler's run gets.
-pub(crate) type SweepPanel = (&'static str, fn(&RunReport) -> String);
-
-/// Fig. 13/14: replays `workload` under [`paper_four`] at every interval of
-/// [`DISPATCH_INTERVALS_MS`] and prints one interval × scheduler table per
-/// panel.
-pub(crate) fn interval_sweep(
-    out: &mut Output,
-    workload: &Workload,
-    label: &str,
-    panels: &[SweepPanel],
-) -> io::Result<()> {
-    let mut tables = vec![Vec::new(); panels.len()];
-    for ms in DISPATCH_INTERVALS_MS {
-        let reports = paper_four(workload, label, SimDuration::from_millis(ms));
-        for (rows, (_, cell)) in tables.iter_mut().zip(panels) {
-            let interval = format!("{:.2}s", ms as f64 / 1e3);
-            rows.push(
-                std::iter::once(interval)
-                    .chain(reports.iter().map(cell))
-                    .collect(),
-            );
-        }
-    }
-    for ((title, _), rows) in panels.iter().zip(&tables) {
-        writeln!(out, "{title}")?;
-        out.table(&["interval", "vanilla", "sfs", "kraken", "faasbatch"], rows)?;
-    }
-    Ok(())
-}
-
-/// All six schedulers over `workload` under `cfg` and the default window,
-/// each run's stream kept in a [`VecSink`] (read it with
-/// [`collected_events`]).
+/// All six schedulers over `workload` under `cfg` and the dispatch
+/// `window`, each run's stream kept in a [`VecSink`] (read it with
+/// [`collected_events`]) — the one runner behind the paper's comparison.
 pub(crate) fn six_traced(
     workload: &Workload,
     label: &str,
     cfg: &SimConfig,
+    window: SimDuration,
 ) -> (Vec<RunReport>, Vec<Box<dyn TraceSink>>) {
-    let setup = SchedulerSetup::new(DEFAULT_WINDOW);
+    let setup = SchedulerSetup::new(window);
     run_comparison(&SchedulerKind::ALL, workload, label, cfg, &setup, |_| {
         Box::new(VecSink::new())
     })
@@ -188,44 +142,43 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
+/// A span in µs, as the ablation summaries store it.
+fn us(span: SimDuration) -> Value {
+    Value::U64(span.as_micros())
+}
+
+/// A fraction as a percentage to one decimal.
+fn pct(fraction: f64) -> Value {
+    Value::F64((fraction * 1000.0).round() / 10.0)
+}
+
 /// One scheduler's row of the autoscaler ablation: static vs controller.
-fn ablation_row(static_run: &RunReport, auto_run: &RunReport, stats: &AutoscalerStats) -> Value {
+fn ablation_row(static_run: &RunReport, auto_run: &RunReport) -> Value {
     fn mode(r: &RunReport) -> Value {
         obj(vec![
-            (
-                "cold_pct",
-                Value::F64((r.cold_fraction() * 1000.0).round() / 10.0),
-            ),
+            ("cold_pct", pct(r.cold_fraction())),
             ("containers", Value::U64(r.provisioned_containers)),
             ("warm_hits", Value::U64(r.warm_hits)),
-            (
-                "e2e_p50_us",
-                Value::U64(r.end_to_end_cdf().quantile(0.5).as_micros()),
-            ),
-            (
-                "e2e_p99_us",
-                Value::U64(r.end_to_end_cdf().quantile(0.99).as_micros()),
-            ),
+            ("e2e_p50_us", us(r.end_to_end_cdf().quantile(0.5))),
+            ("e2e_p99_us", us(r.end_to_end_cdf().quantile(0.99))),
         ])
     }
+    let s = auto_run
+        .autoscaler
+        .expect("an autoscaled run reports its controller");
+    let controller = obj(vec![
+        ("prewarm_actions", Value::U64(s.prewarm_actions)),
+        ("prewarmed_containers", Value::U64(s.prewarmed_containers)),
+        ("keepalive_actions", Value::U64(s.keepalive_actions)),
+        (
+            "max_outstanding_prewarm",
+            s.max_outstanding_prewarm.to_value(),
+        ),
+    ]);
     obj(vec![
         ("static", mode(static_run)),
         ("autoscaled", mode(auto_run)),
-        (
-            "controller",
-            obj(vec![
-                ("prewarm_actions", Value::U64(stats.prewarm_actions)),
-                (
-                    "prewarmed_containers",
-                    Value::U64(stats.prewarmed_containers),
-                ),
-                ("keepalive_actions", Value::U64(stats.keepalive_actions)),
-                (
-                    "max_outstanding_prewarm",
-                    Value::U64(stats.max_outstanding_prewarm as u64),
-                ),
-            ]),
-        ),
+        ("controller", controller),
     ])
 }
 
@@ -261,25 +214,14 @@ pub fn autoscaler_ablation(
         static_runs
             .iter()
             .zip(&auto_runs)
-            .map(|(static_run, auto_run)| {
-                let stats = auto_run
-                    .autoscaler
-                    .expect("an autoscaled run reports its controller");
-                (
-                    static_run.scheduler.clone(),
-                    ablation_row(static_run, auto_run, &stats),
-                )
-            })
+            .map(|(s, a)| (s.scheduler.clone(), ablation_row(s, a)))
             .collect(),
     );
     obj(vec![
         ("workload", Value::Str(label.to_owned())),
         ("invocations", Value::U64(workload.len() as u64)),
-        ("window_us", Value::U64(window.as_micros())),
-        (
-            "static_keep_alive_us",
-            Value::U64(cfg.keep_alive.as_micros()),
-        ),
+        ("window_us", us(window)),
+        ("static_keep_alive_us", us(cfg.keep_alive)),
         ("autoscaler", ac.to_value()),
         ("schedulers", schedulers),
     ])
@@ -321,29 +263,14 @@ pub fn snapshot_ablation_setup() -> SimConfig {
 /// split, end-to-end latency, and the cache's lifetime counters.
 fn snapshot_row(r: &RunReport) -> Value {
     let total = r.records.len().max(1) as f64;
-    let pct = |n: f64| Value::F64((n * 1000.0).round() / 10.0);
     obj(vec![
         ("cold_pct", pct(r.cold_fraction())),
         ("restored_pct", pct(r.restored_starts as f64 / total)),
         ("restored_starts", Value::U64(r.restored_starts)),
         ("containers", Value::U64(r.provisioned_containers)),
-        (
-            "e2e_p50_us",
-            Value::U64(r.end_to_end_cdf().quantile(0.5).as_micros()),
-        ),
-        (
-            "e2e_p99_us",
-            Value::U64(r.end_to_end_cdf().quantile(0.99).as_micros()),
-        ),
-        (
-            "cache",
-            obj(vec![
-                ("hits", Value::U64(r.snapshot_stats.hits)),
-                ("misses", Value::U64(r.snapshot_stats.misses)),
-                ("evictions", Value::U64(r.snapshot_stats.evictions)),
-                ("captures", Value::U64(r.snapshot_stats.captures)),
-            ]),
-        ),
+        ("e2e_p50_us", us(r.end_to_end_cdf().quantile(0.5))),
+        ("e2e_p99_us", us(r.end_to_end_cdf().quantile(0.99))),
+        ("cache", r.snapshot_stats.to_value()),
     ])
 }
 
@@ -383,21 +310,62 @@ pub fn snapshot_ablation(
     obj(vec![
         ("workload", Value::Str(label.to_owned())),
         ("invocations", Value::U64(workload.len() as u64)),
-        ("window_us", Value::U64(window.as_micros())),
-        ("keep_alive_us", Value::U64(cfg.keep_alive.as_micros())),
+        ("window_us", us(window)),
+        ("keep_alive_us", us(cfg.keep_alive)),
         ("capacity", Value::U64(snapshot.capacity as u64)),
         ("eviction", Value::Str(snapshot.eviction.name().to_owned())),
-        (
-            "restore_min_us",
-            Value::U64(snapshot.model.min_latency().as_micros()),
-        ),
-        (
-            "restore_max_us",
-            Value::U64(snapshot.model.max_latency().as_micros()),
-        ),
+        ("restore_min_us", us(snapshot.model.min_latency())),
+        ("restore_max_us", us(snapshot.model.max_latency())),
         ("boot_fraction", Value::F64(snapshot.model.boot_fraction())),
         ("schedulers", schedulers),
     ])
+}
+
+/// One scheduler's summary row: the columns of [`summary_table`] plus the
+/// end-to-end p99, as `results/six_schedulers_{cpu,io}.json` commits them
+/// (the full per-invocation `RunReport`s would be megabytes per workload).
+#[derive(Serialize)]
+pub(crate) struct Summary {
+    scheduler: String,
+    invocations: usize,
+    containers: u64,
+    invocations_per_container: f64,
+    cold_fraction: f64,
+    scheduling_p50_us: u64,
+    scheduling_p99_us: u64,
+    execution_p50_us: u64,
+    exec_queue_p99_us: u64,
+    end_to_end_mean_us: u64,
+    end_to_end_p99_us: u64,
+    memory_mean_mb: f64,
+    cpu_utilization: f64,
+    daemon_core_seconds: f64,
+    clients_created: u64,
+    client_mb_per_request: f64,
+}
+
+impl Summary {
+    /// The summary row of one run.
+    pub(crate) fn of(r: &RunReport) -> Self {
+        Summary {
+            scheduler: r.scheduler.clone(),
+            invocations: r.records.len(),
+            containers: r.provisioned_containers,
+            invocations_per_container: r.invocations_per_container(),
+            cold_fraction: r.cold_fraction(),
+            scheduling_p50_us: r.scheduling_cdf().quantile(0.5).as_micros(),
+            scheduling_p99_us: r.scheduling_cdf().quantile(0.99).as_micros(),
+            execution_p50_us: r.execution_cdf().quantile(0.5).as_micros(),
+            exec_queue_p99_us: r.exec_queue_cdf().quantile(0.99).as_micros(),
+            end_to_end_mean_us: r.end_to_end_cdf().mean().as_micros(),
+            end_to_end_p99_us: r.end_to_end_cdf().quantile(0.99).as_micros(),
+            memory_mean_mb: r.mean_memory_bytes() / (1 << 20) as f64,
+            cpu_utilization: r.mean_cpu_utilization(),
+            daemon_core_seconds: r.core_seconds_daemon,
+            clients_created: r.clients_created,
+            client_mb_per_request: r.client_memory_per_request() / (1 << 20) as f64,
+        }
+    }
 }
 
 /// Renders the standard per-scheduler resource/latency summary table.
@@ -419,52 +387,31 @@ pub fn summary_table(reports: &[RunReport]) -> String {
         "clients",
         "MB/client-req",
     ];
+    let span = |micros| SimDuration::from_micros(micros).to_string();
     let rows: Vec<Vec<String>> = reports
         .iter()
-        .map(|r| {
+        .map(Summary::of)
+        .map(|s| {
             vec![
-                r.scheduler.clone(),
-                r.records.len().to_string(),
-                r.provisioned_containers.to_string(),
-                format!("{:.2}", r.invocations_per_container()),
-                format!("{:.1}", r.cold_fraction() * 100.0),
-                format!("{}", r.scheduling_cdf().quantile(0.5)),
-                format!("{}", r.scheduling_cdf().quantile(0.99)),
-                format!("{}", r.execution_cdf().quantile(0.5)),
-                format!("{}", r.exec_queue_cdf().quantile(0.99)),
-                format!("{}", r.end_to_end_cdf().mean()),
-                format!("{:.1}", r.mean_memory_bytes() / (1 << 20) as f64),
-                format!("{:.3}", r.mean_cpu_utilization()),
-                format!("{:.1}", r.core_seconds_daemon),
-                r.clients_created.to_string(),
-                format!("{:.2}", r.client_memory_per_request() / (1 << 20) as f64),
+                s.scheduler,
+                s.invocations.to_string(),
+                s.containers.to_string(),
+                format!("{:.2}", s.invocations_per_container),
+                format!("{:.1}", s.cold_fraction * 100.0),
+                span(s.scheduling_p50_us),
+                span(s.scheduling_p99_us),
+                span(s.execution_p50_us),
+                span(s.exec_queue_p99_us),
+                span(s.end_to_end_mean_us),
+                format!("{:.1}", s.memory_mean_mb),
+                format!("{:.3}", s.cpu_utilization),
+                format!("{:.1}", s.daemon_core_seconds),
+                s.clients_created.to_string(),
+                format!("{:.2}", s.client_mb_per_request),
             ]
         })
         .collect();
     text_table(&headers, &rows)
-}
-
-/// One Fig. 11/12 panel: its title, the latency component whose CDF it
-/// plots per scheduler, and whether Kraken's `Exec+Queue` series rides along.
-pub(crate) type CdfPanel = (&'static str, fn(&RunReport) -> Cdf, bool);
-
-/// Prints the Fig. 11/12 panels of a [`paper_four`] run.
-pub(crate) fn cdf_panels(
-    out: &mut Output,
-    reports: &[RunReport],
-    panels: &[CdfPanel],
-) -> io::Result<()> {
-    for &(title, component, kraken_queue) in panels {
-        let mut series: Vec<(&str, Cdf)> = reports
-            .iter()
-            .map(|r| (r.scheduler.as_str(), component(r)))
-            .collect();
-        if kraken_queue {
-            series.push(("kraken exec+queue", reports[2].exec_queue_cdf()));
-        }
-        writeln!(out, "{}", cdf_table(title, &series))?;
-    }
-    Ok(())
 }
 
 /// Renders one latency-component CDF (Fig. 11/12 panels) as aligned columns:
