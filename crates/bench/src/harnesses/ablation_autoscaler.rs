@@ -14,7 +14,7 @@ use crate::{
     paper_io_workload, scheduler_rows, Output, DEFAULT_WINDOW,
 };
 use serde::Value;
-use std::io::{self, Write};
+use std::io;
 
 /// Renders one workload's summary object as table rows.
 fn rows_for(label: &str, summary: &Value) -> Vec<Vec<String>> {
@@ -74,7 +74,5 @@ pub fn run(out: &mut Output) -> io::Result<()> {
     out.line("cold% and tail latency drop at the cost of extra provisioned containers.")?;
 
     let json = json_pretty(&Value::Map(combined))?;
-    let path = out.write_file("ablation_autoscaler.json", json + "\n")?;
-    writeln!(out, "\nwrote {}", path.display())?;
-    Ok(())
+    out.write_file("ablation_autoscaler.json", json + "\n")
 }

@@ -130,7 +130,5 @@ pub fn run(out: &mut Output) -> io::Result<()> {
     out.line("cost-aware eviction protects the heaviest boots when slots run out.")?;
 
     let json = json_pretty(&Value::Seq(combined))?;
-    let path = out.write_file("ablation_snapshot.json", json + "\n")?;
-    writeln!(out, "\nwrote {}", path.display())?;
-    Ok(())
+    out.write_file("ablation_snapshot.json", json + "\n")
 }

@@ -176,7 +176,5 @@ pub fn run(out: &mut Output) -> io::Result<()> {
         report.overall_p99_ms,
     )?;
 
-    let path = out.write_file("azure_fullday.json", json_pretty(&report)? + "\n")?;
-    writeln!(out, "wrote {}", path.display())?;
-    Ok(())
+    out.write_file("azure_fullday.json", json_pretty(&report)? + "\n")
 }

@@ -117,7 +117,5 @@ pub fn run(out: &mut Output) -> io::Result<()> {
     out.line("keeps the highest warm-hit rate; FaaSBatch needs far fewer containers than")?;
     out.line("Vanilla at every scale.")?;
 
-    let path = out.write_file("fleet_scaling.json", json_pretty(&rows)?)?;
-    writeln!(out, "\nwrote {}", path.display())?;
-    Ok(())
+    out.write_file("fleet_scaling.json", json_pretty(&rows)?)
 }

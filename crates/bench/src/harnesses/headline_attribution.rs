@@ -29,7 +29,6 @@ use faasbatch_metrics::analysis::{diff_reports, AttributionReport, Phase};
 use faasbatch_metrics::events::to_jsonl;
 use faasbatch_schedulers::config::SimConfig;
 use serde::Value;
-use std::fmt::Write as _;
 use std::io::{self, Write};
 
 /// The labels `faasbatch trace-diff` printed when the committed diff was
@@ -49,7 +48,6 @@ fn mean_phases_json(report: &AttributionReport) -> Value {
 }
 
 pub fn run(out: &mut Output) -> io::Result<()> {
-    let mut text = String::new();
     let mut json: Vec<(String, Value)> = Vec::new();
 
     for (label, workload) in [("cpu", paper_cpu_workload()), ("io", paper_io_workload())] {
@@ -60,31 +58,31 @@ pub fn run(out: &mut Output) -> io::Result<()> {
             .map(|s| attribute(collected_events(s.as_ref())))
             .collect();
 
-        let _ = writeln!(
-            text,
+        writeln!(
+            out,
             "=== {label} workload ({} invocations) ===\n",
             workload.len()
-        );
+        )?;
         let mut schedulers: Vec<(String, Value)> = Vec::new();
         for (report, attribution) in reports.iter().zip(&attributed) {
-            let _ = writeln!(text, "--- {} ---", report.scheduler);
-            let _ = write!(text, "{}", attribution.render());
-            let _ = writeln!(text);
+            writeln!(out, "--- {} ---", report.scheduler)?;
+            write!(out, "{}", attribution.render())?;
+            writeln!(out)?;
             schedulers.push((report.scheduler.clone(), mean_phases_json(attribution)));
         }
 
         // The headline claim, attributed: vanilla (A) vs faasbatch (B).
         let diff = diff_reports(&attributed[0], &attributed[5]);
-        let _ = write!(
-            text,
+        write!(
+            out,
             "{}",
             diff.render(
                 &format!("vanilla/{label}"),
                 &format!("faasbatch/{label}"),
                 10
             )
-        );
-        let _ = writeln!(text);
+        )?;
+        writeln!(out)?;
         if label == "cpu" {
             let jsonl =
                 to_jsonl(collected_events(streams[5].as_ref())).map_err(io::Error::other)?;
@@ -128,10 +126,10 @@ pub fn run(out: &mut Output) -> io::Result<()> {
     let cpu = paper_cpu_workload();
     let (off_reports, off_streams) = six_traced(&cpu, "cpu-churn", &base, DEFAULT_WINDOW);
     let (on_reports, on_streams) = six_traced(&cpu, "cpu-snap", &snap, DEFAULT_WINDOW);
-    let _ = writeln!(
-        text,
+    writeln!(
+        out,
         "=== snapshot tier (cpu workload, 2s keep-alive, cache off vs capacity 8) ===\n"
-    );
+    )?;
     let mut snap_json: Vec<(String, Value)> = Vec::new();
     for i in 0..6 {
         let off = attribute(collected_events(off_streams[i].as_ref())).mean_phases();
@@ -150,8 +148,8 @@ pub fn run(out: &mut Output) -> io::Result<()> {
             cold_on < cold_off,
             "restores must drain mean cold-start mass"
         );
-        let _ = writeln!(
-            text,
+        writeln!(
+            out,
             "{:>16}: mean cold-start {} -> {}, mean restore {} -> {} ({} restored starts)",
             off_reports[i].scheduler,
             cold_off,
@@ -159,7 +157,7 @@ pub fn run(out: &mut Output) -> io::Result<()> {
             restore_off,
             restore_on,
             on_reports[i].restored_starts,
-        );
+        )?;
         snap_json.push((
             off_reports[i].scheduler.clone(),
             Value::Map(vec![
@@ -176,17 +174,14 @@ pub fn run(out: &mut Output) -> io::Result<()> {
             ]),
         ));
     }
-    let _ = writeln!(
-        text,
+    writeln!(
+        out,
         "\nWith the cache on, every scheduler trades full re-boots for restores:\n\
          the cold-start phase shrinks and the (much smaller) restore phase\n\
          absorbs the difference, invocation by invocation, summing exactly."
-    );
+    )?;
     json.push(("snapshot_tier_cpu".to_owned(), Value::Map(snap_json)));
 
-    write!(out, "{text}")?;
-    let txt = out.write_file("headline_attribution.txt", &text)?;
-    let json = out.write_file("headline_attribution.json", json_pretty(&Value::Map(json))?)?;
-    writeln!(out, "wrote {} and {}", txt.display(), json.display())?;
-    Ok(())
+    out.save_text("headline_attribution.txt")?;
+    out.write_file("headline_attribution.json", json_pretty(&Value::Map(json))?)
 }

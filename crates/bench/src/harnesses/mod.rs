@@ -7,26 +7,16 @@ use std::io;
 // Declared outside the table macro so rustfmt finds the files; a module
 // without a table row fails the build (`run` is never used).
 mod ablation_autoscaler;
-mod ablation_early_return;
-mod ablation_group_cap;
-mod ablation_heterogeneity;
-mod ablation_keepalive;
-mod ablation_kraken_prediction;
-mod ablation_mixed_workload;
-mod ablation_multiplexer;
 mod ablation_snapshot;
-mod ablation_window_sweep;
+mod ablations;
 mod azure_fullday;
 mod fig01_sharing_vs_monopoly;
-mod fig02_invocation_patterns;
-mod fig03_blob_iat_cdf;
 mod fig04_client_creation_latency;
 mod fig05_client_creation_memory;
-mod fig09_duration_distribution;
-mod fig10_workload_pattern;
 mod fleet_scaling;
 mod headline_attribution;
 mod six_schedulers;
+mod trace_figures;
 
 /// One figure or ablation harness.
 #[derive(Clone, Copy)]
@@ -56,6 +46,7 @@ macro_rules! harnesses {
 harnesses! {
     six_schedulers: "§V comparison: headline cuts, Figs. 11–14, I/O timelines, six-way table on audited streams"
         => [
+            "six_schedulers.txt",
             "six_schedulers_cpu.json",
             "six_schedulers_io.json",
             "timeline_io_memory.csv",
@@ -69,21 +60,13 @@ harnesses! {
             "trace_faasbatch.jsonl",
             "trace_diff_vanilla_vs_faasbatch.txt"
         ];
+    trace_figures: "Figs. 2, 3, 9, 10 — hot-function days, blob inter-access CDF, durations, the replayed minute"
+        => ["trace_figures.txt"];
     fig01_sharing_vs_monopoly: "Fig. 1 — sharing vs monopoly (live dispatch core, wall-clock)" => [];
-    fig02_invocation_patterns: "Fig. 2 — hot-function day patterns" => [];
-    fig03_blob_iat_cdf: "Fig. 3 — blob inter-access-time CDF" => [];
     fig04_client_creation_latency: "Fig. 4 — client creation time (model + live wall-clock)" => [];
     fig05_client_creation_memory: "Fig. 5 — client creation memory" => [];
-    fig09_duration_distribution: "Fig. 9 — duration distribution" => [];
-    fig10_workload_pattern: "Fig. 10 — arrival pattern of the replayed minute" => [];
-    ablation_multiplexer: "ablation — resource multiplexer on/off" => [];
-    ablation_group_cap: "ablation — inline-parallelism degree" => [];
-    ablation_window_sweep: "ablation — extended dispatch-window sweep" => [];
-    ablation_keepalive: "ablation — keep-alive TTL sensitivity" => [];
-    ablation_early_return: "ablation — per-batch vs early-return responses" => [];
-    ablation_kraken_prediction: "ablation — Kraken lazy/oracle/EWMA prediction" => [];
-    ablation_heterogeneity: "ablation — per-function duration heterogeneity" => [];
-    ablation_mixed_workload: "ablation — interleaved CPU + I/O workload" => [];
+    ablations: "ablations — multiplexer, group cap, window, keep-alive, early return, Kraken prediction, heterogeneity, mixed workload"
+        => ["ablations.txt"];
     ablation_autoscaler: "ablation — trace-driven autoscaler vs static config, six schedulers"
         => ["ablation_autoscaler.json"];
     ablation_snapshot: "ablation — snapshot cache capacity x restore cost x eviction, six schedulers"

@@ -7,11 +7,13 @@
 //! paper's baselines (the abstract's headline table), the Fig. 11/12 CDFs
 //! and, on I/O, the per-second timelines (`results/timeline_io_*.csv`);
 //! from all four intervals, the Fig. 13/14 panels. The figures plot the
-//! [`PAPER_FOUR`] columns.
+//! [`PAPER_FOUR`] columns. Everything it prints is committed as
+//! `results/six_schedulers.txt`.
 
 use crate::{
     attribute, cdf_table, collected_events, json_pretty, paper_cpu_workload, paper_io_workload,
-    six_traced, summary_table, Output, Summary, DEFAULT_WINDOW, DISPATCH_INTERVALS_MS, PAPER_FOUR,
+    six_traced, summary_table, Column, Output, Summary, DEFAULT_WINDOW, DISPATCH_INTERVALS_MS, MB,
+    PAPER_FOUR,
 };
 use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::events::{AuditorSink, TraceSink};
@@ -91,14 +93,11 @@ fn reductions(four: &[&RunReport; 4]) -> Vec<Vec<String>> {
 /// plots per scheduler, and whether Kraken's `Exec+Queue` series rides along.
 type CdfPanel = (&'static str, fn(&RunReport) -> Cdf, bool);
 
-/// One Fig. 13/14 panel: its title and the cell a scheduler's run gets.
-type SweepPanel = (&'static str, fn(&RunReport) -> String);
-
 const GB: f64 = (1u64 << 30) as f64;
-const MB: f64 = (1u64 << 20) as f64;
 
-/// The Fig. 14 panels; Fig. 13 plots the first three.
-const RESOURCE_PANELS: [SweepPanel; 4] = [
+/// The Fig. 14 panels, each a title and the cell a scheduler's run gets;
+/// Fig. 13 plots the first three.
+const RESOURCE_PANELS: [Column; 4] = [
     ("(a) mean system memory (GB)", |r| {
         format!("{:.2}", r.mean_memory_bytes() / GB)
     }),
@@ -121,7 +120,7 @@ struct Figures {
     cdf_panels: &'static [CdfPanel],
     cdf_shape: &'static str,
     sweep_title: &'static str,
-    sweep_panels: &'static [SweepPanel],
+    sweep_panels: &'static [Column],
     sweep_shape: &'static str,
 }
 
@@ -189,11 +188,7 @@ fn cdf_panels(out: &mut Output, four: &[&RunReport; 4], panels: &[CdfPanel]) -> 
 }
 
 /// Prints one interval × scheduler table per panel over the sweep.
-fn sweep_panels(
-    out: &mut Output,
-    runs: &[Vec<RunReport>],
-    panels: &[SweepPanel],
-) -> io::Result<()> {
+fn sweep_panels(out: &mut Output, runs: &[Vec<RunReport>], panels: &[Column]) -> io::Result<()> {
     for &(title, cell) in panels {
         let rows: Vec<Vec<String>> = DISPATCH_INTERVALS_MS
             .iter()
@@ -235,8 +230,6 @@ fn timelines(out: &mut Output, four: &[&RunReport; 4], n: usize) -> io::Result<(
         let file = format!("timeline_io_{}.csv", name.replace(' ', "_"));
         out.write_file(&file, to_csv(&lines))?;
     }
-    let pattern = out.dir().join("timeline_io_*.csv");
-    writeln!(out, "CSV series written to {}", pattern.display())?;
     out.line("Expected shape: Vanilla/SFS memory stair-steps upward with every")?;
     out.line("burst (containers accumulate); FaaSBatch stays low and flat.\n")
 }
@@ -254,11 +247,10 @@ pub fn run(out: &mut Output) -> io::Result<()> {
         writeln!(out, "{}", summary_table(reports))?;
         out.line("(all six streams auditor-clean; attribution 100% exact)\n")?;
         let summary: Vec<Summary> = reports.iter().map(Summary::of).collect();
-        let path = out.write_file(
+        out.write_file(
             &format!("six_schedulers_{label}.json"),
             json_pretty(&summary)?,
         )?;
-        writeln!(out, "wrote {}\n", path.display())?;
 
         out.line("FaaSBatch reductions vs baselines:")?;
         out.table(&CUTS, &reductions(&four))?;
@@ -272,7 +264,7 @@ pub fn run(out: &mut Output) -> io::Result<()> {
         sweep_panels(out, &sweep, figures.sweep_panels)?;
         writeln!(out, "{}\n", figures.sweep_shape)?;
     }
-    Ok(())
+    out.save_text("six_schedulers.txt")
 }
 
 #[cfg(test)]

@@ -2,16 +2,17 @@
 //!
 //! Figure-regeneration harnesses for the FaaSBatch reproduction.
 //!
-//! Every table and figure of the paper's evaluation is a module under
-//! `src/harnesses/` that rebuilds its workload, runs the relevant
-//! schedulers, and prints the same rows/series the paper plots (see
-//! `DESIGN.md` §5 for the index). One line in [`HARNESSES`] registers it —
-//! name, what it reproduces, the `results/` files it owns — and the one
-//! binary, `faasbatch-bench <name> | list | regen [--out DIR] [--check]`,
-//! is generated from that table. This library also holds the shared
-//! plumbing: canonical workloads, the paper's four-scheduler subset for
-//! [`run_comparison`], the ablation summaries, CDF/table rendering, and
-//! the [`Output`] every harness writes through.
+//! Every table and figure of the paper's evaluation is printed by a module
+//! under `src/harnesses/`, one per experiment (the trace figures, the §V
+//! comparison, the ablations, …), that rebuilds its workloads, runs the
+//! relevant schedulers, and prints the same rows/series the paper plots
+//! (see `DESIGN.md` §5 for the index). One line in [`HARNESSES`] registers
+//! it — name, what it reproduces, the `results/` files it owns — and the
+//! one binary, `faasbatch-bench <name> | list | regen [--out DIR]
+//! [--check]`, is generated from that table. This library also holds the
+//! shared plumbing: canonical workloads, the paper's four-scheduler subset
+//! for [`run_comparison`], the ablation summaries, table columns over runs,
+//! CDF rendering, and the [`Output`] every harness writes through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -359,59 +360,88 @@ impl Summary {
             exec_queue_p99_us: r.exec_queue_cdf().quantile(0.99).as_micros(),
             end_to_end_mean_us: r.end_to_end_cdf().mean().as_micros(),
             end_to_end_p99_us: r.end_to_end_cdf().quantile(0.99).as_micros(),
-            memory_mean_mb: r.mean_memory_bytes() / (1 << 20) as f64,
+            memory_mean_mb: r.mean_memory_bytes() / MB,
             cpu_utilization: r.mean_cpu_utilization(),
             daemon_core_seconds: r.core_seconds_daemon,
             clients_created: r.clients_created,
-            client_mb_per_request: r.client_memory_per_request() / (1 << 20) as f64,
+            client_mb_per_request: r.client_memory_per_request() / MB,
         }
     }
 }
 
-/// Renders the standard per-scheduler resource/latency summary table.
-pub fn summary_table(reports: &[RunReport]) -> String {
-    let headers = [
-        "scheduler",
-        "invocations",
-        "containers",
-        "inv/ctr",
-        "cold%",
-        "sched p50",
-        "sched p99",
-        "exec p50",
-        "exec+queue p99",
-        "e2e mean",
-        "mem mean (MB)",
-        "cpu util",
-        "daemon cpu-s",
-        "clients",
-        "MB/client-req",
-    ];
-    let span = |micros| SimDuration::from_micros(micros).to_string();
-    let rows: Vec<Vec<String>> = reports
+/// A table column over runs: its header and the cell a run gets.
+pub(crate) type Column = (&'static str, fn(&RunReport) -> String);
+
+/// A mebibyte, the unit of every printed memory column.
+pub(crate) const MB: f64 = (1u64 << 20) as f64;
+
+pub(crate) const SCHEDULER: Column = ("scheduler", |r| r.scheduler.clone());
+pub(crate) const CONTAINERS: Column = ("containers", |r| r.provisioned_containers.to_string());
+pub(crate) const INV_PER_CONTAINER: Column = ("inv/ctr", |r| {
+    format!("{:.2}", r.invocations_per_container())
+});
+pub(crate) const SCHED_P99: Column = ("sched p99", |r| {
+    r.scheduling_cdf().quantile(0.99).to_string()
+});
+pub(crate) const EXEC_P50: Column = ("exec p50", |r| r.execution_cdf().quantile(0.5).to_string());
+pub(crate) const EXEC_QUEUE_P99: Column = ("exec+queue p99", |r| {
+    r.exec_queue_cdf().quantile(0.99).to_string()
+});
+pub(crate) const E2E_MEAN: Column = ("e2e mean", |r| r.end_to_end_cdf().mean().to_string());
+pub(crate) const MB_PER_REQUEST: Column = ("MB/client-req", |r| {
+    format!("{:.2}", r.client_memory_per_request() / MB)
+});
+pub(crate) const CPU_UTIL: Column = ("cpu util", |r| format!("{:.3}", r.mean_cpu_utilization()));
+
+/// The columns of [`summary_table`]: [`Summary`]'s fields but the end-to-end
+/// p99.
+pub(crate) const SUMMARY: [Column; 15] = [
+    SCHEDULER,
+    ("invocations", |r| r.records.len().to_string()),
+    CONTAINERS,
+    INV_PER_CONTAINER,
+    ("cold%", |r| format!("{:.1}", r.cold_fraction() * 100.0)),
+    ("sched p50", |r| {
+        r.scheduling_cdf().quantile(0.5).to_string()
+    }),
+    SCHED_P99,
+    EXEC_P50,
+    EXEC_QUEUE_P99,
+    E2E_MEAN,
+    ("mem mean (MB)", |r| {
+        format!("{:.1}", r.mean_memory_bytes() / MB)
+    }),
+    CPU_UTIL,
+    ("daemon cpu-s", |r| format!("{:.1}", r.core_seconds_daemon)),
+    ("clients", |r| r.clients_created.to_string()),
+    MB_PER_REQUEST,
+];
+
+/// Renders one row per `(labels, run)`: its label cells under `labels`,
+/// then one cell per column.
+pub(crate) fn report_table<'a>(
+    labels: &[&str],
+    columns: &[Column],
+    rows: impl IntoIterator<Item = (Vec<String>, &'a RunReport)>,
+) -> String {
+    let headers: Vec<&str> = labels
         .iter()
-        .map(Summary::of)
-        .map(|s| {
-            vec![
-                s.scheduler,
-                s.invocations.to_string(),
-                s.containers.to_string(),
-                format!("{:.2}", s.invocations_per_container),
-                format!("{:.1}", s.cold_fraction * 100.0),
-                span(s.scheduling_p50_us),
-                span(s.scheduling_p99_us),
-                span(s.execution_p50_us),
-                span(s.exec_queue_p99_us),
-                span(s.end_to_end_mean_us),
-                format!("{:.1}", s.memory_mean_mb),
-                format!("{:.3}", s.cpu_utilization),
-                format!("{:.1}", s.daemon_core_seconds),
-                s.clients_created.to_string(),
-                format!("{:.2}", s.client_mb_per_request),
-            ]
+        .copied()
+        .chain(columns.iter().map(|c| c.0))
+        .collect();
+    let rows: Vec<Vec<String>> = rows
+        .into_iter()
+        .map(|(mut row, r)| {
+            row.extend(columns.iter().map(|(_, cell)| cell(r)));
+            row
         })
         .collect();
     text_table(&headers, &rows)
+}
+
+/// Renders the standard per-scheduler resource/latency summary table.
+pub fn summary_table(reports: &[RunReport]) -> String {
+    report_table(&[], &SUMMARY, reports.iter().map(|r| (Vec::new(), r)))
 }
 
 /// Renders one latency-component CDF (Fig. 11/12 panels) as aligned columns:

@@ -3,18 +3,21 @@
 use faasbatch_metrics::report::text_table;
 use serde::Serialize;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The one sink every harness writes through.
 ///
-/// Table text goes to the wrapped writer (`writeln!(out, …)?`); result
-/// files go to [`Output::write_file`], which remembers each name so
+/// Table text goes to the wrapped writer (`writeln!(out, …)?`) and is kept,
+/// so [`Output::save_text`] can commit what was printed as a result file;
+/// result files go to [`Output::write_file`], which remembers each name so
 /// [`regen`](crate::regen::regen_into) can hold a harness to the files the
 /// table says it owns. Every failure is an `io::Error` the caller
 /// propagates — nothing is best-effort.
 pub struct Output {
     dir: PathBuf,
     text: Box<dyn Write>,
+    /// The table text printed since the last [`save_text`](Self::save_text).
+    kept: Vec<u8>,
     written: Vec<String>,
 }
 
@@ -24,13 +27,9 @@ impl Output {
         Output {
             dir: dir.into(),
             text,
+            kept: Vec::new(),
             written: Vec::new(),
         }
-    }
-
-    /// The directory result files land in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Names passed to [`write_file`](Self::write_file) so far, in order.
@@ -49,19 +48,28 @@ impl Output {
     }
 
     /// Writes the result file `name` (creating the directory on first use)
-    /// and returns its path for the harness's `wrote …` line.
-    pub fn write_file(&mut self, name: &str, contents: impl AsRef<[u8]>) -> io::Result<PathBuf> {
+    /// and prints a `wrote <path>` line, which is not kept.
+    pub fn write_file(&mut self, name: &str, contents: impl AsRef<[u8]>) -> io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.dir.join(name);
         std::fs::write(&path, contents)?;
         self.written.push(name.to_owned());
-        Ok(path)
+        writeln!(self.text, "wrote {}", path.display())
+    }
+
+    /// Writes the table text printed since the last save as the result
+    /// file `name`.
+    pub fn save_text(&mut self, name: &str) -> io::Result<()> {
+        let kept = std::mem::take(&mut self.kept);
+        self.write_file(name, kept)
     }
 }
 
 impl Write for Output {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.text.write(buf)
+        let n = self.text.write(buf)?;
+        self.kept.extend_from_slice(&buf[..n]);
+        Ok(n)
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -24,6 +24,25 @@ fn harness_names_are_unique_and_described() {
     }
 }
 
+/// Every deterministic table is in a file `regen --check` holds; only the
+/// figures with live wall-clock panels print alone.
+#[test]
+fn only_the_wall_clock_figures_own_no_file() {
+    let print_only: Vec<&str> = HARNESSES
+        .iter()
+        .filter(|h| h.files.is_empty())
+        .map(|h| h.name)
+        .collect();
+    assert_eq!(
+        print_only,
+        [
+            "fig01_sharing_vs_monopoly",
+            "fig04_client_creation_latency",
+            "fig05_client_creation_memory"
+        ]
+    );
+}
+
 #[test]
 fn every_committed_result_has_exactly_one_owner() {
     let mut owned = BTreeSet::new();
@@ -49,6 +68,8 @@ fn quick_harnesses() -> Vec<Harness> {
     let quick = [
         "six_schedulers",
         "headline_attribution",
+        "trace_figures",
+        "ablations",
         "ablation_autoscaler",
     ];
     HARNESSES
@@ -61,7 +82,7 @@ fn quick_harnesses() -> Vec<Harness> {
 #[test]
 fn regen_is_byte_reproducible_and_matches_the_committed_files() {
     let harnesses = quick_harnesses();
-    assert_eq!(harnesses.len(), 3);
+    assert_eq!(harnesses.len(), 5);
     let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let (a, b) = (tmp.join("regen-a"), tmp.join("regen-b"));
     for dir in [&a, &b] {
@@ -147,4 +168,59 @@ fn every_harness_the_docs_name_is_a_row_of_the_table() {
     for name in index.iter().chain(&owners) {
         assert!(rows.contains(name.as_str()), "`{name}` is not a harness");
     }
+}
+
+/// The backticked numbers in the EXPERIMENTS.md sections whose headings
+/// start with one of `headings`, each running to the next `## ` heading.
+fn quoted_numbers(headings: &[&str]) -> Vec<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(path).unwrap();
+    let mut quoted = Vec::new();
+    for heading in headings {
+        let section = &doc[doc.find(heading).expect(heading) + heading.len()..];
+        let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+        quoted.extend(
+            section
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .filter(|quote| quote.starts_with(|c: char| c.is_ascii_digit() || c == '−'))
+                .map(str::to_owned),
+        );
+    }
+    quoted
+}
+
+/// Asserts every number quoted under `headings` is a cell of the committed
+/// `file`: a run of its text between blanks, commas and `=` signs.
+fn assert_quoted_numbers_are_cells(headings: &[&str], file: &str, at_least: usize) {
+    let printed = std::fs::read_to_string(committed_results().join(file)).unwrap();
+    let cells: BTreeSet<&str> = printed
+        .split(|c: char| c.is_whitespace() || c == ',' || c == '=')
+        .collect();
+    let quoted = quoted_numbers(headings);
+    assert!(
+        quoted.len() >= at_least,
+        "the sections quote their numbers: {quoted:?}"
+    );
+    for quote in quoted {
+        assert!(
+            cells.contains(quote.as_str()),
+            "`{quote}` is not a cell of results/{file}"
+        );
+    }
+}
+
+/// EXPERIMENTS.md's ablation section quotes `results/ablations.txt` exactly.
+#[test]
+fn the_quoted_ablation_numbers_are_printed() {
+    assert_quoted_numbers_are_cells(&["## Ablations (beyond the paper)"], "ablations.txt", 80);
+}
+
+/// EXPERIMENTS.md's Figs. 2, 3, 9 and 10 quote `results/trace_figures.txt`
+/// exactly.
+#[test]
+fn the_quoted_trace_figure_numbers_are_printed() {
+    let headings = ["## Fig. 2 —", "## Fig. 3 —", "## Fig. 9 —", "## Fig. 10 —"];
+    assert_quoted_numbers_are_cells(&headings, "trace_figures.txt", 30);
 }

@@ -77,14 +77,14 @@ pub enum SchedulerKind {
 /// Kraken needs a calibration ([`run_comparison`] derives it from a Vanilla
 /// run of the same workload) and FaaSBatch a full [`FaasBatchConfig`]; the
 /// rest are parameter-free. Bundling them lets one setup build all six.
+/// The dispatch window is stored once, as the FaaSBatch configuration's
+/// `window`, and Kraken batches over the same one.
 #[derive(Debug, Clone)]
 pub struct SchedulerSetup {
-    /// Dispatch window for the windowed schedulers (Kraken, FaaSBatch).
-    pub window: SimDuration,
     /// Kraken's execution-time calibration.
     pub kraken: KrakenCalibration,
-    /// FaaSBatch's full configuration (its `window` field should agree
-    /// with `window`; [`SchedulerSetup::new`] keeps them in sync).
+    /// FaaSBatch's full configuration; its `window` is the dispatch window
+    /// of both windowed schedulers (Kraken, FaaSBatch).
     pub faasbatch: FaasBatchConfig,
 }
 
@@ -92,11 +92,7 @@ impl SchedulerSetup {
     /// A setup with default Kraken calibration and default FaaSBatch
     /// knobs over the given dispatch window.
     pub fn new(window: SimDuration) -> Self {
-        SchedulerSetup {
-            window,
-            kraken: KrakenCalibration::default(),
-            faasbatch: FaasBatchConfig::with_window(window),
-        }
+        FaasBatchConfig::with_window(window).into()
     }
 
     /// Replaces the Kraken calibration ([`run_comparison`] overrides it
@@ -105,11 +101,16 @@ impl SchedulerSetup {
         self.kraken = calibration;
         self
     }
+}
 
-    /// Replaces the FaaSBatch configuration wholesale.
-    pub fn with_faasbatch_config(mut self, cfg: FaasBatchConfig) -> Self {
-        self.faasbatch = cfg;
-        self
+/// A setup with default Kraken calibration around a full FaaSBatch
+/// configuration, whose window both windowed schedulers use.
+impl From<FaasBatchConfig> for SchedulerSetup {
+    fn from(faasbatch: FaasBatchConfig) -> Self {
+        SchedulerSetup {
+            kraken: KrakenCalibration::default(),
+            faasbatch,
+        }
     }
 }
 
@@ -154,8 +155,8 @@ impl SchedulerKind {
             SchedulerKind::Vanilla => (Box::new(Vanilla::new()), None),
             SchedulerKind::Sfs => (Box::new(Sfs::new()), None),
             SchedulerKind::Kraken => (
-                Box::new(Kraken::new(setup.kraken.clone(), setup.window)),
-                Some(setup.window),
+                Box::new(Kraken::new(setup.kraken.clone(), setup.faasbatch.window)),
+                Some(setup.faasbatch.window),
             ),
             SchedulerKind::Hiku => (Box::new(Hiku::new()), None),
             SchedulerKind::CoreLateBind => (Box::new(CoreLateBind::new()), None),
@@ -291,6 +292,20 @@ mod tests {
             compare(&[Kraken, Vanilla]),
             [six[2].clone(), six[0].clone()]
         );
+    }
+
+    #[test]
+    fn one_window_drives_both_windowed_schedulers() {
+        let mut setup = SchedulerSetup::from(FaasBatchConfig::with_window(WINDOW));
+        let interval = |kind: SchedulerKind, setup: &SchedulerSetup| kind.build(setup).1;
+        for kind in [SchedulerKind::Kraken, SchedulerKind::FaasBatch] {
+            assert_eq!(interval(kind, &setup), Some(WINDOW));
+        }
+        setup.faasbatch.window = SimDuration::from_millis(50);
+        for kind in [SchedulerKind::Kraken, SchedulerKind::FaasBatch] {
+            assert_eq!(interval(kind, &setup), Some(SimDuration::from_millis(50)));
+        }
+        assert_eq!(interval(SchedulerKind::Vanilla, &setup), None);
     }
 
     #[test]

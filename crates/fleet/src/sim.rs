@@ -322,10 +322,7 @@ impl Fleet<'_> {
 fn new_worker(workload: &Workload, cfg: &FleetConfig, label: &str) -> Worker {
     let (kind, setup) = match &cfg.scheduler {
         WorkerScheduler::Vanilla => (SchedulerKind::Vanilla, SchedulerSetup::new(cfg.window)),
-        WorkerScheduler::FaasBatch(fb) => (
-            SchedulerKind::FaasBatch,
-            SchedulerSetup::new(fb.window).with_faasbatch_config(fb.clone()),
-        ),
+        WorkerScheduler::FaasBatch(fb) => (SchedulerKind::FaasBatch, fb.clone().into()),
     };
     let (policy, interval) = kind.build(&setup);
     let registry = workload.registry().clone();

@@ -127,25 +127,15 @@ impl Ctx<'_> {
         crate::harness::schedule_policy_timer(self.engine, delay, token);
     }
 
-    /// Adjusts the CPU fair-share weight of a live container mid-run —
-    /// the hook an SFS-style user-space scheduler uses to demote tasks the
-    /// longer they run.
+    /// Adjusts the CPU fair-share weights of live containers mid-run — the
+    /// hook an SFS-style user-space scheduler uses to demote tasks the
+    /// longer they run — with one CPU-model recomputation for the whole
+    /// sweep.
     ///
     /// # Panics
     ///
-    /// Panics if the container is unknown or terminated, or `weight` is not
+    /// Panics if a container is unknown or terminated, or a weight is not
     /// positive finite.
-    pub fn set_container_weight(&mut self, container: ContainerId, weight: f64) {
-        crate::harness::set_container_weight(self.world, self.engine.now(), container, weight);
-    }
-
-    /// Bulk form of [`set_container_weight`](Self::set_container_weight):
-    /// one CPU-model recomputation for the whole sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`set_container_weight`](Self::set_container_weight).
     pub fn set_container_weights(&mut self, updates: impl IntoIterator<Item = (ContainerId, f64)>) {
         crate::harness::set_container_weights(self.world, self.engine.now(), updates);
     }
