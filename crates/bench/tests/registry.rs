@@ -224,3 +224,15 @@ fn the_quoted_trace_figure_numbers_are_printed() {
     let headings = ["## Fig. 2 —", "## Fig. 3 —", "## Fig. 9 —", "## Fig. 10 —"];
     assert_quoted_numbers_are_cells(&headings, "trace_figures.txt", 30);
 }
+
+/// EXPERIMENTS.md's Figs. 11–14 quote `results/six_schedulers.txt` exactly.
+#[test]
+fn the_quoted_comparison_figure_numbers_are_printed() {
+    let headings = [
+        "## Fig. 11 —",
+        "## Fig. 12 —",
+        "## Fig. 13 —",
+        "## Fig. 14 —",
+    ];
+    assert_quoted_numbers_are_cells(&headings, "six_schedulers.txt", 70);
+}

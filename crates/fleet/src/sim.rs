@@ -42,6 +42,7 @@ use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::events::{EventKind, NoopSink, SimEvent, TraceSink};
 use faasbatch_metrics::report::RunReport;
 use faasbatch_schedulers::harness::Worker;
+use faasbatch_simcore::engine::EngineStats;
 use faasbatch_simcore::idmap::IdMap;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::workload::{Invocation, Workload};
@@ -87,7 +88,7 @@ pub fn run_fleet_with_workers(
     label: &str,
     new_worker: &dyn Fn() -> Worker,
 ) -> Result<FleetReport, FleetError> {
-    run_fleet_impl(workload, cfg, policy, label, new_worker, None).map(|(report, _)| report)
+    run_fleet_impl(workload, cfg, policy, label, new_worker, None).map(|(report, ..)| report)
 }
 
 /// [`run_fleet`] with an observable fleet-level event stream.
@@ -112,7 +113,7 @@ pub fn run_fleet_traced(
     label: &str,
     mut sink: Box<dyn TraceSink>,
 ) -> Result<(FleetReport, Box<dyn TraceSink>), FleetError> {
-    let (report, events) = run_fleet_impl(
+    let (report, events, _) = run_fleet_impl(
         workload,
         cfg,
         policy,
@@ -336,6 +337,11 @@ fn new_worker(workload: &Workload, cfg: &FleetConfig, label: &str) -> Worker {
     )
 }
 
+/// What [`run_fleet_impl`] returns: the report, the fleet-level events when
+/// they were asked for, and the summed engine counters of the workers that
+/// ran to the end (a profile reading, not a result).
+type FleetRun = (FleetReport, Option<Vec<SimEvent>>, EngineStats);
+
 fn run_fleet_impl(
     workload: &Workload,
     cfg: &FleetConfig,
@@ -343,7 +349,7 @@ fn run_fleet_impl(
     label: &str,
     new_worker: &dyn Fn() -> Worker,
     events: Option<Vec<SimEvent>>,
-) -> Result<(FleetReport, Option<Vec<SimEvent>>), FleetError> {
+) -> Result<FleetRun, FleetError> {
     cfg.validate()?;
     let n = cfg.workers;
     let invs = workload.invocations();
@@ -405,13 +411,18 @@ fn run_fleet_impl(
 
     // Close every surviving worker's input and merge: each record regains
     // its original arrival, and the re-dispatch gap is charged to
-    // scheduling.
-    let mut records: Vec<FleetRecord> = Vec::with_capacity(invs.len());
+    // scheduling. Ids are dense, so each record goes to the slot of its id.
+    let mut slots: Vec<Option<FleetRecord>> = vec![None; invs.len()];
     let mut retry_delay_total = SimDuration::ZERO;
     let mut workers: Vec<WorkerReport> = Vec::with_capacity(n);
+    let mut engine = EngineStats::default();
     for (w, seat) in std::mem::take(&mut fleet.seats).into_iter().enumerate() {
         let report = match (seat.worker, seat.crashed) {
-            (Some(worker), _) => worker.finish().0,
+            (Some(mut worker), _) => {
+                worker.close();
+                engine += worker.engine_stats();
+                worker.finish().0
+            }
             (None, Some((_, report))) => report,
             (None, None) => unreachable!("a seat loses its worker only to a crash"),
         };
@@ -433,12 +444,15 @@ fn run_fleet_impl(
                     member: None,
                 },
             );
-            records.push(FleetRecord {
-                record,
-                worker: w,
-                retries: fleet.attempts.get(&id).copied().unwrap_or(0),
-                retry_delay: gap,
-            });
+            place(
+                &mut slots,
+                FleetRecord {
+                    record,
+                    worker: w,
+                    retries: fleet.attempts.get(&id).copied().unwrap_or(0),
+                    retry_delay: gap,
+                },
+            );
         }
         workers.push(WorkerReport {
             worker: w,
@@ -448,11 +462,10 @@ fn run_fleet_impl(
             report,
         });
     }
-    records.sort_by_key(|r| r.record.id);
-    assert!(
-        records.len() == invs.len() && records.iter().zip(invs).all(|(r, i)| r.record.id == i.id),
-        "fleet replay lost or duplicated invocations (exactly-once violated)"
-    );
+    let records: Vec<FleetRecord> = slots
+        .into_iter()
+        .map(|slot| slot.expect(EXACTLY_ONCE))
+        .collect();
     // Ids are dense in arrival order, so the first record arrived first.
     let first = invs.first().map_or(SimTime::ZERO, |inv| inv.arrival);
     let last = records.iter().map(|r| r.record.completion).max();
@@ -470,7 +483,20 @@ fn run_fleet_impl(
             makespan,
         },
         fleet.events,
+        engine,
     ))
+}
+
+const EXACTLY_ONCE: &str = "fleet replay lost or duplicated invocations (exactly-once violated)";
+
+/// Puts `record` in the slot of its fleet id. A slot filled twice, or an id
+/// past the workload, breaks exactly-once; a slot left empty is caught when
+/// the slots are collected.
+fn place(slots: &mut [Option<FleetRecord>], record: FleetRecord) {
+    let slot = slots
+        .get_mut(record.record.id.value() as usize)
+        .expect(EXACTLY_ONCE);
+    assert!(slot.replace(record).is_none(), "{EXACTLY_ONCE}");
 }
 
 #[cfg(test)]
@@ -535,6 +561,72 @@ mod tests {
         label: &str,
     ) -> FleetReport {
         run_fleet(w, cfg, policy, label).expect("fleet run succeeds")
+    }
+
+    /// Hour 9 (a peak hour) of the seeded synthetic Azure day, rebased to
+    /// its origin and renumbered dense, as the day replay chunks it.
+    fn azure_peak_hour() -> Workload {
+        use faasbatch_container::ids::InvocationId;
+        use faasbatch_trace::stream::{AzureDayConfig, InvocationSource, WorkloadStream};
+        let cfg = AzureDayConfig {
+            total: 250_000,
+            ..AzureDayConfig::default()
+        };
+        let stream = WorkloadStream::azure_day(&DetRng::new(7), &cfg);
+        let registry = stream.registry().clone();
+        let origin = SimTime::from_secs(9 * 3_600);
+        let hour: Vec<Invocation> = stream
+            .filter(|inv| {
+                inv.arrival >= origin && inv.arrival < origin + SimDuration::from_secs(3_600)
+            })
+            .enumerate()
+            .map(|(i, inv)| Invocation {
+                id: InvocationId::new(i as u64),
+                arrival: SimTime::ZERO + (inv.arrival - origin),
+                ..inv
+            })
+            .collect();
+        Workload::from_sorted(registry, hour)
+    }
+
+    #[test]
+    fn a_fleet_hour_keeps_its_standing_timers_off_the_heap() {
+        // The CPU completion, the sampler and the window tick are engine
+        // alarms; what is left on the heap is image pulls and the like.
+        let w = azure_peak_hour();
+        let cfg = fleet_cfg(4);
+        let policy = RoutingKind::LeastLoaded.build();
+        let new = || new_worker(&w, &cfg, "hour");
+        let (report, _, engine) = run_fleet_impl(&w, &cfg, policy, "hour", &new, None).unwrap();
+        assert_conserved(&w, &report);
+        assert!(w.len() > 1_000, "a peak hour: {}", w.len());
+        let per_invocation = |count: u64| count as f64 / w.len() as f64;
+        assert!(
+            per_invocation(engine.heap_pushed) <= 0.05,
+            "{} heap pushes per invocation: {engine:?}",
+            per_invocation(engine.heap_pushed)
+        );
+        assert_eq!(engine.stale_skipped, 0, "{engine:?}");
+        assert!(per_invocation(engine.executed) > 2.0, "{engine:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly-once violated")]
+    fn a_record_placed_twice_breaks_exactly_once() {
+        let w = small_workload(3);
+        let report = run_ok(&w, &fleet_cfg(2), RoutingKind::RoundRobin.build(), "t");
+        let mut slots = vec![None; w.len()];
+        place(&mut slots, report.records[5].clone());
+        place(&mut slots, report.records[5].clone());
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly-once violated")]
+    fn a_record_past_the_workload_breaks_exactly_once() {
+        let w = small_workload(3);
+        let report = run_ok(&w, &fleet_cfg(2), RoutingKind::RoundRobin.build(), "t");
+        let mut slots = vec![None; w.len() - 1];
+        place(&mut slots, report.records[w.len() - 1].clone());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use faasbatch_metrics::events::{
 use faasbatch_metrics::latency::InvocationRecord;
 use faasbatch_metrics::report::RunReport;
 use faasbatch_simcore::cpu::{CpuGroupId, CpuStats, CpuTaskId};
-use faasbatch_simcore::engine::{Engine, EngineStats, EventArg, EventId};
+use faasbatch_simcore::engine::{AlarmId, Engine, EngineStats, EventArg};
 use faasbatch_simcore::idmap::IdMap;
 use faasbatch_simcore::memory::{AllocationId, MemCategory, MemOpKind};
 use faasbatch_simcore::time::{SimDuration, SimTime};
@@ -184,7 +184,8 @@ pub struct SimWorld {
     batches: IdMap<BatchId, Batch>,
     next_batch: u64,
     running: IdMap<CpuTaskId, WorkKind>,
-    cpu_event: Option<EventId>,
+    /// The worker's standing timers, engine alarms rather than heap events.
+    alarms: Alarms,
     /// Scratch of `cpu_tick` (the completions it is handling), kept between
     /// ticks for its capacity.
     finished: Vec<CpuTaskId>,
@@ -201,9 +202,12 @@ pub struct SimWorld {
     /// as well, and [`Worker::finish`] asserts that it is clean.
     #[cfg(debug_assertions)]
     auditor: faasbatch_metrics::events::AuditorSink,
+    /// The sink is not a [`NoopSink`]: only then are events buffered for it.
+    traced: bool,
     /// Events folded by the reducer but not yet handed to the sink; flushed
     /// in contiguous batches (the reducer always sees each event first, so
-    /// report derivation is unaffected by the buffering).
+    /// report derivation is unaffected by the buffering). Always empty in
+    /// an untraced run.
     pending_events: Vec<SimEvent>,
     /// Invocations injected so far.
     injected: usize,
@@ -213,6 +217,29 @@ pub struct SimWorld {
     /// do mid-trace. FaaSBatch's window tick is armed by arrivals and needs
     /// no stop condition.
     closed: bool,
+}
+
+/// A worker's three standing timers. Each is re-armed on most steps, so
+/// each is an engine alarm: arming one takes the sequence number a cancel
+/// and reschedule would, pushes no heap key and leaves no stale one.
+#[derive(Debug, Clone, Copy)]
+struct Alarms {
+    /// The processor-sharing pump's next completion ([`pump_cpu`]).
+    cpu: AlarmId,
+    /// The next host sample ([`sampler_tick`]).
+    sampler: AlarmId,
+    /// The policy's one pending timer ([`Ctx::set_timer`]).
+    policy: AlarmId,
+}
+
+impl Alarms {
+    fn register(engine: &mut Engine<Sim>) -> Self {
+        Alarms {
+            cpu: engine.add_alarm(cpu_tick),
+            sampler: engine.add_alarm(sampler_tick),
+            policy: engine.add_alarm(policy_timer_tick),
+        }
+    }
 }
 
 /// Flush threshold for the buffered event stream.
@@ -238,7 +265,13 @@ impl std::fmt::Debug for SimWorld {
 }
 
 impl SimWorld {
-    fn new(cfg: SimConfig, registry: FunctionRegistry, trace: Box<dyn TraceSink>) -> Self {
+    fn new(
+        cfg: SimConfig,
+        registry: FunctionRegistry,
+        trace: Box<dyn TraceSink>,
+        alarms: Alarms,
+    ) -> Self {
+        let traced = !trace.as_any().is::<NoopSink>();
         let mut cluster = Cluster::new(cfg.cores, cfg.cold_start.clone(), cfg.keep_alive);
         cluster.configure_snapshots(cfg.snapshot.clone());
         let daemon_group = cluster.cpu_mut().create_group(Some(cfg.daemon_cores));
@@ -249,7 +282,7 @@ impl SimWorld {
             batches: IdMap::default(),
             next_batch: 0,
             running: IdMap::default(),
-            cpu_event: None,
+            alarms,
             finished: Vec::new(),
             ext: IdMap::default(),
             transient_clients: IdMap::default(),
@@ -258,7 +291,8 @@ impl SimWorld {
             trace,
             #[cfg(debug_assertions)]
             auditor: Default::default(),
-            pending_events: Vec::with_capacity(EVENT_BATCH),
+            traced,
+            pending_events: Vec::with_capacity(if traced { EVENT_BATCH } else { 0 }),
             injected: 0,
             closed: false,
             cfg,
@@ -358,8 +392,8 @@ fn drain_journals(world: &mut SimWorld) {
 }
 
 /// Folds one event into the reducer and, when the run has one, the
-/// controller, then buffers it for the sink. Returns the completed
-/// invocation's record when the event completes one.
+/// controller, then buffers it for the sink unless the run is untraced.
+/// Returns the completed invocation's record when the event completes one.
 // Forced: as an outlined call this per-event step cost `sim_azure_day`
 // ~4 % of its throughput.
 #[inline(always)]
@@ -370,7 +404,9 @@ fn fold(world: &mut SimWorld, event: SimEvent) -> Option<InvocationRecord> {
     }
     #[cfg(debug_assertions)]
     world.auditor.record(&event);
-    world.pending_events.push(event);
+    if world.traced {
+        world.pending_events.push(event);
+    }
     record
 }
 
@@ -386,9 +422,24 @@ fn emit(world: &mut SimWorld, at: SimTime, kind: EventKind) -> Option<Invocation
     record
 }
 
-/// Schedules `policy.on_timer(token)` after `delay`.
-pub(crate) fn schedule_policy_timer(engine: &mut Engine<Sim>, delay: SimDuration, token: u64) {
-    engine.schedule_arg_in(delay, policy_timer_tick, EventArg::one(token));
+/// Arms the policy alarm to run `policy.on_timer(token)` after `delay`.
+///
+/// # Panics
+///
+/// Panics if the policy's timer is already pending: a policy keeps at most
+/// one.
+pub(crate) fn set_policy_timer(
+    world: &SimWorld,
+    engine: &mut Engine<Sim>,
+    delay: SimDuration,
+    token: u64,
+) {
+    let alarm = world.alarms.policy;
+    assert!(
+        engine.armed_at(alarm).is_none(),
+        "set_timer while the policy's timer is pending: a policy keeps at most one"
+    );
+    engine.arm(alarm, engine.now() + delay, EventArg::one(token));
 }
 
 fn policy_timer_tick(sim: &mut Sim, engine: &mut Engine<Sim>, arg: EventArg) {
@@ -530,20 +581,19 @@ pub(crate) fn prewarm(
     }
 }
 
-/// (Re)arms the single pending CPU-completion event.
+/// Re-arms the CPU alarm at the next completion, or disarms it when
+/// nothing runs.
 fn pump_cpu(world: &mut SimWorld, engine: &mut Engine<Sim>) {
-    if let Some(ev) = world.cpu_event.take() {
-        engine.cancel(ev);
-    }
-    if let Some((when, _)) = world.cluster.cpu_mut().next_completion(engine.now()) {
-        let ev = engine.schedule_fn_at(when, cpu_tick);
-        world.cpu_event = Some(ev);
+    match world.cluster.cpu_mut().next_completion(engine.now()) {
+        Some((when, _)) => engine.arm(world.alarms.cpu, when, EventArg::default()),
+        None => {
+            engine.disarm(world.alarms.cpu);
+        }
     }
 }
 
-fn cpu_tick(sim: &mut Sim, engine: &mut Engine<Sim>) {
+fn cpu_tick(sim: &mut Sim, engine: &mut Engine<Sim>, _: EventArg) {
     let now = engine.now();
-    sim.world.cpu_event = None;
     // The handlers below need the whole world, so the completions move to a
     // buffer the world owns between ticks.
     let mut finished = std::mem::take(&mut sim.world.finished);
@@ -1013,7 +1063,7 @@ fn finish_invocation(sim: &mut Sim, engine: &mut Engine<Sim>, id: BatchId, idx: 
     }
 }
 
-fn sampler_tick(sim: &mut Sim, engine: &mut Engine<Sim>) {
+fn sampler_tick(sim: &mut Sim, engine: &mut Engine<Sim>, _: EventArg) {
     if sim.world.done() {
         // The workload is complete; this tick only fires while the
         // harness drains in-flight pre-warm boots. Don't sample or act.
@@ -1027,8 +1077,8 @@ fn sampler_tick(sim: &mut Sim, engine: &mut Engine<Sim>) {
     // ~4 % of its throughput and ~6 % on its p50.
     flush_events(&mut sim.world);
     apply_scale_actions(&mut sim.world, engine);
-    let period = sim.world.cfg.sample_period;
-    engine.schedule_fn_in(period, sampler_tick);
+    let next = engine.now() + sim.world.cfg.sample_period;
+    engine.arm(sim.world.alarms.sampler, next, EventArg::default());
 }
 
 /// Polls the controller, if the run has one, and applies its actions. The
@@ -1212,15 +1262,16 @@ impl Worker {
         sink: Box<dyn TraceSink>,
     ) -> Self {
         let mut engine: Engine<Sim> = Engine::new();
+        let alarms = Alarms::register(&mut engine);
         let mut sim = Sim {
-            world: SimWorld::new(cfg, registry, sink),
+            world: SimWorld::new(cfg, registry, sink, alarms),
             policy,
         };
 
         // First host sample at t = 0, then every period.
         record_sample(&mut sim.world, SimTime::ZERO);
-        let period = sim.world.cfg.sample_period;
-        engine.schedule_fn_in(period, sampler_tick);
+        let first = SimTime::ZERO + sim.world.cfg.sample_period;
+        engine.arm(alarms.sampler, first, EventArg::default());
 
         {
             let Sim { world, policy } = &mut sim;
@@ -1763,6 +1814,61 @@ mod tests {
             crate::config::SimConfig::default(),
             "t",
             None,
+        );
+    }
+
+    #[test]
+    fn an_untraced_run_buffers_no_events() {
+        let w = tiny_workload();
+        let worker = |sink: Box<dyn TraceSink>| {
+            let cfg = crate::config::SimConfig::default();
+            let mut worker = Worker::new(
+                Box::new(crate::vanilla::Vanilla::new()),
+                w.registry().clone(),
+                cfg,
+                "t",
+                None,
+                sink,
+            );
+            for inv in w.invocations() {
+                worker.inject(inv);
+            }
+            worker
+        };
+        let untraced = worker(Box::new(NoopSink));
+        assert!(!untraced.sim.world.traced);
+        assert_eq!(untraced.sim.world.pending_events.capacity(), 0);
+        let traced = worker(Box::new(VecSink::new()));
+        assert!(traced.sim.world.traced);
+        assert!(!traced.sim.world.pending_events.is_empty());
+        assert_eq!(untraced.finish().0, traced.finish().0);
+    }
+
+    /// Sets a second timer before its first one fired.
+    struct TwoTimers;
+
+    impl Policy for TwoTimers {
+        fn name(&self) -> String {
+            "two-timers".into()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_secs(1), 0);
+            ctx.set_timer(SimDuration::from_secs(2), 1);
+        }
+        fn on_arrival(&mut self, _ctx: &mut Ctx<'_>, _inv: &Invocation) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "set_timer while the policy's timer is pending")]
+    fn a_second_pending_timer_panics() {
+        let w = tiny_workload();
+        Worker::new(
+            Box::new(TwoTimers),
+            w.registry().clone(),
+            crate::config::SimConfig::default(),
+            "t",
+            None,
+            Box::new(NoopSink),
         );
     }
 

@@ -122,9 +122,16 @@ impl Ctx<'_> {
         self.world.warm_count(function)
     }
 
-    /// Schedules `policy.on_timer(token)` after `delay`.
+    /// Schedules `policy.on_timer(token)` after `delay`. A policy keeps at
+    /// most one timer pending: the worker holds it as an engine alarm, not
+    /// a heap event. Re-arm from [`Policy::on_timer`], where the timer that
+    /// fired is no longer pending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy's timer is already pending.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        crate::harness::schedule_policy_timer(self.engine, delay, token);
+        crate::harness::set_policy_timer(self.world, self.engine, delay, token);
     }
 
     /// Adjusts the CPU fair-share weights of live containers mid-run — the
@@ -174,7 +181,8 @@ pub trait Policy {
     /// Called when an invocation arrives at the platform.
     fn on_arrival(&mut self, ctx: &mut Ctx<'_>, invocation: &Invocation);
 
-    /// Called when a timer registered via [`Ctx::set_timer`] fires.
+    /// Called when the timer registered via [`Ctx::set_timer`] fires. It is
+    /// no longer pending here, so this may set the next one.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
 
     /// Called when a dispatched batch begins executing in `container`

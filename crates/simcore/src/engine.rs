@@ -27,6 +27,19 @@
 //! [`EventId`] simply fails the tag check and its stale heap key is
 //! discarded when it reaches the top.
 //!
+//! # Alarms
+//!
+//! A standing timer that is re-armed on every step — a completion instant
+//! that moves whenever the work under it changes, a periodic sampler —
+//! would cost a heap push per re-arm and leave a stale key behind each
+//! cancel. Such a timer is an *alarm* instead: a `fn` handler registered
+//! once ([`Engine::add_alarm`]) with at most one pending instance, kept in
+//! a small array beside the heap. [`Engine::arm`] takes the next sequence
+//! number, exactly as a schedule would, and replaces any pending instance;
+//! [`Engine::disarm`] drops it. The run loop executes the earliest of the
+//! heap's top and the armed alarms by `(time, seq)`, so an alarm runs in
+//! exactly the place a cancel-and-reschedule of the same handler would.
+//!
 //! # Examples
 //!
 //! ```
@@ -52,6 +65,10 @@ pub struct EventId {
     seq: u64,
     slot: u32,
 }
+
+/// Names an alarm registered with [`Engine::add_alarm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AlarmId(u32);
 
 /// Fixed two-word payload for [`Engine::schedule_arg_at`] handlers.
 ///
@@ -119,20 +136,50 @@ enum SlotEntry<W> {
 
 const NO_FREE_SLOT: u32 = u32::MAX;
 
+/// An alarm's handler (the [`Engine::schedule_arg_at`] shape).
+type AlarmHandler<W> = fn(&mut W, &mut Engine<W>, EventArg);
+
+/// One registered alarm and its pending instance, if armed.
+struct Alarm<W> {
+    handler: AlarmHandler<W>,
+    /// `(time, seq, payload)` of the pending instance.
+    armed: Option<(SimTime, u64, EventArg)>,
+}
+
 /// Counts of the engine's own work since it was created. They depend only
 /// on the calls made, so they repeat exactly from run to run.
+///
+/// An [`Engine::arm`] counts as scheduled; replacing or disarming a pending
+/// alarm counts as cancelled, and a firing as executed. So the events still
+/// pending are `scheduled - executed - cancelled` whether they wait on the
+/// heap or in an alarm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Events pushed onto the queue.
+    /// Events scheduled or alarms armed.
     pub scheduled: u64,
     /// Handlers run.
     pub executed: u64,
-    /// Events cancelled before they ran.
+    /// Events cancelled, and alarm instances replaced or disarmed, before
+    /// they ran.
     pub cancelled: u64,
-    /// Heap keys of cancelled events discarded when they surfaced. The live
-    /// events are `scheduled - executed - cancelled`; [`Engine::pending`]
-    /// also counts the `cancelled - stale_skipped` keys still to surface.
+    /// Heap keys of cancelled events discarded when they surfaced.
+    /// [`Engine::pending`] also counts the heap keys of cancelled events
+    /// still to surface.
     pub stale_skipped: u64,
+    /// Keys pushed onto the heap: the scheduled events that were not alarm
+    /// arms.
+    pub heap_pushed: u64,
+}
+
+/// Counters of several engines (a fleet's workers) add up field by field.
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, other: Self) {
+        self.scheduled += other.scheduled;
+        self.executed += other.executed;
+        self.cancelled += other.cancelled;
+        self.stale_skipped += other.stale_skipped;
+        self.heap_pushed += other.heap_pushed;
+    }
 }
 
 /// A deterministic discrete-event simulation engine over world state `W`.
@@ -143,6 +190,9 @@ pub struct Engine<W> {
     slots: Vec<SlotEntry<W>>,
     free_head: u32,
     stats: EngineStats,
+    /// Heap keys popped and run (the rest of `executed` are alarm firings).
+    heap_executed: u64,
+    alarms: Vec<Alarm<W>>,
     horizon: Option<SimTime>,
 }
 
@@ -150,7 +200,7 @@ impl<W> std::fmt::Debug for Engine<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.queue.len())
+            .field("pending", &self.pending())
             .field("executed", &self.stats.executed)
             .finish()
     }
@@ -172,6 +222,8 @@ impl<W> Engine<W> {
             slots: Vec::new(),
             free_head: NO_FREE_SLOT,
             stats: EngineStats::default(),
+            heap_executed: 0,
+            alarms: Vec::new(),
             horizon: None,
         }
     }
@@ -191,9 +243,10 @@ impl<W> Engine<W> {
         self.stats
     }
 
-    /// Number of events still pending (including cancelled-but-unpopped ones).
+    /// Number of events still pending: armed alarms and heap keys,
+    /// including the keys of cancelled events not yet popped.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.alarms.iter().filter(|a| a.armed.is_some()).count()
     }
 
     /// Stops the run loop once the clock would pass `t`; events at exactly
@@ -229,7 +282,8 @@ impl<W> Engine<W> {
         self.free_head = slot;
     }
 
-    fn push(&mut self, at: SimTime, handler: HandlerKind<W>) -> EventId {
+    /// Takes the next sequence number for an event at `at`.
+    fn next_seq(&mut self, at: SimTime) -> u64 {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: {at} < {}",
@@ -238,6 +292,12 @@ impl<W> Engine<W> {
         let seq = self.seq;
         self.seq += 1;
         self.stats.scheduled += 1;
+        seq
+    }
+
+    fn push(&mut self, at: SimTime, handler: HandlerKind<W>) -> EventId {
+        let seq = self.next_seq(at);
+        self.stats.heap_pushed += 1;
         let slot = self.claim_slot(seq, handler);
         self.queue.push(Reverse(HeapKey {
             time: at,
@@ -336,6 +396,70 @@ impl<W> Engine<W> {
         }
     }
 
+    /// Registers `handler` as an alarm, disarmed. Alarms live as long as
+    /// the engine.
+    pub fn add_alarm(&mut self, handler: fn(&mut W, &mut Engine<W>, EventArg)) -> AlarmId {
+        self.alarms.push(Alarm {
+            handler,
+            armed: None,
+        });
+        AlarmId(self.alarms.len() as u32 - 1)
+    }
+
+    /// Arms `alarm` to run its handler with `arg` at `at`, replacing the
+    /// pending instance if there is one. The instance takes the next
+    /// sequence number, exactly as [`schedule_arg_at`](Self::schedule_arg_at)
+    /// would, so it runs where a cancel-and-reschedule would have put it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time.
+    pub fn arm(&mut self, alarm: AlarmId, at: SimTime, arg: EventArg) {
+        let seq = self.next_seq(at);
+        let armed = &mut self.alarms[alarm.0 as usize].armed;
+        if armed.replace((at, seq, arg)).is_some() {
+            self.stats.cancelled += 1;
+        }
+    }
+
+    /// Drops `alarm`'s pending instance. Returns `true` if one was pending.
+    pub fn disarm(&mut self, alarm: AlarmId) -> bool {
+        let cancelled = self.alarms[alarm.0 as usize].armed.take().is_some();
+        self.stats.cancelled += u64::from(cancelled);
+        cancelled
+    }
+
+    /// When `alarm`'s pending instance runs; `None` while it is disarmed.
+    pub fn armed_at(&self, alarm: AlarmId) -> Option<SimTime> {
+        self.alarms[alarm.0 as usize].armed.map(|(at, _, _)| at)
+    }
+
+    /// The armed alarm that runs first: its `(time, seq)` and index.
+    fn next_alarm(&self) -> Option<((SimTime, u64), usize)> {
+        let mut next: Option<((SimTime, u64), usize)> = None;
+        for (i, alarm) in self.alarms.iter().enumerate() {
+            if let Some((at, seq, _)) = alarm.armed {
+                if next.is_none_or(|(first, _)| (at, seq) < first) {
+                    next = Some(((at, seq), i));
+                }
+            }
+        }
+        next
+    }
+
+    /// The heap's first live key, after discarding the stale (cancelled)
+    /// keys above it.
+    fn live_top(&mut self) -> Option<HeapKey> {
+        while let Some(Reverse(key)) = self.queue.peek().copied() {
+            if self.key_is_live(&key) {
+                return Some(key);
+            }
+            self.queue.pop();
+            self.stats.stale_skipped += 1;
+        }
+        None
+    }
+
     /// True when `key` still owns its slot (not cancelled, not executed).
     fn key_is_live(&self, key: &HeapKey) -> bool {
         matches!(
@@ -344,22 +468,18 @@ impl<W> Engine<W> {
         )
     }
 
-    /// Time of the next live event, discarding stale (cancelled) heap keys
-    /// from the top. Ignores the horizon. `None` when nothing is pending.
+    /// Time of the next live event — the heap's or an armed alarm's —
+    /// discarding stale (cancelled) heap keys from the top. Ignores the
+    /// horizon. `None` when nothing is pending.
     ///
     /// This is the peek a caller driving external arrivals needs: skipping
     /// cancelled keys matters, because a stale key can carry an *earlier*
     /// time than the next real event and would otherwise make the caller
     /// miss its injection window.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(key)) = self.queue.peek() {
-            if self.key_is_live(key) {
-                return Some(key.time);
-            }
-            self.queue.pop();
-            self.stats.stale_skipped += 1;
-        }
-        None
+        let heap = self.live_top().map(|key| key.time);
+        let alarm = self.next_alarm().map(|((at, _), _)| at);
+        heap.into_iter().chain(alarm).min()
     }
 
     /// Advances the clock to `t` without executing anything — the hook for
@@ -392,51 +512,57 @@ impl<W> Engine<W> {
         self.stats.executed - before
     }
 
-    /// Executes the single next event.
+    /// Executes the single next event: the earliest of the heap's top and
+    /// the armed alarms, by `(time, seq)`.
     ///
-    /// Returns `false` when there is nothing left to do (empty queue or
+    /// Returns `false` when there is nothing left to do (nothing pending or
     /// horizon reached).
     pub fn step(&mut self, world: &mut W) -> bool {
         // Every key pushed leaves the heap executed or skipped as stale.
         debug_assert_eq!(
             self.queue.len() as u64,
-            self.stats.scheduled - self.stats.executed - self.stats.stale_skipped
+            self.stats.heap_pushed - self.heap_executed - self.stats.stale_skipped
         );
-        loop {
-            let Some(Reverse(key)) = self.queue.peek().copied() else {
-                return false;
-            };
-            if !self.key_is_live(&key) {
-                self.queue.pop();
-                self.stats.stale_skipped += 1;
-                continue;
-            }
-            if let Some(h) = self.horizon {
-                if key.time > h {
-                    return false;
-                }
-            }
-            self.queue.pop();
-            let entry = std::mem::replace(
-                &mut self.slots[key.slot as usize],
-                SlotEntry::Free {
-                    next_free: self.free_head,
-                },
-            );
-            self.free_head = key.slot;
-            let SlotEntry::Live { handler, .. } = entry else {
-                unreachable!("live key lost its slot");
-            };
-            debug_assert!(key.time >= self.now, "event queue went backwards");
-            self.now = key.time;
-            self.stats.executed += 1;
-            match handler {
-                HandlerKind::Fn(f) => f(world, self),
-                HandlerKind::FnArg(f, arg) => f(world, self, arg),
-                HandlerKind::Boxed(f) => f(world, self),
-            }
+        let top = self.live_top();
+        // The first armed alarm, when it runs before the heap's top.
+        let alarm = self
+            .next_alarm()
+            .filter(|&(first, _)| top.is_none_or(|key| first < (key.time, key.seq)));
+        let Some(time) = alarm.map(|((at, _), _)| at).or(top.map(|key| key.time)) else {
+            return false;
+        };
+        if self.horizon.is_some_and(|h| time > h) {
+            return false;
+        }
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        self.stats.executed += 1;
+        if let Some((_, i)) = alarm {
+            let alarm = &mut self.alarms[i];
+            let (_, _, arg) = alarm.armed.take().expect("the alarm is armed");
+            let handler = alarm.handler;
+            handler(world, self, arg);
             return true;
         }
+        let key = top.expect("the heap's top runs");
+        self.queue.pop();
+        self.heap_executed += 1;
+        let entry = std::mem::replace(
+            &mut self.slots[key.slot as usize],
+            SlotEntry::Free {
+                next_free: self.free_head,
+            },
+        );
+        self.free_head = key.slot;
+        let SlotEntry::Live { handler, .. } = entry else {
+            unreachable!("live key lost its slot");
+        };
+        match handler {
+            HandlerKind::Fn(f) => f(world, self),
+            HandlerKind::FnArg(f, arg) => f(world, self, arg),
+            HandlerKind::Boxed(f) => f(world, self),
+        }
+        true
     }
 }
 
@@ -669,9 +795,229 @@ mod tests {
                 executed: 4,
                 cancelled: 2,
                 stale_skipped: 2,
+                heap_pushed: 6,
             }
         );
         assert_eq!(e.pending(), 0);
+    }
+
+    #[test]
+    fn an_alarm_runs_where_a_reschedule_would_and_counts_as_one() {
+        fn log(w: &mut Vec<u64>, _: &mut Engine<Vec<u64>>, arg: EventArg) {
+            w.push(arg.a);
+        }
+        let mut e: Engine<Vec<u64>> = Engine::new();
+        let mut w = Vec::new();
+        let alarm = e.add_alarm(log);
+        let t = SimTime::from_millis(5);
+        e.schedule_arg_at(t, log, EventArg::one(0));
+        e.arm(alarm, t, EventArg::one(99));
+        e.schedule_arg_at(t, log, EventArg::one(2));
+        // The re-arm takes a later sequence number, as a reschedule would.
+        e.arm(alarm, t, EventArg::one(3));
+        assert_eq!(e.armed_at(alarm), Some(t));
+        assert_eq!(e.next_event_time(), Some(t));
+        assert_eq!(e.pending(), 3);
+        e.run(&mut w);
+        assert_eq!(w, vec![0, 2, 3]);
+        assert_eq!(e.armed_at(alarm), None);
+        assert!(!e.disarm(alarm), "a fired alarm is not pending");
+        let s = e.stats();
+        assert_eq!((s.scheduled, s.executed, s.cancelled), (4, 3, 1));
+        assert_eq!((s.heap_pushed, s.stale_skipped), (2, 0));
+    }
+
+    #[test]
+    fn a_disarmed_alarm_does_not_run_and_the_horizon_holds_an_armed_one() {
+        fn bump(w: &mut u32, _: &mut Engine<u32>, _: EventArg) {
+            *w += 1;
+        }
+        let mut e: Engine<u32> = Engine::new();
+        let mut w = 0;
+        let alarm = e.add_alarm(bump);
+        e.arm(alarm, SimTime::from_secs(1), EventArg::default());
+        assert!(e.disarm(alarm));
+        assert_eq!(e.next_event_time(), None);
+        assert!(!e.step(&mut w));
+        e.arm(alarm, SimTime::from_secs(3), EventArg::default());
+        e.set_horizon(SimTime::from_secs(2));
+        assert_eq!(e.run(&mut w), 0);
+        assert_eq!((w, e.pending()), (0, 1));
+        assert_eq!(e.stats().cancelled, 1);
+    }
+
+    /// The property's alarms: the engine's own, or the reference — heap
+    /// events cancelled and rescheduled by hand, as the harness drove its
+    /// standing timers before alarms existed.
+    enum Timers {
+        Alarms(Vec<AlarmId>),
+        Heap(Vec<Option<EventId>>),
+    }
+
+    struct Prop {
+        timers: Timers,
+        /// Ids of the plain events scheduled, for the cancel op.
+        events: Vec<EventId>,
+        /// `(label, now)` of every handler run, in order.
+        log: Vec<(u64, SimTime)>,
+    }
+
+    const ALARMS: usize = 3;
+
+    /// Payload `b` of an alarm instance: which alarm, and whether its
+    /// handler re-arms it `delay − 1` µs later (0: no re-arm).
+    fn alarm_arg(label: u64, k: usize, rearm: u64) -> EventArg {
+        EventArg::new(label, k as u64 | rearm << 8)
+    }
+
+    fn arm(w: &mut Prop, e: &mut Engine<Prop>, k: usize, at: SimTime, arg: EventArg) {
+        match &mut w.timers {
+            Timers::Alarms(ids) => e.arm(ids[k], at, arg),
+            Timers::Heap(ids) => {
+                if let Some(id) = ids[k].take() {
+                    e.cancel(id);
+                }
+                ids[k] = Some(e.schedule_arg_at(at, alarm_fired, arg));
+            }
+        }
+    }
+
+    fn disarm(w: &mut Prop, e: &mut Engine<Prop>, k: usize) -> bool {
+        match &mut w.timers {
+            Timers::Alarms(ids) => e.disarm(ids[k]),
+            Timers::Heap(ids) => ids[k].take().is_some_and(|id| e.cancel(id)),
+        }
+    }
+
+    fn alarm_fired(w: &mut Prop, e: &mut Engine<Prop>, arg: EventArg) {
+        let k = (arg.b & 0xff) as usize;
+        if let Timers::Heap(ids) = &mut w.timers {
+            ids[k] = None;
+        }
+        w.log.push((arg.a, e.now()));
+        let rearm = arg.b >> 8;
+        if rearm > 0 {
+            let at = e.now() + SimDuration::from_micros(rearm - 1);
+            arm(w, e, k, at, alarm_arg(arg.a + 1_000_000, k, 0));
+        }
+    }
+
+    /// A plain event; `b`, when non-zero, arms alarm `b & 0xff` (minus one)
+    /// `b >> 8` µs later from inside the handler, or disarms it when that
+    /// is `u64::MAX >> 8`.
+    fn event_fired(w: &mut Prop, e: &mut Engine<Prop>, arg: EventArg) {
+        w.log.push((arg.a, e.now()));
+        if arg.b > 0 {
+            let k = (arg.b & 0xff) as usize - 1;
+            match arg.b >> 8 {
+                u if u == u64::MAX >> 8 => {
+                    disarm(w, e, k);
+                }
+                delay => {
+                    let at = e.now() + SimDuration::from_micros(delay);
+                    arm(w, e, k, at, alarm_arg(arg.a + 2_000_000, k, 0));
+                }
+            }
+        }
+    }
+
+    fn prop_engine(alarms: bool) -> (Engine<Prop>, Prop) {
+        let mut e = Engine::new();
+        let timers = if alarms {
+            Timers::Alarms((0..ALARMS).map(|_| e.add_alarm(alarm_fired)).collect())
+        } else {
+            Timers::Heap(vec![None; ALARMS])
+        };
+        let w = Prop {
+            timers,
+            events: Vec::new(),
+            log: Vec::new(),
+        };
+        (e, w)
+    }
+
+    fn counts(s: EngineStats) -> (u64, u64, u64) {
+        (s.scheduled, s.executed, s.cancelled)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random sequences of schedule, cancel, arm, re-arm, disarm and
+        /// step — delays of a few µs, so most instants are ties — with
+        /// alarms re-armed and disarmed from inside handlers and a horizon
+        /// set part-way. Alarms and the cancel-and-reschedule reference run
+        /// the same handlers in the same order at the same instants, report
+        /// the same next event, and count the same scheduled, executed and
+        /// cancelled events; the alarms push no heap key and leave none
+        /// stale.
+        #[test]
+        fn alarms_run_as_cancel_and_reschedule_does(
+            ops in proptest::collection::vec((0u8..10, 0u32..1_000, 0u32..1_000), 1..200),
+        ) {
+            let (mut ea, mut wa) = prop_engine(true);
+            let (mut er, mut wr) = prop_engine(false);
+            let mut label = 0u64;
+            let mut plain_cancels = 0;
+            for (op, a, b) in ops {
+                label += 1;
+                let delay = SimDuration::from_micros(u64::from(a % 4));
+                let k = b as usize % ALARMS;
+                match op {
+                    0 | 1 => {
+                        // A plain event, half of them touching an alarm.
+                        let touch = match b % 4 {
+                            0 | 1 => 0,
+                            2 => (k as u64 + 1) | u64::from(a % 3) << 8,
+                            _ => (k as u64 + 1) | (u64::MAX >> 8) << 8,
+                        };
+                        for (e, w) in [(&mut ea, &mut wa), (&mut er, &mut wr)] {
+                            let at = e.now() + delay;
+                            let id = e.schedule_arg_at(at, event_fired, EventArg::new(label, touch));
+                            w.events.push(id);
+                        }
+                    }
+                    2 if !wa.events.is_empty() => {
+                        let i = b as usize % wa.events.len();
+                        let cancelled = ea.cancel(wa.events[i]);
+                        prop_assert_eq!(cancelled, er.cancel(wr.events[i]));
+                        plain_cancels += u64::from(cancelled);
+                    }
+                    3 | 4 => {
+                        // Arm or re-arm; a third of them re-arm from their
+                        // own handler.
+                        let rearm = if a % 3 == 0 { u64::from(b % 3) + 1 } else { 0 };
+                        for (e, w) in [(&mut ea, &mut wa), (&mut er, &mut wr)] {
+                            let at = e.now() + delay;
+                            arm(w, e, k, at, alarm_arg(label, k, rearm));
+                        }
+                    }
+                    5 => prop_assert_eq!(disarm(&mut wa, &mut ea, k), disarm(&mut wr, &mut er, k)),
+                    6 if a % 8 == 0 => {
+                        let at = ea.now() + SimDuration::from_micros(u64::from(b % 20));
+                        ea.set_horizon(at);
+                        er.set_horizon(at);
+                    }
+                    _ => prop_assert_eq!(ea.step(&mut wa), er.step(&mut wr)),
+                }
+                prop_assert_eq!(ea.now(), er.now());
+                prop_assert_eq!(&wa.log, &wr.log);
+                prop_assert_eq!(ea.next_event_time(), er.next_event_time());
+                prop_assert_eq!(counts(ea.stats()), counts(er.stats()));
+            }
+            loop {
+                let (ran_a, ran_r) = (ea.step(&mut wa), er.step(&mut wr));
+                prop_assert_eq!(ran_a, ran_r);
+                prop_assert_eq!(ea.now(), er.now());
+                prop_assert_eq!(&wa.log, &wr.log);
+                if !ran_a {
+                    break;
+                }
+            }
+            prop_assert_eq!(counts(ea.stats()), counts(er.stats()));
+            prop_assert_eq!(ea.stats().heap_pushed as usize, wa.events.len());
+            prop_assert!(ea.stats().stale_skipped <= plain_cancels);
+        }
     }
 
     #[test]

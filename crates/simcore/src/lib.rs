@@ -53,7 +53,7 @@ pub mod rng;
 pub mod time;
 
 pub use cpu::{CpuGroupId, CpuModel, CpuStats, CpuTaskId};
-pub use engine::{Engine, EngineStats, EventId};
+pub use engine::{AlarmId, Engine, EngineStats, EventId};
 pub use group::WindowGroups;
 pub use idmap::{IdMap, IdSet};
 pub use memory::{AllocationId, MemCategory, MemOp, MemOpKind, MemoryLedger};

@@ -104,16 +104,35 @@ impl DetRng {
     /// Panics if `weights` is empty or sums to zero or less.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
         assert!(!weights.is_empty(), "no weights");
-        let total: f64 = weights.iter().sum();
+        self.weighted_pick(weights.iter().copied())
+    }
+
+    /// [`weighted_index`](Self::weighted_index) over weights read from an
+    /// iterator, walked twice (the sum, then the pick), so a caller whose
+    /// weights sit in a field of its items collects nothing. The draw is the
+    /// same: one uniform, the same sum, the same subtractions in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights sum to zero or less (an empty iterator does).
+    pub fn weighted_pick<I>(&mut self, weights: I) -> usize
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: Clone,
+    {
+        let weights = weights.into_iter();
+        let total: f64 = weights.clone().sum();
         assert!(total > 0.0, "weights sum to {total}");
         let mut x = self.uniform() * total;
-        for (i, w) in weights.iter().enumerate() {
+        let mut last = 0;
+        for (i, w) in weights.enumerate() {
             x -= w;
             if x < 0.0 {
                 return i;
             }
+            last = i;
         }
-        weights.len() - 1
+        last
     }
 
     /// Fisher–Yates shuffle.
@@ -186,6 +205,36 @@ mod tests {
         assert_eq!(counts[0], 0);
         let ratio = counts[2] as f64 / counts[1] as f64;
         assert!((ratio - 3.0).abs() < 0.4, "ratio {ratio}");
+    }
+
+    #[test]
+    fn weighted_pick_draws_what_the_collected_slice_drew() {
+        // The allocating form this replaced: collect, sum, subtract in order.
+        fn collected(rng: &mut DetRng, weights: &[f64]) -> usize {
+            let weights: Vec<f64> = weights.to_vec();
+            let total: f64 = weights.iter().sum();
+            let mut x = rng.uniform() * total;
+            for (i, w) in weights.iter().enumerate() {
+                x -= w;
+                if x < 0.0 {
+                    return i;
+                }
+            }
+            weights.len() - 1
+        }
+        let mut shapes = DetRng::new(9);
+        for seed in 0..200 {
+            let n = 1 + seed as usize % 7;
+            let weights: Vec<f64> = (0..n).map(|_| shapes.uniform() * 0.3).collect();
+            let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
+            for _ in 0..50 {
+                assert_eq!(
+                    a.weighted_pick(weights.iter().copied()),
+                    collected(&mut b, &weights)
+                );
+            }
+            assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
+        }
     }
 
     #[test]

@@ -224,15 +224,6 @@ pub fn parse_durations_csv<R: Read>(reader: R) -> Result<Vec<FunctionDurations>,
     Ok(out)
 }
 
-/// The hottest `n` functions of a day by total invocations (the paper's
-/// Fig. 2 picks three functions invoked > 1000 times).
-pub fn hottest_functions(days: &[FunctionDay], n: usize) -> Vec<&FunctionDay> {
-    let mut sorted: Vec<&FunctionDay> = days.iter().collect();
-    sorted.sort_by_key(|d| std::cmp::Reverse(d.daily_total()));
-    sorted.truncate(n);
-    sorted
-}
-
 /// Rebuilds the paper's replay: every invocation of minute `minute`
 /// (0-based) across `days`, spread uniformly inside the minute, with
 /// durations sampled from the per-function averages (falling back to the
@@ -378,13 +369,6 @@ mod tests {
         };
         let mut rng = DetRng::new(1);
         assert_eq!(d.sample(&mut rng), SimDuration::from_millis(77));
-    }
-
-    #[test]
-    fn hottest_functions_sorts_by_volume() {
-        let days = parse_invocations_csv(inv_csv().as_bytes()).unwrap();
-        let hot = hottest_functions(&days, 1);
-        assert_eq!(hot[0].function, "f2");
     }
 
     #[test]

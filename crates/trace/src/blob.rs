@@ -65,8 +65,7 @@ impl BlobIatModel {
 
     /// Samples one inter-access time.
     pub fn sample(&self, rng: &mut DetRng) -> SimDuration {
-        let weights: Vec<f64> = self.bands.iter().map(|b| b.probability).collect();
-        let band = self.bands[rng.weighted_index(&weights)];
+        let band = self.bands[rng.weighted_pick(self.bands.iter().map(|b| b.probability))];
         let ms = rng.uniform_range(band.lo_ms.ln(), band.hi_ms.ln()).exp();
         SimDuration::from_millis_f64(ms)
     }

@@ -92,8 +92,7 @@ impl DurationDistribution {
     /// Within a bucket the value is log-uniform, reflecting the heavy skew
     /// of real function durations.
     pub fn sample(&self, rng: &mut DetRng) -> SimDuration {
-        let weights: Vec<f64> = self.buckets.iter().map(|b| b.probability).collect();
-        let b = self.buckets[rng.weighted_index(&weights)];
+        let b = self.buckets[rng.weighted_pick(self.buckets.iter().map(|b| b.probability))];
         let lo = b.lo_ms.max(0.1);
         let ms = (rng.uniform_range(lo.ln(), b.hi_ms.ln())).exp();
         SimDuration::from_millis_f64(ms)
