@@ -11,16 +11,11 @@
 //! The heap holds only small `Copy` keys (`time`, `seq`, `slot`); handlers
 //! live in a slab of pooled slots with a free list, so steady-state
 //! scheduling reuses freed entries instead of heap-allocating per event.
-//! Two handler shapes avoid boxing entirely:
-//!
-//! * [`Engine::schedule_fn_at`] — a plain `fn` pointer, for handlers that
-//!   need no captured state;
-//! * [`Engine::schedule_arg_at`] — a `fn` pointer plus a fixed two-word
-//!   [`EventArg`] payload, which covers every hot event in the scheduler
-//!   harness (batch ids, container ids, member indices, timer tokens).
-//!
-//! Closures are still accepted by [`Engine::schedule_at`] for cold paths
-//! and tests; only that variant allocates.
+//! A handler has one shape: a `fn` pointer plus a fixed two-word
+//! [`EventArg`] payload ([`Engine::schedule_arg_at`]), which carries every
+//! identity an event needs (batch ids, container ids, member indices, timer
+//! tokens) by value. Nothing is boxed, so scheduling never allocates once
+//! the slab has grown to the run's peak.
 //!
 //! Cancellation is O(1) and allocation-free: each slot is tagged with the
 //! owning event's sequence number, so a cancelled or already-executed
@@ -43,16 +38,18 @@
 //! # Examples
 //!
 //! ```
-//! use faasbatch_simcore::engine::Engine;
-//! use faasbatch_simcore::time::{SimDuration, SimTime};
+//! use faasbatch_simcore::engine::{Engine, EventArg};
+//! use faasbatch_simcore::time::SimDuration;
 //!
-//! let mut engine: Engine<Vec<u64>> = Engine::new();
+//! fn log(w: &mut Vec<(u64, u64)>, e: &mut Engine<Vec<(u64, u64)>>, arg: EventArg) {
+//!     w.push((arg.a, e.now().as_micros()));
+//! }
+//!
+//! let mut engine = Engine::new();
 //! let mut world = Vec::new();
-//! engine.schedule_in(SimDuration::from_millis(5), |w: &mut Vec<u64>, e| {
-//!     w.push(e.now().as_micros());
-//! });
+//! engine.schedule_arg_in(SimDuration::from_millis(5), log, EventArg::one(7));
 //! engine.run(&mut world);
-//! assert_eq!(world, vec![5_000]);
+//! assert_eq!(world, vec![(7, 5_000)]);
 //! ```
 
 use crate::time::{SimDuration, SimTime};
@@ -116,32 +113,27 @@ impl Ord for HeapKey {
     }
 }
 
-/// A boxed one-shot handler (the cold-path form).
-type BoxedHandler<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+/// An event's handler; scheduled events and alarms share the shape.
+type Handler<W> = fn(&mut W, &mut Engine<W>, EventArg);
 
-/// The pooled handler forms. `Fn`/`FnArg` are allocation-free; `Boxed`
-/// supports arbitrary captures for cold paths and tests.
-enum HandlerKind<W> {
-    Fn(fn(&mut W, &mut Engine<W>)),
-    FnArg(fn(&mut W, &mut Engine<W>, EventArg), EventArg),
-    Boxed(BoxedHandler<W>),
-}
-
-/// One slab entry: either a live handler tagged with its owning sequence
-/// number, or a link in the free list.
+/// One slab entry: either a live handler and its payload, tagged with the
+/// owning sequence number, or a link in the free list.
 enum SlotEntry<W> {
-    Free { next_free: u32 },
-    Live { seq: u64, handler: HandlerKind<W> },
+    Free {
+        next_free: u32,
+    },
+    Live {
+        seq: u64,
+        handler: Handler<W>,
+        arg: EventArg,
+    },
 }
 
 const NO_FREE_SLOT: u32 = u32::MAX;
 
-/// An alarm's handler (the [`Engine::schedule_arg_at`] shape).
-type AlarmHandler<W> = fn(&mut W, &mut Engine<W>, EventArg);
-
 /// One registered alarm and its pending instance, if armed.
 struct Alarm<W> {
-    handler: AlarmHandler<W>,
+    handler: Handler<W>,
     /// `(time, seq, payload)` of the pending instance.
     armed: Option<(SimTime, u64, EventArg)>,
 }
@@ -163,8 +155,6 @@ pub struct EngineStats {
     /// they ran.
     pub cancelled: u64,
     /// Heap keys of cancelled events discarded when they surfaced.
-    /// [`Engine::pending`] also counts the heap keys of cancelled events
-    /// still to surface.
     pub stale_skipped: u64,
     /// Keys pushed onto the heap: the scheduled events that were not alarm
     /// arms.
@@ -200,8 +190,7 @@ impl<W> std::fmt::Debug for Engine<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.pending())
-            .field("executed", &self.stats.executed)
+            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -233,20 +222,9 @@ impl<W> Engine<W> {
         self.now
     }
 
-    /// Number of events executed so far.
-    pub fn executed(&self) -> u64 {
-        self.stats.executed
-    }
-
     /// The engine's work counters.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// Number of events still pending: armed alarms and heap keys,
-    /// including the keys of cancelled events not yet popped.
-    pub fn pending(&self) -> usize {
-        self.queue.len() + self.alarms.iter().filter(|a| a.armed.is_some()).count()
     }
 
     /// Stops the run loop once the clock would pass `t`; events at exactly
@@ -255,8 +233,9 @@ impl<W> Engine<W> {
         self.horizon = Some(t);
     }
 
-    /// Claims a slab slot (reusing the free list) and stores `handler` in it.
-    fn claim_slot(&mut self, seq: u64, handler: HandlerKind<W>) -> u32 {
+    /// Claims a slab slot (reusing the free list) and stores `handler` and
+    /// `arg` in it.
+    fn claim_slot(&mut self, seq: u64, handler: Handler<W>, arg: EventArg) -> u32 {
         if self.free_head != NO_FREE_SLOT {
             let slot = self.free_head;
             let entry = &mut self.slots[slot as usize];
@@ -264,12 +243,12 @@ impl<W> Engine<W> {
                 unreachable!("free-list head points at a live slot");
             };
             self.free_head = next_free;
-            *entry = SlotEntry::Live { seq, handler };
+            *entry = SlotEntry::Live { seq, handler, arg };
             slot
         } else {
             let slot = self.slots.len() as u32;
             assert!(slot != NO_FREE_SLOT, "event slab exhausted");
-            self.slots.push(SlotEntry::Live { seq, handler });
+            self.slots.push(SlotEntry::Live { seq, handler, arg });
             slot
         }
     }
@@ -295,10 +274,16 @@ impl<W> Engine<W> {
         seq
     }
 
-    fn push(&mut self, at: SimTime, handler: HandlerKind<W>) -> EventId {
+    /// Schedules a `fn` handler carrying a fixed [`EventArg`] payload at
+    /// absolute time `at` — allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time.
+    pub fn schedule_arg_at(&mut self, at: SimTime, handler: Handler<W>, arg: EventArg) -> EventId {
         let seq = self.next_seq(at);
         self.stats.heap_pushed += 1;
-        let slot = self.claim_slot(seq, handler);
+        let slot = self.claim_slot(seq, handler, arg);
         self.queue.push(Reverse(HeapKey {
             time: at,
             seq,
@@ -307,73 +292,12 @@ impl<W> Engine<W> {
         EventId { seq, slot }
     }
 
-    /// Schedules a boxed `handler` to run at absolute time `at`.
-    ///
-    /// This variant allocates for the closure; prefer
-    /// [`schedule_fn_at`](Self::schedule_fn_at) or
-    /// [`schedule_arg_at`](Self::schedule_arg_at) on hot paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time — events cannot run in the
-    /// past.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        handler: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
-    ) -> EventId {
-        self.push(at, HandlerKind::Boxed(Box::new(handler)))
-    }
-
-    /// Schedules `handler` to run after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        handler: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now + delay, handler)
-    }
-
-    /// Schedules a plain `fn` handler at absolute time `at` —
-    /// allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule_fn_at(&mut self, at: SimTime, handler: fn(&mut W, &mut Engine<W>)) -> EventId {
-        self.push(at, HandlerKind::Fn(handler))
-    }
-
-    /// Schedules a plain `fn` handler after `delay` — allocation-free.
-    pub fn schedule_fn_in(
-        &mut self,
-        delay: SimDuration,
-        handler: fn(&mut W, &mut Engine<W>),
-    ) -> EventId {
-        self.schedule_fn_at(self.now + delay, handler)
-    }
-
-    /// Schedules a `fn` handler carrying a fixed [`EventArg`] payload at
-    /// absolute time `at` — allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule_arg_at(
-        &mut self,
-        at: SimTime,
-        handler: fn(&mut W, &mut Engine<W>, EventArg),
-        arg: EventArg,
-    ) -> EventId {
-        self.push(at, HandlerKind::FnArg(handler, arg))
-    }
-
     /// Schedules a `fn` handler carrying a fixed [`EventArg`] payload after
     /// `delay` — allocation-free.
     pub fn schedule_arg_in(
         &mut self,
         delay: SimDuration,
-        handler: fn(&mut W, &mut Engine<W>, EventArg),
+        handler: Handler<W>,
         arg: EventArg,
     ) -> EventId {
         self.schedule_arg_at(self.now + delay, handler, arg)
@@ -398,7 +322,7 @@ impl<W> Engine<W> {
 
     /// Registers `handler` as an alarm, disarmed. Alarms live as long as
     /// the engine.
-    pub fn add_alarm(&mut self, handler: fn(&mut W, &mut Engine<W>, EventArg)) -> AlarmId {
+    pub fn add_alarm(&mut self, handler: Handler<W>) -> AlarmId {
         self.alarms.push(Alarm {
             handler,
             armed: None,
@@ -554,14 +478,10 @@ impl<W> Engine<W> {
             },
         );
         self.free_head = key.slot;
-        let SlotEntry::Live { handler, .. } = entry else {
+        let SlotEntry::Live { handler, arg, .. } = entry else {
             unreachable!("live key lost its slot");
         };
-        match handler {
-            HandlerKind::Fn(f) => f(world, self),
-            HandlerKind::FnArg(f, arg) => f(world, self, arg),
-            HandlerKind::Boxed(f) => f(world, self),
-        }
+        handler(world, self, arg);
         true
     }
 }
@@ -572,13 +492,31 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// Records the payload's first word.
+    fn push(w: &mut Vec<u64>, _: &mut Engine<Vec<u64>>, arg: EventArg) {
+        w.push(arg.a);
+    }
+
+    /// Records the instant it runs at, in µs.
+    fn push_now(w: &mut Vec<u64>, e: &mut Engine<Vec<u64>>, _: EventArg) {
+        w.push(e.now().as_micros());
+    }
+
+    fn nop<W>(_: &mut W, _: &mut Engine<W>, _: EventArg) {}
+
+    /// Events waiting to run or to surface as stale: armed alarms and heap
+    /// keys, including the keys of cancelled events not yet popped.
+    fn pending<W>(e: &Engine<W>) -> usize {
+        e.queue.len() + e.alarms.iter().filter(|a| a.armed.is_some()).count()
+    }
+
     #[test]
     fn events_run_in_time_order() {
-        let mut e: Engine<Vec<u32>> = Engine::new();
+        let mut e = Engine::new();
         let mut w = Vec::new();
-        e.schedule_at(SimTime::from_millis(30), |w: &mut Vec<u32>, _| w.push(3));
-        e.schedule_at(SimTime::from_millis(10), |w: &mut Vec<u32>, _| w.push(1));
-        e.schedule_at(SimTime::from_millis(20), |w: &mut Vec<u32>, _| w.push(2));
+        e.schedule_arg_at(SimTime::from_millis(30), push, EventArg::one(3));
+        e.schedule_arg_at(SimTime::from_millis(10), push, EventArg::one(1));
+        e.schedule_arg_at(SimTime::from_millis(20), push, EventArg::one(2));
         e.run(&mut w);
         assert_eq!(w, vec![1, 2, 3]);
         assert_eq!(e.now(), SimTime::from_millis(30));
@@ -586,11 +524,11 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut e: Engine<Vec<u32>> = Engine::new();
+        let mut e = Engine::new();
         let mut w = Vec::new();
         let t = SimTime::from_millis(5);
         for i in 0..10 {
-            e.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
+            e.schedule_arg_at(t, push, EventArg::one(i));
         }
         e.run(&mut w);
         assert_eq!(w, (0..10).collect::<Vec<_>>());
@@ -598,31 +536,30 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order_across_handler_kinds() {
-        fn push_arg(w: &mut Vec<u32>, _: &mut Engine<Vec<u32>>, arg: EventArg) {
-            w.push(arg.a as u32);
-        }
-        let mut e: Engine<Vec<u32>> = Engine::new();
+        // The two kinds of pending instance: a heap event and an alarm.
+        let mut e = Engine::new();
         let mut w = Vec::new();
         let t = SimTime::from_millis(5);
-        e.schedule_arg_at(t, push_arg, EventArg::one(0));
-        e.schedule_at(t, |w: &mut Vec<u32>, _| w.push(1));
-        e.schedule_fn_at(t, |w, _| w.push(2));
-        e.schedule_arg_at(t, push_arg, EventArg::one(3));
+        let alarm = e.add_alarm(push);
+        e.schedule_arg_at(t, push, EventArg::one(0));
+        e.arm(alarm, t, EventArg::one(1));
+        e.schedule_arg_at(t, push, EventArg::one(2));
+        e.schedule_arg_at(t, push, EventArg::one(3));
         e.run(&mut w);
         assert_eq!(w, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn handlers_can_schedule_followups() {
-        let mut e: Engine<Vec<u64>> = Engine::new();
-        let mut w = Vec::new();
-        fn tick(w: &mut Vec<u64>, e: &mut Engine<Vec<u64>>) {
+        fn tick(w: &mut Vec<u64>, e: &mut Engine<Vec<u64>>, _: EventArg) {
             w.push(e.now().as_micros());
             if w.len() < 4 {
-                e.schedule_fn_in(SimDuration::from_millis(1), tick);
+                e.schedule_arg_in(SimDuration::from_millis(1), tick, EventArg::default());
             }
         }
-        e.schedule_fn_at(SimTime::ZERO, tick);
+        let mut e = Engine::new();
+        let mut w = Vec::new();
+        e.schedule_arg_at(SimTime::ZERO, tick, EventArg::default());
         e.run(&mut w);
         assert_eq!(w, vec![0, 1_000, 2_000, 3_000]);
     }
@@ -642,10 +579,10 @@ mod tests {
 
     #[test]
     fn cancel_prevents_execution() {
-        let mut e: Engine<Vec<u32>> = Engine::new();
+        let mut e = Engine::new();
         let mut w = Vec::new();
-        let id = e.schedule_at(SimTime::from_millis(1), |w: &mut Vec<u32>, _| w.push(1));
-        e.schedule_at(SimTime::from_millis(2), |w: &mut Vec<u32>, _| w.push(2));
+        let id = e.schedule_arg_at(SimTime::from_millis(1), push, EventArg::one(1));
+        e.schedule_arg_at(SimTime::from_millis(2), push, EventArg::one(2));
         assert!(e.cancel(id));
         assert!(!e.cancel(id), "double cancel reports false");
         e.run(&mut w);
@@ -654,11 +591,11 @@ mod tests {
 
     #[test]
     fn cancel_executed_id_is_harmless() {
-        let mut e: Engine<u32> = Engine::new();
-        let mut w = 0;
-        let id = e.schedule_at(SimTime::from_millis(1), |w: &mut u32, _| *w += 1);
+        let mut e = Engine::new();
+        let mut w = Vec::new();
+        let id = e.schedule_arg_at(SimTime::from_millis(1), push, EventArg::one(1));
         e.run(&mut w);
-        assert_eq!(w, 1);
+        assert_eq!(w, vec![1]);
         assert!(!e.cancel(id), "executed events cannot be cancelled");
     }
 
@@ -667,11 +604,11 @@ mod tests {
         // Cancel an event, schedule a new one (reusing the slab slot), and
         // make sure only the new one runs — the stale heap key must fail
         // its sequence check even though the slot is live again.
-        let mut e: Engine<Vec<u32>> = Engine::new();
+        let mut e = Engine::new();
         let mut w = Vec::new();
-        let id = e.schedule_at(SimTime::from_millis(1), |w: &mut Vec<u32>, _| w.push(1));
+        let id = e.schedule_arg_at(SimTime::from_millis(1), push, EventArg::one(1));
         assert!(e.cancel(id));
-        e.schedule_at(SimTime::from_millis(2), |w: &mut Vec<u32>, _| w.push(2));
+        e.schedule_arg_at(SimTime::from_millis(2), push, EventArg::one(2));
         assert!(!e.cancel(id), "stale id must not cancel the reused slot");
         e.run(&mut w);
         assert_eq!(w, vec![2]);
@@ -679,17 +616,17 @@ mod tests {
 
     #[test]
     fn slab_reuses_freed_slots() {
-        let mut e: Engine<u64> = Engine::new();
-        let mut w = 0u64;
         // Steady-state cycle: one event pending at a time. The slab must
         // stay at one slot no matter how many events run.
-        fn tick(w: &mut u64, e: &mut Engine<u64>) {
+        fn tick(w: &mut u64, e: &mut Engine<u64>, _: EventArg) {
             *w += 1;
             if *w < 1000 {
-                e.schedule_fn_in(SimDuration::from_millis(1), tick);
+                e.schedule_arg_in(SimDuration::from_millis(1), tick, EventArg::default());
             }
         }
-        e.schedule_fn_at(SimTime::ZERO, tick);
+        let mut e = Engine::new();
+        let mut w = 0u64;
+        e.schedule_arg_at(SimTime::ZERO, tick, EventArg::default());
         e.run(&mut w);
         assert_eq!(w, 1000);
         assert_eq!(e.slots.len(), 1, "steady-state scheduling must pool slots");
@@ -698,8 +635,8 @@ mod tests {
     #[test]
     fn next_event_time_skips_cancelled_keys() {
         let mut e: Engine<()> = Engine::new();
-        let early = e.schedule_at(SimTime::from_millis(1), |_, _| {});
-        e.schedule_at(SimTime::from_millis(5), |_, _| {});
+        let early = e.schedule_arg_at(SimTime::from_millis(1), nop, EventArg::default());
+        e.schedule_arg_at(SimTime::from_millis(5), nop, EventArg::default());
         assert_eq!(e.next_event_time(), Some(SimTime::from_millis(1)));
         e.cancel(early);
         // The stale key at 1 ms must not mask the real next event at 5 ms.
@@ -708,11 +645,9 @@ mod tests {
 
     #[test]
     fn advance_to_moves_the_clock_between_events() {
-        let mut e: Engine<Vec<u64>> = Engine::new();
+        let mut e = Engine::new();
         let mut w = Vec::new();
-        e.schedule_at(SimTime::from_millis(10), |w: &mut Vec<u64>, e| {
-            w.push(e.now().as_micros())
-        });
+        e.schedule_arg_at(SimTime::from_millis(10), push_now, EventArg::default());
         e.advance_to(SimTime::from_millis(4));
         assert_eq!(e.now(), SimTime::from_millis(4));
         e.run(&mut w);
@@ -723,58 +658,58 @@ mod tests {
     #[should_panic(expected = "cannot advance clock backwards")]
     fn advance_to_rejects_the_past() {
         let mut e: Engine<()> = Engine::new();
-        e.schedule_at(SimTime::from_secs(1), |_, _| {});
+        e.schedule_arg_at(SimTime::from_secs(1), nop, EventArg::default());
         e.run(&mut ());
         e.advance_to(SimTime::ZERO);
     }
 
     #[test]
     fn horizon_stops_the_run() {
-        let mut e: Engine<Vec<u32>> = Engine::new();
+        let mut e = Engine::new();
         let mut w = Vec::new();
-        e.schedule_at(SimTime::from_secs(1), |w: &mut Vec<u32>, _| w.push(1));
-        e.schedule_at(SimTime::from_secs(3), |w: &mut Vec<u32>, _| w.push(3));
+        e.schedule_arg_at(SimTime::from_secs(1), push, EventArg::one(1));
+        e.schedule_arg_at(SimTime::from_secs(3), push, EventArg::one(3));
         e.set_horizon(SimTime::from_secs(2));
         let n = e.run(&mut w);
         assert_eq!(n, 1);
         assert_eq!(w, vec![1]);
-        assert_eq!(e.pending(), 1);
+        assert_eq!(pending(&e), 1);
     }
 
     #[test]
     #[should_panic(expected = "cannot schedule event in the past")]
     fn scheduling_in_the_past_panics() {
         let mut e: Engine<()> = Engine::new();
-        e.schedule_at(SimTime::from_secs(1), |_, _| {});
+        e.schedule_arg_at(SimTime::from_secs(1), nop, EventArg::default());
         e.run(&mut ());
-        e.schedule_at(SimTime::ZERO, |_, _| {});
+        e.schedule_arg_at(SimTime::ZERO, nop, EventArg::default());
     }
 
     #[test]
     fn step_returns_false_when_drained() {
-        let mut e: Engine<u32> = Engine::new();
-        let mut w = 0;
-        e.schedule_at(SimTime::ZERO, |w: &mut u32, _| *w += 1);
+        let mut e = Engine::new();
+        let mut w = Vec::new();
+        e.schedule_arg_at(SimTime::ZERO, push, EventArg::one(1));
         assert!(e.step(&mut w));
         assert!(!e.step(&mut w));
-        assert_eq!(w, 1);
+        assert_eq!(w, vec![1]);
     }
 
     #[test]
     fn executed_counts_across_runs() {
         let mut e: Engine<()> = Engine::new();
-        e.schedule_at(SimTime::from_secs(1), |_, _| {});
+        e.schedule_arg_at(SimTime::from_secs(1), nop, EventArg::default());
         e.run(&mut ());
-        e.schedule_at(SimTime::from_secs(2), |_, _| {});
+        e.schedule_arg_at(SimTime::from_secs(2), nop, EventArg::default());
         e.run(&mut ());
-        assert_eq!(e.executed(), 2);
+        assert_eq!(e.stats().executed, 2);
     }
 
     #[test]
     fn stats_account_for_every_key_on_the_heap() {
         let mut e: Engine<()> = Engine::new();
         let ids: Vec<EventId> = (1..=6)
-            .map(|ms| e.schedule_at(SimTime::from_millis(ms), |_, _| {}))
+            .map(|ms| e.schedule_arg_at(SimTime::from_millis(ms), nop, EventArg::default()))
             .collect();
         assert!(e.cancel(ids[0]));
         assert!(e.cancel(ids[3]));
@@ -782,11 +717,11 @@ mod tests {
         let live = |s: EngineStats| s.scheduled - s.executed - s.cancelled;
         let stale = |s: EngineStats| s.cancelled - s.stale_skipped;
         assert_eq!(live(e.stats()), 4);
-        assert_eq!(e.pending() as u64, live(e.stats()) + stale(e.stats()));
+        assert_eq!(pending(&e) as u64, live(e.stats()) + stale(e.stats()));
         // The peek discards the cancelled key at the top, and only that one.
         assert_eq!(e.next_event_time(), Some(SimTime::from_millis(2)));
         assert_eq!(e.stats().stale_skipped, 1);
-        assert_eq!(e.pending() as u64, live(e.stats()) + stale(e.stats()));
+        assert_eq!(pending(&e) as u64, live(e.stats()) + stale(e.stats()));
         e.run(&mut ());
         assert_eq!(
             e.stats(),
@@ -798,7 +733,7 @@ mod tests {
                 heap_pushed: 6,
             }
         );
-        assert_eq!(e.pending(), 0);
+        assert_eq!(pending(&e), 0);
     }
 
     #[test]
@@ -817,7 +752,7 @@ mod tests {
         e.arm(alarm, t, EventArg::one(3));
         assert_eq!(e.armed_at(alarm), Some(t));
         assert_eq!(e.next_event_time(), Some(t));
-        assert_eq!(e.pending(), 3);
+        assert_eq!(pending(&e), 3);
         e.run(&mut w);
         assert_eq!(w, vec![0, 2, 3]);
         assert_eq!(e.armed_at(alarm), None);
@@ -842,7 +777,7 @@ mod tests {
         e.arm(alarm, SimTime::from_secs(3), EventArg::default());
         e.set_horizon(SimTime::from_secs(2));
         assert_eq!(e.run(&mut w), 0);
-        assert_eq!((w, e.pending()), (0, 1));
+        assert_eq!((w, pending(&e)), (0, 1));
         assert_eq!(e.stats().cancelled, 1);
     }
 
@@ -1022,19 +957,21 @@ mod tests {
 
     #[test]
     fn world_shared_state_via_rc_works() {
-        // Handlers may capture shared handles; the engine itself stays single
+        // The world may be a shared handle; the engine itself stays single
         // threaded and deterministic.
-        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
-        let mut e: Engine<()> = Engine::new();
-        let l2 = log.clone();
-        e.schedule_at(SimTime::from_millis(1), move |_, _| {
-            l2.borrow_mut().push("a")
-        });
-        let l3 = log.clone();
-        e.schedule_at(SimTime::from_millis(2), move |_, _| {
-            l3.borrow_mut().push("b")
-        });
-        e.run(&mut ());
-        assert_eq!(*log.borrow(), vec!["a", "b"]);
+        fn log(
+            w: &mut Rc<RefCell<Vec<u64>>>,
+            _: &mut Engine<Rc<RefCell<Vec<u64>>>>,
+            arg: EventArg,
+        ) {
+            w.borrow_mut().push(arg.a);
+        }
+        let log_handle: Rc<RefCell<Vec<u64>>> = Rc::default();
+        let mut world = log_handle.clone();
+        let mut e = Engine::new();
+        e.schedule_arg_at(SimTime::from_millis(2), log, EventArg::one(2));
+        e.schedule_arg_at(SimTime::from_millis(1), log, EventArg::one(1));
+        e.run(&mut world);
+        assert_eq!(*log_handle.borrow(), vec![1, 2]);
     }
 }

@@ -5,7 +5,7 @@
 use faasbatch::container::ids::InvocationId;
 use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::simcore::engine::Engine;
+use faasbatch::simcore::engine::{Engine, EventArg};
 use faasbatch::simcore::time::{SimDuration, SimTime};
 use faasbatch::trace::fib::{expected_duration, fib, fib_n_for_duration, MAX_N, MIN_N};
 use faasbatch::trace::function::{FunctionKind, FunctionRegistry};
@@ -33,17 +33,18 @@ fn fib_duration_model_is_monotone_and_invertible() {
 fn engine_cancel_then_rearm_pattern() {
     // The harness's CPU pump cancels and re-schedules its single pending
     // event constantly; exercise that pattern a few hundred times.
-    let mut engine: Engine<Vec<u64>> = Engine::new();
+    fn push(w: &mut Vec<u64>, _: &mut Engine<Vec<u64>>, arg: EventArg) {
+        w.push(arg.a);
+    }
+    let mut engine = Engine::new();
     let mut world = Vec::new();
     let mut pending = None;
     for i in 0..300u64 {
         if let Some(id) = pending.take() {
             engine.cancel(id);
         }
-        pending = Some(engine.schedule_at(
-            SimTime::from_millis(1_000 + i),
-            move |w: &mut Vec<u64>, _| w.push(i),
-        ));
+        pending =
+            Some(engine.schedule_arg_at(SimTime::from_millis(1_000 + i), push, EventArg::one(i)));
     }
     engine.run(&mut world);
     // Only the last-armed event may fire.
