@@ -30,8 +30,6 @@ pub struct FaasBatchConfig {
     /// Optional cap on group size (None = batch all concurrent invocations,
     /// the paper's strategy).
     pub max_group_size: Option<usize>,
-    /// Optional per-container CPU limit (customer-specified `cpu_count`).
-    pub cpu_limit: Option<f64>,
     /// Hold each group's responses until the whole group finishes (the
     /// paper's prototype semantics — its HTTP request returns only after
     /// all invocations of the function group complete). Off by default:
@@ -45,7 +43,6 @@ impl Default for FaasBatchConfig {
             window: InvokeMapper::DEFAULT_WINDOW,
             multiplex: true,
             max_group_size: None,
-            cpu_limit: None,
             batch_responses: false,
         }
     }
@@ -132,7 +129,6 @@ impl Policy for FaasBatchPolicy {
         for group in self.mapper.drain() {
             let mut req = DispatchRequest::new(group.invocations, ExecMode::Parallel);
             req.multiplex_clients = self.cfg.multiplex;
-            req.cpu_limit = self.cfg.cpu_limit;
             req.completion = if self.cfg.batch_responses {
                 Completion::PerBatch
             } else {

@@ -83,7 +83,6 @@ impl Policy for PeriodicFaasBatch {
         for group in self.mapper.drain() {
             let mut req = DispatchRequest::new(group.invocations, ExecMode::Parallel);
             req.multiplex_clients = self.cfg.multiplex;
-            req.cpu_limit = self.cfg.cpu_limit;
             req.completion = if self.cfg.batch_responses {
                 Completion::PerBatch
             } else {

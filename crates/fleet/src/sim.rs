@@ -505,6 +505,7 @@ mod tests {
     use crate::config::{FaultKind, WorkerFault};
     use crate::routing::RoutingKind;
     use faasbatch_core::policy::run_faasbatch;
+    use faasbatch_metrics::sampler::ResourceSampler;
     use faasbatch_schedulers::config::SimConfig;
     use faasbatch_simcore::rng::DetRng;
     use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
@@ -884,7 +885,7 @@ mod tests {
         let (whole, cut) = (&whole.workers[0].report, &cut.workers[0].report);
         let last = cut.sampler.samples().last().expect("sampled from t = 0");
         assert!(last.at <= crash_at);
-        assert!(crash_at.saturating_duration_since(last.at) <= faulty.sim.sample_period);
+        assert!(crash_at.saturating_duration_since(last.at) <= ResourceSampler::PERIOD);
         assert!(
             cut.records.is_empty(),
             "nothing finishes a cold start by 1.2 s"

@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 ///     SimDuration::from_millis(40),
 /// ]);
 /// assert_eq!(cdf.quantile(0.5), SimDuration::from_millis(20));
-/// assert_eq!(cdf.fraction_at_or_below(SimDuration::from_millis(25)), 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Cdf {
@@ -59,15 +58,6 @@ impl Cdf {
         let n = self.sorted.len();
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
         self.sorted[rank - 1]
-    }
-
-    /// Fraction of samples ≤ `x`.
-    pub fn fraction_at_or_below(&self, x: SimDuration) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&s| s <= x);
-        idx as f64 / self.sorted.len() as f64
     }
 
     /// Arithmetic mean.
@@ -155,15 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_at_or_below_works() {
-        let cdf = Cdf::from_samples(vec![ms(10), ms(20), ms(30), ms(40)]);
-        assert_eq!(cdf.fraction_at_or_below(ms(5)), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(ms(10)), 0.25);
-        assert_eq!(cdf.fraction_at_or_below(ms(40)), 1.0);
-        assert_eq!(cdf.fraction_at_or_below(ms(400)), 1.0);
-    }
-
-    #[test]
     fn mean_min_max() {
         let cdf = Cdf::from_samples(vec![ms(30), ms(10), ms(20)]);
         assert_eq!(cdf.mean(), ms(20));
@@ -175,7 +156,6 @@ mod tests {
     fn empty_cdf_behaviour() {
         let cdf = Cdf::from_samples(Vec::new());
         assert!(cdf.is_empty());
-        assert_eq!(cdf.fraction_at_or_below(ms(1)), 0.0);
         assert_eq!(cdf.mean(), SimDuration::ZERO);
     }
 

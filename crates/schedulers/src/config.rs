@@ -33,8 +33,6 @@ pub struct SimConfig {
     pub client_cost: ClientCostModel,
     /// Base memory of one container (runtime + imports).
     pub container_base_memory: u64,
-    /// Host resource sampling period (paper: 1 s).
-    pub sample_period: SimDuration,
     /// Snapshot-restore tier configuration. Defaults to disabled
     /// (capacity 0), which leaves every pre-0.9 run byte-identical.
     #[serde(default)]
@@ -58,7 +56,6 @@ impl Default for SimConfig {
             warm_dispatch_work: SimDuration::from_millis(2),
             client_cost: ClientCostModel::default(),
             container_base_memory: 50 << 20,
-            sample_period: SimDuration::from_secs(1),
             snapshot: SnapshotConfig::default(),
             autoscaler: None,
         }
@@ -75,7 +72,6 @@ mod tests {
         assert_eq!(c.cores, 32.0);
         assert!(c.daemon_cores < c.cores);
         assert!(c.warm_dispatch_work < c.container_launch_work);
-        assert!(!c.sample_period.is_zero());
     }
 
     #[test]

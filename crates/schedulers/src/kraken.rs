@@ -280,13 +280,6 @@ impl Kraken {
         }
     }
 
-    /// Creates a Kraken with the original paper's fixed defaults (1000 ms
-    /// SLO, 100 ms execution estimate) — used when no Vanilla calibration is
-    /// available.
-    pub fn with_defaults(window: SimDuration) -> Self {
-        Kraken::new(KrakenCalibration::default(), window)
-    }
-
     /// Packs one function's queued invocations into serial batches such that
     /// every member's *predicted* completion meets its SLO deadline.
     fn pack(
@@ -577,13 +570,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "EWMA alpha")]
     fn invalid_alpha_panics() {
-        let _ = Kraken::with_defaults(SimDuration::from_millis(200))
+        let _ = Kraken::new(KrakenCalibration::default(), SimDuration::from_millis(200))
             .with_prediction(KrakenPrediction::Ewma { alpha: 0.0 });
     }
 
     #[test]
     fn defaults_used_for_unknown_functions() {
-        let kraken = Kraken::with_defaults(SimDuration::from_millis(200));
+        let kraken = Kraken::new(KrakenCalibration::default(), SimDuration::from_millis(200));
         let f = FunctionId::new(99);
         assert_eq!(
             kraken.calibration.slo_for(f),

@@ -1,9 +1,10 @@
 //! Memory accounting for simulated hosts.
 //!
 //! The ledger tracks every live allocation (container images, runtime heaps,
-//! storage clients, …) with a category label, so experiments can report both
-//! total system memory (Fig. 13(a)/14(a) of the paper) and per-category
-//! breakdowns (Fig. 14(d): per-client footprints).
+//! storage clients, …) with a category label. It keeps the live total
+//! (Fig. 13(a)/14(a) of the paper) and journals every operation with its
+//! category, so the trace carries per-category breakdowns (Fig. 14(d):
+//! per-client footprints).
 //!
 //! # Examples
 //!
@@ -16,7 +17,7 @@
 //! assert_eq!(mem.current_bytes(), 50 << 20);
 //! mem.free(SimTime::from_secs(1), a);
 //! assert_eq!(mem.current_bytes(), 0);
-//! assert_eq!(mem.high_water_bytes(), 50 << 20);
+//! assert_eq!(mem.take_journal().len(), 2);
 //! ```
 
 use crate::idmap::IdMap;
@@ -115,12 +116,10 @@ pub struct MemOp {
     pub total_after: u64,
 }
 
-/// Tracks live allocations and a high-water mark.
+/// Tracks live allocations and journals every operation.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryLedger {
     current: u64,
-    high_water: u64,
-    by_category: [u64; MemCategory::ALL.len()],
     live: IdMap<AllocationId, (MemCategory, u64)>,
     next_id: u64,
     last_update: SimTime,
@@ -144,8 +143,6 @@ impl MemoryLedger {
         let id = AllocationId(self.next_id);
         self.next_id += 1;
         self.current += bytes;
-        self.high_water = self.high_water.max(self.current);
-        self.by_category[category as usize] += bytes;
         self.live.insert(id, (category, bytes));
         self.journal.push(MemOp {
             at: now,
@@ -170,7 +167,6 @@ impl MemoryLedger {
             .remove(&id)
             .expect("double free or unknown allocation");
         self.current -= bytes;
-        self.by_category[category as usize] -= bytes;
         self.journal.push(MemOp {
             at: now,
             kind: MemOpKind::Free,
@@ -194,29 +190,6 @@ impl MemoryLedger {
     /// Bytes currently allocated.
     pub fn current_bytes(&self) -> u64 {
         self.current
-    }
-
-    /// Maximum bytes ever simultaneously allocated.
-    pub fn high_water_bytes(&self) -> u64 {
-        self.high_water
-    }
-
-    /// Bytes currently allocated under `category`.
-    pub fn category_bytes(&self, category: MemCategory) -> u64 {
-        self.by_category[category as usize]
-    }
-
-    /// Live allocation count.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
-    /// All categories with live bytes, in deterministic (sorted) order.
-    pub fn categories(&self) -> impl Iterator<Item = (MemCategory, u64)> + '_ {
-        MemCategory::ALL
-            .into_iter()
-            .map(|c| (c, self.category_bytes(c)))
-            .filter(|&(_, b)| b > 0)
     }
 
     /// Advances the ledger clock; every later operation must be at or
@@ -249,21 +222,10 @@ mod tests {
         let a = mem.alloc(SimTime::ZERO, Container, 10 * MIB);
         let b = mem.alloc(SimTime::ZERO, Client, 15 * MIB);
         assert_eq!(mem.current_bytes(), 25 * MIB);
-        assert_eq!(mem.category_bytes(Client), 15 * MIB);
         assert_eq!(mem.free(SimTime::ZERO, a), 10 * MIB);
         assert_eq!(mem.free(SimTime::ZERO, b), 15 * MIB);
         assert_eq!(mem.current_bytes(), 0);
-        assert_eq!(mem.live_count(), 0);
-    }
-
-    #[test]
-    fn high_water_survives_frees() {
-        let mut mem = MemoryLedger::new();
-        let a = mem.alloc(SimTime::ZERO, Platform, 100);
-        mem.free(SimTime::ZERO, a);
-        mem.alloc(SimTime::ZERO, Platform, 10);
-        assert_eq!(mem.high_water_bytes(), 100);
-        assert_eq!(mem.current_bytes(), 10);
+        assert!(mem.live.is_empty());
     }
 
     #[test]
@@ -273,17 +235,6 @@ mod tests {
         let a = mem.alloc(SimTime::ZERO, Platform, 1);
         mem.free(SimTime::ZERO, a);
         mem.free(SimTime::ZERO, a);
-    }
-
-    #[test]
-    fn categories_iterate_sorted_and_nonzero() {
-        let mut mem = MemoryLedger::new();
-        mem.alloc(SimTime::ZERO, Platform, 1);
-        mem.alloc(SimTime::ZERO, Client, 2);
-        let freed = mem.alloc(SimTime::ZERO, Container, 3);
-        mem.free(SimTime::ZERO, freed);
-        let cats: Vec<_> = mem.categories().collect();
-        assert_eq!(cats, vec![(Client, 2), (Platform, 1)]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
 use faasbatch::schedulers::harness::run_simulation;
-use faasbatch::schedulers::kraken::Kraken;
+use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
 use faasbatch::schedulers::sfs::Sfs;
 use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
@@ -58,7 +58,7 @@ fn all_reports(w: &Workload, label: &str) -> Vec<RunReport> {
         run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), label, None),
         run_simulation(Box::new(Sfs::new()), w, cfg.clone(), label, None),
         run_simulation(
-            Box::new(Kraken::with_defaults(window)),
+            Box::new(Kraken::new(KrakenCalibration::default(), window)),
             w,
             cfg.clone(),
             label,

@@ -7,7 +7,7 @@ use faasbatch::core::multiplexer::ResourceMultiplexer;
 use faasbatch::metrics::stats::Cdf;
 use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
 use faasbatch::simcore::cpu::CpuModel;
-use faasbatch::simcore::engine::Engine;
+use faasbatch::simcore::engine::{Engine, EventArg};
 use faasbatch::simcore::memory::{MemCategory, MemoryLedger};
 use faasbatch::simcore::time::{SimDuration, SimTime};
 use faasbatch::trace::duration::DurationDistribution;
@@ -157,12 +157,13 @@ proptest! {
     /// tie-breaking, regardless of insertion order.
     #[test]
     fn engine_runs_in_time_order(times in proptest::collection::vec(0u64..10_000, 1..200)) {
-        let mut engine: Engine<Vec<(u64, usize)>> = Engine::new();
+        fn log(w: &mut Vec<(u64, usize)>, e: &mut Engine<Vec<(u64, usize)>>, arg: EventArg) {
+            w.push((e.now().as_micros(), arg.a as usize));
+        }
+        let mut engine = Engine::new();
         let mut world = Vec::new();
         for (i, &t) in times.iter().enumerate() {
-            engine.schedule_at(SimTime::from_micros(t), move |w: &mut Vec<(u64, usize)>, e| {
-                w.push((e.now().as_micros(), i));
-            });
+            engine.schedule_arg_at(SimTime::from_micros(t), log, EventArg::one(i as u64));
         }
         engine.run(&mut world);
         prop_assert_eq!(world.len(), times.len());
@@ -218,8 +219,8 @@ proptest! {
     }
 
     /// Memory ledger: frees return exactly what was allocated; the ledger is
-    /// empty after freeing everything; the high-water mark is the max prefix
-    /// sum.
+    /// empty after freeing everything; the journal's peak total is the max
+    /// prefix sum.
     #[test]
     fn ledger_balances(sizes in proptest::collection::vec(1u64..1_000_000, 1..100)) {
         let mut mem = MemoryLedger::new();
@@ -229,12 +230,13 @@ proptest! {
             .collect();
         let total: u64 = sizes.iter().sum();
         prop_assert_eq!(mem.current_bytes(), total);
-        prop_assert_eq!(mem.high_water_bytes(), total);
         for (id, &s) in ids.iter().zip(&sizes) {
             prop_assert_eq!(mem.free(SimTime::ZERO, *id), s);
         }
         prop_assert_eq!(mem.current_bytes(), 0);
-        prop_assert_eq!(mem.live_count(), 0);
+        let journal = mem.take_journal();
+        prop_assert_eq!(journal.iter().map(|op| op.total_after).max(), Some(total));
+        prop_assert_eq!(journal.last().map(|op| op.total_after), Some(0));
     }
 
     /// Invoke Mapper: drained groups partition the observed invocations —
