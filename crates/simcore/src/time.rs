@@ -53,13 +53,31 @@ impl SimTime {
     }
 
     /// Creates an instant `millis` milliseconds after the simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "sim time overflow" if the instant is past
+    /// [`SimTime::MAX`].
     pub const fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000)
+        SimTime::from_micros_times(millis, 1_000)
     }
 
     /// Creates an instant `secs` seconds after the simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "sim time overflow" if the instant is past
+    /// [`SimTime::MAX`].
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * 1_000_000)
+        SimTime::from_micros_times(secs, 1_000_000)
+    }
+
+    /// `n × unit` microseconds, checked as [`Add`] checks a sum.
+    const fn from_micros_times(n: u64, unit: u64) -> Self {
+        match n.checked_mul(unit) {
+            Some(micros) => SimTime(micros),
+            None => panic!("sim time overflow"),
+        }
     }
 
     /// Creates an instant from fractional seconds, rounding to the nearest
@@ -127,13 +145,31 @@ impl SimDuration {
     }
 
     /// Creates a span of `millis` milliseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "duration overflow" if the span is longer than
+    /// [`SimDuration::MAX`].
     pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000)
+        SimDuration::from_micros_times(millis, 1_000)
     }
 
     /// Creates a span of `secs` seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "duration overflow" if the span is longer than
+    /// [`SimDuration::MAX`].
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000)
+        SimDuration::from_micros_times(secs, 1_000_000)
+    }
+
+    /// `n × unit` microseconds, checked as [`Add`] checks a sum.
+    const fn from_micros_times(n: u64, unit: u64) -> Self {
+        match n.checked_mul(unit) {
+            Some(micros) => SimDuration(micros),
+            None => panic!("duration overflow"),
+        }
     }
 
     /// Creates a span from fractional seconds, rounding to the nearest
@@ -382,6 +418,40 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(SimDuration::from_millis).sum();
         assert_eq!(total.as_millis(), 10);
+    }
+
+    #[test]
+    fn integer_constructors_reach_the_largest_whole_unit() {
+        let ms = u64::MAX / 1_000;
+        let s = u64::MAX / 1_000_000;
+        assert_eq!(SimDuration::from_millis(ms).as_micros(), ms * 1_000);
+        assert_eq!(SimTime::from_millis(ms).as_micros(), ms * 1_000);
+        assert_eq!(SimDuration::from_secs(s).as_micros(), s * 1_000_000);
+        assert_eq!(SimTime::from_secs(s).as_micros(), s * 1_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration overflow")]
+    fn duration_from_millis_past_max_panics() {
+        let _ = SimDuration::from_millis(u64::MAX / 1_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration overflow")]
+    fn duration_from_secs_past_max_panics() {
+        let _ = SimDuration::from_secs(u64::MAX / 1_000_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sim time overflow")]
+    fn time_from_millis_past_max_panics() {
+        let _ = SimTime::from_millis(u64::MAX / 1_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sim time overflow")]
+    fn time_from_secs_past_max_panics() {
+        let _ = SimTime::from_secs(u64::MAX / 1_000_000 + 1);
     }
 
     #[test]
