@@ -4,6 +4,7 @@
 use crate::error::FleetError;
 use faasbatch_core::policy::FaasBatchConfig;
 use faasbatch_schedulers::config::SimConfig;
+use faasbatch_schedulers::harness::Worker;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -112,6 +113,13 @@ impl FleetConfig {
         if self.window.is_zero() {
             return invalid("window: router window must be positive".to_owned());
         }
+        if self.redispatch_delay > Worker::HORIZON {
+            return invalid(format!(
+                "redispatch_delay: {} is longer than the {} safety horizon",
+                self.redispatch_delay,
+                Worker::HORIZON
+            ));
+        }
         if let Some(f) = self.faults.iter().find(|f| f.worker >= self.workers) {
             return invalid(format!(
                 "faults: fault references worker {} but the fleet has {}",
@@ -167,6 +175,11 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(rejection(zero_window).starts_with("window"));
+        let endless_retry = FleetConfig {
+            redispatch_delay: Worker::HORIZON + SimDuration::from_micros(1),
+            ..FleetConfig::default()
+        };
+        assert!(rejection(endless_retry).starts_with("redispatch_delay"));
         let missing_worker = FleetConfig {
             workers: 2,
             faults: vec![WorkerFault {

@@ -12,7 +12,9 @@ use std::fmt;
 pub enum FleetError {
     /// The configuration is internally inconsistent (zero workers, zero
     /// window, a fault on a worker index that does not exist, or an invalid
-    /// autoscaler config); the message names the offending field.
+    /// autoscaler config) or asks for a run past a worker's safety horizon
+    /// (a re-dispatch delay, or a fault instant past the last arrival,
+    /// longer than it); the message names the offending field.
     InvalidConfig(String),
     /// Every worker had crashed or drained when a group needed placing.
     NoLiveWorker {

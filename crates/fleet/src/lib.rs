@@ -8,7 +8,9 @@
 //! across N identical workers — stepping
 //! [`Worker`](faasbatch_schedulers::harness::Worker)s of the unchanged
 //! `faasbatch-schedulers` harness, running FaaSBatch or the Vanilla
-//! baseline — in **one loop in time order** ([`sim`] has the mechanics).
+//! baseline. It routes in **one loop in time order**, then replays each
+//! worker from what it was handed, the survivors side by side ([`sim`] has
+//! the mechanics).
 //! Three ideas define the layer:
 //!
 //! 1. **Pluggable routing** ([`routing`]) — a [`routing::RoutingPolicy`]

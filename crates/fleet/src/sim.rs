@@ -1,18 +1,26 @@
-//! The fleet replay: one loop, in time order, over N stepping workers.
+//! The fleet replay: route the whole workload in time order, then replay
+//! each worker from what it was handed.
 //!
 //! Three sorted inputs are merged by instant — the workload, a small heap
-//! of re-dispatches, and the fault list — and every worker is a
-//! [`Worker`] advanced only as far as its next injection, its crash, or the
-//! end of the run. Nothing is routed ahead of time and nothing is replayed
-//! twice.
+//! of re-dispatches, and the fault list — and every injection is appended
+//! to its worker's pending list as `(fleet id, effective arrival)`. The
+//! contract that makes this exact: a [`Worker`] is a pure function of its
+//! injection list, and a crash is the only point where the loop reads a
+//! worker. There the worker is built, fed its list and stopped at the crash
+//! instant, on the loop's thread, before anything later is routed. After
+//! the last arrival every surviving worker is built, fed and finished on a
+//! scoped pool of `min(available_parallelism, survivors)` threads, the
+//! calling one included. Reports merge in seat order, so every result is
+//! byte-identical at any thread count, and one thread is the same pool with
+//! no helpers.
 //!
 //! * **Arrival.** The first member of a function group — key `(function,
 //!   arrival / window, attempt)` — places the whole group: the [`Router`]
 //!   (the same one the live gateway routes with) picks a worker from the
 //!   liveness flags and its load estimates *as they stand at that instant*,
 //!   and the group's work — the rest of its window in the trace — is
-//!   charged to the pick. Later members follow the group; each is injected
-//!   into its worker under its fleet id at its arrival.
+//!   charged to the pick. Later members follow the group; each is handed to
+//!   its worker under its fleet id at its arrival.
 //! * **Drain.** The worker's liveness flag drops: it is offered no new
 //!   group, finishes what it holds, and keeps receiving the members of
 //!   groups it was already given (a group is never split).
@@ -22,18 +30,21 @@
 //!   [`FleetError::RetryBudgetExhausted`]), and queued per function for
 //!   `crash + redispatch_delay`, where it is an arrival like any other:
 //!   grouped by its effective window and attempt, routed on the state of
-//!   that instant.
+//!   that instant. A fault more than [`Worker::HORIZON`] past the last
+//!   arrival is [`FleetError::InvalidConfig`]: no run lasts that long.
 //! * **Late member.** A member whose group sits on a worker that is dead
 //!   when the member arrives is lost on arrival and re-dispatched at
 //!   `max(arrival, crash + redispatch_delay)` — never before it exists.
 //!
 //! The re-dispatch gap is folded into the record's scheduling latency, so
 //! fleet records satisfy the same consistency invariant as single-worker
-//! records. Routing still reads estimates, not worker state — a front door
+//! records. Routing reads estimates, not worker state — a front door
 //! cannot see inside its workers, and leaving the policy inputs alone is
-//! what holds every fault-free result byte-identical.
+//! what holds every fault-free result byte-identical. A router that read
+//! worker state would have to route on state taken at synchronisation
+//! points, with the workers advanced in parallel between them.
 
-use crate::config::{FaultKind, FleetConfig, WorkerScheduler};
+use crate::config::{FaultKind, FleetConfig, WorkerFault, WorkerScheduler};
 use crate::error::FleetError;
 use crate::report::{FleetRecord, FleetReport, WorkerReport};
 use crate::routing::{Router, RoutingPolicy};
@@ -48,6 +59,9 @@ use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::workload::{Invocation, Workload};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Replays `workload` over a fleet configured by `cfg` under `policy`.
 ///
@@ -74,9 +88,10 @@ pub fn run_fleet(
 }
 
 /// [`run_fleet`] over workers the caller builds: `new_worker` is called
-/// once per seat and `cfg.scheduler` is not consulted. This is the seam
-/// that lets a test run the real loop — routing, crashes, drains,
-/// re-dispatch — over a reference policy and compare reports.
+/// once per seat, on whichever thread replays that seat, and
+/// `cfg.scheduler` is not consulted. This is the seam that lets a test run
+/// the real loop — routing, crashes, drains, re-dispatch — over a
+/// reference policy and compare reports.
 ///
 /// # Errors
 ///
@@ -86,9 +101,18 @@ pub fn run_fleet_with_workers(
     cfg: &FleetConfig,
     policy: Box<dyn RoutingPolicy>,
     label: &str,
-    new_worker: &dyn Fn() -> Worker,
+    new_worker: &(dyn Fn() -> Worker + Sync),
 ) -> Result<FleetReport, FleetError> {
-    run_fleet_impl(workload, cfg, policy, label, new_worker, None).map(|(report, ..)| report)
+    run_fleet_impl(
+        workload,
+        cfg,
+        policy,
+        label,
+        new_worker,
+        None,
+        machine_threads(),
+    )
+    .map(|(report, ..)| report)
 }
 
 /// [`run_fleet`] with an observable fleet-level event stream.
@@ -120,9 +144,10 @@ pub fn run_fleet_traced(
         label,
         &|| new_worker(workload, cfg, label),
         Some(Vec::new()),
+        machine_threads(),
     )?;
     let mut events = events.unwrap_or_default();
-    // Workers are stepped lazily, so completions surface out of order;
+    // Completions are read worker by worker, so they surface out of order;
     // present one time-ordered stream (the sort is stable, so causal order
     // within a timestamp is preserved).
     events.sort_by_key(|e| e.at);
@@ -132,10 +157,14 @@ pub fn run_fleet_traced(
     Ok((report, sink))
 }
 
+/// One injection handed to a seat: fleet id and effective arrival. The
+/// rest of the invocation is `invs[id]`.
+type Injection = (u64, SimTime);
+
 /// One worker's seat in the loop.
 struct Seat {
-    /// The stepping worker; `None` once a crash has stopped it.
-    worker: Option<Worker>,
+    /// What the worker was handed, in order; emptied by its crash.
+    pending: Vec<Injection>,
     /// Crash instant, and the report as it stood then.
     crashed: Option<(SimTime, RunReport)>,
     /// Invocations lost to the crash: harvested from the worker, or owed to
@@ -148,6 +177,7 @@ struct Fleet<'a> {
     cfg: &'a FleetConfig,
     /// The workload; a fleet id is an index into it.
     invs: &'a [Invocation],
+    new_worker: &'a (dyn Fn() -> Worker + Sync),
     router: Router,
     seats: Vec<Seat>,
     /// Workers the router may still pick: no crash or drain has taken effect.
@@ -208,15 +238,11 @@ impl Fleet<'_> {
         };
         for &id in ids {
             let seat = &mut self.seats[w];
-            if let Some(worker) = seat.worker.as_mut() {
-                worker.inject(&Invocation {
-                    arrival: at,
-                    ..invs[id as usize].clone()
-                });
+            let Some((crashed, _)) = seat.crashed.as_ref() else {
+                seat.pending.push((id, at));
                 continue;
-            }
+            };
             // A late member: its group's worker died before it arrived.
-            let (crashed, _) = seat.crashed.as_ref().expect("only a crash stops a worker");
             let due = at.max(*crashed + self.cfg.redispatch_delay);
             self.lose(id, w, due)?;
             self.queue.push(Reverse((due, vec![id])));
@@ -296,16 +322,19 @@ impl Fleet<'_> {
         Ok(retries)
     }
 
-    /// Worker `w` dies at `at`: it runs up to that instant, and what it
-    /// still held is queued for re-dispatch, one entry per function group.
+    /// Worker `w` dies at `at`: it is replayed up to that instant, and what
+    /// it still held is queued for re-dispatch, one entry per function
+    /// group.
     fn crash(&mut self, w: usize, at: SimTime) -> Result<(), FleetError> {
         self.trace(at, EventKind::WorkerCrash { worker: w as u64 });
-        let worker = self.seats[w]
-            .worker
-            .take()
-            .expect("validate() allows one crash per worker");
-        let (report, open) = worker.abandon(at);
-        self.seats[w].crashed = Some((at, report));
+        let seat = &mut self.seats[w];
+        assert!(
+            seat.crashed.is_none(),
+            "validate() allows one crash per worker"
+        );
+        let pending = std::mem::take(&mut seat.pending);
+        let (report, open) = replay(self.new_worker, self.invs, &pending).abandon(at);
+        seat.crashed = Some((at, report));
         let due = at + self.cfg.redispatch_delay;
         let mut groups: BTreeMap<(FunctionId, u32), Vec<u64>> = BTreeMap::new();
         for id in open.into_iter().map(InvocationId::value) {
@@ -337,29 +366,107 @@ fn new_worker(workload: &Workload, cfg: &FleetConfig, label: &str) -> Worker {
     )
 }
 
+/// A worker built by `new_worker` and fed `pending` in order.
+fn replay(new_worker: &dyn Fn() -> Worker, invs: &[Invocation], pending: &[Injection]) -> Worker {
+    let mut worker = new_worker();
+    for &(id, arrival) in pending {
+        worker.inject(&Invocation {
+            arrival,
+            ..invs[id as usize]
+        });
+    }
+    worker
+}
+
+/// The threads a replay may use: the machine's.
+fn machine_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Replays each pending list in `lists` to its end on `min(threads,
+/// lists.len())` threads — the calling one pulls lists too — and returns
+/// each worker's report and engine counters in list order. A worker that
+/// panics (a stalled simulation) panics the caller with its own payload.
+fn finish_all(
+    new_worker: &(dyn Fn() -> Worker + Sync),
+    invs: &[Invocation],
+    lists: &[&[Injection]],
+    threads: usize,
+) -> Vec<(RunReport, EngineStats)> {
+    // Hands out list indices and publishes nothing else: the lists are
+    // read-only, and the results come back through `join`.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(pending) = lists.get(i) else {
+                return done;
+            };
+            let mut worker = replay(new_worker, invs, pending);
+            worker.close();
+            let engine = worker.engine_stats();
+            done.push((i, worker.finish().0, engine));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(lists.len()))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    done.into_iter()
+        .map(|(_, report, engine)| (report, engine))
+        .collect()
+}
+
 /// What [`run_fleet_impl`] returns: the report, the fleet-level events when
 /// they were asked for, and the summed engine counters of the workers that
 /// ran to the end (a profile reading, not a result).
 type FleetRun = (FleetReport, Option<Vec<SimEvent>>, EngineStats);
 
+/// The replay behind every entry point; surviving workers are finished on
+/// up to `threads` threads, and nothing it returns depends on how many.
 fn run_fleet_impl(
     workload: &Workload,
     cfg: &FleetConfig,
     policy: Box<dyn RoutingPolicy>,
     label: &str,
-    new_worker: &dyn Fn() -> Worker,
+    new_worker: &(dyn Fn() -> Worker + Sync),
     events: Option<Vec<SimEvent>>,
+    threads: usize,
 ) -> Result<FleetRun, FleetError> {
     cfg.validate()?;
     let n = cfg.workers;
     let invs = workload.invocations();
+    let last = invs.last().map_or(SimTime::ZERO, |inv| inv.arrival);
+    let beyond = |f: &&WorkerFault| f.at.saturating_duration_since(last) > Worker::HORIZON;
+    if let Some(f) = cfg.faults.iter().find(beyond) {
+        let kind = format!("{:?}", f.kind).to_lowercase();
+        return Err(FleetError::InvalidConfig(format!(
+            "faults: the {kind} of worker {} at {} lies more than {} past the last arrival ({last})",
+            f.worker,
+            f.at,
+            Worker::HORIZON,
+        )));
+    }
     let mut fleet = Fleet {
         cfg,
         invs,
+        new_worker,
         router: Router::new(policy, n),
         seats: (0..n)
             .map(|_| Seat {
-                worker: Some(new_worker()),
+                pending: Vec::new(),
                 crashed: None,
                 lost: 0,
             })
@@ -409,22 +516,28 @@ fn run_fleet_impl(
         }
     }
 
-    // Close every surviving worker's input and merge: each record regains
-    // its original arrival, and the re-dispatch gap is charged to
+    // Replay every surviving worker to its end, then merge: each record
+    // regains its original arrival, and the re-dispatch gap is charged to
     // scheduling. Ids are dense, so each record goes to the slot of its id.
+    let seats = std::mem::take(&mut fleet.seats);
+    let survivors: Vec<&[Injection]> = seats
+        .iter()
+        .filter(|seat| seat.crashed.is_none())
+        .map(|seat| seat.pending.as_slice())
+        .collect();
+    let mut finished = finish_all(new_worker, invs, &survivors, threads).into_iter();
     let mut slots: Vec<Option<FleetRecord>> = vec![None; invs.len()];
     let mut retry_delay_total = SimDuration::ZERO;
     let mut workers: Vec<WorkerReport> = Vec::with_capacity(n);
     let mut engine = EngineStats::default();
-    for (w, seat) in std::mem::take(&mut fleet.seats).into_iter().enumerate() {
-        let report = match (seat.worker, seat.crashed) {
-            (Some(mut worker), _) => {
-                worker.close();
-                engine += worker.engine_stats();
-                worker.finish().0
+    for (w, seat) in seats.into_iter().enumerate() {
+        let report = match seat.crashed {
+            Some((_, report)) => report,
+            None => {
+                let (report, stats) = finished.next().expect("one report per survivor");
+                engine += stats;
+                report
             }
-            (None, Some((_, report))) => report,
-            (None, None) => unreachable!("a seat loses its worker only to a crash"),
         };
         for rec in &report.records {
             let id = rec.id.value();
@@ -598,7 +711,7 @@ mod tests {
         let cfg = fleet_cfg(4);
         let policy = RoutingKind::LeastLoaded.build();
         let new = || new_worker(&w, &cfg, "hour");
-        let (report, _, engine) = run_fleet_impl(&w, &cfg, policy, "hour", &new, None).unwrap();
+        let (report, _, engine) = run_fleet_impl(&w, &cfg, policy, "hour", &new, None, 1).unwrap();
         assert_conserved(&w, &report);
         assert!(w.len() > 1_000, "a peak hour: {}", w.len());
         let per_invocation = |count: u64| count as f64 / w.len() as f64;
@@ -1060,6 +1173,171 @@ mod tests {
             panic!("expected NoLiveWorker, got {err:?}");
         };
         assert!(at >= SimTime::from_millis(100));
+    }
+
+    /// Every result is the same at any thread count: four policies × both
+    /// worker schedulers × {fault-free, a crash with late members, a drain,
+    /// an autoscaled config}, at 1, 2, 3 and workers + 2 threads. The
+    /// fleet events are compared as the loop and the merge produced them,
+    /// before `run_fleet_traced` sorts them.
+    #[test]
+    fn every_result_is_independent_of_the_thread_count() {
+        use faasbatch_metrics::autoscaler::AutoscalerConfig;
+        // Two hot functions, so each 200 ms window is a group of ~40.
+        let w = cpu_workload(
+            &DetRng::new(12),
+            &WorkloadConfig {
+                total: 600,
+                span: SimDuration::from_secs(3),
+                functions: 2,
+                ..WorkloadConfig::default()
+            },
+        );
+        let crash_at = SimTime::from_millis(1_300);
+        let fault = |worker, kind| WorkerFault {
+            worker,
+            at: crash_at,
+            kind,
+        };
+        let autoscaled = SimConfig {
+            autoscaler: Some(AutoscalerConfig::default()),
+            ..SimConfig::default()
+        };
+        let workers = 3;
+        let mut late = 0;
+        for scheduler in [
+            WorkerScheduler::FaasBatch(Default::default()),
+            WorkerScheduler::Vanilla,
+        ] {
+            let base = FleetConfig {
+                workers,
+                scheduler,
+                redispatch_delay: SimDuration::from_millis(20),
+                ..FleetConfig::default()
+            };
+            let scenarios = [
+                base.clone(),
+                FleetConfig {
+                    faults: vec![fault(0, FaultKind::Crash)],
+                    ..base.clone()
+                },
+                FleetConfig {
+                    faults: vec![fault(1, FaultKind::Drain)],
+                    ..base.clone()
+                },
+                FleetConfig {
+                    sim: autoscaled.clone(),
+                    ..base.clone()
+                },
+            ];
+            for cfg in &scenarios {
+                for kind in RoutingKind::ALL {
+                    let new = || new_worker(&w, cfg, "threads");
+                    let run = |threads| {
+                        let (report, events, _) = run_fleet_impl(
+                            &w,
+                            cfg,
+                            kind.build(),
+                            "threads",
+                            &new,
+                            Some(Vec::new()),
+                            threads,
+                        )
+                        .expect("fleet run succeeds");
+                        (report, events.expect("traced"))
+                    };
+                    let (one, one_events) = run(1);
+                    assert_conserved(&w, &one);
+                    late += one
+                        .records
+                        .iter()
+                        .filter(|r| r.retries > 0 && r.record.arrival > crash_at)
+                        .count();
+                    for threads in [2, 3, workers + 2] {
+                        let (report, events) = run(threads);
+                        let case = format!("{}, {threads} threads: {cfg:?}", kind.name());
+                        assert!(report == one, "{case}: reports differ");
+                        assert!(events == one_events, "{case}: event streams differ");
+                    }
+                }
+            }
+        }
+        assert!(
+            late > 0,
+            "no member of a crashed group arrived after the crash"
+        );
+    }
+
+    /// A policy that accepts every arrival and dispatches none.
+    struct Dropper;
+
+    impl faasbatch_schedulers::policy::Policy for Dropper {
+        fn name(&self) -> String {
+            "dropper".to_owned()
+        }
+
+        fn on_arrival(
+            &mut self,
+            _ctx: &mut faasbatch_schedulers::policy::Ctx<'_>,
+            _invocation: &Invocation,
+        ) {
+        }
+    }
+
+    /// A worker replayed on a helper thread that stalls panics the replay
+    /// with the harness's own message, not the scope's generic one. The
+    /// barrier holds each of the two threads at its first worker until the
+    /// other has taken one, so the helper replays exactly one seat.
+    #[test]
+    #[should_panic(expected = "simulation stalled")]
+    fn a_helper_threads_panic_surfaces_as_its_own() {
+        let w = small_workload(3);
+        let cfg = fleet_cfg(2);
+        let caller = std::thread::current().id();
+        let both_started = std::sync::Barrier::new(2);
+        let new = || {
+            both_started.wait();
+            if std::thread::current().id() == caller {
+                return new_worker(&w, &cfg, "t");
+            }
+            let registry = w.registry().clone();
+            Worker::new(
+                Box::new(Dropper),
+                registry,
+                SimConfig::default(),
+                "t",
+                None,
+                Box::new(NoopSink),
+            )
+        };
+        let policy = RoutingKind::RoundRobin.build();
+        let _ = run_fleet_impl(&w, &cfg, policy, "t", &new, None, 2);
+    }
+
+    #[test]
+    fn a_fault_past_the_safety_horizon_is_a_typed_error() {
+        let w = small_workload(3);
+        for (kind, name) in [(FaultKind::Crash, "crash"), (FaultKind::Drain, "drain")] {
+            let fault = |at| FleetConfig {
+                workers: 2,
+                faults: vec![WorkerFault {
+                    worker: 1,
+                    at,
+                    kind,
+                }],
+                ..FleetConfig::default()
+            };
+            let last = w.last_arrival();
+            let edge = fault(last + Worker::HORIZON);
+            assert!(run_fleet(&w, &edge, RoutingKind::RoundRobin.build(), "t").is_ok());
+            let beyond = fault(last + Worker::HORIZON + SimDuration::from_micros(1));
+            let err = run_fleet(&w, &beyond, RoutingKind::RoundRobin.build(), "t")
+                .expect_err("a fault past the horizon is refused");
+            let FleetError::InvalidConfig(why) = &err else {
+                panic!("expected InvalidConfig, got {err:?}");
+            };
+            assert!(why.contains(&format!("the {name} of worker 1")), "{why}");
+        }
     }
 
     #[test]

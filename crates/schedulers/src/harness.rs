@@ -1234,8 +1234,9 @@ pub fn run_source_traced(
 /// One simulated worker stepped from outside: the caller injects arrivals
 /// in time order and the worker runs its own event queue only as far as
 /// each injection needs. [`run_source_traced`] drives one worker over one
-/// source; the fleet drives N of them in one time-ordered loop, so both
-/// paths share this mechanism.
+/// source; the fleet feeds each of N workers the injections its routing
+/// loop handed it, so both paths share this mechanism. What a worker
+/// reports is a function of its injections alone.
 ///
 /// The worker cannot know that an idle stretch is the end of the run, so
 /// the sampler and any periodic policy timer (Kraken's rounds, SFS's sweeps)
@@ -1252,6 +1253,12 @@ pub struct Worker {
 }
 
 impl Worker {
+    /// How far [`close`](Self::close) lets a run go past its last arrival,
+    /// or past the policy tick that arrival armed, whichever is later. A
+    /// healthy run finishes long before it; callers refuse a dispatch window
+    /// or a fault instant that lies beyond it.
+    pub const HORIZON: SimDuration = SimDuration::from_secs(24 * 3600);
+
     /// A worker at `t = 0` with nothing injected: first host sample taken,
     /// sampler armed, the policy's start hook run.
     pub fn new(
@@ -1368,10 +1375,12 @@ impl Worker {
     /// As [`finish`](Self::finish).
     pub fn close(&mut self) {
         self.sim.world.closed = true;
-        // Safety horizon, a day past the last arrival (where the clock
-        // stands): a healthy run finishes long before this.
+        // The clock stands at the last arrival; a window tick it armed is
+        // part of the run.
+        let now = self.engine.now();
+        let tick = self.engine.armed_at(self.sim.world.alarms.policy);
         self.engine
-            .set_horizon(self.engine.now() + SimDuration::from_secs(24 * 3600));
+            .set_horizon(tick.map_or(now, |tick| tick.max(now)) + Self::HORIZON);
         // Work can outlive the last completion: a speculative pre-warm
         // still booting, a fire-and-forget overhead task still on the CPU.
         // Step until every span the stream opened has closed as well; a run

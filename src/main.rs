@@ -18,10 +18,10 @@ use faasbatch::metrics::events::{
 };
 use faasbatch::metrics::report::{text_table, RunReport};
 use faasbatch::schedulers::config::SimConfig;
+use faasbatch::schedulers::harness::Worker;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
-use faasbatch::trace::arrival::{bin_counts, burstiness};
-use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
+use faasbatch::trace::workload::{cpu_workload, io_workload, Invocation, Workload, WorkloadConfig};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -390,6 +390,21 @@ fn span_of(key: &str, n: u64, unit: SimDuration) -> Result<SimDuration, CliError
         .ok_or_else(|| CliError::Usage(format!("{key} is out of range: {n}")))
 }
 
+/// The `--window-ms` dispatch window. One longer than a worker's safety
+/// horizon ([`Worker::HORIZON`], a day) would put its first tick past the
+/// last instant a closed run may reach, so it is a usage error naming the
+/// flag — in `live` too, where a day-long window is no burst at all.
+fn window_of(opts: &Options, default_ms: u64) -> Result<SimDuration, CliError> {
+    let window = span_of("--window-ms", opts.positive("--window-ms", default_ms)?, MS)?;
+    if window > Worker::HORIZON {
+        return Err(CliError::Usage(format!(
+            "--window-ms is longer than the simulator's {} safety horizon: {window}",
+            Worker::HORIZON
+        )));
+    }
+    Ok(window)
+}
+
 /// Parses and runs one subcommand — everything `main` does after picking
 /// the command name off the argument list.
 fn run(name: &str, args: &[String]) -> Result<(), CliError> {
@@ -472,7 +487,7 @@ fn snapshot_config(opts: &Options) -> Result<SnapshotConfig, CliError> {
 
 fn cmd_compare(opts: &Options) -> Result<(), CliError> {
     let (label, w) = load_or_build(opts)?;
-    let window = span_of("--window-ms", opts.positive("--window-ms", 200)?, MS)?;
+    let window = window_of(opts, 200)?;
     let cfg = SimConfig {
         snapshot: snapshot_config(opts)?,
         ..SimConfig::default()
@@ -543,15 +558,20 @@ fn cmd_workload(opts: &Options) -> Result<(), CliError> {
         w.registry().len(),
         w.last_arrival()
     );
-    let arrivals: Vec<_> = w.invocations().iter().map(|i| i.arrival).collect();
-    let span = (w.last_arrival() + SimDuration::from_secs(1))
-        .saturating_duration_since(faasbatch::simcore::time::SimTime::ZERO);
-    let per_sec = bin_counts(&arrivals, SimDuration::from_secs(1), span);
-    println!(
-        "arrivals: peak {}/s, burstiness {:.1}",
-        per_sec.iter().max().copied().unwrap_or(0),
-        burstiness(&per_sec)
-    );
+    // Per-second counts over the seconds `0..=ceil(last arrival)`, without
+    // a bin per second: arrivals are sorted, so each busy second is one run
+    // of them, and the mean is the count over the seconds.
+    let second = |inv: &Invocation| inv.arrival.as_micros() / SECOND.as_micros();
+    let peak = w
+        .invocations()
+        .chunk_by(|a, b| second(a) == second(b))
+        .map(<[Invocation]>::len)
+        .max()
+        .unwrap_or(0);
+    let seconds = w.last_arrival().as_micros().div_ceil(SECOND.as_micros()) + 1;
+    let mean = w.len() as f64 / seconds as f64;
+    let burstiness = if mean == 0.0 { 0.0 } else { peak as f64 / mean };
+    println!("arrivals: peak {peak}/s, burstiness {burstiness:.1}");
     println!(
         "total intrinsic work: {:.1} core-seconds",
         w.total_work().as_secs_f64()
@@ -607,7 +627,7 @@ fn cmd_fleet(opts: &Options) -> Result<(), CliError> {
     let (label, w) = load_or_build(opts)?;
     let policy_name = opts.str("--policy", "least-loaded");
     let kind = RoutingKind::parse(&policy_name).map_err(|e| CliError::Usage(e.to_string()))?;
-    let window = span_of("--window-ms", opts.positive("--window-ms", 200)?, MS)?;
+    let window = window_of(opts, 200)?;
     let scheduler = match opts.str("--scheduler", "faasbatch").as_str() {
         "faasbatch" => WorkerScheduler::FaasBatch(FaasBatchConfig::with_window(window)),
         "vanilla" => WorkerScheduler::Vanilla,
@@ -776,11 +796,7 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     let scheduler = opts.str("--scheduler", "faasbatch");
     // An unknown name is a typed error listing every valid scheduler.
     let kind = SchedulerKind::parse(&scheduler).map_err(|e| CliError::Usage(e.to_string()))?;
-    let mut setup = SchedulerSetup::new(span_of(
-        "--window-ms",
-        opts.positive("--window-ms", 200)?,
-        MS,
-    )?);
+    let mut setup = SchedulerSetup::new(window_of(opts, 200)?);
     setup.faasbatch.multiplex = !opts.flag("--no-multiplex");
     let cfg = SimConfig {
         snapshot: snapshot_config(opts)?,
@@ -863,11 +879,7 @@ fn cmd_autoscale(opts: &Options) -> Result<(), CliError> {
     let (label, w) = load_or_build(opts)?;
     let scheduler = opts.str("--scheduler", "faasbatch");
     let kind = SchedulerKind::parse(&scheduler).map_err(|e| CliError::Usage(e.to_string()))?;
-    let setup = SchedulerSetup::new(span_of(
-        "--window-ms",
-        opts.positive("--window-ms", 200)?,
-        MS,
-    )?);
+    let setup = SchedulerSetup::new(window_of(opts, 200)?);
     let keep_alive = span_of("--keepalive-s", opts.num("--keepalive-s", 2)?, SECOND)?;
     let cfg = SimConfig {
         keep_alive,
@@ -1454,7 +1466,7 @@ fn cmd_live(opts: &Options) -> Result<(), CliError> {
         functions: jobs.div_ceil(batch_size),
         // Gateway: worker count; platform: executor size (0 = its default).
         workers: opts.num("--workers", if gateway { 8 } else { 0 })?,
-        window: std::time::Duration::from_millis(opts.positive("--window-ms", 25)?),
+        window: window_of(opts, 25)?.into(),
         cold: std::time::Duration::from_millis(opts.num("--cold-ms", 2)?),
         work: std::time::Duration::from_micros(opts.num("--work-us", 250)?),
         recorder: trace.then(|| telemetry.recorder()),
@@ -1564,7 +1576,47 @@ mod tests {
         // not wrapped (2⁶⁴ µs is 18,446,744,073,709,552 ms).
         const OVER_MS: &str = "18446744073709552";
         const OVER_S: &str = "18446744073710";
-        let cases: [(&str, &[&str], &str, bool); 29] = [
+        // One that fits the clock but not a run: past the one-day horizon.
+        const FAR_MS: &str = "18446744073709551";
+        let cases: [(&str, &[&str], &str, bool); 37] = [
+            (
+                "compare",
+                &["--total", "40", "--window-ms", FAR_MS],
+                "--window-ms",
+                USAGE,
+            ),
+            (
+                "compare",
+                &["--window-ms", "86400001"],
+                "--window-ms",
+                USAGE,
+            ),
+            ("trace", &["--window-ms", "86400001"], "--window-ms", USAGE),
+            (
+                "autoscale",
+                &["--window-ms", "86400001"],
+                "--window-ms",
+                USAGE,
+            ),
+            ("fleet", &["--window-ms", "86400001"], "--window-ms", USAGE),
+            (
+                "live",
+                &["--jobs", "10", "--window-ms", "86400001"],
+                "--window-ms",
+                USAGE,
+            ),
+            (
+                "fleet",
+                &["--total", "40", "--crash", &format!("0@{FAR_MS}")],
+                "the crash of worker 0",
+                FAILED,
+            ),
+            (
+                "fleet",
+                &["--crash", "0@1000", "--redispatch-ms", FAR_MS],
+                "redispatch_delay",
+                FAILED,
+            ),
             (
                 "compare",
                 &["--total", "40", "--span-s", "5", "--window-ms", OVER_MS],
@@ -1656,6 +1708,10 @@ mod tests {
                 FAILED,
             ),
         ];
+        // A span that fits the clock is no error: the workload's statistics
+        // take no bin per simulated second.
+        run("workload", &strings(&["--span-s", "18446744073709"]))
+            .expect("a span the clock holds prints its statistics");
         for (name, args, needle, usage) in cases {
             let err = run(name, &strings(args)).expect_err(&format!("{name} {args:?}"));
             assert!(
