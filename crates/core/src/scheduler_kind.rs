@@ -24,6 +24,7 @@ use faasbatch_schedulers::sfs::Sfs;
 use faasbatch_schedulers::vanilla::Vanilla;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::Workload;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned by [`SchedulerKind::parse`] for an unrecognised
@@ -53,7 +54,7 @@ impl fmt::Display for UnknownScheduler {
 impl std::error::Error for UnknownScheduler {}
 
 /// Enumerates the comparison schedulers, for CLI / bench sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulerKind {
     /// One container per invocation (`faasbatch_schedulers::vanilla`).
     Vanilla,
@@ -79,7 +80,7 @@ pub enum SchedulerKind {
 /// rest are parameter-free. Bundling them lets one setup build all six.
 /// The dispatch window is stored once, as the FaaSBatch configuration's
 /// `window`, and Kraken batches over the same one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerSetup {
     /// Kraken's execution-time calibration.
     pub kraken: KrakenCalibration,

@@ -35,7 +35,7 @@
 use faasbatch_container::ids::{FunctionId, InvocationId};
 use faasbatch_core::mapper::InvokeMapper;
 use faasbatch_core::policy::{FaasBatchConfig, FaasBatchPolicy};
-use faasbatch_fleet::config::{FaultKind, FleetConfig, WorkerFault, WorkerScheduler};
+use faasbatch_fleet::config::{FaultKind, FleetConfig, WorkerFault};
 use faasbatch_fleet::routing::RoutingKind;
 use faasbatch_fleet::sim::{run_fleet, run_fleet_with_workers};
 use faasbatch_metrics::events::{EventKind, NoopSink, SimEvent, VecSink};
@@ -207,8 +207,7 @@ fn fleet_reports_equal_the_periodic_oracle_through_a_crash_and_a_drain() {
                 let span = w.last_arrival().as_micros();
                 let cfg = FleetConfig {
                     workers: 4,
-                    window: fb.window,
-                    scheduler: WorkerScheduler::FaasBatch(fb.clone()),
+                    setup: fb.clone().into(),
                     // Mid-trace and off the grid, so the crash lands inside
                     // a window that may or may not hold something.
                     faults: vec![

@@ -1,39 +1,12 @@
-//! Fleet-level configuration: worker count, per-worker scheduler, the
-//! router's dispatch window, and the fault schedule.
+//! Fleet-level configuration: worker count, per-worker scheduler and its
+//! setup (whose window the router groups on), and the fault schedule.
 
 use crate::error::FleetError;
-use faasbatch_core::policy::FaasBatchConfig;
+use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch_schedulers::config::SimConfig;
 use faasbatch_schedulers::harness::Worker;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// The scheduler every worker in the fleet runs. The fleet is homogeneous —
-/// the paper's single-worker comparison is reproduced per worker, and the
-/// fleet layer isolates *routing* policy on top of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WorkerScheduler {
-    /// One container per invocation (the Vanilla baseline).
-    Vanilla,
-    /// FaaSBatch: window batching + inline parallelism + multiplexing.
-    FaasBatch(FaasBatchConfig),
-}
-
-impl WorkerScheduler {
-    /// Scheduler name as it appears in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorkerScheduler::Vanilla => "vanilla",
-            WorkerScheduler::FaasBatch(_) => "faasbatch",
-        }
-    }
-}
-
-impl Default for WorkerScheduler {
-    fn default() -> Self {
-        WorkerScheduler::FaasBatch(FaasBatchConfig::default())
-    }
-}
 
 /// How a worker leaves the fleet mid-replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,16 +35,19 @@ pub struct WorkerFault {
 pub struct FleetConfig {
     /// Number of workers.
     pub workers: usize,
-    /// Router dispatch window: invocations of one function arriving within
-    /// the same window form a group that is routed to one worker as a unit
-    /// (the fleet-level extension of the Invoke Mapper's never-split
-    /// invariant).
-    pub window: SimDuration,
     /// Per-worker simulation config (identical across workers). With
     /// `sim.autoscaler` set, every worker runs its own controller.
     pub sim: SimConfig,
-    /// Per-worker scheduler.
-    pub scheduler: WorkerScheduler,
+    /// The scheduler every worker runs. The fleet is homogeneous: the
+    /// single-worker comparison is reproduced per worker, and the fleet
+    /// layer isolates *routing* policy on top of it.
+    pub scheduler: SchedulerKind,
+    /// What [`scheduler`](Self::scheduler) is built from. Its
+    /// `faasbatch.window` is also the router's dispatch window:
+    /// invocations of one function arriving within the same window form a
+    /// group that is routed to one worker as a unit (the fleet-level
+    /// extension of the Invoke Mapper's never-split invariant).
+    pub setup: SchedulerSetup,
     /// Scheduled worker faults.
     pub faults: Vec<WorkerFault>,
     /// Maximum re-dispatch attempts per invocation before the run is
@@ -82,13 +58,14 @@ pub struct FleetConfig {
     pub redispatch_delay: SimDuration,
 }
 
+/// Four FaaSBatch workers under the paper's 200 ms window.
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             workers: 4,
-            window: SimDuration::from_millis(200),
             sim: SimConfig::default(),
-            scheduler: WorkerScheduler::default(),
+            scheduler: SchedulerKind::FaasBatch,
+            setup: SchedulerSetup::new(SimDuration::from_millis(200)),
             faults: Vec::new(),
             max_retries: 3,
             redispatch_delay: SimDuration::from_millis(50),
@@ -110,8 +87,8 @@ impl FleetConfig {
         if self.workers == 0 {
             return invalid("workers: fleet needs at least one worker".to_owned());
         }
-        if self.window.is_zero() {
-            return invalid("window: router window must be positive".to_owned());
+        if self.setup.faasbatch.window.is_zero() {
+            return invalid("setup.faasbatch.window: dispatch window must be positive".to_owned());
         }
         if self.redispatch_delay > Worker::HORIZON {
             return invalid(format!(
@@ -171,10 +148,10 @@ mod tests {
         };
         assert!(rejection(zero_workers).contains("at least one worker"));
         let zero_window = FleetConfig {
-            window: SimDuration::ZERO,
+            setup: SchedulerSetup::new(SimDuration::ZERO),
             ..FleetConfig::default()
         };
-        assert!(rejection(zero_window).starts_with("window"));
+        assert!(rejection(zero_window).starts_with("setup.faasbatch.window"));
         let endless_retry = FleetConfig {
             redispatch_delay: Worker::HORIZON + SimDuration::from_micros(1),
             ..FleetConfig::default()

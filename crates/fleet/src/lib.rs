@@ -7,8 +7,11 @@
 //! that model out: a fleet-level front door routes the invocation stream
 //! across N identical workers — stepping
 //! [`Worker`](faasbatch_schedulers::harness::Worker)s of the unchanged
-//! `faasbatch-schedulers` harness, running FaaSBatch or the Vanilla
-//! baseline. It routes in **one loop in time order**, then replays each
+//! `faasbatch-schedulers` harness. A worker is described as a
+//! single-worker run is: [`FleetConfig`]'s `scheduler` is a
+//! [`SchedulerKind`](faasbatch_core::scheduler_kind::SchedulerKind) built
+//! from its `setup`, whose FaaSBatch window is also the router's dispatch
+//! window. It routes in **one loop in time order**, then replays each
 //! worker from what it was handed, the survivors side by side ([`sim`] has
 //! the mechanics).
 //! Three ideas define the layer:
@@ -73,7 +76,7 @@ pub mod report;
 pub mod routing;
 pub mod sim;
 
-pub use config::{FaultKind, FleetConfig, WorkerFault, WorkerScheduler};
+pub use config::{FaultKind, FleetConfig, WorkerFault};
 pub use error::FleetError;
 pub use report::{FleetRecord, FleetReport, WorkerReport};
 pub use routing::{RoutingKind, RoutingPolicy};

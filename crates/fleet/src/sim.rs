@@ -44,12 +44,11 @@
 //! worker state would have to route on state taken at synchronisation
 //! points, with the workers advanced in parallel between them.
 
-use crate::config::{FaultKind, FleetConfig, WorkerFault, WorkerScheduler};
+use crate::config::{FaultKind, FleetConfig, WorkerFault};
 use crate::error::FleetError;
 use crate::report::{FleetRecord, FleetReport, WorkerReport};
 use crate::routing::{Router, RoutingPolicy};
 use faasbatch_container::ids::{FunctionId, InvocationId};
-use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::events::{EventKind, NoopSink, SimEvent, TraceSink};
 use faasbatch_metrics::report::RunReport;
 use faasbatch_schedulers::harness::Worker;
@@ -211,7 +210,7 @@ impl Fleet<'_> {
     fn dispatch(&mut self, at: SimTime, ids: &[u64]) -> Result<(), FleetError> {
         let invs = self.invs;
         let first = &invs[ids[0] as usize];
-        let epoch = at.as_micros() / self.cfg.window.as_micros();
+        let epoch = at.as_micros() / self.cfg.setup.faasbatch.window.as_micros();
         if epoch != self.epoch {
             self.placed.clear();
             self.epoch = epoch;
@@ -263,7 +262,8 @@ impl Fleet<'_> {
                 at,
             });
         }
-        let (invs, window, epoch) = (self.invs, self.cfg.window.as_micros(), self.epoch);
+        let window = self.cfg.setup.faasbatch.window.as_micros();
+        let (invs, epoch) = (self.invs, self.epoch);
         // What the router can see of the group: a fresh one is the rest of
         // its window in the trace, a re-dispatched one is the entry `ids`.
         let (fresh, retried) = if attempt == 0 {
@@ -350,11 +350,7 @@ impl Fleet<'_> {
 /// A fresh worker for one seat, running the fleet's scheduler — and, when
 /// `cfg.sim` configures one, its own controller.
 fn new_worker(workload: &Workload, cfg: &FleetConfig, label: &str) -> Worker {
-    let (kind, setup) = match &cfg.scheduler {
-        WorkerScheduler::Vanilla => (SchedulerKind::Vanilla, SchedulerSetup::new(cfg.window)),
-        WorkerScheduler::FaasBatch(fb) => (SchedulerKind::FaasBatch, fb.clone().into()),
-    };
-    let (policy, interval) = kind.build(&setup);
+    let (policy, interval) = cfg.scheduler.build(&cfg.setup);
     let registry = workload.registry().clone();
     Worker::new(
         policy,
@@ -618,6 +614,7 @@ mod tests {
     use crate::config::{FaultKind, WorkerFault};
     use crate::routing::RoutingKind;
     use faasbatch_core::policy::run_faasbatch;
+    use faasbatch_core::scheduler_kind::SchedulerKind;
     use faasbatch_metrics::sampler::ResourceSampler;
     use faasbatch_schedulers::config::SimConfig;
     use faasbatch_simcore::rng::DetRng;
@@ -748,10 +745,8 @@ mod tests {
         let w = small_workload(1);
         let cfg = fleet_cfg(1);
         let fleet = run_ok(&w, &cfg, RoutingKind::RoundRobin.build(), "cpu");
-        let WorkerScheduler::FaasBatch(fb) = &cfg.scheduler else {
-            panic!("default scheduler is faasbatch");
-        };
-        let direct = run_faasbatch(&w, cfg.sim.clone(), fb.clone(), "cpu");
+        assert_eq!(cfg.scheduler, SchedulerKind::FaasBatch);
+        let direct = run_faasbatch(&w, cfg.sim.clone(), cfg.setup.faasbatch.clone(), "cpu");
         assert_conserved(&w, &fleet);
         assert_eq!(fleet.workers[0].report, direct);
         assert_eq!(fleet.records.len(), direct.records.len());
@@ -783,7 +778,7 @@ mod tests {
             for r in &report.records {
                 let key = (
                     r.record.function.index(),
-                    r.record.arrival.as_micros() / cfg.window.as_micros(),
+                    r.record.arrival.as_micros() / cfg.setup.faasbatch.window.as_micros(),
                 );
                 let w0 = *owner.entry(key).or_insert(r.worker);
                 assert_eq!(
@@ -1034,7 +1029,7 @@ mod tests {
         let w = small_workload(8);
         let cfg = FleetConfig {
             workers: 2,
-            scheduler: WorkerScheduler::Vanilla,
+            scheduler: SchedulerKind::Vanilla,
             ..FleetConfig::default()
         };
         let report = run_ok(&w, &cfg, RoutingKind::PullBased.build(), "cpu");
@@ -1205,10 +1200,7 @@ mod tests {
         };
         let workers = 3;
         let mut late = 0;
-        for scheduler in [
-            WorkerScheduler::FaasBatch(Default::default()),
-            WorkerScheduler::Vanilla,
-        ] {
+        for scheduler in SchedulerKind::ALL {
             let base = FleetConfig {
                 workers,
                 scheduler,

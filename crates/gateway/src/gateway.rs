@@ -282,6 +282,18 @@ impl GatewayBuilder {
         self
     }
 
+    /// Snapshot capacity of each worker's own cache (0 = disabled).
+    pub fn snapshots(mut self, capacity: usize) -> GatewayBuilder {
+        self.cores = self.cores.snapshots(capacity);
+        self
+    }
+
+    /// Restore delay of the workers' snapshot tier.
+    pub fn restore_delay(mut self, delay: Duration) -> GatewayBuilder {
+        self.cores = self.cores.restore_delay(delay);
+        self
+    }
+
     /// Runs every worker on one specific executor (default: the shared
     /// process-wide pool).
     pub fn executor(mut self, executor: Arc<Executor>) -> GatewayBuilder {

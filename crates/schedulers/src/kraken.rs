@@ -201,20 +201,6 @@ impl Kraken {
         self
     }
 
-    /// Test-only access to the slack packer (kept out of the public API
-    /// surface; used by the workspace's property tests).
-    #[doc(hidden)]
-    pub fn pack_for_test(
-        &self,
-        now: faasbatch_simcore::time::SimTime,
-        function: FunctionId,
-        queue: Vec<Invocation>,
-        warm_available: usize,
-        cold_estimate: SimDuration,
-    ) -> Vec<Vec<Invocation>> {
-        self.pack(now, function, queue, warm_available, cold_estimate)
-    }
-
     /// Maximum batch size meeting a function's SLO if dispatched promptly.
     fn batch_cap(&self, function: FunctionId) -> usize {
         let slo = self.calibration.slo_for(function).as_millis_f64();
@@ -586,5 +572,50 @@ mod tests {
             kraken.calibration.exec_estimate(f),
             SimDuration::from_millis(100)
         );
+    }
+
+    proptest::proptest! {
+        /// The packer is a partition: every queued invocation lands in
+        /// exactly one batch, order preserved within batches, and no batch
+        /// is empty.
+        #[test]
+        fn pack_partitions(
+            n in 1usize..60,
+            slo_ms in 50u64..5_000,
+            exec_ms in 1u64..500,
+            warm in 0usize..10,
+        ) {
+            let f = FunctionId::new(0);
+            let mut cal = KrakenCalibration::default();
+            cal.slo.insert(f, SimDuration::from_millis(slo_ms));
+            cal.mean_exec.insert(f, SimDuration::from_millis(exec_ms));
+            let kraken = Kraken::new(cal, SimDuration::from_millis(200));
+            let queue: Vec<Invocation> = (0..n as u64)
+                .map(|i| Invocation {
+                    id: faasbatch_container::ids::InvocationId::new(i),
+                    function: f,
+                    arrival: SimTime::from_millis(i),
+                    work: SimDuration::from_millis(exec_ms),
+                })
+                .collect();
+            let batches = kraken.pack(
+                SimTime::from_millis(200),
+                f,
+                queue,
+                warm,
+                SimDuration::from_millis(700),
+            );
+            proptest::prop_assert!(batches.iter().all(|b| !b.is_empty()));
+            let mut ids: Vec<u64> = batches
+                .iter()
+                .flat_map(|b| b.iter().map(|i| i.id.value()))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            proptest::prop_assert_eq!(ids.len(), n, "not a partition");
+            for b in &batches {
+                proptest::prop_assert!(b.windows(2).all(|w| w[0].arrival <= w[1].arrival));
+            }
+        }
     }
 }

@@ -42,20 +42,6 @@ pub fn fib(n: u32) -> u64 {
     }
 }
 
-/// Expected (modelled) execution duration of `fib(n)` on the paper's worker.
-///
-/// # Examples
-///
-/// ```
-/// use faasbatch_trace::fib::{expected_duration, ANCHOR_N};
-///
-/// assert_eq!(expected_duration(ANCHOR_N).as_millis(), 45);
-/// ```
-pub fn expected_duration(n: u32) -> SimDuration {
-    let ms = ANCHOR_MS * PHI.powi(n as i32 - ANCHOR_N as i32);
-    SimDuration::from_millis_f64(ms)
-}
-
 /// The N whose modelled duration is closest to `target` (clamped to
 /// `[MIN_N, MAX_N]`).
 ///
@@ -76,6 +62,18 @@ pub fn fib_n_for_duration(target: SimDuration) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Modelled execution duration of `fib(n)` on the paper's worker: the
+    /// curve [`fib_n_for_duration`] inverts.
+    fn expected_duration(n: u32) -> SimDuration {
+        let ms = ANCHOR_MS * PHI.powi(n as i32 - ANCHOR_N as i32);
+        SimDuration::from_millis_f64(ms)
+    }
+
+    #[test]
+    fn anchor_runs_45_ms() {
+        assert_eq!(expected_duration(ANCHOR_N).as_millis(), 45);
+    }
 
     #[test]
     fn fib_base_cases_and_values() {

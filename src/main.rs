@@ -4,9 +4,8 @@
 //! generated from the one [`COMMANDS`] table the parser validates against.
 
 use faasbatch::container::snapshot::{EvictionPolicy, SnapshotConfig};
-use faasbatch::core::policy::FaasBatchConfig;
 use faasbatch::core::scheduler_kind::{run_comparison, SchedulerKind, SchedulerSetup};
-use faasbatch::fleet::config::{FaultKind, FleetConfig, WorkerFault, WorkerScheduler};
+use faasbatch::fleet::config::{FaultKind, FleetConfig, WorkerFault};
 use faasbatch::fleet::routing::RoutingKind;
 use faasbatch::fleet::sim::run_fleet;
 use faasbatch::metrics::analysis::{
@@ -20,7 +19,7 @@ use faasbatch::metrics::report::{text_table, RunReport};
 use faasbatch::schedulers::config::SimConfig;
 use faasbatch::schedulers::harness::Worker;
 use faasbatch::simcore::rng::DetRng;
-use faasbatch::simcore::time::SimDuration;
+use faasbatch::simcore::time::{SimDuration, SimTime};
 use faasbatch::trace::workload::{cpu_workload, io_workload, Invocation, Workload, WorkloadConfig};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -146,29 +145,27 @@ const COMMANDS: &[Command] = &[
         name: "live",
         positionals: "",
         flags: &[
-            "--jobs N --batch-size N --workers N --window-ms N --cold-ms N",
-            "--work-us N --audit --out FILE",
-            LIVE_PLATFORM,
+            "--jobs N --batch-size N --workers N --shards N --shard-depth N",
+            "--policy {policies} --window-ms N --cold-ms N --snapshots N --restore-ms N",
+            "--work-us N --seed N --audit --out FILE",
             TELEMETRY,
-            "--gateway",
-            LIVE_GATEWAY,
         ],
-        about: "fire a synthetic burst at the real (wall-clock) platform on
-               the work-stealing executor and print throughput plus
-               p50/p95/p99 latency; --audit replays
-               the emitted event stream through the invariant auditor and the
-               attribution engine, --out FILE exports it as JSONL (readable
-               by `faasbatch trace --analyze`); with --gateway the burst
-               instead enters the sharded live gateway, which routes each
-               dispatch-window group as a unit across --workers N live
-               workers (default 8) from --shards N ingress shards
-               under the chosen routing policy, with per-shard admission
-               control (saturated shards reject instead of buffering);
-               --metrics-addr serves live Prometheus text on /metrics and a
-               JSON snapshot on /json (--serve-ms holds the endpoint open
-               after the burst), --flight-record FILE keeps a bounded ring
-               of recent events and dumps it as JSONL on panic or shutdown
-               (readable by `faasbatch trace --analyze`)",
+        about: "fire a synthetic burst at the sharded live (wall-clock)
+               gateway and print throughput plus p50/p95/p99 latency: --shards
+               N ingress shards route each dispatch-window group as a unit
+               across --workers N live workers (default 8) under the chosen
+               routing policy, with per-shard admission control (saturated
+               shards reject instead of buffering), on one work-stealing
+               executor seeded by --seed; --snapshots N gives each worker a
+               snapshot cache of N slots; --audit replays the emitted event
+               stream through the invariant auditor and the attribution
+               engine, --out FILE exports it as JSONL (readable by
+               `faasbatch trace --analyze`); --metrics-addr serves live
+               Prometheus text on /metrics and a JSON snapshot on /json
+               (--serve-ms holds the endpoint open after the burst),
+               --flight-record FILE keeps a bounded ring of recent events and
+               dumps it as JSONL on panic or shutdown (readable by
+               `faasbatch trace --analyze`)",
         run: cmd_live,
     },
     Command {
@@ -447,7 +444,9 @@ fn build_workload(opts: &Options) -> Result<(String, Workload), CliError> {
 }
 
 /// The workload a replay subcommand runs: `--import FILE` or a generated
-/// one. Replays need at least one invocation (their tables take quantiles).
+/// one. Replays need at least one invocation (their tables take quantiles),
+/// and none may arrive past a worker's safety horizon ([`Worker::HORIZON`],
+/// a day): the host sampler would record every idle second up to it.
 fn load_or_build(opts: &Options) -> Result<(String, Workload), CliError> {
     let (label, w) = match opts.values.get("--import") {
         None => build_workload(opts)?,
@@ -463,6 +462,18 @@ fn load_or_build(opts: &Options) -> Result<(String, Workload), CliError> {
         return Err(CliError::Usage(
             "the workload holds no invocations (--total must be at least 1)".to_owned(),
         ));
+    }
+    if w.last_arrival() > SimTime::ZERO + Worker::HORIZON {
+        let flag = if opts.flag("--import") {
+            "--import"
+        } else {
+            "--span-s"
+        };
+        return Err(CliError::Usage(format!(
+            "{flag}: the last arrival, at {}, lies past the simulator's {} safety horizon",
+            w.last_arrival(),
+            Worker::HORIZON
+        )));
     }
     Ok((label, w))
 }
@@ -616,7 +627,7 @@ fn parse_faults(key: &str, spec: &str, kind: FaultKind) -> Result<Vec<WorkerFaul
             let ms = ms.parse().map_err(|_| invalid("millisecond instant"))?;
             Ok(WorkerFault {
                 worker: w.parse().map_err(|_| invalid("worker index"))?,
-                at: faasbatch::simcore::time::SimTime::ZERO + span_of(key, ms, MS)?,
+                at: SimTime::ZERO + span_of(key, ms, MS)?,
                 kind,
             })
         })
@@ -628,15 +639,13 @@ fn cmd_fleet(opts: &Options) -> Result<(), CliError> {
     let policy_name = opts.str("--policy", "least-loaded");
     let kind = RoutingKind::parse(&policy_name).map_err(|e| CliError::Usage(e.to_string()))?;
     let window = window_of(opts, 200)?;
-    let scheduler = match opts.str("--scheduler", "faasbatch").as_str() {
-        "faasbatch" => WorkerScheduler::FaasBatch(FaasBatchConfig::with_window(window)),
-        "vanilla" => WorkerScheduler::Vanilla,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown scheduler: {other} (use faasbatch|vanilla)"
-            )))
-        }
-    };
+    let name = opts.str("--scheduler", "faasbatch");
+    let scheduler = SchedulerKind::parse(&name)
+        .ok()
+        .filter(|k| matches!(k, SchedulerKind::FaasBatch | SchedulerKind::Vanilla))
+        .ok_or_else(|| {
+            CliError::Usage(format!("unknown scheduler: {name} (use faasbatch|vanilla)"))
+        })?;
     let mut faults = Vec::new();
     if let Some(spec) = opts.values.get("--crash") {
         faults.extend(parse_faults("--crash", spec, FaultKind::Crash)?);
@@ -646,8 +655,8 @@ fn cmd_fleet(opts: &Options) -> Result<(), CliError> {
     }
     let cfg = FleetConfig {
         workers: opts.num("--workers", 4)?,
-        window,
         scheduler,
+        setup: SchedulerSetup::new(window),
         faults,
         max_retries: opts.num("--max-retries", 3)?,
         redispatch_delay: span_of("--redispatch-ms", opts.num("--redispatch-ms", 50)?, MS)?,
@@ -970,10 +979,10 @@ fn cmd_autoscale(opts: &Options) -> Result<(), CliError> {
     Ok(audit(events)?)
 }
 
-/// Live-telemetry wiring shared by `live` and `live --gateway`:
-/// `--metrics-addr` binds the exposition endpoint, `--serve-ms` holds it
-/// open after the burst, `--flight-record` keeps a bounded event ring that
-/// dumps JSONL on panic (hook) or clean shutdown ([`LiveTelemetry::finish`]).
+/// Live-telemetry wiring of `live`: `--metrics-addr` binds the exposition
+/// endpoint, `--serve-ms` holds it open after the burst, `--flight-record`
+/// keeps a bounded event ring that dumps JSONL on panic (hook) or clean
+/// shutdown ([`LiveTelemetry::finish`]).
 struct LiveTelemetry {
     registry: Option<faasbatch::metrics::MetricRegistry>,
     server: Option<faasbatch::metrics::TelemetryServer>,
@@ -1217,218 +1226,119 @@ fn audit_and_export(
     audit(&events)
 }
 
-/// The first flag of `spec` (a [`Command::flags`] spec string) that was
-/// given — as the parser's own unknown-flag error, scoped to `front_door`.
-fn reject_flags_of(spec: &str, opts: &Options, front_door: &str) -> Result<(), CliError> {
-    match spec
-        .split_whitespace()
-        .find(|token| token.starts_with("--") && opts.flag(token))
-    {
-        Some(flag) => Err(CliError::Usage(format!(
-            "unknown flag for `{front_door}`: {flag}"
-        ))),
-        None => Ok(()),
+/// `faasbatch live`: a synthetic burst through the sharded gateway onto
+/// `--workers` live workers, all on one work-stealing executor of the
+/// default size (`FAASBATCH_EXEC_WORKERS`) seeded by `--seed`.
+fn cmd_live(opts: &Options) -> Result<(), CliError> {
+    use faasbatch::exec::{Executor, ExecutorConfig};
+    use faasbatch::gateway::{Gateway, GatewayError};
+    use std::sync::atomic::Ordering::Relaxed;
+    use std::time::{Duration, Instant};
+
+    let jobs: usize = opts.num("--jobs", 20_000)?;
+    let batch_size: usize = opts.num("--batch-size", 100)?;
+    if jobs == 0 || batch_size == 0 {
+        return Err(CliError::Usage(
+            "--jobs and --batch-size must be at least 1".to_owned(),
+        ));
     }
-}
-
-/// What both `live` front doors share: the burst's shape, the handler
-/// body's sleep, and the trace/telemetry wiring.
-struct LiveBurst {
-    jobs: usize,
-    batch_size: usize,
-    functions: usize,
-    workers: usize,
-    window: std::time::Duration,
-    cold: std::time::Duration,
-    work: std::time::Duration,
-    recorder: Option<faasbatch::metrics::live::LiveTraceRecorder>,
-    registry: Option<faasbatch::metrics::MetricRegistry>,
-}
-
-impl LiveBurst {
-    /// The body registered under each of `burst-0..functions`: sleeps
-    /// `--work-us`.
-    fn body(
-        &self,
-    ) -> impl Fn(&faasbatch::core::platform::InvocationEnv<'_>) + Send + Sync + 'static {
-        let work = self.work;
-        move |_env| {
+    let functions = jobs.div_ceil(batch_size);
+    let workers: usize = opts.positive("--workers", 8)?;
+    let shards: usize = opts.positive("--shards", 4)?;
+    let policy = RoutingKind::parse(&opts.str("--policy", "least-loaded"))
+        .map_err(|e| CliError::Usage(e.to_string()))?;
+    let work = Duration::from_micros(opts.num("--work-us", 250)?);
+    let executor = Executor::new(ExecutorConfig {
+        seed: opts.num("--seed", 2023)?,
+        ..ExecutorConfig::default()
+    });
+    let mut builder = Gateway::builder()
+        .workers(workers)
+        .shards(shards)
+        .shard_depth(opts.positive("--shard-depth", 65_536)?)
+        .window(window_of(opts, 25)?.into())
+        .cold_start_delay(Duration::from_millis(opts.num("--cold-ms", 2)?))
+        .snapshots(opts.num("--snapshots", 0)?)
+        .policy(policy)
+        .executor(std::sync::Arc::clone(&executor));
+    // The restore delay has one default, the builder's.
+    if opts.flag("--restore-ms") {
+        builder = builder.restore_delay(Duration::from_millis(opts.num("--restore-ms", 0)?));
+    }
+    let telemetry = LiveTelemetry::from_opts(opts)?;
+    let trace = opts.flag("--audit") || opts.flag("--out") || telemetry.wants_trace();
+    let recorder = trace.then(|| telemetry.recorder());
+    if let Some(rec) = &recorder {
+        builder = builder.trace(rec.clone());
+    }
+    if let Some(registry) = &telemetry.registry {
+        builder = builder.telemetry(registry);
+    }
+    for f in 0..functions {
+        builder = builder.register(&format!("burst-{f}"), move |_env| {
             if !work.is_zero() {
                 std::thread::sleep(work);
             }
-        }
-    }
-
-    /// Fires the burst through `invoke` (`Ok(None)`: rejected by admission
-    /// control), waits for every ticket, drains, and prints the summary and
-    /// latency lines; `summary` supplies the front door's own counters once
-    /// the burst is over.
-    fn fire(
-        &self,
-        invoke: impl Fn(&str) -> Result<Option<faasbatch::core::platform::InvokeTicket>, String>,
-        drain: impl FnOnce() -> Result<(), String>,
-        summary: impl FnOnce(usize) -> String,
-    ) -> Result<(), String> {
-        let started = std::time::Instant::now();
-        let mut tickets = Vec::with_capacity(self.jobs);
-        for n in 0..self.jobs {
-            tickets.extend(invoke(&format!("burst-{}", n % self.functions))?);
-        }
-        let rejected = self.jobs - tickets.len();
-        let mut latencies: Vec<std::time::Duration> = Vec::with_capacity(tickets.len());
-        let mut panicked = 0usize;
-        for t in tickets {
-            let outcome = t.wait();
-            if outcome.panicked {
-                panicked += 1;
-            }
-            latencies.push(outcome.total());
-        }
-        drain()?;
-        let elapsed = started.elapsed();
-
-        latencies.sort_unstable();
-        println!(
-            "done in {elapsed:.2?}: {:.0} invocations/s | completed {} | {} | panicked {panicked}",
-            latencies.len() as f64 / elapsed.as_secs_f64(),
-            latencies.len(),
-            summary(rejected),
-        );
-        println!(
-            "latency: p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
-            quantile_sorted(&latencies, 0.50),
-            quantile_sorted(&latencies, 0.95),
-            quantile_sorted(&latencies, 0.99),
-            latencies.last().copied().unwrap_or_default(),
-        );
-        Ok(())
-    }
-}
-
-/// What only the single-platform front door reads.
-const LIVE_PLATFORM: &str = "--seed N --snapshots N --restore-ms N";
-/// What only `live --gateway` reads.
-const LIVE_GATEWAY: &str = "--shards N --shard-depth N --policy {policies}";
-
-fn live_gateway(opts: &Options, burst: &LiveBurst) -> Result<(), CliError> {
-    use faasbatch::gateway::{Gateway, GatewayError};
-
-    let shards: usize = opts.num("--shards", 4)?;
-    let shard_depth: usize = opts.num("--shard-depth", 65_536)?;
-    let policy = RoutingKind::parse(&opts.str("--policy", "least-loaded"))
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-    let mut builder = Gateway::builder()
-        .workers(burst.workers)
-        .shards(shards)
-        .shard_depth(shard_depth)
-        .window(burst.window)
-        .cold_start_delay(burst.cold)
-        .policy(policy);
-    if let Some(rec) = &burst.recorder {
-        builder = builder.trace(rec.clone());
-    }
-    if let Some(registry) = &burst.registry {
-        builder = builder.telemetry(registry);
-    }
-    for f in 0..burst.functions {
-        builder = builder.register(&format!("burst-{f}"), burst.body());
+        });
     }
     let gateway = builder.start();
+    // The gateway registers its families at start; the executor's follow.
+    if let Some(registry) = &telemetry.registry {
+        faasbatch::core::telemetry::register_executor(registry, &executor);
+    }
 
     println!(
-        "firing {} invocations over {} function(s) through {shards} gateway shard(s) onto \
-         {} live worker(s), {} routing…",
-        burst.jobs,
-        burst.functions,
-        burst.workers,
+        "firing {jobs} invocations over {functions} function(s) (target batch {batch_size}) \
+         through {shards} gateway shard(s) onto {workers} live worker(s), {} routing…",
         policy.name()
     );
-    burst.fire(
-        |name| match gateway.invoke(name, bytes::Bytes::new()) {
-            Ok(ticket) => Ok(Some(ticket)),
-            Err(GatewayError::Rejected { .. }) => Ok(None),
-            Err(e) => Err(e.to_string()),
-        },
-        || gateway.drain().map_err(|e| e.to_string()),
-        |rejected| {
-            format!(
-                "rejected {rejected} | peak in-flight {}",
-                gateway.peak_in_flight()
-            )
-        },
-    )?;
+    let started = Instant::now();
+    let mut tickets = Vec::with_capacity(jobs);
+    for n in 0..jobs {
+        match gateway.invoke(&format!("burst-{}", n % functions), bytes::Bytes::new()) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(GatewayError::Rejected { .. }) => {}
+            Err(e) => return Err(e.to_string().into()),
+        }
+    }
+    let rejected = jobs - tickets.len();
+    let mut latencies: Vec<Duration> = Vec::with_capacity(tickets.len());
+    let mut panicked = 0usize;
+    for ticket in tickets {
+        let outcome = ticket.wait();
+        panicked += usize::from(outcome.panicked);
+        latencies.push(outcome.total());
+    }
+    gateway.drain().map_err(|e| e.to_string())?;
+    let elapsed = started.elapsed();
+
+    let sum = |count: fn(&faasbatch::core::platform::PlatformStats) -> u64| {
+        gateway.worker_stats().into_iter().map(count).sum::<u64>()
+    };
+    latencies.sort_unstable();
+    println!(
+        "done in {elapsed:.2?}: {:.0} invocations/s | completed {} | rejected {rejected} | \
+         peak in-flight {} | containers {} | restored {} | batches {} | panicked {panicked}",
+        latencies.len() as f64 / elapsed.as_secs_f64(),
+        latencies.len(),
+        gateway.peak_in_flight(),
+        sum(|s| s.containers_created.load(Relaxed)),
+        sum(|s| s.containers_restored.load(Relaxed)),
+        sum(|s| s.batches.load(Relaxed)),
+    );
+    println!(
+        "latency: p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
+        quantile_sorted(&latencies, 0.50),
+        quantile_sorted(&latencies, 0.95),
+        quantile_sorted(&latencies, 0.99),
+        latencies.last().copied().unwrap_or_default(),
+    );
     for (shard, s) in gateway.stats().shards.iter().enumerate() {
         println!(
             "shard {shard}: enqueued {} | admitted {} | rejected {} | groups {}",
             s.enqueued, s.admitted, s.rejected, s.routed_groups
         );
     }
-    Ok(())
-}
-
-fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), CliError> {
-    use faasbatch::core::platform::PlatformBuilder;
-    use faasbatch::exec::{Executor, ExecutorConfig};
-    use std::sync::atomic::Ordering::Relaxed;
-
-    let seed: u64 = opts.num("--seed", 2023)?;
-    let snapshots: usize = opts.num("--snapshots", 0)?;
-    let mut exec_config = ExecutorConfig {
-        seed,
-        ..ExecutorConfig::default()
-    };
-    if burst.workers > 0 {
-        exec_config.workers = burst.workers;
-    }
-    let executor = Executor::new(exec_config);
-    let mut builder = PlatformBuilder::new()
-        .window(burst.window)
-        .cold_start_delay(burst.cold)
-        .snapshots(snapshots)
-        .executor(std::sync::Arc::clone(&executor));
-    // The restore delay has one default, the builder's.
-    if opts.flag("--restore-ms") {
-        let restore_ms = opts.num("--restore-ms", 0)?;
-        builder = builder.restore_delay(std::time::Duration::from_millis(restore_ms));
-    }
-    if let Some(rec) = &burst.recorder {
-        builder = builder.trace(rec.clone());
-    }
-    if let Some(registry) = &burst.registry {
-        builder = builder.telemetry(registry);
-        faasbatch::core::telemetry::register_executor(registry, &executor);
-    }
-    for f in 0..burst.functions {
-        builder = builder.register(&format!("burst-{f}"), burst.body());
-    }
-    let platform = builder.start();
-
-    println!(
-        "firing {} invocations over {} function(s) (target batch {}) on the work-stealing \
-         executor, {} worker(s)…",
-        burst.jobs,
-        burst.functions,
-        burst.batch_size,
-        executor.workers()
-    );
-    let stats = platform.stats();
-    burst.fire(
-        |name| {
-            platform
-                .invoke(name, bytes::Bytes::new())
-                .map(Some)
-                .map_err(|e| e.to_string())
-        },
-        || platform.drain().map_err(|e| e.to_string()),
-        |_rejected| {
-            format!(
-                "containers {} | restored {} | batches {}",
-                stats.containers_created.load(Relaxed),
-                stats.containers_restored.load(Relaxed),
-                stats.batches.load(Relaxed),
-            )
-        },
-    )?;
     let metrics = executor.metrics();
     println!(
         "executor: {} worker(s) | peak in-flight {} | spawned {} | steals {}",
@@ -1437,49 +1347,11 @@ fn live_platform(opts: &Options, burst: &LiveBurst) -> Result<(), CliError> {
         metrics.spawned_total,
         metrics.total_steals(),
     );
-    Ok(())
-}
-
-/// `faasbatch live`: a synthetic burst against the real platform, or with
-/// `--gateway` against the sharded gateway. A flag the chosen front door
-/// never reads is an error, not a silent no-op.
-fn cmd_live(opts: &Options) -> Result<(), CliError> {
-    let gateway = opts.flag("--gateway");
-    if gateway {
-        reject_flags_of(LIVE_PLATFORM, opts, "live --gateway")?;
-    } else {
-        reject_flags_of(LIVE_GATEWAY, opts, "live (without --gateway)")?;
-    }
-    let jobs: usize = opts.num("--jobs", if gateway { 20_000 } else { 2_000 })?;
-    let batch_size: usize = opts.num("--batch-size", 100)?;
-    if jobs == 0 || batch_size == 0 {
-        return Err(CliError::Usage(
-            "--jobs and --batch-size must be at least 1".to_owned(),
-        ));
-    }
-    let telemetry = LiveTelemetry::from_opts(opts)?;
-    let trace =
-        opts.flag("--audit") || opts.values.contains_key("--out") || telemetry.wants_trace();
-    let burst = LiveBurst {
-        jobs,
-        batch_size,
-        functions: jobs.div_ceil(batch_size),
-        // Gateway: worker count; platform: executor size (0 = its default).
-        workers: opts.num("--workers", if gateway { 8 } else { 0 })?,
-        window: window_of(opts, 25)?.into(),
-        cold: std::time::Duration::from_millis(opts.num("--cold-ms", 2)?),
-        work: std::time::Duration::from_micros(opts.num("--work-us", 250)?),
-        recorder: trace.then(|| telemetry.recorder()),
-        registry: telemetry.registry.clone(),
-    };
-    // Each front door drains and drops before it returns.
-    if gateway {
-        live_gateway(opts, &burst)?;
-    } else {
-        live_platform(opts, &burst)?;
-    }
+    // The shard threads stop before the endpoint is held open and the
+    // flight ring is dumped.
+    drop(gateway);
     telemetry.finish()?;
-    match burst.recorder {
+    match recorder {
         Some(recorder) => Ok(audit_and_export(recorder, opts)?),
         None => Ok(()),
     }
@@ -1578,7 +1450,20 @@ mod tests {
         const OVER_S: &str = "18446744073710";
         // One that fits the clock but not a run: past the one-day horizon.
         const FAR_MS: &str = "18446744073709551";
-        let cases: [(&str, &[&str], &str, bool); 37] = [
+        const FAR_S: &str = "18446744073709";
+        // A workload spread over such a span, exported for `--import`.
+        let far = std::env::temp_dir().join(format!("faasbatch-far-{}.json", std::process::id()));
+        let far = far.to_str().expect("temp dir is UTF-8");
+        let export = ["--total", "40", "--span-s", FAR_S, "--export", far];
+        run("workload", &strings(&export)).expect("a span the clock holds exports");
+        let cases: [(&str, &[&str], &str, bool); 41] = [
+            (
+                "compare",
+                &["--total", "40", "--span-s", FAR_S],
+                "--span-s",
+                USAGE,
+            ),
+            ("compare", &["--import", far], "--import", USAGE),
             (
                 "compare",
                 &["--total", "40", "--window-ms", FAR_MS],
@@ -1665,12 +1550,9 @@ mod tests {
                 "--window-ms",
                 USAGE,
             ),
-            (
-                "live",
-                &["--gateway", "--window-ms", "0"],
-                "--window-ms",
-                USAGE,
-            ),
+            ("live", &["--workers", "0"], "--workers", USAGE),
+            ("live", &["--shards", "0"], "--shards", USAGE),
+            ("live", &["--shard-depth", "0"], "--shard-depth", USAGE),
             ("compare", &["--windw-ms", "10"], "--windw-ms", USAGE),
             ("trace", &["--seed", "1", "--seed", "2"], "--seed", USAGE),
             ("frobnicate", &[], "unknown command", USAGE),
@@ -1708,9 +1590,9 @@ mod tests {
                 FAILED,
             ),
         ];
-        // A span that fits the clock is no error: the workload's statistics
-        // take no bin per simulated second.
-        run("workload", &strings(&["--span-s", "18446744073709"]))
+        // `workload` takes any span the clock holds: its statistics take no
+        // bin per simulated second.
+        run("workload", &strings(&["--span-s", FAR_S]))
             .expect("a span the clock holds prints its statistics");
         for (name, args, needle, usage) in cases {
             let err = run(name, &strings(args)).expect_err(&format!("{name} {args:?}"));
@@ -1724,6 +1606,7 @@ mod tests {
                 "{name} {args:?}: `{err:?}` is a usage mistake: {usage}"
             );
         }
+        std::fs::remove_file(far).expect("the export is removed");
         // Per subcommand: a typo'd flag, a duplicated flag, and a trailing
         // flag without its value all stop at the parser, naming the flag.
         for c in COMMANDS {
@@ -1749,28 +1632,6 @@ mod tests {
                     c.name
                 );
             }
-        }
-    }
-
-    /// `live` has two front doors; a flag only the other one reads is the
-    /// parser's unknown-flag error, raised before anything starts.
-    #[test]
-    fn live_rejects_flags_its_front_door_never_reads() {
-        let cases: [(&[&str], &str); 6] = [
-            (&["--gateway", "--snapshots", "4"], "--snapshots"),
-            (&["--gateway", "--restore-ms", "1"], "--restore-ms"),
-            (&["--gateway", "--seed", "7"], "--seed"),
-            (&["--shards", "2"], "--shards"),
-            (&["--shard-depth", "64"], "--shard-depth"),
-            (&["--policy", "round-robin"], "--policy"),
-        ];
-        for (args, flag) in cases {
-            let err = run("live", &strings(args)).expect_err(&format!("live {args:?}"));
-            assert!(
-                matches!(&err, CliError::Usage(msg)
-                    if msg.starts_with("unknown flag for `live") && msg.ends_with(flag)),
-                "live {args:?}: `{err:?}` must reject `{flag}` as unknown"
-            );
         }
     }
 

@@ -7,7 +7,7 @@ use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};
 use faasbatch::schedulers::config::SimConfig;
 use faasbatch::simcore::engine::{Engine, EventArg};
 use faasbatch::simcore::time::{SimDuration, SimTime};
-use faasbatch::trace::fib::{expected_duration, fib, fib_n_for_duration, MAX_N, MIN_N};
+use faasbatch::trace::fib::fib;
 use faasbatch::trace::function::{FunctionKind, FunctionRegistry};
 use faasbatch::trace::workload::{Invocation, Workload};
 
@@ -15,17 +15,6 @@ use faasbatch::trace::workload::{Invocation, Workload};
 fn fib_satisfies_its_recurrence() {
     for n in 2..=25 {
         assert_eq!(fib(n), fib(n - 1) + fib(n - 2), "recurrence broken at {n}");
-    }
-}
-
-#[test]
-fn fib_duration_model_is_monotone_and_invertible() {
-    let mut prev = SimDuration::ZERO;
-    for n in MIN_N..=MAX_N {
-        let d = expected_duration(n);
-        assert!(d > prev);
-        assert_eq!(fib_n_for_duration(d), n);
-        prev = d;
     }
 }
 

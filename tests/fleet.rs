@@ -156,7 +156,7 @@ proptest! {
         for r in &report.records {
             let key = (
                 r.record.function.index(),
-                r.record.arrival.as_micros() / cfg.window.as_micros(),
+                r.record.arrival.as_micros() / cfg.setup.faasbatch.window.as_micros(),
             );
             let first = *owner.entry(key).or_insert(r.worker);
             prop_assert_eq!(

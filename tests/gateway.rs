@@ -292,6 +292,72 @@ fn platform_counters_are_the_workers_stats_summed() {
     }
 }
 
+/// Each worker keeps its own snapshot cache: a function booted cold on
+/// its worker, evicted by keep-alive, and invoked again is restored there
+/// from that worker's own template. Every worker restores exactly what it
+/// booted, and the stream audits clean and attributes exactly.
+#[test]
+fn gateway_workers_restore_from_their_own_snapshots() {
+    let recorder = LiveTraceRecorder::new();
+    let mut builder = Gateway::builder()
+        .workers(2)
+        .shards(2)
+        .window(Duration::from_millis(5))
+        .cold_start_delay(Duration::from_millis(5))
+        .restore_delay(Duration::from_millis(1))
+        .snapshots(FUNCTIONS)
+        .keep_alive(Duration::from_millis(20))
+        .policy(RoutingKind::WarmAffinity)
+        .trace(recorder.clone());
+    for f in 0..FUNCTIONS {
+        builder = builder.register(&format!("fn-{f}"), |_env| {});
+    }
+    let gateway = builder.start();
+    let mut outcomes = Vec::new();
+    for round in 0..2 {
+        if round == 1 {
+            // Long past the keep-alive: every warm container is gone.
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        let tickets: Vec<_> = (0..FUNCTIONS)
+            .map(|f| {
+                gateway
+                    .invoke(&format!("fn-{f}"), Bytes::new())
+                    .expect("registered, unbounded depth")
+            })
+            .collect();
+        gateway.drain().expect("drain");
+        outcomes.push(tickets.into_iter().map(|t| t.wait()).collect::<Vec<_>>());
+    }
+    assert!(outcomes[0].iter().all(|o| o.cold && !o.restored));
+    assert!(outcomes[1].iter().all(|o| o.restored && !o.cold));
+    let count = |stats: &PlatformStats, field: fn(&PlatformStats) -> &AtomicU64| {
+        field(stats).load(Ordering::Relaxed)
+    };
+    let mut restored = 0;
+    for stats in gateway.worker_stats() {
+        let created = count(stats, |s| &s.containers_created);
+        assert_eq!(count(stats, |s| &s.containers_restored), created);
+        restored += created;
+    }
+    assert_eq!(restored, FUNCTIONS as u64);
+    drop(gateway);
+
+    let events = recorder.take_trace();
+    let mut auditor = AuditorSink::new();
+    let mut engine = AttributionEngine::new();
+    for event in &events {
+        auditor.record(event);
+        engine.record(event);
+    }
+    let violations = auditor.finish().to_vec();
+    assert!(violations.is_empty(), "{violations:?}");
+    let report = engine.finish();
+    assert_eq!(report.invocations.len(), 2 * FUNCTIONS);
+    assert_eq!(report.unfinished, 0);
+    assert!(report.all_exact(), "phases must sum to end-to-end latency");
+}
+
 /// A gateway whose window no test outlives: a window ends when the test
 /// drains, so the test decides what one window holds.
 fn scripted_gateway(
@@ -408,7 +474,7 @@ fn fleet_sim_and_gateway_place_every_group_on_the_same_worker() {
             .enumerate()
             .flat_map(|(window, &(f, members))| {
                 let function = ids[f];
-                let opens = cfg.window.as_micros() * window as u64;
+                let opens = cfg.setup.faasbatch.window.as_micros() * window as u64;
                 (0..members as u64).map(move |m| Invocation {
                     // `Workload::new` renumbers in arrival order.
                     id: InvocationId::new(0),
@@ -512,7 +578,7 @@ proptest! {
         for r in &report.records {
             let key = (
                 r.record.function.index(),
-                r.record.arrival.as_micros() / cfg.window.as_micros(),
+                r.record.arrival.as_micros() / cfg.setup.faasbatch.window.as_micros(),
             );
             let first = *owner.entry(key).or_insert(r.worker);
             prop_assert_eq!(

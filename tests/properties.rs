@@ -5,7 +5,6 @@ use faasbatch::container::pool::WarmPool;
 use faasbatch::core::mapper::InvokeMapper;
 use faasbatch::core::multiplexer::ResourceMultiplexer;
 use faasbatch::metrics::stats::Cdf;
-use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
 use faasbatch::simcore::cpu::CpuModel;
 use faasbatch::simcore::engine::{Engine, EventArg};
 use faasbatch::simcore::memory::{MemCategory, MemoryLedger};
@@ -108,51 +107,6 @@ proptest! {
         prop_assert_eq!(finished, expected);
     }
 
-    /// Kraken's packer is a partition: every queued invocation lands in
-    /// exactly one batch, order preserved within batches, and no batch is
-    /// empty.
-    #[test]
-    fn kraken_pack_partitions(
-        n in 1usize..60,
-        slo_ms in 50u64..5_000,
-        exec_ms in 1u64..500,
-        warm in 0usize..10,
-    ) {
-        let f = FunctionId::new(0);
-        let mut cal = KrakenCalibration::default();
-        cal.slo.insert(f, SimDuration::from_millis(slo_ms));
-        cal.mean_exec.insert(f, SimDuration::from_millis(exec_ms));
-        let kraken = Kraken::new(cal, SimDuration::from_millis(200));
-        let queue: Vec<Invocation> = (0..n as u64)
-            .map(|i| Invocation {
-                id: InvocationId::new(i),
-                function: f,
-                arrival: SimTime::from_millis(i),
-                work: SimDuration::from_millis(exec_ms),
-            })
-            .collect();
-        let batches = kraken.pack_for_test(
-            SimTime::from_millis(200),
-            f,
-            queue,
-            warm,
-            SimDuration::from_millis(700),
-        );
-        prop_assert!(batches.iter().all(|b| !b.is_empty()));
-        let mut ids: Vec<u64> = batches
-            .iter()
-            .flat_map(|b| b.iter().map(|i| i.id.value()))
-            .collect();
-        let flat = ids.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        prop_assert_eq!(ids.len(), n, "not a partition");
-        // Within a batch, arrival order is preserved.
-        for b in &batches {
-            prop_assert!(b.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        }
-        let _ = flat;
-    }
     /// Engine events always run in non-decreasing time order, with FIFO
     /// tie-breaking, regardless of insertion order.
     #[test]
